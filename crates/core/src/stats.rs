@@ -376,10 +376,8 @@ pub fn observed_fisher_cached<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
             .take_while(|&&l| l > cutoff && l > 0.0)
             .count();
         let mut v = Matrix::zeros(n, k);
-        for c in 0..k {
-            for r in 0..n {
-                v[(r, c)] = eigenvectors[(r, c)];
-            }
+        for r in 0..n {
+            v.row_mut(r).copy_from_slice(&eigenvectors.row(r)[..k]);
         }
         Ok(ModelStatistics {
             dim,
@@ -419,12 +417,19 @@ fn explicit_factor_from_j(
         .iter()
         .take_while(|&&l| l > cutoff && l > 0.0)
         .count();
+    let scales: Vec<f64> = eigenvalues[..k]
+        .iter()
+        .map(|&lam| lam.sqrt() / (lam + beta))
+        .collect();
     let mut l = Matrix::zeros(d, k);
-    for j in 0..k {
-        let lam = eigenvalues[j];
-        let scale = lam.sqrt() / (lam + beta);
-        for i in 0..d {
-            l[(i, j)] = scale * eigenvectors[(i, j)];
+    for i in 0..d {
+        for ((lij, &uij), &scale) in l
+            .row_mut(i)
+            .iter_mut()
+            .zip(eigenvectors.row(i))
+            .zip(&scales)
+        {
+            *lij = scale * uij;
         }
     }
     l

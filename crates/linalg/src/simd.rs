@@ -18,6 +18,8 @@
 //! * [`rows_weighted_sum`] accumulates into `out[j]` in ascending row
 //!   order — the bit-identical sequence of the naive
 //!   `for i { axpy(w[i], row_i, out) }` loop (zero weights included).
+//! * `givens_rows` (crate-internal, the eigensolver's rotation) is
+//!   elementwise, so each element's bits are those of the scalar loop.
 //!
 //! The AVX paths execute the same IEEE multiply/add DAG as the scalar
 //! fallbacks (no FMA contraction), so results do not depend on which
@@ -617,6 +619,43 @@ unsafe fn rows_weighted_sum_gather_idx_avx(
     }
 }
 
+/// Givens rotation of two equal-length rows, elementwise:
+/// `(a, b) ← (c·a − s·b, s·a + c·b)` — the eigenvector update of the QL
+/// iteration in [`crate::eigen`], which keeps its transform transposed
+/// so that each rotation touches two contiguous rows.
+///
+/// # Panics
+/// Panics when `a.len() != b.len()`.
+pub(crate) fn givens_rows(a: &mut [f64], b: &mut [f64], c: f64, s: f64) {
+    assert_eq!(a.len(), b.len(), "givens_rows: row length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if a.len() >= 8 && is_x86_feature_detected!("avx") {
+        // SAFETY: AVX presence just checked; the body is safe code.
+        unsafe { givens_rows_avx(a, b, c, s) };
+        return;
+    }
+    givens_rows_fallback(a, b, c, s);
+}
+
+/// Scalar reference for [`givens_rows`].
+#[inline(always)]
+fn givens_rows_fallback(a: &mut [f64], b: &mut [f64], c: f64, s: f64) {
+    for (ai, bi) in a.iter_mut().zip(b) {
+        let f = *bi;
+        *bi = s * *ai + c * f;
+        *ai = c * *ai - s * f;
+    }
+}
+
+/// AVX [`givens_rows`]: the scalar loop compiled 4 lanes wide. Each lane
+/// performs the fallback's two multiplies and one add or subtract (AVX
+/// alone has no FMA, and Rust never contracts), so the bits match.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn givens_rows_avx(a: &mut [f64], b: &mut [f64], c: f64, s: f64) {
+    givens_rows_fallback(a, b, c, s);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -743,6 +782,23 @@ mod tests {
                 rows_weighted_sum_gather_idx(&rows, &idx, d, &wr, &mut gb);
                 assert_eq!(ga, gb, "wsum n={n} d={d} idx={idx:?}");
             }
+        }
+    }
+
+    #[test]
+    fn givens_rows_fallback_matches_dispatch() {
+        for n in [1, 7, 8, 13, 64, 257] {
+            let (a0, b0) = (block(1, n, 30), block(1, n, 31));
+            let (c, s) = (0.8, -0.6);
+            let (mut fa, mut fb) = (a0.clone(), b0.clone());
+            let (mut sa, mut sb) = (a0.clone(), b0.clone());
+            givens_rows(&mut fa, &mut fb, c, s);
+            givens_rows_fallback(&mut sa, &mut sb, c, s);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fa), bits(&sa), "a, n={n}");
+            assert_eq!(bits(&fb), bits(&sb), "b, n={n}");
+            assert_eq!(fa[0].to_bits(), (c * a0[0] - s * b0[0]).to_bits());
+            assert_eq!(fb[0].to_bits(), (s * a0[0] + c * b0[0]).to_bits());
         }
     }
 
