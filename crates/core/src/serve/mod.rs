@@ -80,7 +80,7 @@
 //! immutable epoch snapshot and train against exactly that snapshot —
 //! [`ServedResponse::epoch`] names it, and the bit-identity contract
 //! holds *per snapshot*: the response equals a cold coordinator run on
-//! the materialized pool of that epoch.
+//! that epoch's train/holdout datasets.
 //!
 //! Cached pilots from older epochs walk a **drift ladder** keyed by a
 //! cheap holdout-shift score ([`ServeConfig::drift_warn`] /
@@ -341,7 +341,7 @@ pub struct ServedResponse {
     pub rung: DegradationRung,
     /// The epoch snapshot this response was computed against: always 0
     /// for static [`DatasetShard`]s; for a [`StreamShard`], the epoch
-    /// whose materialized pool reproduces this response bit-for-bit in
+    /// whose snapshot datasets reproduce this response bit-for-bit in
     /// a cold coordinator run (the current epoch on the fresh path, the
     /// pilot's own epoch on drift-reuse and
     /// [`DegradationRung::StalePilot`] paths).
@@ -900,7 +900,7 @@ impl Server {
                 // matrices be built once and shared without any
                 // self-referential tricks. Streaming pools have no
                 // resident matrix — every query pins its own epoch
-                // snapshot and materializes (and pools) exactly that.
+                // snapshot and pools exactly that prefix view.
                 config.exec.apply();
                 let pools: Vec<Option<DatasetMatrix<'_>>> = shards
                     .iter()
@@ -1655,17 +1655,16 @@ where
     if base_len == 0 {
         return f64::INFINITY;
     }
-    let base = snapshot.holdout_rows(0, base_len);
-    let fresh = snapshot.holdout_rows(base_len, now_len);
-    let mean = |rows: &[blinkml_data::Example<F>]| {
-        rows.iter().map(|r| spec.predict(theta, &r.x)).sum::<f64>() / rows.len() as f64
-    };
-    let base_mean = mean(&base);
-    let fresh_mean = mean(&fresh);
-    let base_var = base
+    let holdout = snapshot.holdout_dataset();
+    let (base, fresh) = holdout.examples().split_at(base_len);
+    let base_preds: Vec<f64> = base.iter().map(|r| spec.predict(theta, &r.x)).collect();
+    let base_mean = base_preds.iter().sum::<f64>() / base_len as f64;
+    let fresh_mean =
+        fresh.iter().map(|r| spec.predict(theta, &r.x)).sum::<f64>() / fresh.len() as f64;
+    let base_var = base_preds
         .iter()
-        .map(|r| {
-            let d = spec.predict(theta, &r.x) - base_mean;
+        .map(|p| {
+            let d = p - base_mean;
             d * d
         })
         .sum::<f64>()
@@ -1678,7 +1677,7 @@ where
 /// on the pilot's **own** snapshot — exactly the value
 /// [`Coordinator::curve_epsilon_at`](crate::Coordinator::curve_epsilon_at)
 /// returns for `(train_e, holdout_e, seed, n₀)` on that snapshot's
-/// materialized datasets.
+/// datasets.
 fn stale_pilot_outcome<F, S>(
     config: &BlinkMlConfig,
     spec: &S,

@@ -8,6 +8,7 @@
 use crate::features::FeatureVec;
 use blinkml_prob::rng_from_seed;
 use rand::Rng;
+use std::fmt;
 use std::sync::Arc;
 
 /// One labelled training example.
@@ -22,13 +23,30 @@ pub struct Example<F> {
 
 /// An in-memory dataset of examples sharing one feature dimension.
 ///
-/// The name is reference-counted so derived datasets (`subset`,
-/// `sample`, `split`) share it instead of copying the string data.
-#[derive(Debug, Clone)]
+/// The rows live behind an `Arc` and the dataset is the first `len` of
+/// them: a prefix view. `clone` is therefore `O(1)` (a refcount bump,
+/// never a row copy), and a streaming pool hands out each epoch as a
+/// prefix of its one shared row log (`StreamSnapshot::train_dataset`)
+/// without cloning a row. The name is reference-counted too, so
+/// derived datasets (`subset`, `sample`, `split`) share it instead of
+/// copying the string data.
+#[derive(Clone)]
 pub struct Dataset<F> {
     name: Arc<str>,
     dim: usize,
-    examples: Vec<Example<F>>,
+    rows: Arc<Vec<Example<F>>>,
+    /// Visible prefix length (`len <= rows.len()`).
+    len: usize,
+}
+
+impl<F: fmt::Debug> fmt::Debug for Dataset<F> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Dataset")
+            .field("name", &self.name)
+            .field("dim", &self.dim)
+            .field("examples", &&self.rows[..self.len])
+            .finish()
+    }
 }
 
 /// A train/holdout/test partition of one dataset.
@@ -61,10 +79,33 @@ impl<F: FeatureVec> Dataset<F> {
                 e.x.dim()
             );
         }
+        let len = examples.len();
+        Dataset::from_shared(Arc::from(name.into()), dim, Arc::new(examples), len)
+    }
+
+    /// Wrap already-validated shared rows as a prefix view of their
+    /// first `len` rows: no row is copied and no dimension is
+    /// re-checked, so callers must only pass rows that already passed a
+    /// dimension gate.
+    ///
+    /// # Panics
+    /// Panics when `len > rows.len()`.
+    pub(crate) fn from_shared(
+        name: Arc<str>,
+        dim: usize,
+        rows: Arc<Vec<Example<F>>>,
+        len: usize,
+    ) -> Self {
+        assert!(
+            len <= rows.len(),
+            "prefix of {len} rows over {} rows",
+            rows.len()
+        );
         Dataset {
-            name: Arc::from(name.into()),
+            name,
             dim,
-            examples,
+            rows,
+            len,
         }
     }
 
@@ -76,12 +117,12 @@ impl<F: FeatureVec> Dataset<F> {
     /// Number of examples (the paper's `N` when this is a full training
     /// set).
     pub fn len(&self) -> usize {
-        self.examples.len()
+        self.len
     }
 
     /// True when the dataset holds no examples.
     pub fn is_empty(&self) -> bool {
-        self.examples.is_empty()
+        self.len == 0
     }
 
     /// Feature dimension `d`.
@@ -91,32 +132,37 @@ impl<F: FeatureVec> Dataset<F> {
 
     /// Borrow example `i`.
     pub fn get(&self, i: usize) -> &Example<F> {
-        &self.examples[i]
+        &self.examples()[i]
     }
 
     /// Borrow the full example slice.
     pub fn examples(&self) -> &[Example<F>] {
-        &self.examples
+        &self.rows[..self.len]
     }
 
-    /// Take ownership of the examples (drops the dataset shell).
+    /// Take ownership of the examples (drops the dataset shell). Free
+    /// when this dataset is the rows' only owner; a shared prefix
+    /// clones its `len` rows.
     pub fn into_examples(self) -> Vec<Example<F>> {
-        self.examples
+        match Arc::try_unwrap(self.rows) {
+            Ok(mut rows) => {
+                rows.truncate(self.len);
+                rows
+            }
+            Err(shared) => shared[..self.len].to_vec(),
+        }
     }
 
     /// Iterate over examples.
     pub fn iter(&self) -> std::slice::Iter<'_, Example<F>> {
-        self.examples.iter()
+        self.examples().iter()
     }
 
     /// Clone the examples at the given indices into a new dataset.
     pub fn subset(&self, indices: &[usize]) -> Dataset<F> {
-        let examples = indices.iter().map(|&i| self.examples[i].clone()).collect();
-        Dataset {
-            name: self.name.clone(),
-            dim: self.dim,
-            examples,
-        }
+        let rows = self.examples();
+        let examples = indices.iter().map(|&i| rows[i].clone()).collect();
+        self.with_rows(examples)
     }
 
     /// Uniform random sample of `n` examples **without replacement**,
@@ -147,13 +193,10 @@ impl<F: FeatureVec> Dataset<F> {
         }
     }
 
-    /// An empty dataset sharing this dataset's name and dimension.
-    fn empty_like(&self) -> Dataset<F> {
-        Dataset {
-            name: self.name.clone(),
-            dim: self.dim,
-            examples: Vec::new(),
-        }
+    /// A dataset of `rows` sharing this dataset's name and dimension.
+    fn with_rows(&self, rows: Vec<Example<F>>) -> Dataset<F> {
+        let len = rows.len();
+        Dataset::from_shared(self.name.clone(), self.dim, Arc::new(rows), len)
     }
 
     /// Deterministically split off `holdout_size` + `test_size` examples;
@@ -177,8 +220,8 @@ impl<F: FeatureVec> Dataset<F> {
             // Nothing carved out: the pool is the whole dataset.
             return Split {
                 train: self.clone(),
-                holdout: self.empty_like(),
-                test: self.empty_like(),
+                holdout: self.with_rows(Vec::new()),
+                test: self.with_rows(Vec::new()),
             };
         }
         let picked = sample_indices(self.len(), total, seed);
@@ -194,12 +237,12 @@ impl<F: FeatureVec> Dataset<F> {
         Split {
             train: self.subset(&train_idx),
             holdout: if holdout_size == 0 {
-                self.empty_like()
+                self.with_rows(Vec::new())
             } else {
                 self.subset(holdout_idx)
             },
             test: if test_size == 0 {
-                self.empty_like()
+                self.with_rows(Vec::new())
             } else {
                 self.subset(test_idx)
             },
@@ -212,9 +255,8 @@ impl<F: FeatureVec> Dataset<F> {
             return (0.0, 0.0);
         }
         let n = self.len() as f64;
-        let mean = self.examples.iter().map(|e| e.y).sum::<f64>() / n;
+        let mean = self.iter().map(|e| e.y).sum::<f64>() / n;
         let var = self
-            .examples
             .iter()
             .map(|e| (e.y - mean) * (e.y - mean))
             .sum::<f64>()
@@ -225,11 +267,7 @@ impl<F: FeatureVec> Dataset<F> {
     /// Number of distinct class labels, assuming labels are nonnegative
     /// integers stored as `f64` (classification datasets).
     pub fn num_classes(&self) -> usize {
-        self.examples
-            .iter()
-            .map(|e| e.y as usize)
-            .max()
-            .map_or(0, |m| m + 1)
+        self.iter().map(|e| e.y as usize).max().map_or(0, |m| m + 1)
     }
 }
 

@@ -7,16 +7,19 @@
 //! traffic the coordinator therefore never reads a live pool directly.
 //! Writers append whole row blocks to a [`StreamingPool`], each append
 //! advancing a monotone **epoch**; readers take a [`StreamSnapshot`] —
-//! an immutable prefix of the block list pinned at one epoch — and run
+//! an immutable prefix of the row logs pinned at one epoch — and run
 //! the entire train/estimate/report workflow against that snapshot.
 //!
 //! Two properties make the snapshot contract cheap and exact:
 //!
 //! * **Append-only prefixes.** Rows are only ever appended, so "the
 //!   pool at epoch `e`" is exactly the first `train_len(e)` rows in
-//!   insertion order. A snapshot is a handful of `Arc` clones — no row
-//!   is copied until a query materializes its [`Dataset`] view.
-//! * **Epoch-as-prefix bit-equality.** A materialized snapshot is an
+//!   insertion order. Each side of the pool is one copy-on-write row
+//!   log; a snapshot is three `Arc` clones and its [`Dataset`]s are
+//!   `O(1)` prefix views of those logs — no row is ever copied to
+//!   serve a query. An append that races a pinned snapshot copies the
+//!   log it extends once (the snapshot keeps the old allocation).
+//! * **Epoch-as-prefix bit-equality.** A snapshot's dataset is an
 //!   ordinary [`Dataset`] of exactly the epoch's length, so every
 //!   deterministic downstream stage (`sample_indices` over the pool
 //!   length, chunked reductions, the ε oracles) produces bitwise the
@@ -185,12 +188,17 @@ pub struct EpochMark {
 }
 
 /// Shared append-only state behind the pool's `RwLock`.
+///
+/// The two row logs and the mark history are copy-on-write `Arc`s:
+/// snapshots pin them by refcount, and an append extends them in place
+/// (`Arc::make_mut`) when no snapshot holds them, or copies them once
+/// when one does — the pinned snapshot keeps the old allocation.
 struct PoolState<F> {
-    train_blocks: Vec<Arc<Vec<Example<F>>>>,
-    holdout_blocks: Vec<Arc<Vec<Example<F>>>>,
+    train: Arc<Vec<Example<F>>>,
+    holdout: Arc<Vec<Example<F>>>,
     epoch: u64,
     /// One mark per epoch, in epoch order (`marks[e] == epoch e`).
-    marks: Vec<EpochMark>,
+    marks: Arc<Vec<EpochMark>>,
     /// Monotone append-attempt counter (0 = the seed rows); every
     /// append that admits or quarantines at least one row bumps it.
     seq: u64,
@@ -235,7 +243,7 @@ pub struct AppendReceipt {
 /// admitted block bumps the epoch. Readers call
 /// [`StreamingPool::snapshot`] (or `snapshot_at`) and work exclusively
 /// against the returned [`StreamSnapshot`]. The lock is held only to
-/// push a block or clone the `Arc` list — never across training.
+/// extend a row log or bump three refcounts — never across training.
 pub struct StreamingPool<F> {
     name: Arc<str>,
     dim: usize,
@@ -270,10 +278,10 @@ impl<F: FeatureVec> StreamingPool<F> {
             domain,
             policy,
             state: RwLock::new(PoolState {
-                train_blocks: vec![Arc::new(train)],
-                holdout_blocks: vec![Arc::new(holdout)],
+                train: Arc::new(train),
+                holdout: Arc::new(holdout),
                 epoch: 0,
-                marks,
+                marks: Arc::new(marks),
                 seq: 0,
                 receipts,
                 durable: None,
@@ -299,7 +307,7 @@ impl<F: FeatureVec> StreamingPool<F> {
         )
     }
 
-    /// Pool name (shared with materialized snapshots).
+    /// Pool name (shared with every snapshot's datasets).
     pub fn name(&self) -> &str {
         &self.name
     }
@@ -397,13 +405,14 @@ impl<F: FeatureVec> StreamingPool<F> {
             });
         }
         if accepted > 0 {
-            if holdout {
-                st.holdout_blocks.push(Arc::new(rows));
+            let log = if holdout {
+                &mut st.holdout
             } else {
-                st.train_blocks.push(Arc::new(rows));
-            }
+                &mut st.train
+            };
+            Arc::make_mut(log).extend(rows);
             st.epoch = next_epoch;
-            st.marks.push(mark.expect("mark when rows admitted"));
+            Arc::make_mut(&mut st.marks).push(mark.expect("mark when rows admitted"));
         }
         if let Some(dur) = st.durable.as_mut() {
             dur.appends_since_compact += 1;
@@ -424,36 +433,35 @@ impl<F: FeatureVec> StreamingPool<F> {
         })
     }
 
-    /// Pin the current epoch as an immutable snapshot (`O(blocks)` Arc
-    /// clones; no row copies).
+    /// Pin the current epoch as an immutable snapshot.
+    ///
+    /// `O(1)`: three refcount bumps (train log, holdout log, marks)
+    /// under the read lock, no row or mark copies. While the snapshot
+    /// lives, the next append to each log it pins copies that log once
+    /// (copy-on-write) instead of extending it in place.
     pub fn snapshot(&self) -> StreamSnapshot<F> {
         let st = self.state.read().expect("pool lock");
-        StreamSnapshot {
-            name: self.name.clone(),
-            dim: self.dim,
-            train_blocks: st.train_blocks.clone(),
-            holdout_blocks: st.holdout_blocks.clone(),
-            marks: st.marks.clone(),
-            epoch: st.epoch,
-        }
+        self.pin(&st, st.epoch)
     }
 
     /// Pin a **past** epoch as a snapshot; `None` when the epoch does
     /// not exist (yet). Because the pool is append-only, every past
-    /// epoch stays reconstructible as a prefix.
+    /// epoch stays reconstructible as a prefix. Same `O(1)` cost as
+    /// [`StreamingPool::snapshot`].
     pub fn snapshot_at(&self, epoch: u64) -> Option<StreamSnapshot<F>> {
         let st = self.state.read().expect("pool lock");
-        if epoch > st.epoch {
-            return None;
-        }
-        Some(StreamSnapshot {
+        (epoch <= st.epoch).then(|| self.pin(&st, epoch))
+    }
+
+    fn pin(&self, st: &PoolState<F>, epoch: u64) -> StreamSnapshot<F> {
+        StreamSnapshot {
             name: self.name.clone(),
             dim: self.dim,
-            train_blocks: st.train_blocks.clone(),
-            holdout_blocks: st.holdout_blocks.clone(),
+            train: st.train.clone(),
+            holdout: st.holdout.clone(),
             marks: st.marks.clone(),
             epoch,
-        })
+        }
     }
 
     /// The watermark for one epoch (`None` when it doesn't exist yet).
@@ -464,7 +472,7 @@ impl<F: FeatureVec> StreamingPool<F> {
 
     /// The full watermark history, one mark per epoch in order.
     pub fn marks(&self) -> Vec<EpochMark> {
-        self.state.read().expect("pool lock").marks.clone()
+        self.state.read().expect("pool lock").marks.to_vec()
     }
 
     /// All retained quarantine receipts, in sequence order (durable
@@ -520,9 +528,9 @@ impl<F: FeatureVec> StreamingPool<F> {
             policy: self.policy,
             seq: st.seq,
             epoch: st.epoch,
-            marks: st.marks.clone(),
-            train_blocks: st.train_blocks.clone(),
-            holdout_blocks: st.holdout_blocks.clone(),
+            marks: st.marks.to_vec(),
+            train_blocks: vec![st.train.clone()],
+            holdout_blocks: vec![st.holdout.clone()],
             receipts: st.receipts.clone(),
         };
         let dur = st.durable.as_mut().expect("durable checked above");
@@ -570,6 +578,7 @@ impl<F: WalRow> StreamingPool<F> {
             holdout_len: holdout.len(),
         }];
         let receipts = seed_receipts(train_q, holdout_q);
+        let (train, holdout) = (Arc::new(train), Arc::new(holdout));
         let snapshot = wal::SnapshotState {
             name: name.clone(),
             dim,
@@ -578,8 +587,8 @@ impl<F: WalRow> StreamingPool<F> {
             seq: 0,
             epoch: 0,
             marks: marks.clone(),
-            train_blocks: vec![Arc::new(train)],
-            holdout_blocks: vec![Arc::new(holdout)],
+            train_blocks: vec![train.clone()],
+            holdout_blocks: vec![holdout.clone()],
             receipts: receipts.clone(),
         };
         wal::write_snapshot(dir, &snapshot, wal::encode_example::<F>)?;
@@ -590,10 +599,10 @@ impl<F: WalRow> StreamingPool<F> {
             domain,
             policy,
             state: RwLock::new(PoolState {
-                train_blocks: snapshot.train_blocks,
-                holdout_blocks: snapshot.holdout_blocks,
+                train,
+                holdout,
                 epoch: 0,
-                marks,
+                marks: Arc::new(marks),
                 seq: 0,
                 receipts,
                 durable: Some(Durability {
@@ -623,8 +632,8 @@ impl<F: WalRow> StreamingPool<F> {
 
         let mut epoch = snap.epoch;
         let mut marks = snap.marks;
-        let mut train_blocks = snap.train_blocks;
-        let mut holdout_blocks = snap.holdout_blocks;
+        let mut train_log = join_blocks(snap.train_blocks);
+        let mut holdout_log = join_blocks(snap.holdout_blocks);
         let mut receipts = snap.receipts;
         let mut seq = snap.seq;
         // Log offset of the last committed group boundary; everything
@@ -715,9 +724,9 @@ impl<F: WalRow> StreamingPool<F> {
                         return Err(wal::corrupt(end, "inconsistent epoch mark"));
                     }
                     if holdout {
-                        holdout_blocks.push(Arc::new(rows));
+                        holdout_log.extend(rows);
                     } else {
-                        train_blocks.push(Arc::new(rows));
+                        train_log.extend(rows);
                     }
                     epoch += 1;
                     marks.push(mark);
@@ -742,10 +751,10 @@ impl<F: WalRow> StreamingPool<F> {
             domain: snap.domain,
             policy: snap.policy,
             state: RwLock::new(PoolState {
-                train_blocks,
-                holdout_blocks,
+                train: Arc::new(train_log),
+                holdout: Arc::new(holdout_log),
                 epoch,
-                marks,
+                marks: Arc::new(marks),
                 seq,
                 receipts,
                 durable: Some(Durability {
@@ -759,6 +768,18 @@ impl<F: WalRow> StreamingPool<F> {
             }),
         })
     }
+}
+
+/// Concatenate a snapshot file's row blocks into one log. Compaction
+/// writes one block per side, but the format allows any count (older
+/// pool directories hold one block per append), so both layouts open.
+fn join_blocks<F: Clone>(blocks: Vec<Arc<Vec<Example<F>>>>) -> Vec<Example<F>> {
+    let mut blocks = blocks.into_iter().map(Arc::unwrap_or_clone);
+    let mut log = blocks.next().unwrap_or_default();
+    for block in blocks {
+        log.extend(block);
+    }
+    log
 }
 
 /// Receipts for quarantined seed rows (sequence 0, epoch 0).
@@ -798,17 +819,20 @@ impl<F> fmt::Debug for StreamingPool<F> {
 
 /// An immutable view of a [`StreamingPool`] pinned at one epoch.
 ///
-/// Holds `Arc`s to the underlying blocks, so it stays valid (and
-/// bitwise stable) no matter how many appends happen after it was
-/// taken. Materializing the train/holdout [`Dataset`] clones exactly
-/// the prefix rows visible at the snapshot's epoch, in insertion order.
+/// Holds `Arc`s to the pool's train log, holdout log and mark history
+/// as they were when it was taken, so it stays valid (and bitwise
+/// stable) no matter how many appends happen afterwards: an append
+/// copies a pinned log rather than touch it. Its train/holdout
+/// [`Dataset`]s are `O(1)` prefix views of those logs — exactly the
+/// rows visible at the snapshot's epoch, in insertion order, with no
+/// row cloned.
 #[derive(Clone)]
 pub struct StreamSnapshot<F> {
     name: Arc<str>,
     dim: usize,
-    train_blocks: Vec<Arc<Vec<Example<F>>>>,
-    holdout_blocks: Vec<Arc<Vec<Example<F>>>>,
-    marks: Vec<EpochMark>,
+    train: Arc<Vec<Example<F>>>,
+    holdout: Arc<Vec<Example<F>>>,
+    marks: Arc<Vec<EpochMark>>,
     epoch: u64,
 }
 
@@ -851,42 +875,28 @@ impl<F: FeatureVec> StreamSnapshot<F> {
         self.mark().holdout_len
     }
 
-    /// Materialize the training prefix as an ordinary [`Dataset`].
+    /// The training prefix as an ordinary [`Dataset`]: an `O(1)` view
+    /// of the pinned train log, no row copied.
     pub fn train_dataset(&self) -> Dataset<F> {
-        materialize(&self.name, self.dim, &self.train_blocks, self.train_len())
-    }
-
-    /// Materialize the holdout prefix as an ordinary [`Dataset`].
-    pub fn holdout_dataset(&self) -> Dataset<F> {
-        materialize(
-            &self.name,
+        Dataset::from_shared(
+            self.name.clone(),
             self.dim,
-            &self.holdout_blocks,
-            self.holdout_len(),
+            self.train.clone(),
+            self.train_len(),
         )
     }
 
-    /// Clone holdout rows `range.start..range.end` (insertion order) —
-    /// the drift test's "new rows since epoch e" window. The range is
-    /// clamped to the snapshot's holdout length.
-    pub fn holdout_rows(&self, start: usize, end: usize) -> Vec<Example<F>> {
-        let end = end.min(self.holdout_len());
-        let start = start.min(end);
-        let mut out = Vec::with_capacity(end - start);
-        let mut base = 0usize;
-        for block in &self.holdout_blocks {
-            let block_end = base + block.len();
-            if block_end > start && base < end {
-                let lo = start.saturating_sub(base);
-                let hi = (end - base).min(block.len());
-                out.extend_from_slice(&block[lo..hi]);
-            }
-            base = block_end;
-            if base >= end {
-                break;
-            }
-        }
-        out
+    /// The holdout prefix as an ordinary [`Dataset`]: an `O(1)` view
+    /// of the pinned holdout log, no row copied. Slice its
+    /// `examples()` for a window such as the drift test's "rows since
+    /// epoch e".
+    pub fn holdout_dataset(&self) -> Dataset<F> {
+        Dataset::from_shared(
+            self.name.clone(),
+            self.dim,
+            self.holdout.clone(),
+            self.holdout_len(),
+        )
     }
 }
 
@@ -898,26 +908,6 @@ impl<F> fmt::Debug for StreamSnapshot<F> {
             .field("mark", &self.marks.get(self.epoch as usize))
             .finish()
     }
-}
-
-/// Clone the first `len` rows of `blocks` (insertion order) into a
-/// dataset.
-fn materialize<F: FeatureVec>(
-    name: &Arc<str>,
-    dim: usize,
-    blocks: &[Arc<Vec<Example<F>>>],
-    len: usize,
-) -> Dataset<F> {
-    let mut examples = Vec::with_capacity(len);
-    for block in blocks {
-        let take = (len - examples.len()).min(block.len());
-        examples.extend_from_slice(&block[..take]);
-        if examples.len() == len {
-            break;
-        }
-    }
-    debug_assert_eq!(examples.len(), len, "snapshot shorter than its mark");
-    Dataset::new(name.to_string(), dim, examples)
 }
 
 /// Run the ingest gate over one block: returns the admitted rows plus
@@ -1025,7 +1015,7 @@ mod tests {
 
     #[test]
     fn snapshot_matches_incremental_dataset() {
-        // A snapshot's materialized dataset equals building the same
+        // A snapshot's dataset equals building the same
         // dataset by hand from the admitted rows in order.
         let p = pool(IngestPolicy::Reject);
         p.append(vec![row(7.0, 1.0)]).unwrap();
@@ -1330,17 +1320,244 @@ mod tests {
     }
 
     #[test]
-    fn holdout_rows_window_clamps() {
+    fn holdout_window_is_a_borrowed_slice() {
         let p = pool(IngestPolicy::Reject);
         p.append_holdout(vec![row(10.0, 0.0), row(11.0, 1.0)])
             .unwrap();
         let snap = p.snapshot();
-        let rows = snap.holdout_rows(1, 100);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].x.as_slice(), &[10.0, -10.0]);
-        assert!(snap.holdout_rows(3, 3).is_empty());
-        // The old snapshot's window never sees the appended rows.
+        let holdout = snap.holdout_dataset();
+        let (base, fresh) = holdout.examples().split_at(1);
+        assert_eq!(base.len(), 1);
+        assert_eq!(fresh.len(), 2);
+        assert_eq!(fresh[0].x.as_slice(), &[10.0, -10.0]);
+        assert!(holdout.examples()[3..].is_empty());
+        // The window borrows the pool's rows; nothing is cloned.
+        assert!(std::ptr::eq(&fresh[0], holdout.get(1)));
+        // The old snapshot's holdout never sees the appended rows.
         let snap0 = p.snapshot_at(0).unwrap();
-        assert_eq!(snap0.holdout_rows(0, 100).len(), 1);
+        assert_eq!(snap0.holdout_dataset().examples().len(), 1);
+    }
+
+    /// The prefix-materialization oracle: clone the first `len` rows of
+    /// `blocks` (insertion order) into a fresh dataset.
+    fn materialize<F: FeatureVec>(
+        name: &Arc<str>,
+        dim: usize,
+        blocks: &[Arc<Vec<Example<F>>>],
+        len: usize,
+    ) -> Dataset<F> {
+        let mut examples = Vec::with_capacity(len);
+        for block in blocks {
+            let take = (len - examples.len()).min(block.len());
+            examples.extend_from_slice(&block[..take]);
+            if examples.len() == len {
+                break;
+            }
+        }
+        debug_assert_eq!(examples.len(), len, "snapshot shorter than its mark");
+        Dataset::new(name.to_string(), dim, examples)
+    }
+
+    fn row_bits(rows: &[Example<DenseVec>]) -> Vec<(u64, Vec<u64>)> {
+        rows.iter()
+            .map(|e| {
+                let x = e.x.as_slice().iter().map(|v| v.to_bits()).collect();
+                (e.y.to_bits(), x)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn snapshot_views_equal_the_prefix_oracle_at_every_epoch() {
+        for policy in [IngestPolicy::Reject, IngestPolicy::Quarantine] {
+            let p = pool(policy);
+            let name: Arc<str> = Arc::from("t");
+            let mut train_blocks = vec![Arc::new(vec![row(1.0, 0.0), row(2.0, 1.0)])];
+            let mut holdout_blocks = vec![Arc::new(vec![row(3.0, 1.0)])];
+            for k in 0..12u32 {
+                let v = |j: u32| f64::from(k * 7 + j) * 0.37 + 1e-3;
+                let mut block: Vec<_> = (0..1 + k % 3)
+                    .map(|j| row(v(j), f64::from((k + j) % 2)))
+                    .collect();
+                if policy == IngestPolicy::Quarantine && k % 4 == 1 {
+                    // An invalid label the gate must skip.
+                    block.insert(1, row(v(9), 0.5));
+                }
+                let holdout = k % 3 == 2;
+                let r = if holdout {
+                    p.append_holdout(block.clone())
+                } else {
+                    p.append(block.clone())
+                }
+                .unwrap();
+                let admitted: Vec<_> = block
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(i, _)| !r.quarantined.contains(i))
+                    .map(|(_, e)| e)
+                    .collect();
+                assert_eq!(admitted.len(), r.accepted);
+                if holdout {
+                    holdout_blocks.push(Arc::new(admitted));
+                } else {
+                    train_blocks.push(Arc::new(admitted));
+                }
+            }
+            assert_eq!(p.epoch(), 12);
+            for e in 0..=p.epoch() {
+                let snap = p.snapshot_at(e).unwrap();
+                let mark = p.mark_at(e).unwrap();
+                let train = materialize(&name, 2, &train_blocks, mark.train_len);
+                let holdout = materialize(&name, 2, &holdout_blocks, mark.holdout_len);
+                assert_eq!(
+                    row_bits(snap.train_dataset().examples()),
+                    row_bits(train.examples()),
+                    "{policy:?} train at epoch {e}"
+                );
+                assert_eq!(
+                    row_bits(snap.holdout_dataset().examples()),
+                    row_bits(holdout.examples()),
+                    "{policy:?} holdout at epoch {e}"
+                );
+                assert_eq!(snap.train_dataset().name(), "t");
+                assert_eq!(snap.holdout_dataset().dim(), 2);
+            }
+        }
+    }
+
+    #[test]
+    fn append_copies_a_pinned_log_and_leaves_the_snapshot_untouched() {
+        let p = pool(IngestPolicy::Reject);
+        let snap = p.snapshot();
+        let pinned = snap.train_dataset();
+        let ptr = pinned.examples().as_ptr();
+        let bits = row_bits(pinned.examples());
+
+        p.append(vec![row(4.0, 0.0), row(5.0, 1.0)]).unwrap();
+        assert_eq!(
+            pinned.examples().as_ptr(),
+            ptr,
+            "the pinned rows never move"
+        );
+        assert_eq!(row_bits(pinned.examples()), bits);
+        assert_eq!(row_bits(snap.train_dataset().examples()), bits);
+
+        // The append copied the log on write; the next snapshot sees
+        // the new rows in the copy.
+        let next = p.snapshot().train_dataset();
+        assert_ne!(next.examples().as_ptr(), ptr);
+        assert_eq!(next.len(), 4);
+        assert_eq!(row_bits(&next.examples()[..2]), bits);
+        assert_eq!(next.get(3).x.as_slice(), &[5.0, -5.0]);
+        // The train append left the holdout log shared.
+        assert_eq!(
+            snap.holdout_dataset().examples().as_ptr(),
+            p.snapshot().holdout_dataset().examples().as_ptr()
+        );
+    }
+
+    #[test]
+    fn snapshots_share_rows_without_copies() {
+        let p = pool(IngestPolicy::Reject);
+        p.append(vec![row(4.0, 0.0)]).unwrap();
+        let snap = p.snapshot();
+        let (a, b) = (snap.train_dataset(), snap.train_dataset());
+        assert_eq!(a.examples().as_ptr(), b.examples().as_ptr());
+        let (ha, hb) = (snap.holdout_dataset(), snap.holdout_dataset());
+        assert_eq!(ha.examples().as_ptr(), hb.examples().as_ptr());
+
+        // Consecutive snapshots with no append between them, and past
+        // epochs, view the same log.
+        let again = p.snapshot();
+        assert_eq!(
+            again.train_dataset().examples().as_ptr(),
+            a.examples().as_ptr()
+        );
+        let past = p.snapshot_at(0).unwrap().train_dataset();
+        assert_eq!(past.examples().as_ptr(), a.examples().as_ptr());
+        assert_eq!(past.len(), 2);
+    }
+
+    #[test]
+    fn dataset_prefix_view_clones_shallowly_and_unwraps_its_prefix() {
+        let p = pool(IngestPolicy::Reject);
+        p.append(vec![row(4.0, 0.0), row(5.0, 1.0)]).unwrap();
+        let snap = p.snapshot_at(0).unwrap();
+        let prefix = snap.train_dataset();
+        assert_eq!(prefix.len(), 2);
+
+        let copy = prefix.clone();
+        assert_eq!(copy.examples().as_ptr(), prefix.examples().as_ptr());
+        assert_eq!(copy.len(), 2);
+
+        // Shared log: `into_examples` clones exactly the prefix.
+        let rows = copy.into_examples();
+        assert_eq!(row_bits(&rows), row_bits(&[row(1.0, 0.0), row(2.0, 1.0)]));
+
+        // Sole owner of a longer log: the prefix is unwrapped in place.
+        drop((p, snap));
+        let rows = prefix.into_examples();
+        assert_eq!(row_bits(&rows), row_bits(&[row(1.0, 0.0), row(2.0, 1.0)]));
+    }
+
+    #[test]
+    fn multi_block_snapshot_files_open_bit_exactly() {
+        // A snapshot.bin laid out as one block per append (the format
+        // allows any count) must recover the same pool as appending
+        // those blocks, and keep doing so through a compaction.
+        let reference = pool(IngestPolicy::Quarantine);
+        let (t1, h1, t2) = (
+            vec![row(4.0, 0.0), row(4.5, 0.5), row(5.0, 1.0)],
+            vec![row(6.0, 0.0)],
+            vec![row(7.0, 1.0)],
+        );
+        reference.append(t1).unwrap();
+        reference.append_holdout(h1.clone()).unwrap();
+        reference.append(t2.clone()).unwrap();
+        assert_eq!(reference.receipts().len(), 1);
+
+        let dir = tmpdir("multiblock");
+        std::fs::create_dir_all(&dir).unwrap();
+        let state = crate::wal::SnapshotState {
+            name: "t".to_string(),
+            dim: 2,
+            domain: LabelDomain::Binary01,
+            policy: IngestPolicy::Quarantine,
+            seq: reference.seq(),
+            epoch: reference.epoch(),
+            marks: reference.marks(),
+            train_blocks: vec![
+                Arc::new(vec![row(1.0, 0.0), row(2.0, 1.0)]),
+                Arc::new(vec![row(4.0, 0.0), row(5.0, 1.0)]),
+                Arc::new(t2),
+            ],
+            holdout_blocks: vec![Arc::new(vec![row(3.0, 1.0)]), Arc::new(h1)],
+            receipts: reference.receipts(),
+        };
+        crate::wal::write_snapshot(&dir, &state, crate::wal::encode_example::<DenseVec>).unwrap();
+        std::fs::write(crate::wal::log_path(&dir), []).unwrap();
+
+        let q = StreamingPool::<DenseVec>::open(&dir, DurableOptions::default()).unwrap();
+        assert_pools_bit_equal(&q, &reference);
+        for e in 0..=reference.epoch() {
+            let (a, b) = (q.snapshot_at(e).unwrap(), reference.snapshot_at(e).unwrap());
+            assert_eq!(
+                row_bits(a.train_dataset().examples()),
+                row_bits(b.train_dataset().examples())
+            );
+            assert_eq!(
+                row_bits(a.holdout_dataset().examples()),
+                row_bits(b.holdout_dataset().examples())
+            );
+        }
+
+        // Append, compact to the single-log layout, and reopen.
+        q.append(vec![row(8.0, 0.0)]).unwrap();
+        reference.append(vec![row(8.0, 0.0)]).unwrap();
+        q.compact().unwrap();
+        drop(q);
+        let q = StreamingPool::<DenseVec>::open(&dir, DurableOptions::default()).unwrap();
+        assert_pools_bit_equal(&q, &reference);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
