@@ -5,12 +5,15 @@
 //! queries for **one** caller; this module promotes that amortization to
 //! a concurrent service (the ROADMAP's "millions of users" path — cheap
 //! approximate training is only a serving story if many tenants can
-//! share it). A [`Server`] owns a set of dataset versions and a pool of
-//! worker threads:
+//! share it). A [`Server`] owns a set of datasets and a pool of worker
+//! threads. Every dataset is a [`StreamingPool`]: a static
+//! [`DatasetShard`] is registered as a pool frozen at epoch 0 that
+//! adopts the shard's rows without copying them, so every query takes
+//! the same path whichever kind registered its dataset.
 //!
-//! * the **pool-resident design matrix** is built once per dataset
-//!   version and shared by every worker (the datasets themselves are
-//!   `Arc`-shared with the caller via [`DatasetShard`]),
+//! * the **pool-resident design matrix** of each static shard is built
+//!   once and shared by every worker (its pool never leaves epoch 0;
+//!   stream queries build one over their own epoch snapshot),
 //! * **pilot artifacts** (`m₀` + Fisher statistics) are cached in a
 //!   keyed LRU by `(dataset_version, n₀, seed)` with a configurable
 //!   capacity ([`ServeConfig::pilot_cache_capacity`]),
@@ -73,9 +76,8 @@
 //!
 //! # Streaming ingest & drift
 //!
-//! A [`StreamShard`] registers a
-//! [`StreamingPool`] instead of a frozen
-//! [`DatasetShard`]: writers keep appending validated row blocks (each
+//! A [`StreamShard`] registers a [`StreamingPool`] the caller keeps
+//! appending to: writers add validated row blocks (each
 //! admitted block bumps the pool's **epoch**) while queries pin an
 //! immutable epoch snapshot and train against exactly that snapshot —
 //! [`ServedResponse::epoch`] names it, and the bit-identity contract
@@ -94,7 +96,10 @@
 //! fallback) or cold under the default
 //! [`WarmStartPolicy::ExactReplay`]. [`Server::advance_epoch`] retires
 //! superseded cache entries eagerly; the cache's floor keeps a
-//! mid-coalesce completion for a superseded epoch out of the LRU.
+//! mid-coalesce completion for a superseded epoch out of the LRU. A
+//! static shard's pool stays at epoch 0, where the drift scan has
+//! nothing to look back at and every query resolves through the
+//! hit / coalesce / lead protocol.
 //!
 //! # Warm restart
 //!
@@ -125,9 +130,10 @@ use crate::serve::cache::{PilotCache, PilotKey, PilotTicket};
 use crate::serve::resilience::{retry_backoff, ActiveTokenGuard, CancelToken, DegradationRung};
 use crate::sweep::{run_sweep, SweepPlan, SweepResult};
 use blinkml_data::{
-    CaptureScratch, Dataset, DatasetMatrix, FeatureVec, StreamSnapshot, StreamingPool,
+    CaptureScratch, Dataset, DatasetMatrix, FeatureVec, IngestPolicy, StreamSnapshot, StreamingPool,
 };
 use blinkml_prob::split_seed;
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -340,7 +346,8 @@ pub struct ServedResponse {
     /// Which rung of the degradation ladder produced the outcome.
     pub rung: DegradationRung,
     /// The epoch snapshot this response was computed against: always 0
-    /// for static [`DatasetShard`]s; for a [`StreamShard`], the epoch
+    /// for a [`DatasetShard`] (registered as a pool frozen at epoch 0);
+    /// for a [`StreamShard`], the epoch
     /// whose snapshot datasets reproduce this response bit-for-bit in
     /// a cold coordinator run (the current epoch on the fresh path, the
     /// pilot's own epoch on drift-reuse and
@@ -364,6 +371,14 @@ pub struct ServedSweep {
 /// One dataset version registered with a [`Server`]: the training pool
 /// and holdout set, `Arc`-shared so the caller can keep using them
 /// (e.g. to run oracle comparisons) without cloning the data.
+///
+/// At spawn the server registers the shard as a [`StreamingPool`]
+/// frozen at epoch 0 (`StreamingPool::from_datasets` under
+/// [`IngestPolicy::Reject`]). The pool adopts the shard's rows by
+/// refcount, and the rows pass the same ingest gate as streamed ones:
+/// every feature finite, every row of the train set's dimension, every
+/// label in the spec's [`LabelDomain`](blinkml_data::LabelDomain) —
+/// spawn fails with a typed [`CoreError`] otherwise.
 #[derive(Debug, Clone)]
 pub struct DatasetShard<F: FeatureVec> {
     /// Version identifier — part of every pilot cache key, which is
@@ -423,13 +438,19 @@ impl<F: FeatureVec> StreamShard<F> {
     }
 }
 
-/// Where a dataset id resolves: a frozen shard or a streaming pool
-/// (index into the respective registration vector).
-#[derive(Debug, Clone, Copy)]
-enum Target {
-    Static(usize),
-    Stream(usize),
+/// One registered dataset as the owner thread holds it: a static
+/// shard's pool frozen at epoch 0, or a caller's stream.
+struct Registration<F> {
+    id: u64,
+    pool: Arc<StreamingPool<F>>,
+    /// A static shard's epoch-0 training view, which its resident
+    /// matrix borrows; `None` for streams.
+    frozen: Option<Dataset<F>>,
 }
+
+/// A registered dataset's current-epoch probe (the pools are generic
+/// and live in the owner thread; the handle only needs their epoch).
+type EpochProbe = Box<dyn Fn() -> u64 + Send + Sync>;
 
 /// Epoch-scan bound for the drift ladder: pilots more than this many
 /// epochs behind the current snapshot are treated as absent (cold
@@ -664,10 +685,10 @@ enum Request {
     Sweep(SweepQuery, Arc<Ticket<ServedSweep>>),
 }
 
-/// One queued job: the resolved target, the request, its
+/// One queued job: the resolved registration index, the request, its
 /// submission time, and its admission-time resilience decisions.
 struct Job {
-    target: Target,
+    dataset: usize,
     request: Request,
     submitted: Instant,
     /// Absolute deadline (submission time + [`Query::deadline`]).
@@ -758,19 +779,17 @@ impl Shared {
 /// ```
 pub struct Server {
     shared: Arc<Shared>,
-    versions: HashMap<u64, Target>,
-    /// Per-stream current-epoch probes (the pools themselves are
-    /// generic and live in the owner thread; the handle only ever needs
-    /// their epoch counter, for [`Server::advance_epoch`]).
-    stream_epochs: HashMap<u64, Arc<dyn Fn() -> u64 + Send + Sync>>,
+    /// Dataset id → registration index and epoch probe.
+    datasets: HashMap<u64, (usize, EpochProbe)>,
     /// Pilots admitted from the warm-state sidecar at spawn.
     warm_pilots: u64,
     owner: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
-    /// Spawn a server: validates the configuration and datasets, builds
-    /// one pool-resident design matrix per dataset version, and starts
+    /// Spawn a server: validates the configuration and datasets,
+    /// registers each shard as a pool frozen at epoch 0, builds one
+    /// pool-resident design matrix per shard, and starts
     /// [`ServeConfig::workers`] worker threads.
     ///
     /// The spec and datasets move into the serving threads; keep
@@ -792,8 +811,8 @@ impl Server {
     /// [`Server::spawn`] plus streaming datasets: each [`StreamShard`]
     /// registers an appendable [`StreamingPool`] whose queries resolve
     /// through the drift ladder (see the [module docs](self)). Static
-    /// shards and streams share one id keyspace. Streams must hold at
-    /// least one training and one holdout row at spawn.
+    /// shards and streams share one id keyspace. Every dataset must
+    /// hold at least one training and one holdout row at spawn.
     pub fn spawn_with_streams<F, S>(
         config: BlinkMlConfig,
         serve: ServeConfig,
@@ -812,50 +831,50 @@ impl Server {
                 "server needs at least one dataset version".into(),
             ));
         }
-        let mut versions = HashMap::new();
-        for (i, shard) in shards.iter().enumerate() {
-            if shard.train.is_empty() {
-                return Err(CoreError::InvalidData(format!(
-                    "dataset version {} has an empty training pool",
-                    shard.version
-                )));
-            }
-            if shard.holdout.is_empty() {
-                return Err(CoreError::InvalidData(format!(
-                    "dataset version {} has an empty holdout set",
-                    shard.version
-                )));
-            }
-            if versions.insert(shard.version, Target::Static(i)).is_some() {
-                return Err(CoreError::InvalidConfig(format!(
-                    "duplicate dataset version {}",
-                    shard.version
-                )));
-            }
+        let mut registered = Vec::with_capacity(shards.len() + streams.len());
+        for shard in shards {
+            // Only this server holds the pool, so it never leaves
+            // epoch 0.
+            let pool = StreamingPool::from_datasets(
+                &shard.train,
+                &shard.holdout,
+                spec.label_domain(),
+                IngestPolicy::Reject,
+            )?;
+            registered.push(Registration {
+                id: shard.version,
+                frozen: Some(pool.snapshot().train_dataset()),
+                pool: Arc::new(pool),
+            });
         }
-        let mut stream_epochs: HashMap<u64, Arc<dyn Fn() -> u64 + Send + Sync>> = HashMap::new();
-        for (i, stream) in streams.iter().enumerate() {
-            let snapshot = stream.pool.snapshot();
+        registered.extend(streams.into_iter().map(|stream| Registration {
+            id: stream.id,
+            pool: stream.pool,
+            frozen: None,
+        }));
+        let mut datasets = HashMap::new();
+        for (i, reg) in registered.iter().enumerate() {
+            let snapshot = reg.pool.snapshot();
             if snapshot.train_len() == 0 {
                 return Err(CoreError::InvalidData(format!(
-                    "streaming dataset {} has an empty training pool",
-                    stream.id
+                    "dataset {} has an empty training pool",
+                    reg.id
                 )));
             }
             if snapshot.holdout_len() == 0 {
                 return Err(CoreError::InvalidData(format!(
-                    "streaming dataset {} has an empty holdout set",
-                    stream.id
+                    "dataset {} has an empty holdout set",
+                    reg.id
                 )));
             }
-            if versions.insert(stream.id, Target::Stream(i)).is_some() {
+            let pool = reg.pool.clone();
+            let epoch_of: EpochProbe = Box::new(move || pool.epoch());
+            if datasets.insert(reg.id, (i, epoch_of)).is_some() {
                 return Err(CoreError::InvalidConfig(format!(
                     "duplicate dataset version {}",
-                    stream.id
+                    reg.id
                 )));
             }
-            let pool = stream.pool.clone();
-            stream_epochs.insert(stream.id, Arc::new(move || pool.epoch()));
         }
         // Warm restore: read the pilot sidecar (when configured) before
         // any worker starts. Best-effort — a missing or damaged sidecar
@@ -873,10 +892,10 @@ impl Server {
             if let Ok((entries, floors)) = sidecar::load(path) {
                 warm_entries = entries
                     .into_iter()
-                    .filter(|(key, _)| match versions.get(&key.0) {
-                        Some(Target::Static(_)) => key.1 == 0,
-                        Some(Target::Stream(_)) => stream_epochs[&key.0]() >= key.1,
-                        None => false,
+                    .filter(|(key, _)| {
+                        datasets
+                            .get(&key.0)
+                            .is_some_and(|(_, epoch_of)| epoch_of() >= key.1)
                     })
                     .collect();
                 warm_floors = floors;
@@ -894,34 +913,37 @@ impl Server {
         let owner = {
             let shared = shared.clone();
             std::thread::spawn(move || {
-                // The owner thread owns the generic state (spec,
-                // datasets, pool matrices); workers are scoped threads
+                // The owner thread owns the generic state (spec, pools,
+                // resident matrices); workers are scoped threads
                 // borrowing it, which is what lets the pool-resident
                 // matrices be built once and shared without any
-                // self-referential tricks. Streaming pools have no
-                // resident matrix — every query pins its own epoch
-                // snapshot and pools exactly that prefix view.
+                // self-referential tricks. Streams have no resident
+                // matrix — every query pins its own epoch snapshot and
+                // pools exactly that prefix view.
                 config.exec.apply();
-                let pools: Vec<Option<DatasetMatrix<'_>>> = shards
+                let residents: Vec<Option<DatasetMatrix<'_>>> = registered
                     .iter()
-                    .map(|sh| build_pool(&spec, &sh.train, &config))
+                    .map(|reg| {
+                        let train = reg.frozen.as_ref()?;
+                        build_pool(&spec, train, &config)
+                    })
                     .collect();
                 std::thread::scope(|scope| {
                     for _ in 0..worker_count {
-                        let (shared, config, spec, shards, streams, pools) =
-                            (&shared, &config, &spec, &shards, &streams, &pools);
+                        let (shared, config, spec, registered, residents) =
+                            (&shared, &config, &spec, &registered, &residents);
                         scope.spawn(move || {
                             // One capture scratch per worker — never
                             // shared, so two overlapping queries cannot
                             // alias a packing buffer.
                             let mut scratch = CaptureScratch::new();
                             while let Some(job) = shared.next_job() {
+                                let i = job.dataset;
                                 process_job(
                                     config,
                                     spec,
-                                    shards,
-                                    streams,
-                                    pools,
+                                    &registered[i],
+                                    residents[i].as_ref(),
                                     shared,
                                     &mut scratch,
                                     job,
@@ -934,8 +956,7 @@ impl Server {
         };
         Ok(Server {
             shared,
-            versions,
-            stream_epochs,
+            datasets,
             warm_pilots,
             owner: Some(owner),
         })
@@ -965,8 +986,8 @@ impl Server {
     }
 
     fn enqueue(&self, dataset: u64, request: Request) -> Result<(), ServeError> {
-        let target = *self
-            .versions
+        let (index, _) = self
+            .datasets
             .get(&dataset)
             .ok_or(ServeError::UnknownDataset(dataset))?;
         let serve = &self.shared.serve;
@@ -979,7 +1000,7 @@ impl Server {
         };
         let submitted = Instant::now();
         let mut job = Job {
-            target,
+            dataset: *index,
             request,
             submitted,
             deadline: deadline.map(|d| submitted + d),
@@ -1083,8 +1104,8 @@ impl Server {
         self.shared.cache.clear();
     }
 
-    /// Explicit epoch-advance hook for a streaming dataset: read the
-    /// pool's current epoch and eagerly retire every cached pilot more
+    /// Explicit epoch-advance hook: read the dataset's current epoch
+    /// and eagerly retire every cached pilot more
     /// than [`ServeConfig::max_stale_epochs`] epochs behind it,
     /// returning how many entries were dropped. With the default
     /// unbounded staleness budget this is a no-op; with
@@ -1093,10 +1114,11 @@ impl Server {
     /// *completing* for a superseded epoch mid-coalesce is never
     /// admitted. Call it after appends when stale service is not
     /// acceptable; the drift ladder enforces the same budget lazily
-    /// either way.
+    /// either way. A static [`DatasetShard`]'s pool stays at epoch 0,
+    /// so for it this retires nothing and returns `Ok(0)`.
     pub fn advance_epoch(&self, dataset: u64) -> Result<usize, ServeError> {
-        let epoch_of = self
-            .stream_epochs
+        let (_, epoch_of) = self
+            .datasets
             .get(&dataset)
             .ok_or(ServeError::UnknownDataset(dataset))?;
         let floor = epoch_of().saturating_sub(self.shared.serve.max_stale_epochs);
@@ -1153,11 +1175,15 @@ impl Server {
         };
         // Publish outside the queue lock: waiters may wake and call
         // back into the server (e.g. `stats`).
+        let stats = &self.shared.stats;
         for job in aborted {
-            self.shared.stats.failed.fetch_add(1, Ordering::Relaxed);
+            stats.failed.fetch_add(1, Ordering::Relaxed);
             match job.request {
                 Request::Train(_, ticket) => ticket.publish(Err(ServeError::Closed)),
-                Request::Sweep(_, ticket) => ticket.publish(Err(ServeError::Closed)),
+                Request::Sweep(_, ticket) => {
+                    stats.sweep_queries.fetch_add(1, Ordering::Relaxed);
+                    ticket.publish(Err(ServeError::Closed));
+                }
             }
         }
         self.shared.cv.notify_all();
@@ -1184,13 +1210,11 @@ impl Drop for Server {
 /// Process one job end to end — training query (pilot resolved through
 /// the cache: hit / coalesce / lead) or grid sweep (cache bypassed) —
 /// and publish the response. Panics are contained per job.
-#[allow(clippy::too_many_arguments)]
 fn process_job<F, S>(
     base: &BlinkMlConfig,
     spec: &S,
-    shards: &[DatasetShard<F>],
-    streams: &[StreamShard<F>],
-    pools: &[Option<DatasetMatrix<'_>>],
+    reg: &Registration<F>,
+    resident: Option<&DatasetMatrix<'_>>,
     shared: &Shared,
     scratch: &mut CaptureScratch,
     job: Job,
@@ -1218,30 +1242,17 @@ fn process_job<F, S>(
             } else {
                 let mut attempt: u32 = 0;
                 loop {
-                    let result = match job.target {
-                        Target::Static(i) => serve_query(
-                            base,
-                            spec,
-                            &shards[i],
-                            pools[i].as_ref(),
-                            shared,
-                            scratch,
-                            &query,
-                            &token,
-                            job.shed_degraded,
-                        )
-                        .map(|(outcome, rung)| (outcome, rung, 0)),
-                        Target::Stream(i) => serve_stream_query(
-                            base,
-                            spec,
-                            &streams[i],
-                            shared,
-                            scratch,
-                            &query,
-                            &token,
-                            job.shed_degraded,
-                        ),
-                    };
+                    let result = serve_stream_query(
+                        base,
+                        spec,
+                        reg,
+                        resident,
+                        shared,
+                        scratch,
+                        &query,
+                        &token,
+                        job.shed_degraded,
+                    );
                     // Transient failures: a contained panic, or a
                     // coalesced waiter inheriting its *leader's*
                     // deadline error while its own deadline is fine (a
@@ -1286,26 +1297,21 @@ fn process_job<F, S>(
         }
         Request::Sweep(query, ticket) => {
             stats.sweep_queries.fetch_add(1, Ordering::Relaxed);
-            let result = match job.target {
-                Target::Static(i) => serve_sweep(
-                    base,
-                    spec,
-                    &shards[i].train,
-                    &shards[i].holdout,
-                    pools[i].as_ref(),
-                    scratch,
-                    &query,
-                ),
-                Target::Stream(i) => {
-                    // Sweeps pin the submission-time snapshot too: the
-                    // whole grid trains against one epoch.
-                    let snapshot = streams[i].pool.snapshot();
-                    let train = snapshot.train_dataset();
-                    let holdout = snapshot.holdout_dataset();
-                    let pool = build_pool(spec, &train, base);
-                    serve_sweep(base, spec, &train, &holdout, pool.as_ref(), scratch, &query)
-                }
-            };
+            // Sweeps pin one snapshot too: the whole grid trains
+            // against one epoch.
+            let snapshot = reg.pool.snapshot();
+            let train = snapshot.train_dataset();
+            let holdout = snapshot.holdout_dataset();
+            let matrix = design_matrix(spec, base, resident, snapshot.epoch(), &train);
+            let result = serve_sweep(
+                base,
+                spec,
+                &train,
+                &holdout,
+                matrix.as_deref(),
+                scratch,
+                &query,
+            );
             match result {
                 Ok(result) => {
                     stats
@@ -1329,164 +1335,24 @@ fn process_job<F, S>(
     }
 }
 
-/// The static-shard training-query workflow behind [`process_job`],
-/// returning the outcome (and the rung that produced it) or the error
-/// to publish.
-#[allow(clippy::too_many_arguments)]
-fn serve_query<F, S>(
-    base: &BlinkMlConfig,
-    spec: &S,
-    shard: &DatasetShard<F>,
-    pool: Option<&DatasetMatrix<'_>>,
-    shared: &Shared,
-    scratch: &mut CaptureScratch,
-    query: &Query,
-    token: &Arc<CancelToken>,
-    shed_degraded: bool,
-) -> Result<(TrainingOutcome, DegradationRung), ServeError>
-where
-    F: FeatureVec,
-    S: ModelClassSpec<F> + ?Sized,
-{
-    let mut config = base.clone();
-    config.epsilon = query.epsilon;
-    config.delta = query.delta;
-    if let Some(n0) = query.initial_sample_size {
-        config.initial_sample_size = n0;
-    }
-    config.validate()?;
-    // Reinstall the budget: another coordinator in the process may have
-    // moved the global knob. Results are budget-independent either way.
-    config.exec.apply();
-
-    let n0 = config.initial_sample_size.min(shard.train.len());
-    // Static shards never move: their pilots live at epoch 0 forever.
-    let key: PilotKey = (shard.version, 0, n0, query.seed);
-    let control = RunControl {
-        cancel: Some(token.clone()),
-        pilot_only: shed_degraded,
-        relax_fraction: shared.serve.relax_fraction,
-        pilot_warm_start: None,
-    };
-    resolve_and_run(
-        config,
-        spec,
-        &shard.train,
-        &shard.holdout,
-        pool,
-        shared,
-        scratch,
-        query.seed,
-        key,
-        &control,
-    )
-}
-
-/// The hit / coalesce / lead resolution protocol shared by static
-/// shards and the streaming cold path: resolve `key` through the pilot
-/// cache and run the coordinator workflow, completing or failing the
-/// in-flight entry on the leader path.
-#[allow(clippy::too_many_arguments)]
-fn resolve_and_run<F, S>(
-    config: BlinkMlConfig,
-    spec: &S,
-    train: &Dataset<F>,
-    holdout: &Dataset<F>,
-    pool: Option<&DatasetMatrix<'_>>,
-    shared: &Shared,
-    scratch: &mut CaptureScratch,
-    seed: u64,
-    key: PilotKey,
-    control: &RunControl,
-) -> Result<(TrainingOutcome, DegradationRung), ServeError>
-where
-    F: FeatureVec,
-    S: ModelClassSpec<F> + ?Sized,
-{
-    let stats = &shared.stats;
-    match shared.cache.resolve(key) {
-        PilotTicket::Cached(pilot) => {
-            stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            run_contained(
-                config,
-                spec,
-                train,
-                holdout,
-                pool,
-                scratch,
-                seed,
-                Some(&pilot),
-                false,
-                control,
-            )
-            .map(|(outcome, _, rung)| (outcome, rung))
-        }
-        PilotTicket::Wait(inflight) => {
-            stats.coalesced_waits.fetch_add(1, Ordering::Relaxed);
-            // The leader publishes exactly one terminal result; share
-            // its failure rather than stampeding retrains.
-            let pilot = inflight.wait()?;
-            run_contained(
-                config,
-                spec,
-                train,
-                holdout,
-                pool,
-                scratch,
-                seed,
-                Some(&pilot),
-                false,
-                control,
-            )
-            .map(|(outcome, _, rung)| (outcome, rung))
-        }
-        PilotTicket::Lead => {
-            match run_contained(
-                config, spec, train, holdout, pool, scratch, seed, None, true, control,
-            ) {
-                Ok((outcome, Some(pilot), rung)) => {
-                    stats.pilot_trains.fetch_add(1, Ordering::Relaxed);
-                    shared.cache.complete(key, Arc::new(pilot));
-                    Ok((outcome, rung))
-                }
-                Ok((outcome, None, rung)) => {
-                    // `run_train` always returns pilot artifacts when
-                    // asked; retire the entry defensively so a future
-                    // regression degrades to cache misses, not a wedge.
-                    debug_assert!(false, "leader run returned no pilot artifacts");
-                    shared.cache.fail(
-                        key,
-                        ServeError::Train(CoreError::InvalidConfig(
-                            "pilot artifacts missing from leader run".into(),
-                        )),
-                    );
-                    Ok((outcome, rung))
-                }
-                Err(e) => {
-                    shared.cache.fail(key, e.clone());
-                    Err(e)
-                }
-            }
-        }
-    }
-}
-
-/// The streaming-dataset query workflow: pin an epoch snapshot, then
-/// walk the drift ladder. A current-epoch pilot serves the full
-/// workflow directly; a cached pilot from a recent epoch is
-/// drift-tested and either reused (full workflow on **its** snapshot),
-/// served as-is with an honestly recomputed inflated ε
+/// The training-query workflow: pin an epoch snapshot, then walk the
+/// drift ladder. A current-epoch pilot serves the full workflow
+/// directly; a cached pilot from a recent epoch is drift-tested and
+/// either reused (full workflow on **its** snapshot), served as-is with
+/// an honestly recomputed inflated ε
 /// ([`DegradationRung::StalePilot`]), or abandoned into a retrain at
 /// the current epoch — warm-started from the stale θ under
 /// [`WarmStartPolicy::PathFollow`] (the coordinator falls back to a
-/// cold start on line-search failure, mirroring the sweep rule).
+/// cold start on line-search failure, mirroring the sweep rule). At
+/// epoch 0 (always, for a static shard) there is nothing to scan.
 /// Returns the outcome, the rung, and the epoch the response is
 /// bit-reproducible against.
 #[allow(clippy::too_many_arguments)]
 fn serve_stream_query<F, S>(
     base: &BlinkMlConfig,
     spec: &S,
-    stream: &StreamShard<F>,
+    reg: &Registration<F>,
+    resident: Option<&DatasetMatrix<'_>>,
     shared: &Shared,
     scratch: &mut CaptureScratch,
     query: &Query,
@@ -1497,23 +1363,15 @@ where
     F: FeatureVec,
     S: ModelClassSpec<F> + ?Sized,
 {
-    let mut config = base.clone();
-    config.epsilon = query.epsilon;
-    config.delta = query.delta;
-    if let Some(n0) = query.initial_sample_size {
-        config.initial_sample_size = n0;
-    }
-    config.validate()?;
-    config.exec.apply();
-
+    let config = query_config(base, query.epsilon, query.delta, query.initial_sample_size)?;
     let serve = &shared.serve;
     let stats = &shared.stats;
     // Everything below trains and reports against exactly one epoch
     // snapshot — this one, or the found pilot's own.
-    let snapshot = stream.pool.snapshot();
+    let snapshot = reg.pool.snapshot();
     let epoch = snapshot.epoch();
     let n0 = config.initial_sample_size.min(snapshot.train_len());
-    let key: PilotKey = (stream.id, epoch, n0, query.seed);
+    let key: PilotKey = (reg.id, epoch, n0, query.seed);
     let mut control = RunControl {
         cancel: Some(token.clone()),
         pilot_only: shed_degraded,
@@ -1522,29 +1380,15 @@ where
     };
 
     // 1. A pilot for the current epoch: no drift by construction.
-    if let Some(pilot) = shared.cache.lookup(&key) {
-        stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-        let train = snapshot.train_dataset();
-        let holdout = snapshot.holdout_dataset();
-        let pool = build_pool(spec, &train, &config);
-        return run_contained(
-            config,
-            spec,
-            &train,
-            &holdout,
-            pool.as_ref(),
-            scratch,
-            query.seed,
-            Some(&pilot),
-            false,
-            &control,
-        )
-        .map(|(outcome, _, rung)| (outcome, rung, epoch));
-    }
+    let current = shared.cache.lookup(&key);
 
-    // 2. Scan recent epochs (bounded by the staleness budget) for a
-    // cached pilot of this query and drift-test the newest one found.
-    let lookback = serve.max_stale_epochs.min(MAX_DRIFT_LOOKBACK).min(epoch);
+    // 2. Otherwise scan recent epochs (bounded by the staleness budget)
+    // for a cached pilot of this query and drift-test the newest one
+    // found.
+    let lookback = match current {
+        Some(_) => 0,
+        None => serve.max_stale_epochs.min(MAX_DRIFT_LOOKBACK).min(epoch),
+    };
     let mut found: Option<(u64, Arc<PilotState>)> = None;
     for back in 1..=lookback {
         let e = epoch - back;
@@ -1552,30 +1396,27 @@ where
             break;
         };
         let n0_e = config.initial_sample_size.min(mark.train_len);
-        if let Some(pilot) = shared.cache.lookup(&(stream.id, e, n0_e, query.seed)) {
+        if let Some(pilot) = shared.cache.lookup(&(reg.id, e, n0_e, query.seed)) {
             found = Some((e, pilot));
             break;
         }
     }
     if let Some((e, pilot)) = found {
         let score = drift_score(spec, &snapshot, e, pilot.model.parameters());
+        let snap = reg.pool.snapshot_at(e).expect("marks retain every epoch");
         if score <= serve.drift_warn {
             // Fresh enough: the full workflow on the pilot's own
             // snapshot — bit-equal to a cold run at epoch `e`.
             stats.drift_fresh.fetch_add(1, Ordering::Relaxed);
-            let snap = stream
-                .pool
-                .snapshot_at(e)
-                .expect("marks retain every epoch");
             let train = snap.train_dataset();
             let holdout = snap.holdout_dataset();
-            let pool = build_pool(spec, &train, &config);
+            let matrix = design_matrix(spec, &config, resident, e, &train);
             return run_contained(
                 config,
                 spec,
                 &train,
                 &holdout,
-                pool.as_ref(),
+                matrix.as_deref(),
                 scratch,
                 query.seed,
                 Some(&pilot),
@@ -1589,10 +1430,6 @@ where
             // recomputed (inflated) curve ε at n = n₀ for the data the
             // pilot actually saw.
             stats.drift_stale_served.fetch_add(1, Ordering::Relaxed);
-            let snap = stream
-                .pool
-                .snapshot_at(e)
-                .expect("marks retain every epoch");
             let holdout = snap.holdout_dataset();
             let outcome = stale_pilot_outcome(
                 &config,
@@ -1612,24 +1449,120 @@ where
         }
     }
 
-    // 3. Cold path at the current epoch: hit / coalesce / lead, the
-    // same resolution protocol as static shards.
+    // 3. The current epoch: the step-1 hit, or hit / coalesce / lead
+    // through the cache.
     let train = snapshot.train_dataset();
     let holdout = snapshot.holdout_dataset();
-    let pool = build_pool(spec, &train, &config);
-    resolve_and_run(
+    let matrix = design_matrix(spec, &config, resident, epoch, &train);
+    let ticket = match current {
+        Some(pilot) => PilotTicket::Cached(pilot),
+        None => shared.cache.resolve(key),
+    };
+    let pilot = match ticket {
+        PilotTicket::Cached(pilot) => {
+            stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+            pilot
+        }
+        PilotTicket::Wait(inflight) => {
+            stats.coalesced_waits.fetch_add(1, Ordering::Relaxed);
+            // The leader publishes exactly one terminal result; share
+            // its failure rather than stampeding retrains.
+            inflight.wait()?
+        }
+        PilotTicket::Lead => {
+            // Lead: train the pilot, then complete or fail the
+            // in-flight entry.
+            let led = run_contained(
+                config,
+                spec,
+                &train,
+                &holdout,
+                matrix.as_deref(),
+                scratch,
+                query.seed,
+                None,
+                true,
+                &control,
+            );
+            return match led {
+                Ok((outcome, Some(pilot), rung)) => {
+                    stats.pilot_trains.fetch_add(1, Ordering::Relaxed);
+                    shared.cache.complete(key, Arc::new(pilot));
+                    Ok((outcome, rung, epoch))
+                }
+                Ok((outcome, None, rung)) => {
+                    // `run_train` always returns pilot artifacts when
+                    // asked; retire the entry defensively so a future
+                    // regression degrades to cache misses, not a wedge.
+                    debug_assert!(false, "leader run returned no pilot artifacts");
+                    shared.cache.fail(
+                        key,
+                        ServeError::Train(CoreError::InvalidConfig(
+                            "pilot artifacts missing from leader run".into(),
+                        )),
+                    );
+                    Ok((outcome, rung, epoch))
+                }
+                Err(e) => {
+                    shared.cache.fail(key, e.clone());
+                    Err(e)
+                }
+            };
+        }
+    };
+    run_contained(
         config,
         spec,
         &train,
         &holdout,
-        pool.as_ref(),
-        shared,
+        matrix.as_deref(),
         scratch,
         query.seed,
-        key,
+        Some(&pilot),
+        false,
         &control,
     )
-    .map(|(outcome, rung)| (outcome, rung, epoch))
+    .map(|(outcome, _, rung)| (outcome, rung, epoch))
+}
+
+/// The server's base configuration under one query's contract `(ε, δ,
+/// n₀)`, validated, with the thread budget reinstalled (another
+/// coordinator in the process may have moved the global knob; results
+/// are budget-independent either way).
+fn query_config(
+    base: &BlinkMlConfig,
+    epsilon: f64,
+    delta: f64,
+    n0: Option<usize>,
+) -> Result<BlinkMlConfig, CoreError> {
+    let mut config = base.clone();
+    config.epsilon = epsilon;
+    config.delta = delta;
+    config.initial_sample_size = n0.unwrap_or(config.initial_sample_size);
+    config.validate()?;
+    config.exec.apply();
+    Ok(config)
+}
+
+/// The design matrix a query on `train` (its epoch-`epoch` view) runs
+/// against: a static shard's resident matrix, built once over its
+/// epoch-0 view, when the epochs match; otherwise one built for this
+/// query.
+fn design_matrix<'a, F, S>(
+    spec: &S,
+    config: &BlinkMlConfig,
+    resident: Option<&'a DatasetMatrix<'a>>,
+    epoch: u64,
+    train: &'a Dataset<F>,
+) -> Option<Cow<'a, DatasetMatrix<'a>>>
+where
+    F: FeatureVec,
+    S: ModelClassSpec<F> + ?Sized,
+{
+    match resident {
+        Some(matrix) if epoch == 0 => Some(Cow::Borrowed(matrix)),
+        _ => build_pool(spec, train, config).map(Cow::Owned),
+    }
 }
 
 /// Cheap drift test for a cached pilot from `pilot_epoch` against the
@@ -1724,7 +1657,6 @@ where
 /// run the fused sweep engine against the shard's pool (pilot cache
 /// bypassed — sweep pilots are λ-dependent), with panics contained the
 /// same way training queries contain them.
-#[allow(clippy::too_many_arguments)]
 fn serve_sweep<F, S>(
     base: &BlinkMlConfig,
     spec: &S,
@@ -1738,15 +1670,7 @@ where
     F: FeatureVec,
     S: ModelClassSpec<F> + ?Sized,
 {
-    let mut config = base.clone();
-    config.epsilon = query.epsilon;
-    config.delta = query.delta;
-    if let Some(n0) = query.initial_sample_size {
-        config.initial_sample_size = n0;
-    }
-    config.validate()?;
-    config.exec.apply();
-
+    let config = query_config(base, query.epsilon, query.delta, query.initial_sample_size)?;
     let plan = SweepPlan::new(
         query.lambdas.clone(),
         query.epsilon,
@@ -2011,10 +1935,118 @@ mod tests {
         assert!(Server::spawn(
             base_config(200),
             ServeConfig::default(),
-            spec,
+            spec.clone(),
             vec![DatasetShard::from_arcs(1, sh.train.clone(), empty)],
         )
         .is_err());
+        // Static rows pass the same ingest gate as streamed ones: an
+        // out-of-domain label, a NaN feature, and a holdout of another
+        // dimension each fail spawn with a typed error.
+        let with_row = |data: &Dataset<DenseVec>, x: Vec<f64>, y: f64| {
+            let mut rows = data.examples().to_vec();
+            rows.push(blinkml_data::Example {
+                x: DenseVec::new(x),
+                y,
+            });
+            Arc::new(Dataset::new("bad", 4, rows))
+        };
+        let (narrow, _) = synthetic_logistic(50, 3, 2.0, 4);
+        for (train, holdout) in [
+            (with_row(&sh.train, vec![0.5; 4], 2.0), sh.holdout.clone()),
+            (
+                sh.train.clone(),
+                with_row(&sh.holdout, vec![f64::NAN; 4], 1.0),
+            ),
+            (sh.train.clone(), Arc::new(narrow)),
+        ] {
+            let err = Server::spawn(
+                base_config(200),
+                ServeConfig::default(),
+                spec.clone(),
+                vec![DatasetShard::from_arcs(1, train, holdout)],
+            )
+            .err();
+            assert!(matches!(err, Some(CoreError::InvalidRow { .. })), "{err:?}");
+        }
+    }
+
+    #[test]
+    fn aborted_sweeps_count_as_sweep_queries() {
+        let mut server = Server::spawn(
+            base_config(200),
+            ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            },
+            LogisticRegressionSpec::new(1e-3),
+            vec![shard(1, 3_000, 9)],
+        )
+        .unwrap();
+        let pending: Vec<_> = (0..4)
+            .map(|i| {
+                server
+                    .submit_sweep(SweepQuery::new(1, vec![0.1, 1e-3], 0.1, 0.05, i))
+                    .unwrap()
+            })
+            .collect();
+        server.close_and_join(true);
+        let closed = pending
+            .into_iter()
+            .filter(|h| matches!(h.try_wait(), Some(Err(ServeError::Closed))))
+            .count() as u64;
+        assert!(closed >= 1, "an idle 1-worker server cannot drain 4 sweeps");
+        let stats = server.stats();
+        assert_eq!(stats.sweep_queries, 4, "every resolved sweep counts");
+        assert_eq!(stats.completed + stats.failed, 4);
+        assert_eq!(stats.failed, closed);
+    }
+
+    #[test]
+    fn advance_epoch_on_a_static_shard_retires_nothing() {
+        let path = std::env::temp_dir().join(format!(
+            "blinkml-serve-static-advance-{}.bin",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let serve = ServeConfig {
+            pilot_sidecar: Some(path.clone()),
+            ..ServeConfig::default()
+        };
+        let sh = shard(1, 3_000, 12);
+        let spawn = || {
+            Server::spawn(
+                base_config(200),
+                serve.clone(),
+                LogisticRegressionSpec::new(1e-3),
+                vec![sh.clone()],
+            )
+            .unwrap()
+        };
+        let q = Query::new(1, 0.2, 0.05, 3);
+        let server = spawn();
+        let cold = server.query(q).unwrap();
+        assert_eq!(server.advance_epoch(1).unwrap(), 0);
+        assert!(matches!(
+            server.advance_epoch(2),
+            Err(ServeError::UnknownDataset(2))
+        ));
+        let stats = server.stats();
+        assert_eq!((stats.cached_pilots, stats.pilots_retired), (1, 0));
+        server.shutdown();
+
+        // The pilot survives the advance and restores from the sidecar.
+        let server = spawn();
+        assert_eq!(server.stats().warm_pilots, 1);
+        let warm = server.query(q).unwrap();
+        assert_eq!(warm.epoch, 0);
+        assert_eq!(
+            warm.outcome.model.parameters(),
+            cold.outcome.model.parameters()
+        );
+        let stats = server.stats();
+        assert_eq!((stats.pilot_trains, stats.cache_hits), (0, 1));
+        server.shutdown();
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -12,12 +12,12 @@
 use blinkml_core::config::{BlinkMlConfig, ExecConfig, ServeConfig};
 use blinkml_core::coordinator::Coordinator;
 use blinkml_core::models::LogisticRegressionSpec;
-use blinkml_core::serve::{DatasetShard, Query, Server, SweepQuery};
+use blinkml_core::serve::{DatasetShard, Query, Server, StreamShard, SweepQuery};
 use blinkml_core::testing::HookedSpec;
 use blinkml_core::WarmStartPolicy;
 use blinkml_core::{ModelClassSpec, TrainingOutcome};
 use blinkml_data::generators::synthetic_logistic;
-use blinkml_data::DenseVec;
+use blinkml_data::{DenseVec, IngestPolicy, LabelDomain, StreamingPool};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -523,6 +523,87 @@ fn overlapping_packed_captures_do_not_alias_scratch_buffers() {
         assert_bitwise_eq(&format!("packed query#{i}"), &served.outcome, &expected[i]);
     }
     assert_eq!(server.stats().pilot_trains, 4);
+}
+
+// ---------------------------------------------------------------------
+// One dataset kind: a static shard is a pool frozen at epoch 0
+// ---------------------------------------------------------------------
+
+/// A [`DatasetShard`] is served as a pool frozen at epoch 0, so it and a
+/// [`StreamShard`] over the same rows must answer a mixed schedule —
+/// cache hits, per-query `n₀` overrides, a sweep — with the same bits,
+/// all at epoch 0, and end with equal counters.
+#[test]
+fn static_and_stream_shards_over_the_same_rows_serve_identically() {
+    let shard = make_shard(1, 2_400, 4, 71);
+    let base = base_config(150, Some(1));
+    let spec = LogisticRegressionSpec::new(1e-3);
+    let queries = [
+        Query::new(1, 0.30, 0.05, 1),
+        Query::new(1, 0.12, 0.05, 1),
+        Query::new(1, 0.30, 0.05, 2).with_initial_sample_size(220),
+        Query::new(1, 0.20, 0.10, 1).with_initial_sample_size(220),
+        Query::new(1, 0.12, 0.05, 2).with_initial_sample_size(220),
+    ];
+    let sweep = SweepQuery::new(1, vec![0.1, 1e-3], 0.2, 0.05, 3);
+    let run = |server: Server| {
+        let responses: Vec<_> = queries
+            .iter()
+            .map(|q| server.query(*q).expect("served"))
+            .collect();
+        let swept = server.sweep(sweep.clone()).expect("sweep");
+        let stats = server.stats();
+        server.shutdown();
+        (responses, swept, stats)
+    };
+    let (fixed, fixed_sweep, fixed_stats) = run(Server::spawn(
+        base.clone(),
+        ServeConfig::default(),
+        spec.clone(),
+        vec![shard.clone()],
+    )
+    .expect("spawn static server"));
+    let pool = StreamingPool::from_datasets(
+        &shard.train,
+        &shard.holdout,
+        LabelDomain::Binary01,
+        IngestPolicy::Reject,
+    )
+    .expect("valid rows");
+    let (streamed, streamed_sweep, streamed_stats) = run(Server::spawn_with_streams(
+        base.clone(),
+        ServeConfig::default(),
+        spec.clone(),
+        Vec::new(),
+        vec![StreamShard::new(1, pool)],
+    )
+    .expect("spawn stream server"));
+
+    for (i, (a, b)) in fixed.iter().zip(&streamed).enumerate() {
+        let context = format!("query#{i}");
+        assert_bitwise_eq(&context, &a.outcome, &b.outcome);
+        assert_bitwise_eq(
+            &context,
+            &a.outcome,
+            &oracle(&base, &spec, &shard, queries[i]),
+        );
+        assert_eq!((a.rung, a.epoch), (b.rung, b.epoch), "{context}");
+        assert_eq!(a.epoch, 0, "{context}: a static shard never leaves epoch 0");
+    }
+    let points = fixed_sweep
+        .result
+        .points
+        .iter()
+        .zip(&streamed_sweep.result.points);
+    for (i, (a, b)) in points.enumerate() {
+        assert_bitwise_eq(&format!("sweep point#{i}"), &a.outcome, &b.outcome);
+    }
+    assert_eq!(fixed_stats, streamed_stats);
+    assert_eq!(
+        (fixed_stats.pilot_trains, fixed_stats.cache_hits),
+        (3, 2),
+        "seed 1 at the default n₀ and seed 2 at n₀ = 220 each hit once"
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -140,6 +140,12 @@ impl<F: FeatureVec> Dataset<F> {
         &self.rows[..self.len]
     }
 
+    /// The shared row vector, when this dataset views all of it (no
+    /// hidden tail past `len`).
+    pub(crate) fn whole_rows(&self) -> Option<&Arc<Vec<Example<F>>>> {
+        (self.len == self.rows.len()).then_some(&self.rows)
+    }
+
     /// Take ownership of the examples (drops the dataset shell). Free
     /// when this dataset is the rows' only owner; a shared prefix
     /// clones its `len` rows.

@@ -156,7 +156,9 @@ impl FeatureVec for DenseVec {
     }
 
     fn all_finite(&self) -> bool {
-        self.0.iter().all(|v| v.is_finite())
+        // A fold without early exit vectorizes; the ingest gate scans
+        // every row of a static shard at spawn.
+        self.0.iter().fold(true, |ok, v| ok & v.is_finite())
     }
 
     fn scaled_sparse(&self, coef: f64, out_dim: usize, offset: usize) -> SparseVec {

@@ -187,6 +187,9 @@ pub struct EpochMark {
     pub holdout_len: usize,
 }
 
+/// One side's shared, copy-on-write row log.
+type RowLog<F> = Arc<Vec<Example<F>>>;
+
 /// Shared append-only state behind the pool's `RwLock`.
 ///
 /// The two row logs and the mark history are copy-on-write `Arc`s:
@@ -194,8 +197,8 @@ pub struct EpochMark {
 /// (`Arc::make_mut`) when no snapshot holds them, or copies them once
 /// when one does — the pinned snapshot keeps the old allocation.
 struct PoolState<F> {
-    train: Arc<Vec<Example<F>>>,
-    holdout: Arc<Vec<Example<F>>>,
+    train: RowLog<F>,
+    holdout: RowLog<F>,
     epoch: u64,
     /// One mark per epoch, in epoch order (`marks[e] == epoch e`).
     marks: Arc<Vec<EpochMark>>,
@@ -266,45 +269,76 @@ impl<F: FeatureVec> StreamingPool<F> {
     ) -> Result<Self, IngestError> {
         let (train, train_q) = validate_rows(train, dim, domain, policy)?;
         let (holdout, holdout_q) = validate_rows(holdout, dim, domain, policy)?;
-        let marks = vec![EpochMark {
-            epoch: 0,
-            train_len: train.len(),
-            holdout_len: holdout.len(),
-        }];
         let receipts = seed_receipts(train_q, holdout_q);
-        Ok(StreamingPool {
-            name: Arc::from(name.into()),
+        Ok(StreamingPool::seeded(
+            name.into(),
             dim,
+            Arc::new(train),
+            Arc::new(holdout),
+            receipts,
             domain,
             policy,
-            state: RwLock::new(PoolState {
-                train: Arc::new(train),
-                holdout: Arc::new(holdout),
-                epoch: 0,
-                marks: Arc::new(marks),
-                seq: 0,
-                receipts,
-                durable: None,
-            }),
-        })
+        ))
     }
 
-    /// Build a pool seeded from existing datasets (rows are cloned
-    /// once; thereafter only appended blocks allocate).
+    /// Build a pool seeded from existing datasets: their rows pass the
+    /// same gate as appends (the train set's dimension is the pool's)
+    /// and form epoch 0. When the gate admits every row of a dataset
+    /// that views its whole row vector, the pool adopts that vector by
+    /// refcount instead of copying it — a later append copies it once,
+    /// leaving the caller's dataset untouched. A prefix view copies only
+    /// its visible rows, so a hidden tail never enters the log.
     pub fn from_datasets(
         train: &Dataset<F>,
         holdout: &Dataset<F>,
         domain: LabelDomain,
         policy: IngestPolicy,
     ) -> Result<Self, IngestError> {
-        StreamingPool::new(
+        let dim = train.dim();
+        let (train_log, train_q) = adopt_rows(train, dim, domain, policy)?;
+        let (holdout_log, holdout_q) = adopt_rows(holdout, dim, domain, policy)?;
+        let receipts = seed_receipts(train_q, holdout_q);
+        Ok(StreamingPool::seeded(
             train.name().to_string(),
-            train.dim(),
-            train.examples().to_vec(),
-            holdout.examples().to_vec(),
+            dim,
+            train_log,
+            holdout_log,
+            receipts,
             domain,
             policy,
-        )
+        ))
+    }
+
+    /// An in-memory pool at epoch 0 over already-validated row logs.
+    fn seeded(
+        name: String,
+        dim: usize,
+        train: RowLog<F>,
+        holdout: RowLog<F>,
+        receipts: Vec<QuarantineReceipt>,
+        domain: LabelDomain,
+        policy: IngestPolicy,
+    ) -> Self {
+        let marks = vec![EpochMark {
+            epoch: 0,
+            train_len: train.len(),
+            holdout_len: holdout.len(),
+        }];
+        StreamingPool {
+            name: Arc::from(name),
+            dim,
+            domain,
+            policy,
+            state: RwLock::new(PoolState {
+                train,
+                holdout,
+                epoch: 0,
+                marks: Arc::new(marks),
+                seq: 0,
+                receipts,
+                durable: None,
+            }),
+        }
     }
 
     /// Pool name (shared with every snapshot's datasets).
@@ -521,7 +555,19 @@ impl<F: FeatureVec> StreamingPool<F> {
         let Some(encode_row) = st.durable.as_ref().map(|d| d.encode_row) else {
             return Ok(());
         };
-        let snapshot = wal::SnapshotState {
+        let snapshot = self.snapshot_state(st);
+        let dur = st.durable.as_mut().expect("durable checked above");
+        wal::write_snapshot(&dur.dir, &snapshot, encode_row)?;
+        // A crash here leaves the new snapshot plus a log whose
+        // records all carry seq ≤ snapshot.seq: replay skips them.
+        dur.writer.truncate_all()?;
+        dur.appends_since_compact = 0;
+        Ok(())
+    }
+
+    /// The on-disk snapshot image of `st`: one row block per side.
+    fn snapshot_state(&self, st: &PoolState<F>) -> wal::SnapshotState<F> {
+        wal::SnapshotState {
             name: self.name.to_string(),
             dim: self.dim,
             domain: self.domain,
@@ -532,14 +578,7 @@ impl<F: FeatureVec> StreamingPool<F> {
             train_blocks: vec![st.train.clone()],
             holdout_blocks: vec![st.holdout.clone()],
             receipts: st.receipts.clone(),
-        };
-        let dur = st.durable.as_mut().expect("durable checked above");
-        wal::write_snapshot(&dur.dir, &snapshot, encode_row)?;
-        // A crash here leaves the new snapshot plus a log whose
-        // records all carry seq ≤ snapshot.seq: replay skips them.
-        dur.writer.truncate_all()?;
-        dur.appends_since_compact = 0;
-        Ok(())
+        }
     }
 }
 
@@ -562,8 +601,7 @@ impl<F: WalRow> StreamingPool<F> {
         options: DurableOptions,
     ) -> Result<Self, WalError> {
         let dir = dir.as_ref();
-        let (train, train_q) = validate_rows(train, dim, domain, policy)?;
-        let (holdout, holdout_q) = validate_rows(holdout, dim, domain, policy)?;
+        let mut pool = StreamingPool::new(name, dim, train, holdout, domain, policy)?;
         std::fs::create_dir_all(dir)?;
         if wal::snapshot_path(dir).exists() {
             return Err(WalError::Io(std::io::Error::new(
@@ -571,50 +609,18 @@ impl<F: WalRow> StreamingPool<F> {
                 format!("{} already holds a pool; use open()", dir.display()),
             )));
         }
-        let name: String = name.into();
-        let marks = vec![EpochMark {
-            epoch: 0,
-            train_len: train.len(),
-            holdout_len: holdout.len(),
-        }];
-        let receipts = seed_receipts(train_q, holdout_q);
-        let (train, holdout) = (Arc::new(train), Arc::new(holdout));
-        let snapshot = wal::SnapshotState {
-            name: name.clone(),
-            dim,
-            domain,
-            policy,
-            seq: 0,
-            epoch: 0,
-            marks: marks.clone(),
-            train_blocks: vec![train.clone()],
-            holdout_blocks: vec![holdout.clone()],
-            receipts: receipts.clone(),
-        };
+        let snapshot = pool.snapshot_state(&pool.state.read().expect("pool lock"));
         wal::write_snapshot(dir, &snapshot, wal::encode_example::<F>)?;
         let writer = WalWriter::create(&wal::log_path(dir), options.sync)?;
-        Ok(StreamingPool {
-            name: Arc::from(name),
-            dim,
-            domain,
-            policy,
-            state: RwLock::new(PoolState {
-                train,
-                holdout,
-                epoch: 0,
-                marks: Arc::new(marks),
-                seq: 0,
-                receipts,
-                durable: Some(Durability {
-                    dir: dir.to_path_buf(),
-                    writer,
-                    encode_row: wal::encode_example::<F>,
-                    encode_buf: Vec::new(),
-                    compact_every: options.compact_every,
-                    appends_since_compact: 0,
-                }),
-            }),
-        })
+        pool.state.get_mut().expect("pool lock").durable = Some(Durability {
+            dir: dir.to_path_buf(),
+            writer,
+            encode_row: wal::encode_example::<F>,
+            encode_buf: Vec::new(),
+            compact_every: options.compact_every,
+            appends_since_compact: 0,
+        });
+        Ok(pool)
     }
 
     /// Recover a durable pool: read the snapshot, replay the log, and
@@ -921,30 +927,61 @@ fn validate_rows<F: FeatureVec>(
     let mut admitted = Vec::with_capacity(rows.len());
     let mut quarantined = Vec::new();
     for (index, row) in rows.into_iter().enumerate() {
-        let verdict = if row.x.dim() != dim {
-            Some(IngestError::DimMismatch {
-                index,
-                expected: dim,
-                found: row.x.dim(),
-            })
-        } else if !row.x.all_finite() {
-            Some(IngestError::InvalidRow {
-                index,
-                reason: "non-finite feature value".to_string(),
-            })
-        } else {
-            match domain.validate(row.y) {
-                Ok(()) => None,
-                Err(reason) => Some(IngestError::InvalidRow { index, reason }),
-            }
-        };
-        match (verdict, policy) {
+        match (row_verdict(index, &row, dim, domain), policy) {
             (None, _) => admitted.push(row),
             (Some(err), IngestPolicy::Reject) => return Err(err),
             (Some(_), IngestPolicy::Quarantine) => quarantined.push(index),
         }
     }
     Ok((admitted, quarantined))
+}
+
+/// [`validate_rows`] for a seed dataset: the same verdicts, but when
+/// the gate admits every row of a dataset that views its whole row
+/// vector, that vector is adopted by refcount rather than copied.
+fn adopt_rows<F: FeatureVec>(
+    data: &Dataset<F>,
+    dim: usize,
+    domain: LabelDomain,
+    policy: IngestPolicy,
+) -> Result<(RowLog<F>, Vec<usize>), IngestError> {
+    if let Some(rows) = data.whole_rows() {
+        let clean = data
+            .iter()
+            .enumerate()
+            .all(|(index, row)| row_verdict(index, row, dim, domain).is_none());
+        if clean {
+            return Ok((rows.clone(), Vec::new()));
+        }
+    }
+    let (rows, quarantined) = validate_rows(data.examples().to_vec(), dim, domain, policy)?;
+    Ok((Arc::new(rows), quarantined))
+}
+
+/// Why row `index` of a block fails the ingest gate (`None` = admit).
+fn row_verdict<F: FeatureVec>(
+    index: usize,
+    row: &Example<F>,
+    dim: usize,
+    domain: LabelDomain,
+) -> Option<IngestError> {
+    if row.x.dim() != dim {
+        Some(IngestError::DimMismatch {
+            index,
+            expected: dim,
+            found: row.x.dim(),
+        })
+    } else if !row.x.all_finite() {
+        Some(IngestError::InvalidRow {
+            index,
+            reason: "non-finite feature value".to_string(),
+        })
+    } else {
+        domain
+            .validate(row.y)
+            .err()
+            .map(|reason| IngestError::InvalidRow { index, reason })
+    }
 }
 
 #[cfg(test)]
@@ -1559,5 +1596,130 @@ mod tests {
         let q = StreamingPool::<DenseVec>::open(&dir, DurableOptions::default()).unwrap();
         assert_pools_bit_equal(&q, &reference);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn dataset(rows: Vec<Example<DenseVec>>) -> Dataset<DenseVec> {
+        Dataset::new("src", 2, rows)
+    }
+
+    #[test]
+    fn from_datasets_adopts_clean_rows_without_copies() {
+        let train = dataset(vec![row(1.0, 0.0), row(2.0, 1.0)]);
+        let holdout = dataset(vec![row(3.0, 1.0)]);
+        let p = StreamingPool::from_datasets(
+            &train,
+            &holdout,
+            LabelDomain::Binary01,
+            IngestPolicy::Reject,
+        )
+        .unwrap();
+        let snap = p.snapshot();
+        assert_eq!(
+            snap.train_dataset().examples().as_ptr(),
+            train.examples().as_ptr()
+        );
+        assert_eq!(
+            snap.holdout_dataset().examples().as_ptr(),
+            holdout.examples().as_ptr()
+        );
+        assert_eq!(
+            (snap.epoch(), snap.train_len(), snap.holdout_len()),
+            (0, 2, 1)
+        );
+        assert!(p.receipts().is_empty());
+    }
+
+    #[test]
+    fn from_datasets_never_adopts_a_prefix_views_hidden_tail() {
+        let src = pool(IngestPolicy::Reject);
+        src.append(vec![row(4.0, 0.0)]).unwrap();
+        src.append_holdout(vec![row(5.0, 0.0)]).unwrap();
+        let view = src.snapshot_at(0).unwrap();
+        let (train, holdout) = (view.train_dataset(), view.holdout_dataset());
+        assert_eq!((train.len(), holdout.len()), (2, 1));
+
+        let p = StreamingPool::from_datasets(
+            &train,
+            &holdout,
+            LabelDomain::Binary01,
+            IngestPolicy::Reject,
+        )
+        .unwrap();
+        let block = vec![row(6.0, 1.0), row(7.0, 0.0)];
+        p.append(block.clone()).unwrap();
+        p.append_holdout(vec![row(8.0, 1.0)]).unwrap();
+        let snap = p.snapshot();
+        let mut want = train.examples().to_vec();
+        want.extend(block);
+        assert_eq!(row_bits(snap.train_dataset().examples()), row_bits(&want));
+        let mut want = holdout.examples().to_vec();
+        want.push(row(8.0, 1.0));
+        assert_eq!(row_bits(snap.holdout_dataset().examples()), row_bits(&want));
+        assert_eq!(p.mark_at(0).unwrap().train_len, 2);
+    }
+
+    #[test]
+    fn append_after_adoption_copies_on_write() {
+        let rows = vec![row(1.0, 0.0), row(2.0, 1.0)];
+        let train = dataset(rows.clone());
+        let holdout = dataset(vec![row(3.0, 1.0)]);
+        let p = StreamingPool::from_datasets(
+            &train,
+            &holdout,
+            LabelDomain::Binary01,
+            IngestPolicy::Reject,
+        )
+        .unwrap();
+        let before = train.examples().as_ptr();
+        p.append(vec![row(4.0, 0.0)]).unwrap();
+        let snap = p.snapshot();
+        assert_ne!(snap.train_dataset().examples().as_ptr(), before);
+        assert_eq!(snap.train_len(), 3);
+        // The caller's dataset keeps its allocation, length and bits.
+        assert_eq!(train.examples().as_ptr(), before);
+        assert_eq!(row_bits(train.examples()), row_bits(&rows));
+    }
+
+    #[test]
+    fn from_datasets_quarantines_bad_seed_rows() {
+        let train = dataset(vec![row(1.0, 0.0), row(2.0, 0.5), row(3.0, 1.0)]);
+        let holdout = dataset(vec![row(4.0, 1.0)]);
+        let p = StreamingPool::from_datasets(
+            &train,
+            &holdout,
+            LabelDomain::Binary01,
+            IngestPolicy::Quarantine,
+        )
+        .unwrap();
+        let snap = p.snapshot();
+        assert_eq!(
+            row_bits(snap.train_dataset().examples()),
+            row_bits(&[row(1.0, 0.0), row(3.0, 1.0)])
+        );
+        assert_eq!(
+            p.receipts(),
+            vec![QuarantineReceipt {
+                seq: 0,
+                epoch: 0,
+                holdout: false,
+                quarantined: vec![1],
+            }]
+        );
+        // The clean holdout is still adopted; Reject fails typed.
+        assert_eq!(
+            snap.holdout_dataset().examples().as_ptr(),
+            holdout.examples().as_ptr()
+        );
+        let err = StreamingPool::from_datasets(
+            &train,
+            &holdout,
+            LabelDomain::Binary01,
+            IngestPolicy::Reject,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, IngestError::InvalidRow { index: 1, .. }),
+            "{err}"
+        );
     }
 }
