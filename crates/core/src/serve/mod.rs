@@ -444,7 +444,9 @@ struct Registration<F> {
     id: u64,
     pool: Arc<StreamingPool<F>>,
     /// A static shard's epoch-0 training view, which its resident
-    /// matrix borrows; `None` for streams.
+    /// matrix borrows; `None` for streams. Only the server holds a
+    /// static shard's pool and never appends to it, so every snapshot
+    /// of that pool is this view.
     frozen: Option<Dataset<F>>,
 }
 
@@ -1302,7 +1304,7 @@ fn process_job<F, S>(
             let snapshot = reg.pool.snapshot();
             let train = snapshot.train_dataset();
             let holdout = snapshot.holdout_dataset();
-            let matrix = design_matrix(spec, base, resident, snapshot.epoch(), &train);
+            let matrix = design_matrix(spec, base, resident, &train);
             let result = serve_sweep(
                 base,
                 spec,
@@ -1379,16 +1381,16 @@ where
         pilot_warm_start: None,
     };
 
-    // 1. A pilot for the current epoch: no drift by construction.
-    let current = shared.cache.lookup(&key);
+    // 1. A pilot for the current epoch needs no drift scan: step 3
+    // finds it. At epoch 0 there is nothing older to scan.
+    let mut lookback = serve.max_stale_epochs.min(MAX_DRIFT_LOOKBACK).min(epoch);
+    if lookback > 0 && shared.cache.lookup(&key).is_some() {
+        lookback = 0;
+    }
 
     // 2. Otherwise scan recent epochs (bounded by the staleness budget)
     // for a cached pilot of this query and drift-test the newest one
     // found.
-    let lookback = match current {
-        Some(_) => 0,
-        None => serve.max_stale_epochs.min(MAX_DRIFT_LOOKBACK).min(epoch),
-    };
     let mut found: Option<(u64, Arc<PilotState>)> = None;
     for back in 1..=lookback {
         let e = epoch - back;
@@ -1410,7 +1412,7 @@ where
             stats.drift_fresh.fetch_add(1, Ordering::Relaxed);
             let train = snap.train_dataset();
             let holdout = snap.holdout_dataset();
-            let matrix = design_matrix(spec, &config, resident, e, &train);
+            let matrix = design_matrix(spec, &config, resident, &train);
             return run_contained(
                 config,
                 spec,
@@ -1449,16 +1451,11 @@ where
         }
     }
 
-    // 3. The current epoch: the step-1 hit, or hit / coalesce / lead
-    // through the cache.
+    // 3. The current epoch: hit / coalesce / lead through the cache.
     let train = snapshot.train_dataset();
     let holdout = snapshot.holdout_dataset();
-    let matrix = design_matrix(spec, &config, resident, epoch, &train);
-    let ticket = match current {
-        Some(pilot) => PilotTicket::Cached(pilot),
-        None => shared.cache.resolve(key),
-    };
-    let pilot = match ticket {
+    let matrix = design_matrix(spec, &config, resident, &train);
+    let pilot = match shared.cache.resolve(key) {
         PilotTicket::Cached(pilot) => {
             stats.cache_hits.fetch_add(1, Ordering::Relaxed);
             pilot
@@ -1544,25 +1541,22 @@ fn query_config(
     Ok(config)
 }
 
-/// The design matrix a query on `train` (its epoch-`epoch` view) runs
-/// against: a static shard's resident matrix, built once over its
-/// epoch-0 view, when the epochs match; otherwise one built for this
-/// query.
+/// The design matrix a query on `train` runs against: a static shard's
+/// resident matrix (its pool never leaves epoch 0, so every snapshot
+/// matches it), otherwise one built for this query.
 fn design_matrix<'a, F, S>(
     spec: &S,
     config: &BlinkMlConfig,
     resident: Option<&'a DatasetMatrix<'a>>,
-    epoch: u64,
     train: &'a Dataset<F>,
 ) -> Option<Cow<'a, DatasetMatrix<'a>>>
 where
     F: FeatureVec,
     S: ModelClassSpec<F> + ?Sized,
 {
-    match resident {
-        Some(matrix) if epoch == 0 => Some(Cow::Borrowed(matrix)),
-        _ => build_pool(spec, train, config).map(Cow::Owned),
-    }
+    resident
+        .map(Cow::Borrowed)
+        .or_else(|| build_pool(spec, train, config).map(Cow::Owned))
 }
 
 /// Cheap drift test for a cached pilot from `pilot_epoch` against the

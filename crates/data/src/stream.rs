@@ -285,9 +285,13 @@ impl<F: FeatureVec> StreamingPool<F> {
     /// same gate as appends (the train set's dimension is the pool's)
     /// and form epoch 0. When the gate admits every row of a dataset
     /// that views its whole row vector, the pool adopts that vector by
-    /// refcount instead of copying it — a later append copies it once,
-    /// leaving the caller's dataset untouched. A prefix view copies only
-    /// its visible rows, so a hidden tail never enters the log.
+    /// refcount instead of copying it. While the caller still holds that
+    /// dataset, the first append to the adopted side pays the one O(N)
+    /// copy of its seed rows, under the write lock, and leaves the
+    /// caller's dataset untouched; a pool that should append cheaply from
+    /// the start is seeded with [`StreamingPool::new`] instead. A prefix
+    /// view copies only its visible rows, so a hidden tail never enters
+    /// the log.
     pub fn from_datasets(
         train: &Dataset<F>,
         holdout: &Dataset<F>,
