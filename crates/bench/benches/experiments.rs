@@ -6,8 +6,9 @@
 
 use blinkml_bench::combos::ComboId;
 use blinkml_core::baselines::{IncEstimator, SampleSizePolicy};
+use blinkml_core::compute_statistics;
 use blinkml_core::models::LogisticRegressionSpec;
-use blinkml_core::stats::observed_fisher;
+use blinkml_core::StatisticsMethod::ObservedFisher;
 use blinkml_core::{BlinkMlConfig, ModelClassSpec, SampleSizeEstimator};
 use blinkml_data::generators::criteo_like;
 use blinkml_optim::OptimOptions;
@@ -101,7 +102,8 @@ fn fig8_table8_dimension(c: &mut Criterion) {
                 seed += 1;
                 let sample = split.train.sample(500, seed);
                 let m = spec.train(&sample, None, &OptimOptions::default()).unwrap();
-                observed_fisher(&spec, black_box(m.parameters()), &sample).unwrap()
+                compute_statistics(ObservedFisher, &spec, black_box(m.parameters()), &sample)
+                    .unwrap()
             })
         });
     }
@@ -116,7 +118,7 @@ fn fig11_sample_size_search(c: &mut Criterion) {
     let spec = LogisticRegressionSpec::new(1e-3);
     let sample = split.train.sample(800, 4);
     let model = spec.train(&sample, None, &OptimOptions::default()).unwrap();
-    let stats = observed_fisher(&spec, model.parameters(), &sample).unwrap();
+    let stats = compute_statistics(ObservedFisher, &spec, model.parameters(), &sample).unwrap();
     g.bench_function("binary_search_k64", |bench| {
         let mut seed = 0u64;
         bench.iter(|| {

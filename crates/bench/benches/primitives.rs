@@ -2,9 +2,9 @@
 //! experiment stresses: linear algebra kernels, factored sampling,
 //! statistics computation, and the margin-cached diff engine.
 
+use blinkml_core::compute_statistics;
 use blinkml_core::diff_engine::{draw_pool, DiffEngine};
 use blinkml_core::models::{LinearRegressionSpec, LogisticRegressionSpec, MaxEntSpec};
-use blinkml_core::stats::{closed_form, inverse_gradients, observed_fisher};
 use blinkml_core::ModelClassSpec;
 use blinkml_data::generators::{mnist_like, power_like, synthetic_logistic};
 use blinkml_linalg::{blas, SymmetricEigen, ThinSvd};
@@ -12,6 +12,7 @@ use blinkml_optim::OptimOptions;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
+use blinkml_core::StatisticsMethod::{ClosedForm, InverseGradients, ObservedFisher};
 use blinkml_linalg::testing::xorshift_matrix as random_matrix;
 
 fn linalg_kernels(c: &mut Criterion) {
@@ -72,13 +73,25 @@ fn statistics_methods(c: &mut Criterion) {
     let spec = LogisticRegressionSpec::new(1e-3);
     let model = spec.train(&data, None, &OptimOptions::default()).unwrap();
     g.bench_function("observed_fisher_d24", |bench| {
-        bench.iter(|| observed_fisher(&spec, black_box(model.parameters()), &data).unwrap())
+        bench.iter(|| {
+            compute_statistics(ObservedFisher, &spec, black_box(model.parameters()), &data).unwrap()
+        })
     });
     g.bench_function("closed_form_d24", |bench| {
-        bench.iter(|| closed_form(&spec, black_box(model.parameters()), &data).unwrap())
+        bench.iter(|| {
+            compute_statistics(ClosedForm, &spec, black_box(model.parameters()), &data).unwrap()
+        })
     });
     g.bench_function("inverse_gradients_d24", |bench| {
-        bench.iter(|| inverse_gradients(&spec, black_box(model.parameters()), &data).unwrap())
+        bench.iter(|| {
+            compute_statistics(
+                InverseGradients,
+                &spec,
+                black_box(model.parameters()),
+                &data,
+            )
+            .unwrap()
+        })
     });
     g.finish();
 }
@@ -90,7 +103,7 @@ fn sampling_and_diff(c: &mut Criterion) {
     let spec = LinearRegressionSpec::new(1e-3);
     let sample = data.sample(1_000, 1);
     let model = spec.train(&sample, None, &OptimOptions::default()).unwrap();
-    let stats = observed_fisher(&spec, model.parameters(), &sample).unwrap();
+    let stats = compute_statistics(ObservedFisher, &spec, model.parameters(), &sample).unwrap();
     g.bench_function("draw_pool_100_d115", |bench| {
         let mut seed = 0u64;
         bench.iter(|| {

@@ -11,9 +11,10 @@
 //! Set `BLINKML_BENCH_SMOKE=1` for a quick CI-sized run.
 
 use blinkml_core::models::LinearRegressionSpec;
-use blinkml_core::stats::{observed_fisher, observed_fisher_spectral};
-use blinkml_core::{ModelClassSpec, SpectralMethod};
+use blinkml_core::StatisticsMethod::ObservedFisher;
+use blinkml_core::{compute_statistics, compute_statistics_view, ModelClassSpec, SpectralMethod};
 use blinkml_data::generators::synthetic_linear_decay;
+use blinkml_data::{DatasetMatrix, DenseVec};
 use blinkml_linalg::spectral::{randomized_eigen, DenseSymmetricOp};
 use blinkml_linalg::SymmetricEigen;
 use blinkml_optim::OptimOptions;
@@ -46,22 +47,23 @@ fn statistics_phase(c: &mut Criterion) {
     let (data, _) = synthetic_linear_decay(n, d, 0.85, 0.5, 1);
     let spec = LinearRegressionSpec::new(1e-2);
     let model = spec.train(&data, None, &OptimOptions::default()).unwrap();
+    let xm = DatasetMatrix::from_dataset(&data);
+    let statistics = |spectral: SpectralMethod| {
+        compute_statistics_view::<DenseVec, _>(
+            ObservedFisher,
+            spectral,
+            black_box(&spec),
+            model.parameters(),
+            &xm.view(),
+        )
+        .unwrap()
+    };
     g.bench_function(format!("observed_fisher_dense_n{n}_d{d}"), |bench| {
-        bench.iter(|| observed_fisher(black_box(&spec), model.parameters(), &data).unwrap())
+        bench.iter(|| statistics(SpectralMethod::Dense))
     });
     g.bench_function(
         format!("observed_fisher_randomized_n{n}_d{d}_r{rank}"),
-        |bench| {
-            bench.iter(|| {
-                observed_fisher_spectral(
-                    black_box(&spec),
-                    model.parameters(),
-                    &data,
-                    randomized_knobs(rank),
-                )
-                .unwrap()
-            })
-        },
+        |bench| bench.iter(|| statistics(randomized_knobs(rank))),
     );
     g.finish();
 }
@@ -99,7 +101,7 @@ fn pool_drawing(c: &mut Criterion) {
     let (data, _) = synthetic_linear_decay(n, d, 0.85, 0.5, 3);
     let spec = LinearRegressionSpec::new(1e-2);
     let model = spec.train(&data, None, &OptimOptions::default()).unwrap();
-    let stats = observed_fisher(&spec, model.parameters(), &data).unwrap();
+    let stats = compute_statistics(ObservedFisher, &spec, model.parameters(), &data).unwrap();
     g.bench_function(format!("pool_per_draw_k{pool_k}_d{d}"), |bench| {
         bench.iter(|| {
             MvnSampler::new(&stats).sample_pool_seq(&mut rng_from_seed(7), black_box(pool_k))

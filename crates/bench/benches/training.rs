@@ -4,14 +4,14 @@
 //! Measures the pairs behind `results/BENCH_training.json` (see the
 //! `training_baseline` binary, which records the same pairs to JSON):
 //!
-//! * end-to-end `train()` — scalar walk vs batched engine,
-//! * one objective evaluation — `objective` vs `value_grad_batched`,
-//! * the `grads` statistics pass — per-example vs cached-matrix.
+//! * end-to-end `train()` — scalar oracle vs batched engine,
+//! * one objective evaluation — the scalar oracle vs `value_grad`,
+//! * the `grads` statistics pass — per-example oracle vs view.
 //!
 //! Set `BLINKML_BENCH_SMOKE=1` for a quick CI-sized run.
 
 use blinkml_core::models::LogisticRegressionSpec;
-use blinkml_core::testing::ScalarTrain;
+use blinkml_core::testing::{ScalarOracle, ScalarTrain};
 use blinkml_core::ModelClassSpec;
 use blinkml_data::generators::synthetic_logistic;
 use blinkml_data::{DatasetMatrix, DenseVec, TrainScratch};
@@ -19,6 +19,9 @@ use blinkml_data::{DatasetMatrix, DenseVec, TrainScratch};
 /// Disambiguate the feature type for direct trait-method calls.
 type Spec = LogisticRegressionSpec;
 fn as_dense(spec: &Spec) -> &dyn ModelClassSpec<DenseVec> {
+    spec
+}
+fn oracle(spec: &Spec) -> &dyn ScalarOracle<DenseVec> {
     spec
 }
 use blinkml_optim::OptimOptions;
@@ -59,19 +62,14 @@ fn single_eval(c: &mut Criterion) {
     let spec = LogisticRegressionSpec::new(1e-3);
     let theta: Vec<f64> = (0..d).map(|i| (i as f64 * 0.17).sin() * 0.2).collect();
     g.bench_function(format!("objective_scalar_n{n}_d{d}"), |bench| {
-        bench.iter(|| as_dense(&spec).objective(black_box(&theta), &data))
+        bench.iter(|| oracle(&spec).scalar_objective(black_box(&theta), &data))
     });
     let xm = DatasetMatrix::from_dataset(&data);
     let mut scratch = TrainScratch::new();
     let mut grad = vec![0.0; d];
-    g.bench_function(format!("value_grad_batched_n{n}_d{d}"), |bench| {
+    g.bench_function(format!("value_grad_n{n}_d{d}"), |bench| {
         bench.iter(|| {
-            as_dense(&spec).value_grad_batched(
-                black_box(&theta),
-                &xm.view(),
-                &mut scratch,
-                &mut grad,
-            )
+            as_dense(&spec).value_grad(black_box(&theta), &xm.view(), &mut scratch, &mut grad)
         })
     });
     g.finish();
@@ -86,11 +84,11 @@ fn grads_pass(c: &mut Criterion) {
     let spec = LogisticRegressionSpec::new(1e-3);
     let theta: Vec<f64> = (0..d).map(|i| (i as f64 * 0.29).cos() * 0.2).collect();
     g.bench_function(format!("grads_scalar_n{n}_d{d}"), |bench| {
-        bench.iter(|| as_dense(&spec).grads(black_box(&theta), &data))
+        bench.iter(|| oracle(&spec).scalar_grads(black_box(&theta), &data))
     });
     let xm = DatasetMatrix::from_dataset(&data);
-    g.bench_function(format!("grads_cached_n{n}_d{d}"), |bench| {
-        bench.iter(|| as_dense(&spec).grads_cached(black_box(&theta), &data, Some(&xm.view())))
+    g.bench_function(format!("grads_view_n{n}_d{d}"), |bench| {
+        bench.iter(|| as_dense(&spec).grads(black_box(&theta), &xm.view()))
     });
     g.finish();
 }

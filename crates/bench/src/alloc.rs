@@ -12,12 +12,11 @@
 //!
 //! and measure phases with [`measure`]. The counters are **cumulative
 //! allocation** totals — deallocations are not subtracted — because the
-//! quantity the sampling benchmarks gate on is *bytes allocated per
-//! phase* (the cost of cloning samples), not peak residency.
+//! quantity of interest is *bytes allocated per phase* (e.g. the cost of
+//! cloning samples), not peak residency.
 //!
-//! Counting is exact and deterministic for deterministic code, which is
-//! what lets CI gate "the zero-copy path allocates strictly less than
-//! the materialized path" without any noise allowance.
+//! Counting is exact and deterministic for deterministic code, so an
+//! allocation budget can be gated without any noise allowance.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -15,9 +15,10 @@
 //! `cargo run --release -p blinkml-bench --bin ablation -- [n=60000] [d=2000] [k=100] [probes=16] [seed=1]`
 
 use blinkml_bench::{BenchArgs, Table};
+use blinkml_core::compute_statistics;
 use blinkml_core::diff_engine::{draw_pool, DiffEngine};
 use blinkml_core::models::{LogisticRegressionSpec, MaxEntSpec};
-use blinkml_core::stats::observed_fisher;
+use blinkml_core::StatisticsMethod::ObservedFisher;
 use blinkml_core::{ModelClassSpec, SampleSizeEstimator};
 use blinkml_data::generators::{criteo_like, mnist_like};
 use blinkml_data::{Dataset, FeatureVec};
@@ -98,7 +99,8 @@ fn run_margin_case<F: FeatureVec, S: ModelClassSpec<F>>(
     let model = spec
         .train(&sample, None, &OptimOptions::default())
         .expect("train");
-    let stats = observed_fisher(spec, model.parameters(), &sample).expect("stats");
+    let stats =
+        compute_statistics(ObservedFisher, spec, model.parameters(), &sample).expect("stats");
     let pool_u = draw_pool(&stats, k, seed + 2);
     let pool_w = draw_pool(&stats, k, seed + 3);
     let scales: Vec<(f64, f64)> = (0..probes)
@@ -174,7 +176,8 @@ fn sampling_by_scaling_ablation(n: usize, d: usize, k: usize, seed: u64) {
     let model = spec
         .train(&sample, None, &OptimOptions::default())
         .expect("train");
-    let stats = observed_fisher(&spec, model.parameters(), &sample).expect("stats");
+    let stats =
+        compute_statistics(ObservedFisher, &spec, model.parameters(), &sample).expect("stats");
     let full_n = split.train.len();
     let epsilon = 0.05;
 

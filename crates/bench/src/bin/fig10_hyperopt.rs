@@ -121,7 +121,6 @@ fn main() {
                     num_param_samples: k,
                     statistics_method: StatisticsMethod::ObservedFisher,
                     spectral: Default::default(),
-                    sampling: Default::default(),
                     optim: OptimOptions::default(),
                     estimate_final_accuracy: false,
                     exec: Default::default(),

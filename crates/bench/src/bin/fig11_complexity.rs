@@ -13,8 +13,9 @@
 //! `cargo run --release -p blinkml-bench --bin fig11_complexity -- [n=200000] [n0=1000] [k=100] [accuracy=0.95] [seed=1] [betas=0,1e-4,1e-3,1e-2,1e-1,10] [dims=100,500,1000,5000,10000,50000]`
 
 use blinkml_bench::{BenchArgs, Table};
+use blinkml_core::compute_statistics;
 use blinkml_core::models::LogisticRegressionSpec;
-use blinkml_core::stats::observed_fisher;
+use blinkml_core::StatisticsMethod::ObservedFisher;
 use blinkml_core::{ModelClassSpec, SampleSizeEstimator};
 use blinkml_data::generators::criteo_like;
 use blinkml_optim::OptimOptions;
@@ -70,7 +71,7 @@ fn main() {
         };
         // A degenerate fit (e.g. β = 0 on separable data stopped at the
         // precision floor) can defeat the statistics computation too.
-        let stats = match observed_fisher(&spec, m0.parameters(), &d0) {
+        let stats = match compute_statistics(ObservedFisher, &spec, m0.parameters(), &d0) {
             Ok(s) => s,
             Err(e) => {
                 reg_table.row(&[
@@ -121,7 +122,7 @@ fn main() {
         let m0 = spec
             .train(&d0, None, &OptimOptions::default())
             .expect("initial training failed");
-        let stats = observed_fisher(&spec, m0.parameters(), &d0).expect("stats");
+        let stats = compute_statistics(ObservedFisher, &spec, m0.parameters(), &d0).expect("stats");
         let est = SampleSizeEstimator::new(k).estimate(
             &spec,
             m0.parameters(),

@@ -14,8 +14,9 @@
 //! `cargo run --release -p blinkml-bench --bin fig9_stats -- [n=60000] [trainings=30] [seed=1] [sizes=100,500,1000,5000,10000]`
 
 use blinkml_bench::{BenchArgs, Table};
+use blinkml_core::compute_statistics;
 use blinkml_core::models::{LinearRegressionSpec, LogisticRegressionSpec, MaxEntSpec};
-use blinkml_core::stats::{closed_form, inverse_gradients, observed_fisher};
+use blinkml_core::StatisticsMethod::{ClosedForm, InverseGradients, ObservedFisher};
 use blinkml_core::{ModelClassSpec, ModelStatistics};
 use blinkml_data::generators::{higgs_like, mnist_like, power_like};
 use blinkml_data::{Dataset, FeatureVec};
@@ -86,9 +87,11 @@ fn variance_ratio_study(n: usize, sizes: &[usize], trainings: usize, seed: u64) 
             ratios.sort_by(|x, y| x.partial_cmp(y).expect("finite"));
             ratios[ratios.len() / 2]
         };
-        let cf = closed_form(&spec, model.parameters(), &sample).expect("cf");
-        let ig = inverse_gradients(&spec, model.parameters(), &sample).expect("ig");
-        let of = observed_fisher(&spec, model.parameters(), &sample).expect("of");
+        let cf = compute_statistics(ClosedForm, &spec, model.parameters(), &sample).expect("cf");
+        let ig =
+            compute_statistics(InverseGradients, &spec, model.parameters(), &sample).expect("ig");
+        let of =
+            compute_statistics(ObservedFisher, &spec, model.parameters(), &sample).expect("of");
         let (rcf, rig, rof) = (ratio(&cf), ratio(&ig), ratio(&of));
         table.row(&[
             format!("{size}"),
@@ -128,17 +131,17 @@ fn compare_methods<F: FeatureVec, S: ModelClassSpec<F>>(
     let dim = model.parameters().len() as f64;
 
     let t = Instant::now();
-    let ig = inverse_gradients(spec, model.parameters(), &sample).expect("ig");
+    let ig = compute_statistics(InverseGradients, spec, model.parameters(), &sample).expect("ig");
     let ig_time = t.elapsed();
     let t = Instant::now();
-    let of = observed_fisher(spec, model.parameters(), &sample).expect("of");
+    let of = compute_statistics(ObservedFisher, spec, model.parameters(), &sample).expect("of");
     let of_time = t.elapsed();
 
     // Reference covariance: ClosedForm when available (LR), otherwise
     // ObservedFisher on a 10x larger sample (documented substitution —
     // the paper's "true" covariance is equally an estimate).
     let reference = if reference_from_closed_form {
-        closed_form(spec, model.parameters(), &sample)
+        compute_statistics(ClosedForm, spec, model.parameters(), &sample)
             .expect("cf")
             .covariance_dense()
     } else {
@@ -146,7 +149,7 @@ fn compare_methods<F: FeatureVec, S: ModelClassSpec<F>>(
         let big_model = spec
             .train(&big, None, &OptimOptions::default())
             .expect("training failed");
-        observed_fisher(spec, big_model.parameters(), &big)
+        compute_statistics(ObservedFisher, spec, big_model.parameters(), &big)
             .expect("of-ref")
             .covariance_dense()
     };

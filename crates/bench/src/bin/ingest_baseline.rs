@@ -32,7 +32,9 @@ use blinkml_core::{
     SpectralMethod,
 };
 use blinkml_data::generators::synthetic_logistic;
-use blinkml_data::{Dataset, DenseVec, Example, IngestPolicy, LabelDomain, StreamingPool};
+use blinkml_data::{
+    Dataset, DatasetMatrix, DenseVec, Example, IngestPolicy, LabelDomain, StreamingPool,
+};
 use blinkml_optim::OptimOptions;
 use blinkml_prob::split_seed;
 use serde_json::json;
@@ -132,8 +134,13 @@ fn main() {
         .train(&pilot_data, None, &OptimOptions::default())
         .expect("pilot fit");
     let theta = pilot.parameters().to_vec();
+    // Per-row gradients of a block through the view path.
+    let grads = |data: &Dataset<DenseVec>| {
+        let xm = DatasetMatrix::from_dataset(data);
+        ModelClassSpec::<DenseVec>::grads(&spec, &theta, &xm.view())
+    };
 
-    let base_grads = spec.grads(&theta, &pilot_data);
+    let base_grads = grads(&pilot_data);
     let mut seen: Vec<Example<DenseVec>> = pilot_data.examples().to_vec();
     let mut incremental =
         IncrementalSecondMoment::new(&base_grads, SpectralMethod::Dense).expect("base moment");
@@ -145,7 +152,7 @@ fn main() {
         // eigenpair update.
         let block_data = Dataset::new("block", dim, rows.clone());
         let (_, t) = time_it(|| {
-            let g = spec.grads(&theta, &block_data);
+            let g = grads(&block_data);
             incremental
                 .update(&g, SpectralMethod::Dense)
                 .expect("rank-k update");
@@ -157,7 +164,7 @@ fn main() {
         seen.extend(rows.iter().cloned());
         let all_data = Dataset::new("all", dim, seen.clone());
         let (cold, t) = time_it(|| {
-            let g = spec.grads(&theta, &all_data);
+            let g = grads(&all_data);
             IncrementalSecondMoment::new(&g, SpectralMethod::Dense).expect("cold moment")
         });
         t_full += t;
@@ -182,8 +189,8 @@ fn main() {
         let block_data = Dataset::new("block", dim, rows.clone());
         vseen.extend(rows.iter().cloned());
         let all_data = Dataset::new("all", dim, vseen.clone());
-        let g = spec.grads(&theta, &block_data);
-        let full_g = spec.grads(&theta, &all_data);
+        let g = grads(&block_data);
+        let full_g = grads(&all_data);
         let gap = verified
             .verified_update(&g, &full_g, SpectralMethod::Dense)
             .expect("verified update");

@@ -19,9 +19,12 @@
 
 use blinkml_bench::{fmt_duration, paired_min_times, BenchArgs, Table};
 use blinkml_core::models::LinearRegressionSpec;
-use blinkml_core::stats::{observed_fisher, observed_fisher_spectral, ModelStatistics};
-use blinkml_core::{ModelAccuracyEstimator, ModelClassSpec, SampleSizeEstimator, SpectralMethod};
+use blinkml_core::{
+    compute_statistics_view, ModelAccuracyEstimator, ModelClassSpec, ModelStatistics,
+    SampleSizeEstimator, SpectralMethod, StatisticsMethod,
+};
 use blinkml_data::generators::synthetic_linear_decay;
+use blinkml_data::{DatasetMatrix, DenseVec};
 use blinkml_optim::OptimOptions;
 use blinkml_prob::split_seed;
 use serde_json::json;
@@ -87,15 +90,28 @@ fn main() {
         .expect("train initial model");
     let theta = model.parameters();
 
-    // The statistics phase, both engines, measured as an interleaved
-    // order-alternating pair (same methodology as pipeline_baseline).
+    // The statistics phase, both engines over one captured design
+    // matrix, measured as an interleaved order-alternating pair (same
+    // methodology as pipeline_baseline).
+    let xm = DatasetMatrix::from_dataset(&split.train);
+    let view = xm.view();
+    let statistics = |spectral: SpectralMethod| {
+        compute_statistics_view::<DenseVec, _>(
+            StatisticsMethod::ObservedFisher,
+            spectral,
+            &spec,
+            theta,
+            &view,
+        )
+        .unwrap()
+    };
     let (dense_time, rand_time) = paired_min_times(
         reps,
-        || observed_fisher(&spec, theta, &split.train).unwrap(),
-        || observed_fisher_spectral(&spec, theta, &split.train, randomized).unwrap(),
+        || statistics(SpectralMethod::Dense),
+        || statistics(randomized),
     );
-    let stats_dense = observed_fisher(&spec, theta, &split.train).unwrap();
-    let stats_rand = observed_fisher_spectral(&spec, theta, &split.train, randomized).unwrap();
+    let stats_dense = statistics(SpectralMethod::Dense);
+    let stats_rand = statistics(randomized);
     let speedup = dense_time.as_secs_f64() / rand_time.as_secs_f64().max(1e-12);
 
     // Matched estimate quality: ε, chosen n, and the marginal-variance

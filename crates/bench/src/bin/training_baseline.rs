@@ -3,11 +3,12 @@
 //!
 //! Times end-to-end `train()` through the batched engine (zero-copy
 //! design-matrix view + fused margin/loss/gradient sweep) against the
-//! scalar per-example path (`testing::ScalarTrain`), as an interleaved
+//! scalar per-example oracle (`testing::ScalarTrain`), as an interleaved
 //! order-alternating pair (shared `paired_min_times` methodology). The
-//! batched engine is **bit-identical** to the scalar path, so the
-//! recorder also asserts the trained parameters match exactly and that
-//! the coordinator's chosen sample size is unchanged.
+//! batched engine is **bit-identical** to the scalar oracle, so the
+//! recorder also asserts the trained parameters match, and that a
+//! pilot-sized fit on a gathered pool view (what the coordinator runs)
+//! reproduces the oracle on the materialized sample bit for bit.
 //!
 //! Usage:
 //! `cargo run --release -p blinkml-bench --bin training_baseline -- \
@@ -20,10 +21,10 @@
 
 use blinkml_bench::{fmt_duration, paired_min_times, BenchArgs, Table};
 use blinkml_core::models::{LogisticRegressionSpec, MaxEntSpec};
-use blinkml_core::testing::ScalarTrain;
+use blinkml_core::testing::{ScalarOracle, ScalarTrain};
 use blinkml_core::{BlinkMlConfig, Coordinator, ModelClassSpec};
 use blinkml_data::generators::{synthetic_logistic, yelp_like};
-use blinkml_data::{DatasetMatrix, TrainScratch};
+use blinkml_data::{DatasetMatrix, DenseVec, TrainScratch};
 use blinkml_optim::OptimOptions;
 use serde_json::json;
 use std::time::Duration;
@@ -142,12 +143,12 @@ fn main() {
         let (ts, tb) = paired_min_times(
             (reps * 3).max(15),
             || {
-                <LogisticRegressionSpec as ModelClassSpec<blinkml_data::DenseVec>>::objective(
+                <LogisticRegressionSpec as ScalarOracle<DenseVec>>::scalar_objective(
                     &espec, &theta, &edata,
                 )
             },
             || {
-                <LogisticRegressionSpec as ModelClassSpec<blinkml_data::DenseVec>>::value_grad_batched(
+                <LogisticRegressionSpec as ModelClassSpec<DenseVec>>::value_grad(
                     &espec,
                     &theta,
                     &xmv,
@@ -161,7 +162,9 @@ fn main() {
     let (eval_scalar_full, eval_batched_full) = eval_pair(n, dim);
     let (eval_scalar_small, eval_batched_small) = eval_pair(n / 10, dim);
 
-    // --- Coordinator: chosen n must be unchanged by the engine. ---
+    // --- Coordinator: its pilot fit runs on a gathered view of the
+    // pool matrix; that fit must reproduce the scalar oracle on the
+    // materialized pilot sample bit for bit. ---
     let cfg = BlinkMlConfig {
         epsilon,
         delta: 0.05,
@@ -170,19 +173,34 @@ fn main() {
         num_param_samples: 32,
         ..BlinkMlConfig::default()
     };
-    let out_batched = Coordinator::new(cfg.clone())
-        .train(&spec, &data, seed)
-        .expect("coordinator (batched)");
-    let out_scalar = Coordinator::new(cfg)
-        .train(&scalar_spec, &data, seed)
-        .expect("coordinator (scalar)");
-    assert_eq!(
-        out_batched.sample_size, out_scalar.sample_size,
-        "the batched engine changed the coordinator's chosen n"
+    let n0 = cfg.initial_sample_size;
+    let pool = DatasetMatrix::from_dataset(&data);
+    let drawn = data.sample_view(n0, seed);
+    let m_view = <LogisticRegressionSpec as ModelClassSpec<DenseVec>>::train_view(
+        &spec,
+        &pool.gather(drawn.indices()),
+        None,
+        &opts,
+    )
+    .expect("gathered pilot fit");
+    let m_oracle = scalar_spec
+        .train(&data.sample(n0, seed), None, &opts)
+        .expect("oracle pilot fit");
+    let pilot_bitwise = m_view
+        .parameters()
+        .iter()
+        .zip(m_oracle.parameters())
+        .all(|(a, b)| a.to_bits() == b.to_bits());
+    assert!(
+        pilot_bitwise,
+        "the gathered pilot fit drifted from the scalar oracle"
     );
+    let out_batched = Coordinator::new(cfg)
+        .train(&spec, &data, seed)
+        .expect("coordinator");
 
     let mut table = Table::new(
-        format!("End-to-end train(): scalar per-example path vs batched engine (reps={reps})"),
+        format!("End-to-end train(): scalar per-example oracle vs batched engine (reps={reps})"),
         &["pair", "scalar", "batched", "speedup", "‖Δθ‖∞", "iters"],
     );
     for pair in [&logistic, &maxent] {
@@ -205,8 +223,8 @@ fn main() {
         eval_scalar_small / eval_batched_small.max(1e-12),
     );
     println!(
-        "coordinator chosen n: batched {} == scalar {} (N = {})",
-        out_batched.sample_size, out_scalar.sample_size, out_batched.full_data_size
+        "coordinator chosen n: {} (N = {}); gathered pilot fit (n0 = {n0}) bit-equal to the oracle",
+        out_batched.sample_size, out_batched.full_data_size
     );
 
     if smoke {
@@ -244,11 +262,10 @@ fn main() {
     });
     let coordinator = json!({
         "epsilon": epsilon,
-        "chosen_n_batched": out_batched.sample_size,
-        "chosen_n_scalar": out_scalar.sample_size,
-        "chosen_n_unchanged": out_batched.sample_size == out_scalar.sample_size,
-        "initial_epsilon_batched": out_batched.initial_epsilon,
-        "initial_epsilon_scalar": out_scalar.initial_epsilon,
+        "chosen_n": out_batched.sample_size,
+        "initial_epsilon": out_batched.initial_epsilon,
+        "pilot_n": n0,
+        "pilot_view_bitwise_oracle": pilot_bitwise,
     });
     let doc = json!({
         "bench": "training",

@@ -286,7 +286,6 @@ impl<F: FeatureVec, S: ModelClassSpec<F>> TypedCombo<F, S> {
             num_param_samples: k,
             statistics_method: StatisticsMethod::ObservedFisher,
             spectral: Default::default(),
-            sampling: Default::default(),
             optim: OptimOptions::default(),
             estimate_final_accuracy: false,
             exec: Default::default(),

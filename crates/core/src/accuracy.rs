@@ -106,9 +106,10 @@ pub fn sampling_alpha(n: usize, full_n: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::StatisticsMethod::ObservedFisher;
     use crate::models::linreg::LinearRegressionSpec;
     use crate::models::logreg::LogisticRegressionSpec;
-    use crate::stats::observed_fisher;
+    use crate::stats::compute_statistics;
     use blinkml_data::generators::{synthetic_linear, synthetic_logistic};
     use blinkml_optim::OptimOptions;
 
@@ -124,7 +125,7 @@ mod tests {
         let (data, _) = synthetic_linear(500, 3, 0.3, 1);
         let spec = LinearRegressionSpec::new(1e-3);
         let model = spec.train(&data, None, &OptimOptions::default()).unwrap();
-        let stats = observed_fisher(&spec, model.parameters(), &data).unwrap();
+        let stats = compute_statistics(ObservedFisher, &spec, model.parameters(), &data).unwrap();
         let est = ModelAccuracyEstimator::new(16);
         let eps = est.estimate(&spec, model.parameters(), &stats, 500, 500, &data, 0.05, 7);
         assert_eq!(eps, 0.0);
@@ -137,7 +138,7 @@ mod tests {
         let spec = LogisticRegressionSpec::new(1e-3);
         let sample = split.train.sample(800, 4);
         let model = spec.train(&sample, None, &OptimOptions::default()).unwrap();
-        let stats = observed_fisher(&spec, model.parameters(), &sample).unwrap();
+        let stats = compute_statistics(ObservedFisher, &spec, model.parameters(), &sample).unwrap();
         let est = ModelAccuracyEstimator::new(64);
         let full_n = split.train.len();
         let eps_small = est.estimate(
@@ -184,7 +185,7 @@ mod tests {
             let n = 600;
             let sample = split.train.sample(n, 100 + rep);
             let m = spec.train(&sample, None, &opts).unwrap();
-            let stats = observed_fisher(&spec, m.parameters(), &sample).unwrap();
+            let stats = compute_statistics(ObservedFisher, &spec, m.parameters(), &sample).unwrap();
             let est = ModelAccuracyEstimator::new(100);
             let eps = est.estimate(
                 &spec,

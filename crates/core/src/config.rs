@@ -78,38 +78,6 @@ impl SpectralMethod {
     }
 }
 
-/// How the coordinator represents the samples it draws from the
-/// training pool.
-///
-/// Outcomes (trained θ, ε estimates, chosen `n`) are **bit-identical**
-/// between the two modes by the gathered-view exactness contract (see
-/// `blinkml_data::MatrixView`); the knob exists for benchmarking the
-/// zero-copy layer against the historical copying path and as an escape
-/// hatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SamplingMode {
-    /// Samples are index views gathered from one pool-resident design
-    /// matrix built per run — no example clones, no per-sample matrix
-    /// rebuild (the default). Applies to model classes with batched
-    /// training; scalar-path models materialize regardless.
-    #[default]
-    ZeroCopy,
-    /// Samples are materialized by cloning the drawn examples and
-    /// building a fresh per-sample design matrix (the pre-view
-    /// behaviour).
-    Materialize,
-}
-
-impl SamplingMode {
-    /// Human-readable name used in reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SamplingMode::ZeroCopy => "ZeroCopy",
-            SamplingMode::Materialize => "Materialize",
-        }
-    }
-}
-
 /// Execution-layer configuration: how the deterministic parallel kernels
 /// (see `blinkml_data::parallel`) schedule their fixed-size chunks.
 ///
@@ -374,10 +342,6 @@ pub struct BlinkMlConfig {
     /// Spectral engine behind the statistics method (exact dense
     /// eigendecomposition, or the truncated randomized solver).
     pub spectral: SpectralMethod,
-    /// How samples are represented: zero-copy index views over a
-    /// pool-resident design matrix (default), or materialized clones.
-    /// Bit-identical outcomes either way.
-    pub sampling: SamplingMode,
     /// Optimizer options for model training.
     pub optim: OptimOptions,
     /// Also compute an accuracy estimate for the final model (extra
@@ -401,7 +365,6 @@ impl Default for BlinkMlConfig {
             num_param_samples: 100,
             statistics_method: StatisticsMethod::ObservedFisher,
             spectral: SpectralMethod::Dense,
-            sampling: SamplingMode::default(),
             optim: OptimOptions::default(),
             estimate_final_accuracy: false,
             exec: ExecConfig::default(),
@@ -612,9 +575,6 @@ mod tests {
         );
         assert_eq!(SpectralMethod::Dense.name(), "Dense");
         assert_eq!(SpectralMethod::randomized().name(), "Randomized");
-        assert_eq!(SamplingMode::ZeroCopy.name(), "ZeroCopy");
-        assert_eq!(SamplingMode::Materialize.name(), "Materialize");
-        assert_eq!(SamplingMode::default(), SamplingMode::ZeroCopy);
     }
 
     #[test]

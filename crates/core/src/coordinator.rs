@@ -7,13 +7,13 @@
 //! two approximate models are ever trained.
 
 use crate::accuracy::ModelAccuracyEstimator;
-use crate::config::{BlinkMlConfig, SamplingMode};
+use crate::config::BlinkMlConfig;
 use crate::diff_engine::HoldoutScorer;
 use crate::error::CoreError;
 use crate::mcs::{ModelClassSpec, TrainedModel};
 use crate::sample_size::SampleSizeEstimator;
 use crate::serve::resilience::{relaxed_sample_size, CancelToken, DegradationRung, Pressure};
-use crate::stats::{compute_statistics_cached, ModelStatistics};
+use crate::stats::{compute_statistics_view, ModelStatistics};
 use blinkml_data::{CaptureScratch, Dataset, DatasetMatrix, FeatureVec};
 use blinkml_optim::{OptimError, StopCheck};
 use blinkml_prob::split_seed;
@@ -115,12 +115,11 @@ impl Coordinator {
 
     /// Train against an explicit training pool and holdout set.
     ///
-    /// In the default [`SamplingMode::ZeroCopy`] mode, batched model
-    /// classes get their samples as index views gathered from **one**
-    /// pool-resident design matrix built here — drawing the initial and
-    /// final samples clones no example and rebuilds no matrix, and
-    /// outcomes are bit-identical to [`SamplingMode::Materialize`] by
-    /// the gathered-view exactness contract.
+    /// Samples are index views gathered from **one** pool-resident
+    /// design matrix built here — drawing the initial and final samples
+    /// clones no example and rebuilds no matrix, and by the
+    /// gathered-view exactness contract outcomes are bit-identical to
+    /// training on the materialized samples.
     pub fn train_with_holdout<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
         &self,
         spec: &S,
@@ -132,14 +131,14 @@ impl Coordinator {
         // Install the thread budget for every parallel kernel downstream.
         // Deterministic chunking means this never changes results.
         self.config.exec.apply();
-        let pool = build_pool(spec, train, &self.config);
+        let pool = DatasetMatrix::from_dataset(train);
         let mut cap_scratch = CaptureScratch::new();
         run_train(
             &self.config,
             spec,
             train,
             holdout,
-            pool.as_ref(),
+            &pool,
             &mut cap_scratch,
             seed,
             None,
@@ -178,13 +177,13 @@ impl Coordinator {
         if n0 == full_n {
             return Ok(0.0);
         }
-        let pool = build_pool(spec, train, &self.config);
+        let pool = DatasetMatrix::from_dataset(train);
         let mut cap_scratch = CaptureScratch::new();
         let fit = fit_sample(
             &self.config,
             spec,
             train,
-            pool.as_ref(),
+            &pool,
             &mut cap_scratch,
             n0,
             split_seed(seed, 0),
@@ -205,19 +204,6 @@ impl Coordinator {
             split_seed(seed, 2),
         ))
     }
-}
-
-/// The pool-resident design matrix for the zero-copy sampling mode:
-/// built once per run (or once per [`crate::session::Session`]) and
-/// gathered into index views for every sample. `None` when the spec has
-/// no batched engine or materialized sampling was requested.
-pub(crate) fn build_pool<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
-    spec: &S,
-    train: &'a Dataset<F>,
-    config: &BlinkMlConfig,
-) -> Option<DatasetMatrix<'a>> {
-    (config.sampling == SamplingMode::ZeroCopy && spec.batched_training() && !train.is_empty())
-        .then(|| DatasetMatrix::from_dataset(train))
 }
 
 /// The ε-independent artifacts of the pilot phase — the initial model
@@ -440,9 +426,8 @@ pub(crate) fn final_accuracy_scored<F: FeatureVec, S: ModelClassSpec<F> + ?Sized
 
 /// One sample fit: draw the deterministic sample for `(n, sample_seed)`,
 /// train on it (warm-started when given), and optionally compute its
-/// statistics — reusing one design-matrix view for both. With a pool
-/// matrix the sample is a gathered index view (zero example clones);
-/// without one it is materialized exactly as the historical path did.
+/// statistics — reusing one capture of the pool matrix for both (zero
+/// example clones).
 struct SampleFit {
     model: TrainedModel,
     stats: Option<ModelStatistics>,
@@ -455,7 +440,7 @@ fn fit_sample<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     config: &BlinkMlConfig,
     spec: &S,
     train: &Dataset<F>,
-    pool: Option<&DatasetMatrix<'_>>,
+    pool: &DatasetMatrix<'_>,
     cap_scratch: &mut CaptureScratch,
     n: usize,
     sample_seed: u64,
@@ -472,79 +457,41 @@ fn fit_sample<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
         }
     };
     let t = Instant::now();
-    match pool {
-        Some(pm) => {
-            // Zero-copy path: the sample is an index list. Training and
-            // statistics share one capture — a gathered view straight
-            // into the pool matrix while the sample is cache-resident,
-            // or a packed contiguous block above the pack threshold
-            // (one bulk copy instead of latency-bound random gathers on
-            // every optimizer probe; never per-example clones). Both
-            // forms are bit-identical.
-            let sample = train.sample_view(n, sample_seed);
-            let capture = pm.capture_sample_with(sample.indices(), cap_scratch);
-            let view = capture.view();
-            let model = spec.train_with_matrix(train, Some(&view), warm_start, &config.optim)?;
-            let train_time = t.elapsed();
-            stats_checkpoint()?;
-            let t = Instant::now();
-            let stats = with_stats
-                .then(|| {
-                    compute_statistics_cached(
-                        config.statistics_method,
-                        config.spectral,
-                        spec,
-                        model.parameters(),
-                        train,
-                        Some(&view),
-                    )
-                })
-                .transpose()?;
-            let stats_time = t.elapsed();
-            // Give a packed capture's buffers back so the next capture
-            // (the final sample, or the next session query) rewrites
-            // warm pages instead of faulting in fresh ones.
-            capture.recycle(cap_scratch);
-            Ok(SampleFit {
-                model,
-                stats,
-                train_time,
-                stats_time,
-            })
-        }
-        None => {
-            // Materialized path (scalar-path specs, or
-            // `SamplingMode::Materialize`): clone the sample, build its
-            // matrix once, share it between training and statistics.
-            let sample = train.sample(n, sample_seed);
-            let xm = spec
-                .batched_training()
-                .then(|| DatasetMatrix::from_dataset(&sample));
-            let xmv = xm.as_ref().map(|m| m.view());
-            let model = spec.train_with_matrix(&sample, xmv.as_ref(), warm_start, &config.optim)?;
-            let train_time = t.elapsed();
-            stats_checkpoint()?;
-            let t = Instant::now();
-            let stats = with_stats
-                .then(|| {
-                    compute_statistics_cached(
-                        config.statistics_method,
-                        config.spectral,
-                        spec,
-                        model.parameters(),
-                        &sample,
-                        xmv.as_ref(),
-                    )
-                })
-                .transpose()?;
-            Ok(SampleFit {
-                model,
-                stats,
-                train_time,
-                stats_time: t.elapsed(),
-            })
-        }
-    }
+    // The sample is an index list. Training and statistics share one
+    // capture — a gathered view straight into the pool matrix while the
+    // sample is cache-resident, or a packed contiguous block above the
+    // pack threshold (one bulk copy instead of latency-bound random
+    // gathers on every optimizer probe; never per-example clones). Both
+    // forms are bit-identical.
+    let sample = train.sample_view(n, sample_seed);
+    let capture = pool.capture_sample_with(sample.indices(), cap_scratch);
+    let view = capture.view();
+    let model = spec.train_view(&view, warm_start, &config.optim)?;
+    let train_time = t.elapsed();
+    stats_checkpoint()?;
+    let t = Instant::now();
+    let stats = with_stats
+        .then(|| {
+            compute_statistics_view(
+                config.statistics_method,
+                config.spectral,
+                spec,
+                model.parameters(),
+                &view,
+            )
+        })
+        .transpose()?;
+    let stats_time = t.elapsed();
+    // Give a packed capture's buffers back so the next capture (the
+    // final sample, or the next session query) rewrites warm pages
+    // instead of faulting in fresh ones.
+    capture.recycle(cap_scratch);
+    Ok(SampleFit {
+        model,
+        stats,
+        train_time,
+        stats_time,
+    })
 }
 
 /// The coordinator workflow (paper §2.3), shared by
@@ -553,7 +500,7 @@ fn fit_sample<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
 /// accuracy estimate, sample-size search, final training — with the
 /// holdout `DiffEngine` base scores built **once** and shared between
 /// the ε₀ estimate and the search, and samples served from the pool
-/// matrix when one is given.
+/// matrix.
 ///
 /// `pilot` short-circuits the pilot phase with cached artifacts (the
 /// Session amortization); `want_pilot` asks for the artifacts back so
@@ -564,7 +511,7 @@ pub(crate) fn run_train<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     spec: &S,
     train: &Dataset<F>,
     holdout: &Dataset<F>,
-    pool: Option<&DatasetMatrix<'_>>,
+    pool: &DatasetMatrix<'_>,
     cap_scratch: &mut CaptureScratch,
     seed: u64,
     pilot: Option<&PilotState>,
@@ -630,7 +577,7 @@ pub(crate) fn run_train_controlled<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>
     spec: &S,
     train: &Dataset<F>,
     holdout: &Dataset<F>,
-    pool: Option<&DatasetMatrix<'_>>,
+    pool: &DatasetMatrix<'_>,
     cap_scratch: &mut CaptureScratch,
     seed: u64,
     pilot: Option<&PilotState>,
@@ -933,7 +880,6 @@ mod tests {
             num_param_samples: 64,
             statistics_method: StatisticsMethod::ObservedFisher,
             spectral: Default::default(),
-            sampling: Default::default(),
             optim: OptimOptions::default(),
             estimate_final_accuracy: false,
             exec: Default::default(),

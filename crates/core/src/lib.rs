@@ -5,7 +5,7 @@
 //! Maximum Likelihood Estimation with Probabilistic Guarantees* (SIGMOD
 //! 2019):
 //!
-//! * [`mcs`] — the Model Class Specification abstraction (`objective`,
+//! * [`mcs`] — the Model Class Specification abstraction (`value_grad`,
 //!   `grads`, `predict`, `diff`) that keeps the rest of the system
 //!   model-agnostic (paper §2.2),
 //! * [`models`] — linear regression, logistic regression, max-entropy
@@ -54,8 +54,8 @@ pub mod testing;
 
 pub use accuracy::ModelAccuracyEstimator;
 pub use config::{
-    BlinkMlConfig, ExecConfig, SamplingMode, ServeConfig, ShedPolicy, SpectralMethod,
-    StatisticsMethod, WarmStartPolicy,
+    BlinkMlConfig, ExecConfig, ServeConfig, ShedPolicy, SpectralMethod, StatisticsMethod,
+    WarmStartPolicy,
 };
 pub use coordinator::{Coordinator, TrainingOutcome, TrainingPhaseTimes};
 pub use error::CoreError;
@@ -68,7 +68,5 @@ pub use serve::{
     ServerStats, StreamShard, SweepQuery, SweepResponseHandle,
 };
 pub use session::Session;
-pub use stats::{
-    compute_statistics, compute_statistics_cached, compute_statistics_spectral, ModelStatistics,
-};
+pub use stats::{compute_statistics, compute_statistics_view, ModelStatistics};
 pub use sweep::{SweepPlan, SweepPoint, SweepResult};

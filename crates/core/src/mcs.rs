@@ -2,11 +2,19 @@
 //!
 //! An MCS is the contract between BlinkML's generic machinery and a
 //! concrete model class (paper §2.2): it exposes the regularized
-//! negative log-likelihood objective, the per-example gradient list
-//! (`grads`), the prediction function, and the prediction-difference
-//! metric (`diff`). Everything else in the system — statistics
-//! computation, accuracy estimation, sample-size search, the coordinator
-//! — is written against this trait only.
+//! negative log-likelihood objective (`value_grad`), the per-example
+//! gradient list (`grads`), the prediction function, and the
+//! prediction-difference metric (`diff`). Everything else in the system
+//! — statistics computation, accuracy estimation, sample-size search,
+//! the coordinator — is written against this trait only.
+//!
+//! Every training and statistics method takes one data argument, a
+//! [`MatrixView`] over the sample's rows; prediction and `diff` take
+//! the holdout [`Dataset`]. A custom model class implements eight
+//! methods — `name`, `param_dim`, `regularization`, `value_grad`,
+//! `grads`, `predict`, `diff` and `generalization_error` — and gets
+//! training ([`ModelClassSpec::train`]), statistics, accuracy
+//! estimation and the coordinator for free.
 
 use crate::error::CoreError;
 use crate::grads::Grads;
@@ -122,46 +130,23 @@ pub trait ModelClassSpec<F: FeatureVec>: Send + Sync {
         blinkml_data::LabelDomain::AnyFinite
     }
 
-    /// Averaged objective `f_n(θ)` (Equation 2) and its gradient on
-    /// `data`.
-    ///
-    /// This per-example walk is the **scalar reference path**: the
-    /// batched engine ([`Self::value_grad_batched`]) must reproduce it
-    /// bit for bit (see the exactness contract in
-    /// `docs/ARCHITECTURE.md`), and the training benchmarks measure
-    /// against it.
-    fn objective(&self, theta: &[f64], data: &Dataset<F>) -> (f64, Vec<f64>);
-
-    /// Whether this model class implements [`Self::value_grad_batched`].
-    /// When true, the default [`Self::train`] captures the sample as a
-    /// [`MatrixView`] once and routes every optimizer probe through the
-    /// batched kernels, and the coordinator serves samples as zero-copy
-    /// gathered views over one pool-resident [`DatasetMatrix`].
-    fn batched_training(&self) -> bool {
-        false
-    }
-
-    /// Batched objective evaluation: `f_n(θ)` returned, `∇f_n(θ)`
-    /// written into `grad`, against a design-matrix view — the full
-    /// matrix of a materialized sample, or a gathered index view over
-    /// the pool matrix (the zero-copy sample representation). The
-    /// contract is exactness: the value and gradient must equal
-    /// [`Self::objective`] on the (conceptually materialized) sample the
-    /// view selects — for the built-in model classes they are
-    /// bit-identical at any thread budget and for both view kinds.
-    /// `scratch` persists across calls so line-search probes allocate
-    /// nothing in steady state.
-    ///
-    /// Only called when [`Self::batched_training`] returns true.
-    fn value_grad_batched(
+    /// Averaged objective `f_n(θ)` (Equation 2) returned, its gradient
+    /// `∇f_n(θ)` written into `grad`, over the rows of a design-matrix
+    /// view: the full matrix of a materialized sample, a gathered index
+    /// view over the pool matrix (the zero-copy sample representation),
+    /// or a packed capture. The contract is exactness across view kinds:
+    /// the value and gradient must depend only on the rows the view
+    /// selects, so the built-in model classes are bit-identical for every
+    /// view kind and thread budget (and to their per-example reference
+    /// oracles in `crate::testing`). `scratch` persists across calls so
+    /// line-search probes allocate nothing in steady state.
+    fn value_grad(
         &self,
-        _theta: &[f64],
-        _xm: &MatrixView,
-        _scratch: &mut TrainScratch,
-        _grad: &mut [f64],
-    ) -> f64 {
-        unreachable!("value_grad_batched() called on a model without batched training");
-    }
+        theta: &[f64],
+        xm: &MatrixView,
+        scratch: &mut TrainScratch,
+        grad: &mut [f64],
+    ) -> f64;
 
     /// Whether this model class implements
     /// [`Self::value_grad_batched_multi`] — the fused multi-λ objective
@@ -178,7 +163,7 @@ pub trait ModelClassSpec<F: FeatureVec>: Send + Sync {
     /// regularizer terms applied per-λ afterwards).
     ///
     /// The contract is exactness: each eval's `(value, grad)` must be
-    /// **bit-identical** to [`Self::value_grad_batched`] on a spec with
+    /// **bit-identical** to [`Self::value_grad`] on a spec with
     /// [`Self::with_regularization`]`(β_k)` applied, over
     /// `xm.prefix(rows_k)`, at any thread budget.
     ///
@@ -202,43 +187,16 @@ pub trait ModelClassSpec<F: FeatureVec>: Send + Sync {
     }
 
     /// The per-example gradient list `ψ_i = q(θ; x_i, y_i) + r(θ)`
-    /// (paper's `grads` MCS method).
-    fn grads(&self, theta: &[f64], data: &Dataset<F>) -> Grads;
+    /// over the rows of `xm` (paper's `grads` MCS method). The
+    /// coordinator passes the view it served for training, so the
+    /// statistics phase never materializes the sample.
+    fn grads(&self, theta: &[f64], xm: &MatrixView) -> Grads;
 
-    /// [`Self::grads`] with an optionally cached design-matrix view of
-    /// the sample (the coordinator reuses the view served for training
-    /// when computing the same sample's statistics). When the view is a
-    /// *gathered* pool view, `data` is the **pool** the indices point
-    /// into, not the sample. The default ignores the cache — and, for a
-    /// gathered view, falls back to materializing the indexed subset so
-    /// model classes that never override this stay correct; batched
-    /// model classes override it with an allocation-light batched pass.
-    fn grads_cached(&self, theta: &[f64], data: &Dataset<F>, xm: Option<&MatrixView>) -> Grads {
-        if let Some(idx) = xm.and_then(|v| v.sample_of()) {
-            return self.grads(theta, &data.subset(idx));
-        }
-        self.grads(theta, data)
-    }
-
-    /// Analytic Hessian of `g_n` at `θ` when a closed form exists
-    /// (paper §3.4 Method 1); `None` for models without one.
-    fn closed_form_hessian(&self, _theta: &[f64], _data: &Dataset<F>) -> Option<Matrix> {
+    /// Analytic Hessian of `g_n` at `θ` over the rows of `xm` when a
+    /// closed form exists (paper §3.4 Method 1); `None` for models
+    /// without one.
+    fn closed_form_hessian(&self, _theta: &[f64], _xm: &MatrixView) -> Option<Matrix> {
         None
-    }
-
-    /// [`Self::closed_form_hessian`] with an optionally cached
-    /// design-matrix view (same reuse pattern — and the same
-    /// gathered-view fallback — as [`Self::grads_cached`]).
-    fn closed_form_hessian_cached(
-        &self,
-        theta: &[f64],
-        data: &Dataset<F>,
-        xm: Option<&MatrixView>,
-    ) -> Option<Matrix> {
-        if let Some(idx) = xm.and_then(|v| v.sample_of()) {
-            return self.closed_form_hessian(theta, &data.subset(idx));
-        }
-        self.closed_form_hessian(theta, data)
     }
 
     /// Predict the output for one feature vector (class index for
@@ -297,51 +255,35 @@ pub trait ModelClassSpec<F: FeatureVec>: Send + Sync {
     }
 
     /// Train on `data`, optionally warm-starting from a previous
-    /// parameter vector. The default implementation materializes the
-    /// sample once (when [`Self::batched_training`] is on) and runs the
-    /// dimension-appropriate quasi-Newton solver on the batched
-    /// objective; closed-form models (PPCA) override it.
+    /// parameter vector: captures `data` as one [`DatasetMatrix`] and
+    /// runs [`Self::train_view`] on its full view.
     fn train(
         &self,
         data: &Dataset<F>,
         warm_start: Option<&[f64]>,
         options: &OptimOptions,
     ) -> Result<TrainedModel, CoreError> {
-        self.train_with_matrix(data, None, warm_start, options)
+        let xm = DatasetMatrix::from_dataset(data);
+        self.train_view(&xm.view(), warm_start, options)
     }
 
-    /// [`Self::train`] against an optionally pre-built design-matrix
-    /// view of the sample — either a full view of a materialized
-    /// sample, or a **gathered** view into a pool-resident matrix (the
-    /// coordinator's zero-copy path, where `data` is the pool the view's
-    /// indices select from). The view is reused for both training and
-    /// the subsequent statistics phase. Passing `None` captures (or
-    /// skips) the matrix internally.
-    ///
-    /// # Panics
-    /// Panics (in debug builds) when `xm` does not match `data`'s
-    /// feature dimension.
-    fn train_with_matrix(
+    /// Train on the rows of a design-matrix view — the full view of a
+    /// materialized sample, a **gathered** view into a pool-resident
+    /// matrix (the coordinator's zero-copy path), or a packed capture.
+    /// The default runs the dimension-appropriate quasi-Newton solver
+    /// on [`Self::value_grad`]; closed-form models (PPCA) override it.
+    fn train_view(
         &self,
-        data: &Dataset<F>,
-        xm: Option<&MatrixView>,
+        xm: &MatrixView,
         warm_start: Option<&[f64]>,
         options: &OptimOptions,
     ) -> Result<TrainedModel, CoreError> {
-        let sample_len = xm.map_or(data.len(), |v| v.len());
-        if sample_len == 0 {
+        if xm.is_empty() {
             return Err(CoreError::InvalidData(
                 "cannot train on an empty dataset".into(),
             ));
         }
-        // The view's row count is authoritative: it may select a sample
-        // out of `data` (gathered pool view, or a packed capture passed
-        // with the pool as `data`); only the feature dimension must
-        // agree.
-        if let Some(v) = xm {
-            debug_assert_eq!(v.dim(), data.dim(), "cached matrix dim mismatch");
-        }
-        let dim = self.param_dim(data.dim());
+        let dim = self.param_dim(xm.dim());
         let theta0: Vec<f64> = match warm_start {
             Some(w) => {
                 if w.len() != dim {
@@ -354,41 +296,17 @@ pub trait ModelClassSpec<F: FeatureVec>: Send + Sync {
             }
             None => vec![0.0; dim],
         };
-        let result = if self.batched_training() {
-            let owned;
-            let view = match xm {
-                Some(v) => *v,
-                None => {
-                    owned = DatasetMatrix::from_dataset(data);
-                    owned.view()
-                }
-            };
-            let adapter = BatchedSpecObjective {
-                spec: self,
-                dim,
-                xm: view,
-                scratch: RefCell::new(TrainScratch::new()),
-                _marker: std::marker::PhantomData,
-            };
-            minimize(&adapter, &theta0, options)?
-        } else if let Some(idx) = xm.and_then(|v| v.sample_of()) {
-            // Scalar-path model handed a gathered pool view: materialize
-            // the indexed sample so the per-example objective sees the
-            // sample, not the pool (correctness fallback; the
-            // coordinator only serves gathered views to batched specs).
-            let sample = data.subset(idx);
-            let adapter = SpecObjective {
-                spec: self,
-                data: &sample,
-            };
-            minimize(&adapter, &theta0, options)?
-        } else {
-            let adapter = SpecObjective { spec: self, data };
-            minimize(&adapter, &theta0, options)?
+        let adapter = ViewObjective {
+            spec: self,
+            dim,
+            xm: *xm,
+            scratch: RefCell::new(TrainScratch::new()),
+            _marker: std::marker::PhantomData,
         };
+        let result = minimize(&adapter, &theta0, options)?;
         Ok(TrainedModel {
             theta: result.theta,
-            sample_size: sample_len,
+            sample_size: xm.len(),
             iterations: result.iterations,
             converged: result.converged,
             objective_value: result.value,
@@ -396,27 +314,11 @@ pub trait ModelClassSpec<F: FeatureVec>: Send + Sync {
     }
 }
 
-/// Adapter exposing the scalar MCS objective to the optimizer.
-struct SpecObjective<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> {
-    spec: &'a S,
-    data: &'a Dataset<F>,
-}
-
-impl<F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Objective for SpecObjective<'_, F, S> {
-    fn dim(&self) -> usize {
-        self.spec.param_dim(self.data.dim())
-    }
-
-    fn value_grad(&self, theta: &[f64]) -> (f64, Vec<f64>) {
-        self.spec.objective(theta, self.data)
-    }
-}
-
-/// Adapter exposing the batched MCS objective to the optimizer: the
-/// design-matrix view is held for the whole solve and the scratch
+/// Adapter exposing [`ModelClassSpec::value_grad`] to the optimizer:
+/// the design-matrix view is held for the whole solve and the scratch
 /// buffers persist across probes, so `value_grad_into` allocates
 /// nothing.
-struct BatchedSpecObjective<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> {
+struct ViewObjective<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> {
     spec: &'a S,
     dim: usize,
     xm: MatrixView<'a>,
@@ -424,7 +326,7 @@ struct BatchedSpecObjective<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> {
     _marker: std::marker::PhantomData<fn() -> F>,
 }
 
-impl<F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Objective for BatchedSpecObjective<'_, F, S> {
+impl<F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Objective for ViewObjective<'_, F, S> {
     fn dim(&self) -> usize {
         self.dim
     }
@@ -437,7 +339,7 @@ impl<F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Objective for BatchedSpecObje
 
     fn value_grad_into(&self, theta: &[f64], grad: &mut [f64]) -> f64 {
         self.spec
-            .value_grad_batched(theta, &self.xm, &mut self.scratch.borrow_mut(), grad)
+            .value_grad(theta, &self.xm, &mut self.scratch.borrow_mut(), grad)
     }
 }
 

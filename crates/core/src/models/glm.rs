@@ -18,20 +18,22 @@
 //!
 //! # Batched path
 //!
-//! [`ModelClassSpec::value_grad_batched`] evaluates the same objective
-//! against a cached design-matrix view (full or pool-gathered
-//! [`MatrixView`]): one fused margin pass
-//! (`m = X·θ_w + θ_b`), one vectorized [`GlmFamily::loss_dloss`] sweep
-//! over the margin block, and one chunk-reduced `Xᵀw` gradient pass.
-//! Every reduction keeps the scalar path's chunk boundaries and
-//! accumulation order, so the batched value and gradient are
-//! **bit-identical** to [`ModelClassSpec::objective`] at any thread
-//! budget.
+//! [`ModelClassSpec::value_grad`] evaluates the objective against a
+//! design-matrix view (full, pool-gathered or packed [`MatrixView`]):
+//! one fused margin pass (`m = X·θ_w + θ_b`), one vectorized
+//! [`GlmFamily::loss_dloss`] sweep over the margin block, and one
+//! chunk-reduced `Xᵀw` gradient pass. Every reduction keeps the
+//! per-example reference's chunk boundaries and accumulation order, so
+//! the value and gradient are **bit-identical** to the scalar oracle
+//! ([`ScalarOracle::scalar_objective`]) at any thread budget.
 
 use crate::grads::Grads;
 use crate::mcs::{classification_diff, regression_diff, ModelClassSpec, SweepEval};
+use crate::testing::ScalarOracle;
 use blinkml_data::parallel::{par_ranges, par_sum_vecs};
-use blinkml_data::{Dataset, FeatureVec, FoldRequest, MatrixView, SparseVec, TrainScratch};
+use blinkml_data::{
+    Dataset, DatasetMatrix, FeatureVec, FoldRequest, MatrixView, SparseVec, TrainScratch,
+};
 use blinkml_linalg::Matrix;
 use std::marker::PhantomData;
 
@@ -134,6 +136,35 @@ impl<Fam: GlmFamily> GlmSpec<Fam> {
             dim
         }
     }
+
+    /// `(1/n) Xᵀ diag(ℓ'') X + βI` from the per-row curvature weights
+    /// `wᵢ = ℓ''(mᵢ, yᵢ)/n`.
+    fn hessian_from_weights(&self, xm: &MatrixView, weights: &[f64], dim: usize) -> Matrix {
+        let d = xm.dim();
+        // H_ww = Σ wᵢ·xᵢxᵢᵀ through the chunk-reduced Gram kernel (one
+        // symmetric half instead of the dense rank-one updates).
+        let ww = xm.weighted_gram(weights);
+        let mut h = Matrix::zeros(dim, dim);
+        for a in 0..d {
+            h.row_mut(a)[..d].copy_from_slice(&ww.row(a)[..d]);
+        }
+        if self.intercept {
+            // Border terms of the augmented design [x; 1].
+            let mut border = vec![0.0; d];
+            xm.weighted_sum_into(weights, &mut border);
+            for (j, &v) in border.iter().enumerate() {
+                h[(j, d)] = v;
+                h[(d, j)] = v;
+            }
+            h[(d, d)] = weights.iter().sum();
+        }
+        // β on the penalized diagonal only — consistent with the
+        // objective and grads skipping the intercept.
+        for i in 0..self.weight_len(dim) {
+            h[(i, i)] += self.beta;
+        }
+        h
+    }
 }
 
 impl<Fam: GlmFamily, F: FeatureVec> ModelClassSpec<F> for GlmSpec<Fam> {
@@ -153,43 +184,7 @@ impl<Fam: GlmFamily, F: FeatureVec> ModelClassSpec<F> for GlmSpec<Fam> {
         Fam::label_domain()
     }
 
-    fn objective(&self, theta: &[f64], data: &Dataset<F>) -> (f64, Vec<f64>) {
-        let d = data.dim();
-        let dim = theta.len();
-        let n = data.len().max(1) as f64;
-        // Accumulate [Σℓ, Σℓ'·x (, Σℓ')] in one parallel pass; slot 0 is
-        // the loss, slots 1..=d the weight gradient, the last slot (when
-        // an intercept is present) the bias gradient.
-        let acc = par_sum_vecs(data.len(), dim + 1, |i, acc| {
-            let e = data.get(i);
-            let m = self.margin(theta, &e.x);
-            acc[0] += Fam::loss(m, e.y);
-            let c = Fam::dloss(m, e.y);
-            e.x.add_scaled_into(c, &mut acc[1..=d]);
-            if self.intercept {
-                acc[1 + d] += c;
-            }
-        });
-        let mut value = acc[0] / n;
-        let mut grad: Vec<f64> = acc[1..].iter().map(|v| v / n).collect();
-        if self.beta > 0.0 {
-            // The regularizer covers the weights only: the intercept is
-            // skipped here exactly as it is in `grads`' shift.
-            let wlen = self.weight_len(dim);
-            let norm_sq: f64 = theta[..wlen].iter().map(|t| t * t).sum();
-            value += 0.5 * self.beta * norm_sq;
-            for (g, t) in grad[..wlen].iter_mut().zip(&theta[..wlen]) {
-                *g += self.beta * t;
-            }
-        }
-        (value, grad)
-    }
-
-    fn batched_training(&self) -> bool {
-        true
-    }
-
-    fn value_grad_batched(
+    fn value_grad(
         &self,
         theta: &[f64],
         xm: &MatrixView,
@@ -209,8 +204,8 @@ impl<Fam: GlmFamily, F: FeatureVec> ModelClassSpec<F> for GlmSpec<Fam> {
         // One fused sweep: chunk margins → loss/derivative (sharing the
         // family's transcendentals) → chunk gradient partial, with each
         // chunk's rows reused while cache-hot. Partial sums merge in the
-        // scalar path's par_sum_vecs order, so value and gradient are
-        // bit-identical to `objective` on the sample the view selects.
+        // scalar oracle's par_sum_vecs order, so value and gradient are
+        // bit-identical to it on the sample the view selects.
         let mut dloss_sum = 0.0;
         let loss = xm.value_grad_fold(w, b, &mut grad[..d], scratch, |start, margins| {
             let (mut lpart, mut cpart) = (0.0, 0.0);
@@ -261,7 +256,7 @@ impl<Fam: GlmFamily, F: FeatureVec> ModelClassSpec<F> for GlmSpec<Fam> {
         // whole grid. Request k's (loss, dloss-sum, grad) come out
         // bit-identical to `value_grad_fold` over `xm.prefix(rows_k)`,
         // which is what makes each eval below bit-identical to
-        // `value_grad_batched` on a `with_regularization(β_k)` spec.
+        // `value_grad` on a `with_regularization(β_k)` spec.
         let mut reqs: Vec<FoldRequest> = evals
             .iter_mut()
             .map(|e| {
@@ -317,48 +312,7 @@ impl<Fam: GlmFamily, F: FeatureVec> ModelClassSpec<F> for GlmSpec<Fam> {
         }))
     }
 
-    fn grads(&self, theta: &[f64], data: &Dataset<F>) -> Grads {
-        let d = data.dim();
-        let dim = theta.len();
-        let mut shift: Vec<f64> = theta.iter().map(|t| self.beta * t).collect();
-        if self.intercept {
-            // Unpenalized intercept: no βθ shift on the bias slot.
-            shift[d] = 0.0;
-        }
-        if F::IS_SPARSE {
-            let rows: Vec<_> = par_ranges(data.len(), |range| {
-                range
-                    .map(|i| {
-                        let e = data.get(i);
-                        let c = Fam::dloss(self.margin(theta, &e.x), e.y);
-                        sparse_grad_row(&e.x, c, d, dim, self.intercept)
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-            Grads::Sparse { rows, shift }
-        } else {
-            let mut m = Matrix::zeros(data.len(), dim);
-            for (i, e) in data.iter().enumerate() {
-                let c = Fam::dloss(self.margin(theta, &e.x), e.y);
-                let row = m.row_mut(i);
-                row.copy_from_slice(&shift);
-                e.x.add_scaled_into(c, &mut row[..d]);
-                if self.intercept {
-                    row[d] += c;
-                }
-            }
-            Grads::Dense(m)
-        }
-    }
-
-    fn grads_cached(&self, theta: &[f64], data: &Dataset<F>, xm: Option<&MatrixView>) -> Grads {
-        let Some(xm) = xm else {
-            return self.grads(theta, data);
-        };
-        debug_assert_eq!(xm.dim(), data.dim(), "cached matrix dim mismatch");
+    fn grads(&self, theta: &[f64], xm: &MatrixView) -> Grads {
         let d = xm.dim();
         let dim = theta.len();
         let rows_n = xm.len();
@@ -413,74 +367,23 @@ impl<Fam: GlmFamily, F: FeatureVec> ModelClassSpec<F> for GlmSpec<Fam> {
         }
     }
 
-    fn closed_form_hessian(&self, theta: &[f64], data: &Dataset<F>) -> Option<Matrix> {
-        self.closed_form_hessian_cached(theta, data, None)
-    }
-
-    fn closed_form_hessian_cached(
-        &self,
-        theta: &[f64],
-        data: &Dataset<F>,
-        xm: Option<&MatrixView>,
-    ) -> Option<Matrix> {
-        let d = data.dim();
-        let dim = theta.len();
-        let rows_n = xm.map_or(data.len(), |v| v.len());
-        let n = rows_n.max(1) as f64;
+    fn closed_form_hessian(&self, theta: &[f64], xm: &MatrixView) -> Option<Matrix> {
+        let d = xm.dim();
+        let n = xm.len().max(1) as f64;
+        let (w, b) = if self.intercept {
+            (&theta[..d], theta[d])
+        } else {
+            (theta, 0.0)
+        };
         // Curvature weights w_i = ℓ''(m_i, y_i)/n; any example without a
         // closed form disables the method.
-        let mut weights = vec![0.0; rows_n];
-        match xm {
-            Some(xm) => {
-                debug_assert_eq!(xm.dim(), data.dim(), "cached matrix dim mismatch");
-                let (w, b) = if self.intercept {
-                    (&theta[..d], theta[d])
-                } else {
-                    (theta, 0.0)
-                };
-                let mut margins = vec![0.0; xm.len()];
-                xm.margins_into(w, b, &mut margins);
-                for (i, (wi, &m)) in weights.iter_mut().zip(&margins).enumerate() {
-                    *wi = Fam::d2loss(m, xm.label(i))? / n;
-                }
-            }
-            None => {
-                for (wi, e) in weights.iter_mut().zip(data.iter()) {
-                    *wi = Fam::d2loss(self.margin(theta, &e.x), e.y)? / n;
-                }
-            }
+        let mut margins = vec![0.0; xm.len()];
+        xm.margins_into(w, b, &mut margins);
+        let mut weights = vec![0.0; xm.len()];
+        for (i, (wi, &m)) in weights.iter_mut().zip(&margins).enumerate() {
+            *wi = Fam::d2loss(m, xm.label(i))? / n;
         }
-        // H_ww = Σ wᵢ·xᵢxᵢᵀ through the chunk-reduced Gram kernel (one
-        // symmetric half instead of the dense rank-one updates).
-        let owned;
-        let xm = match xm {
-            Some(v) => *v,
-            None => {
-                owned = blinkml_data::DatasetMatrix::from_dataset(data);
-                owned.view()
-            }
-        };
-        let ww = xm.weighted_gram(&weights);
-        let mut h = Matrix::zeros(dim, dim);
-        for a in 0..d {
-            h.row_mut(a)[..d].copy_from_slice(&ww.row(a)[..d]);
-        }
-        if self.intercept {
-            // Border terms of the augmented design [x; 1].
-            let mut border = vec![0.0; d];
-            xm.weighted_sum_into(&weights, &mut border);
-            for (j, &v) in border.iter().enumerate() {
-                h[(j, d)] = v;
-                h[(d, j)] = v;
-            }
-            h[(d, d)] = weights.iter().sum();
-        }
-        // β on the penalized diagonal only — consistent with the
-        // objective and grads skipping the intercept.
-        for i in 0..self.weight_len(dim) {
-            h[(i, i)] += self.beta;
-        }
-        Some(h)
+        Some(self.hessian_from_weights(xm, &weights, theta.len()))
     }
 
     fn predict(&self, theta: &[f64], x: &F) -> f64 {
@@ -547,6 +450,89 @@ impl<Fam: GlmFamily, F: FeatureVec> ModelClassSpec<F> for GlmSpec<Fam> {
     }
 }
 
+/// The per-example reference bodies (see [`ScalarOracle`]).
+#[doc(hidden)]
+impl<Fam: GlmFamily, F: FeatureVec> ScalarOracle<F> for GlmSpec<Fam> {
+    fn scalar_objective(&self, theta: &[f64], data: &Dataset<F>) -> (f64, Vec<f64>) {
+        let d = data.dim();
+        let dim = theta.len();
+        let n = data.len().max(1) as f64;
+        // Accumulate [Σℓ, Σℓ'·x (, Σℓ')] in one parallel pass; slot 0 is
+        // the loss, slots 1..=d the weight gradient, the last slot (when
+        // an intercept is present) the bias gradient.
+        let acc = par_sum_vecs(data.len(), dim + 1, |i, acc| {
+            let e = data.get(i);
+            let m = self.margin(theta, &e.x);
+            acc[0] += Fam::loss(m, e.y);
+            let c = Fam::dloss(m, e.y);
+            e.x.add_scaled_into(c, &mut acc[1..=d]);
+            if self.intercept {
+                acc[1 + d] += c;
+            }
+        });
+        let mut value = acc[0] / n;
+        let mut grad: Vec<f64> = acc[1..].iter().map(|v| v / n).collect();
+        if self.beta > 0.0 {
+            // The regularizer covers the weights only: the intercept is
+            // skipped here exactly as it is in `grads`' shift.
+            let wlen = self.weight_len(dim);
+            let norm_sq: f64 = theta[..wlen].iter().map(|t| t * t).sum();
+            value += 0.5 * self.beta * norm_sq;
+            for (g, t) in grad[..wlen].iter_mut().zip(&theta[..wlen]) {
+                *g += self.beta * t;
+            }
+        }
+        (value, grad)
+    }
+
+    fn scalar_grads(&self, theta: &[f64], data: &Dataset<F>) -> Grads {
+        let d = data.dim();
+        let dim = theta.len();
+        let mut shift: Vec<f64> = theta.iter().map(|t| self.beta * t).collect();
+        if self.intercept {
+            // Unpenalized intercept: no βθ shift on the bias slot.
+            shift[d] = 0.0;
+        }
+        if F::IS_SPARSE {
+            let rows: Vec<_> = par_ranges(data.len(), |range| {
+                range
+                    .map(|i| {
+                        let e = data.get(i);
+                        let c = Fam::dloss(self.margin(theta, &e.x), e.y);
+                        sparse_grad_row(&e.x, c, d, dim, self.intercept)
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+            Grads::Sparse { rows, shift }
+        } else {
+            let mut m = Matrix::zeros(data.len(), dim);
+            for (i, e) in data.iter().enumerate() {
+                let c = Fam::dloss(self.margin(theta, &e.x), e.y);
+                let row = m.row_mut(i);
+                row.copy_from_slice(&shift);
+                e.x.add_scaled_into(c, &mut row[..d]);
+                if self.intercept {
+                    row[d] += c;
+                }
+            }
+            Grads::Dense(m)
+        }
+    }
+
+    fn scalar_closed_form_hessian(&self, theta: &[f64], data: &Dataset<F>) -> Option<Matrix> {
+        let n = data.len().max(1) as f64;
+        let mut weights = vec![0.0; data.len()];
+        for (wi, e) in weights.iter_mut().zip(data.iter()) {
+            *wi = Fam::d2loss(self.margin(theta, &e.x), e.y)? / n;
+        }
+        let xm = DatasetMatrix::from_dataset(data);
+        Some(self.hessian_from_weights(&xm.view(), &weights, theta.len()))
+    }
+}
+
 /// One sparse `grads` row `c·x` (plus the intercept slot when present)
 /// embedded in dimension `dim`.
 fn sparse_grad_row<F: FeatureVec>(
@@ -570,9 +556,10 @@ fn sparse_grad_row<F: FeatureVec>(
 #[cfg(test)]
 pub(crate) mod test_support {
     use super::*;
+    use crate::testing::{view_grads, view_objective};
     use blinkml_data::Dataset;
 
-    /// Finite-difference check of `objective`'s gradient for any spec —
+    /// Finite-difference check of `value_grad`'s gradient for any spec —
     /// the load-bearing invariant for every model class.
     pub fn check_gradient<F: FeatureVec, S: ModelClassSpec<F>>(
         spec: &S,
@@ -580,15 +567,15 @@ pub(crate) mod test_support {
         data: &Dataset<F>,
         tol: f64,
     ) {
-        let (_, grad) = spec.objective(theta, data);
+        let (_, grad) = view_objective(spec, theta, data);
         let eps = 1e-6;
         for i in 0..theta.len() {
             let mut plus = theta.to_vec();
             let mut minus = theta.to_vec();
             plus[i] += eps;
             minus[i] -= eps;
-            let (fp, _) = spec.objective(&plus, data);
-            let (fm, _) = spec.objective(&minus, data);
+            let (fp, _) = view_objective(spec, &plus, data);
+            let (fm, _) = view_objective(spec, &minus, data);
             let fd = (fp - fm) / (2.0 * eps);
             assert!(
                 (grad[i] - fd).abs() < tol * (1.0 + fd.abs()),
@@ -599,15 +586,15 @@ pub(crate) mod test_support {
     }
 
     /// Check that the mean grads row equals the objective gradient —
-    /// the consistency contract between `grads` and `objective`.
+    /// the consistency contract between `grads` and `value_grad`.
     pub fn check_grads_mean<F: FeatureVec, S: ModelClassSpec<F>>(
         spec: &S,
         theta: &[f64],
         data: &Dataset<F>,
         tol: f64,
     ) {
-        let (_, grad) = spec.objective(theta, data);
-        let mean = spec.grads(theta, data).mean_row();
+        let (_, grad) = view_objective(spec, theta, data);
+        let mean = view_grads(spec, theta, data).mean_row();
         for (g, m) in grad.iter().zip(&mean) {
             assert!((g - m).abs() < tol, "grads mean mismatch: {g} vs {m}");
         }
@@ -618,6 +605,7 @@ pub(crate) mod test_support {
 mod tests {
     use super::*;
     use crate::models::logreg::LogisticFamily;
+    use crate::testing::view_objective;
     use blinkml_data::generators::synthetic_logistic;
     use blinkml_data::DenseVec;
     use blinkml_optim::OptimOptions;
@@ -652,9 +640,9 @@ mod tests {
         let (data, _) = synthetic_logistic(100, 3, 2.0, 12);
         let spec = Spec::with_intercept(0.5);
         let theta = vec![1.0, -2.0, 0.5, 3.0];
-        let (v_reg, g_reg) = spec.objective(&theta, &data);
+        let (v_reg, g_reg) = view_objective(&spec, &theta, &data);
         let free = Spec::with_intercept(0.0);
-        let (v0, g0) = free.objective(&theta, &data);
+        let (v0, g0) = view_objective(&free, &theta, &data);
         // Value penalty covers the weights only: ½β‖w‖², not the bias.
         let expect = 0.5 * 0.5 * (1.0 + 4.0 + 0.25);
         assert!((v_reg - v0 - expect).abs() < 1e-12);
@@ -672,15 +660,17 @@ mod tests {
         let (data, _) = synthetic_logistic(300, 3, 1.5, 13);
         let spec = Spec::with_intercept(0.01);
         let theta = vec![0.2, -0.4, 0.6, 0.3];
-        let h = spec.closed_form_hessian(&theta, &data).unwrap();
+        let xm = DatasetMatrix::from_dataset(&data);
+        let h = <Spec as ModelClassSpec<DenseVec>>::closed_form_hessian(&spec, &theta, &xm.view())
+            .unwrap();
         let eps = 1e-6;
         for i in 0..4 {
             let mut plus = theta.clone();
             let mut minus = theta.clone();
             plus[i] += eps;
             minus[i] -= eps;
-            let (_, gp) = spec.objective(&plus, &data);
-            let (_, gm) = spec.objective(&minus, &data);
+            let (_, gp) = view_objective(&spec, &plus, &data);
+            let (_, gm) = view_objective(&spec, &minus, &data);
             for j in 0..4 {
                 let fd = (gp[j] - gm[j]) / (2.0 * eps);
                 assert!(
@@ -725,13 +715,12 @@ mod tests {
     }
 
     /// The fused multi-λ kernel must equal K independent
-    /// `value_grad_batched` calls on `with_regularization(β_k)` specs
+    /// `value_grad` calls on `with_regularization(β_k)` specs
     /// over the matching sample prefixes — bit for bit, with and
     /// without an intercept, at thread budgets {1, 4}.
     #[test]
     fn multi_lambda_batched_is_bitwise_looped_single_lambda() {
         use blinkml_data::parallel::{set_max_threads, CHUNK_SIZE};
-        use blinkml_data::DatasetMatrix;
         let n = CHUNK_SIZE + 257;
         let (data, _) = synthetic_logistic(n, 4, 2.0, 21);
         let betas = [0.0, 1e-3, 0.1];
@@ -781,12 +770,8 @@ mod tests {
                     let sub = view.prefix(rows[k]);
                     let mut solo_grad = vec![f64::NAN; dim];
                     let mut solo_scratch = TrainScratch::new();
-                    let solo_value = solo.value_grad_batched(
-                        &thetas[k],
-                        &sub,
-                        &mut solo_scratch,
-                        &mut solo_grad,
-                    );
+                    let solo_value =
+                        solo.value_grad(&thetas[k], &sub, &mut solo_scratch, &mut solo_grad);
                     assert_eq!(
                         values[k].to_bits(),
                         solo_value.to_bits(),

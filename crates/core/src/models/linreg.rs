@@ -15,6 +15,8 @@
 
 use crate::grads::Grads;
 use crate::mcs::{regression_diff, ModelClassSpec, SweepEval};
+use crate::models::dense_row;
+use crate::testing::ScalarOracle;
 use blinkml_data::parallel::par_sum_vecs;
 use blinkml_data::{Dataset, FeatureVec, FoldRequest, MatrixView, TrainScratch};
 use blinkml_linalg::blas::ger;
@@ -66,43 +68,7 @@ impl<F: FeatureVec> ModelClassSpec<F> for LinearRegressionSpec {
         self.beta
     }
 
-    fn objective(&self, theta: &[f64], data: &Dataset<F>) -> (f64, Vec<f64>) {
-        let d = data.dim();
-        let n = data.len().max(1) as f64;
-        let u = theta[d].clamp(-LOG_VAR_CLAMP, LOG_VAR_CLAMP);
-        let inv_s = (-u).exp();
-        let w = &theta[..d];
-        // Slot 0: Σ residual²; slots 1..=d: Σ residual·x.
-        let acc = par_sum_vecs(data.len(), d + 1, |i, acc| {
-            let e = data.get(i);
-            let r = e.x.dot(w) - e.y;
-            acc[0] += r * r;
-            e.x.add_scaled_into(r, &mut acc[1..]);
-        });
-        let sum_r2 = acc[0];
-        // f = (1/n)Σ[r²/(2σ²) + u/2] + (β/2)‖w‖².
-        let mut value = 0.5 * inv_s * sum_r2 / n + 0.5 * u;
-        let mut grad = vec![0.0; d + 1];
-        for (g, a) in grad[..d].iter_mut().zip(&acc[1..]) {
-            *g = inv_s * a / n;
-        }
-        // ∂f/∂u = ½ − (1/2σ²)·mean(r²).
-        grad[d] = 0.5 - 0.5 * inv_s * sum_r2 / n;
-        if self.beta > 0.0 {
-            let norm_sq: f64 = w.iter().map(|t| t * t).sum();
-            value += 0.5 * self.beta * norm_sq;
-            for (g, t) in grad[..d].iter_mut().zip(w) {
-                *g += self.beta * t;
-            }
-        }
-        (value, grad)
-    }
-
-    fn batched_training(&self) -> bool {
-        true
-    }
-
-    fn value_grad_batched(
+    fn value_grad(
         &self,
         theta: &[f64],
         xm: &MatrixView,
@@ -119,7 +85,7 @@ impl<F: FeatureVec> ModelClassSpec<F> for LinearRegressionSpec {
         // One fused sweep: chunk margins → residuals in place
         // (rᵢ = mᵢ − yᵢ, the scalar `dot(w) − y` op order) → chunk
         // gradient partial, merged like par_sum_vecs — bit-identical to
-        // the scalar objective on the sample the view selects.
+        // the scalar oracle on the sample the view selects.
         let sum_r2 = xm.value_grad_fold(w, 0.0, &mut grad[..d], scratch, |start, margins| {
             let mut part = 0.0;
             for (local, m) in margins.iter_mut().enumerate() {
@@ -160,7 +126,7 @@ impl<F: FeatureVec> ModelClassSpec<F> for LinearRegressionSpec {
         // One fused multi-request sweep shares each chunk's cache-hot
         // rows across every grid point; residuals are formed exactly as
         // the single-λ kernel forms them, so per-request sums and
-        // gradient partials are bit-identical to `value_grad_batched`.
+        // gradient partials are bit-identical to `value_grad`.
         let mut reqs: Vec<FoldRequest> = evals
             .iter_mut()
             .map(|e| {
@@ -207,100 +173,79 @@ impl<F: FeatureVec> ModelClassSpec<F> for LinearRegressionSpec {
         Some(Box::new(LinearRegressionSpec::new(beta)))
     }
 
-    fn grads(&self, theta: &[f64], data: &Dataset<F>) -> Grads {
-        self.grads_cached(theta, data, None)
-    }
-
-    fn grads_cached(&self, theta: &[f64], data: &Dataset<F>, xm: Option<&MatrixView>) -> Grads {
-        let d = data.dim();
+    fn grads(&self, theta: &[f64], xm: &MatrixView) -> Grads {
+        let d = xm.dim();
         let u = theta[d].clamp(-LOG_VAR_CLAMP, LOG_VAR_CLAMP);
         let inv_s = (-u).exp();
         let w = &theta[..d];
         // ψ_i = [r·x/σ² + βw ; ½ − r²/(2σ²)].
-        match xm.filter(|xm| !xm.is_sparse()) {
-            Some(xm) => {
-                debug_assert_eq!(xm.dim(), data.dim(), "cached matrix dim mismatch");
-                let mut shift = vec![0.0; d + 1];
-                for (s, t) in shift[..d].iter_mut().zip(w) {
-                    *s = self.beta * t;
-                }
-                let mut m = Matrix::zeros(xm.len(), d + 1);
-                // Batched margins, then a per-row fill from the view.
-                let mut margins = vec![0.0; xm.len()];
-                xm.margins_into(w, 0.0, &mut margins);
-                for (i, &margin) in margins.iter().enumerate() {
-                    let r = margin - xm.label(i);
-                    let c = inv_s * r;
-                    let row = m.row_mut(i);
-                    row.copy_from_slice(&shift);
-                    let xrow = xm.dense_row(i).expect("dense block");
+        let mut shift = vec![0.0; d + 1];
+        for (s, t) in shift[..d].iter_mut().zip(w) {
+            *s = self.beta * t;
+        }
+        let mut m = Matrix::zeros(xm.len(), d + 1);
+        // Batched margins, then a per-row fill from the view.
+        let mut margins = vec![0.0; xm.len()];
+        xm.margins_into(w, 0.0, &mut margins);
+        for (i, &margin) in margins.iter().enumerate() {
+            let r = margin - xm.label(i);
+            let c = inv_s * r;
+            let row = m.row_mut(i);
+            row.copy_from_slice(&shift);
+            match xm.dense_row(i) {
+                Some(xrow) => {
                     for (rj, &xj) in row[..d].iter_mut().zip(xrow) {
                         *rj += c * xj;
                     }
-                    row[d] = 0.5 - 0.5 * inv_s * r * r;
                 }
-                Grads::Dense(m)
-            }
-            None => {
-                // Sparse views fall back to the per-example walk; a
-                // gathered sparse view materializes its sample first so
-                // the walk sees the sample, not the pool.
-                let owned;
-                let data = match xm.and_then(|v| v.sample_of()) {
-                    Some(idx) => {
-                        owned = data.subset(idx);
-                        &owned
+                None => {
+                    let (idx, val) = xm.sparse_row(i).expect("sparse block");
+                    for (&j, &v) in idx.iter().zip(val) {
+                        row[j as usize] += c * v;
                     }
-                    None => data,
-                };
-                let mut shift = vec![0.0; d + 1];
-                for (s, t) in shift[..d].iter_mut().zip(w) {
-                    *s = self.beta * t;
                 }
-                let mut m = Matrix::zeros(data.len(), d + 1);
-                for (i, e) in data.iter().enumerate() {
-                    let r = e.x.dot(w) - e.y;
-                    let row = m.row_mut(i);
-                    row.copy_from_slice(&shift);
-                    e.x.add_scaled_into(inv_s * r, &mut row[..d]);
-                    row[d] = 0.5 - 0.5 * inv_s * r * r;
-                }
-                Grads::Dense(m)
             }
+            row[d] = 0.5 - 0.5 * inv_s * r * r;
         }
+        Grads::Dense(m)
     }
 
-    fn closed_form_hessian(&self, theta: &[f64], data: &Dataset<F>) -> Option<Matrix> {
-        let d = data.dim();
-        let n = data.len().max(1) as f64;
+    fn closed_form_hessian(&self, theta: &[f64], xm: &MatrixView) -> Option<Matrix> {
+        let d = xm.dim();
+        let n = xm.len().max(1) as f64;
         let u = theta[d].clamp(-LOG_VAR_CLAMP, LOG_VAR_CLAMP);
         let inv_s = (-u).exp();
         let w = &theta[..d];
+        let mut margins = vec![0.0; xm.len()];
+        xm.margins_into(w, 0.0, &mut margins);
+        // The scalar oracle's per-example accumulation, row by row over
+        // the view: the same rank-one block, border and corner updates in
+        // the same order, so the Hessian is bit-identical.
         let mut h = Matrix::zeros(d + 1, d + 1);
-        let mut xd = vec![0.0; d];
-        for e in data.iter() {
-            let r = e.x.dot(w) - e.y;
-            xd.iter_mut().for_each(|v| *v = 0.0);
-            e.x.add_scaled_into(1.0, &mut xd);
+        let mut block = Matrix::zeros(d, d);
+        let mut xbuf = vec![0.0; d];
+        for (i, &margin) in margins.iter().enumerate() {
+            let r = margin - xm.label(i);
+            let xd = dense_row(xm, i, &mut xbuf);
             // H_ww += x xᵀ/(nσ²).
-            let mut block = Matrix::zeros(d, d);
-            ger(inv_s / n, &xd, &xd, &mut block);
-            for i in 0..d {
-                for j in 0..d {
-                    h[(i, j)] += block[(i, j)];
+            block.as_mut_slice().iter_mut().for_each(|v| *v = 0.0);
+            ger(inv_s / n, xd, xd, &mut block);
+            for a in 0..d {
+                for b in 0..d {
+                    h[(a, b)] += block[(a, b)];
                 }
             }
             // H_wu = H_uw += −r·x/(nσ²).
-            for (i, &xi) in xd.iter().enumerate() {
-                let v = -inv_s * r * xi / n;
-                h[(i, d)] += v;
-                h[(d, i)] += v;
+            for (a, &xa) in xd.iter().enumerate() {
+                let v = -inv_s * r * xa / n;
+                h[(a, d)] += v;
+                h[(d, a)] += v;
             }
             // H_uu += r²/(2nσ²).
             h[(d, d)] += 0.5 * inv_s * r * r / n;
         }
-        for i in 0..d {
-            h[(i, i)] += self.beta;
+        for a in 0..d {
+            h[(a, a)] += self.beta;
         }
         Some(h)
     }
@@ -354,12 +299,105 @@ impl<F: FeatureVec> ModelClassSpec<F> for LinearRegressionSpec {
     }
 }
 
+/// The per-example reference bodies (see [`ScalarOracle`]).
+#[doc(hidden)]
+impl<F: FeatureVec> ScalarOracle<F> for LinearRegressionSpec {
+    fn scalar_objective(&self, theta: &[f64], data: &Dataset<F>) -> (f64, Vec<f64>) {
+        let d = data.dim();
+        let n = data.len().max(1) as f64;
+        let u = theta[d].clamp(-LOG_VAR_CLAMP, LOG_VAR_CLAMP);
+        let inv_s = (-u).exp();
+        let w = &theta[..d];
+        // Slot 0: Σ residual²; slots 1..=d: Σ residual·x.
+        let acc = par_sum_vecs(data.len(), d + 1, |i, acc| {
+            let e = data.get(i);
+            let r = e.x.dot(w) - e.y;
+            acc[0] += r * r;
+            e.x.add_scaled_into(r, &mut acc[1..]);
+        });
+        let sum_r2 = acc[0];
+        // f = (1/n)Σ[r²/(2σ²) + u/2] + (β/2)‖w‖².
+        let mut value = 0.5 * inv_s * sum_r2 / n + 0.5 * u;
+        let mut grad = vec![0.0; d + 1];
+        for (g, a) in grad[..d].iter_mut().zip(&acc[1..]) {
+            *g = inv_s * a / n;
+        }
+        // ∂f/∂u = ½ − (1/2σ²)·mean(r²).
+        grad[d] = 0.5 - 0.5 * inv_s * sum_r2 / n;
+        if self.beta > 0.0 {
+            let norm_sq: f64 = w.iter().map(|t| t * t).sum();
+            value += 0.5 * self.beta * norm_sq;
+            for (g, t) in grad[..d].iter_mut().zip(w) {
+                *g += self.beta * t;
+            }
+        }
+        (value, grad)
+    }
+
+    fn scalar_grads(&self, theta: &[f64], data: &Dataset<F>) -> Grads {
+        let d = data.dim();
+        let u = theta[d].clamp(-LOG_VAR_CLAMP, LOG_VAR_CLAMP);
+        let inv_s = (-u).exp();
+        let w = &theta[..d];
+        // ψ_i = [r·x/σ² + βw ; ½ − r²/(2σ²)].
+        let mut shift = vec![0.0; d + 1];
+        for (s, t) in shift[..d].iter_mut().zip(w) {
+            *s = self.beta * t;
+        }
+        let mut m = Matrix::zeros(data.len(), d + 1);
+        for (i, e) in data.iter().enumerate() {
+            let r = e.x.dot(w) - e.y;
+            let row = m.row_mut(i);
+            row.copy_from_slice(&shift);
+            e.x.add_scaled_into(inv_s * r, &mut row[..d]);
+            row[d] = 0.5 - 0.5 * inv_s * r * r;
+        }
+        Grads::Dense(m)
+    }
+
+    fn scalar_closed_form_hessian(&self, theta: &[f64], data: &Dataset<F>) -> Option<Matrix> {
+        let d = data.dim();
+        let n = data.len().max(1) as f64;
+        let u = theta[d].clamp(-LOG_VAR_CLAMP, LOG_VAR_CLAMP);
+        let inv_s = (-u).exp();
+        let w = &theta[..d];
+        let mut h = Matrix::zeros(d + 1, d + 1);
+        let mut xd = vec![0.0; d];
+        for e in data.iter() {
+            let r = e.x.dot(w) - e.y;
+            xd.iter_mut().for_each(|v| *v = 0.0);
+            e.x.add_scaled_into(1.0, &mut xd);
+            // H_ww += x xᵀ/(nσ²).
+            let mut block = Matrix::zeros(d, d);
+            ger(inv_s / n, &xd, &xd, &mut block);
+            for i in 0..d {
+                for j in 0..d {
+                    h[(i, j)] += block[(i, j)];
+                }
+            }
+            // H_wu = H_uw += −r·x/(nσ²).
+            for (i, &xi) in xd.iter().enumerate() {
+                let v = -inv_s * r * xi / n;
+                h[(i, d)] += v;
+                h[(d, i)] += v;
+            }
+            // H_uu += r²/(2nσ²).
+            h[(d, d)] += 0.5 * inv_s * r * r / n;
+        }
+        for i in 0..d {
+            h[(i, i)] += self.beta;
+        }
+        Some(h)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::models::glm::test_support::{check_gradient, check_grads_mean};
+    use crate::testing::view_objective;
     use blinkml_data::generators::synthetic_linear;
-    use blinkml_data::DenseVec;
+    use blinkml_data::{DatasetMatrix, DenseVec};
     use blinkml_optim::OptimOptions;
 
     type M = dyn ModelClassSpec<DenseVec>;
@@ -413,15 +451,16 @@ mod tests {
         let spec = LinearRegressionSpec::new(0.01);
         let mut theta = vec![0.2, -0.4, 0.6, 0.0];
         theta[3] = -0.3;
-        let h = spec.closed_form_hessian(&theta, &data).unwrap();
+        let xm = DatasetMatrix::from_dataset(&data);
+        let h = <M>::closed_form_hessian(&spec, &theta, &xm.view()).unwrap();
         let eps = 1e-6;
         for i in 0..4 {
             let mut plus = theta.clone();
             let mut minus = theta.clone();
             plus[i] += eps;
             minus[i] -= eps;
-            let (_, gp) = spec.objective(&plus, &data);
-            let (_, gm) = spec.objective(&minus, &data);
+            let (_, gp) = view_objective(&spec, &plus, &data);
+            let (_, gm) = view_objective(&spec, &minus, &data);
             for j in 0..4 {
                 let fd = (gp[j] - gm[j]) / (2.0 * eps);
                 assert!(
@@ -464,13 +503,12 @@ mod tests {
     }
 
     /// Every grid point of a fused multi-λ evaluation must be
-    /// bit-identical to the single-λ batched kernel run on a
+    /// bit-identical to the single-λ kernel run on a
     /// `with_regularization(β_k)` spec over the matching row prefix, at
     /// any thread budget.
     #[test]
     fn multi_lambda_batched_is_bitwise_looped_single_lambda() {
         use blinkml_data::parallel::{set_max_threads, CHUNK_SIZE};
-        use blinkml_data::DatasetMatrix;
         let n = CHUNK_SIZE + 257;
         let d = 6;
         let dim = d + 1;
@@ -507,7 +545,7 @@ mod tests {
                 let pv = view.prefix(rows[k]);
                 let mut g = vec![0.0; dim];
                 let mut scratch = TrainScratch::new();
-                let v = solo.value_grad_batched(&thetas[k], &pv, &mut scratch, &mut g);
+                let v = solo.value_grad(&thetas[k], &pv, &mut scratch, &mut g);
                 assert_eq!(v.to_bits(), values[k].to_bits(), "value k={k} t={budget}");
                 for (a, b) in g.iter().zip(&grads[k]) {
                     assert_eq!(a.to_bits(), b.to_bits(), "grad k={k} t={budget}");
@@ -533,7 +571,7 @@ mod tests {
         let spec = LinearRegressionSpec::new(1e-3);
         for u in [-100.0, 100.0] {
             let theta = vec![0.1, 0.1, u];
-            let (v, g) = spec.objective(&theta, &data);
+            let (v, g) = view_objective(&spec, &theta, &data);
             assert!(v.is_finite(), "value at u={u}");
             assert!(g.iter().all(|x| x.is_finite()), "gradient at u={u}");
         }

@@ -99,7 +99,9 @@ mod tests {
     use super::*;
     use crate::mcs::ModelClassSpec;
     use crate::models::glm::test_support::{check_gradient, check_grads_mean};
+    use crate::testing::view_objective;
     use blinkml_data::generators::synthetic_logistic;
+    use blinkml_data::{DatasetMatrix, DenseVec};
     use blinkml_optim::OptimOptions;
 
     #[test]
@@ -161,7 +163,13 @@ mod tests {
         let (data, _) = synthetic_logistic(400, 3, 1.5, 4);
         let spec = LogisticRegressionSpec::new(0.01);
         let theta = vec![0.2, -0.4, 0.6];
-        let h = spec.closed_form_hessian(&theta, &data).unwrap();
+        let xm = DatasetMatrix::from_dataset(&data);
+        let h = <LogisticRegressionSpec as ModelClassSpec<DenseVec>>::closed_form_hessian(
+            &spec,
+            &theta,
+            &xm.view(),
+        )
+        .unwrap();
         // Numeric Jacobian of the objective gradient.
         let eps = 1e-6;
         for i in 0..3 {
@@ -169,8 +177,8 @@ mod tests {
             let mut minus = theta.clone();
             plus[i] += eps;
             minus[i] -= eps;
-            let (_, gp) = spec.objective(&plus, &data);
-            let (_, gm) = spec.objective(&minus, &data);
+            let (_, gp) = view_objective(&spec, &plus, &data);
+            let (_, gm) = view_objective(&spec, &minus, &data);
             for j in 0..3 {
                 let fd = (gp[j] - gm[j]) / (2.0 * eps);
                 assert!(

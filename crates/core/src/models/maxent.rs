@@ -2,6 +2,7 @@
 
 use crate::grads::Grads;
 use crate::mcs::{classification_diff, ModelClassSpec};
+use crate::testing::ScalarOracle;
 use blinkml_data::parallel::{par_ranges, par_sum_vecs, CHUNK_SIZE};
 use blinkml_data::{Dataset, FeatureVec, MatrixView, SparseVec, TrainScratch};
 use blinkml_linalg::Matrix;
@@ -90,42 +91,7 @@ impl<F: FeatureVec> ModelClassSpec<F> for MaxEntSpec {
         blinkml_data::LabelDomain::ClassIndex(self.num_classes)
     }
 
-    fn objective(&self, theta: &[f64], data: &Dataset<F>) -> (f64, Vec<f64>) {
-        let d = data.dim();
-        let k_classes = self.num_classes;
-        let dim = k_classes * d;
-        let n = data.len().max(1) as f64;
-        // Slot 0: Σ loss; slots 1..: Σ gradient.
-        let acc = par_sum_vecs(data.len(), dim + 1, |i, acc| {
-            let e = data.get(i);
-            let label = e.y as usize;
-            debug_assert!(label < k_classes, "label {label} out of range");
-            let mut p = vec![0.0; k_classes];
-            self.scores(theta, &e.x, &mut p);
-            acc[0] += log_sum_exp(&p) - p[label];
-            softmax_inplace(&mut p);
-            for (k, &pk) in p.iter().enumerate() {
-                let coef = pk - if k == label { 1.0 } else { 0.0 };
-                e.x.add_scaled_into(coef, &mut acc[1 + k * d..1 + (k + 1) * d]);
-            }
-        });
-        let mut value = acc[0] / n;
-        let mut grad: Vec<f64> = acc[1..].iter().map(|v| v / n).collect();
-        if self.beta > 0.0 {
-            let norm_sq: f64 = theta.iter().map(|t| t * t).sum();
-            value += 0.5 * self.beta * norm_sq;
-            for (g, t) in grad.iter_mut().zip(theta) {
-                *g += self.beta * t;
-            }
-        }
-        (value, grad)
-    }
-
-    fn batched_training(&self) -> bool {
-        true
-    }
-
-    fn value_grad_batched(
+    fn value_grad(
         &self,
         theta: &[f64],
         xm: &MatrixView,
@@ -142,7 +108,7 @@ impl<F: FeatureVec> ModelClassSpec<F> for MaxEntSpec {
         let mut loss = 0.0;
         // Fused one-pass sweep for both layouts: each row is visited
         // once per probe — K score dots, softmax, K coefficient
-        // accumulations — in the scalar path's exact per-row order, with
+        // accumulations — in the scalar oracle's exact per-row order, with
         // the chunk partial merged like par_sum_vecs. (Separate
         // per-class margin + gradient passes would stream the design
         // view 2K times per probe, a memory-traffic regression on
@@ -179,7 +145,7 @@ impl<F: FeatureVec> ModelClassSpec<F> for MaxEntSpec {
                     }
                     None => {
                         let xrow = xm.dense_row(i).expect("dense block");
-                        // Per-class dots keep the scalar `scores` shape
+                        // Per-class dots keep the oracle's `scores` shape
                         // (FeatureVec::dot is vector::dot), so the
                         // margins are bit-identical.
                         for (k, pk) in p.iter_mut().enumerate() {
@@ -217,11 +183,7 @@ impl<F: FeatureVec> ModelClassSpec<F> for MaxEntSpec {
         value
     }
 
-    fn grads_cached(&self, theta: &[f64], data: &Dataset<F>, xm: Option<&MatrixView>) -> Grads {
-        let Some(xm) = xm else {
-            return self.grads(theta, data);
-        };
-        debug_assert_eq!(xm.dim(), data.dim(), "cached matrix dim mismatch");
+    fn grads(&self, theta: &[f64], xm: &MatrixView) -> Grads {
         let d = xm.dim();
         let kc = self.num_classes;
         let dim = kc * d;
@@ -288,7 +250,87 @@ impl<F: FeatureVec> ModelClassSpec<F> for MaxEntSpec {
         }
     }
 
-    fn grads(&self, theta: &[f64], data: &Dataset<F>) -> Grads {
+    fn predict(&self, theta: &[f64], x: &F) -> f64 {
+        let mut scores = vec![0.0; self.num_classes];
+        self.scores(theta, x, &mut scores);
+        argmax(&scores) as f64
+    }
+
+    fn diff(&self, theta_a: &[f64], theta_b: &[f64], holdout: &Dataset<F>) -> f64 {
+        classification_diff(
+            |x: &F| self.predict(theta_a, x),
+            |x: &F| self.predict(theta_b, x),
+            holdout,
+        )
+    }
+
+    fn generalization_error(&self, theta: &[f64], data: &Dataset<F>) -> f64 {
+        if data.is_empty() {
+            return 0.0;
+        }
+        let wrong = data
+            .iter()
+            .filter(|e| self.predict(theta, &e.x) != e.y)
+            .count();
+        wrong as f64 / data.len() as f64
+    }
+
+    fn num_margin_outputs(&self, _data_dim: usize) -> Option<usize> {
+        Some(self.num_classes)
+    }
+
+    fn margins(&self, theta: &[f64], x: &F, out: &mut [f64]) {
+        self.scores(theta, x, out);
+    }
+
+    fn margin_weights(&self, theta: &[f64], data_dim: usize) -> Option<Matrix> {
+        // Class-major θ reshaped to data_dim × K: W[i][k] = θ[k·d + i].
+        debug_assert_eq!(theta.len(), self.num_classes * data_dim);
+        Some(Matrix::from_fn(data_dim, self.num_classes, |i, k| {
+            theta[k * data_dim + i]
+        }))
+    }
+
+    fn predict_from_margins(&self, scores: &[f64]) -> f64 {
+        argmax(scores) as f64
+    }
+}
+
+/// The per-example reference bodies (see [`ScalarOracle`]).
+#[doc(hidden)]
+impl<F: FeatureVec> ScalarOracle<F> for MaxEntSpec {
+    fn scalar_objective(&self, theta: &[f64], data: &Dataset<F>) -> (f64, Vec<f64>) {
+        let d = data.dim();
+        let k_classes = self.num_classes;
+        let dim = k_classes * d;
+        let n = data.len().max(1) as f64;
+        // Slot 0: Σ loss; slots 1..: Σ gradient.
+        let acc = par_sum_vecs(data.len(), dim + 1, |i, acc| {
+            let e = data.get(i);
+            let label = e.y as usize;
+            debug_assert!(label < k_classes, "label {label} out of range");
+            let mut p = vec![0.0; k_classes];
+            self.scores(theta, &e.x, &mut p);
+            acc[0] += log_sum_exp(&p) - p[label];
+            softmax_inplace(&mut p);
+            for (k, &pk) in p.iter().enumerate() {
+                let coef = pk - if k == label { 1.0 } else { 0.0 };
+                e.x.add_scaled_into(coef, &mut acc[1 + k * d..1 + (k + 1) * d]);
+            }
+        });
+        let mut value = acc[0] / n;
+        let mut grad: Vec<f64> = acc[1..].iter().map(|v| v / n).collect();
+        if self.beta > 0.0 {
+            let norm_sq: f64 = theta.iter().map(|t| t * t).sum();
+            value += 0.5 * self.beta * norm_sq;
+            for (g, t) in grad.iter_mut().zip(theta) {
+                *g += self.beta * t;
+            }
+        }
+        (value, grad)
+    }
+
+    fn scalar_grads(&self, theta: &[f64], data: &Dataset<F>) -> Grads {
         let d = data.dim();
         let k_classes = self.num_classes;
         let dim = k_classes * d;
@@ -338,57 +380,13 @@ impl<F: FeatureVec> ModelClassSpec<F> for MaxEntSpec {
             Grads::Dense(m)
         }
     }
-
-    fn predict(&self, theta: &[f64], x: &F) -> f64 {
-        let mut scores = vec![0.0; self.num_classes];
-        self.scores(theta, x, &mut scores);
-        argmax(&scores) as f64
-    }
-
-    fn diff(&self, theta_a: &[f64], theta_b: &[f64], holdout: &Dataset<F>) -> f64 {
-        classification_diff(
-            |x: &F| self.predict(theta_a, x),
-            |x: &F| self.predict(theta_b, x),
-            holdout,
-        )
-    }
-
-    fn generalization_error(&self, theta: &[f64], data: &Dataset<F>) -> f64 {
-        if data.is_empty() {
-            return 0.0;
-        }
-        let wrong = data
-            .iter()
-            .filter(|e| self.predict(theta, &e.x) != e.y)
-            .count();
-        wrong as f64 / data.len() as f64
-    }
-
-    fn num_margin_outputs(&self, _data_dim: usize) -> Option<usize> {
-        Some(self.num_classes)
-    }
-
-    fn margins(&self, theta: &[f64], x: &F, out: &mut [f64]) {
-        self.scores(theta, x, out);
-    }
-
-    fn margin_weights(&self, theta: &[f64], data_dim: usize) -> Option<Matrix> {
-        // Class-major θ reshaped to data_dim × K: W[i][k] = θ[k·d + i].
-        debug_assert_eq!(theta.len(), self.num_classes * data_dim);
-        Some(Matrix::from_fn(data_dim, self.num_classes, |i, k| {
-            theta[k * data_dim + i]
-        }))
-    }
-
-    fn predict_from_margins(&self, scores: &[f64]) -> f64 {
-        argmax(scores) as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::models::glm::test_support::{check_gradient, check_grads_mean};
+    use crate::testing::view_grads;
     use blinkml_data::generators::{synthetic_multiclass, yelp_like};
     use blinkml_optim::OptimOptions;
 
@@ -435,12 +433,8 @@ mod tests {
         };
         let spec = MaxEntSpec::new(1e-3, 5);
         let theta: Vec<f64> = (0..1000).map(|i| ((i * 7) % 13) as f64 * 0.01).collect();
-        let gs = <MaxEntSpec as ModelClassSpec<SparseVec>>::grads(&spec, &theta, &sparse_data);
-        let gd = <MaxEntSpec as ModelClassSpec<blinkml_data::DenseVec>>::grads(
-            &spec,
-            &theta,
-            &dense_data,
-        );
+        let gs = view_grads(&spec, &theta, &sparse_data);
+        let gd = view_grads(&spec, &theta, &dense_data);
         for i in 0..50 {
             let rs = gs.row_dense(i);
             let rd = gd.row_dense(i);

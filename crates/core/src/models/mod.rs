@@ -19,3 +19,23 @@ pub use logreg::LogisticRegressionSpec;
 pub use maxent::MaxEntSpec;
 pub use poisson::PoissonRegressionSpec;
 pub use ppca::PpcaSpec;
+
+use blinkml_data::MatrixView;
+
+/// Dense copy of view row `i`: a borrowed slice for dense blocks, a
+/// scatter into `buf` for CSR (`0 + v` per stored entry — the exact op
+/// sequence of the per-example `add_scaled_into(1.0, …)`
+/// densification, keeping per-row kernels over sparse views bitwise).
+pub(crate) fn dense_row<'a>(xm: &'a MatrixView<'_>, i: usize, buf: &'a mut [f64]) -> &'a [f64] {
+    match xm.dense_row(i) {
+        Some(x) => x,
+        None => {
+            buf.iter_mut().for_each(|v| *v = 0.0);
+            let (idx, val) = xm.sparse_row(i).expect("sparse block");
+            for (&j, &v) in idx.iter().zip(val) {
+                buf[j as usize] += v;
+            }
+            buf
+        }
+    }
+}

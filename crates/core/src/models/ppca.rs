@@ -16,6 +16,8 @@
 use crate::error::CoreError;
 use crate::grads::Grads;
 use crate::mcs::{ModelClassSpec, TrainedModel};
+use crate::models::dense_row;
+use crate::testing::ScalarOracle;
 use blinkml_data::{Dataset, DatasetMatrix, FeatureVec, MatrixView, TrainScratch};
 use blinkml_linalg::{blas, vector, Cholesky, Matrix, SymmetricEigen};
 use blinkml_optim::OptimOptions;
@@ -87,32 +89,37 @@ impl PpcaSpec {
         (c_inv, m, tr_cinv, log_det)
     }
 
-    /// Fill the column-major `aᵢ = C⁻¹xᵢ` block (`acols[j·n + i]`) with
-    /// one batched margin pass per output row of `C⁻¹` — each entry is
-    /// the same per-row dot the scalar `gemv` performs, so the dense
-    /// path is bit-identical.
-    fn fill_acols(xm: &MatrixView, c_inv: &Matrix, acols: &mut [f64]) {
-        let rows = xm.len();
-        for j in 0..xm.dim() {
-            xm.margins_into(c_inv.row(j), 0.0, &mut acols[j * rows..(j + 1) * rows]);
-        }
-    }
-
-    /// Dense view of row `i` of the block: a borrowed slice for dense
-    /// blocks, a scatter into `buf` for CSR (`0 + v` per stored entry —
-    /// the exact op sequence of the scalar `add_scaled_into(1.0, …)`
-    /// materialization, keeping the sparse path bitwise).
-    fn row_dense<'a>(xm: &'a MatrixView<'_>, i: usize, buf: &'a mut [f64]) -> &'a [f64] {
-        match xm.dense_row(i) {
-            Some(x) => x,
-            None => {
-                buf.iter_mut().for_each(|v| *v = 0.0);
-                let (idx, val) = xm.sparse_row(i).expect("sparse block");
-                for (&j, &v) in idx.iter().zip(val) {
-                    buf[j as usize] += v;
-                }
-                buf
+    /// Visit every view row `i` with its dense copy `xᵢ` and
+    /// `aᵢ = C⁻¹xᵢ` — the O(n·d²) bottleneck of the objective and
+    /// `grads`. Dense blocks batch it into one margin pass per row of
+    /// `C⁻¹` into the column-major `acols` (`acols[j·n + i]`, length
+    /// `d·n`); each entry is the same per-row dot the oracle's `gemv`
+    /// performs. Sparse blocks keep the per-row `gemv` (pass an empty
+    /// `acols`) so the reduction order matches exactly.
+    fn for_each_row(
+        xm: &MatrixView,
+        c_inv: &Matrix,
+        acols: &mut [f64],
+        mut visit: impl FnMut(usize, &[f64], &[f64]),
+    ) {
+        let (d, rows) = (xm.dim(), xm.len());
+        if !xm.is_sparse() {
+            for j in 0..d {
+                xm.margins_into(c_inv.row(j), 0.0, &mut acols[j * rows..(j + 1) * rows]);
             }
+        }
+        let mut a = vec![0.0; d];
+        let mut xbuf = vec![0.0; d];
+        for idx in 0..rows {
+            let xd = dense_row(xm, idx, &mut xbuf);
+            if xm.is_sparse() {
+                a.copy_from_slice(&blas::gemv(c_inv, xd).expect("dims"));
+            } else {
+                for (j, aj) in a.iter_mut().enumerate() {
+                    *aj = acols[j * rows + idx];
+                }
+            }
+            visit(idx, xd, &a);
         }
     }
 }
@@ -134,7 +141,175 @@ impl<F: FeatureVec> ModelClassSpec<F> for PpcaSpec {
         blinkml_data::LabelDomain::Unused
     }
 
-    fn objective(&self, theta: &[f64], data: &Dataset<F>) -> (f64, Vec<f64>) {
+    fn value_grad(
+        &self,
+        theta: &[f64],
+        xm: &MatrixView,
+        scratch: &mut TrainScratch,
+        grad: &mut [f64],
+    ) -> f64 {
+        let d = xm.dim();
+        let q = self.num_factors;
+        debug_assert_eq!(theta.len(), d * q + 1);
+        debug_assert_eq!(grad.len(), d * q + 1);
+        let n_rows = xm.len();
+        let n = n_rows.max(1) as f64;
+        let (c_inv, m, tr_cinv, log_det) = self.factors(theta, d);
+        let const_term = d as f64 * (2.0 * std::f64::consts::PI).ln();
+        let acols = if xm.is_sparse() {
+            &mut [][..]
+        } else {
+            &mut scratch.slot(0, d * n_rows)[..]
+        };
+        let mut value = 0.0;
+        grad.iter_mut().for_each(|g| *g = 0.0);
+        Self::for_each_row(xm, &c_inv, acols, |_, xd, a| {
+            let quad = vector::dot(xd, a);
+            value += 0.5 * (const_term + log_det + quad);
+            // ∂f_i/∂W = M − a bᵀ with b = Mᵀx.
+            let b = blas::gemv_t(&m, xd).expect("dims");
+            for j in 0..q {
+                let bj = b[j];
+                for i in 0..d {
+                    grad[j * d + i] += m[(i, j)] - a[i] * bj;
+                }
+            }
+            // ∂f_i/∂σ² = ½(tr C⁻¹ − ‖a‖²).
+            let a_sq: f64 = a.iter().map(|v| v * v).sum();
+            grad[d * q] += 0.5 * (tr_cinv - a_sq);
+        });
+        value /= n;
+        for g in grad.iter_mut() {
+            *g /= n;
+        }
+        value
+    }
+
+    fn grads(&self, theta: &[f64], xm: &MatrixView) -> Grads {
+        let d = xm.dim();
+        let q = self.num_factors;
+        let dim = d * q + 1;
+        let n_rows = xm.len();
+        let (c_inv, m, tr_cinv, _) = self.factors(theta, d);
+        let mut acols = vec![0.0; if xm.is_sparse() { 0 } else { d * n_rows }];
+        let mut rows = Matrix::zeros(n_rows, dim);
+        Self::for_each_row(xm, &c_inv, &mut acols, |idx, xd, a| {
+            let b = blas::gemv_t(&m, xd).expect("dims");
+            let row = rows.row_mut(idx);
+            for j in 0..q {
+                let bj = b[j];
+                for i in 0..d {
+                    row[j * d + i] = m[(i, j)] - a[i] * bj;
+                }
+            }
+            let a_sq: f64 = a.iter().map(|v| v * v).sum();
+            row[d * q] = 0.5 * (tr_cinv - a_sq);
+        });
+        Grads::Dense(rows)
+    }
+
+    fn predict(&self, theta: &[f64], x: &F) -> f64 {
+        // The "prediction" of PPCA for difference purposes is parameter-
+        // based (Appendix C); as a convenience, predict returns the
+        // squared norm of the latent projection Wᵀx.
+        let d = x.dim();
+        let (w, _) = self.unpack(theta, d);
+        let mut xd = vec![0.0; d];
+        x.add_scaled_into(1.0, &mut xd);
+        let z = blas::gemv_t(&w, &xd).expect("dims");
+        z.iter().map(|v| v * v).sum()
+    }
+
+    fn diff(&self, theta_a: &[f64], theta_b: &[f64], _holdout: &Dataset<F>) -> f64 {
+        // v = 1 − cosine(θ_a, θ_b) over the loading block (Appendix C).
+        let wa = &theta_a[..theta_a.len() - 1];
+        let wb = &theta_b[..theta_b.len() - 1];
+        1.0 - blinkml_linalg::vector::cosine_similarity(wa, wb)
+    }
+
+    fn generalization_error(&self, theta: &[f64], data: &Dataset<F>) -> f64 {
+        // Average negative log-likelihood serves as the generalization
+        // metric for the unsupervised model.
+        self.objective_value_view(theta, &DatasetMatrix::from_dataset(data).view())
+    }
+
+    fn train_view(
+        &self,
+        xm: &MatrixView,
+        _warm_start: Option<&[f64]>,
+        _options: &OptimOptions,
+    ) -> Result<TrainedModel, CoreError> {
+        let d = xm.dim();
+        let q = self.num_factors;
+        if q >= d {
+            return Err(CoreError::InvalidConfig(format!(
+                "PPCA needs q < d (got q = {q}, d = {d})"
+            )));
+        }
+        if xm.len() < 2 {
+            return Err(CoreError::InvalidData(
+                "PPCA needs at least 2 examples".into(),
+            ));
+        }
+        let s = Self::second_moment(xm);
+        let eig = SymmetricEigen::new(&s)?;
+        // σ² = mean of the discarded spectrum, floored for stability.
+        let tail: f64 = eig.eigenvalues[q..].iter().sum();
+        let sigma2 = (tail / (d - q) as f64).max(1e-9);
+        let mut theta = vec![0.0; d * q + 1];
+        for j in 0..q {
+            let scale = (eig.eigenvalues[j] - sigma2).max(0.0).sqrt();
+            // Deterministic sign: make the largest-|entry| coordinate
+            // positive so closed-form solutions are comparable.
+            let col = eig.eigenvectors.col(j);
+            let lead = col
+                .iter()
+                .cloned()
+                .fold(0.0f64, |m, v| if v.abs() > m.abs() { v } else { m });
+            let sign = if lead < 0.0 { -1.0 } else { 1.0 };
+            for i in 0..d {
+                theta[j * d + i] = sign * scale * col[i];
+            }
+        }
+        theta[d * q] = sigma2;
+        let value = self.objective_value_view(&theta, xm);
+        Ok(TrainedModel::new(theta, xm.len(), 0, true, value))
+    }
+}
+
+impl PpcaSpec {
+    /// The averaged negative log-likelihood over the view's rows —
+    /// bit-identical to the scalar oracle's value on the (conceptually
+    /// materialized) sample: the same per-row `a = C⁻¹x`, `xᵀa` ops in
+    /// the same sequential accumulation order, without forming the
+    /// gradient. Used to record the closed-form training's objective
+    /// value without touching the example list.
+    fn objective_value_view(&self, theta: &[f64], xm: &MatrixView) -> f64 {
+        let d = xm.dim();
+        let n = xm.len().max(1) as f64;
+        let (w, sigma2) = self.unpack(theta, d);
+        let (_, chol) = self
+            .covariance(&w, sigma2)
+            .expect("PPCA covariance must be SPD for positive σ²");
+        let c_inv = chol.inverse().expect("inverse after successful Cholesky");
+        let log_det = chol.log_det();
+        let const_term = d as f64 * (2.0 * std::f64::consts::PI).ln();
+        let mut value = 0.0;
+        let mut xbuf = vec![0.0; d];
+        for i in 0..xm.len() {
+            let xd = dense_row(xm, i, &mut xbuf);
+            let a = blas::gemv(&c_inv, xd).expect("dims");
+            let quad = vector::dot(xd, &a);
+            value += 0.5 * (const_term + log_det + quad);
+        }
+        value / n
+    }
+}
+
+/// The per-example reference bodies (see [`ScalarOracle`]).
+#[doc(hidden)]
+impl<F: FeatureVec> ScalarOracle<F> for PpcaSpec {
+    fn scalar_objective(&self, theta: &[f64], data: &Dataset<F>) -> (f64, Vec<f64>) {
         let d = data.dim();
         let q = self.num_factors;
         let n = data.len().max(1) as f64;
@@ -177,7 +352,7 @@ impl<F: FeatureVec> ModelClassSpec<F> for PpcaSpec {
         (value, grad)
     }
 
-    fn grads(&self, theta: &[f64], data: &Dataset<F>) -> Grads {
+    fn scalar_grads(&self, theta: &[f64], data: &Dataset<F>) -> Grads {
         let d = data.dim();
         let q = self.num_factors;
         let dim = d * q + 1;
@@ -207,229 +382,6 @@ impl<F: FeatureVec> ModelClassSpec<F> for PpcaSpec {
             row[d * q] = 0.5 * (tr_cinv - a_sq);
         }
         Grads::Dense(rows)
-    }
-
-    fn grads_cached(&self, theta: &[f64], data: &Dataset<F>, xm: Option<&MatrixView>) -> Grads {
-        // The column-batched aᵢ pass below is bit-identical to the
-        // scalar gemv only over dense blocks; sparse features take the
-        // scalar path (margins over stored entries would reorder the
-        // per-row reduction), materializing a gathered view's sample
-        // first so the walk sees the sample, not the pool.
-        let Some(xm) = xm.filter(|xm| !xm.is_sparse()) else {
-            let owned;
-            let data = match xm.and_then(|v| v.sample_of()) {
-                Some(idx) => {
-                    owned = data.subset(idx);
-                    &owned
-                }
-                None => data,
-            };
-            return self.grads(theta, data);
-        };
-        debug_assert_eq!(xm.dim(), data.dim(), "cached matrix dim mismatch");
-        let d = xm.dim();
-        let q = self.num_factors;
-        let dim = d * q + 1;
-        let n_rows = xm.len();
-        let (c_inv, m, tr_cinv, _) = self.factors(theta, d);
-        // The O(n·d²) bottleneck — aᵢ = C⁻¹xᵢ for every row — as d
-        // batched margin passes over the contiguous block.
-        let mut acols = vec![0.0; d * n_rows];
-        Self::fill_acols(xm, &c_inv, &mut acols);
-        let mut rows = Matrix::zeros(n_rows, dim);
-        let mut a = vec![0.0; d];
-        let mut xbuf = vec![0.0; d];
-        for idx in 0..n_rows {
-            for (j, aj) in a.iter_mut().enumerate() {
-                *aj = acols[j * n_rows + idx];
-            }
-            let xd = Self::row_dense(xm, idx, &mut xbuf);
-            let b = blas::gemv_t(&m, xd).expect("dims");
-            let row = rows.row_mut(idx);
-            for j in 0..q {
-                let bj = b[j];
-                for i in 0..d {
-                    row[j * d + i] = m[(i, j)] - a[i] * bj;
-                }
-            }
-            let a_sq: f64 = a.iter().map(|v| v * v).sum();
-            row[d * q] = 0.5 * (tr_cinv - a_sq);
-        }
-        Grads::Dense(rows)
-    }
-
-    fn batched_training(&self) -> bool {
-        // Training itself is closed-form (see `train_with_matrix`), but
-        // advertising the batched path makes the coordinator materialize
-        // and cache the design matrix for the statistics phase.
-        true
-    }
-
-    fn value_grad_batched(
-        &self,
-        theta: &[f64],
-        xm: &MatrixView,
-        scratch: &mut TrainScratch,
-        grad: &mut [f64],
-    ) -> f64 {
-        let d = xm.dim();
-        let q = self.num_factors;
-        debug_assert_eq!(theta.len(), d * q + 1);
-        debug_assert_eq!(grad.len(), d * q + 1);
-        let n_rows = xm.len();
-        let n = n_rows.max(1) as f64;
-        let (c_inv, m, tr_cinv, log_det) = self.factors(theta, d);
-        let const_term = d as f64 * (2.0 * std::f64::consts::PI).ln();
-        // Dense blocks batch the O(n·d²) aᵢ = C⁻¹xᵢ pass into column
-        // sweeps (bit-identical per-row dots); sparse blocks keep the
-        // scalar per-row gemv so the reduction order matches exactly.
-        let acols = if xm.is_sparse() {
-            &mut [][..]
-        } else {
-            &mut scratch.slot(0, d * n_rows)[..]
-        };
-        if !xm.is_sparse() {
-            Self::fill_acols(xm, &c_inv, acols);
-        }
-        let mut value = 0.0;
-        grad.iter_mut().for_each(|g| *g = 0.0);
-        let mut a = vec![0.0; d];
-        let mut xbuf = vec![0.0; d];
-        for idx in 0..n_rows {
-            let xd = Self::row_dense(xm, idx, &mut xbuf);
-            if xm.is_sparse() {
-                a.copy_from_slice(&blas::gemv(&c_inv, xd).expect("dims"));
-            } else {
-                for (j, aj) in a.iter_mut().enumerate() {
-                    *aj = acols[j * n_rows + idx];
-                }
-            }
-            let quad = vector::dot(xd, &a);
-            value += 0.5 * (const_term + log_det + quad);
-            // ∂f_i/∂W = M − a bᵀ with b = Mᵀx.
-            let b = blas::gemv_t(&m, xd).expect("dims");
-            for j in 0..q {
-                let bj = b[j];
-                for i in 0..d {
-                    grad[j * d + i] += m[(i, j)] - a[i] * bj;
-                }
-            }
-            // ∂f_i/∂σ² = ½(tr C⁻¹ − ‖a‖²).
-            let a_sq: f64 = a.iter().map(|v| v * v).sum();
-            grad[d * q] += 0.5 * (tr_cinv - a_sq);
-        }
-        value /= n;
-        for g in grad.iter_mut() {
-            *g /= n;
-        }
-        value
-    }
-
-    fn predict(&self, theta: &[f64], x: &F) -> f64 {
-        // The "prediction" of PPCA for difference purposes is parameter-
-        // based (Appendix C); as a convenience, predict returns the
-        // squared norm of the latent projection Wᵀx.
-        let d = x.dim();
-        let (w, _) = self.unpack(theta, d);
-        let mut xd = vec![0.0; d];
-        x.add_scaled_into(1.0, &mut xd);
-        let z = blas::gemv_t(&w, &xd).expect("dims");
-        z.iter().map(|v| v * v).sum()
-    }
-
-    fn diff(&self, theta_a: &[f64], theta_b: &[f64], _holdout: &Dataset<F>) -> f64 {
-        // v = 1 − cosine(θ_a, θ_b) over the loading block (Appendix C).
-        let wa = &theta_a[..theta_a.len() - 1];
-        let wb = &theta_b[..theta_b.len() - 1];
-        1.0 - blinkml_linalg::vector::cosine_similarity(wa, wb)
-    }
-
-    fn generalization_error(&self, theta: &[f64], data: &Dataset<F>) -> f64 {
-        // Average negative log-likelihood serves as the generalization
-        // metric for the unsupervised model.
-        self.objective(theta, data).0
-    }
-
-    fn train_with_matrix(
-        &self,
-        data: &Dataset<F>,
-        xm: Option<&MatrixView>,
-        _warm_start: Option<&[f64]>,
-        _options: &OptimOptions,
-    ) -> Result<TrainedModel, CoreError> {
-        let d = data.dim();
-        let q = self.num_factors;
-        if q >= d {
-            return Err(CoreError::InvalidConfig(format!(
-                "PPCA needs q < d (got q = {q}, d = {d})"
-            )));
-        }
-        let owned;
-        let xm = match xm {
-            Some(v) => *v,
-            None => {
-                owned = DatasetMatrix::from_dataset(data);
-                owned.view()
-            }
-        };
-        let xm = &xm;
-        if xm.len() < 2 {
-            return Err(CoreError::InvalidData(
-                "PPCA needs at least 2 examples".into(),
-            ));
-        }
-        let s = Self::second_moment(xm);
-        let eig = SymmetricEigen::new(&s)?;
-        // σ² = mean of the discarded spectrum, floored for stability.
-        let tail: f64 = eig.eigenvalues[q..].iter().sum();
-        let sigma2 = (tail / (d - q) as f64).max(1e-9);
-        let mut theta = vec![0.0; d * q + 1];
-        for j in 0..q {
-            let scale = (eig.eigenvalues[j] - sigma2).max(0.0).sqrt();
-            // Deterministic sign: make the largest-|entry| coordinate
-            // positive so closed-form solutions are comparable.
-            let col = eig.eigenvectors.col(j);
-            let lead = col
-                .iter()
-                .cloned()
-                .fold(0.0f64, |m, v| if v.abs() > m.abs() { v } else { m });
-            let sign = if lead < 0.0 { -1.0 } else { 1.0 };
-            for i in 0..d {
-                theta[j * d + i] = sign * scale * col[i];
-            }
-        }
-        theta[d * q] = sigma2;
-        let value = self.objective_value_view(&theta, xm);
-        Ok(TrainedModel::new(theta, xm.len(), 0, true, value))
-    }
-}
-
-impl PpcaSpec {
-    /// The averaged negative log-likelihood over the view's rows —
-    /// bit-identical to `objective(θ, sample).0` on the (conceptually
-    /// materialized) sample: the same per-row `a = C⁻¹x`, `xᵀa` ops in
-    /// the same sequential accumulation order, without forming the
-    /// gradient. Used to record the closed-form training's objective
-    /// value without touching the example list.
-    fn objective_value_view(&self, theta: &[f64], xm: &MatrixView) -> f64 {
-        let d = xm.dim();
-        let n = xm.len().max(1) as f64;
-        let (w, sigma2) = self.unpack(theta, d);
-        let (_, chol) = self
-            .covariance(&w, sigma2)
-            .expect("PPCA covariance must be SPD for positive σ²");
-        let c_inv = chol.inverse().expect("inverse after successful Cholesky");
-        let log_det = chol.log_det();
-        let const_term = d as f64 * (2.0 * std::f64::consts::PI).ln();
-        let mut value = 0.0;
-        let mut xbuf = vec![0.0; d];
-        for i in 0..xm.len() {
-            let xd = Self::row_dense(xm, i, &mut xbuf);
-            let a = blas::gemv(&c_inv, xd).expect("dims");
-            let quad = vector::dot(xd, &a);
-            value += 0.5 * (const_term + log_det + quad);
-        }
-        value / n
     }
 }
 
@@ -478,6 +430,7 @@ pub fn align_ppca_parameters(reference: &[f64], other: &[f64], d: usize, q: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{view_grads, view_objective};
     use blinkml_data::generators::low_rank_gaussian;
     use blinkml_data::DenseVec;
 
@@ -514,8 +467,7 @@ mod tests {
             &OptimOptions::default(),
         )
         .unwrap();
-        let (_, grad) =
-            <PpcaSpec as ModelClassSpec<DenseVec>>::objective(&spec(), model.parameters(), &data);
+        let (_, grad) = view_objective(&spec(), model.parameters(), &data);
         let gnorm = blinkml_linalg::vector::norm_inf(&grad);
         assert!(gnorm < 1e-6, "gradient at the MLE: {gnorm}");
     }
@@ -527,15 +479,15 @@ mod tests {
         // A generic (non-optimal) parameter point.
         let mut theta: Vec<f64> = (0..11).map(|i| 0.2 + 0.05 * i as f64).collect();
         theta[10] = 0.5; // σ²
-        let (_, grad) = <PpcaSpec as ModelClassSpec<DenseVec>>::objective(&sp, &theta, &data);
+        let (_, grad) = view_objective(&sp, &theta, &data);
         let eps = 1e-6;
         for i in 0..theta.len() {
             let mut plus = theta.clone();
             let mut minus = theta.clone();
             plus[i] += eps;
             minus[i] -= eps;
-            let (fp, _) = <PpcaSpec as ModelClassSpec<DenseVec>>::objective(&sp, &plus, &data);
-            let (fm, _) = <PpcaSpec as ModelClassSpec<DenseVec>>::objective(&sp, &minus, &data);
+            let (fp, _) = view_objective(&sp, &plus, &data);
+            let (fm, _) = view_objective(&sp, &minus, &data);
             let fd = (fp - fm) / (2.0 * eps);
             assert!(
                 (grad[i] - fd).abs() < 1e-4 * (1.0 + fd.abs()),
@@ -551,8 +503,8 @@ mod tests {
         let sp = PpcaSpec::new(2);
         let mut theta: Vec<f64> = (0..11).map(|i| 0.1 * ((i * 3) % 7) as f64 + 0.1).collect();
         theta[10] = 0.4;
-        let (_, grad) = <PpcaSpec as ModelClassSpec<DenseVec>>::objective(&sp, &theta, &data);
-        let mean = <PpcaSpec as ModelClassSpec<DenseVec>>::grads(&sp, &theta, &data).mean_row();
+        let (_, grad) = view_objective(&sp, &theta, &data);
+        let mean = view_grads(&sp, &theta, &data).mean_row();
         for (g, m) in grad.iter().zip(&mean) {
             assert!((g - m).abs() < 1e-10, "{g} vs {m}");
         }

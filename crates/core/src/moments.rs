@@ -240,9 +240,10 @@ pub fn rel_frobenius_gap(a: &Matrix, b: &Matrix) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::StatisticsMethod::ObservedFisher;
     use crate::mcs::ModelClassSpec;
     use crate::models::logreg::LogisticRegressionSpec;
-    use crate::stats::observed_fisher;
+    use crate::stats::compute_statistics;
     use blinkml_data::generators::synthetic_logistic;
     use blinkml_data::Dataset;
     use blinkml_optim::OptimOptions;
@@ -256,7 +257,7 @@ mod tests {
         hi: usize,
     ) -> Grads {
         let idx: Vec<usize> = (lo..hi).collect();
-        spec.grads(theta, &data.subset(&idx))
+        crate::testing::view_grads(spec, theta, &data.subset(&idx))
     }
 
     fn setup() -> (
@@ -369,7 +370,7 @@ mod tests {
                 &spec,
             );
         let from_pairs = inc.statistics(beta, SpectralMethod::Dense);
-        let reference = observed_fisher(&spec, &theta, &pool).unwrap();
+        let reference = compute_statistics(ObservedFisher, &spec, &theta, &pool).unwrap();
         let expect = reference.covariance_dense();
         let got = from_pairs.covariance_dense();
         let denom = expect.max_abs().max(1e-12);

@@ -201,10 +201,11 @@ fn alpha(a: usize, b: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::StatisticsMethod::ObservedFisher;
     use crate::diff_engine::DiffEngine;
     use crate::models::linreg::LinearRegressionSpec;
     use crate::models::logreg::LogisticRegressionSpec;
-    use crate::stats::observed_fisher;
+    use crate::stats::compute_statistics;
     use blinkml_data::generators::{synthetic_linear, synthetic_logistic};
     use blinkml_optim::OptimOptions;
 
@@ -222,7 +223,7 @@ mod tests {
         let n0 = 500;
         let sample = split.train.sample(n0, 3);
         let model = spec.train(&sample, None, &OptimOptions::default()).unwrap();
-        let stats = observed_fisher(&spec, model.parameters(), &sample).unwrap();
+        let stats = compute_statistics(ObservedFisher, &spec, model.parameters(), &sample).unwrap();
         (
             split.train,
             split.holdout,
@@ -427,7 +428,7 @@ mod tests {
         let n0 = 400;
         let d0 = split.train.sample(n0, 7);
         let m0 = spec.train(&d0, None, &opts).unwrap();
-        let stats = observed_fisher(&spec, m0.parameters(), &d0).unwrap();
+        let stats = compute_statistics(ObservedFisher, &spec, m0.parameters(), &d0).unwrap();
 
         let epsilon = 0.05;
         let sse = SampleSizeEstimator::new(100);

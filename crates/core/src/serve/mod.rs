@@ -120,7 +120,7 @@ pub(crate) mod sidecar;
 
 use crate::config::{BlinkMlConfig, ServeConfig, ShedPolicy, WarmStartPolicy};
 use crate::coordinator::{
-    build_pool, run_train_controlled, PilotState, RunControl, TrainingOutcome, TrainingPhaseTimes,
+    run_train_controlled, PilotState, RunControl, TrainingOutcome, TrainingPhaseTimes,
 };
 use crate::diff_engine::HoldoutScorer;
 use crate::error::CoreError;
@@ -215,7 +215,7 @@ impl From<CoreError> for ServeError {
 /// One tenant query: a dataset version plus the per-query contract.
 ///
 /// Everything *else* about a training run — optimizer options,
-/// statistics method, sampling mode, thread budget — comes from the
+/// statistics method, thread budget — comes from the
 /// server's base [`BlinkMlConfig`], deliberately: the cached pilot
 /// artifacts are exact for any `(ε, δ)` but depend on those base knobs,
 /// so holding them fixed per server is what keeps cache reuse
@@ -925,10 +925,7 @@ impl Server {
                 config.exec.apply();
                 let residents: Vec<Option<DatasetMatrix<'_>>> = registered
                     .iter()
-                    .map(|reg| {
-                        let train = reg.frozen.as_ref()?;
-                        build_pool(&spec, train, &config)
-                    })
+                    .map(|reg| reg.frozen.as_ref().map(DatasetMatrix::from_dataset))
                     .collect();
                 std::thread::scope(|scope| {
                     for _ in 0..worker_count {
@@ -1304,16 +1301,8 @@ fn process_job<F, S>(
             let snapshot = reg.pool.snapshot();
             let train = snapshot.train_dataset();
             let holdout = snapshot.holdout_dataset();
-            let matrix = design_matrix(spec, base, resident, &train);
-            let result = serve_sweep(
-                base,
-                spec,
-                &train,
-                &holdout,
-                matrix.as_deref(),
-                scratch,
-                &query,
-            );
+            let matrix = design_matrix(resident, &train);
+            let result = serve_sweep(base, spec, &train, &holdout, &matrix, scratch, &query);
             match result {
                 Ok(result) => {
                     stats
@@ -1412,13 +1401,13 @@ where
             stats.drift_fresh.fetch_add(1, Ordering::Relaxed);
             let train = snap.train_dataset();
             let holdout = snap.holdout_dataset();
-            let matrix = design_matrix(spec, &config, resident, &train);
+            let matrix = design_matrix(resident, &train);
             return run_contained(
                 config,
                 spec,
                 &train,
                 &holdout,
-                matrix.as_deref(),
+                &matrix,
                 scratch,
                 query.seed,
                 Some(&pilot),
@@ -1454,7 +1443,7 @@ where
     // 3. The current epoch: hit / coalesce / lead through the cache.
     let train = snapshot.train_dataset();
     let holdout = snapshot.holdout_dataset();
-    let matrix = design_matrix(spec, &config, resident, &train);
+    let matrix = design_matrix(resident, &train);
     let pilot = match shared.cache.resolve(key) {
         PilotTicket::Cached(pilot) => {
             stats.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -1470,16 +1459,7 @@ where
             // Lead: train the pilot, then complete or fail the
             // in-flight entry.
             let led = run_contained(
-                config,
-                spec,
-                &train,
-                &holdout,
-                matrix.as_deref(),
-                scratch,
-                query.seed,
-                None,
-                true,
-                &control,
+                config, spec, &train, &holdout, &matrix, scratch, query.seed, None, true, &control,
             );
             return match led {
                 Ok((outcome, Some(pilot), rung)) => {
@@ -1512,7 +1492,7 @@ where
         spec,
         &train,
         &holdout,
-        matrix.as_deref(),
+        &matrix,
         scratch,
         query.seed,
         Some(&pilot),
@@ -1544,19 +1524,14 @@ fn query_config(
 /// The design matrix a query on `train` runs against: a static shard's
 /// resident matrix (its pool never leaves epoch 0, so every snapshot
 /// matches it), otherwise one built for this query.
-fn design_matrix<'a, F, S>(
-    spec: &S,
-    config: &BlinkMlConfig,
+fn design_matrix<'a, F: FeatureVec>(
     resident: Option<&'a DatasetMatrix<'a>>,
     train: &'a Dataset<F>,
-) -> Option<Cow<'a, DatasetMatrix<'a>>>
-where
-    F: FeatureVec,
-    S: ModelClassSpec<F> + ?Sized,
-{
-    resident
-        .map(Cow::Borrowed)
-        .or_else(|| build_pool(spec, train, config).map(Cow::Owned))
+) -> Cow<'a, DatasetMatrix<'a>> {
+    resident.map_or_else(
+        || Cow::Owned(DatasetMatrix::from_dataset(train)),
+        Cow::Borrowed,
+    )
 }
 
 /// Cheap drift test for a cached pilot from `pilot_epoch` against the
@@ -1656,7 +1631,7 @@ fn serve_sweep<F, S>(
     spec: &S,
     train: &Dataset<F>,
     holdout: &Dataset<F>,
-    pool: Option<&DatasetMatrix<'_>>,
+    pool: &DatasetMatrix<'_>,
     scratch: &mut CaptureScratch,
     query: &SweepQuery,
 ) -> Result<SweepResult, ServeError>
@@ -1694,7 +1669,7 @@ fn run_contained<F, S>(
     spec: &S,
     train: &Dataset<F>,
     holdout: &Dataset<F>,
-    pool: Option<&DatasetMatrix<'_>>,
+    pool: &DatasetMatrix<'_>,
     scratch: &mut CaptureScratch,
     seed: u64,
     pilot: Option<&PilotState>,

@@ -32,7 +32,7 @@
 //! server with a worker pool, a keyed LRU, and in-flight coalescing.
 
 use crate::config::BlinkMlConfig;
-use crate::coordinator::{build_pool, run_train, PilotState, TrainingOutcome};
+use crate::coordinator::{run_train, PilotState, TrainingOutcome};
 use crate::error::CoreError;
 use crate::mcs::ModelClassSpec;
 use crate::sweep::{run_sweep, SweepPlan, SweepResult};
@@ -68,15 +68,14 @@ pub struct Session<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> {
     spec: &'a S,
     train: &'a Dataset<F>,
     holdout: &'a Dataset<F>,
-    pool: Option<DatasetMatrix<'a>>,
+    pool: DatasetMatrix<'a>,
     pilots: RefCell<HashMap<(usize, u64), PilotState>>,
     cap_scratch: RefCell<CaptureScratch>,
 }
 
 impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
     /// Open a session: validates the configuration, installs the thread
-    /// budget, and builds the pool-resident design matrix (for batched
-    /// specs in the zero-copy sampling mode).
+    /// budget, and builds the pool-resident design matrix.
     ///
     /// The `epsilon`/`delta` in `config` are the defaults for
     /// [`Session::train_default`]; [`Session::train`] overrides them per
@@ -95,7 +94,7 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
             return Err(CoreError::InvalidData("empty holdout set".into()));
         }
         config.exec.apply();
-        let pool = build_pool(spec, train, &config);
+        let pool = DatasetMatrix::from_dataset(train);
         Ok(Session {
             config,
             spec,
@@ -163,9 +162,8 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
     /// The model class must expose a swappable L2 coefficient
     /// ([`ModelClassSpec::with_regularization`]); otherwise the sweep
     /// is rejected with [`CoreError::InvalidConfig`]. Classes without
-    /// the fused multi-λ kernel — and sessions in materialized
-    /// sampling mode — are served by an equivalent per-point loop
-    /// (`fused: false` in the result).
+    /// the fused multi-λ kernel are served by an equivalent per-point
+    /// loop (`fused: false` in the result).
     ///
     /// Sweep pilots are λ-dependent, so they bypass the session's
     /// `(n₀, seed)` pilot cache in both directions.
@@ -192,7 +190,7 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
             self.spec,
             self.train,
             self.holdout,
-            self.pool.as_ref(),
+            &self.pool,
             &mut self.cap_scratch.borrow_mut(),
             plan,
         )
@@ -217,7 +215,7 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
                     self.spec,
                     self.train,
                     self.holdout,
-                    self.pool.as_ref(),
+                    &self.pool,
                     &mut self.cap_scratch.borrow_mut(),
                     seed,
                     Some(pilot),
@@ -231,7 +229,7 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
             self.spec,
             self.train,
             self.holdout,
-            self.pool.as_ref(),
+            &self.pool,
             &mut self.cap_scratch.borrow_mut(),
             seed,
             None,
@@ -247,7 +245,6 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SamplingMode;
     use crate::coordinator::Coordinator;
     use crate::models::logreg::LogisticRegressionSpec;
     use blinkml_data::generators::synthetic_logistic;
@@ -301,19 +298,6 @@ mod tests {
         assert_eq!(first.initial_epsilon, second.initial_epsilon);
         // The cached query spends no time on pilot training.
         assert_eq!(second.phases.initial_training, std::time::Duration::ZERO);
-    }
-
-    #[test]
-    fn session_works_in_materialize_mode() {
-        let (data, _) = synthetic_logistic(6_000, 3, 2.0, 15);
-        let split = data.split(600, 0, 16);
-        let spec = LogisticRegressionSpec::new(1e-3);
-        let mut cfg = config(300);
-        cfg.sampling = SamplingMode::Materialize;
-        let session = Session::new(cfg, &spec, &split.train, &split.holdout).unwrap();
-        let a = session.train(0.05, 0.05, 2).unwrap();
-        let b = session.train(0.05, 0.05, 2).unwrap();
-        assert_eq!(a.model.parameters(), b.model.parameters());
     }
 
     #[test]

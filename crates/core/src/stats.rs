@@ -229,60 +229,37 @@ impl CovarianceFactor for ModelStatistics {
 }
 
 /// Compute model statistics with the requested method and the exact
-/// dense spectral engine.
+/// dense spectral engine on a materialized sample: captures `data` as
+/// one [`DatasetMatrix`] and runs [`compute_statistics_view`] on its
+/// full view.
 pub fn compute_statistics<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     method: StatisticsMethod,
     spec: &S,
     theta: &[f64],
     data: &Dataset<F>,
 ) -> Result<ModelStatistics, CoreError> {
-    compute_statistics_spectral(method, SpectralMethod::Dense, spec, theta, data)
+    let xm = DatasetMatrix::from_dataset(data);
+    compute_statistics_view(method, SpectralMethod::Dense, spec, theta, &xm.view())
 }
 
 /// Compute model statistics with the requested method and spectral
-/// engine (the knob threaded from `BlinkMlConfig::spectral`).
-pub fn compute_statistics_spectral<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
+/// engine (the knob threaded from `BlinkMlConfig::spectral`) over the
+/// rows of a design-matrix view. The coordinator passes the view it
+/// already served for training — a gathered index view over the pool
+/// matrix or a packed capture — so the statistics phase's `grads` /
+/// Hessian / gradient probes run without materializing the sample.
+pub fn compute_statistics_view<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     method: StatisticsMethod,
     spectral: SpectralMethod,
     spec: &S,
     theta: &[f64],
-    data: &Dataset<F>,
-) -> Result<ModelStatistics, CoreError> {
-    compute_statistics_cached(method, spectral, spec, theta, data, None)
-}
-
-/// [`compute_statistics_spectral`] with an optionally cached
-/// design-matrix view of the sample. The coordinator reuses the view it
-/// already served for training — a full view of a materialized sample,
-/// or a gathered index view over the pool matrix (in which case `data`
-/// is the pool) — so the statistics phase's `grads` / Hessian /
-/// gradient probes run through the batched kernels without a second
-/// materialization, and on the zero-copy path without any
-/// materialization at all.
-pub fn compute_statistics_cached<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
-    method: StatisticsMethod,
-    spectral: SpectralMethod,
-    spec: &S,
-    theta: &[f64],
-    data: &Dataset<F>,
-    xm: Option<&MatrixView>,
+    xm: &MatrixView,
 ) -> Result<ModelStatistics, CoreError> {
     match method {
-        StatisticsMethod::ObservedFisher => observed_fisher_cached(spec, theta, data, spectral, xm),
-        StatisticsMethod::ClosedForm => closed_form_cached(spec, theta, data, spectral, xm),
-        StatisticsMethod::InverseGradients => {
-            inverse_gradients_cached(spec, theta, data, spectral, xm)
-        }
+        StatisticsMethod::ObservedFisher => observed_fisher(spec, theta, xm, spectral),
+        StatisticsMethod::ClosedForm => closed_form(spec, theta, xm, spectral),
+        StatisticsMethod::InverseGradients => inverse_gradients(spec, theta, xm, spectral),
     }
-}
-
-/// ObservedFisher (paper §3.4 Method 3) with the exact dense engine.
-pub fn observed_fisher<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
-    spec: &S,
-    theta: &[f64],
-    data: &Dataset<F>,
-) -> Result<ModelStatistics, CoreError> {
-    observed_fisher_spectral(spec, theta, data, SpectralMethod::Dense)
 }
 
 /// ObservedFisher (paper §3.4 Method 3): factor `J` from per-example
@@ -296,26 +273,13 @@ pub fn observed_fisher<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
 /// `O(min(D,n)²·r)` — with the rank-truncation tolerance folded into the
 /// eigenvalue cutoff below so the factored covariance only ever *drops*
 /// tail directions the tolerance already bounds.
-pub fn observed_fisher_spectral<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
+fn observed_fisher<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     spec: &S,
     theta: &[f64],
-    data: &Dataset<F>,
+    xm: &MatrixView,
     spectral: SpectralMethod,
 ) -> Result<ModelStatistics, CoreError> {
-    observed_fisher_cached(spec, theta, data, spectral, None)
-}
-
-/// [`observed_fisher_spectral`] with an optionally cached design-matrix
-/// view: the per-example gradient list is built through the batched
-/// margin kernels instead of a fresh example walk.
-pub fn observed_fisher_cached<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
-    spec: &S,
-    theta: &[f64],
-    data: &Dataset<F>,
-    spectral: SpectralMethod,
-    xm: Option<&MatrixView>,
-) -> Result<ModelStatistics, CoreError> {
-    let grads = spec.grads_cached(theta, data, xm);
+    let grads = spec.grads(theta, xm);
     let beta = spec.regularization();
     let n = grads.num_rows();
     let dim = grads.dim();
@@ -455,113 +419,48 @@ pub(crate) fn statistics_from_eigenpairs(
     }
 }
 
-/// ClosedForm (paper §3.4 Method 1) with the exact dense engine.
-pub fn closed_form<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
-    spec: &S,
-    theta: &[f64],
-    data: &Dataset<F>,
-) -> Result<ModelStatistics, CoreError> {
-    closed_form_spectral(spec, theta, data, SpectralMethod::Dense)
-}
-
 /// ClosedForm (paper §3.4 Method 1): analytic `H`, then
 /// `J = H − βI` by the information matrix equality. The randomized
 /// engine replaces the `O(D³)` eigendecomposition of `H` with the
 /// truncated solver over the dense operator.
-pub fn closed_form_spectral<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
+fn closed_form<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     spec: &S,
     theta: &[f64],
-    data: &Dataset<F>,
+    xm: &MatrixView,
     spectral: SpectralMethod,
 ) -> Result<ModelStatistics, CoreError> {
-    closed_form_cached(spec, theta, data, spectral, None)
-}
-
-/// [`closed_form_spectral`] with an optionally cached design-matrix
-/// view for the batched Hessian accumulation.
-pub fn closed_form_cached<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
-    spec: &S,
-    theta: &[f64],
-    data: &Dataset<F>,
-    spectral: SpectralMethod,
-    xm: Option<&MatrixView>,
-) -> Result<ModelStatistics, CoreError> {
-    let h = spec.closed_form_hessian_cached(theta, data, xm).ok_or(
-        CoreError::UnsupportedStatistics {
+    let h = spec
+        .closed_form_hessian(theta, xm)
+        .ok_or(CoreError::UnsupportedStatistics {
             model: spec.name(),
             method: "ClosedForm",
-        },
-    )?;
+        })?;
     statistics_from_hessian(h, spec.regularization(), spectral)
 }
 
-/// InverseGradients (paper §3.4 Method 2) with the exact dense engine.
-pub fn inverse_gradients<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
-    spec: &S,
-    theta: &[f64],
-    data: &Dataset<F>,
-) -> Result<ModelStatistics, CoreError> {
-    inverse_gradients_spectral(spec, theta, data, SpectralMethod::Dense)
-}
-
 /// InverseGradients (paper §3.4 Method 2): numeric `H ≈ R P⁻¹` from `D`
-/// finite-difference probes of the averaged gradient `g_n`, then
+/// finite-difference probes of the averaged gradient `g_n` (through
+/// [`ModelClassSpec::value_grad`], one shared scratch), then
 /// `J = H − βI`, decomposed by the chosen spectral engine.
-pub fn inverse_gradients_spectral<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
+fn inverse_gradients<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     spec: &S,
     theta: &[f64],
-    data: &Dataset<F>,
+    xm: &MatrixView,
     spectral: SpectralMethod,
-) -> Result<ModelStatistics, CoreError> {
-    inverse_gradients_cached(spec, theta, data, spectral, None)
-}
-
-/// [`inverse_gradients_spectral`] with an optionally cached
-/// design-matrix view. The `D + 1` gradient probes are exactly the
-/// workload the batched objective exists for, so models advertising
-/// [`ModelClassSpec::batched_training`] evaluate them through the
-/// batched kernels (bit-identical gradients, one shared scratch).
-pub fn inverse_gradients_cached<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
-    spec: &S,
-    theta: &[f64],
-    data: &Dataset<F>,
-    spectral: SpectralMethod,
-    xm: Option<&MatrixView>,
 ) -> Result<ModelStatistics, CoreError> {
     let d = theta.len();
     let mut h = Matrix::zeros(d, d);
     let mut probe = theta.to_vec();
-    if spec.batched_training() && !data.is_empty() {
-        let owned;
-        let xm = match xm {
-            Some(v) => *v,
-            None => {
-                owned = DatasetMatrix::from_dataset(data);
-                owned.view()
-            }
-        };
-        let xm = &xm;
-        let mut scratch = TrainScratch::new();
-        let mut g0 = vec![0.0; d];
-        spec.value_grad_batched(theta, xm, &mut scratch, &mut g0);
-        let mut gi = vec![0.0; d];
-        for i in 0..d {
-            probe[i] += PROBE_EPSILON;
-            spec.value_grad_batched(&probe, xm, &mut scratch, &mut gi);
-            probe[i] = theta[i];
-            for j in 0..d {
-                h[(j, i)] = (gi[j] - g0[j]) / PROBE_EPSILON;
-            }
-        }
-    } else {
-        let (_, g0) = spec.objective(theta, data);
-        for i in 0..d {
-            probe[i] += PROBE_EPSILON;
-            let (_, gi) = spec.objective(&probe, data);
-            probe[i] = theta[i];
-            for j in 0..d {
-                h[(j, i)] = (gi[j] - g0[j]) / PROBE_EPSILON;
-            }
+    let mut scratch = TrainScratch::new();
+    let mut g0 = vec![0.0; d];
+    spec.value_grad(theta, xm, &mut scratch, &mut g0);
+    let mut gi = vec![0.0; d];
+    for i in 0..d {
+        probe[i] += PROBE_EPSILON;
+        spec.value_grad(&probe, xm, &mut scratch, &mut gi);
+        probe[i] = theta[i];
+        for j in 0..d {
+            h[(j, i)] = (gi[j] - g0[j]) / PROBE_EPSILON;
         }
     }
     h.symmetrize();
@@ -643,11 +542,11 @@ fn statistics_from_hessian(
 mod tests {
     use super::*;
     use crate::config::StatisticsMethod;
+    use crate::config::StatisticsMethod::{ClosedForm, InverseGradients, ObservedFisher};
     use crate::models::linreg::LinearRegressionSpec;
     use crate::models::logreg::LogisticRegressionSpec;
     use crate::models::maxent::MaxEntSpec;
     use blinkml_data::generators::{synthetic_linear, synthetic_logistic, yelp_like};
-    use blinkml_data::SparseVec;
     use blinkml_optim::OptimOptions;
     use blinkml_prob::rng_from_seed;
     use blinkml_prob::MvnSampler;
@@ -663,8 +562,8 @@ mod tests {
         let (data, _) = synthetic_linear(20_000, 5, 1.0, 1);
         let spec = LinearRegressionSpec::new(1e-3);
         let model = spec.train(&data, None, &OptimOptions::default()).unwrap();
-        let cf = closed_form(&spec, model.parameters(), &data).unwrap();
-        let of = observed_fisher(&spec, model.parameters(), &data).unwrap();
+        let cf = compute_statistics(ClosedForm, &spec, model.parameters(), &data).unwrap();
+        let of = compute_statistics(ObservedFisher, &spec, model.parameters(), &data).unwrap();
         let c_cf = cf.covariance_dense();
         let c_of = of.covariance_dense();
         let denom = c_cf.max_abs().max(1e-12);
@@ -680,8 +579,8 @@ mod tests {
         let (data, _) = synthetic_logistic(2_000, 4, 2.0, 2);
         let spec = LogisticRegressionSpec::new(1e-2);
         let model = spec.train(&data, None, &OptimOptions::default()).unwrap();
-        let cf = closed_form(&spec, model.parameters(), &data).unwrap();
-        let ig = inverse_gradients(&spec, model.parameters(), &data).unwrap();
+        let cf = compute_statistics(ClosedForm, &spec, model.parameters(), &data).unwrap();
+        let ig = compute_statistics(InverseGradients, &spec, model.parameters(), &data).unwrap();
         let c_cf = cf.covariance_dense();
         let c_ig = ig.covariance_dense();
         let denom = c_cf.max_abs().max(1e-12);
@@ -700,12 +599,11 @@ mod tests {
         let data = yelp_like(40, 120, 3); // D = 5·120 = 600 > n = 40
         let spec = MaxEntSpec::new(1e-3, 5);
         let model = spec.train(&data, None, &OptimOptions::default()).unwrap();
-        let of = observed_fisher(&spec, model.parameters(), &data).unwrap();
+        let of = compute_statistics(ObservedFisher, &spec, model.parameters(), &data).unwrap();
         assert!(matches!(of.factor, Factor::Implicit { .. }));
 
         // Explicit reference: eigen of the dense J.
-        let grads =
-            <MaxEntSpec as ModelClassSpec<SparseVec>>::grads(&spec, model.parameters(), &data);
+        let grads = crate::testing::view_grads(&spec, model.parameters(), &data);
         let mut j = grads.second_moment();
         j.symmetrize();
         let eig = SymmetricEigen::new(&j).unwrap();
@@ -725,7 +623,7 @@ mod tests {
         let (data, _) = synthetic_linear(5_000, 3, 0.5, 4);
         let spec = LinearRegressionSpec::new(1e-3);
         let model = spec.train(&data, None, &OptimOptions::default()).unwrap();
-        let stats = observed_fisher(&spec, model.parameters(), &data).unwrap();
+        let stats = compute_statistics(ObservedFisher, &spec, model.parameters(), &data).unwrap();
         let expected = stats.covariance_dense();
 
         let mut sampler = MvnSampler::new(&stats);
@@ -772,7 +670,7 @@ mod tests {
         let data = yelp_like(50, 120, 6);
         let spec = MaxEntSpec::new(1e-3, 5);
         let model = spec.train(&data, None, &OptimOptions::default()).unwrap();
-        let err = closed_form(&spec, model.parameters(), &data).unwrap_err();
+        let err = compute_statistics(ClosedForm, &spec, model.parameters(), &data).unwrap_err();
         assert!(matches!(err, CoreError::UnsupportedStatistics { .. }));
     }
 
@@ -789,10 +687,10 @@ mod tests {
         let opts = OptimOptions::default();
         let m_small = spec.train(&data_small, None, &opts).unwrap();
         let m_big = spec.train(&data_big, None, &opts).unwrap();
-        let c_small = observed_fisher(&spec, m_small.parameters(), &data_small)
+        let c_small = compute_statistics(ObservedFisher, &spec, m_small.parameters(), &data_small)
             .unwrap()
             .covariance_dense();
-        let c_big = observed_fisher(&spec, m_big.parameters(), &data_big)
+        let c_big = compute_statistics(ObservedFisher, &spec, m_big.parameters(), &data_big)
             .unwrap()
             .covariance_dense();
         let denom = c_big.max_abs().max(1e-12);

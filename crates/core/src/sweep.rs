@@ -32,7 +32,7 @@
 //! is identical to an independent [`Session::train`](crate::Session)
 //! run on a spec with that λ. This holds because every fused kernel in
 //! the chain is bit-identical to its per-λ form: the multi-λ objective
-//! to [`ModelClassSpec::value_grad_batched`] over a prefix view, the
+//! to [`ModelClassSpec::value_grad`] over a prefix view, the
 //! stacked scorer GEMM to per-λ scorers, and prefix views to captures
 //! of the per-λ samples. The lockstep driver only *batches* probe
 //! evaluations; it never mixes state between grid points, so each λ's
@@ -49,7 +49,7 @@ use crate::coordinator::{run_train, TrainingPhaseTimes};
 use crate::diff_engine::HoldoutScorer;
 use crate::error::CoreError;
 use crate::mcs::{ModelClassSpec, SweepEval, TrainedModel};
-use crate::stats::{compute_statistics_cached, ModelStatistics};
+use crate::stats::{compute_statistics_view, ModelStatistics};
 use blinkml_data::{CaptureScratch, Dataset, DatasetMatrix, FeatureVec, MatrixView, TrainScratch};
 use blinkml_optim::{
     minimize_with, MinimizeWorkspace, Objective, OptimError, OptimOptions, OptimResult,
@@ -133,8 +133,8 @@ pub struct SweepResult {
     /// Per-λ results, in the plan's λ order.
     pub points: Vec<SweepPoint>,
     /// Whether the fused shared-substrate engine ran (`false`: the
-    /// per-point fallback loop served the request — materialized
-    /// sampling, or a model class without the multi-λ kernel).
+    /// per-point fallback loop served the request — a model class
+    /// without the multi-λ kernel).
     pub fused: bool,
     /// Final fits that accepted a neighbor warm start
     /// ([`WarmStartPolicy::PathFollow`] only; 0 under ExactReplay).
@@ -443,13 +443,12 @@ fn run_sweep_fused<F: FeatureVec>(
             .iter()
             .zip(&pilots)
             .map(|(spec, m)| {
-                compute_statistics_cached(
+                compute_statistics_view(
                     config.statistics_method,
                     config.spectral,
                     spec.as_ref(),
                     m.parameters(),
-                    train,
-                    Some(&view),
+                    &view,
                 )
                 .map(Some)
             })
@@ -609,8 +608,7 @@ fn run_sweep_fused<F: FeatureVec>(
                     let pv = fview.prefix(n);
                     let neighbor = prev.as_deref();
                     let start = neighbor.unwrap_or(pilots[i].parameters());
-                    let attempt =
-                        specs[i].train_with_matrix(train, Some(&pv), Some(start), &config.optim);
+                    let attempt = specs[i].train_view(&pv, Some(start), &config.optim);
                     let model = match attempt {
                         Ok(m) => {
                             if neighbor.is_some() {
@@ -622,12 +620,7 @@ fn run_sweep_fused<F: FeatureVec>(
                             OptimError::LineSearchFailed { .. } | OptimError::NonFiniteObjective,
                         )) if neighbor.is_some() => {
                             rejected += 1;
-                            specs[i].train_with_matrix(
-                                train,
-                                Some(&pv),
-                                Some(pilots[i].parameters()),
-                                &config.optim,
-                            )?
+                            specs[i].train_view(&pv, Some(pilots[i].parameters()), &config.optim)?
                         }
                         Err(e) => return Err(e),
                     };
@@ -645,13 +638,12 @@ fn run_sweep_fused<F: FeatureVec>(
             eps_hat[i] = if config.estimate_final_accuracy && n < full_n {
                 let pv = fview.prefix(n);
                 let model = finals[i].as_ref().expect("final model trained");
-                let stats_n = compute_statistics_cached(
+                let stats_n = compute_statistics_view(
                     config.statistics_method,
                     config.spectral,
                     specs[i].as_ref(),
                     model.parameters(),
-                    train,
-                    Some(&pv),
+                    &pv,
                 )?;
                 final_accuracy_scored(
                     config,
@@ -688,15 +680,15 @@ fn run_sweep_fused<F: FeatureVec>(
 
 /// Full sweep dispatch shared by [`Session::sweep`](crate::Session) and
 /// the serving layer: validate the plan, instantiate one spec per λ,
-/// and route to the fused engine (zero-copy pool + multi-λ kernel) or
-/// the per-point fallback loop. `config` must already carry the plan's
+/// and route to the fused engine (model classes with the multi-λ
+/// kernel) or the per-point fallback loop. `config` must already carry the plan's
 /// `(ε, δ)` contract.
 pub(crate) fn run_sweep<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     config: &BlinkMlConfig,
     spec: &S,
     train: &Dataset<F>,
     holdout: &Dataset<F>,
-    pool: Option<&DatasetMatrix<'_>>,
+    pool: &DatasetMatrix<'_>,
     cap_scratch: &mut CaptureScratch,
     plan: &SweepPlan,
 ) -> Result<SweepResult, CoreError> {
@@ -713,12 +705,8 @@ pub(crate) fn run_sweep<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
             })
         })
         .collect::<Result<_, _>>()?;
-    let fused = pool.is_some()
-        && specs
-            .iter()
-            .all(|s| s.batched_training() && s.multi_lambda_batched());
-    match (fused, pool) {
-        (true, Some(pool)) => run_sweep_fused(
+    if specs.iter().all(|s| s.multi_lambda_batched()) {
+        run_sweep_fused(
             config,
             &specs,
             &plan.lambdas,
@@ -728,8 +716,9 @@ pub(crate) fn run_sweep<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
             cap_scratch,
             plan.seed,
             plan.warm_start,
-        ),
-        _ => run_sweep_looped(
+        )
+    } else {
+        run_sweep_looped(
             config,
             &specs,
             &plan.lambdas,
@@ -738,13 +727,13 @@ pub(crate) fn run_sweep<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
             pool,
             cap_scratch,
             plan.seed,
-        ),
+        )
     }
 }
 
 /// The per-point fallback loop behind [`Session::sweep`](crate::Session)
-/// for configurations the fused engine cannot serve (materialized
-/// sampling, model classes without the multi-λ kernel): independent
+/// for model classes the fused engine cannot serve (no multi-λ
+/// kernel): independent
 /// coordinator runs per grid point — trivially identical to the looped
 /// baseline, with no fusion and no warm-start bookkeeping.
 #[allow(clippy::too_many_arguments)]
@@ -754,7 +743,7 @@ fn run_sweep_looped<F: FeatureVec>(
     lambdas: &[f64],
     train: &Dataset<F>,
     holdout: &Dataset<F>,
-    pool: Option<&DatasetMatrix<'_>>,
+    pool: &DatasetMatrix<'_>,
     cap_scratch: &mut CaptureScratch,
     seed: u64,
 ) -> Result<SweepResult, CoreError> {
@@ -784,7 +773,6 @@ fn run_sweep_looped<F: FeatureVec>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SamplingMode;
     use crate::models::linreg::LinearRegressionSpec;
     use crate::models::logreg::LogisticRegressionSpec;
     use crate::models::ppca::PpcaSpec;
@@ -891,19 +879,92 @@ mod tests {
         }
     }
 
-    /// Materialized sampling takes the fallback loop and still matches
-    /// independent runs (trivially — it is the looped baseline).
+    /// A model class without the multi-λ kernel takes the fallback loop
+    /// and still matches independent runs (trivially — it is the looped
+    /// baseline).
     #[test]
-    fn materialize_mode_falls_back_to_looped_sweep() {
+    fn spec_without_multi_lambda_kernel_falls_back_to_looped_sweep() {
+        /// Logistic regression with the fused multi-λ kernel hidden.
+        struct SoloLambda(LogisticRegressionSpec);
+        type Inner = dyn ModelClassSpec<blinkml_data::DenseVec>;
+        impl ModelClassSpec<blinkml_data::DenseVec> for SoloLambda {
+            fn name(&self) -> &'static str {
+                Inner::name(&self.0)
+            }
+            fn param_dim(&self, data_dim: usize) -> usize {
+                Inner::param_dim(&self.0, data_dim)
+            }
+            fn regularization(&self) -> f64 {
+                Inner::regularization(&self.0)
+            }
+            fn value_grad(
+                &self,
+                theta: &[f64],
+                xm: &MatrixView,
+                scratch: &mut TrainScratch,
+                grad: &mut [f64],
+            ) -> f64 {
+                Inner::value_grad(&self.0, theta, xm, scratch, grad)
+            }
+            fn with_regularization(
+                &self,
+                beta: f64,
+            ) -> Option<Box<dyn ModelClassSpec<blinkml_data::DenseVec>>> {
+                Some(Box::new(SoloLambda(LogisticRegressionSpec::new(beta))))
+            }
+            fn grads(&self, theta: &[f64], xm: &MatrixView) -> crate::grads::Grads {
+                Inner::grads(&self.0, theta, xm)
+            }
+            fn predict(&self, theta: &[f64], x: &blinkml_data::DenseVec) -> f64 {
+                self.0.predict(theta, x)
+            }
+            fn diff(&self, a: &[f64], b: &[f64], holdout: &Dataset<blinkml_data::DenseVec>) -> f64 {
+                self.0.diff(a, b, holdout)
+            }
+            fn generalization_error(
+                &self,
+                theta: &[f64],
+                data: &Dataset<blinkml_data::DenseVec>,
+            ) -> f64 {
+                self.0.generalization_error(theta, data)
+            }
+            fn num_margin_outputs(&self, data_dim: usize) -> Option<usize> {
+                Inner::num_margin_outputs(&self.0, data_dim)
+            }
+            fn margins(&self, theta: &[f64], x: &blinkml_data::DenseVec, out: &mut [f64]) {
+                self.0.margins(theta, x, out)
+            }
+            fn margin_weights(
+                &self,
+                theta: &[f64],
+                data_dim: usize,
+            ) -> Option<blinkml_linalg::Matrix> {
+                Inner::margin_weights(&self.0, theta, data_dim)
+            }
+            fn predict_from_margins(&self, scores: &[f64]) -> f64 {
+                Inner::predict_from_margins(&self.0, scores)
+            }
+        }
         let (data, _) = synthetic_logistic(5_000, 3, 2.0, 35);
         let split = data.split(500, 0, 36);
-        let spec = LogisticRegressionSpec::new(1e-3);
-        let mut cfg = config(300);
-        cfg.sampling = SamplingMode::Materialize;
-        let session = Session::new(cfg, &spec, &split.train, &split.holdout).unwrap();
+        let spec = SoloLambda(LogisticRegressionSpec::new(1e-3));
+        let session = Session::new(config(300), &spec, &split.train, &split.holdout).unwrap();
         let sweep = session.sweep(&[1e-2, 0.1], 0.04, 0.05, 5).unwrap();
         assert!(!sweep.fused);
         assert_eq!(sweep.points.len(), 2);
+        let fused = Session::new(
+            config(300),
+            &LogisticRegressionSpec::new(1e-3),
+            &split.train,
+            &split.holdout,
+        )
+        .unwrap()
+        .sweep(&[1e-2, 0.1], 0.04, 0.05, 5)
+        .unwrap();
+        assert!(fused.fused);
+        for (a, b) in sweep.points.iter().zip(&fused.points) {
+            assert_point_bitwise(a, &b.outcome, &format!("λ={}", a.lambda));
+        }
     }
 
     /// Path-following warm starts: runs, counts its warm starts, and

@@ -1,83 +1,134 @@
-//! Sequential reference wrappers and the deterministic fault-injection
-//! harness shared by the workspace's tests and benchmarks. Not part of
-//! the public API (`#[doc(hidden)]` at the re-export site);
-//! semver-exempt.
+//! Per-example reference oracles, sequential reference wrappers and the
+//! deterministic fault-injection harness shared by the workspace's tests
+//! and benchmarks. Not part of the public API (`#[doc(hidden)]` at the
+//! re-export site); semver-exempt.
 
 use crate::error::CoreError;
 use crate::grads::Grads;
 use crate::mcs::{ModelClassSpec, TrainedModel};
 use crate::serve::resilience::{relax_active_deadline, trip_active_deadline};
-use blinkml_data::{Dataset, FeatureVec, MatrixView, TrainScratch};
-use blinkml_optim::OptimOptions;
+use blinkml_data::{Dataset, DatasetMatrix, FeatureVec, MatrixView, TrainScratch};
+use blinkml_linalg::Matrix;
+use blinkml_optim::{minimize, Objective, OptimOptions};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-/// Wrapper that hides [`ModelClassSpec::batched_training`], forcing
-/// `train()` onto the per-example scalar objective — the pre-batching
-/// training behaviour. Used as the scalar reference by the training
-/// proptests and the `training_baseline` benchmarks.
+/// The per-example scalar reference bodies of the built-in model
+/// classes: each walks a materialized [`Dataset`] example by example.
+/// [`ModelClassSpec`]'s view methods must reproduce them **bit for
+/// bit** — `value_grad` against [`Self::scalar_objective`], `grads`
+/// against [`Self::scalar_grads`] — on the sample any view selects
+/// (the exactness contract in `docs/ARCHITECTURE.md`). The names differ
+/// from the trait's so both can be in scope at once.
+pub trait ScalarOracle<F: FeatureVec> {
+    /// Averaged objective `f_n(θ)` and its gradient on `data`.
+    fn scalar_objective(&self, theta: &[f64], data: &Dataset<F>) -> (f64, Vec<f64>);
+
+    /// The per-example gradient list on `data`.
+    fn scalar_grads(&self, theta: &[f64], data: &Dataset<F>) -> Grads;
+
+    /// Analytic Hessian on `data`, for classes with a closed form.
+    fn scalar_closed_form_hessian(&self, _theta: &[f64], _data: &Dataset<F>) -> Option<Matrix> {
+        None
+    }
+}
+
+/// `(f_n(θ), ∇f_n(θ))` through [`ModelClassSpec::value_grad`] on the
+/// full view of `data` — the production objective as a function of a
+/// materialized dataset.
+pub fn view_objective<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
+    spec: &S,
+    theta: &[f64],
+    data: &Dataset<F>,
+) -> (f64, Vec<f64>) {
+    let xm = DatasetMatrix::from_dataset(data);
+    let mut grad = vec![0.0; theta.len()];
+    let value = spec.value_grad(theta, &xm.view(), &mut TrainScratch::new(), &mut grad);
+    (value, grad)
+}
+
+/// [`ModelClassSpec::grads`] on the full view of `data`.
+pub fn view_grads<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
+    spec: &S,
+    theta: &[f64],
+    data: &Dataset<F>,
+) -> Grads {
+    spec.grads(theta, &DatasetMatrix::from_dataset(data).view())
+}
+
+/// The scalar training oracle: minimizes a spec's
+/// [`ScalarOracle::scalar_objective`] on a materialized [`Dataset`]
+/// with the same solver, start point and bookkeeping as
+/// [`ModelClassSpec::train`] — the pre-batching training behaviour.
+/// Used as the scalar reference by the training tests and the
+/// `training_baseline` benchmarks.
 ///
 /// Only meaningful for **iteratively trained** model classes (the
-/// GLMs, linear regression, max-entropy): `train`/`train_with_matrix`
-/// overrides are deliberately *not* forwarded (forwarding them would
-/// reach the batched engine and defeat the wrapper), so a model whose
-/// training is a closed-form `train_with_matrix` override — PPCA —
-/// would be minimized through its objective instead, which is not a
-/// scalar reference for anything (and panics at the zero start point).
+/// GLMs, linear regression, max-entropy): PPCA trains in closed form,
+/// and minimizing its objective from the zero start point panics.
 pub struct ScalarTrain<S>(pub S);
 
-impl<F: FeatureVec, S: ModelClassSpec<F>> ModelClassSpec<F> for ScalarTrain<S> {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn param_dim(&self, data_dim: usize) -> usize {
-        self.0.param_dim(data_dim)
-    }
-    fn regularization(&self) -> f64 {
-        self.0.regularization()
-    }
-    fn objective(&self, theta: &[f64], data: &Dataset<F>) -> (f64, Vec<f64>) {
-        self.0.objective(theta, data)
-    }
-    fn grads(&self, theta: &[f64], data: &Dataset<F>) -> Grads {
-        self.0.grads(theta, data)
-    }
-    fn closed_form_hessian(
+impl<S> ScalarTrain<S> {
+    /// Train on `data`, optionally warm-starting from `warm_start`.
+    pub fn train<F: FeatureVec>(
         &self,
-        theta: &[f64],
         data: &Dataset<F>,
-    ) -> Option<blinkml_linalg::Matrix> {
-        self.0.closed_form_hessian(theta, data)
+        warm_start: Option<&[f64]>,
+        options: &OptimOptions,
+    ) -> Result<TrainedModel, CoreError>
+    where
+        S: ModelClassSpec<F> + ScalarOracle<F>,
+    {
+        if data.is_empty() {
+            return Err(CoreError::InvalidData(
+                "cannot train on an empty dataset".into(),
+            ));
+        }
+        let dim = self.0.param_dim(data.dim());
+        let theta0: Vec<f64> = match warm_start {
+            Some(w) => {
+                if w.len() != dim {
+                    return Err(CoreError::InvalidConfig(format!(
+                        "warm start has dim {}, model needs {dim}",
+                        w.len()
+                    )));
+                }
+                w.to_vec()
+            }
+            None => vec![0.0; dim],
+        };
+        let adapter = OracleObjective {
+            spec: &self.0,
+            data,
+        };
+        let result = minimize(&adapter, &theta0, options)?;
+        Ok(TrainedModel::new(
+            result.theta,
+            data.len(),
+            result.iterations,
+            result.converged,
+            result.value,
+        ))
     }
-    fn predict(&self, theta: &[f64], x: &F) -> f64 {
-        self.0.predict(theta, x)
+}
+
+/// Adapter exposing the scalar oracle objective to the optimizer.
+struct OracleObjective<'a, F: FeatureVec, S> {
+    spec: &'a S,
+    data: &'a Dataset<F>,
+}
+
+impl<F: FeatureVec, S: ModelClassSpec<F> + ScalarOracle<F>> Objective
+    for OracleObjective<'_, F, S>
+{
+    fn dim(&self) -> usize {
+        self.spec.param_dim(self.data.dim())
     }
-    fn diff(&self, theta_a: &[f64], theta_b: &[f64], holdout: &Dataset<F>) -> f64 {
-        self.0.diff(theta_a, theta_b, holdout)
+
+    fn value_grad(&self, theta: &[f64]) -> (f64, Vec<f64>) {
+        self.spec.scalar_objective(theta, self.data)
     }
-    fn generalization_error(&self, theta: &[f64], data: &Dataset<F>) -> f64 {
-        self.0.generalization_error(theta, data)
-    }
-    fn num_margin_outputs(&self, data_dim: usize) -> Option<usize> {
-        self.0.num_margin_outputs(data_dim)
-    }
-    fn margins(&self, theta: &[f64], x: &F, out: &mut [f64]) {
-        self.0.margins(theta, x, out)
-    }
-    fn margin_weights(&self, theta: &[f64], data_dim: usize) -> Option<blinkml_linalg::Matrix> {
-        self.0.margin_weights(theta, data_dim)
-    }
-    fn predict_from_margins(&self, scores: &[f64]) -> f64 {
-        self.0.predict_from_margins(scores)
-    }
-    fn diff_is_rms(&self) -> bool {
-        self.0.diff_is_rms()
-    }
-    // batched_training / value_grad_batched / grads_cached /
-    // closed_form_hessian_cached / train / train_with_matrix
-    // deliberately left at the scalar defaults — this is the whole
-    // point of the wrapper (see the struct docs for the PPCA caveat).
 }
 
 /// Wrapper that hides [`ModelClassSpec::margin_weights`], forcing
@@ -96,11 +147,17 @@ impl<F: FeatureVec, S: ModelClassSpec<F>> ModelClassSpec<F> for NoBatch<S> {
     fn regularization(&self) -> f64 {
         self.0.regularization()
     }
-    fn objective(&self, theta: &[f64], data: &Dataset<F>) -> (f64, Vec<f64>) {
-        self.0.objective(theta, data)
+    fn value_grad(
+        &self,
+        theta: &[f64],
+        xm: &MatrixView,
+        scratch: &mut TrainScratch,
+        grad: &mut [f64],
+    ) -> f64 {
+        self.0.value_grad(theta, xm, scratch, grad)
     }
-    fn grads(&self, theta: &[f64], data: &Dataset<F>) -> Grads {
-        self.0.grads(theta, data)
+    fn grads(&self, theta: &[f64], xm: &MatrixView) -> Grads {
+        self.0.grads(theta, xm)
     }
     fn predict(&self, theta: &[f64], x: &F) -> f64 {
         self.0.predict(theta, x)
@@ -127,12 +184,13 @@ impl<F: FeatureVec, S: ModelClassSpec<F>> ModelClassSpec<F> for NoBatch<S> {
 }
 
 /// Forwards every [`ModelClassSpec`] method to the inner spec, calling
-/// `hook` at the top of each `train`/`train_with_matrix` with the
-/// sample length about to be trained on. The hook perturbs *scheduling*
-/// only (sleeps, panics, deadline trips) — never math — so served
-/// results must still match the plain oracle bitwise. Shared by the
-/// serving concurrency harness (`tests/serving.rs`) and the resilience
-/// harness (`tests/resilience.rs`).
+/// `hook` at the top of each [`ModelClassSpec::train_view`] with the
+/// sample length about to be trained on ([`ModelClassSpec::train`]
+/// reaches it too). The hook perturbs *scheduling* only (sleeps,
+/// panics, deadline trips) — never math — so served results must still
+/// match the plain oracle bitwise. Shared by the serving concurrency
+/// harness (`tests/serving.rs`) and the resilience harness
+/// (`tests/resilience.rs`).
 pub struct HookedSpec<S, H> {
     /// The spec every method delegates to.
     pub inner: S,
@@ -162,41 +220,20 @@ where
     fn regularization(&self) -> f64 {
         self.inner.regularization()
     }
-    fn objective(&self, theta: &[f64], data: &Dataset<F>) -> (f64, Vec<f64>) {
-        self.inner.objective(theta, data)
-    }
-    fn batched_training(&self) -> bool {
-        self.inner.batched_training()
-    }
-    fn value_grad_batched(
+    fn value_grad(
         &self,
         theta: &[f64],
         xm: &MatrixView,
         scratch: &mut TrainScratch,
         grad: &mut [f64],
     ) -> f64 {
-        self.inner.value_grad_batched(theta, xm, scratch, grad)
+        self.inner.value_grad(theta, xm, scratch, grad)
     }
-    fn grads(&self, theta: &[f64], data: &Dataset<F>) -> Grads {
-        self.inner.grads(theta, data)
+    fn grads(&self, theta: &[f64], xm: &MatrixView) -> Grads {
+        self.inner.grads(theta, xm)
     }
-    fn grads_cached(&self, theta: &[f64], data: &Dataset<F>, xm: Option<&MatrixView>) -> Grads {
-        self.inner.grads_cached(theta, data, xm)
-    }
-    fn closed_form_hessian(
-        &self,
-        theta: &[f64],
-        data: &Dataset<F>,
-    ) -> Option<blinkml_linalg::Matrix> {
-        self.inner.closed_form_hessian(theta, data)
-    }
-    fn closed_form_hessian_cached(
-        &self,
-        theta: &[f64],
-        data: &Dataset<F>,
-        xm: Option<&MatrixView>,
-    ) -> Option<blinkml_linalg::Matrix> {
-        self.inner.closed_form_hessian_cached(theta, data, xm)
+    fn closed_form_hessian(&self, theta: &[f64], xm: &MatrixView) -> Option<Matrix> {
+        self.inner.closed_form_hessian(theta, xm)
     }
     fn predict(&self, theta: &[f64], x: &F) -> f64 {
         self.inner.predict(theta, x)
@@ -213,7 +250,7 @@ where
     fn margins(&self, theta: &[f64], x: &F, out: &mut [f64]) {
         self.inner.margins(theta, x, out)
     }
-    fn margin_weights(&self, theta: &[f64], data_dim: usize) -> Option<blinkml_linalg::Matrix> {
+    fn margin_weights(&self, theta: &[f64], data_dim: usize) -> Option<Matrix> {
         self.inner.margin_weights(theta, data_dim)
     }
     fn predict_from_margins(&self, scores: &[f64]) -> f64 {
@@ -222,24 +259,14 @@ where
     fn diff_is_rms(&self) -> bool {
         self.inner.diff_is_rms()
     }
-    fn train(
+    fn train_view(
         &self,
-        data: &Dataset<F>,
+        xm: &MatrixView,
         warm_start: Option<&[f64]>,
         options: &OptimOptions,
     ) -> Result<TrainedModel, CoreError> {
-        (self.hook)(data.len());
-        self.inner.train(data, warm_start, options)
-    }
-    fn train_with_matrix(
-        &self,
-        data: &Dataset<F>,
-        xm: Option<&MatrixView>,
-        warm_start: Option<&[f64]>,
-        options: &OptimOptions,
-    ) -> Result<TrainedModel, CoreError> {
-        (self.hook)(xm.map_or(data.len(), |v| v.len()));
-        self.inner.train_with_matrix(data, xm, warm_start, options)
+        (self.hook)(xm.len());
+        self.inner.train_view(xm, warm_start, options)
     }
 }
 

@@ -6,9 +6,9 @@ use blinkml_core::accuracy::sampling_alpha;
 use blinkml_core::diff_engine::{draw_pool, DiffEngine};
 use blinkml_core::grads::Grads;
 use blinkml_core::models::{LinearRegressionSpec, LogisticRegressionSpec, MaxEntSpec};
-use blinkml_core::stats::observed_fisher;
-use blinkml_core::testing::NoBatch;
-use blinkml_core::ModelClassSpec;
+use blinkml_core::testing::{view_grads, view_objective, NoBatch};
+use blinkml_core::StatisticsMethod::ObservedFisher;
+use blinkml_core::{compute_statistics, ModelClassSpec};
 use blinkml_data::generators::{synthetic_linear, synthetic_logistic, synthetic_multiclass};
 use blinkml_data::SparseVec;
 use blinkml_linalg::Matrix;
@@ -82,8 +82,8 @@ proptest! {
         let (data, _) = synthetic_logistic(150, 4, 2.0, seed);
         let spec = LogisticRegressionSpec::new(beta);
         let theta: Vec<f64> = (0..4).map(|i| ((seed + i) % 7) as f64 * 0.1 - 0.3).collect();
-        let (_, grad) = spec.objective(&theta, &data);
-        let mean = spec.grads(&theta, &data).mean_row();
+        let (_, grad) = view_objective(&spec, &theta, &data);
+        let mean = view_grads(&spec, &theta, &data).mean_row();
         for (g, m) in grad.iter().zip(&mean) {
             prop_assert!((g - m).abs() < 1e-10);
         }
@@ -95,8 +95,8 @@ proptest! {
         let spec = LinearRegressionSpec::new(1e-3);
         let mut theta: Vec<f64> = (0..4).map(|i| (i as f64) * 0.2 - 0.3).collect();
         theta[3] = -0.2; // ln σ²
-        let (_, grad) = spec.objective(&theta, &data);
-        let mean = spec.grads(&theta, &data).mean_row();
+        let (_, grad) = view_objective(&spec, &theta, &data);
+        let mean = view_grads(&spec, &theta, &data).mean_row();
         for (g, m) in grad.iter().zip(&mean) {
             prop_assert!((g - m).abs() < 1e-10);
         }
@@ -107,8 +107,8 @@ proptest! {
         let data = synthetic_multiclass(120, 3, 3, seed);
         let spec = MaxEntSpec::new(1e-3, 3);
         let theta: Vec<f64> = (0..9).map(|i| ((i * 5) % 11) as f64 * 0.05).collect();
-        let (_, grad) = spec.objective(&theta, &data);
-        let mean = spec.grads(&theta, &data).mean_row();
+        let (_, grad) = view_objective(&spec, &theta, &data);
+        let mean = view_grads(&spec, &theta, &data).mean_row();
         for (g, m) in grad.iter().zip(&mean) {
             prop_assert!((g - m).abs() < 1e-10);
         }
@@ -144,7 +144,7 @@ proptest! {
         let spec = LogisticRegressionSpec::new(1e-3);
         let sample = split.train.sample(500, seed + 2);
         let model = spec.train(&sample, None, &OptimOptions::default()).unwrap();
-        let stats = observed_fisher(&spec, model.parameters(), &sample).unwrap();
+        let stats = compute_statistics(ObservedFisher, &spec, model.parameters(), &sample).unwrap();
         let est = blinkml_core::ModelAccuracyEstimator::new(32);
         let full_n = split.train.len();
         let eps_200 = est.estimate(
@@ -230,7 +230,7 @@ proptest! {
         let spec = LinearRegressionSpec::new(1e-3);
         let sample = data.sample(400, seed);
         let model = spec.train(&sample, None, &OptimOptions::default()).unwrap();
-        let stats = observed_fisher(&spec, model.parameters(), &sample).unwrap();
+        let stats = compute_statistics(ObservedFisher, &spec, model.parameters(), &sample).unwrap();
         let a = draw_pool(&stats, 4, seed + 10);
         let b = draw_pool(&stats, 4, seed + 10);
         prop_assert_eq!(a, b, "pools must be deterministic per seed");

@@ -6,12 +6,13 @@
 use blinkml_core::diff_engine::draw_pool;
 use blinkml_core::grads::Grads;
 use blinkml_core::models::{LinearRegressionSpec, MaxEntSpec};
-use blinkml_core::stats::{
-    closed_form, closed_form_spectral, observed_fisher, observed_fisher_spectral,
+use blinkml_core::StatisticsMethod::{ClosedForm, ObservedFisher};
+use blinkml_core::{
+    compute_statistics, compute_statistics_view, BlinkMlConfig, Coordinator, ModelClassSpec,
+    SpectralMethod,
 };
-use blinkml_core::{BlinkMlConfig, Coordinator, ModelClassSpec, SpectralMethod};
 use blinkml_data::generators::{synthetic_linear_decay, yelp_like};
-use blinkml_data::SparseVec;
+use blinkml_data::{DatasetMatrix, DenseVec, SparseVec};
 use blinkml_linalg::spectral::{randomized_eigen, SymmetricOp};
 use blinkml_linalg::{Matrix, SymmetricEigen};
 use blinkml_optim::OptimOptions;
@@ -103,7 +104,7 @@ proptest! {
         let (data, _) = synthetic_linear_decay(400, 8, 0.85, 0.3, seed);
         let spec = LinearRegressionSpec::new(1e-2);
         let model = spec.train(&data, None, &OptimOptions::default()).unwrap();
-        let stats = observed_fisher(&spec, model.parameters(), &data).unwrap();
+        let stats = compute_statistics(ObservedFisher, &spec, model.parameters(), &data).unwrap();
         let batched = MvnSampler::new(&stats).sample_pool(&mut rng_from_seed(seed), 24);
         let per_draw = MvnSampler::new(&stats).sample_pool_seq(&mut rng_from_seed(seed), 24);
         prop_assert_eq!(batched, per_draw, "explicit factor must match bitwise");
@@ -116,7 +117,7 @@ fn batched_pool_is_bitwise_identical_for_implicit_factor() {
     let data = yelp_like(40, 120, 3); // D = 5·120 = 600 > n = 40
     let spec = MaxEntSpec::new(1e-3, 5);
     let model = spec.train(&data, None, &OptimOptions::default()).unwrap();
-    let stats = observed_fisher(&spec, model.parameters(), &data).unwrap();
+    let stats = compute_statistics(ObservedFisher, &spec, model.parameters(), &data).unwrap();
     let batched = MvnSampler::new(&stats).sample_pool(&mut rng_from_seed(9), 16);
     let per_draw = MvnSampler::new(&stats).sample_pool_seq(&mut rng_from_seed(9), 16);
     assert_eq!(batched, per_draw, "implicit factor must match bitwise");
@@ -132,17 +133,18 @@ fn truncated_covariance_is_within_frobenius_tolerance_dense() {
     let (data, _) = synthetic_linear_decay(1_500, 40, 0.8, 0.4, 11);
     let spec = LinearRegressionSpec::new(1e-2);
     let model = spec.train(&data, None, &OptimOptions::default()).unwrap();
-    let dense = observed_fisher(&spec, model.parameters(), &data).unwrap();
-    let randomized = observed_fisher_spectral(
-        &spec,
-        model.parameters(),
-        &data,
+    let dense = compute_statistics(ObservedFisher, &spec, model.parameters(), &data).unwrap();
+    let randomized = compute_statistics_view::<DenseVec, _>(
+        ObservedFisher,
         SpectralMethod::Randomized {
             rank: 24,
             oversample: 8,
             power_iters: 2,
             tol: 1e-6,
         },
+        &spec,
+        model.parameters(),
+        &DatasetMatrix::from_dataset(&data).view(),
     )
     .unwrap();
     assert!(
@@ -166,17 +168,18 @@ fn truncated_covariance_is_within_frobenius_tolerance_sparse_implicit() {
     let data = yelp_like(50, 150, 7); // D = 750 > n = 50
     let spec = MaxEntSpec::new(1e-2, 5);
     let model = spec.train(&data, None, &OptimOptions::default()).unwrap();
-    let dense = observed_fisher(&spec, model.parameters(), &data).unwrap();
-    let randomized = observed_fisher_spectral(
-        &spec,
-        model.parameters(),
-        &data,
+    let dense = compute_statistics(ObservedFisher, &spec, model.parameters(), &data).unwrap();
+    let randomized = compute_statistics_view::<SparseVec, _>(
+        ObservedFisher,
         SpectralMethod::Randomized {
             rank: 16,
             oversample: 8,
             power_iters: 2,
             tol: 1e-7,
         },
+        &spec,
+        model.parameters(),
+        &DatasetMatrix::from_dataset(&data).view(),
     )
     .unwrap();
     let c_dense = dense.covariance_dense();
@@ -198,17 +201,18 @@ fn closed_form_randomized_truncates_and_matches_dense() {
     let (data, _) = synthetic_linear_decay(1_200, 40, 0.8, 0.4, 17);
     let spec = LinearRegressionSpec::new(1e-2);
     let model = spec.train(&data, None, &OptimOptions::default()).unwrap();
-    let dense = closed_form(&spec, model.parameters(), &data).unwrap();
-    let randomized = closed_form_spectral(
-        &spec,
-        model.parameters(),
-        &data,
+    let dense = compute_statistics(ClosedForm, &spec, model.parameters(), &data).unwrap();
+    let randomized = compute_statistics_view::<DenseVec, _>(
+        ClosedForm,
         SpectralMethod::Randomized {
             rank: 24,
             oversample: 8,
             power_iters: 2,
             tol: 1e-6,
         },
+        &spec,
+        model.parameters(),
+        &DatasetMatrix::from_dataset(&data).view(),
     )
     .unwrap();
     assert!(
@@ -233,7 +237,7 @@ fn marginal_variances_match_covariance_diagonal_implicit_branch() {
     let data = yelp_like(40, 120, 5);
     let spec = MaxEntSpec::new(1e-3, 5);
     let model = spec.train(&data, None, &OptimOptions::default()).unwrap();
-    let stats = observed_fisher(&spec, model.parameters(), &data).unwrap();
+    let stats = compute_statistics(ObservedFisher, &spec, model.parameters(), &data).unwrap();
     let mv = stats.marginal_variances();
     let cov = stats.covariance_dense();
     for i in 0..stats.dim() {

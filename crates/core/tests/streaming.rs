@@ -556,35 +556,17 @@ impl ModelClassSpec<DenseVec> for RejectWarmPilot {
     fn regularization(&self) -> f64 {
         Inner::regularization(&self.inner)
     }
-    fn objective(&self, theta: &[f64], data: &blinkml_data::Dataset<DenseVec>) -> (f64, Vec<f64>) {
-        self.inner.objective(theta, data)
-    }
-    fn batched_training(&self) -> bool {
-        Inner::batched_training(&self.inner)
-    }
-    fn value_grad_batched(
+    fn value_grad(
         &self,
         theta: &[f64],
         xm: &blinkml_data::MatrixView,
         scratch: &mut blinkml_data::TrainScratch,
         grad: &mut [f64],
     ) -> f64 {
-        Inner::value_grad_batched(&self.inner, theta, xm, scratch, grad)
+        Inner::value_grad(&self.inner, theta, xm, scratch, grad)
     }
-    fn grads(
-        &self,
-        theta: &[f64],
-        data: &blinkml_data::Dataset<DenseVec>,
-    ) -> blinkml_core::grads::Grads {
-        self.inner.grads(theta, data)
-    }
-    fn grads_cached(
-        &self,
-        theta: &[f64],
-        data: &blinkml_data::Dataset<DenseVec>,
-        xm: Option<&blinkml_data::MatrixView>,
-    ) -> blinkml_core::grads::Grads {
-        self.inner.grads_cached(theta, data, xm)
+    fn grads(&self, theta: &[f64], xm: &blinkml_data::MatrixView) -> blinkml_core::grads::Grads {
+        Inner::grads(&self.inner, theta, xm)
     }
     fn predict(&self, theta: &[f64], x: &DenseVec) -> f64 {
         self.inner.predict(theta, x)
@@ -615,32 +597,18 @@ impl ModelClassSpec<DenseVec> for RejectWarmPilot {
     fn diff_is_rms(&self) -> bool {
         Inner::diff_is_rms(&self.inner)
     }
-    fn train(
+    fn train_view(
         &self,
-        data: &blinkml_data::Dataset<DenseVec>,
+        xm: &blinkml_data::MatrixView,
         warm_start: Option<&[f64]>,
         options: &blinkml_optim::OptimOptions,
     ) -> Result<blinkml_core::TrainedModel, CoreError> {
-        if warm_start.is_some() && data.len() == self.n0 {
+        if warm_start.is_some() && xm.len() == self.n0 {
             return Err(CoreError::Optimization(OptimError::LineSearchFailed {
                 iteration: 0,
             }));
         }
-        self.inner.train(data, warm_start, options)
-    }
-    fn train_with_matrix(
-        &self,
-        data: &blinkml_data::Dataset<DenseVec>,
-        xm: Option<&blinkml_data::MatrixView>,
-        warm_start: Option<&[f64]>,
-        options: &blinkml_optim::OptimOptions,
-    ) -> Result<blinkml_core::TrainedModel, CoreError> {
-        if warm_start.is_some() && xm.map_or(data.len(), |v| v.len()) == self.n0 {
-            return Err(CoreError::Optimization(OptimError::LineSearchFailed {
-                iteration: 0,
-            }));
-        }
-        self.inner.train_with_matrix(data, xm, warm_start, options)
+        Inner::train_view(&self.inner, xm, warm_start, options)
     }
 }
 

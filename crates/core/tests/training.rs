@@ -1,40 +1,42 @@
 //! The batched training engine's exactness contract.
 //!
-//! Property tests asserting that `value_grad_batched` reproduces the
-//! per-example scalar `objective` — **bit for bit** for all four model
-//! classes, dense and sparse features alike — plus end-to-end checks:
-//! batched and scalar training produce identical parameters, and the
-//! coordinator's results are bit-identical across thread budgets through
-//! the batched path.
+//! Property tests asserting that `ModelClassSpec::value_grad` reproduces
+//! the per-example scalar oracle (`testing::ScalarOracle`) — **bit for
+//! bit** for all five model classes, dense and sparse features alike —
+//! plus end-to-end checks: view training and the scalar training oracle
+//! (`testing::ScalarTrain`) produce identical parameters, spec-level
+//! pins over gathered and packed views for every class, and the
+//! coordinator's results are bit-identical across thread budgets.
 
 use blinkml_core::models::{
     LinearRegressionSpec, LogisticRegressionSpec, MaxEntSpec, PoissonRegressionSpec, PpcaSpec,
 };
-use blinkml_core::testing::ScalarTrain;
+use blinkml_core::testing::{view_grads, ScalarOracle, ScalarTrain};
 use blinkml_core::{BlinkMlConfig, Coordinator, ExecConfig, ModelClassSpec, StatisticsMethod};
 use blinkml_data::generators::{
-    low_rank_gaussian, synthetic_linear, synthetic_logistic, synthetic_multiclass, yelp_like,
+    low_rank_gaussian, synthetic_linear, synthetic_logistic, synthetic_multiclass,
+    synthetic_poisson, yelp_like,
 };
 use blinkml_data::parallel::set_max_threads;
-use blinkml_data::{Dataset, DatasetMatrix, FeatureVec, TrainScratch};
+use blinkml_data::{Dataset, DatasetMatrix, DenseVec, FeatureVec, MatrixView, TrainScratch};
 use blinkml_optim::OptimOptions;
 use proptest::prelude::*;
 
-/// Assert the batched value/gradient equals the scalar objective at
+/// Assert the view value/gradient equals the scalar oracle objective at
 /// `theta`, bitwise, for every thread budget in the test set.
-fn assert_batched_equals_scalar<F: FeatureVec, S: ModelClassSpec<F>>(
+fn assert_batched_equals_scalar<F: FeatureVec, S: ModelClassSpec<F> + ScalarOracle<F>>(
     spec: &S,
     theta: &[f64],
     data: &Dataset<F>,
     bitwise: bool,
 ) {
-    let (v_ref, g_ref) = spec.objective(theta, data);
+    let (v_ref, g_ref) = spec.scalar_objective(theta, data);
     let xm = DatasetMatrix::from_dataset(data);
     for budget in [Some(1), Some(4)] {
         set_max_threads(budget);
         let mut scratch = TrainScratch::new();
         let mut grad = vec![f64::NAN; theta.len()];
-        let v = spec.value_grad_batched(theta, &xm.view(), &mut scratch, &mut grad);
+        let v = spec.value_grad(theta, &xm.view(), &mut scratch, &mut grad);
         set_max_threads(None);
         if bitwise {
             assert_eq!(v, v_ref, "value (budget {budget:?})");
@@ -70,7 +72,7 @@ proptest! {
 
     #[test]
     fn poisson_batched_is_bitwise_scalar(seed in 1u64..400) {
-        let (data, _) = blinkml_data::generators::synthetic_poisson(500, 6, seed);
+        let (data, _) = synthetic_poisson(500, 6, seed);
         let spec = PoissonRegressionSpec::new(1e-3);
         let theta: Vec<f64> = (0..6).map(|i| (i as f64 * 0.21).sin() * 0.2).collect();
         assert_batched_equals_scalar(&spec, &theta, &data, true);
@@ -103,7 +105,7 @@ proptest! {
 
     #[test]
     fn ppca_batched_matches_scalar(seed in 1u64..400) {
-        // PPCA's batched pass reorders no per-row math (column-batched
+        // PPCA's view pass reorders no per-row math (column-batched
         // aᵢ on dense blocks, scalar per-row gemv on sparse), so it is
         // bitwise for both layouts.
         let data = low_rank_gaussian(300, 6, 2, 0.3, seed);
@@ -136,15 +138,14 @@ proptest! {
     }
 
     #[test]
-    fn grads_cached_matches_grads(seed in 1u64..300) {
-        // The cached-matrix grads path must reproduce the per-example
+    fn grads_view_matches_scalar_grads(seed in 1u64..300) {
+        // The view grads path must reproduce the per-example oracle's
         // grads rows bitwise (dense and sparse).
         let (dense, _) = synthetic_logistic(300, 7, 2.0, seed);
         let spec = LogisticRegressionSpec::new(1e-3);
         let theta: Vec<f64> = (0..7).map(|i| (i as f64 * 0.43).sin() * 0.3).collect();
-        let plain = spec.grads(&theta, &dense);
-        let xm = DatasetMatrix::from_dataset(&dense);
-        let cached = spec.grads_cached(&theta, &dense, Some(&xm.view()));
+        let plain = spec.scalar_grads(&theta, &dense);
+        let cached = view_grads(&spec, &theta, &dense);
         for i in 0..dense.len() {
             prop_assert_eq!(plain.row_dense(i), cached.row_dense(i), "dense row {}", i);
         }
@@ -152,9 +153,8 @@ proptest! {
         let sparse = yelp_like(200, 80, seed);
         let me = MaxEntSpec::new(1e-3, 5);
         let mtheta: Vec<f64> = (0..400).map(|i| ((i * 11) % 17) as f64 * 0.01).collect();
-        let mplain = me.grads(&mtheta, &sparse);
-        let sxm = DatasetMatrix::from_dataset(&sparse);
-        let mcached = me.grads_cached(&mtheta, &sparse, Some(&sxm.view()));
+        let mplain = me.scalar_grads(&mtheta, &sparse);
+        let mcached = view_grads(&me, &mtheta, &sparse);
         for i in 0..sparse.len() {
             prop_assert_eq!(mplain.row_dense(i), mcached.row_dense(i), "sparse row {}", i);
         }
@@ -162,7 +162,7 @@ proptest! {
 }
 
 #[test]
-fn batched_training_reproduces_scalar_training_bitwise() {
+fn view_training_reproduces_scalar_training_bitwise() {
     // The whole point of the bitwise contract: the optimizer follows the
     // identical trajectory, so trained parameters are equal — not just
     // close — and the iteration/convergence bookkeeping matches.
@@ -188,19 +188,62 @@ fn batched_training_reproduces_scalar_training_bitwise() {
 
 #[test]
 fn hessian_cached_matches_uncached() {
+    // The closed-form Hessian over a cached design-matrix view against
+    // the per-example oracle on the materialized dataset.
     let (data, _) = synthetic_logistic(500, 6, 1.5, 11);
     let spec = LogisticRegressionSpec::new(1e-2);
     let theta: Vec<f64> = (0..6).map(|i| 0.1 * i as f64 - 0.2).collect();
     let xm = DatasetMatrix::from_dataset(&data);
-    let h_cached = spec
-        .closed_form_hessian_cached(&theta, &data, Some(&xm.view()))
-        .unwrap();
-    let h_plain = spec.closed_form_hessian(&theta, &data).unwrap();
+    let h_cached = <LogisticRegressionSpec as ModelClassSpec<DenseVec>>::closed_form_hessian(
+        &spec,
+        &theta,
+        &xm.view(),
+    )
+    .unwrap();
+    let h_plain = spec.scalar_closed_form_hessian(&theta, &data).unwrap();
     assert!(
         h_cached.max_abs_diff(&h_plain) < 1e-12,
         "cached vs uncached Hessian diff {}",
         h_cached.max_abs_diff(&h_plain)
     );
+
+    // Linear regression's view Hessian replays the oracle's per-example
+    // accumulation, so it is bit-identical, dense and sparse.
+    let (lin, _) = synthetic_linear(400, 5, 0.5, 12);
+    let lspec = LinearRegressionSpec::new(1e-2);
+    let mut ltheta: Vec<f64> = (0..6).map(|i| 0.15 * i as f64 - 0.3).collect();
+    ltheta[5] = -0.4;
+    let lxm = DatasetMatrix::from_dataset(&lin);
+    let lh = <LinearRegressionSpec as ModelClassSpec<DenseVec>>::closed_form_hessian(
+        &lspec,
+        &ltheta,
+        &lxm.view(),
+    )
+    .unwrap();
+    let lh_ref = lspec.scalar_closed_form_hessian(&ltheta, &lin).unwrap();
+    assert_bits(lh.as_slice(), lh_ref.as_slice(), "dense linreg Hessian");
+    let sparse = yelp_like(200, 50, 13);
+    let sxm = DatasetMatrix::from_dataset(&sparse);
+    let stheta: Vec<f64> = (0..51)
+        .map(|i| ((i * 7) % 11) as f64 * 0.01 - 0.05)
+        .collect();
+    let sh =
+        <LinearRegressionSpec as ModelClassSpec<blinkml_data::SparseVec>>::closed_form_hessian(
+            &lspec,
+            &stheta,
+            &sxm.view(),
+        )
+        .unwrap();
+    let sh_ref = lspec.scalar_closed_form_hessian(&stheta, &sparse).unwrap();
+    assert_bits(sh.as_slice(), sh_ref.as_slice(), "sparse linreg Hessian");
+}
+
+/// Assert two float slices are equal bit for bit.
+fn assert_bits(a: &[f64], b: &[f64], what: &str) {
+    assert_eq!(a.len(), b.len(), "{what}: length");
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        assert_eq!(x.to_bits(), y.to_bits(), "{what}[{i}]: {x} vs {y}");
+    }
 }
 
 #[test]
@@ -236,32 +279,95 @@ fn coordinator_is_bit_identical_across_thread_budgets_with_batching() {
     assert_eq!(a.model.parameters(), b.model.parameters());
 }
 
-#[test]
-fn coordinator_chooses_same_n_as_scalar_path() {
-    // The batched engine must not shift the sample-size decision: same
-    // seed, same data, same chosen n and bit-equal parameters against
-    // the scalar-path wrapper.
-    let (data, _) = synthetic_logistic(15_000, 8, 2.0, 5);
-    let cfg = BlinkMlConfig {
-        epsilon: 0.03,
-        delta: 0.05,
-        initial_sample_size: 500,
-        holdout_size: 1_000,
-        num_param_samples: 32,
-        ..BlinkMlConfig::default()
+/// One spec-level pin: training and `grads` on a gathered pool view and
+/// on a packed capture of the sample `train.sample_view(n, seed)` must
+/// reproduce the per-example oracle on the materialized sample, bit for
+/// bit — the contract the coordinator's zero-copy path relies on.
+/// Iterative classes are trained by the scalar oracle
+/// ([`ScalarTrain`]); closed-form classes (PPCA) by `train` on the
+/// materialized sample, with the recorded objective value pinned to the
+/// oracle's.
+fn assert_views_reproduce_oracle<F, S>(spec: &S, pool: &Dataset<F>, n: usize, seed: u64)
+where
+    F: FeatureVec,
+    S: ModelClassSpec<F> + ScalarOracle<F> + Clone,
+{
+    let opts = OptimOptions::default();
+    let sample = pool.sample(n, seed);
+    let drawn = pool.sample_view(n, seed);
+    let pm = DatasetMatrix::from_dataset(pool);
+    let packed = pm.gather_packed(drawn.indices());
+    let closed_form = spec.name() == "ppca";
+    let reference = if closed_form {
+        spec.train(&sample, None, &opts).unwrap()
+    } else {
+        ScalarTrain(spec.clone())
+            .train(&sample, None, &opts)
+            .unwrap()
     };
-    let batched = Coordinator::new(cfg.clone())
-        .train(&LogisticRegressionSpec::new(1e-3), &data, 17)
-        .unwrap();
-    let scalar = Coordinator::new(cfg)
-        .train(&ScalarTrain(LogisticRegressionSpec::new(1e-3)), &data, 17)
-        .unwrap();
-    assert_eq!(
-        batched.sample_size, scalar.sample_size,
-        "chosen n must match"
+    if closed_form {
+        let (v_ref, _) = spec.scalar_objective(reference.parameters(), &sample);
+        assert_eq!(
+            reference.objective_value.to_bits(),
+            v_ref.to_bits(),
+            "{}: closed-form objective value",
+            spec.name()
+        );
+    }
+    let theta = reference.parameters();
+    let g_ref = spec.scalar_grads(theta, &sample);
+    for budget in [Some(1), Some(4)] {
+        set_max_threads(budget);
+        let views: [(&str, MatrixView); 2] = [
+            ("gathered", pm.gather(drawn.indices())),
+            ("packed", packed.view()),
+        ];
+        for (kind, view) in views {
+            let tag = format!("{} {kind} budget {budget:?}", spec.name());
+            let m = spec.train_view(&view, None, &opts).unwrap();
+            assert_bits(m.parameters(), theta, &format!("{tag}: θ"));
+            assert_eq!(m.iterations, reference.iterations, "{tag}: iterations");
+            assert_eq!(
+                m.objective_value.to_bits(),
+                reference.objective_value.to_bits(),
+                "{tag}: objective value"
+            );
+            let g = spec.grads(theta, &view);
+            assert_eq!(g.num_rows(), n, "{tag}: grads rows");
+            for i in 0..n {
+                assert_bits(
+                    &g.row_dense(i),
+                    &g_ref.row_dense(i),
+                    &format!("{tag}: grads row"),
+                );
+            }
+        }
+    }
+    set_max_threads(None);
+}
+
+#[test]
+fn spec_level_views_reproduce_the_scalar_oracle_for_all_classes() {
+    let (logistic, _) = synthetic_logistic(3_000, 6, 2.0, 41);
+    assert_views_reproduce_oracle(&LogisticRegressionSpec::new(1e-3), &logistic, 700, 1);
+    assert_views_reproduce_oracle(
+        &LogisticRegressionSpec::with_intercept(1e-3),
+        &logistic,
+        700,
+        2,
     );
-    assert_eq!(batched.model.parameters(), scalar.model.parameters());
-    assert_eq!(batched.initial_epsilon, scalar.initial_epsilon);
+    let (poisson, _) = synthetic_poisson(3_000, 5, 42);
+    assert_views_reproduce_oracle(&PoissonRegressionSpec::new(1e-3), &poisson, 600, 3);
+    let (linear, _) = synthetic_linear(3_000, 6, 0.5, 43);
+    assert_views_reproduce_oracle(&LinearRegressionSpec::new(1e-3), &linear, 600, 4);
+    let multiclass = synthetic_multiclass(2_500, 5, 3, 44);
+    assert_views_reproduce_oracle(&MaxEntSpec::new(1e-3, 3), &multiclass, 500, 5);
+    let sparse = yelp_like(1_500, 80, 45);
+    assert_views_reproduce_oracle(&MaxEntSpec::new(1e-3, 5), &sparse, 400, 6);
+    assert_views_reproduce_oracle(&LinearRegressionSpec::new(1e-3), &sparse, 400, 7);
+    let low_rank = low_rank_gaussian(2_000, 8, 3, 0.3, 46);
+    assert_views_reproduce_oracle(&PpcaSpec::new(3), &low_rank, 500, 8);
+    assert_views_reproduce_oracle(&PpcaSpec::new(3), &sparse, 400, 9);
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Cached design-matrix views for the batched training engine.
 //!
-//! `ModelClassSpec::objective` historically walked the sample example by
-//! example — a pointer chase through per-row `Vec` allocations repeated
-//! on every optimizer probe. A [`DatasetMatrix`] captures the sample
+//! A per-example objective walks the sample example by example — a
+//! pointer chase through per-row `Vec` allocations repeated on every
+//! optimizer probe. A [`DatasetMatrix`] captures the sample
 //! **once per `train()` call** as a design-matrix view — borrowed
 //! per-row slices for dense features (zero copy), a CSR triple for
 //! sparse ones — plus a label vector, and exposes the batched passes
@@ -13,8 +13,8 @@
 //! * [`DatasetMatrix::weighted_sum_into`] — `out = Xᵀ·w`, the gradient
 //!   reduction,
 //! * [`DatasetMatrix::value_grad_fold`] — the fused
-//!   margins → loss → gradient sweep behind `value_grad_batched`: each
-//!   fixed-size chunk's rows are streamed once and reused while hot,
+//!   margins → loss → gradient sweep behind `ModelClassSpec::value_grad`:
+//!   each fixed-size chunk's rows are streamed once and reused while hot,
 //!   which is where the batched engine's single-thread win comes from,
 //! * [`DatasetMatrix::weighted_gram`] — `Σ wᵢ·xᵢxᵢᵀ`, the closed-form
 //!   Hessian / second-moment accumulation.
@@ -145,7 +145,6 @@ impl<'a> DatasetMatrix<'a> {
         MatrixView {
             matrix: self,
             indices: None,
-            sample: None,
             limit: None,
         }
     }
@@ -167,7 +166,6 @@ impl<'a> DatasetMatrix<'a> {
         MatrixView {
             matrix: self,
             indices: Some(indices),
-            sample: None,
             limit: None,
         }
     }
@@ -361,10 +359,7 @@ impl<'a> DatasetMatrix<'a> {
         if view.data_bytes() <= PACK_THRESHOLD_BYTES {
             return SampleCapture::Gathered(view);
         }
-        SampleCapture::Packed {
-            matrix: self.pack_rows(indices, scratch),
-            indices,
-        }
+        SampleCapture::Packed(self.pack_rows(indices, scratch))
     }
 
     /// Margin pass `out[i] = xᵢ·w + bias` over the full matrix — see
@@ -426,14 +421,8 @@ pub enum SampleCapture<'m> {
     /// samples).
     Gathered(MatrixView<'m>),
     /// Packed owned matrix (DRAM-resident samples): one bulk copy,
-    /// contiguous probes. The pool indices are kept as the view's
-    /// sample provenance.
-    Packed {
-        /// The packed sample matrix.
-        matrix: DatasetMatrix<'static>,
-        /// The pool indices the rows were packed from.
-        indices: &'m [usize],
-    },
+    /// contiguous probes.
+    Packed(DatasetMatrix<'static>),
 }
 
 impl SampleCapture<'_> {
@@ -441,25 +430,20 @@ impl SampleCapture<'_> {
     pub fn view(&self) -> MatrixView<'_> {
         match self {
             SampleCapture::Gathered(v) => *v,
-            SampleCapture::Packed { matrix, indices } => MatrixView {
-                matrix,
-                indices: None,
-                sample: Some(indices),
-                limit: None,
-            },
+            SampleCapture::Packed(matrix) => matrix.view(),
         }
     }
 
     /// Whether the capture packed the sample into an owned matrix.
     pub fn is_packed(&self) -> bool {
-        matches!(self, SampleCapture::Packed { .. })
+        matches!(self, SampleCapture::Packed(_))
     }
 
     /// Return a packed capture's buffers to `scratch` so the next
     /// [`DatasetMatrix::capture_sample_with`] rewrites warm pages
     /// instead of faulting in fresh ones. A no-op for gathered views.
     pub fn recycle(self, scratch: &mut CaptureScratch) {
-        if let SampleCapture::Packed { matrix: m, .. } = self {
+        if let SampleCapture::Packed(m) = self {
             scratch.labels = m.labels;
             match m.block {
                 DesignBlock::DenseOwned(x) => scratch.dense = x,
@@ -523,11 +507,6 @@ pub struct MatrixView<'m> {
     matrix: &'m DatasetMatrix<'m>,
     /// Storage-level gather list: rows are read through these indices.
     indices: Option<&'m [usize]>,
-    /// Provenance for pre-gathered (packed) storage: the pool indices
-    /// this view's rows were packed from. Lets generic fallbacks
-    /// materialize the right sample even though the storage itself is
-    /// no longer a gather.
-    sample: Option<&'m [usize]>,
     /// Row cap for non-gathered views: `Some(n)` restricts the view to
     /// the matrix's first `n` rows (see [`MatrixView::prefix`]).
     /// Gathered views never set this — prefixing them slices the index
@@ -569,15 +548,6 @@ impl<'m> MatrixView<'m> {
         self.indices.is_some()
     }
 
-    /// The pool indices this view *logically* samples, regardless of
-    /// storage: the gather list for gathered views, the packed-from
-    /// list for packed captures, `None` for a plain full matrix.
-    /// Generic fallbacks use this to materialize the right sample when
-    /// a view arrives paired with the pool dataset.
-    pub fn sample_of(&self) -> Option<&'m [usize]> {
-        self.indices.or(self.sample)
-    }
-
     /// The underlying pool-resident matrix.
     pub fn matrix(&self) -> &'m DatasetMatrix<'m> {
         self.matrix
@@ -606,13 +576,11 @@ impl<'m> MatrixView<'m> {
             Some(idx) => MatrixView {
                 matrix: self.matrix,
                 indices: Some(&idx[..n]),
-                sample: None,
                 limit: None,
             },
             None => MatrixView {
                 matrix: self.matrix,
                 indices: None,
-                sample: self.sample.map(|s| &s[..n]),
                 limit: Some(n),
             },
         }
@@ -1661,16 +1629,10 @@ mod tests {
             let gpre = pool.gather(&idx).prefix(n);
             assert_eq!(gpre.indices(), Some(&idx[..n]));
 
-            // Packed capture: prefix caps the packed matrix and keeps
-            // the sample provenance aligned.
-            let packed = pool.gather_packed(&idx);
-            let pview = SampleCapture::Packed {
-                matrix: packed,
-                indices: &idx,
-            };
+            // Packed capture: prefix caps the packed matrix.
+            let pview = SampleCapture::Packed(pool.gather_packed(&idx));
             let ppre = pview.view().prefix(n);
             assert_eq!(ppre.len(), n);
-            assert_eq!(ppre.sample_of(), Some(&idx[..n]));
             let gexp = pool.gather(&idx[..n]);
             let mut pa = vec![0.0; n];
             let mut pb = vec![0.0; n];

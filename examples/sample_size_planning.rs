@@ -4,7 +4,8 @@
 //!
 //! Run with: `cargo run --release --example sample_size_planning`
 
-use blinkml::core::stats::observed_fisher;
+use blinkml::core::compute_statistics;
+use blinkml::prelude::StatisticsMethod::ObservedFisher;
 use blinkml::prelude::*;
 
 fn main() {
@@ -18,7 +19,8 @@ fn main() {
     let m0 = spec
         .train(&d0, None, &Default::default())
         .expect("initial training failed");
-    let stats = observed_fisher(&spec, m0.parameters(), &d0).expect("statistics failed");
+    let stats =
+        compute_statistics(ObservedFisher, &spec, m0.parameters(), &d0).expect("statistics failed");
 
     println!(
         "planning from one model trained on {n0} of {} rows:\n",

@@ -6,26 +6,38 @@
 
 use blinkml::core::grads::Grads;
 use blinkml::core::mcs::regression_diff;
-use blinkml::linalg::Matrix;
+use blinkml::linalg::{vector, Matrix};
 use blinkml::prelude::*;
-use blinkml_data::{DenseVec, Example};
+use blinkml_data::{DatasetMatrix, DenseVec, Example, MatrixView, TrainScratch};
 use blinkml_prob::rng_from_seed;
 use rand::Rng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Exponential regression with the log link.
 ///
 /// NLL per example: `ℓ(m, y) = y·e^m − m` for rate `λ = e^m`, `m = θᵀx`
 /// (the density is `λ e^{−λy}`, so `−log p = λy − log λ`).
+///
+/// Written per row over the design-matrix view (`xm.dense_row`,
+/// `xm.label`): the spec never sees how the sample is stored.
 struct ExponentialRegressionSpec {
     beta: f64,
+    /// Objective evaluations that arrived as a gathered pool view.
+    gathered_evals: AtomicUsize,
 }
 
 const CLAMP: f64 = 30.0;
 
 impl ExponentialRegressionSpec {
-    fn margin(&self, theta: &[f64], x: &DenseVec) -> f64 {
-        use blinkml_data::FeatureVec;
-        x.dot(theta).clamp(-CLAMP, CLAMP)
+    fn new(beta: f64) -> Self {
+        ExponentialRegressionSpec {
+            beta,
+            gathered_evals: AtomicUsize::new(0),
+        }
+    }
+
+    fn margin(&self, theta: &[f64], x: &[f64]) -> f64 {
+        vector::dot(x, theta).clamp(-CLAMP, CLAMP)
     }
 }
 
@@ -42,21 +54,33 @@ impl ModelClassSpec<DenseVec> for ExponentialRegressionSpec {
         self.beta
     }
 
-    fn objective(&self, theta: &[f64], data: &Dataset<DenseVec>) -> (f64, Vec<f64>) {
-        use blinkml_data::FeatureVec;
-        let d = data.dim();
-        let n = data.len().max(1) as f64;
+    fn value_grad(
+        &self,
+        theta: &[f64],
+        xm: &MatrixView,
+        _scratch: &mut TrainScratch,
+        grad: &mut [f64],
+    ) -> f64 {
+        if xm.is_gathered() {
+            self.gathered_evals.fetch_add(1, Ordering::Relaxed);
+        }
+        let n = xm.len().max(1) as f64;
         let mut value = 0.0;
-        let mut grad = vec![0.0; d];
-        for e in data.iter() {
-            let m = self.margin(theta, &e.x);
+        grad.iter_mut().for_each(|g| *g = 0.0);
+        for i in 0..xm.len() {
+            let x = xm.dense_row(i).expect("dense features");
+            let y = xm.label(i);
+            let m = self.margin(theta, x);
             let rate = m.exp();
-            value += e.y * rate - m;
+            value += y * rate - m;
             // dℓ/dm = y·e^m − 1.
-            e.x.add_scaled_into(e.y * rate - 1.0, &mut grad);
+            let c = y * rate - 1.0;
+            for (g, &xj) in grad.iter_mut().zip(x) {
+                *g += c * xj;
+            }
         }
         value /= n;
-        for g in &mut grad {
+        for g in grad.iter_mut() {
             *g /= n;
         }
         let norm_sq: f64 = theta.iter().map(|t| t * t).sum();
@@ -64,26 +88,27 @@ impl ModelClassSpec<DenseVec> for ExponentialRegressionSpec {
         for (g, t) in grad.iter_mut().zip(theta) {
             *g += self.beta * t;
         }
-        (value, grad)
+        value
     }
 
-    fn grads(&self, theta: &[f64], data: &Dataset<DenseVec>) -> Grads {
-        use blinkml_data::FeatureVec;
-        let d = data.dim();
+    fn grads(&self, theta: &[f64], xm: &MatrixView) -> Grads {
         let shift: Vec<f64> = theta.iter().map(|t| self.beta * t).collect();
-        let mut m = Matrix::zeros(data.len(), d);
-        for (i, e) in data.iter().enumerate() {
-            let margin = self.margin(theta, &e.x);
+        let mut m = Matrix::zeros(xm.len(), xm.dim());
+        for i in 0..xm.len() {
+            let x = xm.dense_row(i).expect("dense features");
+            let c = xm.label(i) * self.margin(theta, x).exp() - 1.0;
             let row = m.row_mut(i);
             row.copy_from_slice(&shift);
-            e.x.add_scaled_into(e.y * margin.exp() - 1.0, row);
+            for (r, &xj) in row.iter_mut().zip(x) {
+                *r += c * xj;
+            }
         }
         Grads::Dense(m)
     }
 
     fn predict(&self, theta: &[f64], x: &DenseVec) -> f64 {
         // Predicted mean of Exp(λ) is 1/λ.
-        (-self.margin(theta, x)).exp()
+        (-self.margin(theta, x.as_slice())).exp()
     }
 
     fn diff(&self, theta_a: &[f64], theta_b: &[f64], holdout: &Dataset<DenseVec>) -> f64 {
@@ -113,7 +138,7 @@ impl ModelClassSpec<DenseVec> for ExponentialRegressionSpec {
     }
 
     fn margins(&self, theta: &[f64], x: &DenseVec, out: &mut [f64]) {
-        out[0] = self.margin(theta, x);
+        out[0] = self.margin(theta, x.as_slice());
     }
 
     fn predict_from_margins(&self, scores: &[f64]) -> f64 {
@@ -123,6 +148,17 @@ impl ModelClassSpec<DenseVec> for ExponentialRegressionSpec {
     fn diff_is_rms(&self) -> bool {
         true
     }
+}
+
+/// `(f(θ), ∇f(θ))` of `spec` over a view.
+fn value_and_grad(
+    spec: &ExponentialRegressionSpec,
+    theta: &[f64],
+    xm: &MatrixView,
+) -> (f64, Vec<f64>) {
+    let mut grad = vec![0.0; theta.len()];
+    let value = spec.value_grad(theta, xm, &mut TrainScratch::new(), &mut grad);
+    (value, grad)
 }
 
 /// Well-specified exponential data with known weights.
@@ -149,9 +185,11 @@ fn exponential_data(n: usize, d: usize, seed: u64) -> (Dataset<DenseVec>, Vec<f6
 #[test]
 fn custom_model_gradient_is_consistent() {
     let (data, _) = exponential_data(300, 4, 1);
-    let spec = ExponentialRegressionSpec { beta: 1e-3 };
+    let xm = DatasetMatrix::from_dataset(&data);
+    let xm = xm.view();
+    let spec = ExponentialRegressionSpec::new(1e-3);
     let theta = vec![0.1, -0.2, 0.3, 0.05];
-    let (_, grad) = spec.objective(&theta, &data);
+    let (_, grad) = value_and_grad(&spec, &theta, &xm);
     // Finite differences.
     let eps = 1e-6;
     for i in 0..4 {
@@ -159,7 +197,8 @@ fn custom_model_gradient_is_consistent() {
         let mut minus = theta.clone();
         plus[i] += eps;
         minus[i] -= eps;
-        let fd = (spec.objective(&plus, &data).0 - spec.objective(&minus, &data).0) / (2.0 * eps);
+        let fd = (value_and_grad(&spec, &plus, &xm).0 - value_and_grad(&spec, &minus, &xm).0)
+            / (2.0 * eps);
         assert!(
             (grad[i] - fd).abs() < 1e-5,
             "coord {i}: {} vs {fd}",
@@ -167,16 +206,56 @@ fn custom_model_gradient_is_consistent() {
         );
     }
     // grads mean equals the objective gradient.
-    let mean = spec.grads(&theta, &data).mean_row();
+    let mean = spec.grads(&theta, &xm).mean_row();
     for (g, m) in grad.iter().zip(&mean) {
         assert!((g - m).abs() < 1e-10);
     }
 }
 
+/// A per-row custom spec sees the same zero-copy sample representations
+/// as the built-in classes: its objective over a gathered pool view and
+/// over a packed capture is bit-equal to the materialized sample's, and
+/// the coordinator serves it gathered views of its pool.
+#[test]
+fn custom_spec_gets_gathered_and_packed_views_bitwise() {
+    let (data, _) = exponential_data(4_000, 5, 6);
+    let spec = ExponentialRegressionSpec::new(1e-3);
+    let theta = vec![0.2, -0.1, 0.05, 0.3, -0.25];
+    let (n, seed) = (900, 11);
+    let sample = data.sample(n, seed);
+    let materialized = DatasetMatrix::from_dataset(&sample);
+    let (v_ref, g_ref) = value_and_grad(&spec, &theta, &materialized.view());
+    let pool = DatasetMatrix::from_dataset(&data);
+    let drawn = data.sample_view(n, seed);
+    let packed = pool.gather_packed(drawn.indices());
+    let gathered = pool.gather(drawn.indices());
+    assert!(gathered.is_gathered());
+    for (kind, view) in [("gathered", gathered), ("packed", packed.view())] {
+        let (v, g) = value_and_grad(&spec, &theta, &view);
+        assert_eq!(v.to_bits(), v_ref.to_bits(), "{kind}: value");
+        for (a, b) in g.iter().zip(&g_ref) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{kind}: gradient");
+        }
+    }
+
+    let config = BlinkMlConfig {
+        epsilon: 0.1,
+        initial_sample_size: 400,
+        holdout_size: 500,
+        num_param_samples: 32,
+        ..BlinkMlConfig::default()
+    };
+    let before = spec.gathered_evals.load(Ordering::Relaxed);
+    Coordinator::new(config).train(&spec, &data, 3).unwrap();
+    assert!(
+        spec.gathered_evals.load(Ordering::Relaxed) > before,
+        "the coordinator trains custom specs on gathered pool views"
+    );
+}
 #[test]
 fn custom_model_trains_and_recovers_truth() {
     let (data, w) = exponential_data(20_000, 4, 2);
-    let spec = ExponentialRegressionSpec { beta: 1e-5 };
+    let spec = ExponentialRegressionSpec::new(1e-5);
     let model = spec.train(&data, None, &Default::default()).unwrap();
     assert!(model.converged);
     for (t, wi) in model.parameters().iter().zip(&w) {
@@ -187,7 +266,7 @@ fn custom_model_trains_and_recovers_truth() {
 #[test]
 fn custom_model_runs_through_the_coordinator() {
     let (data, _) = exponential_data(30_000, 5, 3);
-    let spec = ExponentialRegressionSpec { beta: 1e-3 };
+    let spec = ExponentialRegressionSpec::new(1e-3);
     let config = BlinkMlConfig {
         epsilon: 0.05,
         delta: 0.05,

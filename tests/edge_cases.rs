@@ -1,6 +1,7 @@
 //! Edge-case and failure-injection tests across crate boundaries.
 
-use blinkml::core::stats::observed_fisher;
+use blinkml::core::compute_statistics;
+use blinkml::prelude::StatisticsMethod::ObservedFisher;
 use blinkml::prelude::*;
 use blinkml_data::{DenseVec, Example, SparseVec};
 use blinkml_optim::OptimOptions;
@@ -94,7 +95,7 @@ fn sample_size_estimator_handles_n0_equal_full_n() {
     let n0 = split.train.len(); // initial sample IS the full data
     let sample = split.train.sample(n0, 8);
     let model = spec.train(&sample, None, &OptimOptions::default()).unwrap();
-    let stats = observed_fisher(&spec, model.parameters(), &sample).unwrap();
+    let stats = compute_statistics(ObservedFisher, &spec, model.parameters(), &sample).unwrap();
     let est = SampleSizeEstimator::new(16).estimate(
         &spec,
         model.parameters(),
@@ -129,7 +130,7 @@ fn duplicate_heavy_dataset_works() {
     let spec = LogisticRegressionSpec::new(1e-2);
     let sample = data.sample(1_000, 10);
     let model = spec.train(&sample, None, &OptimOptions::default()).unwrap();
-    let stats = observed_fisher(&spec, model.parameters(), &sample).unwrap();
+    let stats = compute_statistics(ObservedFisher, &spec, model.parameters(), &sample).unwrap();
     let vars = stats.marginal_variances();
     assert!(vars.iter().all(|v| v.is_finite()), "variances: {vars:?}");
 }
@@ -246,19 +247,17 @@ impl ModelClassSpec<blinkml_data::DenseVec> for PanicOnceLinear {
     fn regularization(&self) -> f64 {
         ModelClassSpec::<blinkml_data::DenseVec>::regularization(&self.inner)
     }
-    fn objective(
+    fn value_grad(
         &self,
         theta: &[f64],
-        data: &blinkml::data::Dataset<blinkml_data::DenseVec>,
-    ) -> (f64, Vec<f64>) {
-        self.inner.objective(theta, data)
+        xm: &MatrixView,
+        scratch: &mut blinkml_data::TrainScratch,
+        grad: &mut [f64],
+    ) -> f64 {
+        ModelClassSpec::<blinkml_data::DenseVec>::value_grad(&self.inner, theta, xm, scratch, grad)
     }
-    fn grads(
-        &self,
-        theta: &[f64],
-        data: &blinkml::data::Dataset<blinkml_data::DenseVec>,
-    ) -> blinkml::core::grads::Grads {
-        self.inner.grads(theta, data)
+    fn grads(&self, theta: &[f64], xm: &MatrixView) -> blinkml::core::grads::Grads {
+        ModelClassSpec::<blinkml_data::DenseVec>::grads(&self.inner, theta, xm)
     }
     fn predict(&self, theta: &[f64], x: &blinkml_data::DenseVec) -> f64 {
         self.inner.predict(theta, x)
@@ -278,28 +277,16 @@ impl ModelClassSpec<blinkml_data::DenseVec> for PanicOnceLinear {
     ) -> f64 {
         self.inner.generalization_error(theta, data)
     }
-    fn train(
+    fn train_view(
         &self,
-        data: &blinkml::data::Dataset<blinkml_data::DenseVec>,
+        xm: &MatrixView,
         warm_start: Option<&[f64]>,
         options: &OptimOptions,
     ) -> Result<TrainedModel, blinkml::core::CoreError> {
         if !self.tripped.swap(true, std::sync::atomic::Ordering::SeqCst) {
             panic!("injected mid-train panic");
         }
-        self.inner.train(data, warm_start, options)
-    }
-    fn train_with_matrix(
-        &self,
-        data: &blinkml::data::Dataset<blinkml_data::DenseVec>,
-        xm: Option<&blinkml::data::MatrixView>,
-        warm_start: Option<&[f64]>,
-        options: &OptimOptions,
-    ) -> Result<TrainedModel, blinkml::core::CoreError> {
-        if !self.tripped.swap(true, std::sync::atomic::Ordering::SeqCst) {
-            panic!("injected mid-train panic");
-        }
-        self.inner.train_with_matrix(data, xm, warm_start, options)
+        ModelClassSpec::<blinkml_data::DenseVec>::train_view(&self.inner, xm, warm_start, options)
     }
 }
 
