@@ -11,7 +11,7 @@ use crate::config::BlinkMlConfig;
 use crate::diff_engine::HoldoutScorer;
 use crate::error::CoreError;
 use crate::mcs::{ModelClassSpec, TrainedModel};
-use crate::sample_size::SampleSizeEstimator;
+use crate::sample_size::{PreparedSearch, SampleSizeEstimator};
 use crate::serve::resilience::{relaxed_sample_size, CancelToken, DegradationRung, Pressure};
 use crate::stats::{compute_statistics_view, ModelStatistics};
 use blinkml_data::{CaptureScratch, Dataset, DatasetMatrix, FeatureVec};
@@ -285,7 +285,7 @@ impl RunControl {
 }
 
 /// Outcome of the degradation-aware decision stage.
-pub(crate) enum ControlledDecision {
+pub(crate) enum ControlledDecision<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> {
     /// `ε₀ ≤ ε`: return the initial model (a full-rung outcome).
     InitialSatisfies {
         /// Accuracy estimate of the initial model.
@@ -307,6 +307,9 @@ pub(crate) enum ControlledDecision {
         n: usize,
         /// Binary-search probes used.
         probes: usize,
+        /// The search's scored draw pools, kept so a relaxed final
+        /// size's curve ε reuses them.
+        search: PreparedSearch<'a, F, S>,
     },
 }
 
@@ -332,7 +335,9 @@ pub(crate) fn decide<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
         &RunControl::unbounded(),
     ) {
         ControlledDecision::InitialSatisfies { eps0 } => Decision::InitialSatisfies { eps0 },
-        ControlledDecision::Train { eps0, n, probes } => Decision::Train { eps0, n, probes },
+        ControlledDecision::Train {
+            eps0, n, probes, ..
+        } => Decision::Train { eps0, n, probes },
         ControlledDecision::DegradeToPilot { .. } => {
             unreachable!("an unbounded control never degrades")
         }
@@ -343,15 +348,15 @@ pub(crate) fn decide<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
 /// completes (it is what makes the pilot rung *honest*), then the shed
 /// lane or an expired token short-circuits to the pilot, and the
 /// binary search itself polls the token before every probe.
-pub(crate) fn decide_controlled<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
+pub(crate) fn decide_controlled<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     config: &BlinkMlConfig,
-    scorer: &HoldoutScorer<'_, F, S>,
+    scorer: &HoldoutScorer<'a, F, S>,
     stats: &crate::stats::ModelStatistics,
     n0: usize,
     full_n: usize,
     seed: u64,
     control: &RunControl,
-) -> ControlledDecision {
+) -> ControlledDecision<'a, F, S> {
     let accuracy = ModelAccuracyEstimator::new(config.num_param_samples);
     let eps0 =
         accuracy.estimate_scored(scorer, stats, n0, full_n, config.delta, split_seed(seed, 1));
@@ -362,36 +367,24 @@ pub(crate) fn decide_controlled<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     if control.pilot_only || expired() {
         return ControlledDecision::DegradeToPilot { eps0, probes: 0 };
     }
-    let sse = SampleSizeEstimator::new(config.num_param_samples);
+    let search = SampleSizeEstimator::new(config.num_param_samples).prepare(
+        scorer,
+        stats,
+        n0,
+        full_n,
+        config.delta,
+        split_seed(seed, 2),
+    );
     let est = match &control.cancel {
-        Some(token) => {
-            let stop = || token.expired();
-            sse.estimate_scored_stoppable(
-                scorer,
-                stats,
-                n0,
-                full_n,
-                config.epsilon,
-                config.delta,
-                split_seed(seed, 2),
-                Some(&stop),
-            )
-        }
-        None => Some(sse.estimate_scored(
-            scorer,
-            stats,
-            n0,
-            full_n,
-            config.epsilon,
-            config.delta,
-            split_seed(seed, 2),
-        )),
+        Some(token) => search.search(config.epsilon, Some(&|| token.expired())),
+        None => search.search(config.epsilon, None),
     };
     match est {
         Some(est) => ControlledDecision::Train {
             eps0,
             n: est.n,
             probes: est.probes,
+            search,
         },
         None => ControlledDecision::DegradeToPilot { eps0, probes: 0 },
     }
@@ -719,7 +712,7 @@ pub(crate) fn run_train_controlled<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>
     let scorer = HoldoutScorer::new(spec, holdout, m0.parameters());
     let decision = decide_controlled(config, &scorer, stats, n0, full_n, seed, control);
     phases.sample_size_search = t.elapsed();
-    let (eps0, est_n, probes) = match decision {
+    let (eps0, est_n, probes, search) = match decision {
         ControlledDecision::InitialSatisfies { eps0 } => {
             let cached = pilot_state(&m0, &stats0);
             return Ok((
@@ -745,7 +738,12 @@ pub(crate) fn run_train_controlled<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>
                 DegradationRung::Pilot,
             ));
         }
-        ControlledDecision::Train { eps0, n, probes } => (eps0, n, probes),
+        ControlledDecision::Train {
+            eps0,
+            n,
+            probes,
+            search,
+        } => (eps0, n, probes, search),
     };
 
     // Checkpoint: the final-train boundary — the last point where the
@@ -768,19 +766,10 @@ pub(crate) fn run_train_controlled<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>
                 let n_relaxed = relaxed_sample_size(n0, est_n, control.relax_fraction);
                 if n_relaxed < est_n {
                     // The achieved guarantee for the relaxed size, from
-                    // the search's own sub-seed and draw pools — the
-                    // exact value a cold coordinator computes for this
-                    // curve point.
-                    let sse = SampleSizeEstimator::new(config.num_param_samples);
-                    relaxed_eps = Some(sse.epsilon_at_scored(
-                        &scorer,
-                        stats,
-                        n0,
-                        n_relaxed,
-                        full_n,
-                        config.delta,
-                        split_seed(seed, 2),
-                    ));
+                    // the search's own scored draw pools — the exact
+                    // value a cold coordinator computes for this curve
+                    // point.
+                    relaxed_eps = Some(search.epsilon_at(n_relaxed));
                     final_n = n_relaxed;
                     rung = DegradationRung::RelaxedFinal;
                 }
@@ -788,6 +777,8 @@ pub(crate) fn run_train_controlled<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>
             Pressure::None => {}
         }
     }
+    // The search's scored pools are not needed past the checkpoint.
+    drop(search);
 
     // Phase 4: final model, warm-started from θ₀, gathered from the
     // same pool matrix; the optional closing statistics pass reuses the

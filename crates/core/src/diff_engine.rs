@@ -17,13 +17,18 @@
 //! keep the per-example path; models without margins (PPCA) fall back to
 //! materializing parameter vectors and calling the spec's own `diff`.
 //!
+//! Evaluation is batched per draw: the engine hands each draw's score
+//! slices to the spec's kernel, [`ModelClassSpec::margin_diff_sum`],
+//! once, and [`DiffEngine::two_stage_within`] lets that kernel stop as
+//! soon as the draw's `v ≤ ε` verdict is settled.
+//!
 //! The **base** score matrix (of `θ_base`) depends on neither the draw
 //! pools nor the contract, so a [`HoldoutScorer`] computes it **once
 //! per coordinator run** and shares it (reference-counted) between the
 //! accuracy estimator's engine and the sample-size estimator's engine —
 //! previously the same spec/θ₀/holdout scores were constructed twice.
 
-use crate::mcs::ModelClassSpec;
+use crate::mcs::{DrawScores, ModelClassSpec};
 use crate::stats::ModelStatistics;
 use blinkml_data::parallel::par_ranges;
 use blinkml_data::{Dataset, FeatureVec};
@@ -53,8 +58,8 @@ enum Mode<'a> {
     /// Generic fallback over raw parameter vectors.
     Generic {
         base: &'a [f64],
-        pool_u: &'a [Vec<f64>],
-        pool_w: &'a [Vec<f64>],
+        pool_u: Vec<Vec<f64>>,
+        pool_w: Vec<Vec<f64>>,
     },
 }
 
@@ -184,11 +189,10 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> HoldoutScorer<'a, F, S> {
     /// Derive an engine for the given perturbation pools, reusing the
     /// base scores. Pools are scored exactly as [`DiffEngine::new`]
     /// scores them (same GEMM kernels, same chunking), so engines built
-    /// here are bit-identical to standalone engines.
-    pub fn engine<'b>(&self, pool_u: &'b [Vec<f64>], pool_w: &'b [Vec<f64>]) -> DiffEngine<'b, F, S>
-    where
-        'a: 'b,
-    {
+    /// here are bit-identical to standalone engines. The engine keeps
+    /// no borrow of the pools: margin engines keep their scores, generic
+    /// engines a copy of the pools.
+    pub fn engine(&self, pool_u: &[Vec<f64>], pool_w: &[Vec<f64>]) -> DiffEngine<'a, F, S> {
         let mode = match &self.base {
             Some(b) => {
                 let dim = self.holdout.dim();
@@ -250,8 +254,8 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> HoldoutScorer<'a, F, S> {
             }
             None => Mode::Generic {
                 base: self.theta_base,
-                pool_u,
-                pool_w,
+                pool_u: pool_u.to_vec(),
+                pool_w: pool_w.to_vec(),
             },
         };
         DiffEngine {
@@ -356,8 +360,8 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> DiffEngine<'a, F, S> {
         spec: &'a S,
         holdout: &'a Dataset<F>,
         theta_base: &'a [f64],
-        pool_u: &'a [Vec<f64>],
-        pool_w: &'a [Vec<f64>],
+        pool_u: &[Vec<f64>],
+        pool_w: &[Vec<f64>],
     ) -> Self {
         HoldoutScorer::new(spec, holdout, theta_base).engine(pool_u, pool_w)
     }
@@ -374,22 +378,7 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> DiffEngine<'a, F, S> {
     /// form (Corollary 1: `θ̂_N | θ_n`).
     pub fn diff_one_stage(&self, i: usize, scale: f64) -> f64 {
         match &self.mode {
-            Mode::Margins {
-                outputs,
-                rms,
-                base,
-                pool_u,
-                ..
-            } => {
-                let u = &pool_u[i];
-                self.margin_diff(*outputs, *rms, |j, a, b| {
-                    for t in 0..*outputs {
-                        let s = base[j * outputs + t];
-                        a[t] = s;
-                        b[t] = s + scale * u[j * outputs + t];
-                    }
-                })
-            }
+            Mode::Margins { .. } => self.finish(self.kernel(i, scale, None, f64::INFINITY)),
             Mode::Generic { base, pool_u, .. } => {
                 let u = &pool_u[i];
                 let other: Vec<f64> = base.iter().zip(u).map(|(b, ui)| b + scale * ui).collect();
@@ -402,24 +391,21 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> DiffEngine<'a, F, S> {
     /// `θ_N,i = θ_n,i + scale2·w_i` — the sample-size-estimator form
     /// (two-stage sampling, paper §4.1).
     pub fn diff_two_stage(&self, i: usize, scale1: f64, scale2: f64) -> f64 {
+        self.two_stage(i, scale1, scale2, f64::INFINITY)
+    }
+
+    /// The test `diff_two_stage(i, scale1, scale2) ≤ ε` for the `ε` of
+    /// `bound`, deciding it from as few holdout rows as the kernel needs
+    /// (same verdict as the full value).
+    pub fn two_stage_within(&self, i: usize, scale1: f64, scale2: f64, bound: &DiffBound) -> bool {
+        self.two_stage(i, scale1, scale2, bound.stop) <= bound.epsilon
+    }
+
+    /// The two-stage diff; a margin kernel may stop once its sum
+    /// exceeds `stop`, returning a value past the bound it failed.
+    fn two_stage(&self, i: usize, scale1: f64, scale2: f64, stop: f64) -> f64 {
         match &self.mode {
-            Mode::Margins {
-                outputs,
-                rms,
-                base,
-                pool_u,
-                pool_w,
-            } => {
-                let u = &pool_u[i];
-                let w = &pool_w[i];
-                self.margin_diff(*outputs, *rms, |j, a, b| {
-                    for t in 0..*outputs {
-                        let sn = base[j * outputs + t] + scale1 * u[j * outputs + t];
-                        a[t] = sn;
-                        b[t] = sn + scale2 * w[j * outputs + t];
-                    }
-                })
-            }
+            Mode::Margins { .. } => self.finish(self.kernel(i, scale1, Some(scale2), stop)),
             Mode::Generic {
                 base,
                 pool_u,
@@ -438,40 +424,79 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> DiffEngine<'a, F, S> {
         }
     }
 
-    /// Shared margin-difference loop: `fill(j, a, b)` writes the two
-    /// score vectors for holdout example `j`.
-    fn margin_diff(
-        &self,
-        outputs: usize,
-        rms: bool,
-        fill: impl Fn(usize, &mut [f64], &mut [f64]),
-    ) -> f64 {
+    /// The acceptance test `v ≤ epsilon` with the kernel's stop
+    /// threshold: the largest kernel sum whose `v` still passes. The
+    /// sum only grows along the holdout and `v` is monotone in it
+    /// (`sum / h`, `√(sum / h)`, each correctly rounded), so once a
+    /// partial sum exceeds the threshold the full `v` fails too.
+    pub fn bound(&self, epsilon: f64) -> DiffBound {
+        let passes = |sum: f64| self.finish(sum) <= epsilon;
+        let stop = if !passes(0.0) {
+            f64::NEG_INFINITY
+        } else if passes(f64::INFINITY) {
+            f64::INFINITY
+        } else {
+            // Nonnegative floats order like their bit patterns: bisect
+            // for the last passing one.
+            let (mut lo, mut hi) = (0u64, f64::INFINITY.to_bits());
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if passes(f64::from_bits(mid)) {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            f64::from_bits(lo)
+        };
+        DiffBound { epsilon, stop }
+    }
+
+    /// One call of the spec's batched kernel on draw `i` (margin mode).
+    fn kernel(&self, i: usize, scale_u: f64, scale_w: Option<f64>, stop: f64) -> f64 {
+        let Mode::Margins {
+            outputs,
+            base,
+            pool_u,
+            pool_w,
+            ..
+        } = &self.mode
+        else {
+            unreachable!("kernel() on a generic engine");
+        };
+        self.spec.margin_diff_sum(
+            DrawScores {
+                base,
+                u: &pool_u[i],
+                scale_u,
+                w: scale_w.map(|s| (pool_w[i].as_slice(), s)),
+                outputs: *outputs,
+            },
+            stop,
+        )
+    }
+
+    /// `v` from a kernel sum: the disagreement rate, or the RMS gap.
+    fn finish(&self, sum: f64) -> f64 {
         let h = self.holdout.len();
         if h == 0 {
             return 0.0;
         }
-        let mut a = vec![0.0; outputs];
-        let mut b = vec![0.0; outputs];
-        if rms {
-            let mut sum_sq = 0.0;
-            for j in 0..h {
-                fill(j, &mut a, &mut b);
-                let pa = self.spec.predict_from_margins(&a);
-                let pb = self.spec.predict_from_margins(&b);
-                sum_sq += (pa - pb) * (pa - pb);
-            }
-            (sum_sq / h as f64).sqrt()
+        let rate = sum / h as f64;
+        if matches!(self.mode, Mode::Margins { rms: true, .. }) {
+            rate.sqrt()
         } else {
-            let mut disagree = 0usize;
-            for j in 0..h {
-                fill(j, &mut a, &mut b);
-                if self.spec.predict_from_margins(&a) != self.spec.predict_from_margins(&b) {
-                    disagree += 1;
-                }
-            }
-            disagree as f64 / h as f64
+            rate
         }
     }
+}
+
+/// A per-draw acceptance test `v ≤ ε` prepared by [`DiffEngine::bound`].
+#[derive(Debug, Clone, Copy)]
+pub struct DiffBound {
+    epsilon: f64,
+    /// Kernel stop threshold: the largest sum whose `v` passes.
+    stop: f64,
 }
 
 #[cfg(test)]
@@ -687,5 +712,127 @@ mod tests {
         let pool = vec![vec![1.0, 0.0, 0.0]; 7];
         let engine = DiffEngine::new(&spec, &holdout, &base, &pool, &[]);
         assert_eq!(engine.pool_size(), 7);
+    }
+
+    /// A two-feature holdout `x_j = (1, q_j)`: with `θ_base = (1, 0)`
+    /// and a pool draw `(0, 1)` the base scores are exactly 1 and the
+    /// draw's scores exactly `q_j`.
+    fn probe_holdout(q: &[f64]) -> Dataset<blinkml_data::DenseVec> {
+        let rows = q
+            .iter()
+            .map(|&q| blinkml_data::Example {
+                x: blinkml_data::DenseVec::new(vec![1.0, q]),
+                y: 0.0,
+            })
+            .collect();
+        Dataset::new("probe", 2, rows)
+    }
+
+    fn next_down(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() - 1)
+    }
+
+    /// `c/h == ε` exactly (h = 2000, ε = 0.02, c = 40) passes and
+    /// c = 41 fails, with and without the early exit.
+    #[test]
+    fn count_exactly_on_the_boundary_keeps_its_verdict() {
+        let spec = LogisticRegressionSpec::new(0.0);
+        let base = [1.0, 0.0];
+        let pool = vec![vec![0.0, 1.0]];
+        for (c, pass) in [(40, true), (41, false), (39, true)] {
+            let q: Vec<f64> = (0..2000).map(|j| if j < c { -2.0 } else { 0.0 }).collect();
+            let holdout = probe_holdout(&q);
+            let engine = DiffEngine::new(&spec, &holdout, &base, &pool, &pool);
+            let full = engine.diff_two_stage(0, 0.0, 1.0);
+            assert_eq!(full, c as f64 / 2000.0);
+            assert_eq!(full <= 0.02, pass, "c = {c}");
+            assert_eq!(
+                engine.two_stage_within(0, 0.0, 1.0, &engine.bound(0.02)),
+                pass,
+                "c = {c}"
+            );
+            assert_eq!(engine.bound(0.02).stop, 40.0);
+        }
+    }
+
+    /// The RMS form at its own boundary: ε equal to the full value
+    /// passes, one ulp below fails, also when the early exit stops in
+    /// the first block.
+    #[test]
+    fn sum_of_squares_on_the_boundary_keeps_its_verdict() {
+        let spec = LinearRegressionSpec::new(0.0);
+        let base = [1.0, 0.0, 0.0];
+        let pool = vec![vec![0.0, 1.0, 0.0]];
+        // Large gaps first, so a tight ε stops in the first block.
+        let q: Vec<f64> = (0..2000)
+            .map(|j| if j < 10 { 3.0 } else { 0.01 * (j % 7) as f64 })
+            .collect();
+        let holdout = probe_holdout(&q);
+        let engine = DiffEngine::new(&spec, &holdout, &base, &pool, &pool);
+        let full = engine.diff_two_stage(0, 0.0, 1.0);
+        for (epsilon, pass) in [(full, true), (next_down(full), false), (0.05, false)] {
+            let bound = engine.bound(epsilon);
+            assert_eq!(
+                engine.two_stage_within(0, 0.0, 1.0, &bound),
+                pass,
+                "ε = {epsilon} vs {full}"
+            );
+            let sum = engine.kernel(0, 0.0, Some(1.0), bound.stop);
+            if pass {
+                assert_eq!(engine.finish(sum).to_bits(), full.to_bits());
+            } else {
+                assert!(sum > bound.stop);
+            }
+        }
+        // ε = 0.05 is settled by the first block's ten gaps of 3.
+        let stopped = engine.kernel(0, 0.0, Some(1.0), engine.bound(0.05).stop);
+        assert_eq!(stopped, engine.kernel(0, 0.0, Some(1.0), 0.0));
+        assert!(stopped < engine.kernel(0, 0.0, Some(1.0), f64::INFINITY));
+    }
+
+    /// The kernel of `spec` returns the default per-row loop's sum (the
+    /// loop `NoBatch` keeps) for one- and two-stage draws at several
+    /// scales.
+    fn assert_kernel_matches_loop<S>(spec: S, base: &[f64], u: &[f64], outputs: usize)
+    where
+        S: ModelClassSpec<blinkml_data::DenseVec> + Clone,
+    {
+        use crate::testing::NoBatch;
+        type M = blinkml_data::DenseVec;
+        let oracle = NoBatch(spec.clone());
+        for w in [None, Some((u, 0.5)), Some((u, 1.0))] {
+            for scale in [0.0, 1.0, -1.0] {
+                let scores = DrawScores {
+                    base,
+                    u,
+                    scale_u: scale,
+                    w,
+                    outputs,
+                };
+                let fast = ModelClassSpec::<M>::margin_diff_sum(&spec, scores, f64::INFINITY);
+                let slow = ModelClassSpec::<M>::margin_diff_sum(&oracle, scores, f64::INFINITY);
+                assert_eq!(fast.to_bits(), slow.to_bits(), "scale {scale}, w {w:?}");
+            }
+        }
+    }
+
+    /// `+0.0` and `−0.0` margins predict the same class (`m > 0` is
+    /// false for both).
+    #[test]
+    fn signed_zero_margins_agree_with_the_per_row_loop() {
+        let base = [0.0, -0.0, 0.0, -0.0, 1e-300, -1e-300];
+        let u = [-0.0, 0.0, 0.0, -0.0, -1e-300, 1e-300];
+        assert_kernel_matches_loop(LogisticRegressionSpec::new(0.0), &base, &u, 1);
+    }
+
+    /// Max-entropy ties resolve to the lowest class index.
+    #[test]
+    fn maxent_ties_agree_with_the_per_row_loop() {
+        // Row 0 ties all three classes, row 1 ties classes 1 and 2; the
+        // perturbation ties row 2 at classes 0 and 2 and breaks row 0.
+        let base = [1.0, 1.0, 1.0, 0.0, 2.0, 2.0, 3.0, -1.0, 2.0];
+        let u = [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0];
+        let spec = crate::models::maxent::MaxEntSpec::new(1e-3, 3);
+        assert_kernel_matches_loop(spec, &base, &u, 3);
     }
 }

@@ -59,7 +59,7 @@ pub use config::{
 };
 pub use coordinator::{Coordinator, TrainingOutcome, TrainingPhaseTimes};
 pub use error::CoreError;
-pub use mcs::{ModelClassSpec, SweepEval, TrainedModel};
+pub use mcs::{DrawScores, ModelClassSpec, SweepEval, TrainedModel};
 pub use moments::IncrementalSecondMoment;
 pub use sample_size::{SampleSizeEstimate, SampleSizeEstimator};
 pub use serve::resilience::{CancelToken, DegradationRung, Pressure};

@@ -101,6 +101,155 @@ impl<'r> SweepEval<'r> {
     }
 }
 
+/// One parameter draw's holdout scores, the input of
+/// [`ModelClassSpec::margin_diff_sum`]. Every slice is a flattened
+/// `rows × outputs` score matrix (row-major). Holdout row `j` compares
+/// two score vectors `a_j` and `b_j`:
+///
+/// - one-stage (`w = None`): `a = base` and `b = base + scale_u·u`;
+/// - two-stage (`w = Some((w, scale_w))`): `a = base + scale_u·u` and
+///   `b = a + scale_w·w`.
+#[derive(Debug, Clone, Copy)]
+pub struct DrawScores<'s> {
+    /// Scores of the base parameter vector.
+    pub base: &'s [f64],
+    /// Scores of the first-stage perturbation `u_i`.
+    pub u: &'s [f64],
+    /// Scale applied to `u`.
+    pub scale_u: f64,
+    /// Scores of the second-stage perturbation `w_i` and its scale.
+    pub w: Option<(&'s [f64], f64)>,
+    /// Score outputs per row ([`ModelClassSpec::num_margin_outputs`]).
+    pub outputs: usize,
+}
+
+/// Rows per block of the blocked difference loops: a kernel checks its
+/// stop threshold once per block.
+const STOP_BLOCK: usize = 256;
+
+impl DrawScores<'_> {
+    /// Number of holdout rows.
+    pub fn rows(&self) -> usize {
+        self.base.len().checked_div(self.outputs).unwrap_or(0)
+    }
+
+    /// Write the compared score rows `a_j`, `b_j` of rows `first..` into
+    /// `a` and `b` (as many rows as `a.len() / outputs`).
+    pub(crate) fn fill(&self, first: usize, a: &mut [f64], b: &mut [f64]) {
+        let start = first * self.outputs;
+        let end = start + a.len();
+        let (base, u) = (&self.base[start..end], &self.u[start..end]);
+        let b = &mut b[..a.len()];
+        match self.w {
+            None => {
+                for (((a, b), &s), &u) in a.iter_mut().zip(b).zip(base).zip(u) {
+                    *a = s;
+                    *b = s + self.scale_u * u;
+                }
+            }
+            Some((w, scale_w)) => {
+                let w = &w[start..end];
+                for ((((a, b), &s), &u), &w) in a.iter_mut().zip(b).zip(base).zip(u).zip(w) {
+                    let sn = s + self.scale_u * u;
+                    *a = sn;
+                    *b = sn + scale_w * w;
+                }
+            }
+        }
+    }
+
+    /// Fold `block(acc, a, b)` over the compared score rows in blocks of
+    /// up to 256 rows, in row order, stopping after the first block
+    /// that leaves `acc > stop`: the blocked loop behind multi-output
+    /// [`ModelClassSpec::margin_diff_sum`] overrides.
+    pub(crate) fn fold_blocks(
+        &self,
+        stop: f64,
+        mut block: impl FnMut(f64, &[f64], &[f64]) -> f64,
+    ) -> f64 {
+        let rows = self.rows();
+        let len = STOP_BLOCK.min(rows) * self.outputs;
+        let (mut a, mut b) = (vec![0.0; len], vec![0.0; len]);
+        let mut acc = 0.0;
+        for first in (0..rows).step_by(STOP_BLOCK) {
+            let len = STOP_BLOCK.min(rows - first) * self.outputs;
+            let (a, b) = (&mut a[..len], &mut b[..len]);
+            self.fill(first, a, b);
+            acc = block(acc, a, b);
+            if acc > stop {
+                break;
+            }
+        }
+        acc
+    }
+
+    /// [`ModelClassSpec::margin_diff_sum`] for a discrete single-output
+    /// predictor: the number of rows where `differ(a_j, b_j)`.
+    pub(crate) fn count_single(&self, stop: f64, differ: impl Fn(f64, f64) -> bool) -> f64 {
+        debug_assert_eq!(self.outputs, 1);
+        let rows = self.rows();
+        let su = self.scale_u;
+        let mut count = 0usize;
+        for first in (0..rows).step_by(STOP_BLOCK) {
+            let end = rows.min(first + STOP_BLOCK);
+            let (base, u) = (&self.base[first..end], &self.u[first..end]);
+            count += match self.w {
+                None => base
+                    .iter()
+                    .zip(u)
+                    .map(|(&s, &u)| differ(s, s + su * u) as usize)
+                    .sum::<usize>(),
+                Some((w, sw)) => base
+                    .iter()
+                    .zip(u)
+                    .zip(&w[first..end])
+                    .map(|((&s, &u), &w)| {
+                        let a = s + su * u;
+                        differ(a, a + sw * w) as usize
+                    })
+                    .sum::<usize>(),
+            };
+            if count as f64 > stop {
+                break;
+            }
+        }
+        count as f64
+    }
+
+    /// [`ModelClassSpec::margin_diff_sum`] for a real-valued
+    /// single-output predictor: `Σ (predict(a_j) − predict(b_j))²`,
+    /// summed sequentially in row order.
+    pub(crate) fn sum_sq_single(&self, stop: f64, predict: impl Fn(f64) -> f64) -> f64 {
+        debug_assert_eq!(self.outputs, 1);
+        let rows = self.rows();
+        let su = self.scale_u;
+        let mut sum_sq = 0.0;
+        for first in (0..rows).step_by(STOP_BLOCK) {
+            let end = rows.min(first + STOP_BLOCK);
+            let (base, u) = (&self.base[first..end], &self.u[first..end]);
+            match self.w {
+                None => {
+                    for (&s, &u) in base.iter().zip(u) {
+                        let d = predict(s) - predict(s + su * u);
+                        sum_sq += d * d;
+                    }
+                }
+                Some((w, sw)) => {
+                    for ((&s, &u), &w) in base.iter().zip(u).zip(&w[first..end]) {
+                        let a = s + su * u;
+                        let d = predict(a) - predict(a + sw * w);
+                        sum_sq += d * d;
+                    }
+                }
+            }
+            if sum_sq > stop {
+                break;
+            }
+        }
+        sum_sq
+    }
+}
+
 /// What a model's prediction is computed from, for the fast-diff path.
 ///
 /// Every GLM in the paper predicts through per-output linear scores
@@ -252,6 +401,45 @@ pub trait ModelClassSpec<F: FeatureVec>: Send + Sync {
     /// discrete ones (disagreement rate). Drives the fast-diff math.
     fn diff_is_rms(&self) -> bool {
         false
+    }
+
+    /// The batched difference kernel over one draw's holdout scores: the
+    /// number of rows whose predictions from `a_j` and `b_j` (see
+    /// [`DrawScores`]) disagree, or, when [`Self::diff_is_rms`], the sum
+    /// of their squared prediction gaps, added in row order. The engine
+    /// turns it into `v` (`sum / h`, or `√(sum / h)`).
+    ///
+    /// `stop` lets a caller that only needs a verdict skip the rest of
+    /// the holdout: an implementation may return early, with its partial
+    /// sum, once that sum exceeds `stop` (pass `f64::INFINITY` for the
+    /// full value). Both sums only grow, so the partial sum decides any
+    /// test the full one fails. Overrides must return exactly what this
+    /// default loop returns whenever they do not stop early. The default
+    /// calls [`Self::predict_from_margins`] twice per row and never
+    /// stops early. Only called when margins are supported.
+    fn margin_diff_sum(&self, scores: DrawScores<'_>, _stop: f64) -> f64 {
+        let outputs = scores.outputs;
+        let mut a = vec![0.0; outputs];
+        let mut b = vec![0.0; outputs];
+        if self.diff_is_rms() {
+            let mut sum_sq = 0.0;
+            for j in 0..scores.rows() {
+                scores.fill(j, &mut a, &mut b);
+                let pa = self.predict_from_margins(&a);
+                let pb = self.predict_from_margins(&b);
+                sum_sq += (pa - pb) * (pa - pb);
+            }
+            sum_sq
+        } else {
+            let mut disagree = 0usize;
+            for j in 0..scores.rows() {
+                scores.fill(j, &mut a, &mut b);
+                if self.predict_from_margins(&a) != self.predict_from_margins(&b) {
+                    disagree += 1;
+                }
+            }
+            disagree as f64
+        }
     }
 
     /// Train on `data`, optionally warm-starting from a previous

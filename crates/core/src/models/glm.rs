@@ -28,7 +28,7 @@
 //! ([`ScalarOracle::scalar_objective`]) at any thread budget.
 
 use crate::grads::Grads;
-use crate::mcs::{classification_diff, regression_diff, ModelClassSpec, SweepEval};
+use crate::mcs::{classification_diff, regression_diff, DrawScores, ModelClassSpec, SweepEval};
 use crate::testing::ScalarOracle;
 use blinkml_data::parallel::{par_ranges, par_sum_vecs};
 use blinkml_data::{
@@ -447,6 +447,14 @@ impl<Fam: GlmFamily, F: FeatureVec> ModelClassSpec<F> for GlmSpec<Fam> {
 
     fn diff_is_rms(&self) -> bool {
         Fam::RMS_DIFF
+    }
+
+    fn margin_diff_sum(&self, scores: DrawScores<'_>, stop: f64) -> f64 {
+        if Fam::RMS_DIFF {
+            scores.sum_sq_single(stop, Fam::predict)
+        } else {
+            scores.count_single(stop, |a, b| Fam::predict(a) != Fam::predict(b))
+        }
     }
 }
 

@@ -14,7 +14,7 @@
 //! the `w` block only.
 
 use crate::grads::Grads;
-use crate::mcs::{regression_diff, ModelClassSpec, SweepEval};
+use crate::mcs::{regression_diff, DrawScores, ModelClassSpec, SweepEval};
 use crate::models::dense_row;
 use crate::testing::ScalarOracle;
 use blinkml_data::parallel::par_sum_vecs;
@@ -296,6 +296,10 @@ impl<F: FeatureVec> ModelClassSpec<F> for LinearRegressionSpec {
 
     fn diff_is_rms(&self) -> bool {
         true
+    }
+
+    fn margin_diff_sum(&self, scores: DrawScores<'_>, stop: f64) -> f64 {
+        scores.sum_sq_single(stop, |m| m)
     }
 }
 

@@ -1,7 +1,7 @@
 //! Max-entropy (multinomial softmax) classifier.
 
 use crate::grads::Grads;
-use crate::mcs::{classification_diff, ModelClassSpec};
+use crate::mcs::{classification_diff, DrawScores, ModelClassSpec};
 use crate::testing::ScalarOracle;
 use blinkml_data::parallel::{par_ranges, par_sum_vecs, CHUNK_SIZE};
 use blinkml_data::{Dataset, FeatureVec, MatrixView, SparseVec, TrainScratch};
@@ -64,6 +64,7 @@ fn log_sum_exp(scores: &[f64]) -> f64 {
 }
 
 /// Index of the maximum score (lowest index wins ties).
+#[inline]
 fn argmax(scores: &[f64]) -> usize {
     let mut best = 0;
     for (i, &s) in scores.iter().enumerate().skip(1) {
@@ -293,6 +294,18 @@ impl<F: FeatureVec> ModelClassSpec<F> for MaxEntSpec {
 
     fn predict_from_margins(&self, scores: &[f64]) -> f64 {
         argmax(scores) as f64
+    }
+
+    fn margin_diff_sum(&self, scores: DrawScores<'_>, stop: f64) -> f64 {
+        let k = scores.outputs;
+        scores.fold_blocks(stop, |acc, a, b| {
+            let count = a
+                .chunks_exact(k)
+                .zip(b.chunks_exact(k))
+                .filter(|(a, b)| argmax(a) != argmax(b))
+                .count();
+            acc + count as f64
+        })
     }
 }
 

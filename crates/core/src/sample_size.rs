@@ -10,12 +10,13 @@
 //! search, justified by the monotonicity of Theorem 2.
 
 use crate::accuracy::DRAW_CHUNK;
-use crate::diff_engine::{draw_pool, HoldoutScorer};
+use crate::diff_engine::{draw_pool, DiffEngine, HoldoutScorer};
 use crate::mcs::ModelClassSpec;
 use crate::stats::ModelStatistics;
 use blinkml_data::parallel::par_ranges_with;
 use blinkml_data::{Dataset, FeatureVec};
 use blinkml_prob::{conservative_level, empirical_quantile, split_seed};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The sample-size estimator; `num_samples` is the Monte Carlo draw
 /// count `k` per stage.
@@ -82,35 +83,95 @@ impl SampleSizeEstimator {
         delta: f64,
         seed: u64,
     ) -> SampleSizeEstimate {
-        self.estimate_scored_stoppable(scorer, stats, n0, full_n, epsilon, delta, seed, None)
+        self.prepare(scorer, stats, n0, full_n, delta, seed)
+            .search(epsilon, None)
             .expect("search without a stop probe always completes")
     }
 
-    /// [`SampleSizeEstimator::estimate_scored`] with a cooperative stop
-    /// probe polled before every binary-search probe: when `stop`
-    /// returns `true` the search bails out with `None` (the caller
-    /// degrades instead). A `None`/never-firing probe takes exactly the
-    /// same numeric path as [`SampleSizeEstimator::estimate_scored`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn estimate_scored_stoppable<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
+    /// Draw the search's two pools from sub-seeds 0 and 1 of `seed` and
+    /// score them once: the returned [`PreparedSearch`] runs the binary
+    /// search and evaluates points of the same sample-size curve
+    /// without redrawing or rescoring.
+    pub fn prepare<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
         &self,
-        scorer: &HoldoutScorer<'_, F, S>,
+        scorer: &HoldoutScorer<'a, F, S>,
         stats: &ModelStatistics,
         n0: usize,
         full_n: usize,
-        epsilon: f64,
         delta: f64,
         seed: u64,
-        stop: Option<&dyn Fn() -> bool>,
-    ) -> Option<SampleSizeEstimate> {
+    ) -> PreparedSearch<'a, F, S> {
         assert!(n0 > 0 && n0 <= full_n, "need 0 < n0 <= N");
         let k = self.num_samples;
         // Two independent unscaled pools: u drives θ_n | θ_0, w drives
         // θ_N | θ_n. Fixed across all probes (sampling by scaling).
         let pool_u = draw_pool(stats, k, split_seed(seed, 0));
         let pool_w = draw_pool(stats, k, split_seed(seed, 1));
-        let engine = scorer.engine(&pool_u, &pool_w);
-        let level = conservative_level(delta, k);
+        PreparedSearch {
+            engine: scorer.engine(&pool_u, &pool_w),
+            k,
+            n0,
+            full_n,
+            level: conservative_level(delta, k),
+        }
+    }
+
+    /// The honest ε at a **fixed** sample size `n` — one point on the
+    /// sample-size curve the binary search walks: the conservative
+    /// Lemma-2 quantile of the two-stage prediction differences for a
+    /// model trained on `n` of `full_n` examples, estimated from the
+    /// pilot at `n0`. Called with the search's own sub-seed, it uses
+    /// exactly the search's draw pools, so the value is bit-identical
+    /// to what any coordinator (warm or cold) computes for that rung —
+    /// this is what lets a degraded response report an exact achieved
+    /// guarantee instead of the requested one.
+    #[allow(clippy::too_many_arguments)]
+    pub fn epsilon_at_scored<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
+        &self,
+        scorer: &HoldoutScorer<'_, F, S>,
+        stats: &ModelStatistics,
+        n0: usize,
+        n: usize,
+        full_n: usize,
+        delta: f64,
+        seed: u64,
+    ) -> f64 {
+        self.prepare(scorer, stats, n0, full_n, delta, seed)
+            .epsilon_at(n)
+    }
+}
+
+/// A sample-size search with its draw pools scored
+/// ([`SampleSizeEstimator::prepare`]): the binary search and any number
+/// of curve points share one engine.
+pub struct PreparedSearch<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> {
+    engine: DiffEngine<'a, F, S>,
+    k: usize,
+    n0: usize,
+    full_n: usize,
+    level: f64,
+}
+
+impl<F: FeatureVec, S: ModelClassSpec<F> + ?Sized> PreparedSearch<'_, F, S> {
+    /// Binary-search the minimum `n ∈ [n0, full_n]` with
+    /// `Pr[v(m_n, m_N) ≤ epsilon] ≥ 1 − δ`, polling the cooperative
+    /// `stop` before every probe: when it returns `true` the search
+    /// bails out with `None` (the caller degrades instead). A `None` or
+    /// never-firing `stop` takes exactly the same numeric path.
+    ///
+    /// A probe only needs its verdict `hits/k ≥ level`, so it evaluates
+    /// it lazily and exactly: each draw's kernel stops once its sum
+    /// already fails `v ≤ ε` ([`DiffEngine::bound`]), and the probe
+    /// stops once enough draws passed or too few can. Every chosen `n`
+    /// and probe count equals the full evaluation's, at any thread
+    /// count.
+    pub fn search(
+        &self,
+        epsilon: f64,
+        stop: Option<&dyn Fn() -> bool>,
+    ) -> Option<SampleSizeEstimate> {
+        let (k, n0, full_n) = (self.k, self.n0, self.full_n);
+        let bound = self.engine.bound(epsilon);
         let mut probes = 0usize;
         let stopped = || stop.is_some_and(|s| s());
 
@@ -118,16 +179,9 @@ impl SampleSizeEstimator {
             probes += 1;
             let a1 = alpha(n0, n).sqrt();
             let a2 = alpha(n, full_n).sqrt();
-            // Parallel over draws; per-chunk hit counts are integers, so
-            // the sum is exact and thread-count independent.
-            let hits: usize = par_ranges_with(k, DRAW_CHUNK, |range| {
-                range
-                    .filter(|&i| engine.diff_two_stage(i, a1, a2) <= epsilon)
-                    .count()
+            lazy_verdict(k, self.level, |i| {
+                self.engine.two_stage_within(i, a1, a2, &bound)
             })
-            .into_iter()
-            .sum();
-            hits as f64 / k as f64 >= level
         };
 
         if stopped() {
@@ -154,43 +208,51 @@ impl SampleSizeEstimator {
         Some(SampleSizeEstimate { n: hi, probes })
     }
 
-    /// The honest ε at a **fixed** sample size `n` — one point on the
-    /// sample-size curve the binary search walks: the conservative
-    /// Lemma-2 quantile of the two-stage prediction differences for a
-    /// model trained on `n` of `full_n` examples, estimated from the
-    /// pilot at `n0`. Called with the search's own sub-seed, it uses
-    /// exactly the search's draw pools, so the value is bit-identical
-    /// to what any coordinator (warm or cold) computes for that rung —
-    /// this is what lets a degraded response report an exact achieved
-    /// guarantee instead of the requested one.
-    #[allow(clippy::too_many_arguments)]
-    pub fn epsilon_at_scored<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
-        &self,
-        scorer: &HoldoutScorer<'_, F, S>,
-        stats: &ModelStatistics,
-        n0: usize,
-        n: usize,
-        full_n: usize,
-        delta: f64,
-        seed: u64,
-    ) -> f64 {
-        assert!(n0 > 0 && n0 <= n && n <= full_n, "need 0 < n0 <= n <= N");
-        let k = self.num_samples;
-        let pool_u = draw_pool(stats, k, split_seed(seed, 0));
-        let pool_w = draw_pool(stats, k, split_seed(seed, 1));
-        let engine = scorer.engine(&pool_u, &pool_w);
-        let a1 = alpha(n0, n).sqrt();
-        let a2 = alpha(n, full_n).sqrt();
-        let diffs: Vec<f64> = par_ranges_with(k, DRAW_CHUNK, |range| {
+    /// The curve ε at sample size `n`
+    /// ([`SampleSizeEstimator::epsilon_at_scored`]): a full pass over
+    /// every draw, since the quantile needs every value.
+    pub fn epsilon_at(&self, n: usize) -> f64 {
+        assert!(self.n0 <= n && n <= self.full_n, "need 0 < n0 <= n <= N");
+        let a1 = alpha(self.n0, n).sqrt();
+        let a2 = alpha(n, self.full_n).sqrt();
+        let diffs: Vec<f64> = par_ranges_with(self.k, DRAW_CHUNK, |range| {
             range
-                .map(|i| engine.diff_two_stage(i, a1, a2))
+                .map(|i| self.engine.diff_two_stage(i, a1, a2))
                 .collect::<Vec<_>>()
         })
         .into_iter()
         .flatten()
         .collect();
-        empirical_quantile(&diffs, conservative_level(delta, k))
+        empirical_quantile(&diffs, self.level)
     }
+}
+
+/// The probe verdict `hits/k ≥ level` over draws `0..k`, where a hit is
+/// a draw with `passes(i)`, evaluated lazily: draws stop being
+/// evaluated once enough have passed, or once too few can. Whichever
+/// draws ran before that, the verdict equals the full count's, at any
+/// thread count.
+fn lazy_verdict(k: usize, level: f64, passes: impl Fn(usize) -> bool + Sync) -> bool {
+    // The fewest hits the level accepts (k + 1: none).
+    let need = (0..=k)
+        .find(|&m| m as f64 / k as f64 >= level)
+        .unwrap_or(k + 1);
+    let hits = AtomicUsize::new(0);
+    let misses = AtomicUsize::new(0);
+    let settled =
+        || hits.load(Ordering::Relaxed) >= need || k - misses.load(Ordering::Relaxed) < need;
+    // The counters publish no other data and are read back after the
+    // workers join, so `Relaxed` suffices.
+    par_ranges_with(k, DRAW_CHUNK, |range| {
+        for i in range {
+            if settled() {
+                return;
+            }
+            let counter = if passes(i) { &hits } else { &misses };
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+    });
+    hits.into_inner() as f64 / k as f64 >= level
 }
 
 /// `α = 1/a − 1/b`, clamped at zero.
@@ -202,7 +264,6 @@ fn alpha(a: usize, b: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::config::StatisticsMethod::ObservedFisher;
-    use crate::diff_engine::DiffEngine;
     use crate::models::linreg::LinearRegressionSpec;
     use crate::models::logreg::LogisticRegressionSpec;
     use crate::stats::compute_statistics;
@@ -348,48 +409,20 @@ mod tests {
             checks.set(checks.get() + 1);
             checks.get() > 2
         };
-        let est = sse.estimate_scored_stoppable(
-            &scorer,
-            &stats,
-            n0,
-            train.len(),
-            0.02,
-            0.05,
-            7,
-            Some(&stop),
+        let search = sse.prepare(&scorer, &stats, n0, train.len(), 0.05, 7);
+        assert!(
+            search.search(0.02, Some(&stop)).is_none(),
+            "stop probe must abort the search"
         );
-        assert!(est.is_none(), "stop probe must abort the search");
         // A probe that never fires is bit-identical to the plain search.
         let never = || false;
-        let a = sse
-            .estimate_scored_stoppable(
-                &scorer,
-                &stats,
-                n0,
-                train.len(),
-                0.02,
-                0.05,
-                7,
-                Some(&never),
-            )
-            .unwrap();
+        let a = search.search(0.02, Some(&never)).unwrap();
         let b = sse.estimate_scored(&scorer, &stats, n0, train.len(), 0.02, 0.05, 7);
         assert_eq!(a.n, b.n);
         assert_eq!(a.probes, b.probes);
         // Immediately-firing probe: no probes at all.
         let always = || true;
-        assert!(sse
-            .estimate_scored_stoppable(
-                &scorer,
-                &stats,
-                n0,
-                train.len(),
-                0.02,
-                0.05,
-                7,
-                Some(&always),
-            )
-            .is_none());
+        assert!(search.search(0.02, Some(&always)).is_none());
     }
 
     #[test]
@@ -415,6 +448,110 @@ mod tests {
             eps_at_n <= target,
             "curve ε at the chosen n ({eps_at_n}) must meet the target ({target})"
         );
+    }
+
+    /// The search as it ran before the lazy probe: every draw's full
+    /// diff and every probe's full hit count.
+    fn full_pass_search<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
+        search: &PreparedSearch<'_, F, S>,
+        epsilon: f64,
+    ) -> SampleSizeEstimate {
+        let (k, n0, full_n) = (search.k, search.n0, search.full_n);
+        let mut probes = 0;
+        let mut satisfied = |n: usize| {
+            probes += 1;
+            let (a1, a2) = (alpha(n0, n).sqrt(), alpha(n, full_n).sqrt());
+            let hits = (0..k)
+                .filter(|&i| search.engine.diff_two_stage(i, a1, a2) <= epsilon)
+                .count();
+            hits as f64 / k as f64 >= search.level
+        };
+        if satisfied(n0) {
+            return SampleSizeEstimate { n: n0, probes };
+        }
+        let (mut lo, mut hi) = (n0, full_n);
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if satisfied(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        SampleSizeEstimate { n: hi, probes }
+    }
+
+    /// The lazy probe gives the full pass's n and probe count across
+    /// k = 2 and larger pools, levels capped at 1.0 (δ = 0.05) and
+    /// below it, ε from 0 (nothing passes short of N) to 1, and
+    /// threads {1, 4}.
+    #[test]
+    fn lazy_search_matches_the_full_pass() {
+        use blinkml_data::parallel::set_max_threads;
+        let (train, holdout, spec, theta0, stats, n0) = setup_logistic();
+        let scorer = HoldoutScorer::new(&spec, &holdout, &theta0);
+        for k in [2, 5, 32] {
+            for delta in [0.05, 0.5, 0.9] {
+                let search =
+                    SampleSizeEstimator::new(k).prepare(&scorer, &stats, n0, train.len(), delta, 3);
+                if delta == 0.05 {
+                    assert_eq!(search.level, 1.0);
+                }
+                for epsilon in [0.0, 0.01, 0.03, 0.08, 0.3, 1.0] {
+                    let full = full_pass_search(&search, epsilon);
+                    for threads in [Some(1), Some(4)] {
+                        set_max_threads(threads);
+                        let lazy = search.search(epsilon, None).unwrap();
+                        assert_eq!(
+                            (lazy.n, lazy.probes),
+                            (full.n, full.probes),
+                            "k = {k}, δ = {delta}, ε = {epsilon}, threads {threads:?}"
+                        );
+                    }
+                }
+            }
+        }
+        set_max_threads(None);
+    }
+
+    /// A probe settled by its first draws gives the full count's
+    /// verdict after evaluating fewer than k draws: the first failure
+    /// at level 1.0 (δ ≤ 0.05), enough hits at a lower level, too many
+    /// misses, and a level no count reaches. Each worker thread may
+    /// start one draw before it sees the verdict settle, so the cases
+    /// settle well before k; a pass at level 1.0 needs every draw.
+    #[test]
+    fn probe_settled_by_its_first_draws_keeps_its_verdict() {
+        type Passes = fn(usize) -> bool;
+        let k = 64;
+        let cases: [(f64, Passes); 7] = [
+            (1.0, |_| true),
+            (1.0, |_| false),
+            (1.0, |i| i != 0),
+            (0.5, |_| true),
+            (0.5, |_| false),
+            (0.25, |i| i % 2 == 0),
+            (1.5, |_| true),
+        ];
+        for (level, passes) in cases {
+            let full = (0..k).filter(|&i| passes(i)).count() as f64 / k as f64 >= level;
+            let calls = AtomicUsize::new(0);
+            let lazy = lazy_verdict(k, level, |i| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                passes(i)
+            });
+            assert_eq!(lazy, full, "level {level}");
+            let calls = calls.into_inner();
+            if level == 1.0 && full {
+                assert_eq!(calls, k, "a passing probe at level 1.0 needs every draw");
+            } else {
+                assert!(calls < k, "level {level}: {calls} of {k} draws evaluated");
+            }
+        }
+        // k = 2 at the level δ = 0.9 gives (about 0.97): both draws must pass.
+        let level = conservative_level(0.9, 2);
+        assert!(lazy_verdict(2, level, |_| true));
+        assert!(!lazy_verdict(2, level, |i| i == 0));
     }
 
     #[test]

@@ -773,6 +773,7 @@ fn run_sweep_looped<F: FeatureVec>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mcs::DrawScores;
     use crate::models::linreg::LinearRegressionSpec;
     use crate::models::logreg::LogisticRegressionSpec;
     use crate::models::ppca::PpcaSpec;
@@ -943,6 +944,9 @@ mod tests {
             }
             fn predict_from_margins(&self, scores: &[f64]) -> f64 {
                 Inner::predict_from_margins(&self.0, scores)
+            }
+            fn margin_diff_sum(&self, scores: DrawScores<'_>, stop: f64) -> f64 {
+                Inner::margin_diff_sum(&self.0, scores, stop)
             }
         }
         let (data, _) = synthetic_logistic(5_000, 3, 2.0, 35);

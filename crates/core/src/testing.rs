@@ -5,7 +5,7 @@
 
 use crate::error::CoreError;
 use crate::grads::Grads;
-use crate::mcs::{ModelClassSpec, TrainedModel};
+use crate::mcs::{DrawScores, ModelClassSpec, TrainedModel};
 use crate::serve::resilience::{relax_active_deadline, trip_active_deadline};
 use blinkml_data::{Dataset, DatasetMatrix, FeatureVec, MatrixView, TrainScratch};
 use blinkml_linalg::Matrix;
@@ -133,8 +133,10 @@ impl<F: FeatureVec, S: ModelClassSpec<F> + ScalarOracle<F>> Objective
 
 /// Wrapper that hides [`ModelClassSpec::margin_weights`], forcing
 /// `DiffEngine` onto the per-example margins path — the pre-batching
-/// construction behaviour. Used as the sequential reference in the
-/// core proptests and the pipeline benchmarks.
+/// construction behaviour — and leaves
+/// [`ModelClassSpec::margin_diff_sum`] at its default per-row loop.
+/// Used as the sequential reference in the core proptests and the
+/// pipeline benchmarks.
 pub struct NoBatch<S>(pub S);
 
 impl<F: FeatureVec, S: ModelClassSpec<F>> ModelClassSpec<F> for NoBatch<S> {
@@ -180,7 +182,8 @@ impl<F: FeatureVec, S: ModelClassSpec<F>> ModelClassSpec<F> for NoBatch<S> {
     fn diff_is_rms(&self) -> bool {
         self.0.diff_is_rms()
     }
-    // margin_weights deliberately left at the default `None`.
+    // margin_weights deliberately left at the default `None`, and
+    // margin_diff_sum at the default per-row loop (the kernel oracle).
 }
 
 /// Forwards every [`ModelClassSpec`] method to the inner spec, calling
@@ -258,6 +261,9 @@ where
     }
     fn diff_is_rms(&self) -> bool {
         self.inner.diff_is_rms()
+    }
+    fn margin_diff_sum(&self, scores: DrawScores<'_>, stop: f64) -> f64 {
+        self.inner.margin_diff_sum(scores, stop)
     }
     fn train_view(
         &self,

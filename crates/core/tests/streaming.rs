@@ -19,7 +19,7 @@ use blinkml_core::models::{
 };
 use blinkml_core::serve::{Query, Server, StreamShard};
 use blinkml_core::testing::{FaultAction, FaultPlan, FaultSite, HookedSpec};
-use blinkml_core::{DegradationRung, ModelClassSpec, TrainingOutcome, WarmStartPolicy};
+use blinkml_core::{DegradationRung, DrawScores, ModelClassSpec, TrainingOutcome, WarmStartPolicy};
 use blinkml_data::generators::synthetic_logistic;
 use blinkml_data::{DenseVec, Example, IngestError, IngestPolicy, LabelDomain, StreamingPool};
 use blinkml_optim::OptimError;
@@ -596,6 +596,9 @@ impl ModelClassSpec<DenseVec> for RejectWarmPilot {
     }
     fn diff_is_rms(&self) -> bool {
         Inner::diff_is_rms(&self.inner)
+    }
+    fn margin_diff_sum(&self, scores: DrawScores<'_>, stop: f64) -> f64 {
+        Inner::margin_diff_sum(&self.inner, scores, stop)
     }
     fn train_view(
         &self,
