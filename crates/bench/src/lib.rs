@@ -1,16 +1,15 @@
 //! Shared harness for the BlinkML experiment suite.
 //!
-//! Each binary in `src/bin/` regenerates one table/figure of the paper's
-//! evaluation (see DESIGN.md §4 for the index). This library provides
-//! the common pieces: the eight (model, dataset) combinations of §5.1,
-//! timing helpers, fixed-width table printing, and JSON result capture
-//! for EXPERIMENTS.md.
+//! Each `fig*` binary in `src/bin/` regenerates one table/figure of the
+//! paper's evaluation (see `docs/REPRODUCING.md` for the index), and the
+//! `gates` binary holds the wall-clock gates CI runs. This library
+//! provides the common pieces: the eight (model, dataset) combinations
+//! of §5.1, timing helpers, fixed-width table printing, and JSON result
+//! capture under `results/`.
 
-pub mod alloc;
 pub mod args;
 pub mod combos;
 pub mod report;
-pub mod seqref;
 
 pub use args::BenchArgs;
 pub use combos::{ComboId, ComboRun};

@@ -79,8 +79,7 @@ impl Table {
 /// reported — the robust estimator for deterministic kernels, whose
 /// timing noise is strictly additive. (Separately-batched medians let a
 /// few ms of jitter read as a phantom regression on near-identical
-/// arms.) Shared by the `pipeline_baseline` and `spectral_baseline`
-/// recorders.
+/// arms.) Every wall-clock gate in the `gates` binary runs on it.
 pub fn paired_min_times<A, B>(
     reps: usize,
     mut baseline: impl FnMut() -> A,
@@ -123,43 +122,23 @@ pub fn fmt_duration(d: Duration) -> String {
 }
 
 /// Append one JSON line of experiment results to
-/// `results/<experiment>.jsonl` (relative to the workspace root), so
-/// EXPERIMENTS.md can be regenerated from raw data.
+/// `<results dir>/<experiment>.jsonl`, where the results directory is
+/// [`results_dir`]: `BLINKML_RESULTS_DIR`, or `results` relative to the
+/// current working directory.
+///
+/// Panics with the offending path on any I/O failure: a run whose
+/// results cannot be recorded must not look like one that was.
 pub fn append_result(experiment: &str, json: &serde_json::Value) {
     let dir = results_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
-        return; // result capture is best-effort
-    }
+    std::fs::create_dir_all(&dir)
+        .unwrap_or_else(|e| panic!("cannot create results dir {}: {e}", dir.display()));
     let path = dir.join(format!("{experiment}.jsonl"));
-    if let Ok(mut f) = std::fs::OpenOptions::new()
+    std::fs::OpenOptions::new()
         .create(true)
         .append(true)
-        .open(path)
-    {
-        let _ = writeln!(f, "{json}");
-    }
-}
-
-/// Write one `results/BENCH_*.json` baseline document atomically:
-/// the bytes land in a same-directory temp file which is fsynced and
-/// renamed over the target, so a crash (or a SIGKILLed bench run) can
-/// never leave a truncated or interleaved baseline behind — readers
-/// see either the old document or the new one, whole.
-///
-/// Panics on I/O failure: a baseline run whose results cannot be
-/// captured has nothing to report.
-pub fn write_baseline(filename: &str, doc: &serde_json::Value) -> PathBuf {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    let path = dir.join(filename);
-    let tmp = dir.join(format!("{filename}.tmp.{}", std::process::id()));
-    let mut f = std::fs::File::create(&tmp).expect("create temp baseline");
-    f.write_all(format!("{doc}\n").as_bytes())
-        .expect("write baseline");
-    f.sync_all().expect("sync baseline");
-    drop(f);
-    std::fs::rename(&tmp, &path).expect("publish baseline");
-    path
+        .open(&path)
+        .and_then(|mut f| writeln!(f, "{json}"))
+        .unwrap_or_else(|e| panic!("cannot append results to {}: {e}", path.display()));
 }
 
 /// The results directory (override with `BLINKML_RESULTS_DIR`).
@@ -190,6 +169,25 @@ mod tests {
     fn table_rejects_wrong_arity() {
         let mut t = Table::new("demo", &["a", "b"]);
         t.row(&["only-one".into()]);
+    }
+
+    #[test]
+    fn append_result_panics_with_the_unwritable_path() {
+        // A results dir under a regular file can never be created.
+        let file = std::env::temp_dir().join(format!("blinkml_report_{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").unwrap();
+        let dir = file.join("results");
+        std::env::set_var("BLINKML_RESULTS_DIR", &dir);
+        let outcome = std::panic::catch_unwind(|| {
+            append_result("unwritable", &serde_json::json!({ "x": 1 }));
+        });
+        std::env::remove_var("BLINKML_RESULTS_DIR");
+        std::fs::remove_file(&file).unwrap();
+        let payload = outcome.expect_err("append_result must panic");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert!(msg.contains(&dir.display().to_string()), "{msg}");
     }
 
     #[test]

@@ -28,9 +28,6 @@
 //!   promotes the Session's amortization to a concurrent service,
 //!   including the streaming path: epoch-snapshot isolation over
 //!   `blinkml_data::stream` pools with a drift-honest staleness ladder,
-//! * [`moments`] — incremental rank-k maintenance of the pilot's
-//!   second-moment statistics under streaming appends, with a
-//!   verified-equivalence mode pinning it against cold recomputes,
 //! * [`baselines`] — FixedRatio / RelativeRatio / IncEstimator from the
 //!   paper's §5.4 evaluation.
 
@@ -43,7 +40,6 @@ pub mod error;
 pub mod grads;
 pub mod mcs;
 pub mod models;
-pub mod moments;
 pub mod sample_size;
 pub mod serve;
 pub mod session;
@@ -60,7 +56,6 @@ pub use config::{
 pub use coordinator::{Coordinator, TrainingOutcome, TrainingPhaseTimes};
 pub use error::CoreError;
 pub use mcs::{DrawScores, ModelClassSpec, SweepEval, TrainedModel};
-pub use moments::IncrementalSecondMoment;
 pub use sample_size::{SampleSizeEstimate, SampleSizeEstimator};
 pub use serve::resilience::{CancelToken, DegradationRung, Pressure};
 pub use serve::{

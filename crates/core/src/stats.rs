@@ -399,26 +399,6 @@ fn explicit_factor_from_j(
     l
 }
 
-/// Build ObservedFisher-style statistics directly from eigenpairs of
-/// `J` — the streaming incremental-moments path
-/// ([`crate::moments::IncrementalSecondMoment`]) maintains the
-/// eigendecomposition itself, so the factor `L = U diag(√λ/(λ+β))`
-/// comes straight from the maintained pairs with the same truncation
-/// guard the cold ObservedFisher path applies.
-pub(crate) fn statistics_from_eigenpairs(
-    dim: usize,
-    eigenvalues: &[f64],
-    eigenvectors: &Matrix,
-    beta: f64,
-    spectral: SpectralMethod,
-) -> ModelStatistics {
-    let l = explicit_factor_from_j(eigenvalues, eigenvectors, beta, cutoff_tol(spectral));
-    ModelStatistics {
-        dim,
-        factor: Factor::Explicit(l),
-    }
-}
-
 /// ClosedForm (paper §3.4 Method 1): analytic `H`, then
 /// `J = H − βI` by the information matrix equality. The randomized
 /// engine replaces the `O(D³)` eigendecomposition of `H` with the

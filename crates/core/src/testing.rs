@@ -61,8 +61,8 @@ pub fn view_grads<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
 /// [`ScalarOracle::scalar_objective`] on a materialized [`Dataset`]
 /// with the same solver, start point and bookkeeping as
 /// [`ModelClassSpec::train`] — the pre-batching training behaviour.
-/// Used as the scalar reference by the training tests and the
-/// `training_baseline` benchmarks.
+/// Used as the scalar reference by the training tests and by the
+/// batched-vs-scalar gate of the bench crate's `gates` binary.
 ///
 /// Only meaningful for **iteratively trained** model classes (the
 /// GLMs, linear regression, max-entropy): PPCA trains in closed form,
@@ -136,7 +136,7 @@ impl<F: FeatureVec, S: ModelClassSpec<F> + ScalarOracle<F>> Objective
 /// construction behaviour — and leaves
 /// [`ModelClassSpec::margin_diff_sum`] at its default per-row loop.
 /// Used as the sequential reference in the core proptests and the
-/// pipeline benchmarks.
+/// `diff_engine` unit tests.
 pub struct NoBatch<S>(pub S);
 
 impl<F: FeatureVec, S: ModelClassSpec<F>> ModelClassSpec<F> for NoBatch<S> {

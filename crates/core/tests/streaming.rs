@@ -465,6 +465,7 @@ fn drift_ladder_escalates_fresh_stale_retrain() {
     // Epoch 0: cold lead caches the pilot.
     let served = server.query(query).expect("cold query");
     assert_eq!(served.epoch, 0);
+    assert_eq!(served.rung, DegradationRung::Full);
     check_response("cold", &base, &spec, &pool, query, &served);
 
     // Train-only append: drift score is 0 by definition → fresh reuse
@@ -487,7 +488,16 @@ fn drift_ladder_escalates_fresh_stale_retrain() {
     check_response("retrain", &base, &spec, &pool, query, &served);
     let stats = server.stats();
     assert_eq!(stats.drift_retrains, 1);
+    assert_eq!(stats.drift_stale_served, 0, "zero-width stale band");
     assert_eq!(stats.pilot_trains, 2);
+    assert_eq!(stats.submitted, 3);
+    assert_eq!(
+        stats.submitted,
+        stats.completed + stats.failed,
+        "exactly-once reconciliation must hold at quiescence"
+    );
+    assert_eq!(stats.failed, 0);
+    assert_eq!(stats.inflight, 0, "no leaked in-flight entries");
     server.shutdown();
 }
 

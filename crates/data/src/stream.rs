@@ -1273,6 +1273,10 @@ mod tests {
         let pre_compact_log = std::fs::read(&log).unwrap();
         p.compact().unwrap();
         assert_eq!(p.wal_len(), 0);
+        // A reopen of the bare compacted image (empty log).
+        let q = StreamingPool::<DenseVec>::open(&dir, DurableOptions::default()).unwrap();
+        assert_pools_bit_equal(&q, &p);
+        drop(q);
         p.append(vec![row(7.0, 1.0)]).unwrap();
 
         // Plain recovery after compaction.

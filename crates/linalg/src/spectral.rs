@@ -67,84 +67,6 @@ impl SymmetricOp for DenseSymmetricOp<'_> {
     }
 }
 
-/// Matrix-free rank-k update of an eigendecomposed operator:
-///
-/// `A' = base_scale · U diag(λ) Uᵀ + update_scale · B`
-///
-/// where `U diag(λ) Uᵀ` is the (truncated) eigendecomposition of a
-/// previously-resolved operator and `B` is any [`SymmetricOp`] over the
-/// new mass. This is the streaming-statistics primitive: when `k` rows
-/// arrive on an `n`-row second-moment estimate, the *averaged* moment
-/// updates as `J' = (n/(n+k)) · J + (k/(n+k)) · J_new`, so re-probing
-/// this operator with [`randomized_eigen`] folds the new rows in at
-/// `O(d·r·m)` per apply instead of an `O(d²)` reconstruction — no dense
-/// matrix is ever formed.
-pub struct LowRankUpdateOp<'a> {
-    base_scale: f64,
-    u: &'a Matrix,
-    lambda: &'a [f64],
-    update_scale: f64,
-    update: &'a dyn SymmetricOp,
-}
-
-impl<'a> LowRankUpdateOp<'a> {
-    /// Combine an eigendecomposed base (`u`: `d × k` orthonormal
-    /// columns, `lambda`: `k` eigenvalues) with an update operator of
-    /// the same dimension.
-    ///
-    /// # Panics
-    /// Panics when `u.cols() != lambda.len()` or
-    /// `u.rows() != update.dim()` (programming error).
-    pub fn new(
-        base_scale: f64,
-        u: &'a Matrix,
-        lambda: &'a [f64],
-        update_scale: f64,
-        update: &'a dyn SymmetricOp,
-    ) -> Self {
-        assert_eq!(
-            u.cols(),
-            lambda.len(),
-            "LowRankUpdateOp: eigenpair count mismatch"
-        );
-        assert_eq!(
-            u.rows(),
-            update.dim(),
-            "LowRankUpdateOp: base/update dimension mismatch"
-        );
-        LowRankUpdateOp {
-            base_scale,
-            u,
-            lambda,
-            update_scale,
-            update,
-        }
-    }
-}
-
-impl SymmetricOp for LowRankUpdateOp<'_> {
-    fn dim(&self) -> usize {
-        self.u.rows()
-    }
-
-    fn apply(&self, block: &Matrix) -> Matrix {
-        // base_scale · U (diag(λ) (Uᵀ B)): two tall-thin GEMMs.
-        let mut t = par_gemm_tn(self.u, block).expect("LowRankUpdateOp: block dim mismatch");
-        for (j, &lam) in self.lambda.iter().enumerate() {
-            let s = self.base_scale * lam;
-            for v in t.row_mut(j) {
-                *v *= s;
-            }
-        }
-        let mut out = par_gemm(self.u, &t).expect("LowRankUpdateOp: block dim mismatch");
-        let upd = self.update.apply(block);
-        for (o, &v) in out.as_mut_slice().iter_mut().zip(upd.as_slice()) {
-            *o += self.update_scale * v;
-        }
-        out
-    }
-}
-
 /// Result of a truncated randomized eigendecomposition: the dominant
 /// eigenpairs of a `dim × dim` symmetric operator, plus convergence
 /// diagnostics.
@@ -419,65 +341,6 @@ mod tests {
         let empty = Matrix::zeros(0, 0);
         let e0 = randomized_eigen(&DenseSymmetricOp::new(&empty), 2, 2, 1, 1e-8).unwrap();
         assert_eq!(e0.captured(), 0);
-    }
-
-    #[test]
-    fn low_rank_update_matches_dense_combination() {
-        // Eigendecompose a base, fold in an update through the
-        // matrix-free op, and compare a block apply against the dense
-        // combination base_scale·A + update_scale·B.
-        let a = decaying_psd(24, 0.7, 13);
-        let b = decaying_psd(24, 0.5, 14);
-        let eig = SymmetricEigen::new(&a).unwrap();
-        let (bs, us) = (0.75, 0.25);
-        let upd = DenseSymmetricOp::new(&b);
-        let op = LowRankUpdateOp::new(bs, &eig.eigenvectors, &eig.eigenvalues, us, &upd);
-        assert_eq!(op.dim(), 24);
-
-        let block = xorshift_matrix(24, 5, 21);
-        let got = op.apply(&block);
-        let mut dense = a.clone();
-        for (d, (&ai, &bi)) in dense
-            .as_mut_slice()
-            .iter_mut()
-            .zip(a.as_slice().iter().zip(b.as_slice()))
-        {
-            *d = bs * ai + us * bi;
-        }
-        let expect = par_gemm(&dense, &block).unwrap();
-        let denom = expect.max_abs().max(1e-12);
-        assert!(
-            got.max_abs_diff(&expect) / denom < 1e-12,
-            "relative diff {}",
-            got.max_abs_diff(&expect) / denom
-        );
-    }
-
-    #[test]
-    fn randomized_eigen_resolves_updated_spectrum() {
-        // The solver over the update op must recover the spectrum of the
-        // combined dense matrix.
-        let a = decaying_psd(32, 0.65, 17);
-        let b = decaying_psd(32, 0.55, 18);
-        let eig = SymmetricEigen::new(&a).unwrap();
-        let upd = DenseSymmetricOp::new(&b);
-        let op = LowRankUpdateOp::new(0.5, &eig.eigenvectors, &eig.eigenvalues, 0.5, &upd);
-        let approx = randomized_eigen(&op, 8, 4, 2, 1e-8).unwrap();
-
-        let mut dense = a.clone();
-        for (d, &bi) in dense.as_mut_slice().iter_mut().zip(b.as_slice()) {
-            *d = 0.5 * *d + 0.5 * bi;
-        }
-        let exact = SymmetricEigen::new(&dense).unwrap();
-        let lmax = exact.eigenvalues[0];
-        for j in 0..8 {
-            assert!(
-                (approx.eigenvalues[j] - exact.eigenvalues[j]).abs() < 1e-6 * lmax,
-                "eigenvalue {j}: {} vs {}",
-                approx.eigenvalues[j],
-                exact.eigenvalues[j]
-            );
-        }
     }
 
     #[test]
