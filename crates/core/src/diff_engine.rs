@@ -13,7 +13,12 @@
 //! [`ModelClassSpec::margin_weights`], score matrices are built with
 //! fused GEMMs — the holdout design matrix times stacked weight blocks —
 //! streamed in parallel chunks of holdout rows instead of separate
-//! per-example scoring passes. Specs with margins but no weight matrix
+//! per-example scoring passes. Each chunk is one call of the
+//! register-tiled, runtime-dispatched AVX kernels in
+//! `blinkml_linalg::simd`, which add every score's terms in the order of
+//! the per-row axpy loop, so the scores carry the same bits on every
+//! host. Every weight block must be `data_dim × outputs`; the scorer
+//! panics on any other shape. Specs with margins but no weight matrix
 //! keep the per-example path; models without margins (PPCA) fall back to
 //! materializing parameter vectors and calling the spec's own `diff`.
 //!
@@ -94,7 +99,7 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> HoldoutScorer<'a, F, S> {
     pub fn new(spec: &'a S, holdout: &'a Dataset<F>, theta_base: &'a [f64]) -> Self {
         let base = spec.num_margin_outputs(holdout.dim()).map(|outputs| {
             let rms = spec.diff_is_rms();
-            match spec.margin_weights(theta_base, holdout.dim()) {
+            match checked_margin_weights(spec, theta_base, holdout.dim(), outputs) {
                 Some(wb) => BaseScores {
                     outputs,
                     rms,
@@ -139,10 +144,10 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> HoldoutScorer<'a, F, S> {
         let mut outputs0 = None;
         let mut fused = !entries.is_empty();
         for (spec, theta) in entries {
-            let (Some(outputs), Some(wb)) = (
-                spec.num_margin_outputs(dim),
-                spec.margin_weights(theta, dim),
-            ) else {
+            let Some((outputs, wb)) = spec
+                .num_margin_outputs(dim)
+                .and_then(|o| Some((o, checked_margin_weights(*spec, theta, dim, o)?)))
+            else {
                 fused = false;
                 break;
             };
@@ -204,7 +209,7 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> HoldoutScorer<'a, F, S> {
                 let weights: Option<Vec<Matrix>> = if b.use_weights {
                     stacked
                         .iter()
-                        .map(|t| self.spec.margin_weights(t, dim))
+                        .map(|t| checked_margin_weights(self.spec, t, dim, b.outputs))
                         .collect()
                 } else {
                     None
@@ -266,6 +271,27 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> HoldoutScorer<'a, F, S> {
     }
 }
 
+/// `spec.margin_weights(theta, dim)`, checked to be the `dim × outputs`
+/// block [`batched_scores`] assumes: a block of another shape would
+/// misalign every score column stacked after it, and the SIMD scoring
+/// kernel's unchecked loads rely on the table's height.
+fn checked_margin_weights<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
+    spec: &S,
+    theta: &[f64],
+    dim: usize,
+    outputs: usize,
+) -> Option<Matrix> {
+    let wb = spec.margin_weights(theta, dim)?;
+    assert!(
+        wb.rows() == dim && wb.cols() == outputs,
+        "{}: margin_weights returned a {}×{} block, expected data_dim × outputs = {dim}×{outputs}",
+        spec.name(),
+        wb.rows(),
+        wb.cols()
+    );
+    Some(wb)
+}
+
 /// Per-example margin scoring of one parameter vector (the fallback for
 /// margin specs without a weight matrix).
 fn score_per_example<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
@@ -287,12 +313,16 @@ fn score_per_example<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
 /// chunks of holdout rows, and return the `P` flattened
 /// `h × outputs` score matrices.
 ///
-/// The design matrix is never materialized: each chunk streams its
-/// examples through [`FeatureVec::add_scaled_rows_into`], which is the
-/// GEMM row kernel for dense rows and the sparse-times-dense product for
-/// sparse ones. Chunk boundaries are fixed (see `blinkml_data::parallel`)
-/// and each output row is written by exactly one chunk, so results are
-/// bit-identical for any thread count.
+/// The design matrix is never materialized: each chunk hands its rows to
+/// one [`FeatureVec::add_rows_times_table`] call, which runs dense rows
+/// through the 4-row × 8-column register tile of
+/// `blinkml_linalg::simd::rows_times_table` and sparse rows one at a
+/// time through `sparse_row_times_table`. Every score is the sum of its
+/// row's nonzero terms in ascending feature order, whatever the tiling
+/// or the AVX dispatch. Chunk boundaries are fixed (see
+/// `blinkml_data::parallel`) and each output row is written by exactly
+/// one chunk, so results are bit-identical for any thread count and any
+/// host.
 fn batched_scores<F: FeatureVec>(
     holdout: &Dataset<F>,
     w_all: &Matrix,
@@ -310,13 +340,8 @@ fn batched_scores<F: FeatureVec>(
     let chunked: Vec<Vec<Vec<f64>>> = par_ranges(h, |range| {
         let len = range.len();
         let mut block = vec![0.0; len * cols];
-        for (local, j) in range.enumerate() {
-            holdout.get(j).x.add_scaled_rows_into(
-                table,
-                cols,
-                &mut block[local * cols..(local + 1) * cols],
-            );
-        }
+        let rows: Vec<&F> = range.map(|j| &holdout.get(j).x).collect();
+        F::add_rows_times_table(&rows, table, cols, &mut block);
         let mut segments: Vec<Vec<f64>> = (0..num_params)
             .map(|_| Vec::with_capacity(len * outputs))
             .collect();
@@ -506,6 +531,7 @@ mod tests {
     use crate::models::logreg::LogisticRegressionSpec;
     use crate::models::ppca::PpcaSpec;
     use blinkml_data::generators::{low_rank_gaussian, synthetic_linear, synthetic_logistic};
+    use blinkml_data::{DenseVec, MatrixView, TrainScratch};
 
     #[test]
     fn margin_path_matches_spec_diff_linear() {
@@ -702,6 +728,58 @@ mod tests {
         let g_many = HoldoutScorer::new_many(&g_holdout, &g_entries);
         assert_eq!(g_many.len(), 2);
         assert!(g_many[0].outputs().is_none());
+    }
+
+    /// A one-output margin spec whose `margin_weights` is `data_dim × 2`.
+    /// The scorer must reject it before calling anything else.
+    struct TwoColumnWeights;
+
+    impl ModelClassSpec<DenseVec> for TwoColumnWeights {
+        fn name(&self) -> &'static str {
+            "two-column-weights"
+        }
+        fn param_dim(&self, data_dim: usize) -> usize {
+            data_dim
+        }
+        fn regularization(&self) -> f64 {
+            0.0
+        }
+        fn value_grad(
+            &self,
+            _: &[f64],
+            _: &MatrixView,
+            _: &mut TrainScratch,
+            _: &mut [f64],
+        ) -> f64 {
+            unreachable!()
+        }
+        fn grads(&self, _: &[f64], _: &MatrixView) -> crate::grads::Grads {
+            unreachable!()
+        }
+        fn predict(&self, _: &[f64], _: &DenseVec) -> f64 {
+            unreachable!()
+        }
+        fn diff(&self, _: &[f64], _: &[f64], _: &Dataset<DenseVec>) -> f64 {
+            unreachable!()
+        }
+        fn generalization_error(&self, _: &[f64], _: &Dataset<DenseVec>) -> f64 {
+            unreachable!()
+        }
+        fn num_margin_outputs(&self, _: usize) -> Option<usize> {
+            Some(1)
+        }
+        fn margin_weights(&self, _: &[f64], data_dim: usize) -> Option<Matrix> {
+            Some(Matrix::zeros(data_dim, 2))
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "two-column-weights: margin_weights returned a 3×2 block, expected data_dim × outputs = 3×1"
+    )]
+    fn misshapen_margin_weights_are_rejected() {
+        let (holdout, _) = synthetic_logistic(50, 3, 2.0, 8);
+        HoldoutScorer::new(&TwoColumnWeights, &holdout, &[0.1, 0.2, 0.3]);
     }
 
     #[test]

@@ -69,19 +69,23 @@ pub trait FeatureVec: Clone + Send + Sync + 'static {
         self.to_dense().iter().all(|v| v.is_finite())
     }
 
-    /// `out += xᵀ T` for a row-major table `T` of shape `dim() × width`:
-    /// `out[c] += Σ_i x_i · T[i·width + c]`.
+    /// `out += X T` for a block of rows `X` and a row-major table `T` of
+    /// shape `dim() × width`, with `out` the row-major
+    /// `rows.len() × width` result:
+    /// `out[r·width + c] += Σ_i rows[r]_i · T[i·width + c]`.
     ///
     /// This is the row-combination primitive behind batched margin
     /// scoring — one fused (sparse- or dense-) GEMM pass computes the
-    /// holdout scores of an entire parameter pool. Implementations skip
-    /// structural zeros, so dense and sparse representations of the same
-    /// logical vector produce bit-identical results.
+    /// holdout scores of an entire parameter pool. Each output adds its
+    /// terms in ascending `i` and skips structural and stored zeros, so
+    /// dense and sparse representations of the same logical rows produce
+    /// bit-identical results (the kernels are in
+    /// [`blinkml_linalg::simd`]).
     ///
     /// # Panics
-    /// Panics (in debug builds) when `table.len() != dim() * width` or
-    /// `out.len() != width`.
-    fn add_scaled_rows_into(&self, table: &[f64], width: usize, out: &mut [f64]);
+    /// Panics when `table.len() != dim() * width` for some row or
+    /// `out.len() != rows.len() * width`.
+    fn add_rows_times_table(rows: &[&Self], table: &[f64], width: usize, out: &mut [f64]);
 
     /// A scaled copy `coef · x` as a sparse vector, optionally embedded
     /// into a larger space of dimension `out_dim` at index offset
@@ -171,17 +175,9 @@ impl FeatureVec for DenseVec {
         SparseVec::new(out_dim, indices, values)
     }
 
-    fn add_scaled_rows_into(&self, table: &[f64], width: usize, out: &mut [f64]) {
-        debug_assert_eq!(table.len(), self.0.len() * width);
-        debug_assert_eq!(out.len(), width);
-        for (i, &v) in self.0.iter().enumerate() {
-            if v == 0.0 {
-                continue;
-            }
-            for (o, &t) in out.iter_mut().zip(&table[i * width..(i + 1) * width]) {
-                *o += v * t;
-            }
-        }
+    fn add_rows_times_table(rows: &[&Self], table: &[f64], width: usize, out: &mut [f64]) {
+        let slices: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
+        blinkml_linalg::simd::rows_times_table(&slices, table, width, out);
     }
 }
 
@@ -298,17 +294,20 @@ impl FeatureVec for SparseVec {
         SparseVec::new(out_dim, indices, values)
     }
 
-    fn add_scaled_rows_into(&self, table: &[f64], width: usize, out: &mut [f64]) {
-        debug_assert_eq!(table.len(), self.dim * width);
-        debug_assert_eq!(out.len(), width);
-        for (&i, &v) in self.indices.iter().zip(&self.values) {
-            if v == 0.0 {
-                continue;
-            }
-            let row = &table[i as usize * width..(i as usize + 1) * width];
-            for (o, &t) in out.iter_mut().zip(row) {
-                *o += v * t;
-            }
+    fn add_rows_times_table(rows: &[&Self], table: &[f64], width: usize, out: &mut [f64]) {
+        assert_eq!(
+            out.len(),
+            rows.len() * width,
+            "add_rows_times_table: output shape mismatch"
+        );
+        for (k, r) in rows.iter().enumerate() {
+            assert_eq!(
+                r.dim * width,
+                table.len(),
+                "add_rows_times_table: table shape mismatch"
+            );
+            let out = &mut out[k * width..(k + 1) * width];
+            blinkml_linalg::simd::sparse_row_times_table(&r.indices, &r.values, table, width, out);
         }
     }
 }
@@ -369,21 +368,61 @@ mod tests {
         assert_eq!(s.to_dense(), vec![0.0, 2.0, 0.0, -1.0, 0.0, 0.0, 0.5, 0.0]);
     }
 
+    /// `out += X T` over every table width up to 40 (each column tile
+    /// and tail of the SIMD kernels) and five rows (a 4-row tile plus a
+    /// tail row), with zeros in `X`: dense, sparse with stored zeros and
+    /// sparse without them all give the bits of the per-output sum that
+    /// skips zero terms.
     #[test]
-    fn add_scaled_rows_into_is_vec_times_matrix() {
-        // x (dim 3) against a 3×2 row-major table: out = xᵀT.
-        let table = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let x = DenseVec::new(vec![2.0, 0.0, -1.0]);
-        let mut out = vec![0.5, 0.5];
-        x.add_scaled_rows_into(&table, 2, &mut out);
-        assert_eq!(out, vec![0.5 + 2.0 - 5.0, 0.5 + 4.0 - 6.0]);
-
-        // The sparse representation of the same logical vector must
-        // produce the bit-identical result (both skip zeros).
-        let s = SparseVec::new(3, vec![0, 2], vec![2.0, -1.0]);
-        let mut out_s = vec![0.5, 0.5];
-        s.add_scaled_rows_into(&table, 2, &mut out_s);
-        assert_eq!(out, out_s);
+    fn add_rows_times_table_is_block_times_matrix() {
+        let dim = 3;
+        let x = [
+            [2.0, 0.0, -1.0],
+            [0.5, 1.5, 0.25],
+            [0.0, -0.0, 3.0],
+            [-2.0, 1.0, 0.0],
+            [1.25, -0.75, 0.5],
+        ];
+        let dense: Vec<DenseVec> = x.iter().map(|r| DenseVec::new(r.to_vec())).collect();
+        let stored: Vec<SparseVec> = dense.iter().map(|r| r.scaled_sparse(1.0, dim, 0)).collect();
+        let pruned: Vec<SparseVec> = x
+            .iter()
+            .map(|r| {
+                let pairs = (0..dim as u32).zip(r.iter().copied());
+                SparseVec::from_pairs(dim, pairs.filter(|&(_, v)| v != 0.0).collect())
+            })
+            .collect();
+        for width in 1..=40 {
+            let table: Vec<f64> = (0..dim * width).map(|k| (k as f64 * 0.37).sin()).collect();
+            let start: Vec<f64> = (0..x.len() * width)
+                .map(|k| 0.5 - k as f64 * 0.01)
+                .collect();
+            let mut want = start.clone();
+            for (r, row) in x.iter().enumerate() {
+                for c in 0..width {
+                    for (i, &v) in row.iter().enumerate() {
+                        if v != 0.0 {
+                            want[r * width + c] += v * table[i * width + c];
+                        }
+                    }
+                }
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let mut got = start.clone();
+            DenseVec::add_rows_times_table(
+                &dense.iter().collect::<Vec<_>>(),
+                &table,
+                width,
+                &mut got,
+            );
+            assert_eq!(bits(&got), bits(&want), "dense, width {width}");
+            for sparse in [&stored, &pruned] {
+                let mut got = start.clone();
+                let rows: Vec<&SparseVec> = sparse.iter().collect();
+                SparseVec::add_rows_times_table(&rows, &table, width, &mut got);
+                assert_eq!(bits(&got), bits(&want), "sparse, width {width}");
+            }
+        }
     }
 
     #[test]

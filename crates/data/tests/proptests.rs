@@ -128,28 +128,52 @@ proptest! {
     }
 
     #[test]
-    fn add_scaled_rows_into_matches_per_coordinate(
-        values in proptest::collection::vec(-3.0f64..3.0, 6),
-        table in proptest::collection::vec(-2.0f64..2.0, 18),
+    fn add_rows_times_table_matches_per_coordinate(
+        rows in 5usize..10,
+        width in 1usize..41,
+        values in proptest::collection::vec(-3.0f64..3.0, 9 * 6),
+        table in proptest::collection::vec(-2.0f64..2.0, 6 * 40),
+        start in proptest::collection::vec(-1.0f64..1.0, 9 * 40),
     ) {
-        // xᵀT through the batched kernel vs. explicit per-coordinate
-        // accumulation, for dense and sparse representations alike.
-        let width = 3;
-        let dense = DenseVec::new(values.clone());
-        let sparse = dense.scaled_sparse(1.0, 6, 0);
-        let mut got_d = vec![0.0; width];
-        dense.add_scaled_rows_into(&table, width, &mut got_d);
-        let mut got_s = vec![0.0; width];
-        sparse.add_scaled_rows_into(&table, width, &mut got_s);
-        let mut want = vec![0.0; width];
-        for (i, &v) in values.iter().enumerate() {
+        // X T through the block kernels vs. explicit per-coordinate
+        // accumulation that skips zero terms, bit for bit, for dense and
+        // sparse representations alike. Entries under 0.5 in magnitude
+        // become zeros (stored in one sparse form, dropped in the other).
+        let dim = 6;
+        let x: Vec<f64> = values[..rows * dim]
+            .iter()
+            .map(|&v| if v.abs() < 0.5 { 0.0 } else { v })
+            .collect();
+        let table = &table[..dim * width];
+        let start = &start[..rows * width];
+        let dense: Vec<DenseVec> = x.chunks_exact(dim).map(|r| DenseVec::new(r.to_vec())).collect();
+        let stored: Vec<SparseVec> = dense.iter().map(|r| r.scaled_sparse(1.0, dim, 0)).collect();
+        let pruned: Vec<SparseVec> = x
+            .chunks_exact(dim)
+            .map(|r| {
+                let pairs = (0..dim as u32).zip(r.iter().copied());
+                SparseVec::from_pairs(dim, pairs.filter(|&(_, v)| v != 0.0).collect())
+            })
+            .collect();
+        let mut want = start.to_vec();
+        for (r, row) in x.chunks_exact(dim).enumerate() {
             for c in 0..width {
-                want[c] += v * table[i * width + c];
+                for (i, &v) in row.iter().enumerate() {
+                    if v != 0.0 {
+                        want[r * width + c] += v * table[i * width + c];
+                    }
+                }
             }
         }
-        for c in 0..width {
-            prop_assert!((got_d[c] - want[c]).abs() < 1e-12);
-            prop_assert!((got_s[c] - want[c]).abs() < 1e-12);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut got = start.to_vec();
+        DenseVec::add_rows_times_table(&dense.iter().collect::<Vec<_>>(), table, width, &mut got);
+        prop_assert_eq!(bits(&got), bits(&want));
+        for sparse in [&stored, &pruned] {
+            let mut got = start.to_vec();
+            let rows: Vec<&SparseVec> = sparse.iter().collect();
+            SparseVec::add_rows_times_table(&rows, table, width, &mut got);
+            prop_assert_eq!(bits(&got), bits(&want));
         }
     }
 }

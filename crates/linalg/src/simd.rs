@@ -20,6 +20,15 @@
 //!   `for i { axpy(w[i], row_i, out) }` loop (zero weights included).
 //! * `givens_rows` (crate-internal, the eigensolver's rotation) is
 //!   elementwise, so each element's bits are those of the scalar loop.
+//! * [`rows_times_table`] (dense rows times a table, the holdout scoring
+//!   GEMM) and [`sparse_row_times_table`] (its sparse one-row form)
+//!   produce, for every output, the bits of the per-row axpy loop: the
+//!   accumulator starts from `out`, terms are added in ascending feature
+//!   order, and a term whose row entry is `0.0` or `-0.0` is skipped, so
+//!   it never turns `-0.0` into `+0.0` or meets an infinite table entry.
+//!   The AVX bodies hold a 4-row × 8-column (dense) or 16-column
+//!   (sparse) tile of outputs in registers across the whole table
+//!   height; row and column tails keep the same per-output order.
 //!
 //! The AVX paths execute the same IEEE multiply/add DAG as the scalar
 //! fallbacks (no FMA contraction), so results do not depend on which
@@ -204,6 +213,82 @@ pub fn rows_weighted_sum_gather_idx(
     }
 }
 
+/// `out[r·width + c] += Σ_i rows[r][i] · table[i·width + c]` — a block of
+/// dense rows times a row-major `d × width` table, with `out` the
+/// row-major `rows.len() × width` result. Each output adds its terms in
+/// ascending `i` and skips the terms whose `rows[r][i] == 0.0` (see
+/// module docs), so the result is bit-identical to the per-row axpy
+/// loop.
+///
+/// # Panics
+/// Panics when `out.len() != rows.len() * width` or any row's length
+/// times `width` differs from `table.len()`.
+pub fn rows_times_table(rows: &[&[f64]], table: &[f64], width: usize, out: &mut [f64]) {
+    assert_eq!(
+        out.len(),
+        rows.len() * width,
+        "rows_times_table: output shape mismatch"
+    );
+    for row in rows {
+        assert_eq!(
+            row.len() * width,
+            table.len(),
+            "rows_times_table: table shape mismatch"
+        );
+    }
+    #[cfg(target_arch = "x86_64")]
+    if width >= 4 && is_x86_feature_detected!("avx") {
+        // SAFETY: AVX presence just checked; every row spans the table's
+        // height and `out` holds `rows.len()` rows of `width` (asserted
+        // above).
+        unsafe { rows_times_table_avx(rows, table, width, out) };
+        return;
+    }
+    rows_times_table_fallback(rows, table, width, out);
+}
+
+/// Sparse one-row form of [`rows_times_table`]: `out[c] += Σ_k
+/// values[k] · table[indices[k]·width + c]`, terms added in ascending
+/// `k` and skipped where `values[k] == 0.0` — bit-identical to the
+/// per-nonzero axpy loop.
+///
+/// # Panics
+/// Panics when `indices.len() != values.len()`, `out.len() != width`,
+/// or an index names a table row past `table.len() / width`.
+pub fn sparse_row_times_table(
+    indices: &[u32],
+    values: &[f64],
+    table: &[f64],
+    width: usize,
+    out: &mut [f64],
+) {
+    assert_eq!(
+        indices.len(),
+        values.len(),
+        "sparse_row_times_table: index/value length mismatch"
+    );
+    assert_eq!(
+        out.len(),
+        width,
+        "sparse_row_times_table: output length mismatch"
+    );
+    assert!(
+        indices
+            .iter()
+            .all(|&i| (i as usize + 1) * width <= table.len()),
+        "sparse_row_times_table: index out of table range"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if width >= 4 && is_x86_feature_detected!("avx") {
+        // SAFETY: AVX presence just checked; every indexed table row
+        // lies inside `table` and `out` has `width` entries (asserted
+        // above).
+        unsafe { sparse_row_times_table_avx(indices, values, table, width, out) };
+        return;
+    }
+    sparse_row_times_table_fallback(indices, values, table, width, out);
+}
+
 /// Scalar reference for [`rows_dot`]: per-row [`dot`] plus the bias.
 fn rows_dot_fallback(x: &[f64], d: usize, w: &[f64], bias: f64, out: &mut [f64]) {
     for (row, o) in x.chunks_exact(d).zip(out.iter_mut()) {
@@ -216,6 +301,42 @@ fn rows_weighted_sum_fallback(x: &[f64], d: usize, w: &[f64], out: &mut [f64]) {
     for (row, &wi) in x.chunks_exact(d).zip(w) {
         for (oj, &xj) in out.iter_mut().zip(row) {
             *oj += wi * xj;
+        }
+    }
+}
+
+/// Scalar reference for [`rows_times_table`]: per row, one axpy of a
+/// table row per nonzero entry, in ascending entry order.
+fn rows_times_table_fallback(rows: &[&[f64]], table: &[f64], width: usize, out: &mut [f64]) {
+    for (r, row) in rows.iter().enumerate() {
+        let out = &mut out[r * width..(r + 1) * width];
+        for (i, &v) in row.iter().enumerate() {
+            if v == 0.0 {
+                continue;
+            }
+            for (o, &t) in out.iter_mut().zip(&table[i * width..(i + 1) * width]) {
+                *o += v * t;
+            }
+        }
+    }
+}
+
+/// Scalar reference for [`sparse_row_times_table`]: one axpy of a table
+/// row per stored nonzero, in storage order.
+fn sparse_row_times_table_fallback(
+    indices: &[u32],
+    values: &[f64],
+    table: &[f64],
+    width: usize,
+    out: &mut [f64],
+) {
+    for (&i, &v) in indices.iter().zip(values) {
+        if v == 0.0 {
+            continue;
+        }
+        let row = &table[i as usize * width..(i as usize + 1) * width];
+        for (o, &t) in out.iter_mut().zip(row) {
+            *o += v * t;
         }
     }
 }
@@ -619,6 +740,202 @@ unsafe fn rows_weighted_sum_gather_idx_avx(
     }
 }
 
+/// AVX [`rows_times_table`]: blocks of four rows through 4 × 8 register
+/// tiles, then the last `rows.len() % 4` rows one at a time. A block
+/// with no zero entry runs without the per-term zero tests.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn rows_times_table_avx(rows: &[&[f64]], table: &[f64], width: usize, out: &mut [f64]) {
+    let mut r = 0;
+    while r + 4 <= rows.len() {
+        let block = [rows[r], rows[r + 1], rows[r + 2], rows[r + 3]];
+        let out = &mut out[r * width..(r + 4) * width];
+        if block.iter().any(|row| row.contains(&0.0)) {
+            rows_tile::<4, true>(block, table, width, out);
+        } else {
+            rows_tile::<4, false>(block, table, width, out);
+        }
+        r += 4;
+    }
+    for (row, out) in rows[r..]
+        .iter()
+        .zip(out[r * width..].chunks_exact_mut(width))
+    {
+        if row.contains(&0.0) {
+            rows_tile::<1, true>([row], table, width, out);
+        } else {
+            rows_tile::<1, false>([row], table, width, out);
+        }
+    }
+}
+
+/// `R` rows of [`rows_times_table_avx`]: 8-column tiles (two `__m256d`
+/// accumulators per row, one table load shared by the `R` rows), then a
+/// 4-column tile, then single columns. Every output starts from its `out`
+/// value and adds `x·t` in ascending `i`, skipping zero `x` when `SKIP`
+/// (callers pass `false` only for rows without zeros).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn rows_tile<const R: usize, const SKIP: bool>(
+    rows: [&[f64]; R],
+    table: &[f64],
+    width: usize,
+    out: &mut [f64],
+) {
+    use std::arch::x86_64::*;
+    let d = rows[0].len();
+    let tp = table.as_ptr();
+    let op = out.as_mut_ptr();
+    let xp = rows.map(<[f64]>::as_ptr);
+    let mut c = 0;
+    while c + 8 <= width {
+        let mut acc = [[_mm256_setzero_pd(); 2]; R];
+        for (r, a) in acc.iter_mut().enumerate() {
+            let o = op.add(r * width + c);
+            *a = [_mm256_loadu_pd(o), _mm256_loadu_pd(o.add(4))];
+        }
+        for i in 0..d {
+            let t = tp.add(i * width + c);
+            let (t0, t1) = (_mm256_loadu_pd(t), _mm256_loadu_pd(t.add(4)));
+            for (a, x) in acc.iter_mut().zip(xp) {
+                let x = *x.add(i);
+                if SKIP && x == 0.0 {
+                    continue;
+                }
+                let xv = _mm256_set1_pd(x);
+                a[0] = _mm256_add_pd(a[0], _mm256_mul_pd(xv, t0));
+                a[1] = _mm256_add_pd(a[1], _mm256_mul_pd(xv, t1));
+            }
+        }
+        for (r, a) in acc.iter().enumerate() {
+            let o = op.add(r * width + c);
+            _mm256_storeu_pd(o, a[0]);
+            _mm256_storeu_pd(o.add(4), a[1]);
+        }
+        c += 8;
+    }
+    if c + 4 <= width {
+        let mut acc = [_mm256_setzero_pd(); R];
+        for (r, a) in acc.iter_mut().enumerate() {
+            *a = _mm256_loadu_pd(op.add(r * width + c));
+        }
+        for i in 0..d {
+            let t0 = _mm256_loadu_pd(tp.add(i * width + c));
+            for (a, x) in acc.iter_mut().zip(xp) {
+                let x = *x.add(i);
+                if SKIP && x == 0.0 {
+                    continue;
+                }
+                *a = _mm256_add_pd(*a, _mm256_mul_pd(_mm256_set1_pd(x), t0));
+            }
+        }
+        for (r, a) in acc.iter().enumerate() {
+            _mm256_storeu_pd(op.add(r * width + c), *a);
+        }
+        c += 4;
+    }
+    for c in c..width {
+        for (r, x) in xp.iter().enumerate() {
+            let o = op.add(r * width + c);
+            let mut acc = *o;
+            for i in 0..d {
+                let x = *x.add(i);
+                if SKIP && x == 0.0 {
+                    continue;
+                }
+                acc += x * *tp.add(i * width + c);
+            }
+            *o = acc;
+        }
+    }
+}
+
+/// AVX [`sparse_row_times_table`]: 16-column tiles (four `__m256d`
+/// accumulators) over the nonzeros, then a 4-column tile, then single
+/// columns, each output accumulated in storage order. A row with no
+/// stored zero runs without the per-term zero tests.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn sparse_row_times_table_avx(
+    indices: &[u32],
+    values: &[f64],
+    table: &[f64],
+    width: usize,
+    out: &mut [f64],
+) {
+    if values.contains(&0.0) {
+        sparse_tile::<true>(indices, values, table, width, out);
+    } else {
+        sparse_tile::<false>(indices, values, table, width, out);
+    }
+}
+
+/// The tiles of [`sparse_row_times_table_avx`]; `SKIP` as in
+/// [`rows_tile`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn sparse_tile<const SKIP: bool>(
+    indices: &[u32],
+    values: &[f64],
+    table: &[f64],
+    width: usize,
+    out: &mut [f64],
+) {
+    use std::arch::x86_64::*;
+    let tp = table.as_ptr();
+    let op = out.as_mut_ptr();
+    let mut c = 0;
+    while c + 16 <= width {
+        let o = op.add(c);
+        let mut a = [
+            _mm256_loadu_pd(o),
+            _mm256_loadu_pd(o.add(4)),
+            _mm256_loadu_pd(o.add(8)),
+            _mm256_loadu_pd(o.add(12)),
+        ];
+        for (&i, &v) in indices.iter().zip(values) {
+            if SKIP && v == 0.0 {
+                continue;
+            }
+            let t = tp.add(i as usize * width + c);
+            let xv = _mm256_set1_pd(v);
+            a[0] = _mm256_add_pd(a[0], _mm256_mul_pd(xv, _mm256_loadu_pd(t)));
+            a[1] = _mm256_add_pd(a[1], _mm256_mul_pd(xv, _mm256_loadu_pd(t.add(4))));
+            a[2] = _mm256_add_pd(a[2], _mm256_mul_pd(xv, _mm256_loadu_pd(t.add(8))));
+            a[3] = _mm256_add_pd(a[3], _mm256_mul_pd(xv, _mm256_loadu_pd(t.add(12))));
+        }
+        _mm256_storeu_pd(o, a[0]);
+        _mm256_storeu_pd(o.add(4), a[1]);
+        _mm256_storeu_pd(o.add(8), a[2]);
+        _mm256_storeu_pd(o.add(12), a[3]);
+        c += 16;
+    }
+    while c + 4 <= width {
+        let o = op.add(c);
+        let mut a = _mm256_loadu_pd(o);
+        for (&i, &v) in indices.iter().zip(values) {
+            if SKIP && v == 0.0 {
+                continue;
+            }
+            let t = _mm256_loadu_pd(tp.add(i as usize * width + c));
+            a = _mm256_add_pd(a, _mm256_mul_pd(_mm256_set1_pd(v), t));
+        }
+        _mm256_storeu_pd(o, a);
+        c += 4;
+    }
+    for c in c..width {
+        let o = op.add(c);
+        let mut acc = *o;
+        for (&i, &v) in indices.iter().zip(values) {
+            if SKIP && v == 0.0 {
+                continue;
+            }
+            acc += v * *tp.add(i as usize * width + c);
+        }
+        *o = acc;
+    }
+}
+
 /// Givens rotation of two equal-length rows, elementwise:
 /// `(a, b) ← (c·a − s·b, s·a + c·b)` — the eigenvector update of the QL
 /// iteration in [`crate::eigen`], which keeps its transform transposed
@@ -800,6 +1117,115 @@ mod tests {
             assert_eq!(fa[0].to_bits(), (c * a0[0] - s * b0[0]).to_bits());
             assert_eq!(fb[0].to_bits(), (s * a0[0] + c * b0[0]).to_bits());
         }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A `d × width` table whose rows `i % 5 == 2` hold ±inf and NaN: a
+    /// term of such a row that is not skipped turns its output NaN.
+    fn poisoned_table(d: usize, width: usize, seed: u64) -> Vec<f64> {
+        let mut t = block(d, width, seed);
+        for (k, v) in t.iter_mut().enumerate() {
+            if (k / width.max(1)) % 5 == 2 {
+                *v = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][k % 3];
+            }
+        }
+        t
+    }
+
+    /// Output start values: nonzero, with `-0.0` in every fourth slot (an
+    /// unskipped `0·t` term would turn it into `+0.0`).
+    fn start_values(len: usize, seed: u64) -> Vec<f64> {
+        let mut out = block(1, len, seed);
+        out.iter_mut().step_by(4).for_each(|v| *v = -0.0);
+        out
+    }
+
+    /// The block kernel's AVX dispatch against the scalar loop, bit for
+    /// bit: every row-tile tail (1–9 rows), every column tail (widths
+    /// 1–37), `d ∈ {0, 1, 7, 100}`, zero and `-0.0` entries of `x` over
+    /// the ±inf/NaN table rows, rows of zeros only, and `out` starting
+    /// from nonzero and `-0.0` values.
+    #[test]
+    fn rows_times_table_fallback_matches_dispatch() {
+        for d in [0, 1, 7, 100] {
+            for n in 1..=9 {
+                let mut x = block(n, d, 40 + n as u64);
+                for (k, v) in x.iter_mut().enumerate() {
+                    let (r, i) = (k / d, k % d);
+                    if i % 5 == 2 || r % 3 == 2 || (r * 7 + i) % 11 == 0 {
+                        *v = if (r + i) % 2 == 0 { 0.0 } else { -0.0 };
+                    }
+                }
+                let rows: Vec<&[f64]> = (0..n).map(|r| &x[r * d..(r + 1) * d]).collect();
+                for width in 1..=37 {
+                    let table = poisoned_table(d, width, 50 + width as u64);
+                    let start = start_values(n * width, 60);
+                    let (mut fast, mut slow) = (start.clone(), start.clone());
+                    rows_times_table(&rows, &table, width, &mut fast);
+                    rows_times_table_fallback(&rows, &table, width, &mut slow);
+                    assert_eq!(bits(&fast), bits(&slow), "d={d} n={n} width={width}");
+                    assert!(
+                        fast.iter().all(|v| !v.is_nan()),
+                        "d={d} n={n} width={width}"
+                    );
+                    for r in (2..n).step_by(3) {
+                        let o = r * width..(r + 1) * width;
+                        assert_eq!(bits(&fast[o.clone()]), bits(&start[o]), "zero row {r}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The sparse kernel's AVX dispatch against the scalar loop, bit for
+    /// bit, over the same widths and table heights, with stored zeros
+    /// and `-0.0` values on the ±inf/NaN table rows.
+    #[test]
+    fn sparse_row_times_table_fallback_matches_dispatch() {
+        for d in [0, 1, 7, 100] {
+            let indices: Vec<u32> = (0..d as u32).filter(|i| i % 4 != 1).collect();
+            let values: Vec<f64> = indices
+                .iter()
+                .zip(block(1, indices.len(), 70))
+                .map(|(&i, v)| match i % 5 {
+                    2 if i % 2 == 0 => 0.0,
+                    2 => -0.0,
+                    _ => v,
+                })
+                .collect();
+            for width in 1..=37 {
+                let table = poisoned_table(d, width, 80 + width as u64);
+                let start = start_values(width, 90);
+                let (mut fast, mut slow) = (start.clone(), start.clone());
+                sparse_row_times_table(&indices, &values, &table, width, &mut fast);
+                sparse_row_times_table_fallback(&indices, &values, &table, width, &mut slow);
+                assert_eq!(bits(&fast), bits(&slow), "d={d} width={width}");
+                assert!(fast.iter().all(|v| !v.is_nan()), "d={d} width={width}");
+                let zeros = vec![0.0; indices.len()];
+                let mut kept = start.clone();
+                sparse_row_times_table(&indices, &zeros, &table, width, &mut kept);
+                assert_eq!(bits(&kept), bits(&start), "zero row, d={d} width={width}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "table shape mismatch")]
+    fn rows_times_table_rejects_bad_shape() {
+        let x = block(2, 3, 26);
+        let rows: Vec<&[f64]> = vec![&x[..3], &x[..2]];
+        let mut out = vec![0.0; 2 * 4];
+        rows_times_table(&rows, &[0.0; 12], 4, &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of table range")]
+    fn sparse_row_times_table_rejects_out_of_range_index() {
+        let mut out = vec![0.0; 4];
+        sparse_row_times_table(&[0, 3], &[1.0, 1.0], &[0.0; 12], 4, &mut out);
     }
 
     #[test]
