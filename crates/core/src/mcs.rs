@@ -307,9 +307,10 @@ pub trait ModelClassSpec<F: FeatureVec>: Send + Sync {
     /// Batched **multi-λ** objective evaluation: compute every grid
     /// point's `f(θ_k)` and `∇f(θ_k)` — each under its own L2
     /// coefficient `β_k` and over its own row-count prefix of `xm` — in
-    /// one fused pass over the shared sample capture (margins computed
-    /// once per chunk per probe while the rows are cache-hot, the K
-    /// regularizer terms applied per-λ afterwards).
+    /// one fused pass over the shared sample capture (each row block
+    /// loaded once for every probe's margins and once for every
+    /// probe's gradient, the K regularizer terms applied per-λ
+    /// afterwards; see `MatrixView::value_grad_fold_multi`).
     ///
     /// The contract is exactness: each eval's `(value, grad)` must be
     /// **bit-identical** to [`Self::value_grad`] on a spec with

@@ -250,10 +250,9 @@ impl<Fam: GlmFamily, F: FeatureVec> ModelClassSpec<F> for GlmSpec<Fam> {
         let intercept = self.intercept;
         let dim = d + usize::from(intercept);
         // One fused multi-request sweep over the shared capture: every
-        // grid point's weight-block fold runs chunk by chunk while the
-        // rows are hot; the λ-dependent regularizer terms are applied
-        // per-eval afterwards, so the data passes are shared across the
-        // whole grid. Request k's (loss, dloss-sum, grad) come out
+        // grid point's weight-block fold shares each block of rows; the
+        // λ-dependent regularizer terms are applied per-eval afterwards,
+        // so the data passes are shared across the whole grid. Request k's (loss, dloss-sum, grad) come out
         // bit-identical to `value_grad_fold` over `xm.prefix(rows_k)`,
         // which is what makes each eval below bit-identical to
         // `value_grad` on a `with_regularization(β_k)` spec.

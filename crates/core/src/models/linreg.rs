@@ -123,10 +123,10 @@ impl<F: FeatureVec> ModelClassSpec<F> for LinearRegressionSpec {
         scratch: &mut TrainScratch,
     ) {
         let d = xm.dim();
-        // One fused multi-request sweep shares each chunk's cache-hot
-        // rows across every grid point; residuals are formed exactly as
-        // the single-λ kernel forms them, so per-request sums and
-        // gradient partials are bit-identical to `value_grad`.
+        // One fused multi-request sweep shares each block of rows across
+        // every grid point; residuals are formed exactly as the single-λ
+        // kernel forms them, so per-request sums and gradient partials
+        // are bit-identical to `value_grad`.
         let mut reqs: Vec<FoldRequest> = evals
             .iter_mut()
             .map(|e| {

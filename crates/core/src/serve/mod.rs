@@ -130,7 +130,8 @@ use crate::serve::cache::{PilotCache, PilotKey, PilotTicket};
 use crate::serve::resilience::{retry_backoff, ActiveTokenGuard, CancelToken, DegradationRung};
 use crate::sweep::{run_sweep, SweepPlan, SweepResult};
 use blinkml_data::{
-    CaptureScratch, Dataset, DatasetMatrix, FeatureVec, IngestPolicy, StreamSnapshot, StreamingPool,
+    CaptureScratch, Dataset, DatasetMatrix, FeatureVec, IngestPolicy, StreamSnapshot,
+    StreamingPool, TrainScratch,
 };
 use blinkml_prob::split_seed;
 use std::borrow::Cow;
@@ -1648,7 +1649,16 @@ where
     )
     .with_warm_start(query.warm_start);
     let attempt = catch_unwind(AssertUnwindSafe(|| {
-        run_sweep(&config, spec, train, holdout, pool, scratch, &plan)
+        run_sweep(
+            &config,
+            spec,
+            train,
+            holdout,
+            pool,
+            scratch,
+            &mut TrainScratch::new(),
+            &plan,
+        )
     }));
     match attempt {
         Ok(Ok(result)) => Ok(result),

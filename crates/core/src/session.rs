@@ -36,7 +36,7 @@ use crate::coordinator::{run_train, PilotState, TrainingOutcome};
 use crate::error::CoreError;
 use crate::mcs::ModelClassSpec;
 use crate::sweep::{run_sweep, SweepPlan, SweepResult};
-use blinkml_data::{CaptureScratch, Dataset, DatasetMatrix, FeatureVec};
+use blinkml_data::{CaptureScratch, Dataset, DatasetMatrix, FeatureVec, TrainScratch};
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -71,6 +71,8 @@ pub struct Session<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> {
     pool: DatasetMatrix<'a>,
     pilots: RefCell<HashMap<(usize, u64), PilotState>>,
     cap_scratch: RefCell<CaptureScratch>,
+    /// The fused sweeps' objective buffers, kept across sweeps.
+    train_scratch: RefCell<TrainScratch>,
 }
 
 impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
@@ -103,6 +105,7 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
             pool,
             pilots: RefCell::new(HashMap::new()),
             cap_scratch: RefCell::new(CaptureScratch::new()),
+            train_scratch: RefCell::new(TrainScratch::new()),
         })
     }
 
@@ -192,6 +195,7 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
             self.holdout,
             &self.pool,
             &mut self.cap_scratch.borrow_mut(),
+            &mut self.train_scratch.borrow_mut(),
             plan,
         )
     }

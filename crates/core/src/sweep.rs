@@ -15,9 +15,12 @@
 //! * **lockstep fused fits** — the K concurrent quasi-Newton solves are
 //!   driven round by round through
 //!   [`ModelClassSpec::value_grad_batched_multi`]: each round answers
-//!   every live solver's probe with one fused pass over the capture, so
-//!   a chunk of rows is loaded into cache once and serves up to K
-//!   margin/gradient evaluations before it is evicted,
+//!   every live solver's probe with one fused pass over the capture,
+//!   which walks the rows in L1-sized blocks and reuses each block for
+//!   up to K margin evaluations, then for up to K gradient
+//!   accumulations (a whole 4,096-row chunk at d = 100 is 3.2 MB, too
+//!   big to stay cached between probes; see
+//!   `MatrixView::value_grad_fold_multi`),
 //! * **one scorer pass** — the K holdout base score matrices behind the
 //!   ε₀ estimates and sample-size searches are built by one stacked GEMM
 //!   ([`HoldoutScorer::new_many`]),
@@ -55,7 +58,7 @@ use blinkml_optim::{
     minimize_with, MinimizeWorkspace, Objective, OptimError, OptimOptions, OptimResult,
 };
 use blinkml_prob::split_seed;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// A hyperparameter-sweep request: the λ grid, the shared `(ε, δ)`
@@ -187,6 +190,8 @@ struct BridgeState {
     pending: usize,
     /// Solvers still running.
     live: usize,
+    /// The driver unwound: no round will be answered again.
+    aborted: bool,
 }
 
 /// The rendezvous between K unchanged quasi-Newton solvers (one OS
@@ -198,6 +203,12 @@ struct BridgeState {
 /// sequence depends only on its own probe sequence (the fused kernel is
 /// bit-identical per request), so a solver cannot observe how many
 /// neighbors share its rounds.
+///
+/// A panic on either side cannot hang the other: a driver that unwinds
+/// marks the bridge aborted and wakes every solver, whose pending `eval`
+/// then panics; a solver that unwinds still reports itself finished
+/// (see [`lockstep_fits`]). The lock is recovered after a poisoning
+/// panic, so the original panic is the one that reaches the caller.
 struct EvalBridge {
     state: Mutex<BridgeState>,
     /// Signaled when a probe is posted or a solver finishes.
@@ -220,24 +231,40 @@ impl EvalBridge {
                     .collect(),
                 pending: 0,
                 live: k,
+                aborted: false,
             }),
             work_ready: Condvar::new(),
             result_ready: Condvar::new(),
         }
     }
 
+    /// The bridge state, recovered if a panicking thread poisoned it.
+    /// Recovery is sound: only a driver panic can leave a round half
+    /// answered, and it marks the bridge aborted, after which no slot's
+    /// probe or answer is read again.
+    fn lock(&self) -> MutexGuard<'_, BridgeState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Solver side: post a probe and block until the driver answers.
+    ///
+    /// # Panics
+    /// Panics when the driver aborted the bridge.
     fn eval(&self, slot: usize, theta: &[f64], grad: &mut [f64]) -> f64 {
-        let mut st = self.state.lock().expect("bridge poisoned");
+        let mut st = self.lock();
         let s = &mut st.slots[slot];
         s.theta.clear();
         s.theta.extend_from_slice(theta);
         s.phase = SlotPhase::Requested;
         st.pending += 1;
         self.work_ready.notify_all();
-        while st.slots[slot].phase != SlotPhase::Answered {
-            st = self.result_ready.wait(st).expect("bridge poisoned");
+        while st.slots[slot].phase != SlotPhase::Answered && !st.aborted {
+            st = self
+                .result_ready
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
         }
+        assert!(!st.aborted, "lockstep evaluation aborted by a driver panic");
         let s = &mut st.slots[slot];
         s.phase = SlotPhase::Idle;
         grad.copy_from_slice(&s.grad);
@@ -246,7 +273,7 @@ impl EvalBridge {
 
     /// Solver side: report this slot's solve as finished.
     fn finish(&self, slot: usize) {
-        let mut st = self.state.lock().expect("bridge poisoned");
+        let mut st = self.lock();
         st.slots[slot].phase = SlotPhase::Done;
         st.live -= 1;
         self.work_ready.notify_all();
@@ -263,10 +290,16 @@ impl EvalBridge {
         xm: &MatrixView,
         scratch: &mut TrainScratch,
     ) {
-        let mut st = self.state.lock().expect("bridge poisoned");
+        // Declared before the lock guard, so it runs after an unwind has
+        // released (and poisoned) the lock.
+        let _abort = AbortOnUnwind(self);
+        let mut st = self.lock();
         loop {
             while st.live > 0 && st.pending < st.live {
-                st = self.work_ready.wait(st).expect("bridge poisoned");
+                st = self
+                    .work_ready
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
             if st.live == 0 {
                 return;
@@ -303,6 +336,32 @@ impl EvalBridge {
     }
 }
 
+/// Marks its bridge aborted and wakes every solver when dropped during
+/// an unwind of the driver.
+struct AbortOnUnwind<'b>(&'b EvalBridge);
+
+impl Drop for AbortOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().aborted = true;
+            self.0.result_ready.notify_all();
+        }
+    }
+}
+
+/// Reports its solver slot finished when dropped, so a solver that
+/// panics still releases the driver.
+struct FinishOnDrop<'b> {
+    bridge: &'b EvalBridge,
+    slot: usize,
+}
+
+impl Drop for FinishOnDrop<'_> {
+    fn drop(&mut self) {
+        self.bridge.finish(self.slot);
+    }
+}
+
 /// One solver's view of the bridge, shaped as a plain [`Objective`] so
 /// the quasi-Newton solvers run **unchanged** — every probe they make is
 /// transparently batched into the bridge's rounds.
@@ -334,6 +393,10 @@ impl Objective for BridgeObjective<'_> {
 /// its own reusable workspace. Per-solve results are bit-identical to
 /// solo [`blinkml_optim::minimize`] runs on the equivalent single-λ
 /// objective.
+///
+/// # Panics
+/// A panic in the fused kernel or in a solver is re-raised here once
+/// every solver thread has stopped (it never hangs the scope).
 #[allow(clippy::too_many_arguments)]
 fn lockstep_fits<F: FeatureVec>(
     spec: &dyn ModelClassSpec<F>,
@@ -361,9 +424,9 @@ fn lockstep_fits<F: FeatureVec>(
         {
             let bridge = &bridge;
             s.spawn(move || {
+                let _finish = FinishOnDrop { bridge, slot };
                 let objective = BridgeObjective { bridge, slot, dim };
                 *res = Some(minimize_with(&objective, theta0, options, ws));
-                bridge.finish(slot);
             });
         }
         bridge.drive(spec, betas, rows, xm, scratch);
@@ -392,6 +455,7 @@ fn run_sweep_fused<F: FeatureVec>(
     holdout: &Dataset<F>,
     pool: &DatasetMatrix<'_>,
     cap_scratch: &mut CaptureScratch,
+    scratch: &mut TrainScratch,
     seed: u64,
     policy: WarmStartPolicy,
 ) -> Result<SweepResult, CoreError> {
@@ -400,7 +464,6 @@ fn run_sweep_fused<F: FeatureVec>(
     let n0 = config.initial_sample_size.min(full_n);
     let dim = specs[0].param_dim(train.dim());
     let mut workspaces: Vec<MinimizeWorkspace> = (0..k).map(|_| MinimizeWorkspace::new()).collect();
-    let mut scratch = TrainScratch::new();
     let mut phases = TrainingPhaseTimes::default();
 
     // Stage 1: the shared pilot — one capture, K lockstep fits from
@@ -422,7 +485,7 @@ fn run_sweep_fused<F: FeatureVec>(
         &view,
         &config.optim,
         &mut workspaces,
-        &mut scratch,
+        scratch,
     );
     let mut pilots = Vec::with_capacity(k);
     for fit in fits {
@@ -577,7 +640,7 @@ fn run_sweep_fused<F: FeatureVec>(
                     &fview,
                     &config.optim,
                     &mut sub_ws,
-                    &mut scratch,
+                    scratch,
                 );
                 for ((&(i, n), fit), ws) in needs.iter().zip(fits).zip(sub_ws) {
                     workspaces[i] = ws;
@@ -682,7 +745,9 @@ fn run_sweep_fused<F: FeatureVec>(
 /// the serving layer: validate the plan, instantiate one spec per λ,
 /// and route to the fused engine (model classes with the multi-λ
 /// kernel) or the per-point fallback loop. `config` must already carry the plan's
-/// `(ε, δ)` contract.
+/// `(ε, δ)` contract. `scratch` holds the fused engine's objective
+/// buffers; a caller that keeps it across sweeps allocates them once.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_sweep<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     config: &BlinkMlConfig,
     spec: &S,
@@ -690,6 +755,7 @@ pub(crate) fn run_sweep<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     holdout: &Dataset<F>,
     pool: &DatasetMatrix<'_>,
     cap_scratch: &mut CaptureScratch,
+    scratch: &mut TrainScratch,
     plan: &SweepPlan,
 ) -> Result<SweepResult, CoreError> {
     plan.validate()?;
@@ -714,6 +780,7 @@ pub(crate) fn run_sweep<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
             holdout,
             pool,
             cap_scratch,
+            scratch,
             plan.seed,
             plan.warm_start,
         )
@@ -999,6 +1066,42 @@ mod tests {
             assert!(p.outcome.estimated_epsilon.is_finite());
             assert!(p.outcome.estimated_epsilon >= 0.0);
         }
+    }
+
+    /// A panic inside the fused multi-λ kernel must reach the caller of
+    /// `Session::sweep` instead of leaving the solver threads blocked on
+    /// the bridge forever; a watchdog turns a hang into a failure.
+    #[test]
+    fn multi_lambda_kernel_panic_reaches_the_caller() {
+        use crate::testing::MultiLambdaPanicSpec;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let (data, _) = synthetic_logistic(3_000, 4, 2.0, 43);
+            let split = data.split(400, 0, 44);
+            let spec = MultiLambdaPanicSpec(Box::new(LogisticRegressionSpec::new(1e-3)));
+            let session = Session::new(config(300), &spec, &split.train, &split.holdout).unwrap();
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                session.sweep(&[1e-2, 0.1, 1.0], 0.04, 0.05, 5)
+            }));
+            let _ = tx.send(outcome.map(|r| r.is_ok()));
+        });
+        let payload = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("sweep hung after a kernel panic")
+            .expect_err("the kernel panic must propagate");
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned());
+        assert_eq!(
+            message.as_deref(),
+            Some("injected fault: fused multi-λ kernel panic"),
+            "the original panic reaches the caller"
+        );
     }
 
     /// Model classes without a swappable L2 coefficient are rejected.

@@ -5,7 +5,7 @@
 
 use crate::error::CoreError;
 use crate::grads::Grads;
-use crate::mcs::{DrawScores, ModelClassSpec, TrainedModel};
+use crate::mcs::{DrawScores, ModelClassSpec, SweepEval, TrainedModel};
 use crate::serve::resilience::{relax_active_deadline, trip_active_deadline};
 use blinkml_data::{Dataset, DatasetMatrix, FeatureVec, MatrixView, TrainScratch};
 use blinkml_linalg::Matrix;
@@ -273,6 +273,84 @@ where
     ) -> Result<TrainedModel, CoreError> {
         (self.hook)(xm.len());
         self.inner.train_view(xm, warm_start, options)
+    }
+}
+
+/// Forwards every [`ModelClassSpec`] method to the inner spec, except
+/// that it claims the fused multi-λ kernel
+/// ([`ModelClassSpec::multi_lambda_batched`]) and panics inside it —
+/// the fault behind the sweep engine's no-hang contract. Its per-λ
+/// instantiations ([`ModelClassSpec::with_regularization`]) panic the
+/// same way; every other path (plain queries, training) is the inner
+/// spec's.
+pub struct MultiLambdaPanicSpec<F: FeatureVec>(pub Box<dyn ModelClassSpec<F>>);
+
+impl<F: FeatureVec> ModelClassSpec<F> for MultiLambdaPanicSpec<F> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn param_dim(&self, data_dim: usize) -> usize {
+        self.0.param_dim(data_dim)
+    }
+    fn regularization(&self) -> f64 {
+        self.0.regularization()
+    }
+    fn value_grad(
+        &self,
+        theta: &[f64],
+        xm: &MatrixView,
+        scratch: &mut TrainScratch,
+        grad: &mut [f64],
+    ) -> f64 {
+        self.0.value_grad(theta, xm, scratch, grad)
+    }
+    fn multi_lambda_batched(&self) -> bool {
+        true
+    }
+    fn value_grad_batched_multi(
+        &self,
+        _evals: &mut [SweepEval],
+        _xm: &MatrixView,
+        _scratch: &mut TrainScratch,
+    ) {
+        panic!("injected fault: fused multi-λ kernel panic");
+    }
+    fn with_regularization(&self, beta: f64) -> Option<Box<dyn ModelClassSpec<F>>> {
+        let inner = self.0.with_regularization(beta)?;
+        Some(Box::new(MultiLambdaPanicSpec(inner)))
+    }
+    fn grads(&self, theta: &[f64], xm: &MatrixView) -> Grads {
+        self.0.grads(theta, xm)
+    }
+    fn closed_form_hessian(&self, theta: &[f64], xm: &MatrixView) -> Option<Matrix> {
+        self.0.closed_form_hessian(theta, xm)
+    }
+    fn predict(&self, theta: &[f64], x: &F) -> f64 {
+        self.0.predict(theta, x)
+    }
+    fn diff(&self, theta_a: &[f64], theta_b: &[f64], holdout: &Dataset<F>) -> f64 {
+        self.0.diff(theta_a, theta_b, holdout)
+    }
+    fn generalization_error(&self, theta: &[f64], data: &Dataset<F>) -> f64 {
+        self.0.generalization_error(theta, data)
+    }
+    fn num_margin_outputs(&self, data_dim: usize) -> Option<usize> {
+        self.0.num_margin_outputs(data_dim)
+    }
+    fn margins(&self, theta: &[f64], x: &F, out: &mut [f64]) {
+        self.0.margins(theta, x, out)
+    }
+    fn margin_weights(&self, theta: &[f64], data_dim: usize) -> Option<Matrix> {
+        self.0.margin_weights(theta, data_dim)
+    }
+    fn predict_from_margins(&self, scores: &[f64]) -> f64 {
+        self.0.predict_from_margins(scores)
+    }
+    fn diff_is_rms(&self) -> bool {
+        self.0.diff_is_rms()
+    }
+    fn margin_diff_sum(&self, scores: DrawScores<'_>, stop: f64) -> f64 {
+        self.0.margin_diff_sum(scores, stop)
     }
 }
 

@@ -13,7 +13,7 @@ use blinkml_core::config::{BlinkMlConfig, ExecConfig, ServeConfig};
 use blinkml_core::coordinator::Coordinator;
 use blinkml_core::models::LogisticRegressionSpec;
 use blinkml_core::serve::{DatasetShard, Query, Server, StreamShard, SweepQuery};
-use blinkml_core::testing::HookedSpec;
+use blinkml_core::testing::{HookedSpec, MultiLambdaPanicSpec};
 use blinkml_core::WarmStartPolicy;
 use blinkml_core::{ModelClassSpec, TrainingOutcome};
 use blinkml_data::generators::synthetic_logistic;
@@ -479,6 +479,54 @@ fn mid_train_panic_fails_one_query_and_queue_recovers() {
     assert_eq!(stats.failed, 1);
     assert_eq!(stats.completed, 1);
     assert_eq!(stats.pilot_trains, 1);
+}
+
+/// A panic inside the fused multi-λ kernel resolves that sweep ticket to
+/// `WorkerPanicked` instead of wedging its worker on the lockstep
+/// bridge, and the same server (one worker) then serves a plain query
+/// with the exact oracle answer.
+#[test]
+fn multi_lambda_kernel_panic_fails_the_sweep_and_worker_recovers() {
+    let n0 = 200;
+    let shard = make_shard(1, 3_000, 4, 71);
+    let base = base_config(n0, Some(1));
+    let query = Query::new(1, 0.2, 0.05, 3);
+    let expected = oracle(&base, &LogisticRegressionSpec::new(1e-3), &shard, query);
+    let server = Server::spawn(
+        base,
+        ServeConfig {
+            workers: 1,
+            retry_budget: 0,
+            ..ServeConfig::default()
+        },
+        MultiLambdaPanicSpec(Box::new(LogisticRegressionSpec::new(1e-3))),
+        vec![shard],
+    )
+    .expect("spawn server");
+
+    let sweep = server
+        .submit_sweep(SweepQuery::new(1, vec![0.1, 1e-3], 0.2, 0.05, 3))
+        .expect("submit sweep");
+    let Some(resolved) = sweep.wait_timeout(Duration::from_secs(60)) else {
+        // Dropping the server joins its workers, and this one is wedged:
+        // leak it so the test fails instead of hanging.
+        std::mem::forget(server);
+        panic!("the sweep ticket did not resolve within 60 s");
+    };
+    assert!(
+        matches!(
+            resolved,
+            Err(blinkml_core::serve::ServeError::WorkerPanicked(_))
+        ),
+        "the kernel panic surfaces as WorkerPanicked, got {resolved:?}"
+    );
+
+    let served = server.query(query).expect("plain query after the panic");
+    assert_bitwise_eq("query after sweep panic", &served.outcome, &expected);
+    let stats = server.stats();
+    assert_eq!(stats.failed, 1);
+    assert_eq!(stats.completed, 1);
+    server.shutdown();
 }
 
 /// Scratch-aliasing regression: pilot captures large enough to take the

@@ -2,15 +2,16 @@
 //! `Session::sweep` over a λ grid must be **bit-identical**, per grid
 //! point, to looped independent `Session::train` runs on per-λ specs —
 //! across model families (logistic / poisson / linear regression),
-//! feature layouts (dense and sparse), thread budgets ({1, 4}), and any
-//! λ order (descending, ascending, shuffled). No tolerances anywhere:
+//! feature layouts (dense and sparse), widths (d = 5 and, with a packed
+//! final capture, d = 37), thread budgets ({1, 4}), and any λ order
+//! (descending, ascending, shuffled). No tolerances anywhere:
 //! θ, ε₀, and ε̂ compare by `f64::to_bits`; the chosen `n`, probe
 //! counts, and decision paths compare exactly.
 
 use blinkml_core::models::{LinearRegressionSpec, LogisticRegressionSpec, PoissonRegressionSpec};
 use blinkml_core::{BlinkMlConfig, ExecConfig, ModelClassSpec, Session, TrainingOutcome};
 use blinkml_data::generators::{criteo_like, synthetic_linear, synthetic_logistic};
-use blinkml_data::{Dataset, FeatureVec};
+use blinkml_data::{Dataset, FeatureVec, PACK_THRESHOLD_BYTES};
 use proptest::prelude::*;
 
 fn config(threads: Option<usize>) -> BlinkMlConfig {
@@ -72,7 +73,8 @@ fn assert_outcome_bitwise(context: &str, sweep: &TrainingOutcome, solo: &Trainin
 }
 
 /// The core check: one fused sweep vs per-λ independent sessions,
-/// bitwise, for a given λ order and thread budget.
+/// bitwise, for a given λ order and thread budget. Returns the largest
+/// final sample the sweep trained on (0 when every point kept its pilot).
 #[allow(clippy::too_many_arguments)]
 fn check_sweep_equals_loops<F, S, C>(
     context: &str,
@@ -83,7 +85,8 @@ fn check_sweep_equals_loops<F, S, C>(
     epsilon: f64,
     seed: u64,
     threads: Option<usize>,
-) where
+) -> usize
+where
     F: FeatureVec,
     S: ModelClassSpec<F>,
     C: Fn(f64) -> S,
@@ -104,6 +107,13 @@ fn check_sweep_equals_loops<F, S, C>(
             .expect("solo train");
         assert_outcome_bitwise(&format!("{context}, λ={lambda}"), &point.outcome, &solo);
     }
+    sweep
+        .points
+        .iter()
+        .filter(|p| !p.outcome.used_initial_model)
+        .map(|p| p.outcome.sample_size)
+        .max()
+        .unwrap_or(0)
 }
 
 /// Deterministic Fisher–Yates over the λ grid from an explicit seed, so
@@ -225,5 +235,45 @@ fn family_order_budget_matrix() {
                 threads,
             );
         }
+    }
+}
+
+/// The fused-sweep pins at a width the AVX fold kernels run at
+/// (d = 37: at least 8 and not a multiple of 4, so every column tail
+/// runs) with a final sample past the pack threshold, so the lockstep
+/// final rounds run the register-tiled multi-request fold over a packed
+/// capture. Logistic and linear regression, budgets {1, 4}.
+#[test]
+fn wide_packed_final_matrix() {
+    const D: usize = 37;
+    let (log_data, _) = synthetic_logistic(8_000, D, 2.0, 81);
+    let log_split = log_data.split(600, 0, 82);
+    let (lin_data, _) = synthetic_linear(8_000, D, 0.5, 83);
+    let lin_split = lin_data.split(600, 0, 84);
+    let grid = [1e-2, 1e-4, 0.0];
+    let packs = |n: usize| n * D * 8 > PACK_THRESHOLD_BYTES;
+    for threads in [Some(1), Some(4)] {
+        let n = check_sweep_equals_loops(
+            &format!("logistic d={D} t={threads:?}"),
+            LogisticRegressionSpec::new,
+            &log_split.train,
+            &log_split.holdout,
+            &grid,
+            0.02,
+            5,
+            threads,
+        );
+        assert!(packs(n), "logistic final sample of {n} rows must pack");
+        let n = check_sweep_equals_loops(
+            &format!("linreg d={D} t={threads:?}"),
+            LinearRegressionSpec::new,
+            &lin_split.train,
+            &lin_split.holdout,
+            &grid,
+            0.02,
+            5,
+            threads,
+        );
+        assert!(packs(n), "linreg final sample of {n} rows must pack");
     }
 }

@@ -33,10 +33,11 @@ use crate::dataset::Dataset;
 use crate::features::FeatureVec;
 use crate::parallel::{max_threads, par_fill_slice, par_map_reduce_matrix, par_ranges, CHUNK_SIZE};
 use blinkml_linalg::simd::{
-    rows_dot, rows_dot_gather, rows_dot_gather_idx, rows_weighted_sum, rows_weighted_sum_gather,
-    rows_weighted_sum_gather_idx,
+    rows_dot, rows_dot_gather, rows_dot_gather_idx, rows_dot_multi, rows_weighted_sum,
+    rows_weighted_sum_gather, rows_weighted_sum_gather_idx, rows_weighted_sum_multi,
 };
 use blinkml_linalg::{vector, Matrix};
+use std::ops::Range;
 
 /// The captured feature block of a [`DatasetMatrix`].
 #[derive(Debug, Clone)]
@@ -838,13 +839,22 @@ impl<'m> MatrixView<'m> {
 
     /// The fused **multi-request** objective sweep: evaluate `K`
     /// independent `(w, bias)` probes — each over its own row-count
-    /// prefix of this view — in one pass over the data. For every fixed
-    /// [`CHUNK_SIZE`] chunk of rows, all live requests run their
-    /// margins → `chunk_fn` → gradient-partial sequence back to back
-    /// while the chunk's rows are cache-hot, so `K` probes stream the
-    /// sample once instead of `K` times. This is the kernel behind the
-    /// sweep engine's batched multi-λ objective evaluation, where the
-    /// per-λ final-sample prefixes all live inside one shared capture.
+    /// prefix of this view — in one pass over the data. This is the
+    /// kernel behind the sweep engine's batched multi-λ objective
+    /// evaluation, where the per-λ final-sample prefixes all live inside
+    /// one shared capture.
+    ///
+    /// Each fixed [`CHUNK_SIZE`] chunk is walked twice in row blocks
+    /// sized to stay in L1 (a constant byte budget over `dim()`; a
+    /// 4,096-row chunk at `d = 100` is 3.2 MB, past L2). The first walk
+    /// computes every live request's margins block by block with
+    /// [`rows_dot_multi`]; `chunk_fn` then turns each request's chunk of
+    /// margins into row weights; the second walk accumulates every
+    /// request's gradient partial with [`rows_weighted_sum_multi`]. So
+    /// each block is loaded once per walk for all `K` requests instead
+    /// of twice per request. A request whose prefix ends inside a block
+    /// runs that block's head through the single-request kernels; CSR
+    /// views run every request through them over the whole chunk.
     ///
     /// `chunk_fn(k, start, margins)` sees the request index, the chunk's
     /// starting view-row index, and the chunk's margins; it returns the
@@ -859,9 +869,11 @@ impl<'m> MatrixView<'m> {
     /// `self.prefix(rows_k)` alone, at any thread budget — the chunk
     /// grid is anchored at row 0 in both cases (a request's last chunk
     /// is truncated at its `rows`, exactly where its solo grid would
-    /// end), per-chunk gradient partials start from a zeroed buffer and
-    /// merge in chunk order, and the scalar partials accumulate in the
-    /// same order `value_grad_fold` sums its chunk returns.
+    /// end), the block kernels keep the single-request kernels' per-row
+    /// and per-output order, per-chunk gradient partials start from zero
+    /// and merge in chunk order, and the scalar partials accumulate in
+    /// the same order `value_grad_fold` sums its chunk returns. The
+    /// block size cannot change a bit.
     ///
     /// # Panics
     /// Panics when a request's `w`/`grad` length differs from `dim()` or
@@ -875,7 +887,6 @@ impl<'m> MatrixView<'m> {
         Fm: Fn(usize, usize, &mut [f64]) -> (f64, f64) + Sync,
     {
         let d = self.matrix.dim;
-        let mut max_rows = 0;
         for req in requests.iter_mut() {
             assert_eq!(
                 req.w.len(),
@@ -894,71 +905,127 @@ impl<'m> MatrixView<'m> {
             req.loss = 0.0;
             req.extra = 0.0;
             req.grad.iter_mut().for_each(|g| *g = 0.0);
-            max_rows = max_rows.max(req.rows);
         }
+        let k = requests.len();
+        let MultiFold { slots, chunk } = &mut scratch.multi;
+        slots.fill(requests);
+        let slots = &*slots;
+        let max_rows = slots.rows.first().copied().unwrap_or(0);
         if max_threads() > 1 && max_rows > CHUNK_SIZE {
-            // Parallel form: each chunk of the shared grid computes every
-            // live request's margins, loss/extra partials, and zeroed
-            // gradient partial; partials merge on this thread in chunk
-            // order — the exact accumulation the fused form performs.
-            let specs: Vec<(&[f64], f64, usize)> =
-                requests.iter().map(|r| (r.w, r.bias, r.rows)).collect();
-            let parts = par_ranges(max_rows, |range| {
-                let mut mchunk = vec![0.0; range.len()];
-                specs
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &(w, bias, rows))| {
-                        if rows <= range.start {
-                            return None;
-                        }
-                        let end = range.end.min(rows);
-                        let ms = &mut mchunk[..end - range.start];
-                        self.margins_range(range.start, end, w, bias, ms);
-                        let (lp, ep) = chunk_fn(k, range.start, ms);
-                        let mut acc = vec![0.0; d];
-                        self.weighted_sum_range(range.start, end, ms, &mut acc);
-                        Some((lp, ep, acc))
-                    })
-                    .collect::<Vec<_>>()
+            // Parallel form: each chunk of the shared grid runs the same
+            // chunk body into its own buffers; partials merge on this
+            // thread in chunk order.
+            let chunk_outs = par_ranges(max_rows, |range| {
+                let mut out = ChunkOut::default();
+                out.size(k, CHUNK_SIZE, d);
+                let live = self.fold_chunk_multi(range, slots, &mut out, &chunk_fn);
+                (live, out)
             });
-            for chunk_parts in parts {
-                for (req, part) in requests.iter_mut().zip(chunk_parts) {
-                    if let Some((lp, ep, acc)) = part {
-                        req.loss += lp;
-                        req.extra += ep;
-                        for (g, p) in req.grad.iter_mut().zip(acc.iter()) {
-                            *g += p;
-                        }
-                    }
-                }
+            for (live, out) in chunk_outs {
+                slots.merge(requests, live, &out, d);
             }
             return;
         }
-        // Fused single-thread form: per chunk, every live request reuses
-        // the chunk's rows while hot.
-        let (chunk_buf, partial) = scratch.fold_buffers(CHUNK_SIZE.min(max_rows.max(1)), d);
+        // Single-thread form: the same chunk body over scratch buffers.
+        chunk.size(k, CHUNK_SIZE.min(max_rows), d);
         let mut start = 0;
         while start < max_rows {
-            let chunk_end = (start + CHUNK_SIZE).min(max_rows);
-            for (k, req) in requests.iter_mut().enumerate() {
-                if req.rows <= start {
-                    continue;
-                }
-                let end = chunk_end.min(req.rows);
-                let mchunk = &mut chunk_buf[..end - start];
-                self.margins_range(start, end, req.w, req.bias, mchunk);
-                let (lp, ep) = chunk_fn(k, start, mchunk);
-                req.loss += lp;
-                req.extra += ep;
-                partial.iter_mut().for_each(|v| *v = 0.0);
-                self.weighted_sum_range(start, end, mchunk, partial);
-                for (g, p) in req.grad.iter_mut().zip(partial.iter()) {
-                    *g += p;
+            let end = (start + CHUNK_SIZE).min(max_rows);
+            let live = self.fold_chunk_multi(start..end, slots, chunk, &chunk_fn);
+            slots.merge(requests, live, chunk, d);
+            start = end;
+        }
+    }
+
+    /// One chunk of [`Self::value_grad_fold_multi`] into `out`, for its
+    /// first `live` slots (the requests whose prefix reaches into
+    /// `chunk`; returned).
+    fn fold_chunk_multi<Fm>(
+        &self,
+        chunk: Range<usize>,
+        slots: &Slots,
+        out: &mut ChunkOut,
+        chunk_fn: &Fm,
+    ) -> usize
+    where
+        Fm: Fn(usize, usize, &mut [f64]) -> (f64, f64),
+    {
+        let d = self.matrix.dim;
+        let ChunkOut {
+            margins,
+            ld,
+            partials,
+            parts,
+        } = out;
+        let ld = *ld;
+        let live = slots.rows.partition_point(|&r| r > chunk.start);
+        // Dense rows go in L1-sized blocks shared by every covering slot;
+        // CSR rows take the whole chunk through the per-slot kernels.
+        let dense = !self.is_sparse();
+        let block = if dense { row_block(d) } else { chunk.len() };
+        let mut table: [&[f64]; ROW_BLOCK_MAX] = [&[]; ROW_BLOCK_MAX];
+        // The row blocks of the chunk, each with its slot split: slots
+        // `..full` cover the whole block, slots `full..live` end past
+        // its first row or before it (then skipped).
+        let blocks = (chunk.start..chunk.end).step_by(block).map(|b0| {
+            let b1 = (b0 + block).min(chunk.end);
+            let full = if dense {
+                slots.rows[..live].partition_point(|&r| r >= b1)
+            } else {
+                0
+            };
+            (b0, b1, full)
+        });
+        for (b0, b1, full) in blocks.clone() {
+            let off = b0 - chunk.start;
+            if full > 0 {
+                let rows = self.dense_block(b0, b1, &mut table);
+                let (w, bias) = (&slots.w[..full * d], &slots.bias[..full]);
+                rows_dot_multi(rows, d, w, bias, ld, &mut margins[off..]);
+            }
+            for s in full..live {
+                let end = slots.rows[s].min(b1);
+                if end > b0 {
+                    let out = &mut margins[s * ld + off..s * ld + off + (end - b0)];
+                    self.margins_range(b0, end, &slots.w[s * d..(s + 1) * d], slots.bias[s], out);
                 }
             }
-            start = chunk_end;
         }
+        for (k, &s) in slots.slot_of.iter().enumerate() {
+            if s < live {
+                let len = slots.rows[s].min(chunk.end) - chunk.start;
+                parts[s] = chunk_fn(k, chunk.start, &mut margins[s * ld..s * ld + len]);
+            }
+        }
+        partials[..live * d].iter_mut().for_each(|p| *p = 0.0);
+        for (b0, b1, full) in blocks {
+            let off = b0 - chunk.start;
+            if full > 0 {
+                let rows = self.dense_block(b0, b1, &mut table);
+                rows_weighted_sum_multi(rows, d, &margins[off..], ld, &mut partials[..full * d]);
+            }
+            for s in full..live {
+                let end = slots.rows[s].min(b1);
+                if end > b0 {
+                    let c = &margins[s * ld + off..s * ld + off + (end - b0)];
+                    self.weighted_sum_range(b0, end, c, &mut partials[s * d..(s + 1) * d]);
+                }
+            }
+        }
+        live
+    }
+
+    /// Dense view rows `start..end` as slices, written into `table`.
+    fn dense_block<'t>(
+        &self,
+        start: usize,
+        end: usize,
+        table: &'t mut [&'m [f64]; ROW_BLOCK_MAX],
+    ) -> &'t [&'m [f64]] {
+        for (slot, k) in table.iter_mut().zip(start..end) {
+            *slot = self.dense_row(k).expect("dense block");
+        }
+        &table[..end - start]
     }
 
     /// Weighted Gram accumulation `Σₖ w[k]·x_{row(k)}x_{row(k)}ᵀ`
@@ -1060,18 +1127,113 @@ impl<'r> FoldRequest<'r> {
     }
 }
 
+/// Bytes of dense rows in one row block of
+/// [`MatrixView::value_grad_fold_multi`]: a block is reused by every live
+/// request, so it is sized to stay in L1 next to the requests' weights.
+const ROW_BLOCK_BYTES: usize = 16 << 10;
+
+/// Row cap of one block (the row-slice table lives on the stack).
+const ROW_BLOCK_MAX: usize = 64;
+
+/// Rows per block of the multi-request fold at dimension `d`: the
+/// [`ROW_BLOCK_BYTES`] budget in whole 4-row tiles, within
+/// `4..=ROW_BLOCK_MAX`.
+fn row_block(d: usize) -> usize {
+    (ROW_BLOCK_BYTES / (8 * d.max(1)) / 4 * 4).clamp(4, ROW_BLOCK_MAX)
+}
+
+/// The requests of one multi-request fold in slot order (descending
+/// row count, so the requests covering any row block are a slot prefix):
+/// `req[s]` is slot `s`'s request and `slot_of` the inverse; `w` holds
+/// the slots' weight vectors back to back.
+#[derive(Debug, Default)]
+struct Slots {
+    req: Vec<usize>,
+    slot_of: Vec<usize>,
+    w: Vec<f64>,
+    bias: Vec<f64>,
+    rows: Vec<usize>,
+}
+
+impl Slots {
+    /// Lay `requests` out in slot order.
+    fn fill(&mut self, requests: &[FoldRequest<'_>]) {
+        let k = requests.len();
+        self.req.clear();
+        self.req.extend(0..k);
+        self.req
+            .sort_unstable_by_key(|&q| (std::cmp::Reverse(requests[q].rows), q));
+        self.slot_of.resize(k, 0);
+        self.w.clear();
+        self.bias.clear();
+        self.rows.clear();
+        for (s, &q) in self.req.iter().enumerate() {
+            self.slot_of[q] = s;
+            self.w.extend_from_slice(requests[q].w);
+            self.bias.push(requests[q].bias);
+            self.rows.push(requests[q].rows);
+        }
+    }
+
+    /// Merge one chunk's partials of the first `live` slots into their
+    /// requests.
+    fn merge(&self, requests: &mut [FoldRequest<'_>], live: usize, out: &ChunkOut, d: usize) {
+        for (s, &(lp, ep)) in out.parts[..live].iter().enumerate() {
+            let req = &mut requests[self.req[s]];
+            req.loss += lp;
+            req.extra += ep;
+            for (g, p) in req.grad.iter_mut().zip(&out.partials[s * d..(s + 1) * d]) {
+                *g += p;
+            }
+        }
+    }
+}
+
+/// One chunk's per-slot outputs in the multi-request fold: slot `s`'s
+/// margins, then row weights, at `margins[s·ld..]`, its zero-started
+/// gradient partial at `partials[s·d..]` and its `chunk_fn` partials at
+/// `parts[s]`.
+#[derive(Debug, Default)]
+struct ChunkOut {
+    margins: Vec<f64>,
+    ld: usize,
+    partials: Vec<f64>,
+    parts: Vec<(f64, f64)>,
+}
+
+impl ChunkOut {
+    /// Size for `k` slots over chunks of up to `rows` rows at
+    /// dimension `d`.
+    fn size(&mut self, k: usize, rows: usize, d: usize) {
+        self.ld = rows;
+        self.margins.resize(k * self.ld, 0.0);
+        self.partials.resize(k * d, 0.0);
+        self.parts.resize(k, (0.0, 0.0));
+    }
+}
+
+/// The multi-request fold's buffers, kept in [`TrainScratch`] so that
+/// steady-state rounds allocate nothing.
+#[derive(Debug, Default)]
+struct MultiFold {
+    slots: Slots,
+    chunk: ChunkOut,
+}
+
 /// Reusable buffer pool threaded through batched objective evaluation,
 /// so optimizer line-search probes allocate nothing in steady state.
 ///
 /// Model classes use numbered [`TrainScratch::slot`]s for their own
-/// buffers; [`DatasetMatrix::value_grad_fold`] keeps its private chunk
-/// and partial buffers here as well.
+/// buffers; [`MatrixView::value_grad_fold`] and
+/// [`MatrixView::value_grad_fold_multi`] keep their private chunk and
+/// partial buffers here as well.
 #[derive(Debug, Default)]
 pub struct TrainScratch {
     slots: Vec<Vec<f64>>,
     fold_chunk: Vec<f64>,
     fold_partial: Vec<f64>,
     fold_margins: Vec<f64>,
+    multi: MultiFold,
 }
 
 impl TrainScratch {
@@ -1659,18 +1821,19 @@ mod tests {
 
     /// The multi-request fold must reproduce K independent
     /// `value_grad_fold` runs over the matching prefixes — bit for bit,
-    /// dense and sparse, full and gathered, at thread budgets {1, 4},
-    /// with per-request row counts straddling chunk boundaries.
+    /// dense (d ∈ {7, 13, 100}: under and over the AVX gate, with and
+    /// without a column tail) and sparse, over full, gathered and packed
+    /// views, at thread budgets {1, 4}, for 1–5 requests whose row counts
+    /// straddle chunk boundaries and end inside a row block.
     #[test]
     fn multi_fold_is_bitwise_per_request_folds() {
-        let rows = 2 * CHUNK_SIZE + 123;
-        let (dense, _) = synthetic_linear(rows, 7, 0.4, 9);
-        let sparse = yelp_like(rows, 50, 11);
+        let rows = 2 * CHUNK_SIZE + 300;
         let idx: Vec<usize> = (0..rows).map(|i| (i * 7 + 3) % rows).collect();
 
-        // K probe points with row counts on, under, and over chunk
-        // boundaries (including a sub-chunk one and a duplicate-rows
-        // pair with different probes).
+        // Probe points with row counts on, under, and over chunk
+        // boundaries (a sub-chunk one, a duplicate-rows pair with
+        // different probes); the under and over ones end a few rows into
+        // a row block at every d. Each call takes the first `k` of them.
         let probes = |d: usize| -> Vec<(Vec<f64>, f64, usize)> {
             vec![
                 ((0..d).map(|i| 0.3 * i as f64 - 0.9).collect(), 0.25, rows),
@@ -1705,55 +1868,66 @@ mod tests {
             }
             (lp, ep)
         };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
 
-        let check = |view: MatrixView<'_>, d: usize, tag: &str| {
-            let pts = probes(d);
+        let check = |view: MatrixView<'_>, tag: &str| {
+            let d = view.dim();
             let labels: Vec<f64> = (0..view.len()).map(|k| view.label(k)).collect();
-            // Multi-request pass.
-            let mut grads: Vec<Vec<f64>> = vec![vec![f64::NAN; d]; pts.len()];
-            let mut reqs: Vec<FoldRequest> = pts
-                .iter()
-                .zip(grads.iter_mut())
-                .map(|((w, bias, n), g)| FoldRequest::new(w, *bias, *n, g))
-                .collect();
-            let mut scratch = TrainScratch::new();
-            view.value_grad_fold_multi(&mut reqs, &mut scratch, |k, start, ms| {
-                transform(k, start, ms, &labels)
-            });
-            let multi: Vec<(f64, f64)> = reqs.iter().map(|r| (r.loss, r.extra)).collect();
-            drop(reqs);
-            // Per-request solo folds over the matching prefixes.
-            for (k, (w, bias, n)) in pts.iter().enumerate() {
-                let sub = view.prefix(*n);
-                let sub_labels: Vec<f64> = (0..sub.len()).map(|r| sub.label(r)).collect();
-                let mut solo_grad = vec![f64::NAN; d];
-                let mut solo_extra = 0.0;
-                let mut solo_scratch = TrainScratch::new();
-                let solo_loss = sub.value_grad_fold(
-                    w,
-                    *bias,
-                    &mut solo_grad,
-                    &mut solo_scratch,
-                    |start, ms| {
-                        let (lp, ep) = transform(k, start, ms, &sub_labels);
-                        solo_extra += ep;
-                        lp
-                    },
-                );
-                assert_eq!(multi[k].0, solo_loss, "{tag} req {k} loss");
-                assert_eq!(multi[k].1, solo_extra, "{tag} req {k} extra");
-                assert_eq!(grads[k], solo_grad, "{tag} req {k} grad");
+            for k in 1..=5 {
+                let pts = &probes(d)[..k];
+                // Multi-request pass.
+                let mut grads: Vec<Vec<f64>> = vec![vec![f64::NAN; d]; k];
+                let mut reqs: Vec<FoldRequest> = pts
+                    .iter()
+                    .zip(grads.iter_mut())
+                    .map(|((w, bias, n), g)| FoldRequest::new(w, *bias, *n, g))
+                    .collect();
+                let mut scratch = TrainScratch::new();
+                view.value_grad_fold_multi(&mut reqs, &mut scratch, |k, start, ms| {
+                    transform(k, start, ms, &labels)
+                });
+                let multi: Vec<(f64, f64)> = reqs.iter().map(|r| (r.loss, r.extra)).collect();
+                drop(reqs);
+                // Per-request solo folds over the matching prefixes.
+                for (q, (w, bias, n)) in pts.iter().enumerate() {
+                    let sub = view.prefix(*n);
+                    let sub_labels: Vec<f64> = (0..sub.len()).map(|r| sub.label(r)).collect();
+                    let mut solo_grad = vec![f64::NAN; d];
+                    let mut solo_extra = 0.0;
+                    let mut solo_scratch = TrainScratch::new();
+                    let solo_loss = sub.value_grad_fold(
+                        w,
+                        *bias,
+                        &mut solo_grad,
+                        &mut solo_scratch,
+                        |start, ms| {
+                            let (lp, ep) = transform(q, start, ms, &sub_labels);
+                            solo_extra += ep;
+                            lp
+                        },
+                    );
+                    let tag = format!("{tag} k={k} req {q}");
+                    assert_eq!(multi[q].0.to_bits(), solo_loss.to_bits(), "{tag} loss");
+                    assert_eq!(multi[q].1.to_bits(), solo_extra.to_bits(), "{tag} extra");
+                    assert_eq!(bits(&grads[q]), bits(&solo_grad), "{tag} grad");
+                }
             }
         };
 
         for budget in [Some(1), Some(4)] {
             set_max_threads(budget);
-            let pool = DatasetMatrix::from_dataset(&dense);
-            check(pool.view(), dense.dim(), "dense full");
-            check(pool.gather(&idx), dense.dim(), "dense gathered");
+            for d in [7, 13, 100] {
+                let (dense, _) = synthetic_linear(rows, d, 0.4, 9);
+                let pool = DatasetMatrix::from_dataset(&dense);
+                let packed = pool.gather_packed(&idx);
+                check(pool.view(), &format!("dense d={d} full"));
+                check(pool.gather(&idx), &format!("dense d={d} gathered"));
+                check(packed.view(), &format!("dense d={d} packed"));
+            }
+            let sparse = yelp_like(rows, 50, 11);
             let spool = DatasetMatrix::from_dataset(&sparse);
-            check(spool.view(), sparse.dim(), "sparse full");
-            check(spool.gather(&idx), sparse.dim(), "sparse gathered");
+            check(spool.view(), "sparse full");
+            check(spool.gather(&idx), "sparse gathered");
         }
         set_max_threads(None);
     }

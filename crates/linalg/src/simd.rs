@@ -18,6 +18,16 @@
 //! * [`rows_weighted_sum`] accumulates into `out[j]` in ascending row
 //!   order — the bit-identical sequence of the naive
 //!   `for i { axpy(w[i], row_i, out) }` loop (zero weights included).
+//! * [`rows_dot_multi`] and [`rows_weighted_sum_multi`] (one block of
+//!   rows against several requests, the lockstep multi-λ fold) produce,
+//!   for every request, the bits of [`rows_dot`] and
+//!   [`rows_weighted_sum`] over the same rows: each (row, request)
+//!   margin keeps its own 4-lane accumulator and the bias last, and each
+//!   gradient output starts from `out` and adds its rows in ascending
+//!   order. The AVX bodies hold a 4-row × 2-request tile of margin
+//!   accumulators (each weight load shared by four rows, each row load
+//!   by two requests) and an 8-column × 4-request tile of gradient
+//!   outputs (each row load shared by four requests).
 //! * `givens_rows` (crate-internal, the eigensolver's rotation) is
 //!   elementwise, so each element's bits are those of the scalar loop.
 //! * [`rows_times_table`] (dense rows times a table, the holdout scoring
@@ -287,6 +297,116 @@ pub fn sparse_row_times_table(
         return;
     }
     sparse_row_times_table_fallback(indices, values, table, width, out);
+}
+
+/// `out[q·ld + r] = dot(rows[r], w_q) + biases[q]`, where `w_q =
+/// ws[q·d..(q+1)·d]`: the margins of `biases.len()` weight vectors over
+/// one block of dense rows, each request's margins `ld` apart in `out`.
+/// Every output is bit-identical to [`rows_dot`]'s for that row and
+/// request (see module docs).
+///
+/// # Panics
+/// Panics when `ws.len() != biases.len() * d`, any row's length differs
+/// from `d`, `ld < rows.len()`, or `out` ends before the last request's
+/// `rows.len()` outputs.
+pub fn rows_dot_multi(
+    rows: &[&[f64]],
+    d: usize,
+    ws: &[f64],
+    biases: &[f64],
+    ld: usize,
+    out: &mut [f64],
+) {
+    let k = biases.len();
+    assert_eq!(ws.len(), k * d, "rows_dot_multi: weight shape mismatch");
+    assert!(
+        rows.iter().all(|row| row.len() == d),
+        "rows_dot_multi: row length mismatch"
+    );
+    assert!(
+        ld >= rows.len() && (k == 0 || out.len() >= (k - 1) * ld + rows.len()),
+        "rows_dot_multi: output shape mismatch"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if d >= 8 && is_x86_feature_detected!("avx") {
+        // SAFETY: AVX presence just checked; every row holds `d` values,
+        // `ws` holds `k` of them and `out` every `q·ld + r` (asserted
+        // above).
+        unsafe { rows_dot_multi_avx(rows, d, ws, biases, ld, out) };
+        return;
+    }
+    rows_dot_multi_fallback(rows, d, ws, biases, ld, out);
+}
+
+/// `out[q·d + j] += Σ_r cs[q·ld + r] · rows[r][j]` for every request `q <
+/// out.len() / d`: the gradient partials of several requests over one
+/// block of dense rows, each request's row coefficients `ld` apart in
+/// `cs`. Each output adds its rows in ascending order, bit-identical to
+/// [`rows_weighted_sum`] per request (see module docs).
+///
+/// # Panics
+/// Panics when any row's length differs from `d`, `out.len()` is not a
+/// multiple of `d`, `ld < rows.len()`, or `cs` ends before the last
+/// request's `rows.len()` coefficients.
+pub fn rows_weighted_sum_multi(rows: &[&[f64]], d: usize, cs: &[f64], ld: usize, out: &mut [f64]) {
+    assert!(
+        rows.iter().all(|row| row.len() == d),
+        "rows_weighted_sum_multi: row length mismatch"
+    );
+    assert_eq!(
+        out.len() % d.max(1),
+        0,
+        "rows_weighted_sum_multi: output shape mismatch"
+    );
+    let k = out.len() / d.max(1);
+    assert!(
+        ld >= rows.len() && (k == 0 || cs.len() >= (k - 1) * ld + rows.len()),
+        "rows_weighted_sum_multi: coefficient shape mismatch"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if d >= 8 && is_x86_feature_detected!("avx") {
+        // SAFETY: AVX presence just checked; every row holds `d` values
+        // and `cs` every `q·ld + r` (asserted above).
+        unsafe { rows_weighted_sum_multi_avx(rows, d, cs, ld, out) };
+        return;
+    }
+    rows_weighted_sum_multi_fallback(rows, d, cs, ld, out);
+}
+
+/// Scalar reference for [`rows_dot_multi`]: per request, per row [`dot`]
+/// plus the bias.
+fn rows_dot_multi_fallback(
+    rows: &[&[f64]],
+    d: usize,
+    ws: &[f64],
+    biases: &[f64],
+    ld: usize,
+    out: &mut [f64],
+) {
+    for (q, &bias) in biases.iter().enumerate() {
+        let w = &ws[q * d..(q + 1) * d];
+        for (o, row) in out[q * ld..].iter_mut().zip(rows) {
+            *o = dot(row, w) + bias;
+        }
+    }
+}
+
+/// Scalar reference for [`rows_weighted_sum_multi`]: per request, the
+/// row-order axpy of [`rows_weighted_sum_fallback`].
+fn rows_weighted_sum_multi_fallback(
+    rows: &[&[f64]],
+    d: usize,
+    cs: &[f64],
+    ld: usize,
+    out: &mut [f64],
+) {
+    for (q, out) in out.chunks_exact_mut(d.max(1)).enumerate() {
+        for (row, &c) in rows.iter().zip(&cs[q * ld..]) {
+            for (o, &x) in out.iter_mut().zip(*row) {
+                *o += c * x;
+            }
+        }
+    }
 }
 
 /// Scalar reference for [`rows_dot`]: per-row [`dot`] plus the bias.
@@ -737,6 +857,196 @@ unsafe fn rows_weighted_sum_gather_idx_avx(
             *oj += wi * xj;
         }
         i += 1;
+    }
+}
+
+/// AVX [`rows_dot_multi`]: 4-row × 2-request register tiles (a lone last
+/// request runs a 4 × 1 tile), then the last `rows.len() % 4` rows one
+/// [`dot`] at a time.
+///
+/// # Safety
+/// The CPU must support AVX, and the shapes must satisfy the asserts of
+/// [`rows_dot_multi`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn rows_dot_multi_avx(
+    rows: &[&[f64]],
+    d: usize,
+    ws: &[f64],
+    biases: &[f64],
+    ld: usize,
+    out: &mut [f64],
+) {
+    let k = biases.len();
+    let (wp, op) = (ws.as_ptr(), out.as_mut_ptr());
+    let mut r = 0;
+    while r + 4 <= rows.len() {
+        let x = [rows[r], rows[r + 1], rows[r + 2], rows[r + 3]].map(<[f64]>::as_ptr);
+        let mut q = 0;
+        while q + 2 <= k {
+            dot_tile::<4, 2>(
+                x,
+                [wp.add(q * d), wp.add((q + 1) * d)],
+                d,
+                [biases[q], biases[q + 1]],
+                [op.add(q * ld + r), op.add((q + 1) * ld + r)],
+            );
+            q += 2;
+        }
+        if q < k {
+            dot_tile::<4, 1>(x, [wp.add(q * d)], d, [biases[q]], [op.add(q * ld + r)]);
+        }
+        r += 4;
+    }
+    for (r, row) in rows.iter().enumerate().skip(r) {
+        for (q, &bias) in biases.iter().enumerate() {
+            out[q * ld + r] = dot(row, &ws[q * d..(q + 1) * d]) + bias;
+        }
+    }
+}
+
+/// `R` rows × `Q` requests of [`rows_dot_multi_avx`]: one 4-lane
+/// accumulator per (row, request), each weight load shared by the `R`
+/// rows and each row load by the `Q` requests; lanes, tail and bias
+/// combine as in [`rows_dot_avx`]. Writes `out[q][r]`.
+///
+/// # Safety
+/// The CPU must support AVX; every `x[r]` and `w[q]` must point at `d`
+/// readable values and every `out[q]` at `R` writable ones.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn dot_tile<const R: usize, const Q: usize>(
+    x: [*const f64; R],
+    w: [*const f64; Q],
+    d: usize,
+    bias: [f64; Q],
+    out: [*mut f64; Q],
+) {
+    use std::arch::x86_64::*;
+    let chunks = d / 4;
+    let mut acc = [[_mm256_setzero_pd(); Q]; R];
+    for c in 0..chunks {
+        let j = c * 4;
+        let mut wv = [_mm256_setzero_pd(); Q];
+        for (v, p) in wv.iter_mut().zip(w) {
+            *v = _mm256_loadu_pd(p.add(j));
+        }
+        for (a, p) in acc.iter_mut().zip(x) {
+            let xv = _mm256_loadu_pd(p.add(j));
+            for (aq, v) in a.iter_mut().zip(wv) {
+                *aq = _mm256_add_pd(*aq, _mm256_mul_pd(xv, v));
+            }
+        }
+    }
+    for (r, (a, p)) in acc.iter().zip(x).enumerate() {
+        for q in 0..Q {
+            let mut l = [0.0f64; 4];
+            _mm256_storeu_pd(l.as_mut_ptr(), a[q]);
+            let mut e = 0.0;
+            for j in chunks * 4..d {
+                e += *p.add(j) * *w[q].add(j);
+            }
+            *out[q].add(r) = l[0] + l[1] + l[2] + l[3] + e + bias[q];
+        }
+    }
+}
+
+/// AVX [`rows_weighted_sum_multi`]: requests four at a time, then one at
+/// a time, through [`wsum_tile`].
+///
+/// # Safety
+/// The CPU must support AVX, `d` must be nonzero, and the shapes must
+/// satisfy the asserts of [`rows_weighted_sum_multi`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn rows_weighted_sum_multi_avx(
+    rows: &[&[f64]],
+    d: usize,
+    cs: &[f64],
+    ld: usize,
+    out: &mut [f64],
+) {
+    let k = out.len() / d;
+    let (cp, op) = (cs.as_ptr(), out.as_mut_ptr());
+    let mut q = 0;
+    while q + 4 <= k {
+        wsum_tile::<4>(
+            rows,
+            d,
+            std::array::from_fn(|i| cp.add((q + i) * ld)),
+            std::array::from_fn(|i| op.add((q + i) * d)),
+        );
+        q += 4;
+    }
+    for q in q..k {
+        wsum_tile::<1>(rows, d, [cp.add(q * ld)], [op.add(q * d)]);
+    }
+}
+
+/// `Q` requests of [`rows_weighted_sum_multi_avx`]: 8-column tiles (two
+/// `__m256d` accumulators per request, each row's two loads shared by
+/// the `Q` requests), then a 4-column tile, then single columns. Every
+/// output starts from its `out` value and adds `c·x` in ascending row
+/// order.
+///
+/// # Safety
+/// The CPU must support AVX; every row must hold `d` values, every
+/// `c[q]` must point at `rows.len()` readable values and every `out[q]`
+/// at `d` writable ones.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn wsum_tile<const Q: usize>(
+    rows: &[&[f64]],
+    d: usize,
+    c: [*const f64; Q],
+    out: [*mut f64; Q],
+) {
+    use std::arch::x86_64::*;
+    let mut j = 0;
+    while j + 8 <= d {
+        let mut acc = [[_mm256_setzero_pd(); 2]; Q];
+        for (a, o) in acc.iter_mut().zip(out) {
+            *a = [_mm256_loadu_pd(o.add(j)), _mm256_loadu_pd(o.add(j + 4))];
+        }
+        for (r, row) in rows.iter().enumerate() {
+            let p = row.as_ptr().add(j);
+            let (x0, x1) = (_mm256_loadu_pd(p), _mm256_loadu_pd(p.add(4)));
+            for (a, cq) in acc.iter_mut().zip(c) {
+                let cv = _mm256_set1_pd(*cq.add(r));
+                a[0] = _mm256_add_pd(a[0], _mm256_mul_pd(cv, x0));
+                a[1] = _mm256_add_pd(a[1], _mm256_mul_pd(cv, x1));
+            }
+        }
+        for (a, o) in acc.iter().zip(out) {
+            _mm256_storeu_pd(o.add(j), a[0]);
+            _mm256_storeu_pd(o.add(j + 4), a[1]);
+        }
+        j += 8;
+    }
+    if j + 4 <= d {
+        let mut acc = [_mm256_setzero_pd(); Q];
+        for (a, o) in acc.iter_mut().zip(out) {
+            *a = _mm256_loadu_pd(o.add(j));
+        }
+        for (r, row) in rows.iter().enumerate() {
+            let xv = _mm256_loadu_pd(row.as_ptr().add(j));
+            for (a, cq) in acc.iter_mut().zip(c) {
+                *a = _mm256_add_pd(*a, _mm256_mul_pd(_mm256_set1_pd(*cq.add(r)), xv));
+            }
+        }
+        for (a, o) in acc.iter().zip(out) {
+            _mm256_storeu_pd(o.add(j), *a);
+        }
+        j += 4;
+    }
+    for j in j..d {
+        for (cq, o) in c.iter().zip(out) {
+            let mut acc = *o.add(j);
+            for (r, row) in rows.iter().enumerate() {
+                acc += *cq.add(r) * *row.as_ptr().add(j);
+            }
+            *o.add(j) = acc;
+        }
     }
 }
 
@@ -1210,6 +1520,155 @@ mod tests {
                 assert_eq!(bits(&kept), bits(&start), "zero row, d={d} width={width}");
             }
         }
+    }
+
+    /// Bits with every NaN mapped to one value: Rust leaves NaN payloads
+    /// and signs unspecified, so two equal DAGs may disagree on them.
+    fn bits_nan_canonical(v: &[f64]) -> Vec<u64> {
+        v.iter()
+            .map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits())
+            .collect()
+    }
+
+    /// `n` rows of length `d` with ±0 entries everywhere and ±inf/NaN in
+    /// row 5 (so blocks of up to five rows stay finite).
+    fn special_rows(n: usize, d: usize, seed: u64) -> Vec<f64> {
+        let mut x = block(n, d, seed);
+        for (k, v) in x.iter_mut().enumerate() {
+            let (r, i) = (k / d, k % d);
+            if (r * 3 + i) % 7 == 1 {
+                *v = if (r + i) % 2 == 0 { 0.0 } else { -0.0 };
+            } else if r == 5 && i % 3 == 0 {
+                *v = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][(i / 3) % 3];
+            }
+        }
+        x
+    }
+
+    /// The multi-request margin kernel's AVX dispatch against its scalar
+    /// fallback, bit for bit: every row tail (1–9 rows), every request
+    /// tail of the pair tile (1–5 requests), `d ∈ {0, 1, 7, 8, 13, 100}`,
+    /// ±0 and ±inf/NaN entries, with gaps between the requests' outputs
+    /// left untouched. The fallback is pinned to per-request
+    /// `rows_dot_gather`.
+    #[test]
+    fn rows_dot_multi_fallback_matches_dispatch() {
+        for d in [0, 1, 7, 8, 13, 100] {
+            for n in 1..=9 {
+                let x = special_rows(n, d, 100 + n as u64);
+                let rows: Vec<&[f64]> = (0..n).map(|r| &x[r * d..(r + 1) * d]).collect();
+                for k in 1..=5 {
+                    let mut ws = block(k, d, 110 + k as u64);
+                    if d > 2 {
+                        ws[2] = -0.0;
+                    }
+                    let biases: Vec<f64> = (0..k).map(|q| [0.0, -0.0, 0.75][q % 3]).collect();
+                    let ld = n + 3;
+                    let start = start_values(k * ld, 120);
+                    let (mut fast, mut slow) = (start.clone(), start.clone());
+                    rows_dot_multi(&rows, d, &ws, &biases, ld, &mut fast);
+                    rows_dot_multi_fallback(&rows, d, &ws, &biases, ld, &mut slow);
+                    let tag = format!("d={d} n={n} k={k}");
+                    assert_eq!(
+                        bits_nan_canonical(&fast),
+                        bits_nan_canonical(&slow),
+                        "{tag}"
+                    );
+                    for q in 0..k {
+                        let mut solo = vec![0.0; n];
+                        rows_dot_gather(&rows, d, &ws[q * d..(q + 1) * d], biases[q], &mut solo);
+                        let o = &slow[q * ld..q * ld + n];
+                        assert_eq!(bits_nan_canonical(o), bits_nan_canonical(&solo), "{tag}");
+                        let gap = q * ld + n..(q + 1) * ld;
+                        assert_eq!(bits(&slow[gap.clone()]), bits(&start[gap]), "{tag}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The multi-request gradient kernel's AVX dispatch against its
+    /// scalar fallback, bit for bit, over the same shapes, with
+    /// coefficients `ld` apart, ±0 coefficients, and `out` starting from
+    /// nonzero and `-0.0` values. The fallback is pinned to per-request
+    /// `rows_weighted_sum_gather`.
+    #[test]
+    fn rows_weighted_sum_multi_fallback_matches_dispatch() {
+        for d in [0, 1, 7, 8, 13, 100] {
+            for n in 1..=9 {
+                let x = special_rows(n, d, 130 + n as u64);
+                let rows: Vec<&[f64]> = (0..n).map(|r| &x[r * d..(r + 1) * d]).collect();
+                for k in 1..=5 {
+                    let ld = n + 2;
+                    let mut cs = block(k, ld, 140 + k as u64);
+                    cs.iter_mut().step_by(3).for_each(|c| *c = -0.0);
+                    let start = start_values(k * d, 150);
+                    let (mut fast, mut slow) = (start.clone(), start.clone());
+                    rows_weighted_sum_multi(&rows, d, &cs, ld, &mut fast);
+                    rows_weighted_sum_multi_fallback(&rows, d, &cs, ld, &mut slow);
+                    let tag = format!("d={d} n={n} k={k}");
+                    assert_eq!(
+                        bits_nan_canonical(&fast),
+                        bits_nan_canonical(&slow),
+                        "{tag}"
+                    );
+                    for q in 0..k {
+                        let mut solo = start[q * d..(q + 1) * d].to_vec();
+                        rows_weighted_sum_gather(&rows, d, &cs[q * ld..q * ld + n], &mut solo);
+                        let o = &slow[q * d..(q + 1) * d];
+                        assert_eq!(bits_nan_canonical(o), bits_nan_canonical(&solo), "{tag}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "rows_dot_multi: weight shape mismatch")]
+    fn rows_dot_multi_rejects_bad_weights() {
+        let x = block(2, 8, 160);
+        let rows: Vec<&[f64]> = x.chunks_exact(8).collect();
+        rows_dot_multi(&rows, 8, &[0.0; 15], &[0.0; 2], 2, &mut [0.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rows_dot_multi: row length mismatch")]
+    fn rows_dot_multi_rejects_short_row() {
+        let x = block(2, 8, 161);
+        let rows: Vec<&[f64]> = vec![&x[..8], &x[8..15]];
+        rows_dot_multi(&rows, 8, &[0.0; 16], &[0.0; 2], 2, &mut [0.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rows_dot_multi: output shape mismatch")]
+    fn rows_dot_multi_rejects_short_output() {
+        let x = block(2, 8, 162);
+        let rows: Vec<&[f64]> = x.chunks_exact(8).collect();
+        rows_dot_multi(&rows, 8, &[0.0; 16], &[0.0; 2], 3, &mut [0.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rows_weighted_sum_multi: row length mismatch")]
+    fn rows_weighted_sum_multi_rejects_short_row() {
+        let x = block(2, 8, 163);
+        let rows: Vec<&[f64]> = vec![&x[..8], &x[8..15]];
+        rows_weighted_sum_multi(&rows, 8, &[0.0; 4], 2, &mut [0.0; 16]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rows_weighted_sum_multi: output shape mismatch")]
+    fn rows_weighted_sum_multi_rejects_ragged_output() {
+        let x = block(2, 8, 164);
+        let rows: Vec<&[f64]> = x.chunks_exact(8).collect();
+        rows_weighted_sum_multi(&rows, 8, &[0.0; 4], 2, &mut [0.0; 12]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rows_weighted_sum_multi: coefficient shape mismatch")]
+    fn rows_weighted_sum_multi_rejects_short_coefficients() {
+        let x = block(2, 8, 165);
+        let rows: Vec<&[f64]> = x.chunks_exact(8).collect();
+        rows_weighted_sum_multi(&rows, 8, &[0.0; 4], 3, &mut [0.0; 16]);
     }
 
     #[test]
