@@ -13,12 +13,14 @@
 //! [`ModelClassSpec::margin_weights`], score matrices are built with
 //! fused GEMMs — the holdout design matrix times stacked weight blocks —
 //! streamed in parallel chunks of holdout rows instead of separate
-//! per-example scoring passes. Each chunk is one call of the
-//! register-tiled, runtime-dispatched AVX kernels in
-//! `blinkml_linalg::simd`, which add every score's terms in the order of
-//! the per-row axpy loop, so the scores carry the same bits on every
-//! host. Every weight block must be `data_dim × outputs`; the scorer
-//! panics on any other shape. Specs with margins but no weight matrix
+//! per-example scoring passes. Each chunk walks its rows in L1-sized
+//! sub-blocks through the register-tiled, runtime-dispatched AVX kernels
+//! in `blinkml_linalg::simd`, which add every score's terms in the order
+//! of the per-row axpy loop, so the scores carry the same bits on every
+//! host, and copies each sub-block's scores straight into the score
+//! matrices, which lie back to back in one parameter-major buffer. Every
+//! weight block must be `data_dim × outputs`; the scorer panics on any
+//! other shape. Specs with margins but no weight matrix
 //! keep the per-example path; models without margins (PPCA) fall back to
 //! materializing parameter vectors and calling the spec's own `diff`.
 //!
@@ -52,13 +54,15 @@ pub struct DiffEngine<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> {
 enum Mode<'a> {
     /// Margin fast path: flattened `holdout_len × outputs` score
     /// matrices. The base scores are shared with (and by) the
-    /// [`HoldoutScorer`] that built them.
+    /// [`HoldoutScorer`] that built them; `pool` holds the scores of
+    /// the `draws` draws of `pool_u`, then those of `pool_w`, one
+    /// matrix after another (the layout [`batched_scores`] returns).
     Margins {
         outputs: usize,
         rms: bool,
         base: Arc<Vec<f64>>,
-        pool_u: Vec<Vec<f64>>,
-        pool_w: Vec<Vec<f64>>,
+        pool: Vec<f64>,
+        draws: usize,
     },
     /// Generic fallback over raw parameter vectors.
     Generic {
@@ -104,11 +108,7 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> HoldoutScorer<'a, F, S> {
                     outputs,
                     rms,
                     use_weights: true,
-                    scores: Arc::new(
-                        batched_scores(holdout, &wb, outputs)
-                            .pop()
-                            .expect("one stacked block"),
-                    ),
+                    scores: Arc::new(batched_scores(holdout, &wb, outputs)),
                 },
                 None => BaseScores {
                     outputs,
@@ -138,6 +138,11 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> HoldoutScorer<'a, F, S> {
     /// holdout, theta)` for its pair. Pairs whose specs expose no weight
     /// matrix (or disagree on the output count) fall back to per-pair
     /// construction — identical results, just without the fusion.
+    ///
+    /// Each scorer gets its own copy of its `h × outputs` slice of the
+    /// stacked result rather than a shared buffer and an offset: a base
+    /// matrix is one column block of the stack, so the copy is cheap,
+    /// and every scorer keeps the one representation `new` builds.
     pub fn new_many(holdout: &'a Dataset<F>, entries: &[(&'a S, &'a [f64])]) -> Vec<Self> {
         let dim = holdout.dim();
         let mut blocks: Vec<Matrix> = Vec::with_capacity(entries.len());
@@ -169,10 +174,11 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> HoldoutScorer<'a, F, S> {
         }
         let outputs = outputs0.expect("non-empty fused stack");
         let scores = batched_scores(holdout, &Matrix::hstack(&blocks), outputs);
+        let stride = holdout.len() * outputs;
         entries
             .iter()
-            .zip(scores)
-            .map(|((spec, theta), s)| HoldoutScorer {
+            .enumerate()
+            .map(|(k, (spec, theta))| HoldoutScorer {
                 spec: *spec,
                 holdout,
                 theta_base: theta,
@@ -180,7 +186,7 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> HoldoutScorer<'a, F, S> {
                     outputs,
                     rms: spec.diff_is_rms(),
                     use_weights: true,
-                    scores: Arc::new(s),
+                    scores: Arc::new(scores[k * stride..(k + 1) * stride].to_vec()),
                 }),
             })
             .collect()
@@ -226,19 +232,15 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> HoldoutScorer<'a, F, S> {
                     !per_example_all,
                     "margin_weights must be uniform across parameter vectors"
                 );
-                let mut scores = match weights {
+                let pool = match weights {
                     Some(blocks) if !blocks.is_empty() => {
                         batched_scores(self.holdout, &Matrix::hstack(&blocks), b.outputs)
-                            .into_iter()
                     }
                     _ => stacked
                         .iter()
-                        .map(|t| score_per_example(self.spec, self.holdout, t, b.outputs))
-                        .collect::<Vec<_>>()
-                        .into_iter(),
+                        .flat_map(|t| score_per_example(self.spec, self.holdout, t, b.outputs))
+                        .collect(),
                 };
-                let pool_u_scores: Vec<Vec<f64>> = scores.by_ref().take(pool_u.len()).collect();
-                let pool_w_scores: Vec<Vec<f64>> = scores.collect();
                 let base = if per_example_all {
                     Arc::new(score_per_example(
                         self.spec,
@@ -253,8 +255,8 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> HoldoutScorer<'a, F, S> {
                     outputs: b.outputs,
                     rms: b.rms,
                     base,
-                    pool_u: pool_u_scores,
-                    pool_w: pool_w_scores,
+                    pool,
+                    draws: pool_u.len(),
                 }
             }
             None => Mode::Generic {
@@ -307,62 +309,103 @@ fn score_per_example<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     m
 }
 
+/// Byte budget of one scoring sub-block: the `rows × cols` scores the
+/// kernel writes stay in L1 until they are copied into the parameter
+/// columns.
+const SUB_BLOCK_BYTES: usize = 16 * 1024;
+
+/// Rows per scoring sub-block for a `cols`-wide table: whole 4-row tiles
+/// of the dense kernel within [`SUB_BLOCK_BYTES`], at least one tile.
+/// The size moves no bit: every score is computed on its own.
+fn sub_block_rows(cols: usize) -> usize {
+    (SUB_BLOCK_BYTES / (cols.max(1) * std::mem::size_of::<f64>()) / 4 * 4).max(4)
+}
+
 /// One fused GEMM over the holdout set: compute `S = X · W_all` (`X` the
 /// `h × d` holdout design matrix, `W_all` the horizontally stacked
 /// `d × (P·outputs)` weight blocks of `P` parameter vectors) in parallel
-/// chunks of holdout rows, and return the `P` flattened
-/// `h × outputs` score matrices.
+/// chunks of holdout rows, and return the `P` flattened `h × outputs`
+/// score matrices back to back in one parameter-major buffer: parameter
+/// `p`'s score of row `j`, output `c`, sits at `(p·h + j)·outputs + c`.
 ///
-/// The design matrix is never materialized: each chunk hands its rows to
-/// one [`FeatureVec::add_rows_times_table`] call, which runs dense rows
-/// through the 4-row × 8-column register tile of
-/// `blinkml_linalg::simd::rows_times_table` and sparse rows one at a
-/// time through `sparse_row_times_table`. Every score is the sum of its
-/// row's nonzero terms in ascending feature order, whatever the tiling
-/// or the AVX dispatch. Chunk boundaries are fixed (see
-/// `blinkml_data::parallel`) and each output row is written by exactly
-/// one chunk, so results are bit-identical for any thread count and any
-/// host.
-fn batched_scores<F: FeatureVec>(
-    holdout: &Dataset<F>,
-    w_all: &Matrix,
-    outputs: usize,
-) -> Vec<Vec<f64>> {
-    let h = holdout.len();
+/// The design matrix is never materialized. Each chunk walks its rows in
+/// L1-sized sub-blocks ([`sub_block_rows`]): one
+/// [`FeatureVec::add_rows_times_table`] call per sub-block into one
+/// reused buffer (dense rows run the 4-row × 8-column register tile of
+/// `blinkml_linalg::simd::rows_times_table`, sparse rows run
+/// `sparse_row_times_table` one at a time), then each parameter's
+/// `rows × outputs` slice is copied into its run of the chunk's
+/// parameter-major block. Every score is the sum of its row's nonzero
+/// terms in ascending feature order, whatever the tiling or the AVX
+/// dispatch. Chunk boundaries are fixed (see `blinkml_data::parallel`)
+/// and each output row is written by exactly one chunk, so results are
+/// bit-identical for any thread count and any host. With one chunk
+/// (`h ≤ CHUNK_SIZE`) its block is the result; otherwise the blocks are
+/// joined one contiguous run per (chunk, parameter).
+///
+/// # Panics
+/// Panics unless `W_all` has `holdout.dim()` rows and a whole number of
+/// `outputs`-wide blocks.
+fn batched_scores<F: FeatureVec>(holdout: &Dataset<F>, w_all: &Matrix, outputs: usize) -> Vec<f64> {
+    assert!(
+        w_all.rows() == holdout.dim(),
+        "batched_scores: weight table has {} rows, holdout dimension is {}",
+        w_all.rows(),
+        holdout.dim()
+    );
     let cols = w_all.cols();
+    assert!(
+        cols.is_multiple_of(outputs),
+        "batched_scores: {cols} weight columns are not whole blocks of {outputs} outputs"
+    );
+    let h = holdout.len();
     let num_params = cols / outputs;
     let table = w_all.as_slice();
-    // Each chunk computes its interleaved score rows (cache-friendly for
-    // the GEMM row kernel), then un-interleaves *locally* into
-    // per-parameter segments, so the full-size interleaved intermediate
-    // never exists — peak memory stays ~one copy of the scores plus one
-    // chunk, instead of two full copies.
-    let chunked: Vec<Vec<Vec<f64>>> = par_ranges(h, |range| {
-        let len = range.len();
-        let mut block = vec![0.0; len * cols];
+    let sub_rows = sub_block_rows(cols);
+    let mut blocks: Vec<Vec<f64>> = par_ranges(h, |range| {
+        let run = range.len() * outputs;
         let rows: Vec<&F> = range.map(|j| &holdout.get(j).x).collect();
-        F::add_rows_times_table(&rows, table, cols, &mut block);
-        let mut segments: Vec<Vec<f64>> = (0..num_params)
-            .map(|_| Vec::with_capacity(len * outputs))
-            .collect();
-        for srow in block.chunks_exact(cols) {
-            for (p, segment) in segments.iter_mut().enumerate() {
-                segment.extend_from_slice(&srow[p * outputs..(p + 1) * outputs]);
+        let mut block = vec![0.0; num_params * run];
+        let mut sub = vec![0.0; sub_rows.min(rows.len()) * cols];
+        for (b, sub_block) in rows.chunks(sub_rows).enumerate() {
+            let sub = &mut sub[..sub_block.len() * cols];
+            sub.fill(0.0);
+            F::add_rows_times_table(sub_block, table, cols, sub);
+            let first = b * sub_rows * outputs;
+            for (p, column) in block.chunks_exact_mut(run).enumerate() {
+                let dst = &mut column[first..first + sub_block.len() * outputs];
+                copy_columns(sub, cols, p * outputs, outputs, dst);
             }
         }
-        segments
+        block
     });
-    // Concatenate the per-chunk segments in chunk order, freeing each
-    // chunk as it is consumed.
-    let mut scores: Vec<Vec<f64>> = (0..num_params)
-        .map(|_| Vec::with_capacity(h * outputs))
-        .collect();
-    for segments in chunked {
-        for (score, segment) in scores.iter_mut().zip(segments) {
-            score.extend_from_slice(&segment);
+    if blocks.len() == 1 {
+        return blocks.pop().expect("one chunk");
+    }
+    let mut scores = Vec::with_capacity(num_params * h * outputs);
+    for p in 0..num_params {
+        for block in &blocks {
+            let run = block.len() / num_params;
+            scores.extend_from_slice(&block[p * run..(p + 1) * run]);
         }
     }
     scores
+}
+
+/// Copy columns `first..first + width` of the row-major `cols`-wide
+/// `src` into the row-major `width`-wide `dst`. One column is a strided
+/// gather: a `copy_from_slice` of run-time length would be one `memcpy`
+/// call per score.
+fn copy_columns(src: &[f64], cols: usize, first: usize, width: usize, dst: &mut [f64]) {
+    if width == 1 {
+        for (d, row) in dst.iter_mut().zip(src.chunks_exact(cols)) {
+            *d = row[first];
+        }
+    } else {
+        for (d, row) in dst.chunks_exact_mut(width).zip(src.chunks_exact(cols)) {
+            d.copy_from_slice(&row[first..first + width]);
+        }
+    }
 }
 
 /// Draw a pool of `count` centered parameter-perturbation vectors from
@@ -394,7 +437,7 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> DiffEngine<'a, F, S> {
     /// Number of pooled draws available.
     pub fn pool_size(&self) -> usize {
         match &self.mode {
-            Mode::Margins { pool_u, .. } => pool_u.len(),
+            Mode::Margins { draws, .. } => *draws,
             Mode::Generic { pool_u, .. } => pool_u.len(),
         }
     }
@@ -482,19 +525,22 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> DiffEngine<'a, F, S> {
         let Mode::Margins {
             outputs,
             base,
-            pool_u,
-            pool_w,
+            pool,
+            draws,
             ..
         } = &self.mode
         else {
             unreachable!("kernel() on a generic engine");
         };
+        assert!(i < *draws, "draw {i} of a pool of {draws}");
+        let stride = base.len();
+        let scores = |j: usize| &pool[j * stride..(j + 1) * stride];
         self.spec.margin_diff_sum(
             DrawScores {
                 base,
-                u: &pool_u[i],
+                u: scores(i),
                 scale_u,
-                w: scale_w.map(|s| (pool_w[i].as_slice(), s)),
+                w: scale_w.map(|s| (scores(draws + i), s)),
                 outputs: *outputs,
             },
             stop,
@@ -623,40 +669,70 @@ mod tests {
         assert!(v2 > v1, "{v2} vs {v1}");
     }
 
-    #[test]
-    fn scorer_engines_match_standalone_engines_bitwise() {
-        // One scorer serving two engines (the accuracy pool and the
-        // sample-size pools) must produce exactly the diffs of two
-        // independently built engines — the shared-base refactor cannot
-        // move a bit.
-        let (holdout, _) = synthetic_logistic(300, 4, 2.0, 9);
-        let spec = LogisticRegressionSpec::new(1e-3);
-        let base = vec![0.6, -0.3, 0.2, 0.1];
-        let pool_a: Vec<Vec<f64>> = (0..3)
-            .map(|i| (0..4).map(|j| ((i * 4 + j) as f64 * 0.23).sin()).collect())
-            .collect();
-        let pool_b: Vec<Vec<f64>> = (0..3)
-            .map(|i| (0..4).map(|j| ((i * 4 + j) as f64 * 0.41).cos()).collect())
-            .collect();
-        let scorer = HoldoutScorer::new(&spec, &holdout, &base);
+    /// Deterministic pool of `count` parameter vectors of length `dim`.
+    fn wave_pool(count: usize, dim: usize, freq: f64) -> Vec<Vec<f64>> {
+        (0..count)
+            .map(|i| {
+                (0..dim)
+                    .map(|j| ((i * dim + j) as f64 * freq).sin())
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// One scorer serving an accuracy engine (`pool_a` only) and a
+    /// sample-size engine (`pool_a`, `pool_b`) gives exactly the diffs
+    /// of two independently built engines.
+    fn assert_scorer_engines_match<F, S>(spec: &S, holdout: &Dataset<F>, base: &[f64])
+    where
+        F: FeatureVec,
+        S: ModelClassSpec<F>,
+    {
+        let dim = base.len();
+        let pool_a = wave_pool(3, dim, 0.23);
+        let pool_b = wave_pool(3, dim, 0.41);
+        let scorer = HoldoutScorer::new(spec, holdout, base);
         let shared_one = scorer.engine(&pool_a, &[]);
         let shared_two = scorer.engine(&pool_a, &pool_b);
-        let standalone_one = DiffEngine::new(&spec, &holdout, &base, &pool_a, &[]);
-        let standalone_two = DiffEngine::new(&spec, &holdout, &base, &pool_a, &pool_b);
+        let standalone_one = DiffEngine::new(spec, holdout, base, &pool_a, &[]);
+        let standalone_two = DiffEngine::new(spec, holdout, base, &pool_a, &pool_b);
         for i in 0..3 {
             for scale in [0.0, 0.3, 1.0] {
                 assert_eq!(
-                    shared_one.diff_one_stage(i, scale),
-                    standalone_one.diff_one_stage(i, scale),
-                    "one-stage i={i} scale={scale}"
+                    shared_one.diff_one_stage(i, scale).to_bits(),
+                    standalone_one.diff_one_stage(i, scale).to_bits(),
+                    "{}: one-stage i={i} scale={scale}",
+                    spec.name()
                 );
                 assert_eq!(
-                    shared_two.diff_two_stage(i, scale, 0.5),
-                    standalone_two.diff_two_stage(i, scale, 0.5),
-                    "two-stage i={i} scale={scale}"
+                    shared_two.diff_two_stage(i, scale, 0.5).to_bits(),
+                    standalone_two.diff_two_stage(i, scale, 0.5).to_bits(),
+                    "{}: two-stage i={i} scale={scale}",
+                    spec.name()
                 );
             }
         }
+    }
+
+    #[test]
+    fn scorer_engines_match_standalone_engines_bitwise() {
+        // The shared-base refactor cannot move a bit: one chunk, several
+        // chunks at budgets {1, 4}, and sparse multi-output scores.
+        use blinkml_data::parallel::{set_max_threads, CHUNK_SIZE};
+        let (holdout, _) = synthetic_logistic(300, 4, 2.0, 9);
+        let spec = LogisticRegressionSpec::new(1e-3);
+        assert_scorer_engines_match(&spec, &holdout, &[0.6, -0.3, 0.2, 0.1]);
+
+        let (tall, _) = synthetic_logistic(CHUNK_SIZE + 37, 12, 2.0, 10);
+        let maxent = crate::models::maxent::MaxEntSpec::new(1e-3, 5);
+        let sparse = blinkml_data::generators::yelp_like(CHUNK_SIZE + 300, 60, 11);
+        let maxent_dim = ModelClassSpec::<blinkml_data::SparseVec>::param_dim(&maxent, 60);
+        for budget in [1, 4] {
+            set_max_threads(Some(budget));
+            assert_scorer_engines_match(&spec, &tall, &wave_pool(1, 12, 0.37)[0]);
+            assert_scorer_engines_match(&maxent, &sparse, &wave_pool(1, maxent_dim, 0.19)[0]);
+        }
+        set_max_threads(None);
 
         // Generic mode (PPCA): the scorer precomputes nothing but the
         // sharing must still be transparent.
@@ -670,40 +746,36 @@ mod tests {
         let g_standalone = DiffEngine::new(&g_spec, &g_holdout, &g_base, &g_pool, &g_pool);
         for i in 0..2 {
             assert_eq!(
-                g_shared.diff_one_stage(i, 0.7),
-                g_standalone.diff_one_stage(i, 0.7)
+                g_shared.diff_one_stage(i, 0.7).to_bits(),
+                g_standalone.diff_one_stage(i, 0.7).to_bits()
             );
         }
     }
 
-    /// One stacked GEMM serving a grid of `(spec, θ₀)` pairs must yield
-    /// scorers bit-identical to independently built ones — the sweep
-    /// engine's shared-scorer construction cannot move a bit.
-    #[test]
-    fn new_many_matches_individual_scorers_bitwise() {
-        let (holdout, _) = synthetic_logistic(350, 4, 2.0, 21);
-        let specs: Vec<LogisticRegressionSpec> = [0.0, 1e-3, 0.5]
-            .iter()
-            .map(|&b| LogisticRegressionSpec::new(b))
-            .collect();
-        let thetas: Vec<Vec<f64>> = (0..3)
-            .map(|k| (0..4).map(|j| ((k * 4 + j) as f64 * 0.31).sin()).collect())
-            .collect();
-        let pool_u: Vec<Vec<f64>> = (0..3)
-            .map(|i| (0..4).map(|j| ((i * 4 + j) as f64 * 0.17).cos()).collect())
-            .collect();
-        let pool_w: Vec<Vec<f64>> = (0..3)
-            .map(|i| (0..4).map(|j| ((i * 4 + j) as f64 * 0.53).sin()).collect())
-            .collect();
-        let entries: Vec<(&LogisticRegressionSpec, &[f64])> = specs
+    /// `new_many` over `specs` (one θ₀ each) gives scorers whose base
+    /// scores and engine diffs equal those of individually built ones.
+    fn assert_new_many_matches<F, S>(specs: &[S], holdout: &Dataset<F>, dim: usize)
+    where
+        F: FeatureVec,
+        S: ModelClassSpec<F>,
+    {
+        let thetas = wave_pool(specs.len(), dim, 0.31);
+        let pool_u = wave_pool(3, dim, 0.17);
+        let pool_w = wave_pool(3, dim, 0.53);
+        let entries: Vec<(&S, &[f64])> = specs
             .iter()
             .zip(&thetas)
             .map(|(s, t)| (s, t.as_slice()))
             .collect();
-        let many = HoldoutScorer::new_many(&holdout, &entries);
-        assert_eq!(many.len(), 3);
-        for ((scorer, spec), theta) in many.iter().zip(&specs).zip(&thetas) {
-            let solo = HoldoutScorer::new(spec, &holdout, theta);
+        let many = HoldoutScorer::new_many(holdout, &entries);
+        assert_eq!(many.len(), specs.len());
+        for ((scorer, spec), theta) in many.iter().zip(specs).zip(&thetas) {
+            let solo = HoldoutScorer::new(spec, holdout, theta);
+            let bits = |s: &HoldoutScorer<'_, F, S>| -> Vec<u64> {
+                let base = s.base.as_ref().expect("margin spec");
+                base.scores.iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(scorer), bits(&solo), "{}: base scores", spec.name());
             let fast = scorer.engine(&pool_u, &pool_w);
             let slow = solo.engine(&pool_u, &pool_w);
             for i in 0..3 {
@@ -719,6 +791,33 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One stacked GEMM serving a grid of `(spec, θ₀)` pairs must yield
+    /// scorers bit-identical to independently built ones — the sweep
+    /// engine's shared-scorer construction cannot move a bit.
+    #[test]
+    fn new_many_matches_individual_scorers_bitwise() {
+        use crate::models::maxent::MaxEntSpec;
+        use blinkml_data::parallel::{set_max_threads, CHUNK_SIZE};
+        let betas = [0.0, 1e-3, 0.5];
+        let logistic: Vec<LogisticRegressionSpec> = betas
+            .iter()
+            .map(|&b| LogisticRegressionSpec::new(b))
+            .collect();
+        let maxent: Vec<MaxEntSpec> = betas.iter().map(|&b| MaxEntSpec::new(b, 5)).collect();
+        let (holdout, _) = synthetic_logistic(350, 4, 2.0, 21);
+        assert_new_many_matches(&logistic, &holdout, 4);
+
+        let (tall, _) = synthetic_logistic(CHUNK_SIZE + 37, 12, 2.0, 22);
+        let sparse = blinkml_data::generators::yelp_like(CHUNK_SIZE + 300, 60, 23);
+        let maxent_dim = ModelClassSpec::<blinkml_data::SparseVec>::param_dim(&maxent[0], 60);
+        for budget in [1, 4] {
+            set_max_threads(Some(budget));
+            assert_new_many_matches(&logistic, &tall, 12);
+            assert_new_many_matches(&maxent, &sparse, maxent_dim);
+        }
+        set_max_threads(None);
 
         // Generic specs (no margin weights) fall back per pair.
         let g_holdout = low_rank_gaussian(40, 4, 2, 0.2, 7);
@@ -728,6 +827,179 @@ mod tests {
         let g_many = HoldoutScorer::new_many(&g_holdout, &g_entries);
         assert_eq!(g_many.len(), 2);
         assert!(g_many[0].outputs().is_none());
+    }
+
+    /// The layout `batched_scores` had before it wrote parameter-major
+    /// blocks: each chunk scores its rows into one interleaved block and
+    /// splits it into per-parameter segments, which are then joined in
+    /// chunk order.
+    fn batched_scores_oracle<F: FeatureVec>(
+        holdout: &Dataset<F>,
+        w_all: &Matrix,
+        outputs: usize,
+    ) -> Vec<Vec<f64>> {
+        let h = holdout.len();
+        let cols = w_all.cols();
+        let num_params = cols / outputs;
+        let table = w_all.as_slice();
+        let chunked: Vec<Vec<Vec<f64>>> = par_ranges(h, |range| {
+            let len = range.len();
+            let mut block = vec![0.0; len * cols];
+            let rows: Vec<&F> = range.map(|j| &holdout.get(j).x).collect();
+            F::add_rows_times_table(&rows, table, cols, &mut block);
+            let mut segments: Vec<Vec<f64>> = (0..num_params)
+                .map(|_| Vec::with_capacity(len * outputs))
+                .collect();
+            for srow in block.chunks_exact(cols) {
+                for (p, segment) in segments.iter_mut().enumerate() {
+                    segment.extend_from_slice(&srow[p * outputs..(p + 1) * outputs]);
+                }
+            }
+            segments
+        });
+        let mut scores: Vec<Vec<f64>> = (0..num_params)
+            .map(|_| Vec::with_capacity(h * outputs))
+            .collect();
+        for segments in chunked {
+            for (score, segment) in scores.iter_mut().zip(segments) {
+                score.extend_from_slice(&segment);
+            }
+        }
+        scores
+    }
+
+    /// A deterministic feature value, with exact `0.0` and `-0.0` among
+    /// ordinary ones.
+    fn feature(j: usize, i: usize) -> f64 {
+        match (j * 7 + i * 3) % 11 {
+            0 => 0.0,
+            1 => -0.0,
+            k => ((j * 31 + i) as f64 * 0.113).sin() * k as f64,
+        }
+    }
+
+    fn dense_rows(h: usize, d: usize) -> Dataset<DenseVec> {
+        let rows = (0..h)
+            .map(|j| blinkml_data::Example {
+                x: DenseVec::new((0..d).map(|i| feature(j, i)).collect()),
+                y: 0.0,
+            })
+            .collect();
+        Dataset::new("dense-layout", d, rows)
+    }
+
+    /// Sparse rows storing about a third of the features, stored `0.0`
+    /// and `-0.0` included; every fifth row stores nothing.
+    fn sparse_rows(h: usize, d: usize) -> Dataset<blinkml_data::SparseVec> {
+        let rows = (0..h)
+            .map(|j| {
+                let (indices, values): (Vec<u32>, Vec<f64>) = (0..d)
+                    .filter(|i| j % 5 != 4 && (i + j) % 3 == 0)
+                    .map(|i| (i as u32, feature(j, i)))
+                    .unzip();
+                blinkml_data::Example {
+                    x: blinkml_data::SparseVec::new(d, indices, values),
+                    y: 0.0,
+                }
+            })
+            .collect();
+        Dataset::new("sparse-layout", d, rows)
+    }
+
+    /// `batched_scores` returns the oracle's per-parameter matrices, bit
+    /// for bit, back to back.
+    fn assert_layout_matches_oracle<F: FeatureVec>(
+        holdout: &Dataset<F>,
+        params: usize,
+        outputs: usize,
+    ) {
+        let d = holdout.dim();
+        let cols = params * outputs;
+        let w_all = Matrix::from_fn(d, cols, |i, c| match (i + 2 * c) % 9 {
+            0 => 0.0,
+            1 => -0.0,
+            k => ((i * cols + c) as f64 * 0.37).cos() * k as f64,
+        });
+        let got = batched_scores(holdout, &w_all, outputs);
+        let want = batched_scores_oracle(holdout, &w_all, outputs);
+        let stride = holdout.len() * outputs;
+        assert_eq!(got.len(), params * stride);
+        for (p, want) in want.iter().enumerate() {
+            let got = &got[p * stride..(p + 1) * stride];
+            assert!(
+                got.iter()
+                    .zip(want)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "h = {}, d = {d}, params = {params}, outputs = {outputs}: parameter {p}",
+                holdout.len()
+            );
+        }
+    }
+
+    /// The parameter-major layout against the interleaved oracle: row
+    /// counts around the 4-row tile, the sub-block and one and two chunk
+    /// boundaries; 1–7 and 64 parameters of 1 and 5 outputs; dense rows
+    /// at d ∈ {3, 8, 37, 100} and sparse rows; thread budgets {1, 4}.
+    #[test]
+    fn parameter_major_scores_match_the_interleaved_oracle_bitwise() {
+        use blinkml_data::parallel::{set_max_threads, CHUNK_SIZE};
+        let heights = |cols: usize| {
+            let sub = sub_block_rows(cols);
+            [0, 1, 3, 4, 5, sub - 1, sub, sub + 1]
+        };
+        let tall: Vec<_> = [CHUNK_SIZE + 37, 2 * CHUNK_SIZE + 300]
+            .into_iter()
+            .map(|h| (dense_rows(h, 3), sparse_rows(h, 16)))
+            .collect();
+        let tall_wide: Vec<_> = [8, 37, 100]
+            .into_iter()
+            .map(|d| dense_rows(CHUNK_SIZE + 37, d))
+            .collect();
+        let grid = || {
+            [1, 5].into_iter().flat_map(|outputs| {
+                [1, 2, 3, 4, 5, 6, 7, 64]
+                    .into_iter()
+                    .map(move |params| (params, outputs))
+            })
+        };
+        // One chunk runs on the calling thread at any budget.
+        for (params, outputs) in grid() {
+            for h in heights(params * outputs) {
+                for d in [3, 8, 37, 100] {
+                    assert_layout_matches_oracle(&dense_rows(h, d), params, outputs);
+                }
+                assert_layout_matches_oracle(&sparse_rows(h, 37), params, outputs);
+            }
+        }
+        for budget in [1, 4] {
+            set_max_threads(Some(budget));
+            // 64 parameters of 5 outputs is the costliest shape in a
+            // debug build; the single-chunk loop above covers it.
+            for (params, outputs) in grid().filter(|&shape| shape != (64, 5)) {
+                for (dense, sparse) in &tall {
+                    assert_layout_matches_oracle(dense, params, outputs);
+                    assert_layout_matches_oracle(sparse, params, outputs);
+                }
+            }
+            for dense in &tall_wide {
+                for outputs in [1, 5] {
+                    assert_layout_matches_oracle(dense, 3, outputs);
+                }
+            }
+        }
+        set_max_threads(None);
+    }
+
+    #[test]
+    #[should_panic(expected = "batched_scores: weight table has 4 rows, holdout dimension is 3")]
+    fn weight_table_of_another_height_is_rejected() {
+        batched_scores(&dense_rows(5, 3), &Matrix::zeros(4, 2), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "batched_scores: 7 weight columns are not whole blocks of 5 outputs")]
+    fn partial_output_blocks_are_rejected() {
+        batched_scores(&dense_rows(5, 3), &Matrix::zeros(3, 7), 5);
     }
 
     /// A one-output margin spec whose `margin_weights` is `data_dim × 2`.
