@@ -288,7 +288,7 @@ pub trait ModelClassSpec<F: FeatureVec>: Send + Sync {
     /// selects, so the built-in model classes are bit-identical for every
     /// view kind and thread budget (and to their per-example reference
     /// oracles in `crate::testing`). `scratch` persists across calls so
-    /// line-search probes allocate nothing in steady state.
+    /// line-search probes reuse their buffers in steady state.
     fn value_grad(
         &self,
         theta: &[f64],
@@ -315,7 +315,11 @@ pub trait ModelClassSpec<F: FeatureVec>: Send + Sync {
     /// The contract is exactness: each eval's `(value, grad)` must be
     /// **bit-identical** to [`Self::value_grad`] on a spec with
     /// [`Self::with_regularization`]`(β_k)` applied, over
-    /// `xm.prefix(rows_k)`, at any thread budget.
+    /// `xm.prefix(rows_k)`, at any thread budget. The built-in classes
+    /// that implement it (the GLM families and linear regression) meet
+    /// this by construction: their `value_grad` is this kernel's
+    /// one-eval case, `β = regularization()` over all of `xm`, so each
+    /// keeps a single loss body and a single finishing body.
     ///
     /// Only called when [`Self::multi_lambda_batched`] returns true.
     fn value_grad_batched_multi(

@@ -191,49 +191,9 @@ impl<Fam: GlmFamily, F: FeatureVec> ModelClassSpec<F> for GlmSpec<Fam> {
         scratch: &mut TrainScratch,
         grad: &mut [f64],
     ) -> f64 {
-        let d = xm.dim();
-        let dim = theta.len();
-        debug_assert_eq!(dim, d + usize::from(self.intercept));
-        debug_assert_eq!(grad.len(), dim);
-        let n = xm.len().max(1) as f64;
-        let (w, b) = if self.intercept {
-            (&theta[..d], theta[d])
-        } else {
-            (theta, 0.0)
-        };
-        // One fused sweep: chunk margins → loss/derivative (sharing the
-        // family's transcendentals) → chunk gradient partial, with each
-        // chunk's rows reused while cache-hot. Partial sums merge in the
-        // scalar oracle's par_sum_vecs order, so value and gradient are
-        // bit-identical to it on the sample the view selects.
-        let mut dloss_sum = 0.0;
-        let loss = xm.value_grad_fold(w, b, &mut grad[..d], scratch, |start, margins| {
-            let (mut lpart, mut cpart) = (0.0, 0.0);
-            for (local, m) in margins.iter_mut().enumerate() {
-                let (l, c) = Fam::loss_dloss(*m, xm.label(start + local));
-                lpart += l;
-                cpart += c;
-                *m = c;
-            }
-            dloss_sum += cpart;
-            lpart
-        });
-        let mut value = loss / n;
-        for g in grad[..d].iter_mut() {
-            *g /= n;
-        }
-        if self.intercept {
-            grad[d] = dloss_sum / n;
-        }
-        if self.beta > 0.0 {
-            let wlen = self.weight_len(dim);
-            let norm_sq: f64 = theta[..wlen].iter().map(|t| t * t).sum();
-            value += 0.5 * self.beta * norm_sq;
-            for (g, t) in grad[..wlen].iter_mut().zip(&theta[..wlen]) {
-                *g += self.beta * t;
-            }
-        }
-        value
+        let mut evals = [SweepEval::new(theta, self.beta, xm.len(), grad)];
+        <Self as ModelClassSpec<F>>::value_grad_batched_multi(self, &mut evals, xm, scratch);
+        evals[0].value
     }
 
     fn multi_lambda_batched(&self) -> bool {
@@ -249,13 +209,14 @@ impl<Fam: GlmFamily, F: FeatureVec> ModelClassSpec<F> for GlmSpec<Fam> {
         let d = xm.dim();
         let intercept = self.intercept;
         let dim = d + usize::from(intercept);
-        // One fused multi-request sweep over the shared capture: every
-        // grid point's weight-block fold shares each block of rows; the
-        // λ-dependent regularizer terms are applied per-eval afterwards,
-        // so the data passes are shared across the whole grid. Request k's (loss, dloss-sum, grad) come out
-        // bit-identical to `value_grad_fold` over `xm.prefix(rows_k)`,
-        // which is what makes each eval below bit-identical to
-        // `value_grad` on a `with_regularization(β_k)` spec.
+        // One fused sweep over the shared capture: chunk margins →
+        // loss/derivative (sharing the family's transcendentals) → chunk
+        // gradient partials, with every grid point's probe sharing each
+        // block of rows. The λ-dependent regularizer terms are applied
+        // per eval afterwards. Partial sums merge in the scalar oracle's
+        // par_sum_vecs order, so each eval is bit-identical to it on the
+        // prefix `rows_k` selects, and to `value_grad` (this kernel at
+        // one eval) on a `with_regularization(β_k)` spec.
         let mut reqs: Vec<FoldRequest> = evals
             .iter_mut()
             .map(|e| {
@@ -724,76 +685,78 @@ mod tests {
     /// The fused multi-λ kernel must equal K independent
     /// `value_grad` calls on `with_regularization(β_k)` specs
     /// over the matching sample prefixes — bit for bit, with and
-    /// without an intercept, at thread budgets {1, 4}.
+    /// without an intercept, at thread budgets {1, 4}. At d = 13 (the
+    /// AVX kernels plus a column tail) the row set `[n, CHUNK_SIZE / 2]`
+    /// leaves one live request in the last chunk, so a blocked k ≥ 2
+    /// chunk and a chunk-wide lone-request chunk both meet the k = 1
+    /// path.
     #[test]
     fn multi_lambda_batched_is_bitwise_looped_single_lambda() {
         use blinkml_data::parallel::{set_max_threads, CHUNK_SIZE};
         let n = CHUNK_SIZE + 257;
-        let (data, _) = synthetic_logistic(n, 4, 2.0, 21);
         let betas = [0.0, 1e-3, 0.1];
-        let rows = [n, CHUNK_SIZE / 2, n - 7];
-        for intercept in [false, true] {
-            let spec = if intercept {
-                Spec::with_intercept(1e-3)
-            } else {
-                Spec::new(1e-3)
-            };
-            assert!(<Spec as ModelClassSpec<DenseVec>>::multi_lambda_batched(
-                &spec
-            ));
-            let dim = <Spec as ModelClassSpec<DenseVec>>::param_dim(&spec, 4);
-            let thetas: Vec<Vec<f64>> = (0..betas.len())
-                .map(|k| {
-                    (0..dim)
-                        .map(|j| 0.1 * (j as f64 + 1.0) - 0.07 * k as f64)
-                        .collect()
-                })
-                .collect();
-            for budget in [Some(1), Some(4)] {
-                set_max_threads(budget);
-                let pool = DatasetMatrix::from_dataset(&data);
-                let view = pool.view();
-                let mut grads = vec![vec![f64::NAN; dim]; betas.len()];
-                let mut evals: Vec<SweepEval> = thetas
-                    .iter()
-                    .zip(betas.iter())
-                    .zip(rows.iter())
-                    .zip(grads.iter_mut())
-                    .map(|(((t, &b), &r), g)| SweepEval::new(t, b, r, g))
+        for (data_dim, rows) in [
+            (4, vec![n, CHUNK_SIZE / 2, n - 7]),
+            (13, vec![n, CHUNK_SIZE / 2]),
+        ] {
+            let (data, _) = synthetic_logistic(n, data_dim, 2.0, 21);
+            for intercept in [false, true] {
+                let spec = if intercept {
+                    Spec::with_intercept(1e-3)
+                } else {
+                    Spec::new(1e-3)
+                };
+                assert!(<Spec as ModelClassSpec<DenseVec>>::multi_lambda_batched(
+                    &spec
+                ));
+                let dim = <Spec as ModelClassSpec<DenseVec>>::param_dim(&spec, data_dim);
+                let thetas: Vec<Vec<f64>> = (0..rows.len())
+                    .map(|k| {
+                        (0..dim)
+                            .map(|j| 0.1 * (j as f64 + 1.0) - 0.07 * k as f64)
+                            .collect()
+                    })
                     .collect();
-                let mut scratch = TrainScratch::new();
-                <Spec as ModelClassSpec<DenseVec>>::value_grad_batched_multi(
-                    &spec,
-                    &mut evals,
-                    &view,
-                    &mut scratch,
-                );
-                let values: Vec<f64> = evals.iter().map(|e| e.value).collect();
-                drop(evals);
-                for k in 0..betas.len() {
-                    let solo =
-                        <Spec as ModelClassSpec<DenseVec>>::with_regularization(&spec, betas[k])
-                            .unwrap();
-                    let sub = view.prefix(rows[k]);
-                    let mut solo_grad = vec![f64::NAN; dim];
-                    let mut solo_scratch = TrainScratch::new();
-                    let solo_value =
-                        solo.value_grad(&thetas[k], &sub, &mut solo_scratch, &mut solo_grad);
-                    assert_eq!(
-                        values[k].to_bits(),
-                        solo_value.to_bits(),
-                        "value k={k} intercept={intercept} budget {budget:?}"
+                for budget in [Some(1), Some(4)] {
+                    set_max_threads(budget);
+                    let pool = DatasetMatrix::from_dataset(&data);
+                    let view = pool.view();
+                    let mut grads = vec![vec![f64::NAN; dim]; rows.len()];
+                    let mut evals: Vec<SweepEval> = thetas
+                        .iter()
+                        .zip(betas.iter())
+                        .zip(rows.iter())
+                        .zip(grads.iter_mut())
+                        .map(|(((t, &b), &r), g)| SweepEval::new(t, b, r, g))
+                        .collect();
+                    let mut scratch = TrainScratch::new();
+                    <Spec as ModelClassSpec<DenseVec>>::value_grad_batched_multi(
+                        &spec,
+                        &mut evals,
+                        &view,
+                        &mut scratch,
                     );
-                    for (j, (a, b)) in grads[k].iter().zip(&solo_grad).enumerate() {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "grad[{j}] k={k} intercept={intercept} budget {budget:?}"
-                        );
+                    let values: Vec<f64> = evals.iter().map(|e| e.value).collect();
+                    drop(evals);
+                    for k in 0..rows.len() {
+                        let solo = <Spec as ModelClassSpec<DenseVec>>::with_regularization(
+                            &spec, betas[k],
+                        )
+                        .unwrap();
+                        let sub = view.prefix(rows[k]);
+                        let mut solo_grad = vec![f64::NAN; dim];
+                        let mut solo_scratch = TrainScratch::new();
+                        let solo_value =
+                            solo.value_grad(&thetas[k], &sub, &mut solo_scratch, &mut solo_grad);
+                        let tag = format!("d={data_dim} k={k} intercept={intercept} {budget:?}");
+                        assert_eq!(values[k].to_bits(), solo_value.to_bits(), "value {tag}");
+                        for (j, (a, b)) in grads[k].iter().zip(&solo_grad).enumerate() {
+                            assert_eq!(a.to_bits(), b.to_bits(), "grad[{j}] {tag}");
+                        }
                     }
                 }
+                set_max_threads(None);
             }
-            set_max_threads(None);
         }
     }
 

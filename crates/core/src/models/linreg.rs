@@ -75,41 +75,9 @@ impl<F: FeatureVec> ModelClassSpec<F> for LinearRegressionSpec {
         scratch: &mut TrainScratch,
         grad: &mut [f64],
     ) -> f64 {
-        let d = xm.dim();
-        debug_assert_eq!(theta.len(), d + 1);
-        debug_assert_eq!(grad.len(), d + 1);
-        let n = xm.len().max(1) as f64;
-        let u = theta[d].clamp(-LOG_VAR_CLAMP, LOG_VAR_CLAMP);
-        let inv_s = (-u).exp();
-        let w = &theta[..d];
-        // One fused sweep: chunk margins → residuals in place
-        // (rᵢ = mᵢ − yᵢ, the scalar `dot(w) − y` op order) → chunk
-        // gradient partial, merged like par_sum_vecs — bit-identical to
-        // the scalar oracle on the sample the view selects.
-        let sum_r2 = xm.value_grad_fold(w, 0.0, &mut grad[..d], scratch, |start, margins| {
-            let mut part = 0.0;
-            for (local, m) in margins.iter_mut().enumerate() {
-                let r = *m - xm.label(start + local);
-                part += r * r;
-                *m = r;
-            }
-            part
-        });
-        // f = (1/n)Σ[r²/(2σ²) + u/2] + (β/2)‖w‖².
-        let mut value = 0.5 * inv_s * sum_r2 / n + 0.5 * u;
-        for g in grad[..d].iter_mut() {
-            *g = inv_s * *g / n;
-        }
-        // ∂f/∂u = ½ − (1/2σ²)·mean(r²).
-        grad[d] = 0.5 - 0.5 * inv_s * sum_r2 / n;
-        if self.beta > 0.0 {
-            let norm_sq: f64 = w.iter().map(|t| t * t).sum();
-            value += 0.5 * self.beta * norm_sq;
-            for (g, t) in grad[..d].iter_mut().zip(w) {
-                *g += self.beta * t;
-            }
-        }
-        value
+        let mut evals = [SweepEval::new(theta, self.beta, xm.len(), grad)];
+        <Self as ModelClassSpec<F>>::value_grad_batched_multi(self, &mut evals, xm, scratch);
+        evals[0].value
     }
 
     fn multi_lambda_batched(&self) -> bool {
@@ -123,10 +91,12 @@ impl<F: FeatureVec> ModelClassSpec<F> for LinearRegressionSpec {
         scratch: &mut TrainScratch,
     ) {
         let d = xm.dim();
-        // One fused multi-request sweep shares each block of rows across
-        // every grid point; residuals are formed exactly as the single-λ
-        // kernel forms them, so per-request sums and gradient partials
-        // are bit-identical to `value_grad`.
+        // One fused sweep: chunk margins → residuals in place
+        // (rᵢ = mᵢ − yᵢ, the scalar `dot(w) − y` op order) → chunk
+        // gradient partials, with every grid point's probe sharing each
+        // block of rows. Partial sums merge like par_sum_vecs, so each
+        // eval is bit-identical to the scalar oracle on the prefix
+        // `rows_k` selects; `value_grad` is this kernel at one eval.
         let mut reqs: Vec<FoldRequest> = evals
             .iter_mut()
             .map(|e| {
@@ -509,54 +479,61 @@ mod tests {
     /// Every grid point of a fused multi-λ evaluation must be
     /// bit-identical to the single-λ kernel run on a
     /// `with_regularization(β_k)` spec over the matching row prefix, at
-    /// any thread budget.
+    /// any thread budget. At d = 13 (the AVX kernels plus a column tail)
+    /// the row set `[n, CHUNK_SIZE / 2]` leaves one live request in the
+    /// last chunk, so a blocked k ≥ 2 chunk and a chunk-wide
+    /// lone-request chunk both meet the k = 1 path.
     #[test]
     fn multi_lambda_batched_is_bitwise_looped_single_lambda() {
         use blinkml_data::parallel::{set_max_threads, CHUNK_SIZE};
         let n = CHUNK_SIZE + 257;
-        let d = 6;
-        let dim = d + 1;
-        let (data, _) = synthetic_linear(n, d, 0.4, 21);
-        let xm = DatasetMatrix::from_dataset(&data);
-        let view = xm.view();
         let betas = [0.0, 1e-3, 0.1];
-        let rows = [n, CHUNK_SIZE / 2, n - 7];
-        let thetas: Vec<Vec<f64>> = (0..3)
-            .map(|k| {
-                (0..dim)
-                    .map(|j| ((k * dim + j) as f64 * 0.37).sin() * 0.5)
-                    .collect()
-            })
-            .collect();
-        // The host spec's own β must be ignored: each eval carries its own.
-        let spec = LinearRegressionSpec::new(0.5);
-        for budget in [1usize, 4] {
-            set_max_threads(Some(budget));
-            let mut grads: Vec<Vec<f64>> = vec![vec![0.0; dim]; 3];
-            let values: Vec<f64> = {
-                let mut evals: Vec<SweepEval> = thetas
-                    .iter()
-                    .zip(grads.iter_mut())
-                    .enumerate()
-                    .map(|(k, (t, g))| SweepEval::new(t, betas[k], rows[k], g))
-                    .collect();
-                let mut scratch = TrainScratch::new();
-                <M>::value_grad_batched_multi(&spec, &mut evals, &view, &mut scratch);
-                evals.iter().map(|e| e.value).collect()
-            };
-            for k in 0..3 {
-                let solo = <M>::with_regularization(&spec, betas[k]).unwrap();
-                let pv = view.prefix(rows[k]);
-                let mut g = vec![0.0; dim];
-                let mut scratch = TrainScratch::new();
-                let v = solo.value_grad(&thetas[k], &pv, &mut scratch, &mut g);
-                assert_eq!(v.to_bits(), values[k].to_bits(), "value k={k} t={budget}");
-                for (a, b) in g.iter().zip(&grads[k]) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "grad k={k} t={budget}");
+        for (d, rows) in [
+            (6, vec![n, CHUNK_SIZE / 2, n - 7]),
+            (13, vec![n, CHUNK_SIZE / 2]),
+        ] {
+            let dim = d + 1;
+            let (data, _) = synthetic_linear(n, d, 0.4, 21);
+            let xm = DatasetMatrix::from_dataset(&data);
+            let view = xm.view();
+            let thetas: Vec<Vec<f64>> = (0..rows.len())
+                .map(|k| {
+                    (0..dim)
+                        .map(|j| ((k * dim + j) as f64 * 0.37).sin() * 0.5)
+                        .collect()
+                })
+                .collect();
+            // The host spec's own β must be ignored: each eval carries its own.
+            let spec = LinearRegressionSpec::new(0.5);
+            for budget in [1usize, 4] {
+                set_max_threads(Some(budget));
+                let mut grads: Vec<Vec<f64>> = vec![vec![0.0; dim]; rows.len()];
+                let values: Vec<f64> = {
+                    let mut evals: Vec<SweepEval> = thetas
+                        .iter()
+                        .zip(grads.iter_mut())
+                        .enumerate()
+                        .map(|(k, (t, g))| SweepEval::new(t, betas[k], rows[k], g))
+                        .collect();
+                    let mut scratch = TrainScratch::new();
+                    <M>::value_grad_batched_multi(&spec, &mut evals, &view, &mut scratch);
+                    evals.iter().map(|e| e.value).collect()
+                };
+                for k in 0..rows.len() {
+                    let solo = <M>::with_regularization(&spec, betas[k]).unwrap();
+                    let pv = view.prefix(rows[k]);
+                    let mut g = vec![0.0; dim];
+                    let mut scratch = TrainScratch::new();
+                    let v = solo.value_grad(&thetas[k], &pv, &mut scratch, &mut g);
+                    let tag = format!("d={d} k={k} t={budget}");
+                    assert_eq!(v.to_bits(), values[k].to_bits(), "value {tag}");
+                    for (a, b) in g.iter().zip(&grads[k]) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "grad {tag}");
+                    }
                 }
             }
+            set_max_threads(None);
         }
-        set_max_threads(None);
     }
 
     #[test]

@@ -5,18 +5,22 @@
 //! optimizer probe. A [`DatasetMatrix`] captures the sample
 //! **once per `train()` call** as a design-matrix view — borrowed
 //! per-row slices for dense features (zero copy), a CSR triple for
-//! sparse ones — plus a label vector, and exposes the batched passes
-//! every model objective is built from:
+//! sparse ones — plus a label vector. The batched passes every model
+//! objective is built from run over a [`MatrixView`] of it (the whole
+//! matrix, a gathered sample or a row prefix):
 //!
-//! * [`DatasetMatrix::margins_into`] — `out = X·w + bias`, the margin
+//! * [`MatrixView::margins_into`] — `out = X·w + bias`, the margin
 //!   pass (one fused kernel over the view),
-//! * [`DatasetMatrix::weighted_sum_into`] — `out = Xᵀ·w`, the gradient
+//! * [`MatrixView::weighted_sum_into`] — `out = Xᵀ·w`, the gradient
 //!   reduction,
-//! * [`DatasetMatrix::value_grad_fold`] — the fused
-//!   margins → loss → gradient sweep behind `ModelClassSpec::value_grad`:
-//!   each fixed-size chunk's rows are streamed once and reused while hot,
-//!   which is where the batched engine's single-thread win comes from,
-//! * [`DatasetMatrix::weighted_gram`] — `Σ wᵢ·xᵢxᵢᵀ`, the closed-form
+//! * [`MatrixView::value_grad_fold_multi`] — the fused
+//!   margins → loss → gradient sweep behind `ModelClassSpec::value_grad`
+//!   (one request) and the lockstep multi-λ rounds (one request per λ):
+//!   each fixed-size chunk's rows are streamed once per walk and reused
+//!   while hot. A chunk with one live request runs the chunk-wide
+//!   single-request kernels; a chunk with two or more walks L1-sized row
+//!   blocks that every live request shares,
+//! * [`MatrixView::weighted_gram`] — `Σ wᵢ·xᵢxᵢᵀ`, the closed-form
 //!   Hessian / second-moment accumulation.
 //!
 //! # Exactness and determinism
@@ -139,9 +143,7 @@ impl<'a> DatasetMatrix<'a> {
         matches!(self.block, DesignBlock::Csr { .. })
     }
 
-    /// The full-matrix view: every batched pass on a [`MatrixView`] with
-    /// no gather list is bit-identical to (and implemented by) the
-    /// matrix's own passes.
+    /// The full-matrix view, over which the batched passes run.
     pub fn view(&self) -> MatrixView<'_> {
         MatrixView {
             matrix: self,
@@ -191,63 +193,6 @@ impl<'a> DatasetMatrix<'a> {
             } => {
                 let (s, e) = (indptr[i], indptr[i + 1]);
                 Some((&indices[s..e], &values[s..e]))
-            }
-        }
-    }
-
-    /// Margins of the row range `range` written into `out`
-    /// (`out[k] = x_{range.start+k}·w + bias`) — the shared chunk kernel
-    /// behind [`Self::margins_into`] and [`Self::value_grad_fold`].
-    fn margins_range(&self, start: usize, end: usize, w: &[f64], bias: f64, out: &mut [f64]) {
-        let d = self.dim;
-        match &self.block {
-            DesignBlock::DenseRows(rows) => {
-                rows_dot_gather(&rows[start..end], d, w, bias, out);
-            }
-            DesignBlock::DenseOwned(x) => {
-                rows_dot(&x[start * d..end * d], d, w, bias, out);
-            }
-            DesignBlock::Csr {
-                indptr,
-                indices,
-                values,
-            } => {
-                for (local, i) in (start..end).enumerate() {
-                    let (s, e) = (indptr[i], indptr[i + 1]);
-                    let mut acc = 0.0;
-                    for (&idx, &v) in indices[s..e].iter().zip(&values[s..e]) {
-                        acc += v * w[idx as usize];
-                    }
-                    out[local] = acc + bias;
-                }
-            }
-        }
-    }
-
-    /// `out += Σ_{i in range} w[i - start]·x_i`, in ascending row order —
-    /// the shared chunk kernel behind [`Self::weighted_sum_into`] and
-    /// [`Self::value_grad_fold`].
-    fn weighted_sum_range(&self, start: usize, end: usize, w: &[f64], out: &mut [f64]) {
-        let d = self.dim;
-        match &self.block {
-            DesignBlock::DenseRows(rows) => {
-                rows_weighted_sum_gather(&rows[start..end], d, w, out);
-            }
-            DesignBlock::DenseOwned(x) => {
-                rows_weighted_sum(&x[start * d..end * d], d, w, out);
-            }
-            DesignBlock::Csr {
-                indptr,
-                indices,
-                values,
-            } => {
-                for (local, i) in (start..end).enumerate() {
-                    let wi = w[local];
-                    let (s, e) = (indptr[i], indptr[i + 1]);
-                    for (&idx, &v) in indices[s..e].iter().zip(&values[s..e]) {
-                        out[idx as usize] += wi * v;
-                    }
-                }
             }
         }
     }
@@ -361,41 +306,6 @@ impl<'a> DatasetMatrix<'a> {
             return SampleCapture::Gathered(view);
         }
         SampleCapture::Packed(self.pack_rows(indices, scratch))
-    }
-
-    /// Margin pass `out[i] = xᵢ·w + bias` over the full matrix — see
-    /// [`MatrixView::margins_into`].
-    pub fn margins_into(&self, w: &[f64], bias: f64, out: &mut [f64]) {
-        self.view().margins_into(w, bias, out);
-    }
-
-    /// Gradient reduction `out = Xᵀ·w` over the full matrix — see
-    /// [`MatrixView::weighted_sum_into`].
-    pub fn weighted_sum_into(&self, w: &[f64], out: &mut [f64]) {
-        self.view().weighted_sum_into(w, out);
-    }
-
-    /// Fused objective sweep over the full matrix — see
-    /// [`MatrixView::value_grad_fold`].
-    pub fn value_grad_fold<Fm>(
-        &self,
-        w: &[f64],
-        bias: f64,
-        grad: &mut [f64],
-        scratch: &mut TrainScratch,
-        chunk_fn: Fm,
-    ) -> f64
-    where
-        Fm: FnMut(usize, &mut [f64]) -> f64,
-    {
-        self.view()
-            .value_grad_fold(w, bias, grad, scratch, chunk_fn)
-    }
-
-    /// Weighted Gram accumulation over the full matrix — see
-    /// [`MatrixView::weighted_gram`].
-    pub fn weighted_gram(&self, w: &[f64]) -> Matrix {
-        self.view().weighted_gram(w)
     }
 }
 
@@ -633,67 +543,82 @@ impl<'m> MatrixView<'m> {
     }
 
     /// Margins of view rows `start..end` written into `out` — the
-    /// shared chunk kernel. Full views delegate to the matrix kernel;
-    /// gathered views run the index-gather kernels over the pool block.
+    /// chunk kernel of every margin pass. Dense blocks run the
+    /// contiguous or row-slice kernels over full views and the
+    /// index-gather kernels over gathered ones; CSR rows accumulate
+    /// their stored entries in index order.
     fn margins_range(&self, start: usize, end: usize, w: &[f64], bias: f64, out: &mut [f64]) {
-        let idx = match self.indices {
-            None => return self.matrix.margins_range(start, end, w, bias, out),
-            Some(idx) => &idx[start..end],
-        };
         let d = self.matrix.dim;
-        match &self.matrix.block {
-            DesignBlock::DenseRows(rows) => {
+        let idx = self.indices.map(|idx| &idx[start..end]);
+        match (&self.matrix.block, idx) {
+            (DesignBlock::DenseRows(rows), None) => {
+                rows_dot_gather(&rows[start..end], d, w, bias, out);
+            }
+            (DesignBlock::DenseRows(rows), Some(idx)) => {
                 rows_dot_gather_idx(rows, idx, d, w, bias, out);
             }
-            DesignBlock::DenseOwned(x) => {
-                for (local, &i) in idx.iter().enumerate() {
-                    out[local] = vector::dot(&x[i * d..(i + 1) * d], w) + bias;
+            (DesignBlock::DenseOwned(x), None) => {
+                rows_dot(&x[start * d..end * d], d, w, bias, out);
+            }
+            (DesignBlock::DenseOwned(x), Some(idx)) => {
+                for (o, &i) in out.iter_mut().zip(idx) {
+                    *o = vector::dot(&x[i * d..(i + 1) * d], w) + bias;
                 }
             }
-            DesignBlock::Csr {
-                indptr,
-                indices,
-                values,
-            } => {
-                for (local, &i) in idx.iter().enumerate() {
+            (
+                DesignBlock::Csr {
+                    indptr,
+                    indices,
+                    values,
+                },
+                _,
+            ) => {
+                for (o, k) in out.iter_mut().zip(start..end) {
+                    let i = self.row_index(k);
                     let (s, e) = (indptr[i], indptr[i + 1]);
                     let mut acc = 0.0;
                     for (&j, &v) in indices[s..e].iter().zip(&values[s..e]) {
                         acc += v * w[j as usize];
                     }
-                    out[local] = acc + bias;
+                    *o = acc + bias;
                 }
             }
         }
     }
 
     /// `out += Σ_{k in start..end} w[k - start]·x_{row(k)}`, in
-    /// ascending view-row order — the shared gradient chunk kernel.
+    /// ascending view-row order — the chunk kernel of every gradient
+    /// pass, with the same kernel choice as [`Self::margins_range`].
     fn weighted_sum_range(&self, start: usize, end: usize, w: &[f64], out: &mut [f64]) {
-        let idx = match self.indices {
-            None => return self.matrix.weighted_sum_range(start, end, w, out),
-            Some(idx) => &idx[start..end],
-        };
         let d = self.matrix.dim;
-        match &self.matrix.block {
-            DesignBlock::DenseRows(rows) => {
+        let idx = self.indices.map(|idx| &idx[start..end]);
+        match (&self.matrix.block, idx) {
+            (DesignBlock::DenseRows(rows), None) => {
+                rows_weighted_sum_gather(&rows[start..end], d, w, out);
+            }
+            (DesignBlock::DenseRows(rows), Some(idx)) => {
                 rows_weighted_sum_gather_idx(rows, idx, d, w, out);
             }
-            DesignBlock::DenseOwned(x) => {
-                for (local, &i) in idx.iter().enumerate() {
-                    let wi = w[local];
+            (DesignBlock::DenseOwned(x), None) => {
+                rows_weighted_sum(&x[start * d..end * d], d, w, out);
+            }
+            (DesignBlock::DenseOwned(x), Some(idx)) => {
+                for (&wi, &i) in w.iter().zip(idx) {
                     for (oj, &xj) in out.iter_mut().zip(&x[i * d..(i + 1) * d]) {
                         *oj += wi * xj;
                     }
                 }
             }
-            DesignBlock::Csr {
-                indptr,
-                indices,
-                values,
-            } => {
-                for (local, &i) in idx.iter().enumerate() {
-                    let wi = w[local];
+            (
+                DesignBlock::Csr {
+                    indptr,
+                    indices,
+                    values,
+                },
+                _,
+            ) => {
+                for (&wi, k) in w.iter().zip(start..end) {
+                    let i = self.row_index(k);
                     let (s, e) = (indptr[i], indptr[i + 1]);
                     for (&j, &v) in indices[s..e].iter().zip(&values[s..e]) {
                         out[j as usize] += wi * v;
@@ -764,97 +689,29 @@ impl<'m> MatrixView<'m> {
         }
     }
 
-    /// The fused objective sweep: for each fixed [`CHUNK_SIZE`] chunk of
-    /// view rows, compute the margins, hand them to `chunk_fn` (which
-    /// returns the chunk's loss partial and overwrites the margins **in
-    /// place** with per-row gradient weights), and accumulate the
-    /// chunk's `Σ wₖ·x_{row(k)}` into `grad` — all while the chunk's
-    /// rows are still cache-hot, so each probe streams the sample
-    /// **once**. Returns the loss partials summed in chunk order.
+    /// The fused objective sweep: evaluate `K` independent `(w, bias)`
+    /// probes — each over its own row-count prefix of this view — in one
+    /// pass over the data. With one request it is the sweep behind
+    /// every single-λ `ModelClassSpec::value_grad`; with several it runs
+    /// the sweep engine's lockstep multi-λ rounds, where the per-λ
+    /// final-sample prefixes all live inside one shared capture.
     ///
-    /// `chunk_fn(start, margins)` sees the chunk's starting *view-row*
-    /// index (for [`MatrixView::label`] lookup) and its margin slice; it
-    /// is always invoked sequentially in ascending chunk order, at every
-    /// thread budget.
-    ///
-    /// Bitwise contract: margins, the loss-partial merge, and the
-    /// gradient reduction all reproduce the scalar objective's
-    /// `par_sum_vecs` accumulation on the materialized sample exactly;
-    /// multi-thread budgets run the parallel two-pass form, which
-    /// preserves the same chunk boundaries and merge order.
-    ///
-    /// # Panics
-    /// Panics when `w.len() != dim()` or `grad.len() != dim()`.
-    pub fn value_grad_fold<Fm>(
-        &self,
-        w: &[f64],
-        bias: f64,
-        grad: &mut [f64],
-        scratch: &mut TrainScratch,
-        mut chunk_fn: Fm,
-    ) -> f64
-    where
-        Fm: FnMut(usize, &mut [f64]) -> f64,
-    {
-        let d = self.matrix.dim;
-        assert_eq!(w.len(), d, "value_grad_fold: weight length mismatch");
-        assert_eq!(grad.len(), d, "value_grad_fold: gradient length mismatch");
-        let rows = self.len();
-        if max_threads() > 1 && rows > CHUNK_SIZE {
-            // Parallel two-pass form: full margin buffer, parallel
-            // margins and gradient kernels, chunk_fn applied chunk by
-            // chunk in order. Bit-identical to the fused form below.
-            let margins = scratch.fold_full(rows);
-            self.margins_into(w, bias, margins);
-            let mut total = 0.0;
-            let mut start = 0;
-            while start < rows {
-                let end = (start + CHUNK_SIZE).min(rows);
-                total += chunk_fn(start, &mut margins[start..end]);
-                start = end;
-            }
-            self.weighted_sum_into(margins, grad);
-            return total;
-        }
-        // Fused single-thread form: chunk margins → chunk_fn → chunk
-        // gradient partial, with the chunk's rows reused while hot.
-        let (chunk_buf, partial) = scratch.fold_buffers(CHUNK_SIZE.min(rows.max(1)), d);
-        grad.iter_mut().for_each(|g| *g = 0.0);
-        let mut total = 0.0;
-        let mut start = 0;
-        while start < rows {
-            let end = (start + CHUNK_SIZE).min(rows);
-            let mchunk = &mut chunk_buf[..end - start];
-            self.margins_range(start, end, w, bias, mchunk);
-            total += chunk_fn(start, mchunk);
-            partial.iter_mut().for_each(|v| *v = 0.0);
-            self.weighted_sum_range(start, end, mchunk, partial);
-            for (g, p) in grad.iter_mut().zip(partial.iter()) {
-                *g += p;
-            }
-            start = end;
-        }
-        total
-    }
-
-    /// The fused **multi-request** objective sweep: evaluate `K`
-    /// independent `(w, bias)` probes — each over its own row-count
-    /// prefix of this view — in one pass over the data. This is the
-    /// kernel behind the sweep engine's batched multi-λ objective
-    /// evaluation, where the per-λ final-sample prefixes all live inside
-    /// one shared capture.
-    ///
-    /// Each fixed [`CHUNK_SIZE`] chunk is walked twice in row blocks
-    /// sized to stay in L1 (a constant byte budget over `dim()`; a
-    /// 4,096-row chunk at `d = 100` is 3.2 MB, past L2). The first walk
-    /// computes every live request's margins block by block with
-    /// [`rows_dot_multi`]; `chunk_fn` then turns each request's chunk of
-    /// margins into row weights; the second walk accumulates every
-    /// request's gradient partial with [`rows_weighted_sum_multi`]. So
-    /// each block is loaded once per walk for all `K` requests instead
-    /// of twice per request. A request whose prefix ends inside a block
-    /// runs that block's head through the single-request kernels; CSR
-    /// views run every request through them over the whole chunk.
+    /// For each fixed [`CHUNK_SIZE`] chunk it computes the margins of
+    /// every request live in the chunk (whose prefix reaches into it),
+    /// hands them to `chunk_fn`, and accumulates each request's gradient
+    /// partial, all while the chunk's rows are still cache-hot. The
+    /// kernels follow the number of live requests. With one, the chunk
+    /// runs the chunk-wide single-request kernels (contiguous, row-slice
+    /// or index-gather), the fastest form for one probe. With two or more
+    /// on a dense view, the chunk is walked twice in row blocks sized to
+    /// stay in L1 (a constant byte budget over `dim()`; a 4,096-row chunk
+    /// at `d = 100` is 3.2 MB, past L2): every covering request's margins
+    /// block by block with [`rows_dot_multi`], then `chunk_fn` per
+    /// request, then every covering request's gradient partial with
+    /// [`rows_weighted_sum_multi`], so each block is loaded once per walk
+    /// for all of them. A request whose prefix ends inside a block takes
+    /// that block's head through the single-request kernels. CSR chunks
+    /// always run the single-request kernels per request.
     ///
     /// `chunk_fn(k, start, margins)` sees the request index, the chunk's
     /// starting view-row index, and the chunk's margins; it returns the
@@ -865,15 +722,17 @@ impl<'m> MatrixView<'m> {
     /// order on the caller thread.
     ///
     /// Bitwise contract: each request's `(loss, extra, grad)` is
-    /// **bit-identical** to running [`MatrixView::value_grad_fold`] on
-    /// `self.prefix(rows_k)` alone, at any thread budget — the chunk
-    /// grid is anchored at row 0 in both cases (a request's last chunk
-    /// is truncated at its `rows`, exactly where its solo grid would
-    /// end), the block kernels keep the single-request kernels' per-row
-    /// and per-output order, per-chunk gradient partials start from zero
-    /// and merge in chunk order, and the scalar partials accumulate in
-    /// the same order `value_grad_fold` sums its chunk returns. The
-    /// block size cannot change a bit.
+    /// **bit-identical** to the two-pass form on `self.prefix(rows_k)`
+    /// — [`Self::margins_into`], `chunk_fn` over each chunk in order
+    /// with its partials summed from zero, then [`Self::weighted_sum_into`]
+    /// of the row weights — and so to the same request run alone, at
+    /// any thread budget. The chunk grid is anchored at row 0 in every
+    /// form (a request's last chunk is truncated at its `rows`, exactly
+    /// where its solo grid would end), the block kernels keep the
+    /// single-request kernels' per-row and per-output order, and
+    /// per-chunk gradient partials start from zero and merge in chunk
+    /// order. Neither the block size nor the live-request count can
+    /// change a bit.
     ///
     /// # Panics
     /// Panics when a request's `w`/`grad` length differs from `dim()` or
@@ -959,17 +818,18 @@ impl<'m> MatrixView<'m> {
         } = out;
         let ld = *ld;
         let live = slots.rows.partition_point(|&r| r > chunk.start);
-        // Dense rows go in L1-sized blocks shared by every covering slot;
-        // CSR rows take the whole chunk through the per-slot kernels.
-        let dense = !self.is_sparse();
-        let block = if dense { row_block(d) } else { chunk.len() };
+        // With two or more live slots, dense rows go in L1-sized blocks
+        // shared by every covering slot; a lone slot, and CSR rows, take
+        // the whole chunk through the single-request kernels.
+        let blocked = live >= 2 && !self.is_sparse();
+        let block = if blocked { row_block(d) } else { chunk.len() };
         let mut table: [&[f64]; ROW_BLOCK_MAX] = [&[]; ROW_BLOCK_MAX];
         // The row blocks of the chunk, each with its slot split: slots
         // `..full` cover the whole block, slots `full..live` end past
         // its first row or before it (then skipped).
         let blocks = (chunk.start..chunk.end).step_by(block).map(|b0| {
             let b1 = (b0 + block).min(chunk.end);
-            let full = if dense {
+            let full = if blocked {
                 slots.rows[..live].partition_point(|&r| r >= b1)
             } else {
                 0
@@ -1221,18 +1081,15 @@ struct MultiFold {
 }
 
 /// Reusable buffer pool threaded through batched objective evaluation,
-/// so optimizer line-search probes allocate nothing in steady state.
+/// so optimizer line-search probes reuse their buffers across calls.
 ///
 /// Model classes use numbered [`TrainScratch::slot`]s for their own
-/// buffers; [`MatrixView::value_grad_fold`] and
-/// [`MatrixView::value_grad_fold_multi`] keep their private chunk and
-/// partial buffers here as well.
+/// buffers; [`MatrixView::value_grad_fold_multi`] keeps its slot tables
+/// and its single-thread chunk margins and gradient partials here as
+/// well (its parallel form gives each chunk buffers of its own).
 #[derive(Debug, Default)]
 pub struct TrainScratch {
     slots: Vec<Vec<f64>>,
-    fold_chunk: Vec<f64>,
-    fold_partial: Vec<f64>,
-    fold_margins: Vec<f64>,
     multi: MultiFold,
 }
 
@@ -1288,22 +1145,6 @@ impl TrainScratch {
             (first, second)
         }
     }
-
-    /// The fold's chunk margin buffer and gradient partial, sized.
-    fn fold_buffers(&mut self, chunk_len: usize, dim: usize) -> (&mut [f64], &mut [f64]) {
-        self.fold_chunk.clear();
-        self.fold_chunk.resize(chunk_len, 0.0);
-        self.fold_partial.clear();
-        self.fold_partial.resize(dim, 0.0);
-        (&mut self.fold_chunk, &mut self.fold_partial)
-    }
-
-    /// The fold's full-length margin buffer (multi-thread path).
-    fn fold_full(&mut self, len: usize) -> &mut [f64] {
-        self.fold_margins.clear();
-        self.fold_margins.resize(len, 0.0);
-        &mut self.fold_margins
-    }
 }
 
 #[cfg(test)]
@@ -1318,6 +1159,66 @@ mod tests {
         let (data, _) = synthetic_linear(300, 7, 0.4, 1);
         let w: Vec<f64> = (0..7).map(|i| 0.3 * i as f64 - 0.9).collect();
         (data, w)
+    }
+
+    /// A d = 13 pair (the AVX kernels plus a column tail) whose rows
+    /// reach a second chunk, and so the parallel forms.
+    fn wide_pair() -> (Dataset<DenseVec>, Vec<f64>) {
+        let (data, _) = synthetic_linear(CHUNK_SIZE + 37, 13, 0.4, 3);
+        let w: Vec<f64> = (0..13).map(|i| (i as f64 * 0.7).sin()).collect();
+        (data, w)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A fold's `(loss, extra, grad)`.
+    type Fold = (f64, f64, Vec<f64>);
+
+    fn fold_bits((loss, extra, grad): &Fold) -> (u64, u64, Vec<u64>) {
+        (loss.to_bits(), extra.to_bits(), bits(grad))
+    }
+
+    /// The independent two-pass reference of the fused fold over
+    /// `view`: `margins_into`, then `chunk_fn` over each chunk in order
+    /// with its partials summed from zero, then `weighted_sum_into` of
+    /// the row weights.
+    fn two_pass_fold(
+        view: MatrixView<'_>,
+        w: &[f64],
+        bias: f64,
+        chunk_fn: impl Fn(usize, &mut [f64]) -> (f64, f64),
+    ) -> Fold {
+        let n = view.len();
+        let mut weights = vec![0.0; n];
+        view.margins_into(w, bias, &mut weights);
+        let (mut loss, mut extra) = (0.0, 0.0);
+        for start in (0..n).step_by(CHUNK_SIZE) {
+            let end = (start + CHUNK_SIZE).min(n);
+            let (lp, ep) = chunk_fn(start, &mut weights[start..end]);
+            loss += lp;
+            extra += ep;
+        }
+        let mut grad = vec![f64::NAN; view.dim()];
+        view.weighted_sum_into(&weights, &mut grad);
+        (loss, extra, grad)
+    }
+
+    /// The fused fold over all of `view` as a single request.
+    fn single_fold(
+        view: MatrixView<'_>,
+        w: &[f64],
+        bias: f64,
+        chunk_fn: impl Fn(usize, &mut [f64]) -> (f64, f64) + Sync,
+    ) -> Fold {
+        let mut grad = vec![f64::NAN; view.dim()];
+        let mut req = [FoldRequest::new(w, bias, view.len(), &mut grad)];
+        view.value_grad_fold_multi(&mut req, &mut TrainScratch::new(), |_, start, ms| {
+            chunk_fn(start, ms)
+        });
+        let (loss, extra) = (req[0].loss, req[0].extra);
+        (loss, extra, grad)
     }
 
     #[test]
@@ -1346,7 +1247,7 @@ mod tests {
         let xm = DatasetMatrix::from_dataset(&data);
         let mut out = vec![0.0; data.len()];
         for bias in [0.0, 1.25] {
-            xm.margins_into(&w, bias, &mut out);
+            xm.view().margins_into(&w, bias, &mut out);
             for (i, e) in data.iter().enumerate() {
                 assert_eq!(out[i], e.x.dot(&w) + bias, "row {i} bias {bias}");
             }
@@ -1359,7 +1260,7 @@ mod tests {
         let xm = DatasetMatrix::from_dataset(&data);
         let w: Vec<f64> = (0..50).map(|i| ((i * 13) % 7) as f64 * 0.1 - 0.2).collect();
         let mut out = vec![0.0; data.len()];
-        xm.margins_into(&w, -0.5, &mut out);
+        xm.view().margins_into(&w, -0.5, &mut out);
         for (i, e) in data.iter().enumerate() {
             assert_eq!(out[i], e.x.dot(&w) + -0.5, "row {i}");
         }
@@ -1373,7 +1274,7 @@ mod tests {
         let xm = DatasetMatrix::from_dataset(&data);
         let w: Vec<f64> = (0..data.len()).map(|i| (i as f64 * 0.11).cos()).collect();
         let mut got = vec![1.0; data.dim()];
-        xm.weighted_sum_into(&w, &mut got);
+        xm.view().weighted_sum_into(&w, &mut got);
         let expect = crate::parallel::par_sum_vecs(data.len(), data.dim(), |i, acc| {
             data.get(i).x.add_scaled_into(w[i], acc)
         });
@@ -1383,7 +1284,7 @@ mod tests {
         let sxm = DatasetMatrix::from_dataset(&sdata);
         let sw: Vec<f64> = (0..sdata.len()).map(|i| (i as f64 * 0.37).sin()).collect();
         let mut sgot = vec![1.0; sdata.dim()];
-        sxm.weighted_sum_into(&sw, &mut sgot);
+        sxm.view().weighted_sum_into(&sw, &mut sgot);
         let sexpect = crate::parallel::par_sum_vecs(sdata.len(), sdata.dim(), |i, acc| {
             sdata.get(i).x.add_scaled_into(sw[i], acc)
         });
@@ -1393,56 +1294,32 @@ mod tests {
     #[test]
     fn fold_matches_two_pass_form_bitwise() {
         // One synthetic "objective": weights = 2·margin + label, loss =
-        // Σ margin. The fused fold must equal margins_into +
-        // weighted_sum_into exactly, sequentially and at thread budgets.
+        // Σ margin, extra = Σ label. The fused fold, run as one request,
+        // must equal the two-pass form exactly at thread budgets {1, 4}:
+        // d = 7 in one chunk, d = 13 over two chunks.
         let (data, w) = dense_pair();
-        let xm = DatasetMatrix::from_dataset(&data);
-        let n = data.len();
-        let mut margins = vec![0.0; n];
-        xm.margins_into(&w, 0.25, &mut margins);
-        let loss_expect: f64 = {
-            let mut total = 0.0;
-            let mut start = 0;
-            while start < n {
-                let end = (start + CHUNK_SIZE).min(n);
-                let mut part = 0.0;
-                for m in &margins[start..end] {
-                    part += m;
-                }
-                total += part;
-                start = end;
-            }
-            total
-        };
-        let weights: Vec<f64> = margins
-            .iter()
-            .zip(xm.labels())
-            .map(|(m, y)| 2.0 * m + y)
-            .collect();
-        let mut grad_expect = vec![0.0; data.dim()];
-        xm.weighted_sum_into(&weights, &mut grad_expect);
-
-        let labels = xm.labels().to_vec();
-        let run = |budget: Option<usize>| {
-            set_max_threads(budget);
-            let mut scratch = TrainScratch::new();
-            let mut grad = vec![f64::NAN; data.dim()];
-            let loss = xm.value_grad_fold(&w, 0.25, &mut grad, &mut scratch, |start, ms| {
-                let mut part = 0.0;
-                for (local, m) in ms.iter_mut().enumerate() {
-                    part += *m;
-                    *m = 2.0 * *m + labels[start + local];
-                }
-                part
-            });
-            set_max_threads(None);
-            (loss, grad)
-        };
+        let (wide, ww) = wide_pair();
         for budget in [Some(1), Some(4)] {
-            let (loss, grad) = run(budget);
-            assert_eq!(loss, loss_expect, "budget {budget:?}");
-            assert_eq!(grad, grad_expect, "budget {budget:?}");
+            set_max_threads(budget);
+            for (data, w) in [(&data, &w), (&wide, &ww)] {
+                let xm = DatasetMatrix::from_dataset(data);
+                let labels = xm.labels();
+                let chunk_fn = |start: usize, ms: &mut [f64]| {
+                    let (mut part, mut ypart) = (0.0, 0.0);
+                    for (local, m) in ms.iter_mut().enumerate() {
+                        part += *m;
+                        ypart += labels[start + local];
+                        *m = 2.0 * *m + labels[start + local];
+                    }
+                    (part, ypart)
+                };
+                let got = single_fold(xm.view(), w, 0.25, chunk_fn);
+                let expect = two_pass_fold(xm.view(), w, 0.25, chunk_fn);
+                let tag = format!("d={} budget {budget:?}", data.dim());
+                assert_eq!(fold_bits(&got), fold_bits(&expect), "{tag}");
+            }
         }
+        set_max_threads(None);
     }
 
     #[test]
@@ -1452,7 +1329,7 @@ mod tests {
         let w: Vec<f64> = (0..data.len())
             .map(|i| 0.5 + (i % 5) as f64 * 0.1)
             .collect();
-        let g = xm.weighted_gram(&w);
+        let g = xm.view().weighted_gram(&w);
         let d = data.dim();
         let mut naive = Matrix::zeros(d, d);
         for (i, e) in data.iter().enumerate() {
@@ -1472,7 +1349,7 @@ mod tests {
         let sdata = yelp_like(150, 60, 2);
         let sxm = DatasetMatrix::from_dataset(&sdata);
         let sw: Vec<f64> = (0..sdata.len()).map(|i| 1.0 + (i % 3) as f64).collect();
-        let sg = sxm.weighted_gram(&sw);
+        let sg = sxm.view().weighted_gram(&sw);
         let sd = sdata.dim();
         let mut snaive = Matrix::zeros(sd, sd);
         for (i, e) in sdata.iter().enumerate() {
@@ -1492,9 +1369,9 @@ mod tests {
         let xm = DatasetMatrix::from_dataset(&data);
         assert!(xm.is_empty());
         let mut out: Vec<f64> = vec![];
-        xm.margins_into(&[0.0; 3], 0.0, &mut out);
+        xm.view().margins_into(&[0.0; 3], 0.0, &mut out);
         let mut g = vec![0.0; 3];
-        xm.weighted_sum_into(&[], &mut g);
+        xm.view().weighted_sum_into(&[], &mut g);
         assert_eq!(g, vec![0.0; 3]);
     }
 
@@ -1542,11 +1419,12 @@ mod tests {
     }
 
     /// Gathered-view passes must equal the passes over a matrix built
-    /// from the materialized subset — bit for bit, dense and sparse, at
-    /// thread budgets {1, 4}.
+    /// from the materialized subset — bit for bit, dense (d = 7 in one
+    /// chunk, d = 13 over two) and sparse, at thread budgets {1, 4}.
     #[test]
     fn gathered_view_is_bitwise_materialized_subset() {
         let (dense, w) = dense_pair();
+        let (wide, ww) = wide_pair();
         let sparse = yelp_like(260, 50, 4);
         let sw: Vec<f64> = (0..50).map(|i| ((i * 5) % 11) as f64 * 0.1 - 0.3).collect();
         let patterns = |n: usize| -> Vec<Vec<usize>> {
@@ -1559,34 +1437,37 @@ mod tests {
         for budget in [Some(1), Some(4)] {
             set_max_threads(budget);
             // Dense block.
-            let pool = DatasetMatrix::from_dataset(&dense);
-            for idx in patterns(dense.len()) {
-                let view = pool.gather(&idx);
-                let sub = dense.subset(&idx);
-                let mat = DatasetMatrix::from_dataset(&sub);
-                assert_eq!(view.len(), idx.len());
-                assert!(view.is_gathered());
-                let mut a = vec![0.0; idx.len()];
-                let mut b = vec![0.0; idx.len()];
-                view.margins_into(&w, 0.5, &mut a);
-                mat.margins_into(&w, 0.5, &mut b);
-                assert_eq!(a, b, "dense margins budget {budget:?}");
-                let wr: Vec<f64> = (0..idx.len()).map(|i| (i as f64 * 0.19).sin()).collect();
-                let mut ga = vec![0.0; dense.dim()];
-                let mut gb = vec![0.0; dense.dim()];
-                view.weighted_sum_into(&wr, &mut ga);
-                mat.weighted_sum_into(&wr, &mut gb);
-                assert_eq!(ga, gb, "dense wsum budget {budget:?}");
-                let gram_a = view.weighted_gram(&wr);
-                let gram_b = mat.weighted_gram(&wr);
-                assert_eq!(
-                    gram_a.as_slice(),
-                    gram_b.as_slice(),
-                    "dense gram budget {budget:?}"
-                );
-                for (k, &i) in idx.iter().enumerate() {
-                    assert_eq!(view.label(k), dense.get(i).y);
-                    assert_eq!(view.dense_row(k).unwrap(), mat.dense_row(k).unwrap());
+            for (dense, w) in [(&dense, &w), (&wide, &ww)] {
+                let pool = DatasetMatrix::from_dataset(dense);
+                let tag = format!("d={} budget {budget:?}", dense.dim());
+                for idx in patterns(dense.len()) {
+                    let view = pool.gather(&idx);
+                    let sub = dense.subset(&idx);
+                    let mat = DatasetMatrix::from_dataset(&sub);
+                    assert_eq!(view.len(), idx.len());
+                    assert!(view.is_gathered());
+                    let mut a = vec![0.0; idx.len()];
+                    let mut b = vec![0.0; idx.len()];
+                    view.margins_into(w, 0.5, &mut a);
+                    mat.view().margins_into(w, 0.5, &mut b);
+                    assert_eq!(bits(&a), bits(&b), "dense margins {tag}");
+                    let wr: Vec<f64> = (0..idx.len()).map(|i| (i as f64 * 0.19).sin()).collect();
+                    let mut ga = vec![0.0; dense.dim()];
+                    let mut gb = vec![0.0; dense.dim()];
+                    view.weighted_sum_into(&wr, &mut ga);
+                    mat.view().weighted_sum_into(&wr, &mut gb);
+                    assert_eq!(bits(&ga), bits(&gb), "dense wsum {tag}");
+                    let gram_a = view.weighted_gram(&wr);
+                    let gram_b = mat.view().weighted_gram(&wr);
+                    assert_eq!(
+                        bits(gram_a.as_slice()),
+                        bits(gram_b.as_slice()),
+                        "dense gram {tag}"
+                    );
+                    for (k, &i) in idx.iter().enumerate() {
+                        assert_eq!(view.label(k), dense.get(i).y);
+                        assert_eq!(view.dense_row(k).unwrap(), mat.dense_row(k).unwrap());
+                    }
                 }
             }
             // Sparse (CSR) block.
@@ -1598,13 +1479,13 @@ mod tests {
                 let mut a = vec![0.0; idx.len()];
                 let mut b = vec![0.0; idx.len()];
                 view.margins_into(&sw, -0.25, &mut a);
-                mat.margins_into(&sw, -0.25, &mut b);
+                mat.view().margins_into(&sw, -0.25, &mut b);
                 assert_eq!(a, b, "sparse margins budget {budget:?}");
                 let wr: Vec<f64> = (0..idx.len()).map(|i| (i as f64 * 0.31).cos()).collect();
                 let mut ga = vec![0.0; sparse.dim()];
                 let mut gb = vec![0.0; sparse.dim()];
                 view.weighted_sum_into(&wr, &mut ga);
-                mat.weighted_sum_into(&wr, &mut gb);
+                mat.view().weighted_sum_into(&wr, &mut gb);
                 assert_eq!(ga, gb, "sparse wsum budget {budget:?}");
                 for k in 0..idx.len() {
                     assert_eq!(view.sparse_row(k), mat.sparse_row(k));
@@ -1614,46 +1495,39 @@ mod tests {
         set_max_threads(None);
     }
 
+    /// The fused fold over a gathered view, run as one request, must
+    /// equal the two-pass form over the materialized subset — bit for
+    /// bit, d = 7 in one chunk and d = 13 over two, at budgets {1, 4}.
     #[test]
     fn gathered_fold_is_bitwise_materialized_fold() {
         let (data, w) = dense_pair();
-        let pool = DatasetMatrix::from_dataset(&data);
-        let idx: Vec<usize> = (0..data.len()).map(|i| (i * 7 + 2) % data.len()).collect();
-        let sub = data.subset(&idx);
-        let mat = DatasetMatrix::from_dataset(&sub);
+        let (wide, ww) = wide_pair();
         for budget in [Some(1), Some(4)] {
             set_max_threads(budget);
-            let view = pool.gather(&idx);
-            let run = |xm_fold: &dyn Fn(&mut TrainScratch, &mut [f64]) -> f64| {
-                let mut scratch = TrainScratch::new();
-                let mut grad = vec![f64::NAN; data.dim()];
-                let loss = xm_fold(&mut scratch, &mut grad);
-                (loss, grad)
-            };
-            let labels_v: Vec<f64> = (0..view.len()).map(|k| view.label(k)).collect();
-            let (lv, gv) = run(&|scratch, grad| {
-                view.value_grad_fold(&w, 0.1, grad, scratch, |start, ms| {
+            for (data, w) in [(&data, &w), (&wide, &ww)] {
+                let n = data.len();
+                let pool = DatasetMatrix::from_dataset(data);
+                let idx: Vec<usize> = (0..n).map(|i| (i * 7 + 2) % n).collect();
+                let sub = data.subset(&idx);
+                let mat = DatasetMatrix::from_dataset(&sub);
+                let view = pool.gather(&idx);
+                let transform = |labels: &[f64], start: usize, ms: &mut [f64]| {
                     let mut part = 0.0;
                     for (local, m) in ms.iter_mut().enumerate() {
                         part += *m;
-                        *m = 1.5 * *m - labels_v[start + local];
+                        *m = 1.5 * *m - labels[start + local];
                     }
-                    part
-                })
-            });
-            let labels_m = mat.labels().to_vec();
-            let (lm, gm) = run(&|scratch, grad| {
-                mat.value_grad_fold(&w, 0.1, grad, scratch, |start, ms| {
-                    let mut part = 0.0;
-                    for (local, m) in ms.iter_mut().enumerate() {
-                        part += *m;
-                        *m = 1.5 * *m - labels_m[start + local];
-                    }
-                    part
-                })
-            });
-            assert_eq!(lv, lm, "fold loss budget {budget:?}");
-            assert_eq!(gv, gm, "fold grad budget {budget:?}");
+                    (part, 0.0)
+                };
+                let labels_v: Vec<f64> = (0..view.len()).map(|k| view.label(k)).collect();
+                let got = single_fold(view, w, 0.1, |start, ms| transform(&labels_v, start, ms));
+                let labels_m = mat.labels();
+                let expect = two_pass_fold(mat.view(), w, 0.1, |start, ms| {
+                    transform(labels_m, start, ms)
+                });
+                let tag = format!("d={} budget {budget:?}", data.dim());
+                assert_eq!(fold_bits(&got), fold_bits(&expect), "{tag}");
+            }
         }
         set_max_threads(None);
     }
@@ -1675,17 +1549,17 @@ mod tests {
         let mut a = vec![0.0; idx.len()];
         let mut b = vec![0.0; idx.len()];
         view.margins_into(&w, 0.75, &mut a);
-        packed.margins_into(&w, 0.75, &mut b);
+        packed.view().margins_into(&w, 0.75, &mut b);
         assert_eq!(a, b, "margins");
         let wr: Vec<f64> = (0..idx.len()).map(|i| (i as f64 * 0.23).sin()).collect();
         let mut ga = vec![0.0; dense.dim()];
         let mut gb = vec![0.0; dense.dim()];
         view.weighted_sum_into(&wr, &mut ga);
-        packed.weighted_sum_into(&wr, &mut gb);
+        packed.view().weighted_sum_into(&wr, &mut gb);
         assert_eq!(ga, gb, "weighted sum");
         assert_eq!(
             view.weighted_gram(&wr).as_slice(),
-            packed.weighted_gram(&wr).as_slice(),
+            packed.view().weighted_gram(&wr).as_slice(),
             "gram"
         );
         for (k, &i) in idx.iter().enumerate() {
@@ -1703,7 +1577,7 @@ mod tests {
         let mut sa = vec![0.0; sidx.len()];
         let mut sb = vec![0.0; sidx.len()];
         sview.margins_into(&sw, 0.0, &mut sa);
-        spacked.margins_into(&sw, 0.0, &mut sb);
+        spacked.view().margins_into(&sw, 0.0, &mut sb);
         assert_eq!(sa, sb, "sparse margins");
         for k in 0..sidx.len() {
             assert_eq!(sview.sparse_row(k), spacked.view().sparse_row(k));
@@ -1741,11 +1615,9 @@ mod tests {
         assert_eq!(view.dim(), xm.dim());
         assert!(std::ptr::eq(view.matrix(), &xm));
         let mut a = vec![0.0; data.len()];
-        let mut b = vec![0.0; data.len()];
         view.margins_into(&w, 1.0, &mut a);
-        xm.margins_into(&w, 1.0, &mut b);
-        assert_eq!(a, b);
         for (k, e) in data.iter().enumerate() {
+            assert_eq!(a[k], e.x.dot(&w) + 1.0);
             assert_eq!(view.label(k), e.y);
         }
     }
@@ -1819,22 +1691,21 @@ mod tests {
         set_max_threads(None);
     }
 
-    /// The multi-request fold must reproduce K independent
-    /// `value_grad_fold` runs over the matching prefixes — bit for bit,
-    /// dense (d ∈ {7, 13, 100}: under and over the AVX gate, with and
-    /// without a column tail) and sparse, over full, gathered and packed
-    /// views, at thread budgets {1, 4}, for 1–5 requests whose row counts
-    /// straddle chunk boundaries and end inside a row block.
+    /// The multi-request fold must reproduce, for each of its K
+    /// requests, the two-pass form over the matching prefix — bit for
+    /// bit, dense (d ∈ {7, 13, 100}: under and over the AVX gate, with
+    /// and without a column tail; d = 13 also at `CHUNK_SIZE + 37` rows)
+    /// and sparse, over full, gathered and packed views, at thread
+    /// budgets {1, 4}, for 1–5 requests whose row counts straddle chunk
+    /// boundaries and end inside a row block.
     #[test]
     fn multi_fold_is_bitwise_per_request_folds() {
-        let rows = 2 * CHUNK_SIZE + 300;
-        let idx: Vec<usize> = (0..rows).map(|i| (i * 7 + 3) % rows).collect();
-
         // Probe points with row counts on, under, and over chunk
         // boundaries (a sub-chunk one, a duplicate-rows pair with
         // different probes); the under and over ones end a few rows into
-        // a row block at every d. Each call takes the first `k` of them.
-        let probes = |d: usize| -> Vec<(Vec<f64>, f64, usize)> {
+        // a row block at every d. Row counts are capped at the view's
+        // `rows`. Each call takes the first `k` of them.
+        let probes = |d: usize, rows: usize| -> Vec<(Vec<f64>, f64, usize)> {
             vec![
                 ((0..d).map(|i| 0.3 * i as f64 - 0.9).collect(), 0.25, rows),
                 (
@@ -1851,7 +1722,7 @@ mod tests {
                 (
                     (0..d).map(|i| -0.2 + 0.01 * i as f64).collect(),
                     0.1,
-                    2 * CHUNK_SIZE,
+                    (2 * CHUNK_SIZE).min(rows),
                 ),
             ]
         };
@@ -1868,13 +1739,12 @@ mod tests {
             }
             (lp, ep)
         };
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
 
         let check = |view: MatrixView<'_>, tag: &str| {
             let d = view.dim();
             let labels: Vec<f64> = (0..view.len()).map(|k| view.label(k)).collect();
             for k in 1..=5 {
-                let pts = &probes(d)[..k];
+                let pts = &probes(d, view.len())[..k];
                 // Multi-request pass.
                 let mut grads: Vec<Vec<f64>> = vec![vec![f64::NAN; d]; k];
                 let mut reqs: Vec<FoldRequest> = pts
@@ -1888,42 +1758,36 @@ mod tests {
                 });
                 let multi: Vec<(f64, f64)> = reqs.iter().map(|r| (r.loss, r.extra)).collect();
                 drop(reqs);
-                // Per-request solo folds over the matching prefixes.
-                for (q, (w, bias, n)) in pts.iter().enumerate() {
-                    let sub = view.prefix(*n);
-                    let sub_labels: Vec<f64> = (0..sub.len()).map(|r| sub.label(r)).collect();
-                    let mut solo_grad = vec![f64::NAN; d];
-                    let mut solo_extra = 0.0;
-                    let mut solo_scratch = TrainScratch::new();
-                    let solo_loss = sub.value_grad_fold(
-                        w,
-                        *bias,
-                        &mut solo_grad,
-                        &mut solo_scratch,
-                        |start, ms| {
-                            let (lp, ep) = transform(q, start, ms, &sub_labels);
-                            solo_extra += ep;
-                            lp
-                        },
-                    );
+                // The two-pass form per request over its prefix.
+                for (q, ((w, bias, n), grad)) in pts.iter().zip(grads).enumerate() {
+                    let expect = two_pass_fold(view.prefix(*n), w, *bias, |start, ms| {
+                        transform(q, start, ms, &labels)
+                    });
+                    let got = (multi[q].0, multi[q].1, grad);
                     let tag = format!("{tag} k={k} req {q}");
-                    assert_eq!(multi[q].0.to_bits(), solo_loss.to_bits(), "{tag} loss");
-                    assert_eq!(multi[q].1.to_bits(), solo_extra.to_bits(), "{tag} extra");
-                    assert_eq!(bits(&grads[q]), bits(&solo_grad), "{tag} grad");
+                    assert_eq!(fold_bits(&got), fold_bits(&expect), "{tag}");
                 }
             }
         };
 
         for budget in [Some(1), Some(4)] {
             set_max_threads(budget);
-            for d in [7, 13, 100] {
-                let (dense, _) = synthetic_linear(rows, d, 0.4, 9);
-                let pool = DatasetMatrix::from_dataset(&dense);
-                let packed = pool.gather_packed(&idx);
-                check(pool.view(), &format!("dense d={d} full"));
-                check(pool.gather(&idx), &format!("dense d={d} gathered"));
-                check(packed.view(), &format!("dense d={d} packed"));
+            for (rows, dims) in [
+                (2 * CHUNK_SIZE + 300, &[7, 13, 100][..]),
+                (CHUNK_SIZE + 37, &[13]),
+            ] {
+                let idx: Vec<usize> = (0..rows).map(|i| (i * 7 + 3) % rows).collect();
+                for &d in dims {
+                    let (dense, _) = synthetic_linear(rows, d, 0.4, 9);
+                    let pool = DatasetMatrix::from_dataset(&dense);
+                    let packed = pool.gather_packed(&idx);
+                    check(pool.view(), &format!("dense n={rows} d={d} full"));
+                    check(pool.gather(&idx), &format!("dense n={rows} d={d} gathered"));
+                    check(packed.view(), &format!("dense n={rows} d={d} packed"));
+                }
             }
+            let rows = 2 * CHUNK_SIZE + 300;
+            let idx: Vec<usize> = (0..rows).map(|i| (i * 7 + 3) % rows).collect();
             let sparse = yelp_like(rows, 50, 11);
             let spool = DatasetMatrix::from_dataset(&sparse);
             check(spool.view(), "sparse full");
