@@ -110,37 +110,6 @@ impl ExecConfig {
     }
 }
 
-/// How the sweep engine ([`crate::sweep`]) warm-starts each grid
-/// point's **final** fit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WarmStartPolicy {
-    /// Each λ's final fit warm-starts from that λ's **own** pilot `θ₀` —
-    /// exactly what an independent coordinator run does, so every
-    /// per-point result is bit-identical to a looped
-    /// [`Session::train`](crate::Session::train) baseline. The default.
-    #[default]
-    ExactReplay,
-    /// Path-following: final fits run sequentially in descending-λ order
-    /// and each warm-starts from the **neighboring** grid point's final
-    /// `θ` (the first point starts from its own pilot `θ₀`). When the
-    /// line search rejects a neighbor start (`LineSearchFailed` /
-    /// non-finite objective), the fit falls back to a fresh solve from
-    /// the point's own pilot `θ₀`. Usually fewer optimizer iterations on
-    /// dense grids, but **not** bitwise-reproducible against independent
-    /// runs — per-point θ depends on the grid composition.
-    PathFollow,
-}
-
-impl WarmStartPolicy {
-    /// Human-readable name used in reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            WarmStartPolicy::ExactReplay => "ExactReplay",
-            WarmStartPolicy::PathFollow => "PathFollow",
-        }
-    }
-}
-
 /// What the admission controller does with a `Train` query that
 /// arrives while the bounded queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -229,13 +198,6 @@ pub struct ServeConfig {
     /// ([`Server::advance_epoch`](crate::serve::Server::advance_epoch)
     /// enforces it eagerly).
     pub max_stale_epochs: u64,
-    /// Warm-start policy for drift-triggered retrains on a streaming
-    /// dataset: [`WarmStartPolicy::ExactReplay`] (default) retrains
-    /// cold — the new pilot is bit-equal to a never-cached run —
-    /// while [`WarmStartPolicy::PathFollow`] seeds the optimizer with
-    /// the previous epoch's θ₀ and falls back to cold start on
-    /// line-search failure, exactly like the sweep engine's rule.
-    pub warm_start: WarmStartPolicy,
     /// Warm-state sidecar file for the pilot cache. When set, the
     /// server persists every cached pilot (plus the per-dataset epoch
     /// floors) to this path at shutdown — atomically, via temp + rename
@@ -261,7 +223,6 @@ impl Default for ServeConfig {
             drift_warn: 0.25,
             drift_fail: 1.0,
             max_stale_epochs: u64::MAX,
-            warm_start: WarmStartPolicy::ExactReplay,
             pilot_sidecar: None,
         }
     }

@@ -15,7 +15,7 @@ use crate::sample_size::{PreparedSearch, SampleSizeEstimator};
 use crate::serve::resilience::{relaxed_sample_size, CancelToken, DegradationRung, Pressure};
 use crate::stats::{compute_statistics_view, ModelStatistics};
 use blinkml_data::{CaptureScratch, Dataset, DatasetMatrix, FeatureVec};
-use blinkml_optim::{OptimError, StopCheck};
+use blinkml_optim::StopCheck;
 use blinkml_prob::split_seed;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -263,13 +263,6 @@ pub(crate) struct RunControl {
     /// under [`Pressure::Relax`] (see
     /// [`relaxed_sample_size`]).
     pub(crate) relax_fraction: f64,
-    /// Optional warm start θ for the pilot train (streaming retrain of
-    /// a drifted pilot under `WarmStartPolicy::PathFollow`). On a
-    /// line-search failure or non-finite objective the pilot retries
-    /// cold, exactly like the sweep engine's path-follow rule; `None`
-    /// (the default) is the historical cold start and preserves
-    /// bit-equality with a never-streamed run.
-    pub(crate) pilot_warm_start: Option<Vec<f64>>,
 }
 
 impl RunControl {
@@ -279,7 +272,6 @@ impl RunControl {
             cancel: None,
             pilot_only: false,
             relax_fraction: 0.25,
-            pilot_warm_start: None,
         }
     }
 }
@@ -620,8 +612,7 @@ pub(crate) fn run_train_controlled<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>
             (p.model.clone(), p.stats.clone())
         }
         None => {
-            let warm = control.pilot_warm_start.as_deref();
-            let mut attempt = fit_sample(
+            let fit = fit_sample(
                 config,
                 spec,
                 train,
@@ -629,36 +620,11 @@ pub(crate) fn run_train_controlled<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>
                 cap_scratch,
                 n0,
                 split_seed(seed, 0),
-                warm,
+                None,
                 n0 < full_n,
                 cancel,
-            );
-            // Warm-started retrains follow the sweep engine's
-            // path-follow rule: a diverged line search (or non-finite
-            // objective) from a drifted θ falls back to the cold start
-            // instead of surfacing the failure.
-            if warm.is_some()
-                && matches!(
-                    attempt,
-                    Err(CoreError::Optimization(
-                        OptimError::LineSearchFailed { .. } | OptimError::NonFiniteObjective
-                    ))
-                )
-            {
-                attempt = fit_sample(
-                    config,
-                    spec,
-                    train,
-                    pool,
-                    cap_scratch,
-                    n0,
-                    split_seed(seed, 0),
-                    None,
-                    n0 < full_n,
-                    cancel,
-                );
-            }
-            let fit = attempt.map_err(|e| {
+            )
+            .map_err(|e| {
                 if e.is_cancellation() {
                     CoreError::Cancelled
                 } else {

@@ -719,6 +719,7 @@ mod tests {
         // The shared-base refactor cannot move a bit: one chunk, several
         // chunks at budgets {1, 4}, and sparse multi-output scores.
         use blinkml_data::parallel::{set_max_threads, CHUNK_SIZE};
+        let _budget = blinkml_linalg::testing::budget_lock();
         let (holdout, _) = synthetic_logistic(300, 4, 2.0, 9);
         let spec = LogisticRegressionSpec::new(1e-3);
         assert_scorer_engines_match(&spec, &holdout, &[0.6, -0.3, 0.2, 0.1]);
@@ -800,6 +801,7 @@ mod tests {
     fn new_many_matches_individual_scorers_bitwise() {
         use crate::models::maxent::MaxEntSpec;
         use blinkml_data::parallel::{set_max_threads, CHUNK_SIZE};
+        let _budget = blinkml_linalg::testing::budget_lock();
         let betas = [0.0, 1e-3, 0.5];
         let logistic: Vec<LogisticRegressionSpec> = betas
             .iter()
@@ -943,6 +945,7 @@ mod tests {
     #[test]
     fn parameter_major_scores_match_the_interleaved_oracle_bitwise() {
         use blinkml_data::parallel::{set_max_threads, CHUNK_SIZE};
+        let _budget = blinkml_linalg::testing::budget_lock();
         let heights = |cols: usize| {
             let sub = sub_block_rows(cols);
             [0, 1, 3, 4, 5, sub - 1, sub, sub + 1]

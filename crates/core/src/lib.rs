@@ -51,7 +51,6 @@ pub mod testing;
 pub use accuracy::ModelAccuracyEstimator;
 pub use config::{
     BlinkMlConfig, ExecConfig, ServeConfig, ShedPolicy, SpectralMethod, StatisticsMethod,
-    WarmStartPolicy,
 };
 pub use coordinator::{Coordinator, TrainingOutcome, TrainingPhaseTimes};
 pub use error::CoreError;
@@ -64,4 +63,4 @@ pub use serve::{
 };
 pub use session::Session;
 pub use stats::{compute_statistics, compute_statistics_view, ModelStatistics};
-pub use sweep::{SweepPlan, SweepPoint, SweepResult};
+pub use sweep::{SweepPoint, SweepResult};

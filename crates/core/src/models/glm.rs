@@ -693,6 +693,7 @@ mod tests {
     #[test]
     fn multi_lambda_batched_is_bitwise_looped_single_lambda() {
         use blinkml_data::parallel::{set_max_threads, CHUNK_SIZE};
+        let _budget = blinkml_linalg::testing::budget_lock();
         let n = CHUNK_SIZE + 257;
         let betas = [0.0, 1e-3, 0.1];
         for (data_dim, rows) in [

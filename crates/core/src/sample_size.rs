@@ -488,6 +488,7 @@ mod tests {
     #[test]
     fn lazy_search_matches_the_full_pass() {
         use blinkml_data::parallel::set_max_threads;
+        let _budget = blinkml_linalg::testing::budget_lock();
         let (train, holdout, spec, theta0, stats, n0) = setup_logistic();
         let scorer = HoldoutScorer::new(&spec, &holdout, &theta0);
         for k in [2, 5, 32] {

@@ -91,15 +91,12 @@
 //! directly as [`DegradationRung::StalePilot`] with an honestly
 //! *recomputed* (inflated) ε — the `curve_epsilon_at` oracle at
 //! `n = n₀` on the pilot's snapshot — and a drifted-out pilot triggers
-//! a retrain at the current epoch, warm-started from the stale θ under
-//! [`WarmStartPolicy::PathFollow`] (with the sweep engine's cold
-//! fallback) or cold under the default
-//! [`WarmStartPolicy::ExactReplay`]. [`Server::advance_epoch`] retires
-//! superseded cache entries eagerly; the cache's floor keeps a
-//! mid-coalesce completion for a superseded epoch out of the LRU. A
-//! static shard's pool stays at epoch 0, where the drift scan has
-//! nothing to look back at and every query resolves through the
-//! hit / coalesce / lead protocol.
+//! a cold retrain at the current epoch, bit-equal to a never-cached
+//! run there. [`Server::advance_epoch`] retires superseded cache
+//! entries eagerly; the cache's floor keeps a mid-coalesce completion
+//! for a superseded epoch out of the LRU. A static shard's pool stays at
+//! epoch 0, where the drift scan has nothing to look back at and every
+//! query resolves through the hit / coalesce / lead protocol.
 //!
 //! # Warm restart
 //!
@@ -118,7 +115,7 @@ pub(crate) mod cache;
 pub mod resilience;
 pub(crate) mod sidecar;
 
-use crate::config::{BlinkMlConfig, ServeConfig, ShedPolicy, WarmStartPolicy};
+use crate::config::{BlinkMlConfig, ServeConfig, ShedPolicy};
 use crate::coordinator::{
     run_train_controlled, PilotState, RunControl, TrainingOutcome, TrainingPhaseTimes,
 };
@@ -128,7 +125,7 @@ use crate::mcs::ModelClassSpec;
 use crate::sample_size::SampleSizeEstimator;
 use crate::serve::cache::{PilotCache, PilotKey, PilotTicket};
 use crate::serve::resilience::{retry_backoff, ActiveTokenGuard, CancelToken, DegradationRung};
-use crate::sweep::{run_sweep, SweepPlan, SweepResult};
+use crate::sweep::{run_sweep, SweepResult};
 use blinkml_data::{
     CaptureScratch, Dataset, DatasetMatrix, FeatureVec, IngestPolicy, StreamSnapshot,
     StreamingPool, TrainScratch,
@@ -300,16 +297,13 @@ pub struct SweepQuery {
     pub delta: f64,
     /// Sampling seed shared by every grid point.
     pub seed: u64,
-    /// Warm-start policy for the grid's final fits.
-    pub warm_start: WarmStartPolicy,
     /// Optional per-query initial sample size `n₀` (defaults to the
     /// server's base configuration).
     pub initial_sample_size: Option<usize>,
 }
 
 impl SweepQuery {
-    /// Sweep query with the default ([`WarmStartPolicy::ExactReplay`])
-    /// policy and the server's default `n₀`.
+    /// Sweep query with the server's default `n₀`.
     pub fn new(dataset: u64, lambdas: Vec<f64>, epsilon: f64, delta: f64, seed: u64) -> Self {
         SweepQuery {
             dataset,
@@ -317,15 +311,8 @@ impl SweepQuery {
             epsilon,
             delta,
             seed,
-            warm_start: WarmStartPolicy::default(),
             initial_sample_size: None,
         }
-    }
-
-    /// Override the warm-start policy for this query.
-    pub fn with_warm_start(mut self, policy: WarmStartPolicy) -> Self {
-        self.warm_start = policy;
-        self
     }
 
     /// Override the initial sample size for this query.
@@ -362,8 +349,8 @@ pub struct ServedResponse {
 /// A served sweep result plus serving metadata.
 #[derive(Debug, Clone)]
 pub struct ServedSweep {
-    /// The grid results — under the default warm-start policy, each
-    /// point bit-identical to an independent cold run with that λ.
+    /// The grid results, each point bit-identical to an independent
+    /// cold run with that λ.
     pub result: SweepResult,
     /// Submit-to-completion latency as measured by the server.
     pub latency: Duration,
@@ -480,12 +467,6 @@ pub struct ServerStats {
     pub evictions: u64,
     /// Sweep queries resolved (success or failure).
     pub sweep_queries: u64,
-    /// Sweep final fits that accepted a neighbor warm start
-    /// (path-following sweeps only).
-    pub warm_starts_taken: u64,
-    /// Sweep final fits whose neighbor warm start was rejected by the
-    /// line search and fell back to the point's own pilot θ₀.
-    pub warm_starts_rejected: u64,
     /// Queries accepted into the pilot-only lane by
     /// [`ShedPolicy::Degrade`] at a full queue.
     pub sheds: u64,
@@ -537,8 +518,6 @@ struct StatCounters {
     pilot_trains: AtomicU64,
     coalesced_waits: AtomicU64,
     sweep_queries: AtomicU64,
-    warm_starts_taken: AtomicU64,
-    warm_starts_rejected: AtomicU64,
     sheds: AtomicU64,
     deadline_degraded: AtomicU64,
     retries: AtomicU64,
@@ -1065,8 +1044,6 @@ impl Server {
             coalesced_waits: s.coalesced_waits.load(Ordering::Relaxed),
             evictions: self.shared.cache.evictions(),
             sweep_queries: s.sweep_queries.load(Ordering::Relaxed),
-            warm_starts_taken: s.warm_starts_taken.load(Ordering::Relaxed),
-            warm_starts_rejected: s.warm_starts_rejected.load(Ordering::Relaxed),
             sheds: s.sheds.load(Ordering::Relaxed),
             deadline_degraded: s.deadline_degraded.load(Ordering::Relaxed),
             retries: s.retries.load(Ordering::Relaxed),
@@ -1306,12 +1283,6 @@ fn process_job<F, S>(
             let result = serve_sweep(base, spec, &train, &holdout, &matrix, scratch, &query);
             match result {
                 Ok(result) => {
-                    stats
-                        .warm_starts_taken
-                        .fetch_add(result.warm_starts_taken as u64, Ordering::Relaxed);
-                    stats
-                        .warm_starts_rejected
-                        .fetch_add(result.warm_starts_rejected as u64, Ordering::Relaxed);
                     stats.completed.fetch_add(1, Ordering::Relaxed);
                     ticket.publish(Ok(ServedSweep {
                         result,
@@ -1333,9 +1304,7 @@ fn process_job<F, S>(
 /// either reused (full workflow on **its** snapshot), served as-is with
 /// an honestly recomputed inflated ε
 /// ([`DegradationRung::StalePilot`]), or abandoned into a retrain at
-/// the current epoch — warm-started from the stale θ under
-/// [`WarmStartPolicy::PathFollow`] (the coordinator falls back to a
-/// cold start on line-search failure, mirroring the sweep rule). At
+/// the current epoch, cold, exactly as a never-cached run there. At
 /// epoch 0 (always, for a static shard) there is nothing to scan.
 /// Returns the outcome, the rung, and the epoch the response is
 /// bit-reproducible against.
@@ -1364,11 +1333,10 @@ where
     let epoch = snapshot.epoch();
     let n0 = config.initial_sample_size.min(snapshot.train_len());
     let key: PilotKey = (reg.id, epoch, n0, query.seed);
-    let mut control = RunControl {
+    let control = RunControl {
         cancel: Some(token.clone()),
         pilot_only: shed_degraded,
         relax_fraction: serve.relax_fraction,
-        pilot_warm_start: None,
     };
 
     // 1. A pilot for the current epoch needs no drift scan: step 3
@@ -1436,9 +1404,6 @@ where
         // Drifted past the servable band: abandon the stale pilot and
         // lead a fresh one at the current epoch.
         stats.drift_retrains.fetch_add(1, Ordering::Relaxed);
-        if serve.warm_start == WarmStartPolicy::PathFollow {
-            control.pilot_warm_start = Some(pilot.model.parameters().to_vec());
-        }
     }
 
     // 3. The current epoch: hit / coalesce / lead through the cache.
@@ -1641,13 +1606,6 @@ where
     S: ModelClassSpec<F> + ?Sized,
 {
     let config = query_config(base, query.epsilon, query.delta, query.initial_sample_size)?;
-    let plan = SweepPlan::new(
-        query.lambdas.clone(),
-        query.epsilon,
-        query.delta,
-        query.seed,
-    )
-    .with_warm_start(query.warm_start);
     let attempt = catch_unwind(AssertUnwindSafe(|| {
         run_sweep(
             &config,
@@ -1657,7 +1615,8 @@ where
             pool,
             scratch,
             &mut TrainScratch::new(),
-            &plan,
+            &query.lambdas,
+            query.seed,
         )
     }));
     match attempt {
@@ -1804,41 +1763,6 @@ mod tests {
         assert_eq!(stats.sweep_queries, 1);
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.cached_pilots, 0, "sweeps bypass the pilot cache");
-        assert_eq!(
-            stats.warm_starts_taken, 0,
-            "ExactReplay takes no warm starts"
-        );
-        assert_eq!(stats.warm_starts_rejected, 0);
-
-        // Path-following sweeps surface their warm-start counters.
-        let pf = server
-            .sweep(
-                SweepQuery::new(1, vec![1.0, 1e-2, 1e-4], 0.02, 0.05, 9)
-                    .with_warm_start(WarmStartPolicy::PathFollow),
-            )
-            .unwrap();
-        let trained = pf
-            .result
-            .points
-            .iter()
-            .filter(|p| !p.outcome.used_initial_model)
-            .count();
-        let stats = server.stats();
-        assert_eq!(stats.sweep_queries, 2);
-        assert_eq!(
-            stats.warm_starts_taken as usize,
-            pf.result.warm_starts_taken
-        );
-        assert_eq!(
-            stats.warm_starts_rejected as usize,
-            pf.result.warm_starts_rejected
-        );
-        if trained > 1 {
-            assert_eq!(
-                (stats.warm_starts_taken + stats.warm_starts_rejected) as usize,
-                trained - 1
-            );
-        }
         server.shutdown();
     }
 
@@ -1946,6 +1870,41 @@ mod tests {
             )
             .err();
             assert!(matches!(err, Some(CoreError::InvalidRow { .. })), "{err:?}");
+        }
+    }
+
+    /// The test wrappers forward the inner spec's label domain, so a
+    /// wrapped logistic spec still gates shard labels to {0, 1}.
+    #[test]
+    fn wrapped_specs_keep_the_inner_label_domain() {
+        use crate::testing::{HookedSpec, MultiLambdaPanicSpec, NoBatch};
+        fn spawn_err<S: ModelClassSpec<DenseVec> + 'static>(spec: S) -> Option<CoreError> {
+            let sh = shard(1, 2_000, 3);
+            let mut rows = sh.train.examples().to_vec();
+            rows.push(blinkml_data::Example {
+                x: DenseVec::new(vec![0.5; 4]),
+                y: 2.0,
+            });
+            let train = Arc::new(Dataset::new("bad", 4, rows));
+            let bad = DatasetShard::from_arcs(1, train, sh.holdout.clone());
+            Server::spawn(base_config(200), ServeConfig::default(), spec, vec![bad]).err()
+        }
+        let spec = LogisticRegressionSpec::new(1e-3);
+        for (name, err) in [
+            (
+                "HookedSpec",
+                spawn_err(HookedSpec::new(spec.clone(), |_| {})),
+            ),
+            ("NoBatch", spawn_err(NoBatch(spec.clone()))),
+            (
+                "MultiLambdaPanicSpec",
+                spawn_err(MultiLambdaPanicSpec(Box::new(spec.clone()))),
+            ),
+        ] {
+            assert!(
+                matches!(err, Some(CoreError::InvalidRow { .. })),
+                "{name}: {err:?}"
+            );
         }
     }
 

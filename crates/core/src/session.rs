@@ -35,7 +35,7 @@ use crate::config::BlinkMlConfig;
 use crate::coordinator::{run_train, PilotState, TrainingOutcome};
 use crate::error::CoreError;
 use crate::mcs::ModelClassSpec;
-use crate::sweep::{run_sweep, SweepPlan, SweepResult};
+use crate::sweep::{run_sweep, SweepResult};
 use blinkml_data::{CaptureScratch, Dataset, DatasetMatrix, FeatureVec, TrainScratch};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -157,10 +157,7 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
     ///
     /// Results come back in `lambdas` order, each **bit-identical** to
     /// an independent [`Session::train`] on a spec carrying that λ
-    /// (`f64::to_bits` on θ, ε₀, ε̂; exact on the chosen `n`). Use
-    /// [`Session::sweep_plan`] to opt into
-    /// [`WarmStartPolicy::PathFollow`](crate::WarmStartPolicy) warm
-    /// starts instead.
+    /// (`f64::to_bits` on θ, ε₀, ε̂; exact on the chosen `n`).
     ///
     /// The model class must expose a swappable L2 coefficient
     /// ([`ModelClassSpec::with_regularization`]); otherwise the sweep
@@ -177,15 +174,9 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
         delta: f64,
         seed: u64,
     ) -> Result<SweepResult, CoreError> {
-        self.sweep_plan(&SweepPlan::new(lambdas.to_vec(), epsilon, delta, seed))
-    }
-
-    /// [`Session::sweep`] with an explicit [`SweepPlan`] (grid, contract,
-    /// seed, and warm-start policy).
-    pub fn sweep_plan(&self, plan: &SweepPlan) -> Result<SweepResult, CoreError> {
         let mut config = self.config.clone();
-        config.epsilon = plan.epsilon;
-        config.delta = plan.delta;
+        config.epsilon = epsilon;
+        config.delta = delta;
         config.validate()?;
         config.exec.apply();
         run_sweep(
@@ -196,7 +187,8 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
             &self.pool,
             &mut self.cap_scratch.borrow_mut(),
             &mut self.train_scratch.borrow_mut(),
-            plan,
+            lambdas,
+            seed,
         )
     }
 

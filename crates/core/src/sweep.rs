@@ -29,24 +29,20 @@
 //!   `n ≤ n'`, same seed), so one capture of the largest chosen sample
 //!   serves every grid point as a prefix view.
 //!
-//! **Exactness contract.** Under the default
-//! [`WarmStartPolicy::ExactReplay`], every grid point's outcome — θ (to
-//! the bit, via `f64::to_bits`), ε₀, ε̂, and the chosen sample size `n` —
-//! is identical to an independent [`Session::train`](crate::Session)
-//! run on a spec with that λ. This holds because every fused kernel in
+//! **Exactness contract.** Every grid point's outcome — θ (to the bit,
+//! via `f64::to_bits`), ε₀, ε̂, and the chosen sample size `n` — is
+//! identical to an independent [`Session::train`](crate::Session) run
+//! on a spec with that λ. This holds because every fused kernel in
 //! the chain is bit-identical to its per-λ form: the multi-λ objective
 //! to [`ModelClassSpec::value_grad`] over a prefix view, the
 //! stacked scorer GEMM to per-λ scorers, and prefix views to captures
 //! of the per-λ samples. The lockstep driver only *batches* probe
 //! evaluations; it never mixes state between grid points, so each λ's
-//! optimizer trajectory is exactly the trajectory of a solo solve.
-//!
-//! [`WarmStartPolicy::PathFollow`] trades that reproducibility for
-//! fewer iterations: final fits run sequentially in descending-λ order,
-//! each warm-started from its neighbor's θ, falling back to the point's
-//! own pilot θ₀ when the line search rejects the warm start.
+//! optimizer trajectory is exactly the trajectory of a solo solve: each
+//! final fit warm-starts from its own pilot θ₀ over its own sample
+//! prefix, as a solo run does.
 
-use crate::config::{BlinkMlConfig, WarmStartPolicy};
+use crate::config::BlinkMlConfig;
 use crate::coordinator::{decide, final_accuracy_scored, Decision, TrainingOutcome};
 use crate::coordinator::{run_train, TrainingPhaseTimes};
 use crate::diff_engine::HoldoutScorer;
@@ -61,72 +57,15 @@ use blinkml_prob::split_seed;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-/// A hyperparameter-sweep request: the λ grid, the shared `(ε, δ)`
-/// contract, the seed, and the warm-start policy.
-#[derive(Debug, Clone)]
-pub struct SweepPlan {
-    /// L2 regularization coefficients, one grid point each (any order;
-    /// results come back in this order).
-    pub lambdas: Vec<f64>,
-    /// Error bound `ε` shared by every grid point.
-    pub epsilon: f64,
-    /// Violation probability `δ` shared by every grid point.
-    pub delta: f64,
-    /// Seed shared by every grid point (samples and estimator draws are
-    /// seed-deterministic, so grid points share their pilot and final
-    /// samples).
-    pub seed: u64,
-    /// How final fits are warm-started (see [`WarmStartPolicy`]).
-    pub warm_start: WarmStartPolicy,
-}
-
-impl SweepPlan {
-    /// A plan with the default ([`WarmStartPolicy::ExactReplay`])
-    /// warm-start policy.
-    pub fn new(lambdas: Vec<f64>, epsilon: f64, delta: f64, seed: u64) -> Self {
-        SweepPlan {
-            lambdas,
-            epsilon,
-            delta,
-            seed,
-            warm_start: WarmStartPolicy::default(),
-        }
-    }
-
-    /// This plan with the given warm-start policy.
-    pub fn with_warm_start(mut self, policy: WarmStartPolicy) -> Self {
-        self.warm_start = policy;
-        self
-    }
-
-    /// Validate the grid.
-    pub(crate) fn validate(&self) -> Result<(), CoreError> {
-        if self.lambdas.is_empty() {
-            return Err(CoreError::InvalidConfig(
-                "sweep needs at least one λ grid point".into(),
-            ));
-        }
-        for &l in &self.lambdas {
-            if !(l.is_finite() && l >= 0.0) {
-                return Err(CoreError::InvalidConfig(format!(
-                    "sweep λ must be finite and nonnegative, got {l}"
-                )));
-            }
-        }
-        Ok(())
-    }
-}
-
 /// One grid point's result.
 #[derive(Debug, Clone)]
 pub struct SweepPoint {
     /// The grid point's L2 coefficient.
     pub lambda: f64,
-    /// Its training outcome — under [`WarmStartPolicy::ExactReplay`],
-    /// bit-identical to an independent run with this λ. In the fused
-    /// engine the phase times are **stage aggregates** shared by every
-    /// point (the stages are fused; per-point attribution would be
-    /// fiction).
+    /// Its training outcome, bit-identical to an independent run with
+    /// this λ. In the fused engine the phase times are **stage
+    /// aggregates** shared by every point (the stages are fused;
+    /// per-point attribution would be fiction).
     pub outcome: TrainingOutcome,
 }
 
@@ -139,12 +78,6 @@ pub struct SweepResult {
     /// per-point fallback loop served the request — a model class
     /// without the multi-λ kernel).
     pub fused: bool,
-    /// Final fits that accepted a neighbor warm start
-    /// ([`WarmStartPolicy::PathFollow`] only; 0 under ExactReplay).
-    pub warm_starts_taken: usize,
-    /// Final fits whose neighbor warm start was rejected by the line
-    /// search and fell back to the point's own pilot θ₀.
-    pub warm_starts_rejected: usize,
 }
 
 impl SweepResult {
@@ -443,9 +376,9 @@ fn lockstep_fits<F: FeatureVec>(
 
 /// The fused shared-substrate sweep: one pilot capture, lockstep pilot
 /// fits, per-λ statistics, one stacked scorer GEMM, per-λ decisions,
-/// one nested final capture, and lockstep (or path-following) final
-/// fits. `specs[k]` must be the λ = `lambdas[k]` instantiation of one
-/// model class with the multi-λ kernel.
+/// one nested final capture, and lockstep final fits. `specs[k]` must
+/// be the λ = `lambdas[k]` instantiation of one model class with the
+/// multi-λ kernel.
 #[allow(clippy::too_many_arguments)]
 fn run_sweep_fused<F: FeatureVec>(
     config: &BlinkMlConfig,
@@ -457,7 +390,6 @@ fn run_sweep_fused<F: FeatureVec>(
     cap_scratch: &mut CaptureScratch,
     scratch: &mut TrainScratch,
     seed: u64,
-    policy: WarmStartPolicy,
 ) -> Result<SweepResult, CoreError> {
     let k = specs.len();
     let full_n = train.len();
@@ -525,9 +457,7 @@ fn run_sweep_fused<F: FeatureVec>(
     let assemble = |pilots: Vec<TrainedModel>,
                     finals: Vec<Option<TrainedModel>>,
                     decisions: Vec<(f64, f64, bool, usize)>,
-                    phases: &TrainingPhaseTimes,
-                    taken: usize,
-                    rejected: usize| {
+                    phases: &TrainingPhaseTimes| {
         let points = lambdas
             .iter()
             .zip(pilots)
@@ -555,8 +485,6 @@ fn run_sweep_fused<F: FeatureVec>(
         SweepResult {
             points,
             fused: true,
-            warm_starts_taken: taken,
-            warm_starts_rejected: rejected,
         }
     };
 
@@ -565,7 +493,7 @@ fn run_sweep_fused<F: FeatureVec>(
         // its exact model.
         let decisions = vec![(0.0, 0.0, true, 0usize); k];
         let finals = (0..k).map(|_| None).collect();
-        return Ok(assemble(pilots, finals, decisions, &phases, 0, 0));
+        return Ok(assemble(pilots, finals, decisions, &phases));
     }
 
     // Stage 2: one stacked GEMM for all K base score matrices, then the
@@ -608,89 +536,45 @@ fn run_sweep_fused<F: FeatureVec>(
         .collect();
     let mut finals: Vec<Option<TrainedModel>> = (0..k).map(|_| None).collect();
     let mut eps_hat: Vec<f64> = vec![0.0; k];
-    let mut taken = 0usize;
-    let mut rejected = 0usize;
     if !needs.is_empty() {
         let max_n = needs.iter().map(|&(_, n)| n).max().expect("non-empty");
         let t = Instant::now();
         let fsample = train.sample_view(max_n, split_seed(seed, 3));
         let fcapture = pool.capture_sample_with(fsample.indices(), cap_scratch);
         let fview = fcapture.view();
-        match policy {
-            WarmStartPolicy::ExactReplay => {
-                // Each point's final fit replays a solo run exactly:
-                // warm-started from its own pilot θ₀ over its own
-                // sample prefix, fused through the lockstep bridge.
-                let betas: Vec<f64> = needs.iter().map(|&(i, _)| lambdas[i]).collect();
-                let rows: Vec<usize> = needs.iter().map(|&(_, n)| n).collect();
-                let starts: Vec<Vec<f64>> = needs
-                    .iter()
-                    .map(|&(i, _)| pilots[i].parameters().to_vec())
-                    .collect();
-                let mut sub_ws: Vec<MinimizeWorkspace> = needs
-                    .iter()
-                    .map(|&(i, _)| std::mem::take(&mut workspaces[i]))
-                    .collect();
-                let fits = lockstep_fits(
-                    specs[0].as_ref(),
-                    &betas,
-                    &rows,
-                    &starts,
-                    dim,
-                    &fview,
-                    &config.optim,
-                    &mut sub_ws,
-                    scratch,
-                );
-                for ((&(i, n), fit), ws) in needs.iter().zip(fits).zip(sub_ws) {
-                    workspaces[i] = ws;
-                    let r = fit?;
-                    finals[i] = Some(TrainedModel::new(
-                        r.theta,
-                        n,
-                        r.iterations,
-                        r.converged,
-                        r.value,
-                    ));
-                }
-            }
-            WarmStartPolicy::PathFollow => {
-                // Sequential path-following in descending-λ order: the
-                // heaviest-regularized (smoothest) point anchors the
-                // path from its own pilot θ₀; each neighbor warm-starts
-                // from the previous final θ, falling back to its own
-                // pilot θ₀ when the line search rejects the warm start.
-                let mut order = needs.clone();
-                order.sort_by(|&(a, _), &(b, _)| {
-                    lambdas[b]
-                        .partial_cmp(&lambdas[a])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-                let mut prev: Option<Vec<f64>> = None;
-                for &(i, n) in &order {
-                    let pv = fview.prefix(n);
-                    let neighbor = prev.as_deref();
-                    let start = neighbor.unwrap_or(pilots[i].parameters());
-                    let attempt = specs[i].train_view(&pv, Some(start), &config.optim);
-                    let model = match attempt {
-                        Ok(m) => {
-                            if neighbor.is_some() {
-                                taken += 1;
-                            }
-                            m
-                        }
-                        Err(CoreError::Optimization(
-                            OptimError::LineSearchFailed { .. } | OptimError::NonFiniteObjective,
-                        )) if neighbor.is_some() => {
-                            rejected += 1;
-                            specs[i].train_view(&pv, Some(pilots[i].parameters()), &config.optim)?
-                        }
-                        Err(e) => return Err(e),
-                    };
-                    prev = Some(model.parameters().to_vec());
-                    finals[i] = Some(model);
-                }
-            }
+        // Each point's final fit replays a solo run exactly: warm-started
+        // from its own pilot θ₀ over its own sample prefix, fused through
+        // the lockstep bridge.
+        let betas: Vec<f64> = needs.iter().map(|&(i, _)| lambdas[i]).collect();
+        let rows: Vec<usize> = needs.iter().map(|&(_, n)| n).collect();
+        let starts: Vec<Vec<f64>> = needs
+            .iter()
+            .map(|&(i, _)| pilots[i].parameters().to_vec())
+            .collect();
+        let mut sub_ws: Vec<MinimizeWorkspace> = needs
+            .iter()
+            .map(|&(i, _)| std::mem::take(&mut workspaces[i]))
+            .collect();
+        let fits = lockstep_fits(
+            specs[0].as_ref(),
+            &betas,
+            &rows,
+            &starts,
+            dim,
+            &fview,
+            &config.optim,
+            &mut sub_ws,
+            scratch,
+        );
+        for (&(i, n), fit) in needs.iter().zip(fits) {
+            let r = fit?;
+            finals[i] = Some(TrainedModel::new(
+                r.theta,
+                n,
+                r.iterations,
+                r.converged,
+                r.value,
+            ));
         }
         phases.final_training = t.elapsed();
 
@@ -736,17 +620,17 @@ fn run_sweep_fused<F: FeatureVec>(
             Decision::Train { eps0, probes, .. } => (eps0, eps_hat[i], false, probes),
         })
         .collect();
-    Ok(assemble(
-        pilots, finals, summaries, &phases, taken, rejected,
-    ))
+    Ok(assemble(pilots, finals, summaries, &phases))
 }
 
 /// Full sweep dispatch shared by [`Session::sweep`](crate::Session) and
-/// the serving layer: validate the plan, instantiate one spec per λ,
+/// the serving layer: validate the λ grid, instantiate one spec per λ,
 /// and route to the fused engine (model classes with the multi-λ
-/// kernel) or the per-point fallback loop. `config` must already carry the plan's
-/// `(ε, δ)` contract. `scratch` holds the fused engine's objective
-/// buffers; a caller that keeps it across sweeps allocates them once.
+/// kernel) or the per-point fallback loop. Every grid point shares the
+/// `(ε, δ)` contract in `config` and the `seed`, so grid points share
+/// their pilot and final samples; results come back in `lambdas` order.
+/// `scratch` holds the fused engine's objective buffers; a caller that
+/// keeps it across sweeps allocates them once.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_sweep<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     config: &BlinkMlConfig,
@@ -756,11 +640,20 @@ pub(crate) fn run_sweep<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     pool: &DatasetMatrix<'_>,
     cap_scratch: &mut CaptureScratch,
     scratch: &mut TrainScratch,
-    plan: &SweepPlan,
+    lambdas: &[f64],
+    seed: u64,
 ) -> Result<SweepResult, CoreError> {
-    plan.validate()?;
-    let specs: Vec<Box<dyn ModelClassSpec<F>>> = plan
-        .lambdas
+    if lambdas.is_empty() {
+        return Err(CoreError::InvalidConfig(
+            "sweep needs at least one λ grid point".into(),
+        ));
+    }
+    if let Some(l) = lambdas.iter().find(|l| !(l.is_finite() && **l >= 0.0)) {
+        return Err(CoreError::InvalidConfig(format!(
+            "sweep λ must be finite and nonnegative, got {l}"
+        )));
+    }
+    let specs: Vec<Box<dyn ModelClassSpec<F>>> = lambdas
         .iter()
         .map(|&l| {
             spec.with_regularization(l).ok_or_else(|| {
@@ -775,34 +668,32 @@ pub(crate) fn run_sweep<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
         run_sweep_fused(
             config,
             &specs,
-            &plan.lambdas,
+            lambdas,
             train,
             holdout,
             pool,
             cap_scratch,
             scratch,
-            plan.seed,
-            plan.warm_start,
+            seed,
         )
     } else {
         run_sweep_looped(
             config,
             &specs,
-            &plan.lambdas,
+            lambdas,
             train,
             holdout,
             pool,
             cap_scratch,
-            plan.seed,
+            seed,
         )
     }
 }
 
 /// The per-point fallback loop behind [`Session::sweep`](crate::Session)
 /// for model classes the fused engine cannot serve (no multi-λ
-/// kernel): independent
-/// coordinator runs per grid point — trivially identical to the looped
-/// baseline, with no fusion and no warm-start bookkeeping.
+/// kernel): independent coordinator runs per grid point — trivially
+/// identical to the looped baseline, with no fusion.
 #[allow(clippy::too_many_arguments)]
 fn run_sweep_looped<F: FeatureVec>(
     config: &BlinkMlConfig,
@@ -832,8 +723,6 @@ fn run_sweep_looped<F: FeatureVec>(
     Ok(SweepResult {
         points,
         fused: false,
-        warm_starts_taken: 0,
-        warm_starts_rejected: 0,
     })
 }
 
@@ -905,8 +794,6 @@ mod tests {
         let sweep = session.sweep(&lambdas, 0.02, 0.05, 9).unwrap();
         assert!(sweep.fused);
         assert_eq!(sweep.points.len(), lambdas.len());
-        assert_eq!(sweep.warm_starts_taken, 0);
-        assert_eq!(sweep.warm_starts_rejected, 0);
         for (point, &lambda) in sweep.points.iter().zip(&lambdas) {
             assert_eq!(point.lambda, lambda);
             let solo_spec = LogisticRegressionSpec::new(lambda);
@@ -1035,36 +922,6 @@ mod tests {
         assert!(fused.fused);
         for (a, b) in sweep.points.iter().zip(&fused.points) {
             assert_point_bitwise(a, &b.outcome, &format!("λ={}", a.lambda));
-        }
-    }
-
-    /// Path-following warm starts: runs, counts its warm starts, and
-    /// still satisfies per-point plumbing (sizes, ε fields).
-    #[test]
-    fn path_follow_counts_warm_starts() {
-        let (data, _) = synthetic_logistic(12_000, 5, 2.0, 37);
-        let split = data.split(800, 0, 38);
-        let spec = LogisticRegressionSpec::new(1e-3);
-        let session = Session::new(config(400), &spec, &split.train, &split.holdout).unwrap();
-        let plan = SweepPlan::new(vec![1.0, 1e-2, 1e-4], 0.02, 0.05, 9)
-            .with_warm_start(WarmStartPolicy::PathFollow);
-        let sweep = session.sweep_plan(&plan).unwrap();
-        assert!(sweep.fused);
-        let trained: usize = sweep
-            .points
-            .iter()
-            .filter(|p| !p.outcome.used_initial_model)
-            .count();
-        if trained > 1 {
-            assert_eq!(
-                sweep.warm_starts_taken + sweep.warm_starts_rejected,
-                trained - 1
-            );
-        }
-        for p in &sweep.points {
-            assert!(p.outcome.sample_size <= split.train.len());
-            assert!(p.outcome.estimated_epsilon.is_finite());
-            assert!(p.outcome.estimated_epsilon >= 0.0);
         }
     }
 

@@ -7,7 +7,7 @@ use crate::error::CoreError;
 use crate::grads::Grads;
 use crate::mcs::{DrawScores, ModelClassSpec, SweepEval, TrainedModel};
 use crate::serve::resilience::{relax_active_deadline, trip_active_deadline};
-use blinkml_data::{Dataset, DatasetMatrix, FeatureVec, MatrixView, TrainScratch};
+use blinkml_data::{Dataset, DatasetMatrix, FeatureVec, LabelDomain, MatrixView, TrainScratch};
 use blinkml_linalg::Matrix;
 use blinkml_optim::{minimize, Objective, OptimOptions};
 use std::path::{Path, PathBuf};
@@ -149,6 +149,9 @@ impl<F: FeatureVec, S: ModelClassSpec<F>> ModelClassSpec<F> for NoBatch<S> {
     fn regularization(&self) -> f64 {
         self.0.regularization()
     }
+    fn label_domain(&self) -> LabelDomain {
+        self.0.label_domain()
+    }
     fn value_grad(
         &self,
         theta: &[f64],
@@ -223,6 +226,9 @@ where
     fn regularization(&self) -> f64 {
         self.inner.regularization()
     }
+    fn label_domain(&self) -> LabelDomain {
+        self.inner.label_domain()
+    }
     fn value_grad(
         &self,
         theta: &[f64],
@@ -294,6 +300,9 @@ impl<F: FeatureVec> ModelClassSpec<F> for MultiLambdaPanicSpec<F> {
     }
     fn regularization(&self) -> f64 {
         self.0.regularization()
+    }
+    fn label_domain(&self) -> LabelDomain {
+        self.0.label_domain()
     }
     fn value_grad(
         &self,

@@ -19,10 +19,9 @@ use blinkml_core::models::{
 };
 use blinkml_core::serve::{Query, Server, StreamShard};
 use blinkml_core::testing::{FaultAction, FaultPlan, FaultSite, HookedSpec};
-use blinkml_core::{DegradationRung, DrawScores, ModelClassSpec, TrainingOutcome, WarmStartPolicy};
+use blinkml_core::{DegradationRung, ModelClassSpec, TrainingOutcome};
 use blinkml_data::generators::synthetic_logistic;
 use blinkml_data::{DenseVec, Example, IngestError, IngestPolicy, LabelDomain, StreamingPool};
-use blinkml_optim::OptimError;
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -429,8 +428,8 @@ fn epoch_bump_never_serves_a_stale_pilot_even_mid_coalesce() {
 }
 
 // ---------------------------------------------------------------------
-// Satellite: drift ladder — stale-servable ε honesty and warm-started
-// retrains with the PathFollow fallback rule
+// Satellite: drift ladder — stale-servable ε honesty and cold retrains
+// at the current epoch
 // ---------------------------------------------------------------------
 
 /// Force the drift ladder through all three rungs with feature-shifted
@@ -543,142 +542,13 @@ fn stale_servable_reports_the_curve_epsilon_oracle_bitwise() {
     server.shutdown();
 }
 
-/// Delegating spec that rejects warm-started pilot-sized fits with
-/// [`OptimError::LineSearchFailed`], leaving every cold fit untouched —
-/// the deterministic trigger for the PathFollow fallback rule.
-#[derive(Clone)]
-struct RejectWarmPilot {
-    inner: LogisticRegressionSpec,
-    n0: usize,
-}
-
-/// Qualified-delegation alias: the inner GLM spec is generic over the
-/// feature type, so `&self`-only methods need the target spelled out.
-type Inner = dyn ModelClassSpec<DenseVec>;
-
-impl ModelClassSpec<DenseVec> for RejectWarmPilot {
-    fn name(&self) -> &'static str {
-        Inner::name(&self.inner)
-    }
-    fn param_dim(&self, data_dim: usize) -> usize {
-        Inner::param_dim(&self.inner, data_dim)
-    }
-    fn regularization(&self) -> f64 {
-        Inner::regularization(&self.inner)
-    }
-    fn value_grad(
-        &self,
-        theta: &[f64],
-        xm: &blinkml_data::MatrixView,
-        scratch: &mut blinkml_data::TrainScratch,
-        grad: &mut [f64],
-    ) -> f64 {
-        Inner::value_grad(&self.inner, theta, xm, scratch, grad)
-    }
-    fn grads(&self, theta: &[f64], xm: &blinkml_data::MatrixView) -> blinkml_core::grads::Grads {
-        Inner::grads(&self.inner, theta, xm)
-    }
-    fn predict(&self, theta: &[f64], x: &DenseVec) -> f64 {
-        self.inner.predict(theta, x)
-    }
-    fn diff(
-        &self,
-        theta_a: &[f64],
-        theta_b: &[f64],
-        holdout: &blinkml_data::Dataset<DenseVec>,
-    ) -> f64 {
-        self.inner.diff(theta_a, theta_b, holdout)
-    }
-    fn generalization_error(&self, theta: &[f64], data: &blinkml_data::Dataset<DenseVec>) -> f64 {
-        self.inner.generalization_error(theta, data)
-    }
-    fn num_margin_outputs(&self, data_dim: usize) -> Option<usize> {
-        Inner::num_margin_outputs(&self.inner, data_dim)
-    }
-    fn margins(&self, theta: &[f64], x: &DenseVec, out: &mut [f64]) {
-        self.inner.margins(theta, x, out)
-    }
-    fn margin_weights(&self, theta: &[f64], data_dim: usize) -> Option<blinkml_linalg::Matrix> {
-        Inner::margin_weights(&self.inner, theta, data_dim)
-    }
-    fn predict_from_margins(&self, scores: &[f64]) -> f64 {
-        Inner::predict_from_margins(&self.inner, scores)
-    }
-    fn diff_is_rms(&self) -> bool {
-        Inner::diff_is_rms(&self.inner)
-    }
-    fn margin_diff_sum(&self, scores: DrawScores<'_>, stop: f64) -> f64 {
-        Inner::margin_diff_sum(&self.inner, scores, stop)
-    }
-    fn train_view(
-        &self,
-        xm: &blinkml_data::MatrixView,
-        warm_start: Option<&[f64]>,
-        options: &blinkml_optim::OptimOptions,
-    ) -> Result<blinkml_core::TrainedModel, CoreError> {
-        if warm_start.is_some() && xm.len() == self.n0 {
-            return Err(CoreError::Optimization(OptimError::LineSearchFailed {
-                iteration: 0,
-            }));
-        }
-        Inner::train_view(&self.inner, xm, warm_start, options)
-    }
-}
-
-/// Under [`WarmStartPolicy::PathFollow`], a drift-triggered retrain
-/// warm-starts from the stale θ; when the line search rejects the warm
-/// start, the coordinator must fall back to a cold start — exactly the
-/// sweep engine's rule — and the response is then bit-equal to the cold
-/// oracle at the current epoch.
-#[test]
-fn pathfollow_retrain_falls_back_to_cold_on_line_search_failure() {
-    let d = 4;
-    let n0 = 150;
-    let pool = Arc::new(make_pool(1_600, d, 121));
-    let base = base_config(n0, Some(2));
-    let plain = LogisticRegressionSpec::new(1e-3);
-    let spec = RejectWarmPilot {
-        inner: plain.clone(),
-        n0,
-    };
-    let query = Query::new(8, 0.25, 0.05, 4);
-
-    // Every nonzero drift score triggers a retrain.
-    let server = Server::spawn_with_streams(
-        base.clone(),
-        ServeConfig {
-            workers: 2,
-            drift_warn: 1e-9,
-            drift_fail: 1e-9,
-            warm_start: WarmStartPolicy::PathFollow,
-            ..ServeConfig::default()
-        },
-        spec,
-        Vec::new(),
-        vec![StreamShard::from_arc(8, pool.clone())],
-    )
-    .expect("spawn server");
-
-    let served = server.query(query).expect("cold query");
-    assert_eq!(served.epoch, 0);
-
-    pool.append_holdout(block(60, d, 8_001, 1.0))
-        .expect("valid block");
-    let served = server.query(query).expect("retrain query");
-    assert_eq!(served.epoch, 1, "retrain pins the current epoch");
-    // The warm attempt failed its line search, so the fallback cold fit
-    // must reproduce the plain cold oracle bit-for-bit.
-    let expected = oracle_at(&base, &plain, &pool, 1, query);
-    assert_bitwise_eq("pathfollow fallback", &served.outcome, &expected);
-    let stats = server.stats();
-    assert_eq!(stats.drift_retrains, 1);
-    assert_eq!(stats.pilot_trains, 2);
-    server.shutdown();
-}
-
 // ---------------------------------------------------------------------
 // Satellite: ingest validation per model-class label domain
 // ---------------------------------------------------------------------
+
+/// Qualified-delegation alias: the GLM specs are generic over the
+/// feature type, so `&self`-only methods need the target spelled out.
+type Inner = dyn ModelClassSpec<DenseVec>;
 
 /// Every model class declares the label domain its ingest gate
 /// enforces.

@@ -1154,6 +1154,7 @@ mod tests {
     use crate::features::{DenseVec, SparseVec};
     use crate::generators::{synthetic_linear, yelp_like};
     use crate::parallel::set_max_threads;
+    use blinkml_linalg::testing::budget_lock;
 
     fn dense_pair() -> (Dataset<DenseVec>, Vec<f64>) {
         let (data, _) = synthetic_linear(300, 7, 0.4, 1);
@@ -1293,6 +1294,7 @@ mod tests {
 
     #[test]
     fn fold_matches_two_pass_form_bitwise() {
+        let _budget = budget_lock();
         // One synthetic "objective": weights = 2·margin + label, loss =
         // Σ margin, extra = Σ label. The fused fold, run as one request,
         // must equal the two-pass form exactly at thread budgets {1, 4}:
@@ -1423,6 +1425,7 @@ mod tests {
     /// chunk, d = 13 over two) and sparse, at thread budgets {1, 4}.
     #[test]
     fn gathered_view_is_bitwise_materialized_subset() {
+        let _budget = budget_lock();
         let (dense, w) = dense_pair();
         let (wide, ww) = wide_pair();
         let sparse = yelp_like(260, 50, 4);
@@ -1500,6 +1503,7 @@ mod tests {
     /// bit, d = 7 in one chunk and d = 13 over two, at budgets {1, 4}.
     #[test]
     fn gathered_fold_is_bitwise_materialized_fold() {
+        let _budget = budget_lock();
         let (data, w) = dense_pair();
         let (wide, ww) = wide_pair();
         for budget in [Some(1), Some(4)] {
@@ -1627,6 +1631,7 @@ mod tests {
     /// or a matrix packed from just those rows.
     #[test]
     fn prefix_views_are_bitwise_equal_to_sliced_views() {
+        let _budget = budget_lock();
         let (dense, w) = dense_pair();
         let sparse = yelp_like(260, 50, 4);
         let sw: Vec<f64> = (0..50).map(|i| ((i * 5) % 11) as f64 * 0.1 - 0.3).collect();
@@ -1700,6 +1705,7 @@ mod tests {
     /// boundaries and end inside a row block.
     #[test]
     fn multi_fold_is_bitwise_per_request_folds() {
+        let _budget = budget_lock();
         // Probe points with row counts on, under, and over chunk
         // boundaries (a sub-chunk one, a duplicate-rows pair with
         // different probes); the under and over ones end a few rows into

@@ -275,13 +275,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard};
-
-    /// Serializes tests that mutate the process-wide thread budget.
-    fn budget_lock() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::testing::budget_lock;
 
     #[test]
     fn covers_all_indices_exactly_once() {

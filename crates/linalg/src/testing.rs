@@ -1,8 +1,20 @@
-//! Deterministic data generators shared by the workspace's tests and
-//! benches. Not part of the public API (`#[doc(hidden)]` at the
-//! re-export site); semver-exempt.
+//! Deterministic data generators and the thread-budget lock shared by
+//! the workspace's tests and benches. Not part of the public API
+//! (`#[doc(hidden)]` at the re-export site); semver-exempt.
 
 use crate::matrix::Matrix;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serializes tests that mutate the process-wide thread budget
+/// ([`crate::exec::set_max_threads`]). A pin that checks one budget's
+/// code path holds the guard from its first `set_max_threads` to its
+/// reset, so no other pin in the same test binary can switch the
+/// budget under it. A poisoned lock is recovered: one failing pin must
+/// not fail every later one.
+pub fn budget_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Deterministic xorshift64 pseudo-random matrix with entries in
 /// `(-0.5, 0.5)` — the one shared generator for kernel-equivalence

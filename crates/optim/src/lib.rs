@@ -48,9 +48,11 @@ pub fn minimize(
 
 /// Caller-owned reusable solver state for [`minimize_with`]: holds both
 /// solvers' workspaces so one instance serves a stream of fits whatever
-/// dimension each dispatches to. A warm-started grid of related solves
-/// (the sweep engine's per-λ fits) reuses the inverse-Hessian estimate,
-/// curvature-pair ring, and line-search probe pools across every fit.
+/// dimension each dispatches to. The sweep engine keeps one per grid
+/// point, so each λ's pilot and final fits share one set of
+/// inverse-Hessian, curvature-pair and line-search probe buffers. Reuse
+/// moves only allocations: every solve starts from its own `theta0`
+/// with no state carried over.
 #[derive(Default)]
 pub struct MinimizeWorkspace {
     bfgs: BfgsWorkspace,
