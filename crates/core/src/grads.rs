@@ -12,6 +12,12 @@
 //! For sparse GLMs, `ψ_i = c_i·x_i + shift` where the shift `r(θ) = βθ`
 //! is shared by all rows; [`Grads::Sparse`] keeps that structure so the
 //! three operations stay `O(nnz)` instead of `O(n·D)`.
+//!
+//! The sparse Gram is a scatter-gather: row `i` is scattered once into a
+//! dense `D`-length buffer, and every row `j ≥ i` is gathered against it
+//! in ascending index order. Each entry is bitwise the merge-join of the
+//! two rows for finite values (see [`Grads::gram`]), which the unit
+//! tests pin with `to_bits` against the merge-join oracle.
 
 use blinkml_data::parallel::{
     par_map_reduce_matrix, par_ranges, par_rows_matrix, par_rows_matrix_with, par_sum_vecs,
@@ -100,7 +106,20 @@ impl Grads {
     }
 
     /// Gram matrix `G_{ij} = ψ_i·ψ_j / n` as a dense `n x n` matrix,
-    /// computed row-chunk-parallel.
+    /// computed row-chunk-parallel over the upper triangle.
+    ///
+    /// The sparse layout computes `s_i·s_j` by scatter-gather: each chunk
+    /// scatters row `i` into one `D`-length dense buffer, walks every row
+    /// `j ≥ i` in ascending index order adding `dense[k]·v` to an
+    /// accumulator that starts at `+0.0`, then clears the buffer through
+    /// row `i`'s own indices. The matched products are added in the same
+    /// ascending order as a merge-join of the two rows, and an unmatched
+    /// index adds `±0.0`, which leaves an accumulator that can never be
+    /// `−0.0` unchanged. So for finite rows every entry is bitwise the
+    /// merge-join's, for any thread count.
+    ///
+    /// # Panics
+    /// Panics if a sparse row's dimension differs from the shift's.
     pub fn gram(&self) -> Matrix {
         let n = self.num_rows();
         let scale = 1.0 / n.max(1) as f64;
@@ -111,6 +130,14 @@ impl Grads {
                 g
             }
             Grads::Sparse { rows, shift } => {
+                let d = shift.len();
+                for (i, row) in rows.iter().enumerate() {
+                    assert!(
+                        row.dim() == d,
+                        "Grads::gram: sparse gradient row {i} spans {} parameters but the shift spans {d}",
+                        row.dim()
+                    );
+                }
                 // ψ_i·ψ_j = s_i·s_j + s_i·c + s_j·c + c·c with c = shift.
                 let c_dot_c = dot(shift, shift);
                 let s_dot_c: Vec<f64> = par_ranges(n, |range| {
@@ -119,8 +146,24 @@ impl Grads {
                 .into_iter()
                 .flatten()
                 .collect();
-                par_symmetric(n, |i, j| {
-                    (sparse_dot(&rows[i], &rows[j]) + s_dot_c[i] + s_dot_c[j] + c_dot_c) * scale
+                par_symmetric(n, |chunk, block| {
+                    let mut dense = vec![0.0; d];
+                    for (i, out) in chunk.zip(block.chunks_exact_mut(n)) {
+                        let (idx, val) = (rows[i].indices(), rows[i].values());
+                        for (&k, &v) in idx.iter().zip(val) {
+                            dense[k as usize] = v;
+                        }
+                        for (j, o) in out.iter_mut().enumerate().skip(i) {
+                            let mut s = 0.0;
+                            for (&k, &v) in rows[j].indices().iter().zip(rows[j].values()) {
+                                s += dense[k as usize] * v;
+                            }
+                            *o = (s + s_dot_c[i] + s_dot_c[j] + c_dot_c) * scale;
+                        }
+                        for &k in idx {
+                            dense[k as usize] = 0.0;
+                        }
+                    }
                 })
             }
         }
@@ -360,29 +403,51 @@ impl SymmetricOp for GramOp<'_> {
     }
 }
 
-/// Merge-join dot product of two sorted sparse vectors.
-fn sparse_dot(a: &SparseVec, b: &SparseVec) -> f64 {
-    let (ai, av) = (a.indices(), a.values());
-    let (bi, bv) = (b.indices(), b.values());
-    let mut s = 0.0;
-    let (mut p, mut q) = (0usize, 0usize);
-    while p < ai.len() && q < bi.len() {
-        match ai[p].cmp(&bi[q]) {
-            std::cmp::Ordering::Less => p += 1,
-            std::cmp::Ordering::Greater => q += 1,
-            std::cmp::Ordering::Equal => {
-                s += av[p] * bv[q];
-                p += 1;
-                q += 1;
-            }
-        }
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Merge-join dot product of two sorted sparse vectors: the
+    /// sparse Gram's entry kernel before scatter-gather, kept as the
+    /// oracle its bits are pinned to.
+    fn sparse_dot(a: &SparseVec, b: &SparseVec) -> f64 {
+        let (ai, av) = (a.indices(), a.values());
+        let (bi, bv) = (b.indices(), b.values());
+        let mut s = 0.0;
+        let (mut p, mut q) = (0usize, 0usize);
+        while p < ai.len() && q < bi.len() {
+            match ai[p].cmp(&bi[q]) {
+                std::cmp::Ordering::Less => p += 1,
+                std::cmp::Ordering::Greater => q += 1,
+                std::cmp::Ordering::Equal => {
+                    s += av[p] * bv[q];
+                    p += 1;
+                    q += 1;
+                }
+            }
+        }
+        s
+    }
+
+    /// The sparse Gram through the merge-join, with the production
+    /// finishing expression `(s_i·s_j + s_i·c + s_j·c + c·c) · (1/n)`
+    /// at `i = min(i, j)`.
+    fn merge_join_gram(rows: &[SparseVec], shift: &[f64]) -> Matrix {
+        let n = rows.len();
+        let scale = 1.0 / n.max(1) as f64;
+        let c_dot_c = dot(shift, shift);
+        let s_dot_c: Vec<f64> = rows.iter().map(|r| r.dot(shift)).collect();
+        let mut g = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in i..n {
+                let v =
+                    (sparse_dot(&rows[i], &rows[j]) + s_dot_c[i] + s_dot_c[j] + c_dot_c) * scale;
+                g[(i, j)] = v;
+                g[(j, i)] = v;
+            }
+        }
+        g
+    }
 
     fn dense_example() -> Grads {
         Grads::Dense(Matrix::from_vec(3, 2, vec![1.0, 2.0, -1.0, 0.5, 3.0, -2.0]))
@@ -551,5 +616,128 @@ mod tests {
         assert_eq!(sparse_dot(&a, &b), 0.0);
         let c = SparseVec::new(6, vec![2, 3], vec![4.0, 1.0]);
         assert_eq!(sparse_dot(&a, &c), 8.0);
+    }
+
+    /// Deterministic sparse rows over `d` parameters covering the
+    /// scatter-gather's edge cases, cycling through six kinds: empty;
+    /// only stored `0.0`/`-0.0`; a random support pinned to indices 0
+    /// and `d − 1`; the previous row's support with new values; a
+    /// support disjoint from the previous row's; and ±1 values whose
+    /// products cancel to zero before a stored `-0.0`.
+    fn edge_case_rows(n: usize, d: usize, seed: u64) -> Vec<SparseVec> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state >> 11
+        };
+        let mut rows: Vec<SparseVec> = Vec::with_capacity(n);
+        for r in 0..n {
+            let prev: Vec<u32> = rows
+                .last()
+                .map(|p| p.indices().to_vec())
+                .unwrap_or_default();
+            let (indices, values): (Vec<u32>, Vec<f64>) = (0..d as u32)
+                .filter_map(|k| {
+                    let end = k == 0 || k + 1 == d as u32;
+                    let uniform = (next() % 2001) as f64 / 1000.0 - 1.0;
+                    let keep = next();
+                    let v = match r % 6 {
+                        0 => None,
+                        1 => (keep % 4 == 0).then_some(if k % 2 == 0 { 0.0 } else { -0.0 }),
+                        2 => (end || keep % 3 == 0).then_some(uniform),
+                        3 => prev.binary_search(&k).is_ok().then_some(2.0 * uniform),
+                        4 => (prev.binary_search(&k).is_err() && keep % 2 == 0).then_some(uniform),
+                        _ => {
+                            (end || keep % 3 == 0).then_some([1.0, -1.0, -0.0][(keep % 3) as usize])
+                        }
+                    };
+                    v.map(|v| (k, v))
+                })
+                .unzip();
+            rows.push(SparseVec::new(d, indices, values));
+        }
+        rows
+    }
+
+    /// The sparse Gram equals [`merge_join_gram`] in every bit, at
+    /// thread budgets {1, 4}.
+    fn assert_gram_is_merge_join(rows: Vec<SparseVec>, shift: Vec<f64>, what: &str) {
+        use blinkml_data::parallel::set_max_threads;
+        let want = merge_join_gram(&rows, &shift);
+        let grads = Grads::Sparse { rows, shift };
+        let _budget = blinkml_linalg::testing::budget_lock();
+        for budget in [Some(1), Some(4)] {
+            set_max_threads(budget);
+            let got = grads.gram();
+            assert_eq!(got.shape(), want.shape(), "{what}, budget {budget:?}");
+            for (e, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{what}, budget {budget:?}: entry {e}: {a:e} vs {b:e}"
+                );
+            }
+        }
+        set_max_threads(None);
+    }
+
+    #[test]
+    fn sparse_gram_is_bitwise_merge_join_oracle() {
+        // n crosses the 64-row chunk of `par_symmetric` on both sides.
+        let d = 37;
+        for n in [0, 1, 2, 63, 64, 65, 130] {
+            for zero_shift in [true, false] {
+                let shift: Vec<f64> = (0..d)
+                    .map(|k| {
+                        if zero_shift {
+                            0.0
+                        } else {
+                            0.25 - 0.0625 * (k % 9) as f64
+                        }
+                    })
+                    .collect();
+                let what = format!("edge rows, n = {n}, zero shift {zero_shift}");
+                assert_gram_is_merge_join(edge_case_rows(n, d, n as u64 + 3), shift, &what);
+            }
+        }
+        // Real maxent gradient rows: K = 5 blocks over a 60-word
+        // vocabulary, so D = 300 > n = 130, with the βθ shift.
+        let data = blinkml_data::generators::yelp_like(130, 60, 5);
+        let spec = crate::models::MaxEntSpec::new(1e-3, 5);
+        let theta: Vec<f64> = (0..300)
+            .map(|i| ((i * 7) % 13) as f64 * 0.05 - 0.3)
+            .collect();
+        match crate::testing::view_grads(&spec, &theta, &data) {
+            Grads::Sparse { rows, shift } => {
+                assert!(shift.iter().any(|&c| c != 0.0));
+                assert_gram_is_merge_join(rows, shift, "maxent yelp_like");
+            }
+            Grads::Dense(_) => panic!("sparse data must give sparse gradient rows"),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sparse gradient row 1 spans 3 parameters but the shift spans 4")]
+    fn sparse_gram_rejects_a_row_shorter_than_the_shift() {
+        Grads::Sparse {
+            rows: vec![
+                SparseVec::new(4, vec![0, 3], vec![1.0, 2.0]),
+                SparseVec::new(3, vec![0, 2], vec![1.0, 2.0]),
+            ],
+            shift: vec![0.5; 4],
+        }
+        .gram();
+    }
+
+    #[test]
+    #[should_panic(expected = "sparse gradient row 0 spans 5 parameters but the shift spans 4")]
+    fn sparse_gram_rejects_a_row_longer_than_the_shift() {
+        Grads::Sparse {
+            rows: vec![SparseVec::new(5, vec![0, 4], vec![1.0, 2.0])],
+            shift: vec![0.5; 4],
+        }
+        .gram();
     }
 }

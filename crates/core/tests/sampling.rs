@@ -24,6 +24,7 @@ use blinkml_data::generators::{
 };
 use blinkml_data::parallel::set_max_threads;
 use blinkml_data::{Dataset, DatasetMatrix, Example, FeatureVec, MatrixView, SparseVec};
+use blinkml_linalg::testing::budget_lock;
 use blinkml_optim::OptimOptions;
 use blinkml_prob::split_seed;
 use proptest::prelude::*;
@@ -108,6 +109,7 @@ fn assert_views_match_materialized<F: FeatureVec, S: ModelClassSpec<F>>(
     let pool = DatasetMatrix::from_dataset(train);
     let drawn = train.sample_view(n, seed);
     let packed = pool.gather_packed(drawn.indices());
+    let _budget = budget_lock();
     for threads in [Some(1), Some(4)] {
         set_max_threads(threads);
         let reference = spec
@@ -236,6 +238,7 @@ fn estimate_final_accuracy_agrees_across_modes() {
     let seed = 5;
     let mut cfg = config(0.02, 300, Some(2));
     cfg.estimate_final_accuracy = true;
+    let _budget = budget_lock();
     let out = Coordinator::new(cfg.clone())
         .train(&spec, &data, seed)
         .unwrap();
@@ -267,6 +270,7 @@ fn session_sweep_is_bitwise_fresh_coordinators() {
     let split = data.split(900, 0, 42);
     let spec = LogisticRegressionSpec::new(1e-3);
     let base = config(0.05, 350, None);
+    let _budget = budget_lock();
     let session = Session::new(base.clone(), &spec, &split.train, &split.holdout).unwrap();
     for epsilon in [0.30, 0.08, 0.03, 0.015] {
         let s = session.train(epsilon, 0.05, 9).unwrap();
@@ -291,6 +295,7 @@ fn session_agrees_across_thread_budgets_and_modes() {
     let split = data.split(700, 0, 52);
     let spec = LogisticRegressionSpec::new(1e-3);
     let mut outcomes = Vec::new();
+    let _budget = budget_lock();
     for threads in [Some(1), Some(4)] {
         let cfg = config(0.03, 300, threads);
         let session = Session::new(cfg.clone(), &spec, &split.train, &split.holdout).unwrap();

@@ -34,6 +34,7 @@ use blinkml_data::generators::{
 };
 use blinkml_data::parallel::set_max_threads;
 use blinkml_data::{Dataset, Example, FeatureVec, MatrixView, SparseVec, TrainScratch};
+use blinkml_linalg::testing::budget_lock;
 use blinkml_linalg::Matrix;
 use blinkml_optim::OptimOptions;
 
@@ -215,6 +216,7 @@ fn assert_coordinator_matches<F: FeatureVec, S: ModelClassSpec<F> + Clone>(
     seed: u64,
 ) {
     let oracle = PerRowLoop(spec.clone());
+    let _budget = budget_lock();
     for threads in THREADS {
         for &epsilon in epsilons {
             let coordinator = Coordinator::new(config(epsilon, n0, threads));
@@ -281,6 +283,7 @@ fn assert_relaxed_matches<F: FeatureVec, S: ModelClassSpec<F> + Clone + 'static>
         server.shutdown();
         response
     };
+    let _budget = budget_lock();
     let (fast, slow) = (served(false), served(true));
     assert_eq!(fast.rung, DegradationRung::RelaxedFinal, "{what}: rung");
     assert_eq!(

@@ -19,6 +19,7 @@ use blinkml_data::generators::{
 };
 use blinkml_data::parallel::set_max_threads;
 use blinkml_data::{Dataset, DatasetMatrix, DenseVec, FeatureVec, MatrixView, TrainScratch};
+use blinkml_linalg::testing::budget_lock;
 use blinkml_optim::OptimOptions;
 use proptest::prelude::*;
 
@@ -32,6 +33,7 @@ fn assert_batched_equals_scalar<F: FeatureVec, S: ModelClassSpec<F> + ScalarOrac
 ) {
     let (v_ref, g_ref) = spec.scalar_objective(theta, data);
     let xm = DatasetMatrix::from_dataset(data);
+    let _budget = budget_lock();
     for budget in [Some(1), Some(4)] {
         set_max_threads(budget);
         let mut scratch = TrainScratch::new();
@@ -264,6 +266,7 @@ fn coordinator_is_bit_identical_across_thread_budgets_with_batching() {
         estimate_final_accuracy: true,
         ..BlinkMlConfig::default()
     };
+    let _budget = budget_lock();
     cfg.exec = ExecConfig::sequential();
     let a = Coordinator::new(cfg.clone())
         .train(&spec, &data, 3)
@@ -316,6 +319,7 @@ where
     }
     let theta = reference.parameters();
     let g_ref = spec.scalar_grads(theta, &sample);
+    let _budget = budget_lock();
     for budget in [Some(1), Some(4)] {
         set_max_threads(budget);
         let views: [(&str, MatrixView); 2] = [

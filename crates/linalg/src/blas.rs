@@ -13,6 +13,7 @@ use crate::exec;
 use crate::matrix::Matrix;
 use crate::vector::dot;
 use crate::{LinalgError, Result};
+use std::ops::Range;
 
 /// Width of the `k` panel in the blocked GEMM inner loops: 256 columns of
 /// `f64` keep the active `B` panel rows inside L1/L2 while preserving the
@@ -377,21 +378,26 @@ pub fn syrk_n(a: &Matrix) -> Matrix {
 /// boundaries machine-independent.
 const SYMMETRIC_CHUNK: usize = 64;
 
-/// Build a symmetric `n × n` matrix from `entry(i, j)` evaluated on the
-/// upper triangle (`j ≥ i`) in parallel row chunks, then mirrored.
-/// Every entry is computed exactly once by one chunk, so the result is
-/// bit-identical for any thread count.
-pub fn par_symmetric(n: usize, entry: impl Fn(usize, usize) -> f64 + Sync) -> Matrix {
-    let tails = exec::par_ranges_with(n, SYMMETRIC_CHUNK, |range| {
-        range
-            .map(|i| (i..n).map(|j| entry(i, j)).collect::<Vec<f64>>())
-            .collect::<Vec<_>>()
-    });
+/// Build a symmetric `n × n` matrix from its upper triangle, filled in
+/// parallel chunks of 64 rows (`SYMMETRIC_CHUNK`), then mirrored.
+///
+/// `fill(rows, block)` runs once per chunk: `block` holds the chunk's
+/// rows of the output (row-major, `n` wide, zeroed), and `fill` writes
+/// entry `(i, j)` for every `i` in `rows` and every `j ≥ i`. Anything it
+/// writes below the diagonal is overwritten by the mirror. Per-chunk
+/// state (a scratch buffer, say) lives inside `fill`. Every entry is
+/// computed exactly once by one chunk, so the result is bit-identical
+/// for any thread count.
+pub fn par_symmetric(n: usize, fill: impl Fn(Range<usize>, &mut [f64]) + Sync) -> Matrix {
     let mut m = Matrix::zeros(n, n);
-    for (i, tail) in tails.into_iter().flatten().enumerate() {
-        for (off, v) in tail.into_iter().enumerate() {
-            m[(i, i + off)] = v;
-            m[(i + off, i)] = v;
+    let data = m.as_mut_slice();
+    // Chunks of whole rows, written in place.
+    exec::par_fill_slice(data, SYMMETRIC_CHUNK * n.max(1), |range, block| {
+        fill(range.start / n..range.end / n, block)
+    });
+    for i in 0..n {
+        for j in i + 1..n {
+            data[j * n + i] = data[i * n + j];
         }
     }
     m
@@ -407,7 +413,19 @@ pub fn par_syrk_n(a: &Matrix) -> Matrix {
     if exec::max_threads() == 1 || n.saturating_mul(n).saturating_mul(d) / 2 < PAR_MIN_FLOPS {
         return syrk_n(a);
     }
-    par_symmetric(a.rows(), |i, j| dot(a.row(i), a.row(j)))
+    par_symmetric(n, |rows, block| syrk_n_rows(a, rows, block))
+}
+
+/// Upper-triangle rows `rows` of `A Aᵀ` into `block` (the rows' slice of
+/// the `n × n` output): the [`par_symmetric`] body of [`par_syrk_n`].
+fn syrk_n_rows(a: &Matrix, rows: Range<usize>, block: &mut [f64]) {
+    let n = a.rows();
+    for (i, out) in rows.zip(block.chunks_exact_mut(n)) {
+        let ri = a.row(i);
+        for (j, o) in out.iter_mut().enumerate().skip(i) {
+            *o = dot(ri, a.row(j));
+        }
+    }
 }
 
 /// Rank-one update `A += alpha * x yᵀ`.
@@ -561,7 +579,7 @@ mod tests {
         let par = par_syrk_n(&a);
         assert_eq!(seq.as_slice(), par.as_slice(), "must match bitwise");
         // The chunked body behind the dispatch, exercised directly.
-        let chunked = par_symmetric(a.rows(), |i, j| dot(a.row(i), a.row(j)));
+        let chunked = par_symmetric(a.rows(), |rows, block| syrk_n_rows(&a, rows, block));
         assert_eq!(seq.as_slice(), chunked.as_slice(), "must match bitwise");
     }
 
