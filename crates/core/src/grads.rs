@@ -20,13 +20,18 @@
 //! tests pin with `to_bits` against the merge-join oracle.
 
 use blinkml_data::parallel::{
-    par_map_reduce_matrix, par_ranges, par_rows_matrix, par_rows_matrix_with, par_sum_vecs,
+    par_fill_slice, par_map_reduce_matrix, par_ranges, par_rows_matrix, par_sum_vecs,
 };
 use blinkml_data::{FeatureVec, SparseVec};
 use blinkml_linalg::blas::{ger, par_gemm, par_gemm_tn, par_symmetric, par_syrk_n, par_syrk_t};
+use blinkml_linalg::simd;
 use blinkml_linalg::spectral::SymmetricOp;
 use blinkml_linalg::vector::{axpy, dot};
 use blinkml_linalg::Matrix;
+
+/// Draws per group in the sparse [`Grads::t_apply_rows`]: one 64-byte
+/// accumulator line per parameter.
+const DRAW_LANES: usize = 8;
 
 /// The per-example gradient list in one of two layouts.
 #[derive(Debug, Clone)]
@@ -263,11 +268,16 @@ impl Grads {
     /// giving `k × D` with the `1/√n` scaling applied.
     ///
     /// Each output row is **bitwise identical** to the corresponding
-    /// [`Grads::t_apply`] call — the dense path is the same
-    /// ascending-row accumulation as `gemv_t` fused into one blocked
-    /// GEMM, and the sparse path replicates the per-draw loop — so the
-    /// batched samplers can swap this in for per-draw application
-    /// without changing a single float.
+    /// [`Grads::t_apply`] call, so the batched samplers can swap this in
+    /// for per-draw application without changing a single float. The
+    /// dense path is the same ascending-row accumulation as `gemv_t`
+    /// fused into one blocked GEMM. The sparse path takes the draws
+    /// eight at a time into a draw-minor `D × 8` accumulator through
+    /// [`simd::sparse_row_outer_add`], so each stored gradient entry
+    /// feeds all eight draws in one vector op. Rows are still added in
+    /// ascending order, and a draw whose weight is `0.0` or `-0.0` skips
+    /// the row, as `t_apply` does. The shift term and the `1/√n` scale
+    /// are then applied per draw.
     pub fn t_apply_rows(&self, w: &Matrix) -> Matrix {
         let n = self.num_rows();
         assert_eq!(w.cols(), n, "t_apply_rows: weight length mismatch");
@@ -280,27 +290,42 @@ impl Grads {
             }
             Grads::Sparse { rows, shift } => {
                 let d = self.dim();
-                // Parallel over draws (rows of `w`, chunk size 1 — one
-                // draw applies the whole factor); each draw repeats the
-                // exact `t_apply` sequence, so rows match bitwise.
-                par_rows_matrix_with(w.rows(), d, 1, |range, block| {
-                    for (local, i) in range.enumerate() {
-                        let wrow = w.row(i);
-                        let out = &mut block[local * d..(local + 1) * d];
-                        let w_sum: f64 = wrow.iter().sum();
-                        for (row, &wi) in rows.iter().zip(wrow) {
-                            if wi != 0.0 {
-                                row.add_scaled_into(wi, out);
+                // Groups of eight draws, one group per chunk, written in
+                // place.
+                let mut out = Matrix::zeros(w.rows(), d);
+                par_fill_slice(
+                    out.as_mut_slice(),
+                    (DRAW_LANES * d).max(1),
+                    |range, block| {
+                        let draws = range.start / d..range.end / d;
+                        // The group's weights, draw-minor: row i's weights
+                        // adjacent, 0.0 for the draws past the group's end.
+                        let mut wt = vec![0.0; n * DRAW_LANES];
+                        for (t, draw) in draws.clone().enumerate() {
+                            for (lanes, &wi) in wt.chunks_exact_mut(DRAW_LANES).zip(w.row(draw)) {
+                                lanes[t] = wi;
                             }
                         }
-                        for (o, &c) in out.iter_mut().zip(shift) {
-                            *o += w_sum * c;
+                        let mut acc = vec![0.0; d * DRAW_LANES];
+                        for (row, lanes) in rows.iter().zip(wt.chunks_exact(DRAW_LANES)) {
+                            simd::sparse_row_outer_add(
+                                row.indices(),
+                                row.values(),
+                                lanes,
+                                &mut acc,
+                            );
                         }
-                        for o in out.iter_mut() {
-                            *o *= inv_sqrt_n;
+                        let outs = draws.zip(block.chunks_exact_mut(d));
+                        for (t, (draw, out)) in outs.enumerate() {
+                            let w_sum: f64 = w.row(draw).iter().sum();
+                            let lanes = acc.chunks_exact(DRAW_LANES);
+                            for ((o, a), &c) in out.iter_mut().zip(lanes).zip(shift) {
+                                *o = (a[t] + w_sum * c) * inv_sqrt_n;
+                            }
                         }
-                    }
-                })
+                    },
+                );
+                out
             }
         }
     }
@@ -581,15 +606,149 @@ mod tests {
         }
     }
 
+    /// Every row of `t_apply_rows(w)` equals `t_apply` of that weight
+    /// row in every bit, at thread budgets {1, 4}.
+    fn assert_t_apply_rows_is_per_draw(g: &Grads, w: &Matrix, what: &str) {
+        use blinkml_data::parallel::set_max_threads;
+        let _budget = blinkml_linalg::testing::budget_lock();
+        for budget in [1, 4] {
+            set_max_threads(Some(budget));
+            let out = g.t_apply_rows(w);
+            assert_eq!(out.shape(), (w.rows(), g.dim()), "{what}");
+            for i in 0..w.rows() {
+                let want = g.t_apply(w.row(i));
+                for (k, (a, b)) in out.row(i).iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{what}, budget {budget}, draw {i}, entry {k}: {a:e} vs {b:e}"
+                    );
+                }
+            }
+        }
+        set_max_threads(None);
+    }
+
+    /// `draws × n` weights cycling through random values, `0.0` and
+    /// `-0.0`; `zero_col` (when in range) weighs `0.0` in every draw but
+    /// every third, which weighs `-1.5`.
+    fn edge_weights(draws: usize, n: usize, zero_col: usize, seed: u64) -> Matrix {
+        let mut w = blinkml_linalg::testing::xorshift_matrix(draws, n, seed);
+        for i in 0..draws {
+            for j in 0..n {
+                match (i * 5 + j * 3) % 7 {
+                    2 => w[(i, j)] = 0.0,
+                    5 => w[(i, j)] = -0.0,
+                    _ => {}
+                }
+            }
+            if zero_col < n {
+                w[(i, zero_col)] = if i % 3 == 2 { -1.5 } else { 0.0 };
+            }
+        }
+        w
+    }
+
     #[test]
     fn t_apply_rows_is_bitwise_per_draw() {
         let w = Matrix::from_vec(2, 3, vec![0.3, -1.2, 0.8, 0.0, 2.0, -0.5]);
-        for g in [dense_example(), sparse_example()] {
-            let out = g.t_apply_rows(&w);
-            for i in 0..2 {
-                assert_eq!(out.row(i), g.t_apply(w.row(i)).as_slice(), "draw {i}");
+        assert_t_apply_rows_is_per_draw(&dense_example(), &w, "dense example");
+        assert_t_apply_rows_is_per_draw(&sparse_example(), &w, "sparse example");
+        // Edge rows (empty, stored ±0.0, shared and disjoint supports),
+        // plus one row holding ±inf whose weight is 0.0 in most draws:
+        // skipped there, never multiplied. Draw counts around the
+        // eight-draw group.
+        let d = 29;
+        let shift: Vec<f64> = (0..d).map(|k| 0.125 * (k % 5) as f64 - 0.25).collect();
+        for n in [0, 1, 13] {
+            let mut rows = edge_case_rows(n, d, 17 + n as u64);
+            let inf_row = n / 2;
+            if n > 0 {
+                let values = (0..d).map(|k| match k % 9 {
+                    0 => f64::INFINITY,
+                    4 => f64::NEG_INFINITY,
+                    _ => 0.5,
+                });
+                rows[inf_row] = SparseVec::new(
+                    d,
+                    (0..d as u32).step_by(2).collect(),
+                    values.step_by(2).collect(),
+                );
+            }
+            let g = Grads::Sparse {
+                rows,
+                shift: shift.clone(),
+            };
+            for draws in [1, 7, 8, 9, 17] {
+                let w = edge_weights(draws, n, inf_row, draws as u64);
+                assert_t_apply_rows_is_per_draw(
+                    &g,
+                    &w,
+                    &format!("edge rows, n = {n}, {draws} draws"),
+                );
             }
         }
+        // Real maxent gradient rows (K = 5, D = 300 > n = 130, βθ shift).
+        let data = blinkml_data::generators::yelp_like(130, 60, 5);
+        let spec = crate::models::MaxEntSpec::new(1e-3, 5);
+        let theta: Vec<f64> = (0..300)
+            .map(|i| ((i * 7) % 13) as f64 * 0.05 - 0.3)
+            .collect();
+        let g = crate::testing::view_grads(&spec, &theta, &data);
+        assert!(matches!(g, Grads::Sparse { .. }));
+        for draws in [1, 9, 17] {
+            let w = edge_weights(draws, 130, usize::MAX, 40 + draws as u64);
+            assert_t_apply_rows_is_per_draw(&g, &w, &format!("maxent yelp_like, {draws} draws"));
+        }
+    }
+
+    /// `Grads::gram` mirrors every entry, so `G[i][j]` and `G[j][i]`
+    /// share their bits and the statistics phase decomposes it with no
+    /// symmetrize pass: dense and sparse layouts, `n` across the 64-row
+    /// chunk of `par_symmetric`, thread budgets {1, 4}.
+    #[test]
+    fn gram_is_exactly_symmetric() {
+        use blinkml_data::parallel::set_max_threads;
+        let d = 37;
+        let shift: Vec<f64> = (0..d).map(|k| 0.25 - 0.0625 * (k % 9) as f64).collect();
+        let data = blinkml_data::generators::yelp_like(130, 60, 5);
+        let spec = crate::models::MaxEntSpec::new(1e-3, 5);
+        let theta: Vec<f64> = (0..300).map(|i| (i as f64 * 0.37).sin() * 0.2).collect();
+        let layouts = [
+            (
+                "dense",
+                Grads::Dense(blinkml_linalg::testing::xorshift_matrix(130, d, 8)),
+            ),
+            (
+                "sparse edge rows",
+                Grads::Sparse {
+                    rows: edge_case_rows(130, d, 9),
+                    shift,
+                },
+            ),
+            (
+                "maxent yelp_like",
+                crate::testing::view_grads(&spec, &theta, &data),
+            ),
+        ];
+        let _budget = blinkml_linalg::testing::budget_lock();
+        for budget in [1, 4] {
+            set_max_threads(Some(budget));
+            for (what, g) in &layouts {
+                let gram = g.gram();
+                let n = gram.rows();
+                for i in 0..n {
+                    for j in 0..i {
+                        assert_eq!(
+                            gram[(i, j)].to_bits(),
+                            gram[(j, i)].to_bits(),
+                            "{what}, budget {budget}: ({i}, {j})"
+                        );
+                    }
+                }
+            }
+        }
+        set_max_threads(None);
     }
 
     #[test]

@@ -125,7 +125,7 @@ pub struct DrawScores<'s> {
 
 /// Rows per block of the blocked difference loops: a kernel checks its
 /// stop threshold once per block.
-const STOP_BLOCK: usize = 256;
+pub(crate) const STOP_BLOCK: usize = 256;
 
 impl DrawScores<'_> {
     /// Number of holdout rows.

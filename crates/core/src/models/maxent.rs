@@ -64,13 +64,22 @@ fn log_sum_exp(scores: &[f64]) -> f64 {
 }
 
 /// Index of the maximum score (lowest index wins ties).
+///
+/// A later score wins only when it is strictly greater than the best so
+/// far, so ties (`0.0` against `-0.0` too) keep the lower index, a `NaN`
+/// never wins, and a `NaN` first score is never beaten. The update is a
+/// branchless select: the holdout loops of `margin_diff_sum` call this
+/// twice per row, where a compare-and-branch mispredicts often.
 #[inline]
 fn argmax(scores: &[f64]) -> usize {
-    let mut best = 0;
+    let Some(&first) = scores.first() else {
+        return 0;
+    };
+    let (mut best, mut top) = (0, first);
     for (i, &s) in scores.iter().enumerate().skip(1) {
-        if s > scores[best] {
-            best = i;
-        }
+        let wins = s > top;
+        best = if wins { i } else { best };
+        top = if wins { s } else { top };
     }
     best
 }
@@ -418,6 +427,135 @@ mod tests {
     fn argmax_breaks_ties_low() {
         assert_eq!(argmax(&[1.0, 1.0, 0.5]), 0);
         assert_eq!(argmax(&[0.1, 0.9, 0.9]), 1);
+    }
+
+    /// The compare-and-branch argmax `argmax` replaced: the oracle its
+    /// index is pinned to.
+    fn argmax_branchy(scores: &[f64]) -> usize {
+        let mut best = 0;
+        for (i, &s) in scores.iter().enumerate().skip(1) {
+            if s > scores[best] {
+                best = i;
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn argmax_matches_branchy_on_every_tuple() {
+        let palette = [
+            f64::NAN,
+            f64::NEG_INFINITY,
+            -1.0,
+            -0.0,
+            0.0,
+            1.0,
+            f64::INFINITY,
+        ];
+        let p = palette.len();
+        for k in 1..=4 {
+            for code in 0..p.pow(k as u32) {
+                let scores: Vec<f64> = (0..k)
+                    .map(|i| palette[code / p.pow(i as u32) % p])
+                    .collect();
+                assert_eq!(argmax(&scores), argmax_branchy(&scores), "{scores:?}");
+            }
+        }
+        assert_eq!(argmax(&[]), 0);
+    }
+
+    /// `margin_diff_sum` as a per-row loop over [`argmax_branchy`]: each
+    /// compared pair built as `DrawScores::fill` builds it, and the count
+    /// checked against `stop` after every `STOP_BLOCK` rows.
+    fn margin_diff_oracle(s: &DrawScores<'_>, stop: f64) -> f64 {
+        let k = s.outputs;
+        let (mut a, mut b) = (vec![0.0; k], vec![0.0; k]);
+        let mut count = 0.0;
+        for j in 0..s.rows() {
+            for c in 0..k {
+                let e = j * k + c;
+                let sn = s.base[e];
+                match s.w {
+                    None => (a[c], b[c]) = (sn, sn + s.scale_u * s.u[e]),
+                    Some((w, sw)) => {
+                        let sn = sn + s.scale_u * s.u[e];
+                        (a[c], b[c]) = (sn, sn + sw * w[e]);
+                    }
+                }
+            }
+            if argmax_branchy(&a) != argmax_branchy(&b) {
+                count += 1.0;
+            }
+            if (j + 1) % crate::mcs::STOP_BLOCK == 0 && count > stop {
+                break;
+            }
+        }
+        count
+    }
+
+    /// `len` scores drawn from a palette of ties, `±0.0`, NaN and small
+    /// exact values, with a random value in one slot of eight.
+    fn tie_scores(len: usize, seed: u64) -> Vec<f64> {
+        let palette = [-1.0, -0.0, 0.0, 0.5, 0.5, 1.0, f64::NAN, 2.0];
+        let random = blinkml_linalg::testing::xorshift_matrix(1, len, seed);
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|i| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                match (state >> 11) % 9 {
+                    8 => random[(0, i)],
+                    c => palette[c as usize],
+                }
+            })
+            .collect()
+    }
+
+    /// The branchless kernel against the per-row branchy oracle, result
+    /// bits equal: ties, NaN and ±0 scores, K ∈ {2, 3, 5, 7}, holdouts
+    /// across the 256-row stop block, finite stops (the early-exit
+    /// partial sums must match) and one- and two-stage draws. The
+    /// per-row `predict_from_margins` matches the oracle's argmax too.
+    #[test]
+    fn margin_diff_sum_is_bitwise_branchy_oracle() {
+        type M = dyn ModelClassSpec<blinkml_data::DenseVec>;
+        for k in [2, 3, 5, 7] {
+            let spec = MaxEntSpec::new(1e-3, k);
+            for rows in [1, 255, 256, 257, 600] {
+                let len = rows * k;
+                let seed = (k * 1000 + rows) as u64;
+                let (base, u, w) = (
+                    tie_scores(len, seed),
+                    tie_scores(len, seed + 1),
+                    tie_scores(len, seed + 2),
+                );
+                for row in base.chunks_exact(k) {
+                    assert_eq!(
+                        <M>::predict_from_margins(&spec, row),
+                        argmax_branchy(row) as f64
+                    );
+                }
+                for two_stage in [false, true] {
+                    let scores = DrawScores {
+                        base: &base,
+                        u: &u,
+                        scale_u: 0.5,
+                        w: two_stage.then_some((w.as_slice(), 0.25)),
+                        outputs: k,
+                    };
+                    for stop in [0.0, 2.0, 40.0, f64::INFINITY] {
+                        let got = <M>::margin_diff_sum(&spec, scores, stop);
+                        let want = margin_diff_oracle(&scores, stop);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "K = {k}, {rows} rows, two-stage {two_stage}, stop {stop}: {got} vs {want}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

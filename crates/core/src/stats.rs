@@ -318,8 +318,9 @@ fn observed_fisher<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
         // nonzero spectrum; keep the factor implicit.
         let (eigenvalues, eigenvectors) = match spectral {
             SpectralMethod::Dense => {
-                let mut g = grads.gram();
-                g.symmetrize();
+                // `Grads::gram` mirrors its upper triangle, so the Gram
+                // is exactly symmetric and needs no symmetrize pass.
+                let g = grads.gram();
                 let eig = SymmetricEigen::new(&g)?;
                 (eig.eigenvalues, eig.eigenvectors)
             }
@@ -596,6 +597,58 @@ mod tests {
             "relative diff {}",
             reference.max_abs_diff(&implicit) / denom
         );
+    }
+
+    /// Every row of `apply_batch(Z)` equals `apply` of that row of `Z`
+    /// in every bit, for the explicit factor (dense logistic, `D ≤ n`)
+    /// and the implicit one (sparse maxent, `D > n`), at thread budgets
+    /// {1, 4}: the pool draws go through `par_gemm_nt` and the sparse
+    /// `Grads::t_apply_rows`, the per-draw path through `gemv` and
+    /// `Grads::t_apply`.
+    #[test]
+    fn apply_batch_rows_are_bitwise_apply() {
+        use blinkml_data::parallel::set_max_threads;
+        let (dense, _) = synthetic_logistic(600, 9, 2.0, 11);
+        let logistic = LogisticRegressionSpec::new(1e-3);
+        let theta = logistic
+            .train(&dense, None, &OptimOptions::default())
+            .unwrap();
+        let explicit =
+            compute_statistics(ObservedFisher, &logistic, theta.parameters(), &dense).unwrap();
+        assert!(matches!(explicit.factor, Factor::Explicit(_)));
+        let sparse = yelp_like(60, 80, 12); // D = 5·80 = 400 > n = 60
+        let maxent = MaxEntSpec::new(1e-3, 5);
+        let theta = maxent
+            .train(&sparse, None, &OptimOptions::default())
+            .unwrap();
+        let implicit =
+            compute_statistics(ObservedFisher, &maxent, theta.parameters(), &sparse).unwrap();
+        assert!(matches!(implicit.factor, Factor::Implicit { .. }));
+        let _budget = blinkml_linalg::testing::budget_lock();
+        for budget in [1, 4] {
+            set_max_threads(Some(budget));
+            for (what, stats) in [("explicit", &explicit), ("implicit", &implicit)] {
+                for draws in [1, 8, 13] {
+                    let z =
+                        blinkml_linalg::testing::xorshift_matrix(draws, stats.rank(), draws as u64);
+                    let batch = stats.apply_batch(&z);
+                    for i in 0..draws {
+                        let one = stats.apply(z.row(i));
+                        let (got, want): (Vec<u64>, Vec<u64>) = batch
+                            .row(i)
+                            .iter()
+                            .zip(&one)
+                            .map(|(a, b)| (a.to_bits(), b.to_bits()))
+                            .unzip();
+                        assert_eq!(
+                            got, want,
+                            "{what}, budget {budget}, {draws} draws, draw {i}"
+                        );
+                    }
+                }
+            }
+        }
+        set_max_threads(None);
     }
 
     #[test]

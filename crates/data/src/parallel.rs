@@ -19,7 +19,7 @@
 
 pub use blinkml_linalg::exec::{
     max_threads, par_fill_slice, par_map_reduce_matrix, par_ranges, par_ranges_with,
-    par_rows_matrix, par_rows_matrix_with, par_sum_vecs, set_max_threads, CHUNK_SIZE,
+    par_rows_matrix, par_sum_vecs, set_max_threads, CHUNK_SIZE,
 };
 
 #[cfg(test)]

@@ -11,6 +11,7 @@
 
 use crate::exec;
 use crate::matrix::Matrix;
+use crate::simd;
 use crate::vector::dot;
 use crate::{LinalgError, Result};
 use std::ops::Range;
@@ -123,6 +124,14 @@ pub fn gemm_tn(a: &Matrix, b: &Matrix) -> Result<Matrix> {
 }
 
 /// `C = A Bᵀ` without forming `Bᵀ`.
+///
+/// Every entry is bitwise `dot(a_i, b_j)` (NaN payloads aside, which
+/// Rust leaves unspecified): rows of `A` go through
+/// [`simd::rows_dot_multi`] as its requests, against all of `B`'s rows,
+/// with zero biases. The kernel's trailing `+ 0.0` changes no bit
+/// because [`dot`] never returns `-0.0` (its accumulators start at
+/// `+0.0`), and its 4-row × 2-request register tile keeps each entry's
+/// own 4-lane reduction.
 pub fn gemm_nt(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     if a.cols() != b.cols() {
         return Err(LinalgError::ShapeMismatch {
@@ -133,14 +142,29 @@ pub fn gemm_nt(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     }
     let (m, n) = (a.rows(), b.rows());
     let mut c = Matrix::zeros(m, n);
-    for i in 0..m {
-        let arow = a.row(i);
-        let crow = c.row_mut(i);
-        for (j, cij) in crow.iter_mut().enumerate().take(n) {
-            *cij = dot(arow, b.row(j));
-        }
-    }
+    gemm_nt_rows(a, b, 0..m, c.as_mut_slice());
     Ok(c)
+}
+
+/// Rows of `A` per [`simd::rows_dot_multi`] call in [`gemm_nt_rows`]:
+/// 32 requests of a 500-column `A` (128 KB) stay in L2 while each
+/// 4-row group of `B` streams past them.
+const NT_BLOCK: usize = 32;
+
+/// Rows `rows` of `A Bᵀ` into `block` (those rows of the `m × n`
+/// output, row-major): the shared body of [`gemm_nt`] and
+/// [`par_gemm_nt`].
+fn gemm_nt_rows(a: &Matrix, b: &Matrix, rows: Range<usize>, block: &mut [f64]) {
+    let (d, n) = (a.cols(), b.rows());
+    let brows: Vec<&[f64]> = (0..n).map(|j| b.row(j)).collect();
+    let zeros = [0.0; NT_BLOCK];
+    let mut i = rows.start;
+    while i < rows.end {
+        let end = (i + NT_BLOCK).min(rows.end);
+        let out = &mut block[(i - rows.start) * n..];
+        simd::rows_dot_multi(&brows, d, a.rows_slice(i..end), &zeros[..end - i], n, out);
+        i = end;
+    }
 }
 
 /// `C = A B`, cache-blocked over the `k` dimension and parallel over
@@ -193,8 +217,9 @@ fn par_gemm_blocked(a: &Matrix, b: &Matrix) -> Result<Matrix> {
 
 /// `C = A Bᵀ`, parallel over chunks of output rows.
 ///
-/// Every output entry is one [`dot`], exactly as in [`gemm_nt`], so the
-/// result is bit-identical to the sequential kernel for any thread
+/// Every output entry is one [`dot`], exactly as in [`gemm_nt`] (each
+/// chunk runs the same [`simd::rows_dot_multi`] body over its rows), so
+/// the result is bit-identical to the sequential kernel for any thread
 /// count — which also makes the single-thread / small-problem dispatch
 /// to [`gemm_nt`] result-neutral. This is the kernel behind batched
 /// covariance-factor application (`Z Lᵀ` for a pool of draws).
@@ -216,15 +241,8 @@ pub fn par_gemm_nt(a: &Matrix, b: &Matrix) -> Result<Matrix> {
 /// The chunked body of [`par_gemm_nt`], reachable past the dispatch so
 /// the kernel-equivalence tests exercise it even on a one-core budget.
 fn par_gemm_nt_chunked(a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    let (m, n) = (a.rows(), b.rows());
-    Ok(exec::par_rows_matrix(m, n, |range, block| {
-        for (local, i) in range.enumerate() {
-            let arow = a.row(i);
-            let crow = &mut block[local * n..(local + 1) * n];
-            for (j, cij) in crow.iter_mut().enumerate() {
-                *cij = dot(arow, b.row(j));
-            }
-        }
+    Ok(exec::par_rows_matrix(a.rows(), b.rows(), |range, block| {
+        gemm_nt_rows(a, b, range, block)
     }))
 }
 
@@ -534,6 +552,104 @@ mod tests {
         assert_eq!(seq.as_slice(), par.as_slice(), "must match bitwise");
         let dispatched = par_gemm(&a, &b).unwrap();
         assert_eq!(seq.as_slice(), dispatched.as_slice(), "dispatch neutral");
+    }
+
+    /// The per-entry `dot` loop `gemm_nt` ran before it went through
+    /// `simd::rows_dot_multi`: the oracle its bits are pinned to.
+    fn gemm_nt_per_entry(a: &Matrix, b: &Matrix) -> Matrix {
+        Matrix::from_fn(a.rows(), b.rows(), |i, j| dot(a.row(i), b.row(j)))
+    }
+
+    /// Random `m × d` and `n × d` factors with special rows: `a` row 1
+    /// is all `-0.0` and `b` row 1 all `0.25`, so their entry's products
+    /// are all `-0.0`; `a` row 2 is all `+0.0`; `a` row 3 opens with
+    /// `+inf`, and `b` row 3 holds `-inf` last and NaN in the middle.
+    fn nt_factors(m: usize, n: usize, d: usize, seed: u64) -> (Matrix, Matrix) {
+        let mut a = rand_matrix(m, d, seed);
+        let mut b = rand_matrix(n, d, seed + 1);
+        if d > 0 {
+            if m > 1 {
+                a.row_mut(1).fill(-0.0);
+            }
+            if m > 2 {
+                a.row_mut(2).fill(0.0);
+            }
+            if m > 3 {
+                a[(3, 0)] = f64::INFINITY;
+            }
+            if n > 1 {
+                b.row_mut(1).fill(0.25);
+            }
+            if n > 3 {
+                b[(3, d - 1)] = f64::NEG_INFINITY;
+                b[(3, d / 2)] = f64::NAN;
+            }
+        }
+        (a, b)
+    }
+
+    /// Bits with every NaN mapped to one value: Rust leaves NaN payloads
+    /// and signs unspecified, and the kernel multiplies `b·a` where the
+    /// oracle multiplies `a·b`.
+    fn bits_nan_canonical(m: &Matrix) -> Vec<u64> {
+        m.as_slice()
+            .iter()
+            .map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits())
+            .collect()
+    }
+
+    /// `gemm_nt`, `par_gemm_nt` and its chunked body equal the per-entry
+    /// `dot` loop in every bit (NaN as NaN): `d` below 8 (the scalar
+    /// fallback) and not a multiple of 4, row and request counts off the
+    /// 4 × 2 tile and across the 32-request block, entries whose products
+    /// are all `-0.0`, ±inf and NaN entries, more rows than one
+    /// execution chunk, and thread budgets {1, 4}.
+    #[test]
+    fn gemm_nt_is_bitwise_per_entry_dot() {
+        let _budget = crate::testing::budget_lock();
+        let shapes = [
+            (1, 1),
+            (3, 5),
+            (4, 2),
+            (5, 7),
+            (9, 3),
+            (33, 11),
+            (65, 6),
+            (0, 3),
+            (2, 0),
+        ];
+        for budget in [1, 4] {
+            exec::set_max_threads(Some(budget));
+            for d in [0, 1, 3, 4, 7, 8, 9, 13, 16, 37] {
+                for (s, &(m, n)) in shapes.iter().enumerate() {
+                    let (a, b) = nt_factors(m, n, d, 11 + s as u64);
+                    let want = bits_nan_canonical(&gemm_nt_per_entry(&a, &b));
+                    let what = format!("budget {budget}, {m} x {n}, d = {d}");
+                    assert_eq!(
+                        bits_nan_canonical(&gemm_nt(&a, &b).unwrap()),
+                        want,
+                        "{what}"
+                    );
+                    let par = par_gemm_nt(&a, &b).unwrap();
+                    assert_eq!(bits_nan_canonical(&par), want, "{what}, dispatched");
+                    let chunked = par_gemm_nt_chunked(&a, &b).unwrap();
+                    assert_eq!(bits_nan_canonical(&chunked), want, "{what}, chunked");
+                }
+            }
+            let (a, b) = nt_factors(exec::CHUNK_SIZE + 5, 7, 9, 3);
+            let want = bits_nan_canonical(&gemm_nt_per_entry(&a, &b));
+            let chunked = par_gemm_nt_chunked(&a, &b).unwrap();
+            assert_eq!(
+                bits_nan_canonical(&chunked),
+                want,
+                "budget {budget}, two chunks"
+            );
+        }
+        exec::set_max_threads(None);
+        let (a, b) = nt_factors(4, 4, 9, 5);
+        let c = gemm_nt(&a, &b).unwrap();
+        assert_eq!(c[(1, 1)].to_bits(), 0.0f64.to_bits(), "all -0.0 products");
+        assert!(c[(3, 3)].is_nan() && c[(3, 0)].is_infinite());
     }
 
     #[test]

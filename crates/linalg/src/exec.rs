@@ -148,17 +148,7 @@ pub fn par_rows_matrix<F>(rows: usize, cols: usize, fill: F) -> Matrix
 where
     F: Fn(Range<usize>, &mut [f64]) + Sync,
 {
-    par_rows_matrix_with(rows, cols, CHUNK_SIZE, fill)
-}
-
-/// [`par_rows_matrix`] with an explicit chunk size, for kernels whose
-/// per-row work is far from one "example" (e.g. one pooled draw applies
-/// a whole covariance factor, so the batched samplers chunk per row).
-pub fn par_rows_matrix_with<F>(rows: usize, cols: usize, chunk_size: usize, fill: F) -> Matrix
-where
-    F: Fn(Range<usize>, &mut [f64]) + Sync,
-{
-    let mut blocks = par_ranges_with(rows, chunk_size, |range| {
+    let mut blocks = par_ranges(rows, |range| {
         let mut block = vec![0.0; range.len() * cols];
         fill(range, &mut block);
         block

@@ -28,6 +28,18 @@
 //!   accumulators (each weight load shared by four rows, each row load
 //!   by two requests) and an 8-column × 4-request tile of gradient
 //!   outputs (each row load shared by four requests).
+//!   [`crate::blas::gemm_nt`] runs its `A·Bᵀ` through
+//!   [`rows_dot_multi`] with `B`'s rows as the rows, `A`'s as the
+//!   requests and zero biases: each entry is `dot(b_j, a_i) + 0.0`,
+//!   which is `dot(a_i, b_j)` in every bit (NaN payloads aside, which
+//!   Rust leaves unspecified) because `dot` never returns `-0.0`.
+//! * [`sparse_row_outer_add`] (one sparse row times a weight vector,
+//!   added into a row-major table: the draw-blocked sparse `Ψᵀ` of the
+//!   covariance factor) adds, to each output, its terms in storage
+//!   order and skips every column whose weight is `0.0` or `-0.0`. The
+//!   AVX body holds 8 weights in two registers and keeps the old value
+//!   through a blend where the weight is zero, so a zero weight never
+//!   multiplies an infinite value or turns a `-0.0` output into `+0.0`.
 //! * `givens_rows` (crate-internal, the eigensolver's rotation) is
 //!   elementwise, so each element's bits are those of the scalar loop.
 //! * [`rows_times_table`] (dense rows times a table, the holdout scoring
@@ -299,6 +311,33 @@ pub fn sparse_row_times_table(
     sparse_row_times_table_fallback(indices, values, table, width, out);
 }
 
+/// `out[k·w.len() + c] += w[c] · v` for every stored entry `(k, v)` of
+/// one sparse row, in storage order, and every column `c` whose weight
+/// is not `0.0` or `-0.0`: the outer product of the row with `w` added
+/// into a row-major table. A zero weight skips its column, so it never
+/// multiplies an infinite `v` and never turns a `-0.0` output into
+/// `+0.0`. Bit-identical to the per-column loop that skips zero weights.
+///
+/// # Panics
+/// Panics when `indices.len() != values.len()` or an index names a table
+/// row past `out.len() / w.len()`.
+pub fn sparse_row_outer_add(indices: &[u32], values: &[f64], w: &[f64], out: &mut [f64]) {
+    let width = w.len();
+    assert_eq!(
+        indices.len(),
+        values.len(),
+        "sparse_row_outer_add: index/value length mismatch"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if width >= 4 && is_x86_feature_detected!("avx") {
+        // SAFETY: AVX presence just checked; the kernel checks each
+        // index against the table height before it touches the row.
+        unsafe { sparse_row_outer_add_avx(indices, values, w, out) };
+        return;
+    }
+    sparse_row_outer_add_fallback(indices, values, w, out);
+}
+
 /// `out[q·ld + r] = dot(rows[r], w_q) + biases[q]`, where `w_q =
 /// ws[q·d..(q+1)·d]`: the margins of `biases.len()` weight vectors over
 /// one block of dense rows, each request's margins `ld` apart in `out`.
@@ -457,6 +496,35 @@ fn sparse_row_times_table_fallback(
         let row = &table[i as usize * width..(i as usize + 1) * width];
         for (o, &t) in out.iter_mut().zip(row) {
             *o += v * t;
+        }
+    }
+}
+
+/// Table row `k` of [`sparse_row_outer_add`], checked to lie inside a
+/// `len`-long table of `width`-wide rows. The kernels check each index
+/// as they reach it: a separate pass with an early exit cost a third of
+/// the kernel's time.
+#[inline(always)]
+fn outer_row(k: u32, width: usize, len: usize) -> usize {
+    let k = k as usize;
+    assert!(
+        (k + 1) * width <= len,
+        "sparse_row_outer_add: index out of table range"
+    );
+    k
+}
+
+/// Scalar reference for [`sparse_row_outer_add`]: per stored entry, one
+/// axpy of the nonzero weights into its table row.
+fn sparse_row_outer_add_fallback(indices: &[u32], values: &[f64], w: &[f64], out: &mut [f64]) {
+    let width = w.len();
+    for (&k, &v) in indices.iter().zip(values) {
+        let k = outer_row(k, width, out.len());
+        let row = &mut out[k * width..(k + 1) * width];
+        for (o, &wc) in row.iter_mut().zip(w) {
+            if wc != 0.0 {
+                *o += wc * v;
+            }
         }
     }
 }
@@ -1246,6 +1314,60 @@ unsafe fn sparse_tile<const SKIP: bool>(
     }
 }
 
+/// AVX [`sparse_row_outer_add`]: 8-column tiles (two `__m256d` weight
+/// registers), then a 4-column tile, then single columns. Each tile
+/// walks the stored entries in order, adding `w·v` to its table row
+/// through a blend that keeps the old value in zero-weight columns.
+///
+/// # Safety
+/// The CPU must support AVX and `w` must hold at least 4 weights.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn sparse_row_outer_add_avx(indices: &[u32], values: &[f64], w: &[f64], out: &mut [f64]) {
+    use std::arch::x86_64::*;
+    let (width, len) = (w.len(), out.len());
+    let (wp, op) = (w.as_ptr(), out.as_mut_ptr());
+    let zero = _mm256_setzero_pd();
+    let mut c = 0;
+    while c + 8 <= width {
+        let w0 = _mm256_loadu_pd(wp.add(c));
+        let w1 = _mm256_loadu_pd(wp.add(c + 4));
+        // Rust's `w != 0.0`: true for NaN too.
+        let m0 = _mm256_cmp_pd(w0, zero, _CMP_NEQ_UQ);
+        let m1 = _mm256_cmp_pd(w1, zero, _CMP_NEQ_UQ);
+        for (&k, &v) in indices.iter().zip(values) {
+            let o = op.add(outer_row(k, width, len) * width + c);
+            let xv = _mm256_set1_pd(v);
+            let (a0, a1) = (_mm256_loadu_pd(o), _mm256_loadu_pd(o.add(4)));
+            let s0 = _mm256_add_pd(a0, _mm256_mul_pd(w0, xv));
+            let s1 = _mm256_add_pd(a1, _mm256_mul_pd(w1, xv));
+            _mm256_storeu_pd(o, _mm256_blendv_pd(a0, s0, m0));
+            _mm256_storeu_pd(o.add(4), _mm256_blendv_pd(a1, s1, m1));
+        }
+        c += 8;
+    }
+    if c + 4 <= width {
+        let w0 = _mm256_loadu_pd(wp.add(c));
+        let m0 = _mm256_cmp_pd(w0, zero, _CMP_NEQ_UQ);
+        for (&k, &v) in indices.iter().zip(values) {
+            let o = op.add(outer_row(k, width, len) * width + c);
+            let a0 = _mm256_loadu_pd(o);
+            let s0 = _mm256_add_pd(a0, _mm256_mul_pd(w0, _mm256_set1_pd(v)));
+            _mm256_storeu_pd(o, _mm256_blendv_pd(a0, s0, m0));
+        }
+        c += 4;
+    }
+    for c in c..width {
+        let wc = *wp.add(c);
+        if wc == 0.0 {
+            continue;
+        }
+        for (&k, &v) in indices.iter().zip(values) {
+            *op.add(outer_row(k, width, len) * width + c) += wc * v;
+        }
+    }
+}
+
 /// Givens rotation of two equal-length rows, elementwise:
 /// `(a, b) ← (c·a − s·b, s·a + c·b)` — the eigenvector update of the QL
 /// iteration in [`crate::eigen`], which keeps its transform transposed
@@ -1522,6 +1644,62 @@ mod tests {
         }
     }
 
+    /// The outer-product kernel's AVX dispatch against the scalar loop
+    /// (NaN bits canonical), over widths 1–20 (8-, 4- and 1-column
+    /// tiles), empty rows and rows with ±inf, NaN, `0.0` and `-0.0`
+    /// values, weights with `0.0`, `-0.0`, ±inf and NaN, and a table
+    /// starting from nonzero and `-0.0` values. A zero-weight column
+    /// keeps its start value in every bit, even under an infinite `v`.
+    #[test]
+    fn sparse_row_outer_add_fallback_matches_dispatch() {
+        let d = 23;
+        for nnz_every in [1, 2, 5, d + 1] {
+            let indices: Vec<u32> = (0..d as u32)
+                .filter(|k| k % nnz_every as u32 == 0)
+                .collect();
+            let values: Vec<f64> = indices
+                .iter()
+                .zip(block(1, indices.len(), 110))
+                .map(|(&k, v)| match k % 7 {
+                    1 => f64::INFINITY,
+                    3 => -0.0,
+                    4 => 0.0,
+                    5 if k % 2 == 0 => f64::NEG_INFINITY,
+                    6 if k % 3 == 0 => f64::NAN,
+                    _ => v,
+                })
+                .collect();
+            for width in 1..=20 {
+                let w: Vec<f64> = block(1, width, 120 + width as u64)
+                    .into_iter()
+                    .enumerate()
+                    .map(|(c, v)| match c % 6 {
+                        1 => 0.0,
+                        4 => -0.0,
+                        5 if c % 4 == 1 => f64::INFINITY,
+                        5 if c % 4 == 3 => f64::NAN,
+                        _ => v,
+                    })
+                    .collect();
+                let start = start_values(d * width, 130);
+                let (mut fast, mut slow) = (start.clone(), start.clone());
+                sparse_row_outer_add(&indices, &values, &w, &mut fast);
+                sparse_row_outer_add_fallback(&indices, &values, &w, &mut slow);
+                let what = format!("nnz every {nnz_every}, width {width}");
+                assert_eq!(
+                    bits_nan_canonical(&fast),
+                    bits_nan_canonical(&slow),
+                    "{what}"
+                );
+                for (e, (f, s0)) in fast.iter().zip(&start).enumerate() {
+                    if w[e % width] == 0.0 {
+                        assert_eq!(f.to_bits(), s0.to_bits(), "{what}: entry {e}");
+                    }
+                }
+            }
+        }
+    }
+
     /// Bits with every NaN mapped to one value: Rust leaves NaN payloads
     /// and signs unspecified, so two equal DAGs may disagree on them.
     fn bits_nan_canonical(v: &[f64]) -> Vec<u64> {
@@ -1685,6 +1863,13 @@ mod tests {
     fn sparse_row_times_table_rejects_out_of_range_index() {
         let mut out = vec![0.0; 4];
         sparse_row_times_table(&[0, 3], &[1.0, 1.0], &[0.0; 12], 4, &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "sparse_row_outer_add: index out of table range")]
+    fn sparse_row_outer_add_rejects_out_of_range_index() {
+        let mut out = vec![0.0; 12];
+        sparse_row_outer_add(&[0, 3], &[1.0, 1.0], &[1.0; 4], &mut out);
     }
 
     #[test]
