@@ -120,7 +120,6 @@ fn main() {
                     holdout_size: holdout.len(),
                     num_param_samples: k,
                     statistics_method: StatisticsMethod::ObservedFisher,
-                    spectral: Default::default(),
                     optim: OptimOptions::default(),
                     estimate_final_accuracy: false,
                     exec: Default::default(),

@@ -72,7 +72,6 @@ fn main() {
             holdout_size: 2_000,
             num_param_samples: k,
             statistics_method: StatisticsMethod::ObservedFisher,
-            spectral: Default::default(),
             optim: OptimOptions::default(),
             estimate_final_accuracy: false,
             exec: Default::default(),

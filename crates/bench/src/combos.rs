@@ -285,7 +285,6 @@ impl<F: FeatureVec, S: ModelClassSpec<F>> TypedCombo<F, S> {
             holdout_size: HOLDOUT_SIZE,
             num_param_samples: k,
             statistics_method: StatisticsMethod::ObservedFisher,
-            spectral: Default::default(),
             optim: OptimOptions::default(),
             estimate_final_accuracy: false,
             exec: Default::default(),

@@ -28,56 +28,6 @@ impl StatisticsMethod {
     }
 }
 
-/// How the statistics phase eigendecomposes the second-moment / Gram
-/// matrix behind the covariance factor.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum SpectralMethod {
-    /// Full `tred2`/`tql2` eigendecomposition — exact, `O(min(D,n₀)³)`.
-    #[default]
-    Dense,
-    /// Truncated randomized subspace iteration over a matrix-free
-    /// operator (`blinkml_linalg::spectral`): `O(min(D,n₀)²·r)` blocked
-    /// GEMMs for the dominant `r` eigenpairs, with adaptive rank growth
-    /// until the spectral tail falls below `tol` relative to `λ_max`.
-    /// The truncation tolerance is folded into the statistics module's
-    /// eigenvalue cutoff, so dropped directions are exactly the ones the
-    /// tail bound covers and downstream ε / sample-size estimates stay
-    /// conservative.
-    Randomized {
-        /// Number of dominant eigenpairs to resolve before oversampling.
-        rank: usize,
-        /// Extra probe vectors beyond `rank` (the convergence test reads
-        /// this buffer; must be ≥ 1).
-        oversample: usize,
-        /// Subspace-iteration passes (1–2 suffice for the geometrically
-        /// decaying spectra of regularized Fisher/Gram matrices).
-        power_iters: usize,
-        /// Relative spectral-tail tolerance.
-        tol: f64,
-    },
-}
-
-impl SpectralMethod {
-    /// Randomized method with the workspace defaults (rank 32,
-    /// oversample 8, one power iteration, tail tolerance `1e-6`).
-    pub fn randomized() -> Self {
-        SpectralMethod::Randomized {
-            rank: 32,
-            oversample: 8,
-            power_iters: 1,
-            tol: 1e-6,
-        }
-    }
-
-    /// Human-readable name used in reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SpectralMethod::Dense => "Dense",
-            SpectralMethod::Randomized { .. } => "Randomized",
-        }
-    }
-}
-
 /// Execution-layer configuration: how the deterministic parallel kernels
 /// (see `blinkml_data::parallel`) schedule their fixed-size chunks.
 ///
@@ -300,9 +250,6 @@ pub struct BlinkMlConfig {
     pub num_param_samples: usize,
     /// Statistics computation method.
     pub statistics_method: StatisticsMethod,
-    /// Spectral engine behind the statistics method (exact dense
-    /// eigendecomposition, or the truncated randomized solver).
-    pub spectral: SpectralMethod,
     /// Optimizer options for model training.
     pub optim: OptimOptions,
     /// Also compute an accuracy estimate for the final model (extra
@@ -325,7 +272,6 @@ impl Default for BlinkMlConfig {
             holdout_size: 2_000,
             num_param_samples: 100,
             statistics_method: StatisticsMethod::ObservedFisher,
-            spectral: SpectralMethod::Dense,
             optim: OptimOptions::default(),
             estimate_final_accuracy: false,
             exec: ExecConfig::default(),
@@ -367,29 +313,6 @@ impl BlinkMlConfig {
             return Err(CoreError::InvalidConfig(
                 "exec.max_threads must be at least 1 (use None for auto)".into(),
             ));
-        }
-        if let SpectralMethod::Randomized {
-            rank,
-            oversample,
-            tol,
-            ..
-        } = self.spectral
-        {
-            if rank == 0 {
-                return Err(CoreError::InvalidConfig(
-                    "spectral rank must be at least 1".into(),
-                ));
-            }
-            if oversample == 0 {
-                return Err(CoreError::InvalidConfig(
-                    "spectral oversample must be at least 1".into(),
-                ));
-            }
-            if !(tol > 0.0 && tol < 1.0) {
-                return Err(CoreError::InvalidConfig(format!(
-                    "spectral tol must be in (0,1), got {tol}"
-                )));
-            }
         }
         Ok(())
     }
@@ -534,37 +457,5 @@ mod tests {
             StatisticsMethod::InverseGradients.name(),
             "InverseGradients"
         );
-        assert_eq!(SpectralMethod::Dense.name(), "Dense");
-        assert_eq!(SpectralMethod::randomized().name(), "Randomized");
-    }
-
-    #[test]
-    fn rejects_degenerate_spectral_knobs() {
-        let mut c = BlinkMlConfig {
-            spectral: SpectralMethod::Randomized {
-                rank: 0,
-                oversample: 8,
-                power_iters: 1,
-                tol: 1e-6,
-            },
-            ..BlinkMlConfig::default()
-        };
-        assert!(c.validate().is_err());
-        c.spectral = SpectralMethod::Randomized {
-            rank: 16,
-            oversample: 0,
-            power_iters: 1,
-            tol: 1e-6,
-        };
-        assert!(c.validate().is_err());
-        c.spectral = SpectralMethod::Randomized {
-            rank: 16,
-            oversample: 8,
-            power_iters: 1,
-            tol: 0.0,
-        };
-        assert!(c.validate().is_err());
-        c.spectral = SpectralMethod::randomized();
-        assert!(c.validate().is_ok());
     }
 }

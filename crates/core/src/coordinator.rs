@@ -456,15 +456,7 @@ fn fit_sample<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     stats_checkpoint()?;
     let t = Instant::now();
     let stats = with_stats
-        .then(|| {
-            compute_statistics_view(
-                config.statistics_method,
-                config.spectral,
-                spec,
-                model.parameters(),
-                &view,
-            )
-        })
+        .then(|| compute_statistics_view(config.statistics_method, spec, model.parameters(), &view))
         .transpose()?;
     let stats_time = t.elapsed();
     // Give a packed capture's buffers back so the next capture (the
@@ -836,7 +828,6 @@ mod tests {
             holdout_size: 800,
             num_param_samples: 64,
             statistics_method: StatisticsMethod::ObservedFisher,
-            spectral: Default::default(),
             optim: OptimOptions::default(),
             estimate_final_accuracy: false,
             exec: Default::default(),
@@ -940,8 +931,10 @@ mod tests {
         // The execution layer's determinism contract, end to end: a tight
         // contract (forcing the sample-size search and second training)
         // must produce bit-identical results sequentially and with a
-        // multi-thread budget.
+        // multi-thread budget. The budget is process-wide, so hold the
+        // lock the other budget-setting pins in this binary take.
         use crate::config::ExecConfig;
+        let _budget = blinkml_linalg::testing::budget_lock();
         let (data, _) = synthetic_logistic(12_000, 4, 2.0, 8);
         let spec = LogisticRegressionSpec::new(1e-3);
         let mut cfg = config(0.02, 300);

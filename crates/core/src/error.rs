@@ -149,7 +149,7 @@ mod tests {
     fn conversions_and_display() {
         let e: CoreError = OptimError::NonFiniteObjective.into();
         assert!(e.to_string().contains("training failed"));
-        let e: CoreError = LinalgError::Singular { pivot: 1 }.into();
+        let e: CoreError = LinalgError::NotPositiveDefinite { pivot: 1 }.into();
         assert!(e.to_string().contains("statistics"));
         let e = CoreError::UnsupportedStatistics {
             model: "maxent",

@@ -19,14 +19,11 @@
 //! two rows for finite values (see [`Grads::gram`]), which the unit
 //! tests pin with `to_bits` against the merge-join oracle.
 
-use blinkml_data::parallel::{
-    par_fill_slice, par_map_reduce_matrix, par_ranges, par_rows_matrix, par_sum_vecs,
-};
+use blinkml_data::parallel::{par_fill_slice, par_map_reduce_matrix, par_ranges, par_sum_vecs};
 use blinkml_data::{FeatureVec, SparseVec};
-use blinkml_linalg::blas::{ger, par_gemm, par_gemm_tn, par_symmetric, par_syrk_n, par_syrk_t};
+use blinkml_linalg::blas::{ger, par_gemm, par_symmetric, par_syrk_n, par_syrk_t};
 use blinkml_linalg::simd;
-use blinkml_linalg::spectral::SymmetricOp;
-use blinkml_linalg::vector::{axpy, dot};
+use blinkml_linalg::vector::dot;
 use blinkml_linalg::Matrix;
 
 /// Draws per group in the sparse [`Grads::t_apply_rows`]: one 64-byte
@@ -203,66 +200,6 @@ impl Grads {
         out
     }
 
-    /// `Ψ B` — every gradient row dotted against a `D × k` block of
-    /// column vectors, giving `n × k`. The dense layout is one blocked
-    /// parallel GEMM; the sparse layout streams `O(nnz · k)` work plus a
-    /// single shared `cᵀB` row for the shift.
-    pub fn apply_block(&self, b: &Matrix) -> Matrix {
-        assert_eq!(b.rows(), self.dim(), "apply_block: block row mismatch");
-        let k = b.cols();
-        match self {
-            Grads::Dense(m) => par_gemm(m, b).expect("checked dims"),
-            Grads::Sparse { rows, shift } => {
-                // ψᵢ B = sᵢ B + cᵀB, with the shift term shared by all rows.
-                let cb = blinkml_linalg::blas::gemv_t(b, shift).expect("checked dims");
-                par_rows_matrix(rows.len(), k, |range, block| {
-                    for (local, i) in range.enumerate() {
-                        let out = &mut block[local * k..(local + 1) * k];
-                        out.copy_from_slice(&cb);
-                        let (idx, val) = (rows[i].indices(), rows[i].values());
-                        for (&d, &v) in idx.iter().zip(val) {
-                            if v != 0.0 {
-                                axpy(v, b.row(d as usize), out);
-                            }
-                        }
-                    }
-                })
-            }
-        }
-    }
-
-    /// `Ψᵀ W` for an `n × k` block of weight columns, giving `D × k`
-    /// (no `1/√n` scaling — this is the raw reduction the matrix-free
-    /// spectral operators compose). Chunk-reduced in fixed order, so the
-    /// result is machine- and thread-count-independent.
-    pub fn t_apply_block(&self, w: &Matrix) -> Matrix {
-        assert_eq!(w.rows(), self.num_rows(), "t_apply_block: row mismatch");
-        let k = w.cols();
-        let d = self.dim();
-        match self {
-            Grads::Dense(m) => par_gemm_tn(m, w).expect("checked dims"),
-            Grads::Sparse { rows, shift } => {
-                // Ψᵀ W = Σᵢ sᵢ ⊗ wᵢ + c ⊗ (1ᵀW).
-                let mut out = par_map_reduce_matrix(rows.len(), d, k, |range| {
-                    let mut partial = Matrix::zeros(d, k);
-                    for i in range {
-                        let (idx, val) = (rows[i].indices(), rows[i].values());
-                        let wrow = w.row(i);
-                        for (&di, &v) in idx.iter().zip(val) {
-                            if v != 0.0 {
-                                axpy(v, wrow, partial.row_mut(di as usize));
-                            }
-                        }
-                    }
-                    partial
-                });
-                let colsum = par_sum_vecs(rows.len(), k, |i, acc| axpy(1.0, w.row(i), acc));
-                ger(1.0, shift, &colsum, &mut out);
-                out
-            }
-        }
-    }
-
     /// Batched transposed application: row `i` of the result is
     /// `t_apply` of row `i` of `w` (a `k × n` block of weight rows),
     /// giving `k × D` with the `1/√n` scaling applied.
@@ -330,18 +267,6 @@ impl Grads {
         }
     }
 
-    /// Matrix-free view of the second moment `J = (1/n) ΨᵀΨ` (`D × D`)
-    /// for the truncated spectral engine (the `D ≤ n` regime).
-    pub fn second_moment_op(&self) -> SecondMomentOp<'_> {
-        SecondMomentOp { grads: self }
-    }
-
-    /// Matrix-free view of the Gram matrix `G = (1/n) ΨΨᵀ` (`n × n`)
-    /// for the truncated spectral engine (the `D > n` regime).
-    pub fn gram_op(&self) -> GramOp<'_> {
-        GramOp { grads: self }
-    }
-
     /// Materialize row `i` as a dense vector (testing utility).
     pub fn row_dense(&self, i: usize) -> Vec<f64> {
         match self {
@@ -382,49 +307,6 @@ impl Grads {
             *o /= n;
         }
         out
-    }
-}
-
-/// [`SymmetricOp`] over `J = (1/n) ΨᵀΨ` without materializing any
-/// `D × D` matrix: one batched `Ψ B` pass followed by one batched
-/// `Ψᵀ (·)` reduction — `O(n·D·k)` (dense) or `O(nnz·k)` (sparse) per
-/// block apply.
-#[derive(Debug, Clone, Copy)]
-pub struct SecondMomentOp<'a> {
-    grads: &'a Grads,
-}
-
-impl SymmetricOp for SecondMomentOp<'_> {
-    fn dim(&self) -> usize {
-        self.grads.dim()
-    }
-
-    fn apply(&self, block: &Matrix) -> Matrix {
-        let y = self.grads.apply_block(block);
-        let mut z = self.grads.t_apply_block(&y);
-        z.scale(1.0 / self.grads.num_rows().max(1) as f64);
-        z
-    }
-}
-
-/// [`SymmetricOp`] over the Gram matrix `G = (1/n) ΨΨᵀ` without
-/// materializing the `n × n` matrix: the same two batched passes as
-/// [`SecondMomentOp`], composed in the opposite order.
-#[derive(Debug, Clone, Copy)]
-pub struct GramOp<'a> {
-    grads: &'a Grads,
-}
-
-impl SymmetricOp for GramOp<'_> {
-    fn dim(&self) -> usize {
-        self.grads.num_rows()
-    }
-
-    fn apply(&self, block: &Matrix) -> Matrix {
-        let y = self.grads.t_apply_block(block);
-        let mut z = self.grads.apply_block(&y);
-        z.scale(1.0 / self.grads.num_rows().max(1) as f64);
-        z
     }
 }
 
@@ -570,42 +452,6 @@ mod tests {
         assert!((m[1] - 1.0 / 6.0).abs() < 1e-12); // (2 + 0.5 − 2)/3
     }
 
-    #[test]
-    fn apply_block_matches_per_row_dots() {
-        let b = Matrix::from_vec(2, 3, vec![0.5, -1.0, 2.0, 1.5, 0.25, -0.75]);
-        for g in [dense_example(), sparse_example()] {
-            let out = g.apply_block(&b);
-            assert_eq!(out.shape(), (3, 3));
-            for i in 0..3 {
-                let psi = g.row_dense(i);
-                for j in 0..3 {
-                    let expect: f64 = psi.iter().enumerate().map(|(p, v)| v * b[(p, j)]).sum();
-                    assert!((out[(i, j)] - expect).abs() < 1e-12, "({i},{j})");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn t_apply_block_matches_column_t_apply() {
-        let w = Matrix::from_vec(3, 2, vec![1.0, 0.5, -2.0, 0.0, 0.25, 3.0]);
-        for g in [dense_example(), sparse_example()] {
-            let out = g.t_apply_block(&w);
-            assert_eq!(out.shape(), (2, 2));
-            let sqrt_n = 3.0f64.sqrt();
-            for j in 0..2 {
-                // t_apply carries the 1/√n factor; the raw block does not.
-                let col = g.t_apply(&w.col(j));
-                for i in 0..2 {
-                    assert!(
-                        (out[(i, j)] - col[i] * sqrt_n).abs() < 1e-12,
-                        "col {j} row {i}"
-                    );
-                }
-            }
-        }
-    }
-
     /// Every row of `t_apply_rows(w)` equals `t_apply` of that weight
     /// row in every bit, at thread budgets {1, 4}.
     fn assert_t_apply_rows_is_per_draw(g: &Grads, w: &Matrix, what: &str) {
@@ -749,23 +595,6 @@ mod tests {
             }
         }
         set_max_threads(None);
-    }
-
-    #[test]
-    fn spectral_ops_match_materialized_matrices() {
-        for g in [dense_example(), sparse_example()] {
-            let j = g.second_moment();
-            let gram = g.gram();
-            let block = Matrix::from_vec(2, 2, vec![1.0, 0.0, -0.5, 2.0]);
-            let jb = g.second_moment_op().apply(&block);
-            let jb_direct = blinkml_linalg::blas::gemm(&j, &block).unwrap();
-            assert!(jb.max_abs_diff(&jb_direct) < 1e-12);
-
-            let block_n = Matrix::from_vec(3, 2, vec![1.0, 0.5, -1.0, 0.0, 0.25, 2.0]);
-            let gb = g.gram_op().apply(&block_n);
-            let gb_direct = blinkml_linalg::blas::gemm(&gram, &block_n).unwrap();
-            assert!(gb.max_abs_diff(&gb_direct) < 1e-12);
-        }
     }
 
     #[test]

@@ -49,9 +49,7 @@ pub mod sweep;
 pub mod testing;
 
 pub use accuracy::ModelAccuracyEstimator;
-pub use config::{
-    BlinkMlConfig, ExecConfig, ServeConfig, ShedPolicy, SpectralMethod, StatisticsMethod,
-};
+pub use config::{BlinkMlConfig, ExecConfig, ServeConfig, ShedPolicy, StatisticsMethod};
 pub use coordinator::{Coordinator, TrainingOutcome, TrainingPhaseTimes};
 pub use error::CoreError;
 pub use mcs::{DrawScores, ModelClassSpec, SweepEval, TrainedModel};

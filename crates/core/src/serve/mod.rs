@@ -1169,11 +1169,9 @@ impl Server {
             // Persist the warm-state sidecar after the workers joined,
             // so the export sees every drained completion. Best-effort:
             // shutdown never fails because a checkpoint could not be
-            // written (use `persist_pilots` to observe errors).
-            if let Some(path) = &self.shared.serve.pilot_sidecar {
-                let (entries, floors) = self.shared.cache.export();
-                let _ = sidecar::save(path, &entries, &floors);
-            }
+            // written, or because no sidecar is configured (call
+            // `persist_pilots` to observe errors).
+            let _ = self.persist_pilots();
         }
     }
 }
@@ -1985,6 +1983,109 @@ mod tests {
         assert_eq!((stats.pilot_trains, stats.cache_hits), (0, 1));
         server.shutdown();
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// ε₀, ε̂ and θ of an outcome, as bits.
+    fn outcome_bits(o: &TrainingOutcome) -> Vec<u64> {
+        [o.initial_epsilon, o.estimated_epsilon]
+            .iter()
+            .chain(o.model.parameters())
+            .map(|x| x.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn persist_pilots_checkpoints_the_cache_for_a_restart() {
+        let spec = LogisticRegressionSpec::new(1e-3);
+        let sh = shard(1, 3_000, 14);
+        let spawn = |serve: ServeConfig| {
+            Server::spawn(base_config(200), serve, spec.clone(), vec![sh.clone()]).unwrap()
+        };
+        // No sidecar configured: a typed error.
+        let server = spawn(ServeConfig::default());
+        server.query(Query::new(1, 0.2, 0.05, 3)).unwrap();
+        assert!(matches!(
+            server.persist_pilots(),
+            Err(CoreError::InvalidConfig(_))
+        ));
+        server.shutdown();
+
+        let path =
+            std::env::temp_dir().join(format!("blinkml-serve-persist-{}.bin", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let serve = ServeConfig {
+            pilot_sidecar: Some(path.clone()),
+            ..ServeConfig::default()
+        };
+        let server = spawn(serve.clone());
+        let cold: Vec<_> = [3, 4]
+            .map(|seed| server.query(Query::new(1, 0.2, 0.05, seed)).unwrap())
+            .into();
+        assert_eq!(server.persist_pilots().unwrap(), 2);
+        // A second server spawned while the first still runs warms from
+        // the checkpoint alone, not from a shutdown write.
+        let restarted = spawn(serve);
+        assert_eq!(restarted.stats().warm_pilots, 2);
+        for (seed, cold) in [3, 4].into_iter().zip(&cold) {
+            let warm = restarted.query(Query::new(1, 0.2, 0.05, seed)).unwrap();
+            assert_eq!(
+                outcome_bits(&warm.outcome),
+                outcome_bits(&cold.outcome),
+                "seed {seed}"
+            );
+        }
+        let stats = restarted.stats();
+        assert_eq!((stats.pilot_trains, stats.cache_hits), (0, 2));
+        restarted.shutdown();
+        server.shutdown();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn retire_dataset_drops_and_blocks_only_that_dataset() {
+        let spec = LogisticRegressionSpec::new(1e-3);
+        let (a, b) = (shard(1, 3_000, 15), shard(2, 3_000, 16));
+        let server = Server::spawn(
+            base_config(200),
+            ServeConfig::default(),
+            spec.clone(),
+            vec![a.clone(), b],
+        )
+        .unwrap();
+        let q1 = Query::new(1, 0.2, 0.05, 3);
+        let q2 = Query::new(2, 0.2, 0.05, 3);
+        server.query(q1).unwrap();
+        server.query(q2).unwrap();
+        assert_eq!(server.stats().cached_pilots, 2);
+
+        assert_eq!(server.retire_dataset(1), 1);
+        assert_eq!(server.retire_dataset(99), 0, "unknown ids retire nothing");
+        let stats = server.stats();
+        assert_eq!((stats.cached_pilots, stats.pilots_retired), (1, 1));
+        // Dataset 2's pilot survives.
+        server.query(q2).unwrap();
+        assert_eq!(server.stats().cache_hits, 1);
+
+        // Dataset 1 stays queryable and answers as a cold run, but its
+        // pilots are never admitted again: each query retrains.
+        let mut cfg = base_config(200);
+        cfg.epsilon = 0.2;
+        let cold = Coordinator::new(cfg)
+            .train_with_holdout(&spec, &a.train, &a.holdout, 3)
+            .unwrap();
+        for round in 0..2 {
+            let served = server.query(q1).unwrap();
+            assert_eq!(served.outcome.sample_size, cold.sample_size);
+            assert_eq!(
+                outcome_bits(&served.outcome),
+                outcome_bits(&cold),
+                "round {round}"
+            );
+            let stats = server.stats();
+            assert_eq!(stats.pilot_trains, 3 + round, "round {round}");
+            assert_eq!(stats.cached_pilots, 1, "round {round}");
+        }
+        server.shutdown();
     }
 
     #[test]

@@ -79,9 +79,8 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
     /// Open a session: validates the configuration, installs the thread
     /// budget, and builds the pool-resident design matrix.
     ///
-    /// The `epsilon`/`delta` in `config` are the defaults for
-    /// [`Session::train_default`]; [`Session::train`] overrides them per
-    /// query.
+    /// [`Session::train`] and [`Session::sweep`] take the contract
+    /// `(ε, δ)` per query, overriding the `epsilon`/`delta` in `config`.
     pub fn new(
         config: BlinkMlConfig,
         spec: &'a S,
@@ -141,11 +140,6 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
         config.epsilon = epsilon;
         config.delta = delta;
         self.train_with_config(&config, seed)
-    }
-
-    /// [`Session::train`] with the session's default contract.
-    pub fn train_default(&self, seed: u64) -> Result<TrainingOutcome, CoreError> {
-        self.train_with_config(&self.config, seed)
     }
 
     /// Evaluate an L2-regularization grid under one `(ε, δ)` contract

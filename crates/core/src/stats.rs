@@ -17,18 +17,15 @@
 //! * **InverseGradients**: finite-difference `H` from `D` probes of the
 //!   averaged gradient; `J = H − βI`.
 //!
-//! Every method's eigendecomposition runs through a pluggable *spectral
-//! engine* ([`SpectralMethod`]): the exact dense `tred2`/`tql2` solver,
-//! or the truncated randomized solver of `blinkml_linalg::spectral`,
-//! which probes matrix-free [`Grads`] operators with blocked GEMMs and
-//! never materializes the second-moment or Gram matrix at all.
+//! Every method's eigendecomposition runs through the exact dense
+//! `tred2`/`tql2` solver ([`SymmetricEigen`]), and every method drops
+//! directions below the same relative eigenvalue cutoff.
 
-use crate::config::{SpectralMethod, StatisticsMethod};
+use crate::config::StatisticsMethod;
 use crate::error::CoreError;
 use crate::grads::Grads;
 use crate::mcs::ModelClassSpec;
 use blinkml_data::{Dataset, DatasetMatrix, FeatureVec, MatrixView, TrainScratch};
-use blinkml_linalg::spectral::{randomized_eigen, DenseSymmetricOp};
 use blinkml_linalg::{blas, Matrix, SymmetricEigen};
 use blinkml_prob::CovarianceFactor;
 
@@ -228,8 +225,8 @@ impl CovarianceFactor for ModelStatistics {
     }
 }
 
-/// Compute model statistics with the requested method and the exact
-/// dense spectral engine on a materialized sample: captures `data` as
+/// Compute model statistics with the requested method on a materialized
+/// sample: captures `data` as
 /// one [`DatasetMatrix`] and runs [`compute_statistics_view`] on its
 /// full view.
 pub fn compute_statistics<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
@@ -239,45 +236,35 @@ pub fn compute_statistics<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     data: &Dataset<F>,
 ) -> Result<ModelStatistics, CoreError> {
     let xm = DatasetMatrix::from_dataset(data);
-    compute_statistics_view(method, SpectralMethod::Dense, spec, theta, &xm.view())
+    compute_statistics_view(method, spec, theta, &xm.view())
 }
 
-/// Compute model statistics with the requested method and spectral
-/// engine (the knob threaded from `BlinkMlConfig::spectral`) over the
-/// rows of a design-matrix view. The coordinator passes the view it
+/// Compute model statistics with the requested method over the rows of a
+/// design-matrix view. The coordinator passes the view it
 /// already served for training — a gathered index view over the pool
 /// matrix or a packed capture — so the statistics phase's `grads` /
 /// Hessian / gradient probes run without materializing the sample.
 pub fn compute_statistics_view<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     method: StatisticsMethod,
-    spectral: SpectralMethod,
     spec: &S,
     theta: &[f64],
     xm: &MatrixView,
 ) -> Result<ModelStatistics, CoreError> {
     match method {
-        StatisticsMethod::ObservedFisher => observed_fisher(spec, theta, xm, spectral),
-        StatisticsMethod::ClosedForm => closed_form(spec, theta, xm, spectral),
-        StatisticsMethod::InverseGradients => inverse_gradients(spec, theta, xm, spectral),
+        StatisticsMethod::ObservedFisher => observed_fisher(spec, theta, xm),
+        StatisticsMethod::ClosedForm => closed_form(spec, theta, xm),
+        StatisticsMethod::InverseGradients => inverse_gradients(spec, theta, xm),
     }
 }
 
 /// ObservedFisher (paper §3.4 Method 3): factor `J` from per-example
-/// gradients without forming any `D × D` matrix when `D > n`.
-///
-/// With [`SpectralMethod::Dense`] the second-moment or Gram matrix is
-/// materialized and fully eigendecomposed (`O(min(D,n)³)`). With
-/// [`SpectralMethod::Randomized`] **neither matrix is ever formed**: the
-/// truncated solver probes the matrix-free [`Grads`] operators (two
-/// blocked GEMMs per apply) and resolves only the dominant eigenpairs —
-/// `O(min(D,n)²·r)` — with the rank-truncation tolerance folded into the
-/// eigenvalue cutoff below so the factored covariance only ever *drops*
-/// tail directions the tolerance already bounds.
+/// gradients without forming any `D × D` matrix when `D > n`: the
+/// second-moment (`D ≤ n`) or Gram (`D > n`) matrix is materialized and
+/// fully eigendecomposed (`O(min(D,n)³)`).
 fn observed_fisher<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     spec: &S,
     theta: &[f64],
     xm: &MatrixView,
-    spectral: SpectralMethod,
 ) -> Result<ModelStatistics, CoreError> {
     let grads = spec.grads(theta, xm);
     let beta = spec.regularization();
@@ -285,57 +272,25 @@ fn observed_fisher<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     let dim = grads.dim();
     if dim <= n {
         // Small-parameter regime: eigenpairs of J, explicit factor.
-        let (eigenvalues, eigenvectors) = match spectral {
-            SpectralMethod::Dense => {
-                let mut j = grads.second_moment();
-                j.symmetrize();
-                let eig = SymmetricEigen::new(&j)?;
-                (eig.eigenvalues, eig.eigenvectors)
-            }
-            SpectralMethod::Randomized {
-                rank,
-                oversample,
-                power_iters,
-                tol,
-            } => {
-                let eig = randomized_eigen(
-                    &grads.second_moment_op(),
-                    rank,
-                    oversample,
-                    power_iters,
-                    tol,
-                )?;
-                (eig.eigenvalues, eig.eigenvectors)
-            }
-        };
-        let l = explicit_factor_from_j(&eigenvalues, &eigenvectors, beta, cutoff_tol(spectral));
+        let mut j = grads.second_moment();
+        j.symmetrize();
+        let eig = SymmetricEigen::new(&j)?;
+        let l = explicit_factor_from_j(&eig.eigenvalues, &eig.eigenvectors, beta);
         Ok(ModelStatistics {
             dim,
             factor: Factor::Explicit(l),
         })
     } else {
         // High-dimensional regime: the n × n Gram matrix shares J's
-        // nonzero spectrum; keep the factor implicit.
-        let (eigenvalues, eigenvectors) = match spectral {
-            SpectralMethod::Dense => {
-                // `Grads::gram` mirrors its upper triangle, so the Gram
-                // is exactly symmetric and needs no symmetrize pass.
-                let g = grads.gram();
-                let eig = SymmetricEigen::new(&g)?;
-                (eig.eigenvalues, eig.eigenvectors)
-            }
-            SpectralMethod::Randomized {
-                rank,
-                oversample,
-                power_iters,
-                tol,
-            } => {
-                let eig = randomized_eigen(&grads.gram_op(), rank, oversample, power_iters, tol)?;
-                (eig.eigenvalues, eig.eigenvectors)
-            }
-        };
+        // nonzero spectrum; keep the factor implicit. `Grads::gram`
+        // mirrors its upper triangle, so the Gram is exactly symmetric
+        // and needs no symmetrize pass.
+        let SymmetricEigen {
+            eigenvalues,
+            eigenvectors,
+        } = SymmetricEigen::new(&grads.gram())?;
         let lmax = eigenvalues.first().copied().unwrap_or(0.0).max(0.0);
-        let cutoff = lmax * cutoff_tol(spectral);
+        let cutoff = lmax * EIGEN_TOLERANCE;
         let k = eigenvalues
             .iter()
             .take_while(|&&l| l > cutoff && l > 0.0)
@@ -356,28 +311,12 @@ fn observed_fisher<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     }
 }
 
-/// Relative eigenvalue cutoff for the given spectral engine: the dense
-/// guard, widened to the randomized solver's tail tolerance so the
-/// directions a truncated run drops are exactly the ones its tail bound
-/// covers (keeping the conservative quantile honest).
-fn cutoff_tol(spectral: SpectralMethod) -> f64 {
-    match spectral {
-        SpectralMethod::Dense => EIGEN_TOLERANCE,
-        SpectralMethod::Randomized { tol, .. } => tol.max(EIGEN_TOLERANCE),
-    }
-}
-
 /// `L = U diag(√λ/(λ+β))` from eigenpairs of `J`, truncated at the
-/// relative eigenvalue tolerance `rel_tol`.
-fn explicit_factor_from_j(
-    eigenvalues: &[f64],
-    eigenvectors: &Matrix,
-    beta: f64,
-    rel_tol: f64,
-) -> Matrix {
+/// relative eigenvalue cutoff [`EIGEN_TOLERANCE`].
+fn explicit_factor_from_j(eigenvalues: &[f64], eigenvectors: &Matrix, beta: f64) -> Matrix {
     let d = eigenvectors.rows();
     let lmax = eigenvalues.first().copied().unwrap_or(0.0).max(0.0);
-    let cutoff = lmax * rel_tol;
+    let cutoff = lmax * EIGEN_TOLERANCE;
     let k = eigenvalues
         .iter()
         .take_while(|&&l| l > cutoff && l > 0.0)
@@ -401,14 +340,11 @@ fn explicit_factor_from_j(
 }
 
 /// ClosedForm (paper §3.4 Method 1): analytic `H`, then
-/// `J = H − βI` by the information matrix equality. The randomized
-/// engine replaces the `O(D³)` eigendecomposition of `H` with the
-/// truncated solver over the dense operator.
+/// `J = H − βI` by the information matrix equality.
 fn closed_form<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     spec: &S,
     theta: &[f64],
     xm: &MatrixView,
-    spectral: SpectralMethod,
 ) -> Result<ModelStatistics, CoreError> {
     let h = spec
         .closed_form_hessian(theta, xm)
@@ -416,18 +352,17 @@ fn closed_form<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
             model: spec.name(),
             method: "ClosedForm",
         })?;
-    statistics_from_hessian(h, spec.regularization(), spectral)
+    statistics_from_hessian(h, spec.regularization())
 }
 
 /// InverseGradients (paper §3.4 Method 2): numeric `H ≈ R P⁻¹` from `D`
 /// finite-difference probes of the averaged gradient `g_n` (through
 /// [`ModelClassSpec::value_grad`], one shared scratch), then
-/// `J = H − βI`, decomposed by the chosen spectral engine.
+/// `J = H − βI`.
 fn inverse_gradients<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     spec: &S,
     theta: &[f64],
     xm: &MatrixView,
-    spectral: SpectralMethod,
 ) -> Result<ModelStatistics, CoreError> {
     let d = theta.len();
     let mut h = Matrix::zeros(d, d);
@@ -445,59 +380,21 @@ fn inverse_gradients<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
         }
     }
     h.symmetrize();
-    statistics_from_hessian(h, spec.regularization(), spectral)
+    statistics_from_hessian(h, spec.regularization())
 }
 
 /// Shared tail of ClosedForm / InverseGradients: from a dense symmetric
 /// `H`, build the factor of `H⁻¹ J H⁻¹` with `J = H − βI` via the
 /// eigendecomposition `H = V Λ Vᵀ`:
-/// `H⁻¹JH⁻¹ = V diag((λ−β)/λ²) Vᵀ` — full or truncated per `spectral`.
-fn statistics_from_hessian(
-    h: Matrix,
-    beta: f64,
-    spectral: SpectralMethod,
-) -> Result<ModelStatistics, CoreError> {
+/// `H⁻¹JH⁻¹ = V diag((λ−β)/λ²) Vᵀ`.
+fn statistics_from_hessian(h: Matrix, beta: f64) -> Result<ModelStatistics, CoreError> {
     let dim = h.rows();
     let mut h = h;
     h.symmetrize();
-    if let SpectralMethod::Randomized {
-        rank,
-        oversample,
-        power_iters,
-        tol,
-    } = spectral
-    {
-        // Probe the *unshifted* `J = H − βI`, not `H` itself: the β
-        // shift puts a floor of β under every Ritz value of `H`, so the
-        // spectral-tail convergence test could never pass and the
-        // adaptive loop would grow to the full dimension — slower than
-        // the dense solver. `J`'s tail decays to zero, and
-        // `H⁻¹JH⁻¹ = V diag(λ_J/(λ_J+β)²) Vᵀ` only needs `J`'s
-        // eigenpairs anyway (the same factor form as ObservedFisher).
-        let mut j = h;
-        j.add_diag(-beta);
-        let eig = randomized_eigen(
-            &DenseSymmetricOp::new(&j),
-            rank,
-            oversample,
-            power_iters,
-            tol,
-        )?;
-        let l = explicit_factor_from_j(
-            &eig.eigenvalues,
-            &eig.eigenvectors,
-            beta,
-            cutoff_tol(spectral),
-        );
-        return Ok(ModelStatistics {
-            dim,
-            factor: Factor::Explicit(l),
-        });
-    }
     let eig = SymmetricEigen::new(&h)?;
     let (eigenvalues, eigenvectors) = (eig.eigenvalues, eig.eigenvectors);
     let lmax = eigenvalues.first().copied().unwrap_or(0.0).max(0.0);
-    let cutoff = lmax * cutoff_tol(spectral);
+    let cutoff = lmax * EIGEN_TOLERANCE;
     // Keep directions where H is invertible and J = H − βI positive.
     let cols: Vec<usize> = (0..eigenvalues.len())
         .filter(|&j| {
@@ -588,7 +485,7 @@ mod tests {
         let mut j = grads.second_moment();
         j.symmetrize();
         let eig = SymmetricEigen::new(&j).unwrap();
-        let l = explicit_factor_from_j(&eig.eigenvalues, &eig.eigenvectors, 1e-3, EIGEN_TOLERANCE);
+        let l = explicit_factor_from_j(&eig.eigenvalues, &eig.eigenvectors, 1e-3);
         let reference = blas::gemm_nt(&l, &l).unwrap();
         let implicit = of.covariance_dense();
         let denom = reference.max_abs().max(1e-12);

@@ -80,18 +80,6 @@ pub struct SweepResult {
     pub fused: bool,
 }
 
-impl SweepResult {
-    /// The grid point minimizing estimated ε̂ (ties: smaller λ index).
-    pub fn best_by_epsilon(&self) -> Option<&SweepPoint> {
-        self.points.iter().min_by(|a, b| {
-            a.outcome
-                .estimated_epsilon
-                .partial_cmp(&b.outcome.estimated_epsilon)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-    }
-}
-
 // ---------------------------------------------------------------------
 // The lockstep evaluation bridge.
 // ---------------------------------------------------------------------
@@ -440,7 +428,6 @@ fn run_sweep_fused<F: FeatureVec>(
             .map(|(spec, m)| {
                 compute_statistics_view(
                     config.statistics_method,
-                    config.spectral,
                     spec.as_ref(),
                     m.parameters(),
                     &view,
@@ -587,7 +574,6 @@ fn run_sweep_fused<F: FeatureVec>(
                 let model = finals[i].as_ref().expect("final model trained");
                 let stats_n = compute_statistics_view(
                     config.statistics_method,
-                    config.spectral,
                     specs[i].as_ref(),
                     model.parameters(),
                     &pv,

@@ -10,7 +10,7 @@ use crate::serve::resilience::{relax_active_deadline, trip_active_deadline};
 use blinkml_data::{Dataset, DatasetMatrix, FeatureVec, LabelDomain, MatrixView, TrainScratch};
 use blinkml_linalg::Matrix;
 use blinkml_optim::{minimize, Objective, OptimOptions};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -525,24 +525,6 @@ impl FaultPlan {
             self.pilot_seen.load(Ordering::SeqCst),
             self.final_seen.load(Ordering::SeqCst),
         )
-    }
-
-    /// Script a WAL crash image: at the `occurrence`-th entry of
-    /// `site`, freeze a copy of the durable pool directory `src` into
-    /// `dst` and apply `fault` to the copy — simulating a crash at a
-    /// deterministic mid-query point without disturbing the live pool.
-    /// The test then opens `dst` as the "restarted" pool.
-    pub fn at_wal_crash(
-        self,
-        site: FaultSite,
-        occurrence: usize,
-        src: PathBuf,
-        dst: PathBuf,
-        fault: WalFault,
-    ) -> Self {
-        self.at_call(site, occurrence, move || {
-            crash_image(&src, &dst, &[fault]).expect("failed to freeze WAL crash image");
-        })
     }
 }
 

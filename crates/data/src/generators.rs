@@ -84,12 +84,6 @@ impl FactorModel {
         x
     }
 
-    /// Marginal variance of coordinate `i`: `Σ_j Λ_ij² + noise_std²`.
-    fn coord_variance(&self, i: usize) -> f64 {
-        let row = &self.loadings[i * self.k..(i + 1) * self.k];
-        row.iter().map(|l| l * l).sum::<f64>() + self.noise_std * self.noise_std
-    }
-
     /// `Var(wᵀx) = ||Λᵀw||² + noise_std²·||w||²` for `x` from this model.
     fn signal_variance(&self, w: &[f64]) -> f64 {
         let mut lam_t_w = vec![0.0; self.k];
@@ -404,10 +398,9 @@ pub fn synthetic_linear(
 
 /// Linear regression whose feature covariance has **geometric spectral
 /// decay**: coordinate `j` is scaled by `decay^j`, so the gradient
-/// second moment `J` has eigenvalues falling like `decay^{2j}`. This is
-/// the realistic regime for the truncated randomized spectral engine
-/// (real design matrices are strongly anisotropic); the effective rank
-/// at relative tolerance `tol` is about `ln(tol) / (2 ln(decay))`.
+/// second moment `J` has eigenvalues falling like `decay^{2j}`, as for
+/// real, strongly anisotropic design matrices; the effective rank at
+/// relative tolerance `tol` is about `ln(tol) / (2 ln(decay))`.
 /// The per-coordinate scale is floored at `1e-4` (a relative eigenvalue
 /// floor of `1e-8`), mirroring the noise floor of real measurements and
 /// keeping the spectrum inside `f64` dynamic range at any `d`.
@@ -560,12 +553,6 @@ pub fn low_rank_gaussian(
         })
         .collect();
     Dataset::new("low-rank-gaussian", d, examples)
-}
-
-/// Variance of coordinate `i` of the [`low_rank_gaussian`] /
-/// `regression_like` factor models (testing hook).
-pub fn factor_model_coord_variance(d: usize, k: usize, noise_std: f64, seed: u64, i: usize) -> f64 {
-    FactorModel::new(d, k, noise_std, split_seed(seed, 0)).coord_variance(i)
 }
 
 #[cfg(test)]

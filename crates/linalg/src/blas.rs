@@ -246,47 +246,6 @@ fn par_gemm_nt_chunked(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     }))
 }
 
-/// `C = Aᵀ B`, reduced over fixed row chunks of the shared `k`
-/// dimension.
-///
-/// Per-chunk partial products are summed **in chunk order**, so the
-/// result depends only on [`exec::CHUNK_SIZE`] — identical across
-/// machines and thread counts, and within round-off of the sequential
-/// [`gemm_tn`] (which it dispatches to whenever a single chunk covers
-/// the reduction). This is the kernel behind the batched gradient
-/// transpose-apply `Ψᵀ W` of the spectral engine.
-pub fn par_gemm_tn(a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    if a.rows() != b.rows() {
-        return Err(LinalgError::ShapeMismatch {
-            op: "par_gemm_tn",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    let (m, k, n) = (a.cols(), a.rows(), b.cols());
-    if k <= exec::CHUNK_SIZE {
-        // One chunk ≡ the sequential reduction order exactly.
-        return gemm_tn(a, b);
-    }
-    Ok(exec::par_map_reduce_matrix(k, m, n, |range| {
-        let mut partial = Matrix::zeros(m, n);
-        for p in range {
-            let arow = a.row(p);
-            let brow = b.row(p);
-            for (i, &api) in arow.iter().enumerate() {
-                if api == 0.0 {
-                    continue;
-                }
-                let crow = partial.row_mut(i);
-                for (cij, &bpj) in crow.iter_mut().zip(brow) {
-                    *cij += api * bpj;
-                }
-            }
-        }
-        partial
-    }))
-}
-
 /// Accumulate the upper triangle of `Aᵀ A` restricted to the row range
 /// `rows` into `c` — the shared panel kernel behind [`syrk_t`] and
 /// [`par_syrk_t`].
@@ -661,22 +620,6 @@ mod tests {
         assert_eq!(seq.as_slice(), par.as_slice(), "must match bitwise");
         let dispatched = par_gemm_nt(&a, &b).unwrap();
         assert_eq!(seq.as_slice(), dispatched.as_slice(), "dispatch neutral");
-    }
-
-    #[test]
-    fn par_gemm_tn_matches_sequential_within_roundoff() {
-        // More rows than one chunk so the in-order reduction runs.
-        let a = rand_matrix(exec::CHUNK_SIZE + 51, 9, 7);
-        let b = rand_matrix(exec::CHUNK_SIZE + 51, 5, 8);
-        let seq = gemm_tn(&a, &b).unwrap();
-        let par = par_gemm_tn(&a, &b).unwrap();
-        assert!(seq.max_abs_diff(&par) < 1e-10 * a.rows() as f64);
-        // Single-chunk inputs take the exact sequential path.
-        let a2 = rand_matrix(30, 4, 9);
-        let b2 = rand_matrix(30, 3, 10);
-        let seq2 = gemm_tn(&a2, &b2).unwrap();
-        let par2 = par_gemm_tn(&a2, &b2).unwrap();
-        assert_eq!(seq2.as_slice(), par2.as_slice(), "single chunk is exact");
     }
 
     #[test]

@@ -24,12 +24,7 @@ pub enum LinalgError {
         /// Index of the pivot that failed.
         pivot: usize,
     },
-    /// LU failed: the matrix is singular to working precision.
-    Singular {
-        /// Index of the zero pivot.
-        pivot: usize,
-    },
-    /// An iterative algorithm (eigen/SVD) failed to converge.
+    /// An iterative algorithm (the eigensolver) failed to converge.
     NoConvergence {
         /// Description of the algorithm that failed.
         algorithm: &'static str,
@@ -51,9 +46,6 @@ impl fmt::Display for LinalgError {
             }
             LinalgError::NotPositiveDefinite { pivot } => {
                 write!(f, "matrix is not positive definite (pivot {pivot})")
-            }
-            LinalgError::Singular { pivot } => {
-                write!(f, "matrix is singular to working precision (pivot {pivot})")
             }
             LinalgError::NoConvergence {
                 algorithm,
@@ -90,10 +82,7 @@ mod tests {
     }
 
     #[test]
-    fn display_singular_and_convergence() {
-        assert!(LinalgError::Singular { pivot: 0 }
-            .to_string()
-            .contains("singular"));
+    fn display_no_convergence() {
         let e = LinalgError::NoConvergence {
             algorithm: "tql2",
             max_iterations: 30,

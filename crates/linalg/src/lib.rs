@@ -4,17 +4,10 @@
 //! reproduction needs:
 //!
 //! * a row-major [`Matrix`] type plus BLAS-level-1/2/3 kernels ([`blas`]),
-//! * Cholesky ([`cholesky`]), LU with partial pivoting ([`lu`]) and
-//!   Householder QR ([`qr`]) factorizations,
+//! * a Cholesky factorization ([`cholesky`]),
 //! * a symmetric eigensolver ([`eigen`]) based on Householder
-//!   tridiagonalization followed by the implicit-shift QL iteration,
-//! * a truncated randomized eigensolver ([`spectral`]) over matrix-free
-//!   symmetric operators — Halko-style subspace iteration that resolves
-//!   the dominant `r` eigenpairs in `O(d²·r)` blocked GEMMs instead of
-//!   the full `O(d³)` decomposition,
-//! * a thin SVD ([`svd`]) built on the symmetric eigensolver via the Gram
-//!   matrix of the smaller side, which is exactly the factored form
-//!   BlinkML's `ObservedFisher` statistics method requires.
+//!   tridiagonalization followed by the implicit-shift QL iteration —
+//!   the one spectral engine behind BlinkML's statistics phase.
 //!
 //! Everything operates on `f64`. The implementations favour clarity and
 //! numerical robustness over micro-optimization, but the hot kernels
@@ -29,12 +22,8 @@ pub mod cholesky;
 pub mod eigen;
 pub mod error;
 pub mod exec;
-pub mod lu;
 pub mod matrix;
-pub mod qr;
 pub mod simd;
-pub mod spectral;
-pub mod svd;
 #[doc(hidden)]
 pub mod testing;
 pub mod vector;
@@ -42,11 +31,7 @@ pub mod vector;
 pub use cholesky::Cholesky;
 pub use eigen::SymmetricEigen;
 pub use error::LinalgError;
-pub use lu::Lu;
 pub use matrix::Matrix;
-pub use qr::Qr;
-pub use spectral::{randomized_eigen, DenseSymmetricOp, SymmetricOp, TruncatedEigen};
-pub use svd::ThinSvd;
 
 /// Convenience alias used across the workspace.
 pub type Result<T> = std::result::Result<T, LinalgError>;

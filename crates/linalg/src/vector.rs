@@ -38,14 +38,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// `x *= alpha`.
-#[inline]
-pub fn scal(alpha: f64, x: &mut [f64]) {
-    for xi in x {
-        *xi *= alpha;
-    }
-}
-
 /// Euclidean norm, computed with scaling to avoid overflow/underflow.
 pub fn norm2(x: &[f64]) -> f64 {
     let mut scale = 0.0f64;
@@ -132,13 +124,6 @@ mod tests {
         let mut y = [10.0, 20.0, 30.0];
         axpy(2.0, &x, &mut y);
         assert_eq!(y, [12.0, 24.0, 36.0]);
-    }
-
-    #[test]
-    fn scal_scales() {
-        let mut x = [1.0, -2.0, 4.0];
-        scal(-0.5, &mut x);
-        assert_eq!(x, [-0.5, 1.0, -2.0]);
     }
 
     #[test]

@@ -65,12 +65,6 @@ impl Bfgs {
         }
     }
 
-    /// Override the line-search parameters.
-    pub fn with_wolfe(mut self, wolfe: WolfeParams) -> Self {
-        self.wolfe = wolfe;
-        self
-    }
-
     /// Minimize `objective` from `theta0`.
     pub fn minimize(
         &self,
@@ -140,7 +134,7 @@ impl Bfgs {
                 scratch,
             );
             // Probe evaluations are charged whether or not the search
-            // succeeded — the same accounting as L-BFGS and plain GD.
+            // succeeded — the same accounting as L-BFGS.
             function_evals += outcome.evals;
             let Some(ls) = outcome.result else {
                 // Near the minimum, objective decreases can underflow f64
@@ -234,7 +228,10 @@ mod tests {
             }
         }
         let b = vec![1.0; d];
-        let solution = blinkml_linalg::Lu::new(&a).unwrap().solve(&b).unwrap();
+        let solution = blinkml_linalg::Cholesky::new(&a)
+            .unwrap()
+            .solve(&b)
+            .unwrap();
         (QuadraticObjective::new(a, b), solution)
     }
 

@@ -92,12 +92,6 @@ impl Lbfgs {
         }
     }
 
-    /// Override the line-search parameters.
-    pub fn with_wolfe(mut self, wolfe: WolfeParams) -> Self {
-        self.wolfe = wolfe;
-        self
-    }
-
     /// Minimize `objective` from `theta0`.
     pub fn minimize(
         &self,
@@ -165,7 +159,7 @@ impl Lbfgs {
                 &mut ws.scratch,
             );
             // Probe evaluations are charged whether or not the search
-            // succeeded — the same accounting as BFGS and plain GD.
+            // succeeded — the same accounting as BFGS.
             function_evals += outcome.evals;
             let Some(ls) = outcome.result else {
                 // Same precision-loss handling as BFGS: a failed line
@@ -291,7 +285,10 @@ mod tests {
             }
         }
         let b: Vec<f64> = (0..d).map(|i| (i as f64 * 0.7).sin()).collect();
-        let solution = blinkml_linalg::Lu::new(&a).unwrap().solve(&b).unwrap();
+        let solution = blinkml_linalg::Cholesky::new(&a)
+            .unwrap()
+            .solve(&b)
+            .unwrap();
         (QuadraticObjective::new(a, b), solution)
     }
 

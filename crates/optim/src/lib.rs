@@ -3,7 +3,7 @@
 //! The paper trains every model by minimizing the regularized negative
 //! log-likelihood (Equation 1) with BFGS for low-dimensional problems
 //! (`d < 100`) and L-BFGS for high-dimensional ones (§5.1). This crate
-//! implements both from scratch, plus a gradient-descent baseline:
+//! implements both from scratch:
 //!
 //! * [`problem`] — the [`Objective`] trait (joint value+gradient
 //!   evaluation, the natural granularity for log-likelihoods),
@@ -11,19 +11,16 @@
 //!   Algorithms 3.5/3.6) shared by all solvers,
 //! * [`bfgs`] — full-memory BFGS with a dense inverse-Hessian estimate,
 //! * [`lbfgs`] — limited-memory L-BFGS (two-loop recursion, m = 10),
-//! * [`gd`] — gradient descent with Armijo backtracking,
 //! * [`result`] — convergence bookkeeping ([`OptimResult`]), including
 //!   the iteration counts surfaced in the paper's Figure 8c.
 
 pub mod bfgs;
-pub mod gd;
 pub mod lbfgs;
 pub mod linesearch;
 pub mod problem;
 pub mod result;
 
 pub use bfgs::{Bfgs, BfgsWorkspace};
-pub use gd::GradientDescent;
 pub use lbfgs::{Lbfgs, LbfgsWorkspace};
 pub use linesearch::{
     strong_wolfe, strong_wolfe_buffered, LineSearchResult, LineSearchScratch, SearchOutcome,

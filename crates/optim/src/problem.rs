@@ -62,11 +62,6 @@ impl QuadraticObjective {
         QuadraticObjective { a, b }
     }
 
-    /// The linear-term vector `b` (the minimizer satisfies `Aθ = b`).
-    pub fn linear_term(&self) -> &[f64] {
-        &self.b
-    }
-
     /// The quadratic-term matrix `A`.
     pub fn matrix(&self) -> &Matrix {
         &self.a

@@ -76,11 +76,6 @@ impl OnlineStats {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Minimum observation (`+inf` when empty).
     pub fn min(&self) -> f64 {
         self.min

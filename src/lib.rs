@@ -34,14 +34,13 @@
 //! The workspace is organized as one crate per subsystem; this facade
 //! re-exports their public APIs:
 //!
-//! * [`linalg`] — dense linear algebra (Cholesky, LU, QR, symmetric
-//!   eigendecomposition, thin SVD),
+//! * [`linalg`] — dense linear algebra (BLAS-style kernels, Cholesky,
+//!   symmetric eigendecomposition),
 //! * [`prob`] — sampling and probability utilities (normal draws, factored
 //!   multivariate normals, Hoeffding/quantile machinery),
 //! * [`data`] — datasets, feature vectors (dense + sparse), samplers, and
 //!   the six synthetic generators mirroring the paper's datasets,
-//! * [`optim`] — BFGS / L-BFGS / gradient descent with strong-Wolfe line
-//!   search,
+//! * [`optim`] — BFGS / L-BFGS with strong-Wolfe line search,
 //! * [`core`] — the BlinkML system itself: model-class specifications,
 //!   statistics computation, the accuracy estimator, the sample-size
 //!   estimator, and the coordinator.
