@@ -15,15 +15,6 @@ pub use args::BenchArgs;
 pub use combos::{ComboId, ComboRun};
 pub use report::{fmt_duration, paired_min_times, Table};
 
-use std::time::{Duration, Instant};
-
-/// Time a closure, returning its output and the elapsed wall-clock time.
-pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let t = Instant::now();
-    let out = f();
-    (out, t.elapsed())
-}
-
 /// The requested-accuracy sweep used by Figures 5 and 6 for Lin/LR/ME.
 pub const GLM_ACCURACY_SWEEP: &[f64] = &[0.80, 0.85, 0.90, 0.95, 0.96, 0.97, 0.98, 0.99];
 

@@ -221,30 +221,6 @@ pub(crate) struct PilotState {
     pub(crate) n0: usize,
 }
 
-/// The outcome of the coordinator's decision stage (the ε-dependent part
-/// of the workflow): given a pilot's holdout scores and statistics,
-/// either the initial model already satisfies the contract, or the
-/// minimum sample size for the final training has been determined. The
-/// sweep engine runs this stage per grid point against its batched
-/// scorers; [`run_train`] runs it once.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Decision {
-    /// `ε₀ ≤ ε`: return the initial model.
-    InitialSatisfies {
-        /// Accuracy estimate of the initial model.
-        eps0: f64,
-    },
-    /// The contract needs a final model on `n` examples.
-    Train {
-        /// Accuracy estimate of the initial model.
-        eps0: f64,
-        /// Minimum sample size from the estimator's binary search.
-        n: usize,
-        /// Binary-search probes used.
-        probes: usize,
-    },
-}
-
 /// Degradation-aware run parameters for [`run_train_controlled`]: an
 /// optional cancellation token (deadline pressure), the shed lane
 /// (pilot-only), and the relaxed-final sizing knob. The
@@ -305,41 +281,15 @@ pub(crate) enum ControlledDecision<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Si
     },
 }
 
-/// Decision stage shared by [`run_train`] and the sweep engine: estimate
-/// the pilot's accuracy `ε₀` (sub-seed 1) and, when the contract is not
-/// yet met, binary-search the minimum sample size (sub-seed 2) — both
-/// against one [`HoldoutScorer`], so the θ₀ score matrix is built once.
-pub(crate) fn decide<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
-    config: &BlinkMlConfig,
-    scorer: &HoldoutScorer<'_, F, S>,
-    stats: &crate::stats::ModelStatistics,
-    n0: usize,
-    full_n: usize,
-    seed: u64,
-) -> Decision {
-    match decide_controlled(
-        config,
-        scorer,
-        stats,
-        n0,
-        full_n,
-        seed,
-        &RunControl::unbounded(),
-    ) {
-        ControlledDecision::InitialSatisfies { eps0 } => Decision::InitialSatisfies { eps0 },
-        ControlledDecision::Train {
-            eps0, n, probes, ..
-        } => Decision::Train { eps0, n, probes },
-        ControlledDecision::DegradeToPilot { .. } => {
-            unreachable!("an unbounded control never degrades")
-        }
-    }
-}
-
-/// [`decide`] with deadline / shed awareness: the ε₀ estimate always
-/// completes (it is what makes the pilot rung *honest*), then the shed
-/// lane or an expired token short-circuits to the pilot, and the
-/// binary search itself polls the token before every probe.
+/// The decision stage (the ε-dependent part of the workflow), shared by
+/// [`run_train_controlled`] and the sweep engine: estimate the pilot's
+/// accuracy `ε₀` (sub-seed 1) and, when the contract is not yet met,
+/// binary-search the minimum sample size (sub-seed 2) — both against one
+/// [`HoldoutScorer`], so the θ₀ score matrix is built once. The ε₀
+/// estimate always completes (it is what makes the pilot rung
+/// *honest*); then the shed lane or an expired token short-circuits to
+/// the pilot, and the binary search itself polls the token before every
+/// probe. Under [`RunControl::unbounded`] it never degrades.
 pub(crate) fn decide_controlled<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     config: &BlinkMlConfig,
     scorer: &HoldoutScorer<'a, F, S>,

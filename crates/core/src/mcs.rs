@@ -297,38 +297,38 @@ pub trait ModelClassSpec<F: FeatureVec>: Send + Sync {
         grad: &mut [f64],
     ) -> f64;
 
-    /// Whether this model class implements
-    /// [`Self::value_grad_batched_multi`] — the fused multi-λ objective
-    /// kernel the sweep engine batches grid points through.
-    fn multi_lambda_batched(&self) -> bool {
-        false
-    }
-
-    /// Batched **multi-λ** objective evaluation: compute every grid
-    /// point's `f(θ_k)` and `∇f(θ_k)` — each under its own L2
-    /// coefficient `β_k` and over its own row-count prefix of `xm` — in
-    /// one fused pass over the shared sample capture (each row block
-    /// loaded once for every probe's margins and once for every
-    /// probe's gradient, the K regularizer terms applied per-λ
-    /// afterwards; see `MatrixView::value_grad_fold_multi`).
+    /// Batched **multi-λ** objective evaluation, the sweep engine's
+    /// one objective call: compute every grid point's `f(θ_k)` and
+    /// `∇f(θ_k)`, each under its own L2 coefficient `β_k` and over its
+    /// own row-count prefix of `xm`.
     ///
     /// The contract is exactness: each eval's `(value, grad)` must be
     /// **bit-identical** to [`Self::value_grad`] on a spec with
     /// [`Self::with_regularization`]`(β_k)` applied, over
-    /// `xm.prefix(rows_k)`, at any thread budget. The built-in classes
-    /// that implement it (the GLM families and linear regression) meet
-    /// this by construction: their `value_grad` is this kernel's
-    /// one-eval case, `β = regularization()` over all of `xm`, so each
-    /// keeps a single loss body and a single finishing body.
+    /// `xm.prefix(rows_k)`, at any thread budget. The default is that
+    /// definition, one `value_grad` call per eval. The GLM families and
+    /// linear regression override it with one fused pass over the
+    /// shared sample capture (each row block loaded once for every
+    /// probe's margins and once for every probe's gradient, the K
+    /// regularizer terms applied per-λ afterwards; see
+    /// `MatrixView::value_grad_fold_multi`), and meet the contract by
+    /// construction: their `value_grad` is this kernel's one-eval case.
     ///
-    /// Only called when [`Self::multi_lambda_batched`] returns true.
+    /// # Panics
+    /// The default panics if [`Self::with_regularization`] returns
+    /// `None`; the sweep engine never calls it on such a spec.
     fn value_grad_batched_multi(
         &self,
-        _evals: &mut [SweepEval],
-        _xm: &MatrixView,
-        _scratch: &mut TrainScratch,
+        evals: &mut [SweepEval],
+        xm: &MatrixView,
+        scratch: &mut TrainScratch,
     ) {
-        unreachable!("value_grad_batched_multi() called on a model without multi-λ support");
+        for e in evals.iter_mut() {
+            let spec = self
+                .with_regularization(e.beta)
+                .expect("value_grad_batched_multi() needs a swappable L2 coefficient");
+            e.value = spec.value_grad(e.theta, &xm.prefix(e.rows), scratch, e.grad);
+        }
     }
 
     /// This spec with its L2 coefficient replaced by `beta` — the
@@ -336,6 +336,12 @@ pub trait ModelClassSpec<F: FeatureVec>: Send + Sync {
     /// default) marks model classes whose regularization cannot be
     /// swapped out (no regularizer, or one that is not a plain L2
     /// coefficient); `Session::sweep` rejects those with a config error.
+    ///
+    /// A spec that returns `Some` must train through the default
+    /// [`Self::train_view`]: a sweep runs the quasi-Newton solver on
+    /// [`Self::value_grad_batched_multi`] directly, so an overridden
+    /// `train_view` (a closed form, another start point) would make a
+    /// sweep point differ from a solo [`Self::train`] with that λ.
     fn with_regularization(&self, _beta: f64) -> Option<Box<dyn ModelClassSpec<F>>> {
         None
     }

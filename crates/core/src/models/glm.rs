@@ -196,10 +196,6 @@ impl<Fam: GlmFamily, F: FeatureVec> ModelClassSpec<F> for GlmSpec<Fam> {
         evals[0].value
     }
 
-    fn multi_lambda_batched(&self) -> bool {
-        true
-    }
-
     fn value_grad_batched_multi(
         &self,
         evals: &mut [SweepEval],
@@ -707,9 +703,6 @@ mod tests {
                 } else {
                     Spec::new(1e-3)
                 };
-                assert!(<Spec as ModelClassSpec<DenseVec>>::multi_lambda_batched(
-                    &spec
-                ));
                 let dim = <Spec as ModelClassSpec<DenseVec>>::param_dim(&spec, data_dim);
                 let thetas: Vec<Vec<f64>> = (0..rows.len())
                     .map(|k| {

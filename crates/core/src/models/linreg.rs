@@ -80,10 +80,6 @@ impl<F: FeatureVec> ModelClassSpec<F> for LinearRegressionSpec {
         evals[0].value
     }
 
-    fn multi_lambda_batched(&self) -> bool {
-        true
-    }
-
     fn value_grad_batched_multi(
         &self,
         evals: &mut [SweepEval],

@@ -155,9 +155,10 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
     ///
     /// The model class must expose a swappable L2 coefficient
     /// ([`ModelClassSpec::with_regularization`]); otherwise the sweep
-    /// is rejected with [`CoreError::InvalidConfig`]. Classes without
-    /// the fused multi-λ kernel are served by an equivalent per-point
-    /// loop (`fused: false` in the result).
+    /// is rejected with [`CoreError::InvalidConfig`]. Every other class
+    /// runs the fused engine; one without its own multi-λ kernel runs
+    /// the default [`ModelClassSpec::value_grad_batched_multi`], one
+    /// `value_grad` per grid point per round.
     ///
     /// Sweep pilots are λ-dependent, so they bypass the session's
     /// `(n₀, seed)` pilot cache in both directions.

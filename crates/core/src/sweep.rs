@@ -20,7 +20,9 @@
 //!   up to K margin evaluations, then for up to K gradient
 //!   accumulations (a whole 4,096-row chunk at d = 100 is 3.2 MB, too
 //!   big to stay cached between probes; see
-//!   `MatrixView::value_grad_fold_multi`),
+//!   `MatrixView::value_grad_fold_multi`). A spec without its own
+//!   multi-λ kernel runs the trait's default, one `value_grad` per
+//!   probe, and still shares every other stage below,
 //! * **one scorer pass** — the K holdout base score matrices behind the
 //!   ε₀ estimates and sample-size searches are built by one stacked GEMM
 //!   ([`HoldoutScorer::new_many`]),
@@ -41,10 +43,16 @@
 //! optimizer trajectory is exactly the trajectory of a solo solve: each
 //! final fit warm-starts from its own pilot θ₀ over its own sample
 //! prefix, as a solo run does.
+//!
+//! Every spec whose [`ModelClassSpec::with_regularization`] returns
+//! `Some` runs this one engine. The solver runs on the multi-λ
+//! objective directly, never through [`ModelClassSpec::train_view`], so
+//! such a spec must train through the default `train_view` for a sweep
+//! point to equal its solo run.
 
 use crate::config::BlinkMlConfig;
-use crate::coordinator::{decide, final_accuracy_scored, Decision, TrainingOutcome};
-use crate::coordinator::{run_train, TrainingPhaseTimes};
+use crate::coordinator::{decide_controlled, final_accuracy_scored, ControlledDecision};
+use crate::coordinator::{RunControl, TrainingOutcome, TrainingPhaseTimes};
 use crate::diff_engine::HoldoutScorer;
 use crate::error::CoreError;
 use crate::mcs::{ModelClassSpec, SweepEval, TrainedModel};
@@ -74,9 +82,10 @@ pub struct SweepPoint {
 pub struct SweepResult {
     /// Per-λ results, in the plan's λ order.
     pub points: Vec<SweepPoint>,
-    /// Whether the fused shared-substrate engine ran (`false`: the
-    /// per-point fallback loop served the request — a model class
-    /// without the multi-λ kernel).
+    /// Whether the fused shared-substrate engine ran. Always `true`:
+    /// every sweepable spec takes it (a spec without its own multi-λ
+    /// kernel runs the default one, a `value_grad` per grid point). Kept
+    /// so callers that report it keep compiling.
     pub fused: bool,
 }
 
@@ -362,23 +371,48 @@ fn lockstep_fits<F: FeatureVec>(
 // The fused sweep workflow.
 // ---------------------------------------------------------------------
 
-/// The fused shared-substrate sweep: one pilot capture, lockstep pilot
-/// fits, per-λ statistics, one stacked scorer GEMM, per-λ decisions,
-/// one nested final capture, and lockstep final fits. `specs[k]` must
-/// be the λ = `lambdas[k]` instantiation of one model class with the
-/// multi-λ kernel.
+/// The sweep engine behind [`Session::sweep`](crate::Session) and the
+/// serving layer: validate the λ grid, instantiate one spec per λ, then
+/// run the fused shared-substrate workflow — one pilot capture, lockstep
+/// pilot fits, per-λ statistics, one stacked scorer GEMM, per-λ
+/// decisions, one nested final capture, and lockstep final fits. Every
+/// grid point shares the `(ε, δ)` contract in `config` and the `seed`,
+/// so grid points share their pilot and final samples; results come
+/// back in `lambdas` order. `scratch` holds the objective buffers; a
+/// caller that keeps it across sweeps allocates them once.
 #[allow(clippy::too_many_arguments)]
-fn run_sweep_fused<F: FeatureVec>(
+pub(crate) fn run_sweep<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     config: &BlinkMlConfig,
-    specs: &[Box<dyn ModelClassSpec<F>>],
-    lambdas: &[f64],
+    spec: &S,
     train: &Dataset<F>,
     holdout: &Dataset<F>,
     pool: &DatasetMatrix<'_>,
     cap_scratch: &mut CaptureScratch,
     scratch: &mut TrainScratch,
+    lambdas: &[f64],
     seed: u64,
 ) -> Result<SweepResult, CoreError> {
+    if lambdas.is_empty() {
+        return Err(CoreError::InvalidConfig(
+            "sweep needs at least one λ grid point".into(),
+        ));
+    }
+    if let Some(l) = lambdas.iter().find(|l| !(l.is_finite() && **l >= 0.0)) {
+        return Err(CoreError::InvalidConfig(format!(
+            "sweep λ must be finite and nonnegative, got {l}"
+        )));
+    }
+    let specs: Vec<Box<dyn ModelClassSpec<F>>> = lambdas
+        .iter()
+        .map(|&l| {
+            spec.with_regularization(l).ok_or_else(|| {
+                CoreError::InvalidConfig(format!(
+                    "model class '{}' has no swappable L2 coefficient to sweep",
+                    spec.name()
+                ))
+            })
+        })
+        .collect::<Result<_, _>>()?;
     let k = specs.len();
     let full_n = train.len();
     let n0 = config.initial_sample_size.min(full_n);
@@ -492,18 +526,23 @@ fn run_sweep_fused<F: FeatureVec>(
         .map(|(s, m)| (s.as_ref(), m.parameters()))
         .collect();
     let scorers = HoldoutScorer::new_many(holdout, &entries);
-    let decisions: Vec<Decision> = scorers
+    // Per point: `(ε₀, Some((n, probes)))` when the contract needs a
+    // final model on `n` rows, `(ε₀, None)` when the pilot satisfies it.
+    let unbounded = RunControl::unbounded();
+    let decisions: Vec<(f64, Option<(usize, usize)>)> = scorers
         .iter()
         .zip(&stats)
         .map(|(scorer, st)| {
-            decide(
-                config,
-                scorer,
-                st.as_ref().expect("statistics computed when n0 < N"),
-                n0,
-                full_n,
-                seed,
-            )
+            let st = st.as_ref().expect("statistics computed when n0 < N");
+            match decide_controlled(config, scorer, st, n0, full_n, seed, &unbounded) {
+                ControlledDecision::InitialSatisfies { eps0 } => (eps0, None),
+                ControlledDecision::Train {
+                    eps0, n, probes, ..
+                } => (eps0, Some((n, probes))),
+                ControlledDecision::DegradeToPilot { .. } => {
+                    unreachable!("an unbounded control never degrades")
+                }
+            }
         })
         .collect();
     drop(scorers);
@@ -516,10 +555,7 @@ fn run_sweep_fused<F: FeatureVec>(
     let needs: Vec<(usize, usize)> = decisions
         .iter()
         .enumerate()
-        .filter_map(|(i, d)| match *d {
-            Decision::Train { n, .. } => Some((i, n)),
-            Decision::InitialSatisfies { .. } => None,
-        })
+        .filter_map(|(i, &(_, train))| train.map(|(n, _)| (i, n)))
         .collect();
     let mut finals: Vec<Option<TrainedModel>> = (0..k).map(|_| None).collect();
     let mut eps_hat: Vec<f64> = vec![0.0; k];
@@ -601,115 +637,12 @@ fn run_sweep_fused<F: FeatureVec>(
     let summaries: Vec<(f64, f64, bool, usize)> = decisions
         .iter()
         .enumerate()
-        .map(|(i, d)| match *d {
-            Decision::InitialSatisfies { eps0 } => (eps0, eps0, true, 0),
-            Decision::Train { eps0, probes, .. } => (eps0, eps_hat[i], false, probes),
+        .map(|(i, &(eps0, train))| match train {
+            None => (eps0, eps0, true, 0),
+            Some((_, probes)) => (eps0, eps_hat[i], false, probes),
         })
         .collect();
     Ok(assemble(pilots, finals, summaries, &phases))
-}
-
-/// Full sweep dispatch shared by [`Session::sweep`](crate::Session) and
-/// the serving layer: validate the λ grid, instantiate one spec per λ,
-/// and route to the fused engine (model classes with the multi-λ
-/// kernel) or the per-point fallback loop. Every grid point shares the
-/// `(ε, δ)` contract in `config` and the `seed`, so grid points share
-/// their pilot and final samples; results come back in `lambdas` order.
-/// `scratch` holds the fused engine's objective buffers; a caller that
-/// keeps it across sweeps allocates them once.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_sweep<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
-    config: &BlinkMlConfig,
-    spec: &S,
-    train: &Dataset<F>,
-    holdout: &Dataset<F>,
-    pool: &DatasetMatrix<'_>,
-    cap_scratch: &mut CaptureScratch,
-    scratch: &mut TrainScratch,
-    lambdas: &[f64],
-    seed: u64,
-) -> Result<SweepResult, CoreError> {
-    if lambdas.is_empty() {
-        return Err(CoreError::InvalidConfig(
-            "sweep needs at least one λ grid point".into(),
-        ));
-    }
-    if let Some(l) = lambdas.iter().find(|l| !(l.is_finite() && **l >= 0.0)) {
-        return Err(CoreError::InvalidConfig(format!(
-            "sweep λ must be finite and nonnegative, got {l}"
-        )));
-    }
-    let specs: Vec<Box<dyn ModelClassSpec<F>>> = lambdas
-        .iter()
-        .map(|&l| {
-            spec.with_regularization(l).ok_or_else(|| {
-                CoreError::InvalidConfig(format!(
-                    "model class '{}' has no swappable L2 coefficient to sweep",
-                    spec.name()
-                ))
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    if specs.iter().all(|s| s.multi_lambda_batched()) {
-        run_sweep_fused(
-            config,
-            &specs,
-            lambdas,
-            train,
-            holdout,
-            pool,
-            cap_scratch,
-            scratch,
-            seed,
-        )
-    } else {
-        run_sweep_looped(
-            config,
-            &specs,
-            lambdas,
-            train,
-            holdout,
-            pool,
-            cap_scratch,
-            seed,
-        )
-    }
-}
-
-/// The per-point fallback loop behind [`Session::sweep`](crate::Session)
-/// for model classes the fused engine cannot serve (no multi-λ
-/// kernel): independent coordinator runs per grid point — trivially
-/// identical to the looped baseline, with no fusion.
-#[allow(clippy::too_many_arguments)]
-fn run_sweep_looped<F: FeatureVec>(
-    config: &BlinkMlConfig,
-    specs: &[Box<dyn ModelClassSpec<F>>],
-    lambdas: &[f64],
-    train: &Dataset<F>,
-    holdout: &Dataset<F>,
-    pool: &DatasetMatrix<'_>,
-    cap_scratch: &mut CaptureScratch,
-    seed: u64,
-) -> Result<SweepResult, CoreError> {
-    let mut points = Vec::with_capacity(specs.len());
-    for (spec, &lambda) in specs.iter().zip(lambdas) {
-        let (outcome, _) = run_train(
-            config,
-            spec.as_ref(),
-            train,
-            holdout,
-            pool,
-            cap_scratch,
-            seed,
-            None,
-            false,
-        )?;
-        points.push(SweepPoint { lambda, outcome });
-    }
-    Ok(SweepResult {
-        points,
-        fused: false,
-    })
 }
 
 #[cfg(test)]
@@ -820,12 +753,14 @@ mod tests {
         }
     }
 
-    /// A model class without the multi-λ kernel takes the fallback loop
-    /// and still matches independent runs (trivially — it is the looped
-    /// baseline).
+    /// A spec without its own multi-λ kernel runs the fused engine on
+    /// the trait's default kernel. Each point is bitwise a solo
+    /// `Session::train` on that λ's spec, and bitwise the logistic sweep
+    /// whose kernel it hides, at two λ orders and budgets {1, 4}.
     #[test]
-    fn spec_without_multi_lambda_kernel_falls_back_to_looped_sweep() {
-        /// Logistic regression with the fused multi-λ kernel hidden.
+    fn default_multi_lambda_kernel_sweep_matches_solo_runs() {
+        /// Logistic regression with its own multi-λ kernel hidden, so
+        /// sweeps run the trait's default one.
         struct SoloLambda(LogisticRegressionSpec);
         type Inner = dyn ModelClassSpec<blinkml_data::DenseVec>;
         impl ModelClassSpec<blinkml_data::DenseVec> for SoloLambda {
@@ -889,26 +824,51 @@ mod tests {
                 Inner::margin_diff_sum(&self.0, scores, stop)
             }
         }
+        use crate::config::ExecConfig;
+        use blinkml_data::parallel::set_max_threads;
+        let _budget = blinkml_linalg::testing::budget_lock();
         let (data, _) = synthetic_logistic(5_000, 3, 2.0, 35);
         let split = data.split(500, 0, 36);
         let spec = SoloLambda(LogisticRegressionSpec::new(1e-3));
-        let session = Session::new(config(300), &spec, &split.train, &split.holdout).unwrap();
-        let sweep = session.sweep(&[1e-2, 0.1], 0.04, 0.05, 5).unwrap();
-        assert!(!sweep.fused);
-        assert_eq!(sweep.points.len(), 2);
-        let fused = Session::new(
-            config(300),
-            &LogisticRegressionSpec::new(1e-3),
-            &split.train,
-            &split.holdout,
-        )
-        .unwrap()
-        .sweep(&[1e-2, 0.1], 0.04, 0.05, 5)
-        .unwrap();
-        assert!(fused.fused);
-        for (a, b) in sweep.points.iter().zip(&fused.points) {
-            assert_point_bitwise(a, &b.outcome, &format!("λ={}", a.lambda));
+        for threads in [Some(1), Some(4)] {
+            let cfg = BlinkMlConfig {
+                exec: ExecConfig {
+                    max_threads: threads,
+                },
+                ..config(300)
+            };
+            for grid in [[1e-2, 0.1, 0.0], [0.0, 0.1, 1e-2]] {
+                let sweep = Session::new(cfg.clone(), &spec, &split.train, &split.holdout)
+                    .unwrap()
+                    .sweep(&grid, 0.04, 0.05, 5)
+                    .unwrap();
+                assert!(sweep.fused);
+                let kernel = Session::new(
+                    cfg.clone(),
+                    &LogisticRegressionSpec::new(1e-3),
+                    &split.train,
+                    &split.holdout,
+                )
+                .unwrap()
+                .sweep(&grid, 0.04, 0.05, 5)
+                .unwrap();
+                for (p, k) in sweep.points.iter().zip(&kernel.points) {
+                    let tag = format!("λ={} t={threads:?} grid={grid:?}", p.lambda);
+                    let solo_spec = SoloLambda(LogisticRegressionSpec::new(p.lambda));
+                    let solo = Session::new(cfg.clone(), &solo_spec, &split.train, &split.holdout)
+                        .unwrap()
+                        .train(0.04, 0.05, 5)
+                        .unwrap();
+                    assert_point_bitwise(p, &solo, &format!("solo {tag}"));
+                    assert_point_bitwise(p, &k.outcome, &format!("kernel {tag}"));
+                }
+                assert!(
+                    sweep.points.iter().any(|p| !p.outcome.used_initial_model),
+                    "some point must train a final model"
+                );
+            }
         }
+        set_max_threads(None);
     }
 
     /// A panic inside the fused multi-λ kernel must reach the caller of

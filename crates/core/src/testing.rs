@@ -283,12 +283,11 @@ where
 }
 
 /// Forwards every [`ModelClassSpec`] method to the inner spec, except
-/// that it claims the fused multi-λ kernel
-/// ([`ModelClassSpec::multi_lambda_batched`]) and panics inside it —
-/// the fault behind the sweep engine's no-hang contract. Its per-λ
-/// instantiations ([`ModelClassSpec::with_regularization`]) panic the
-/// same way; every other path (plain queries, training) is the inner
-/// spec's.
+/// that its multi-λ kernel ([`ModelClassSpec::value_grad_batched_multi`],
+/// the objective call of every sweep round) panics — the fault behind
+/// the sweep engine's no-hang contract. Its per-λ instantiations
+/// ([`ModelClassSpec::with_regularization`]) panic the same way; every
+/// other path (plain queries, training) is the inner spec's.
 pub struct MultiLambdaPanicSpec<F: FeatureVec>(pub Box<dyn ModelClassSpec<F>>);
 
 impl<F: FeatureVec> ModelClassSpec<F> for MultiLambdaPanicSpec<F> {
@@ -312,9 +311,6 @@ impl<F: FeatureVec> ModelClassSpec<F> for MultiLambdaPanicSpec<F> {
         grad: &mut [f64],
     ) -> f64 {
         self.0.value_grad(theta, xm, scratch, grad)
-    }
-    fn multi_lambda_batched(&self) -> bool {
-        true
     }
     fn value_grad_batched_multi(
         &self,

@@ -12,6 +12,7 @@ use blinkml_core::models::{LinearRegressionSpec, LogisticRegressionSpec, Poisson
 use blinkml_core::{BlinkMlConfig, ExecConfig, ModelClassSpec, Session, TrainingOutcome};
 use blinkml_data::generators::{criteo_like, synthetic_linear, synthetic_logistic};
 use blinkml_data::{Dataset, FeatureVec, PACK_THRESHOLD_BYTES};
+use blinkml_linalg::testing::budget_lock;
 use proptest::prelude::*;
 
 fn config(threads: Option<usize>) -> BlinkMlConfig {
@@ -75,6 +76,11 @@ fn assert_outcome_bitwise(context: &str, sweep: &TrainingOutcome, solo: &Trainin
 /// The core check: one fused sweep vs per-λ independent sessions,
 /// bitwise, for a given λ order and thread budget. Returns the largest
 /// final sample the sweep trained on (0 when every point kept its pilot).
+///
+/// Every session installs `threads` as the process-wide budget, so the
+/// check holds [`budget_lock`] throughout: no other pin in this binary
+/// can switch the budget under it, and a budget-1 case really runs on
+/// one thread.
 #[allow(clippy::too_many_arguments)]
 fn check_sweep_equals_loops<F, S, C>(
     context: &str,
@@ -91,6 +97,7 @@ where
     S: ModelClassSpec<F>,
     C: Fn(f64) -> S,
 {
+    let _budget = budget_lock();
     let base = mk(1e-3);
     let session = Session::new(config(threads), &base, train, holdout).expect("sweep session");
     let sweep = session

@@ -132,14 +132,6 @@ impl Matrix {
         &self.data[r.start * self.cols..r.end * self.cols]
     }
 
-    /// Mutably borrow the contiguous row block `r` as one row-major
-    /// slice.
-    #[inline]
-    pub fn rows_slice_mut(&mut self, r: std::ops::Range<usize>) -> &mut [f64] {
-        debug_assert!(r.start <= r.end && r.end <= self.rows);
-        &mut self.data[r.start * self.cols..r.end * self.cols]
-    }
-
     /// Horizontal concatenation `[B₀ | B₁ | …]` of equally tall blocks.
     ///
     /// # Panics
@@ -387,10 +379,6 @@ mod tests {
         let m = Matrix::from_fn(4, 3, |i, j| (i * 3 + j) as f64);
         assert_eq!(m.rows_slice(1..3), &[3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
         assert_eq!(m.rows_slice(0..0), &[] as &[f64]);
-        let mut m2 = m.clone();
-        m2.rows_slice_mut(2..3).fill(0.0);
-        assert_eq!(m2.row(2), &[0.0, 0.0, 0.0]);
-        assert_eq!(m2.row(3), m.row(3));
     }
 
     #[test]

@@ -40,19 +40,6 @@ impl NormalSampler {
     pub fn sample_vec<R: Rng + ?Sized>(&mut self, rng: &mut R, n: usize) -> Vec<f64> {
         (0..n).map(|_| self.sample(rng)).collect()
     }
-
-    /// Fill `out` with draws from `N(mean, std²)`.
-    pub fn fill_scaled<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        mean: f64,
-        std: f64,
-        out: &mut [f64],
-    ) {
-        for v in out {
-            *v = mean + std * self.sample(rng);
-        }
-    }
 }
 
 /// Standard normal CDF `Φ(x)`, accurate to ~1e-7 (Abramowitz–Stegun 7.1.26
@@ -158,18 +145,6 @@ mod tests {
                 "z={z}: frac {frac} vs cdf {expect}"
             );
         }
-    }
-
-    #[test]
-    fn fill_scaled_applies_mean_and_std() {
-        let mut rng = rng_from_seed(3);
-        let mut s = NormalSampler::new();
-        let mut buf = vec![0.0; 100_000];
-        s.fill_scaled(&mut rng, 5.0, 2.0, &mut buf);
-        let mean: f64 = buf.iter().sum::<f64>() / buf.len() as f64;
-        let var: f64 = buf.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / buf.len() as f64;
-        assert!((mean - 5.0).abs() < 0.05);
-        assert!((var - 4.0).abs() < 0.1);
     }
 
     #[test]

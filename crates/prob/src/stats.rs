@@ -67,15 +67,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population variance (0 when empty).
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Minimum observation (`+inf` when empty).
     pub fn min(&self) -> f64 {
         self.min
@@ -118,7 +109,6 @@ mod tests {
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert!((s.population_variance() - 4.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
     }
