@@ -143,8 +143,9 @@ impl Coordinator {
             seed,
             None,
             false,
+            &RunControl::unbounded(),
         )
-        .map(|(outcome, _)| outcome)
+        .map(|(outcome, _, _)| outcome)
     }
 
     /// The honest ε this coordinator's workflow assigns to a model
@@ -221,11 +222,10 @@ pub(crate) struct PilotState {
     pub(crate) n0: usize,
 }
 
-/// Degradation-aware run parameters for [`run_train_controlled`]: an
-/// optional cancellation token (deadline pressure), the shed lane
-/// (pilot-only), and the relaxed-final sizing knob. The
-/// [`RunControl::unbounded`] default takes exactly the historical
-/// [`run_train`] path — no token, no extra branches on the numeric
+/// Degradation-aware run parameters for [`run_train`]: an optional
+/// cancellation token (deadline pressure), the shed lane (pilot-only),
+/// and the relaxed-final sizing knob. [`RunControl::unbounded`] runs
+/// the full workflow — no token, no extra branches on the numeric
 /// path.
 #[derive(Debug, Clone)]
 pub(crate) struct RunControl {
@@ -242,7 +242,7 @@ pub(crate) struct RunControl {
 }
 
 impl RunControl {
-    /// No deadline, no shedding: the historical full workflow.
+    /// No deadline, no shedding: the full workflow.
     pub(crate) fn unbounded() -> Self {
         RunControl {
             cancel: None,
@@ -282,7 +282,7 @@ pub(crate) enum ControlledDecision<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Si
 }
 
 /// The decision stage (the ε-dependent part of the workflow), shared by
-/// [`run_train_controlled`] and the sweep engine: estimate the pilot's
+/// [`run_train`] and the sweep engine: estimate the pilot's
 /// accuracy `ε₀` (sub-seed 1) and, when the contract is not yet met,
 /// binary-search the minimum sample size (sub-seed 2) — both against one
 /// [`HoldoutScorer`], so the θ₀ score matrix is built once. The ε₀
@@ -421,44 +421,6 @@ fn fit_sample<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     })
 }
 
-/// The coordinator workflow (paper §2.3), shared by
-/// [`Coordinator::train_with_holdout`] and
-/// [`crate::session::Session::train`]: pilot (train `m₀`, statistics),
-/// accuracy estimate, sample-size search, final training — with the
-/// holdout `DiffEngine` base scores built **once** and shared between
-/// the ε₀ estimate and the search, and samples served from the pool
-/// matrix.
-///
-/// `pilot` short-circuits the pilot phase with cached artifacts (the
-/// Session amortization); `want_pilot` asks for the artifacts back so
-/// the caller can cache them.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_train<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
-    config: &BlinkMlConfig,
-    spec: &S,
-    train: &Dataset<F>,
-    holdout: &Dataset<F>,
-    pool: &DatasetMatrix<'_>,
-    cap_scratch: &mut CaptureScratch,
-    seed: u64,
-    pilot: Option<&PilotState>,
-    want_pilot: bool,
-) -> Result<(TrainingOutcome, Option<PilotState>), CoreError> {
-    run_train_controlled(
-        config,
-        spec,
-        train,
-        holdout,
-        pool,
-        cap_scratch,
-        seed,
-        pilot,
-        want_pilot,
-        &RunControl::unbounded(),
-    )
-    .map(|(outcome, cached, _rung)| (outcome, cached))
-}
-
 /// The pilot-rung outcome of the degradation ladder: return `m₀` with
 /// its honest ε₀ as both the initial and the achieved guarantee.
 fn pilot_rung_outcome(
@@ -481,12 +443,23 @@ fn pilot_rung_outcome(
     }
 }
 
-/// [`run_train`] with deadline / degradation control (the serving
-/// layer's entry point). Returns which [`DegradationRung`] produced the
-/// outcome. The ladder:
+/// The coordinator workflow (paper §2.3), shared by
+/// [`Coordinator::train_with_holdout`],
+/// [`crate::session::Session::train`] and the server: pilot (train
+/// `m₀`, statistics), accuracy estimate, sample-size search, final
+/// training — with the holdout `DiffEngine` base scores built **once**
+/// and shared between the ε₀ estimate and the search, and samples
+/// served from the pool matrix.
 ///
-/// 1. **Full** — no pressure: the historical workflow, bit-identical
-///    to [`run_train`].
+/// `pilot` short-circuits the pilot phase with cached artifacts (the
+/// Session amortization); `want_pilot` asks for the artifacts back so
+/// the caller can cache them.
+///
+/// `control` adds the server's deadline / degradation control;
+/// [`RunControl::unbounded`] runs the full workflow. Returns which
+/// [`DegradationRung`] produced the outcome. The ladder:
+///
+/// 1. **Full** — no pressure: the full workflow.
 /// 2. **RelaxedFinal** — [`Pressure::Relax`] at the final-train
 ///    boundary: the final model trains on
 ///    [`relaxed_sample_size`] examples and the response reports the
@@ -499,7 +472,7 @@ fn pilot_rung_outcome(
 ///    existed (before/during the pilot or statistics phases):
 ///    [`CoreError::Cancelled`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_train_controlled<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
+pub(crate) fn run_train<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     config: &BlinkMlConfig,
     spec: &S,
     train: &Dataset<F>,

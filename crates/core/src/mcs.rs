@@ -530,12 +530,6 @@ impl<F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Objective for ViewObjective<'
         self.dim
     }
 
-    fn value_grad(&self, theta: &[f64]) -> (f64, Vec<f64>) {
-        let mut grad = vec![0.0; self.dim];
-        let value = self.value_grad_into(theta, &mut grad);
-        (value, grad)
-    }
-
     fn value_grad_into(&self, theta: &[f64], grad: &mut [f64]) -> f64 {
         self.spec
             .value_grad(theta, &self.xm, &mut self.scratch.borrow_mut(), grad)

@@ -116,9 +116,7 @@ pub mod resilience;
 pub(crate) mod sidecar;
 
 use crate::config::{BlinkMlConfig, ServeConfig, ShedPolicy};
-use crate::coordinator::{
-    run_train_controlled, PilotState, RunControl, TrainingOutcome, TrainingPhaseTimes,
-};
+use crate::coordinator::{run_train, PilotState, RunControl, TrainingOutcome, TrainingPhaseTimes};
 use crate::diff_engine::HoldoutScorer;
 use crate::error::CoreError;
 use crate::mcs::ModelClassSpec;
@@ -595,17 +593,22 @@ impl<T> Ticket<T> {
     }
 }
 
-/// A pending response: the asynchronous half of [`Server::submit`].
+/// A pending response: the asynchronous half of [`Server::submit`]
+/// (and, as [`SweepResponseHandle`], of [`Server::submit_sweep`]).
 /// Block on [`ResponseHandle::wait`], or poll with
 /// [`ResponseHandle::is_ready`].
 #[derive(Debug)]
-pub struct ResponseHandle {
-    ticket: Arc<Ticket<ServedResponse>>,
+pub struct ResponseHandle<T = ServedResponse> {
+    ticket: Arc<Ticket<T>>,
 }
 
-impl ResponseHandle {
+/// A pending sweep response: the asynchronous half of
+/// [`Server::submit_sweep`].
+pub type SweepResponseHandle = ResponseHandle<ServedSweep>;
+
+impl<T> ResponseHandle<T> {
     /// Block until the query resolves and return its response.
-    pub fn wait(self) -> Result<ServedResponse, ServeError> {
+    pub fn wait(self) -> Result<T, ServeError> {
         self.ticket.wait()
     }
 
@@ -614,44 +617,14 @@ impl ResponseHandle {
     /// keep waiting. `Some` consumes the response — the response is
     /// delivered exactly once, so a later `wait`/`try_wait` on this
     /// handle will not see it again.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<ServedResponse, ServeError>> {
+    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<T, ServeError>> {
         self.ticket.wait_timeout(timeout)
     }
 
     /// Take the response if it is already published (non-blocking).
     /// Like [`wait_timeout`](ResponseHandle::wait_timeout), a `Some`
     /// consumes the response.
-    pub fn try_wait(&self) -> Option<Result<ServedResponse, ServeError>> {
-        self.ticket.try_take()
-    }
-
-    /// Whether the response has been published (non-blocking).
-    pub fn is_ready(&self) -> bool {
-        self.ticket.is_ready()
-    }
-}
-
-/// A pending sweep response: the asynchronous half of
-/// [`Server::submit_sweep`].
-#[derive(Debug)]
-pub struct SweepResponseHandle {
-    ticket: Arc<Ticket<ServedSweep>>,
-}
-
-impl SweepResponseHandle {
-    /// Block until the sweep resolves and return its response.
-    pub fn wait(self) -> Result<ServedSweep, ServeError> {
-        self.ticket.wait()
-    }
-
-    /// Wait up to `timeout` for the response; `Some` consumes it (see
-    /// [`ResponseHandle::wait_timeout`]).
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<ServedSweep, ServeError>> {
-        self.ticket.wait_timeout(timeout)
-    }
-
-    /// Take the response if already published; `Some` consumes it.
-    pub fn try_wait(&self) -> Option<Result<ServedSweep, ServeError>> {
+    pub fn try_wait(&self) -> Option<Result<T, ServeError>> {
         self.ticket.try_take()
     }
 
@@ -685,8 +658,23 @@ struct QueueState {
     jobs: VecDeque<Job>,
     closed: bool,
     /// In-flight (queued + running) `Train` queries per tenant,
-    /// maintained by admission and [`Shared::finish_tenant`].
+    /// maintained by admission and [`QueueState::finish_tenant`].
     tenant_inflight: HashMap<u64, usize>,
+}
+
+impl QueueState {
+    /// Release one unit of `tenant`'s in-flight budget, dropping the
+    /// entry when it reaches zero: when one of its `Train` queries
+    /// resolves (before the response is published) or is aborted at
+    /// shutdown.
+    fn finish_tenant(&mut self, tenant: u64) {
+        if let Some(count) = self.tenant_inflight.get_mut(&tenant) {
+            *count -= 1;
+            if *count == 0 {
+                self.tenant_inflight.remove(&tenant);
+            }
+        }
+    }
 }
 
 /// State shared between the handle and the worker pool. Holds only
@@ -716,18 +704,6 @@ impl Shared {
                 return None;
             }
             queue = self.cv.wait(queue).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Release one unit of a tenant's in-flight budget (after the
-    /// response for one of its `Train` queries is published).
-    fn finish_tenant(&self, tenant: u64) {
-        let mut queue = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(count) = queue.tenant_inflight.get_mut(&tenant) {
-            *count -= 1;
-            if *count == 0 {
-                queue.tenant_inflight.remove(&tenant);
-            }
         }
     }
 }
@@ -961,7 +937,7 @@ impl Server {
     pub fn submit_sweep(&self, query: SweepQuery) -> Result<SweepResponseHandle, ServeError> {
         let ticket = Arc::new(Ticket::default());
         self.enqueue(query.dataset, Request::Sweep(query, ticket.clone()))?;
-        Ok(SweepResponseHandle { ticket })
+        Ok(ResponseHandle { ticket })
     }
 
     fn enqueue(&self, dataset: u64, request: Request) -> Result<(), ServeError> {
@@ -1140,9 +1116,7 @@ impl Server {
                 let jobs = std::mem::take(&mut queue.jobs);
                 for job in &jobs {
                     if let Request::Train(q, _) = &job.request {
-                        if let Some(count) = queue.tenant_inflight.get_mut(&q.tenant) {
-                            *count = count.saturating_sub(1);
-                        }
+                        queue.finish_tenant(q.tenant);
                     }
                 }
                 jobs
@@ -1250,6 +1224,14 @@ fn process_job<F, S>(
                     break result;
                 }
             };
+            // Release the tenant's budget before publishing, so a
+            // client resubmitting as soon as its wait returns is never
+            // refused for the query it already holds.
+            shared
+                .queue
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .finish_tenant(query.tenant);
             match result {
                 Ok((outcome, rung, epoch)) => {
                     stats.completed.fetch_add(1, Ordering::Relaxed);
@@ -1268,7 +1250,6 @@ fn process_job<F, S>(
                     ticket.publish(Err(e));
                 }
             }
-            shared.finish_tenant(query.tenant);
         }
         Request::Sweep(query, ticket) => {
             stats.sweep_queries.fetch_add(1, Ordering::Relaxed);
@@ -1648,7 +1629,7 @@ where
     S: ModelClassSpec<F> + ?Sized,
 {
     let attempt = catch_unwind(AssertUnwindSafe(|| {
-        run_train_controlled(
+        run_train(
             &config, spec, train, holdout, pool, scratch, seed, pilot, want_pilot, control,
         )
     }));

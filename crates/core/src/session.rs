@@ -32,7 +32,7 @@
 //! server with a worker pool, a keyed LRU, and in-flight coalescing.
 
 use crate::config::BlinkMlConfig;
-use crate::coordinator::{run_train, PilotState, TrainingOutcome};
+use crate::coordinator::{run_train, PilotState, RunControl, TrainingOutcome};
 use crate::error::CoreError;
 use crate::mcs::ModelClassSpec;
 use crate::sweep::{run_sweep, SweepResult};
@@ -201,7 +201,7 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
         {
             let pilots = self.pilots.borrow();
             if let Some(pilot) = pilots.get(&key) {
-                let (outcome, _) = run_train(
+                let (outcome, _, _) = run_train(
                     config,
                     self.spec,
                     self.train,
@@ -211,11 +211,12 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
                     seed,
                     Some(pilot),
                     false,
+                    &RunControl::unbounded(),
                 )?;
                 return Ok(outcome);
             }
         }
-        let (outcome, pilot) = run_train(
+        let (outcome, pilot, _) = run_train(
             config,
             self.spec,
             self.train,
@@ -225,6 +226,7 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
             seed,
             None,
             true,
+            &RunControl::unbounded(),
         )?;
         if let Some(p) = pilot {
             self.pilots.borrow_mut().insert(key, p);

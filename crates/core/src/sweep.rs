@@ -293,7 +293,7 @@ impl Drop for FinishOnDrop<'_> {
 }
 
 /// One solver's view of the bridge, shaped as a plain [`Objective`] so
-/// the quasi-Newton solvers run **unchanged** — every probe they make is
+/// the quasi-Newton driver runs **unchanged** — every probe it makes is
 /// transparently batched into the bridge's rounds.
 struct BridgeObjective<'b> {
     bridge: &'b EvalBridge,
@@ -304,12 +304,6 @@ struct BridgeObjective<'b> {
 impl Objective for BridgeObjective<'_> {
     fn dim(&self) -> usize {
         self.dim
-    }
-
-    fn value_grad(&self, theta: &[f64]) -> (f64, Vec<f64>) {
-        let mut grad = vec![0.0; self.dim];
-        let value = self.value_grad_into(theta, &mut grad);
-        (value, grad)
     }
 
     fn value_grad_into(&self, theta: &[f64], grad: &mut [f64]) -> f64 {

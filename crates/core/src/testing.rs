@@ -126,8 +126,10 @@ impl<F: FeatureVec, S: ModelClassSpec<F> + ScalarOracle<F>> Objective
         self.spec.param_dim(self.data.dim())
     }
 
-    fn value_grad(&self, theta: &[f64]) -> (f64, Vec<f64>) {
-        self.spec.scalar_objective(theta, self.data)
+    fn value_grad_into(&self, theta: &[f64], grad: &mut [f64]) -> f64 {
+        let (value, g) = self.spec.scalar_objective(theta, self.data);
+        grad.copy_from_slice(&g);
+        value
     }
 }
 

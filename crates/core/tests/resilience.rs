@@ -562,6 +562,39 @@ fn tenant_inflight_cap_rejects_only_the_greedy_tenant() {
     server.shutdown();
 }
 
+/// A tenant's budget is released before its response is published: a
+/// client that resubmits the moment `wait` returns, with nothing else
+/// in flight, is never refused.
+#[test]
+fn tenant_cap_never_refuses_a_client_with_nothing_in_flight() {
+    let shard = make_shard(1, 3_000, 80);
+    let server = Server::spawn(
+        base_config(200),
+        ServeConfig {
+            workers: 1,
+            tenant_inflight_cap: Some(1),
+            ..ServeConfig::default()
+        },
+        LogisticRegressionSpec::new(1e-3),
+        vec![shard],
+    )
+    .expect("spawn server");
+    let mut rejects = 0;
+    for _ in 0..2_000 {
+        match server.submit(Query::new(1, 0.3, 0.05, 0).with_tenant(5)) {
+            Ok(handle) => assert!(handle.wait().is_ok()),
+            Err(ServeError::TenantOverloaded { .. }) => {
+                rejects += 1;
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            Err(e) => panic!("unexpected admission error {e:?}"),
+        }
+    }
+    assert_eq!(rejects, 0, "refused a tenant whose last query had resolved");
+    assert_eq!(server.stats().tenant_rejects, 0);
+    server.shutdown();
+}
+
 // ---------------------------------------------------------------------
 // Handle satellites: wait_timeout / try_wait
 // ---------------------------------------------------------------------

@@ -1,115 +1,259 @@
-//! Full-memory BFGS.
+//! The quasi-Newton driver: BFGS and L-BFGS as two inverse-Hessian
+//! states of one solve loop.
 //!
-//! Maintains a dense `d x d` inverse-Hessian estimate, so it is the right
-//! choice only for low-dimensional problems; BlinkML uses it for
-//! `d < 100` (paper §5.1) and switches to [`crate::lbfgs::Lbfgs`] above.
+//! Every solve runs the same steps — first evaluation, stop probe,
+//! gradient test, strong-Wolfe search, precision-loss rule, the step
+//! `s = αp` and gradient change `y`, curvature test, iteration cap. The
+//! state only turns a gradient into a search direction and absorbs an
+//! accepted curvature pair `(s, y)`:
+//!
+//! * **dense** — a `d × d` inverse-Hessian estimate (BFGS), BlinkML's
+//!   choice for `d < 100` (paper §5.1);
+//! * **limited** — a ring of the last m = 10 curvature pairs applied
+//!   by Nocedal's two-loop recursion (L-BFGS), `O(m d)` per iteration,
+//!   for `d ≥ 100`.
 
-use crate::linesearch::{strong_wolfe_buffered, LineSearchScratch, WolfeParams};
+use crate::linesearch::{strong_wolfe, LineSearchScratch, WolfeParams};
 use crate::problem::Objective;
 use crate::result::{OptimError, OptimOptions, OptimResult};
-use blinkml_linalg::blas::{gemv, ger};
+use blinkml_linalg::blas::ger;
 use blinkml_linalg::vector::{dot, norm_inf};
 use blinkml_linalg::Matrix;
+use std::collections::VecDeque;
 
-/// Caller-owned reusable BFGS state for repeated fits
-/// ([`Bfgs::minimize_with`]): the dense `d × d` inverse-Hessian
-/// estimate, the gradient buffer, and the line-search probe pool
-/// survive across solves, so a grid of related fits reuses one
-/// allocation set. Every buffer is fully (re)initialized on entry, so
-/// reuse never changes a bit.
+/// Curvature pairs the limited state keeps.
+pub(crate) const LBFGS_MEMORY: usize = 10;
+
+/// Caller-owned reusable solver state for
+/// [`minimize_with`](crate::minimize_with): one set of gradient,
+/// direction, step and line-search probe buffers plus the active
+/// inverse-Hessian state, so one instance serves a stream of fits
+/// whatever dimension each runs at. The sweep engine keeps one per grid
+/// point, so each λ's pilot and final fits share one allocation set.
+/// Every buffer is fully (re)initialized on entry: reuse moves only
+/// allocations, never a bit.
 #[derive(Default)]
-pub struct BfgsWorkspace {
-    h: Option<Matrix>,
+pub struct MinimizeWorkspace {
     grad: Vec<f64>,
+    direction: Vec<f64>,
+    s: Vec<f64>,
+    y: Vec<f64>,
     scratch: LineSearchScratch,
+    state: Option<InverseHessian>,
 }
 
-impl BfgsWorkspace {
+impl MinimizeWorkspace {
     /// Empty workspace; buffers grow on first solve.
     pub fn new() -> Self {
-        BfgsWorkspace::default()
+        MinimizeWorkspace::default()
     }
 
-    /// Ready the workspace for a dimension-`d` solve: zero the gradient
-    /// buffer and reset the inverse-Hessian estimate to the identity,
-    /// reusing its allocation when the dimension matches.
-    fn reset(&mut self, d: usize) {
-        self.grad.clear();
-        self.grad.resize(d, 0.0);
-        match &mut self.h {
-            Some(h) if h.rows() == d && h.cols() == d => {
-                for a in 0..d {
-                    let row = h.row_mut(a);
-                    row.fill(0.0);
-                    row[a] = 1.0;
+    /// Ready the workspace for a dimension-`d` solve: zero the vector
+    /// buffers and install a fresh state — the identity estimate when
+    /// `memory` is `None`, an empty `memory`-pair ring otherwise —
+    /// recycling the previous state's allocations where they fit.
+    fn reset(&mut self, d: usize, memory: Option<usize>) {
+        for buf in [
+            &mut self.grad,
+            &mut self.direction,
+            &mut self.s,
+            &mut self.y,
+        ] {
+            buf.clear();
+            buf.resize(d, 0.0);
+        }
+        self.state = Some(match (self.state.take(), memory) {
+            (Some(InverseHessian::Dense(mut dense)), None) if dense.h.rows() == d => {
+                set_identity(&mut dense.h);
+                dense.scaled = false;
+                InverseHessian::Dense(dense)
+            }
+            (_, None) => InverseHessian::Dense(Dense {
+                h: Matrix::identity(d),
+                hy: vec![0.0; d],
+                scaled: false,
+            }),
+            (Some(InverseHessian::Limited(mut ring)), Some(memory)) => {
+                ring.spare.extend(ring.pairs.drain(..));
+                ring.memory = memory;
+                InverseHessian::Limited(ring)
+            }
+            (_, Some(memory)) => InverseHessian::Limited(Limited {
+                memory,
+                pairs: VecDeque::new(),
+                spare: Vec::new(),
+                alphas: Vec::new(),
+            }),
+        });
+    }
+}
+
+/// The inverse-Hessian estimate a solve carries between iterations.
+enum InverseHessian {
+    Dense(Dense),
+    Limited(Limited),
+}
+
+/// BFGS's dense `d × d` estimate.
+struct Dense {
+    h: Matrix,
+    /// `H y` of the update being absorbed.
+    hy: Vec<f64>,
+    /// Whether the identity has been rescaled to the first pair's
+    /// secant curvature.
+    scaled: bool,
+}
+
+/// L-BFGS's ring of the newest `memory` curvature pairs.
+struct Limited {
+    memory: usize,
+    pairs: VecDeque<Pair>,
+    /// Retired pairs whose allocations the next pushes reuse.
+    spare: Vec<Pair>,
+    alphas: Vec<f64>,
+}
+
+/// One stored curvature pair.
+struct Pair {
+    s: Vec<f64>,
+    y: Vec<f64>,
+    rho: f64,
+}
+
+/// Reset a square matrix to the identity in place.
+fn set_identity(h: &mut Matrix) {
+    for a in 0..h.rows() {
+        let row = h.row_mut(a);
+        row.fill(0.0);
+        row[a] = 1.0;
+    }
+}
+
+impl InverseHessian {
+    /// Write the search direction `−H ∇f` into `out` (length `d`).
+    fn direction_into(&mut self, grad: &[f64], out: &mut Vec<f64>) {
+        match self {
+            // One dot per row: `gemv`'s order, which the pinned
+            // trajectories depend on.
+            InverseHessian::Dense(dense) => {
+                for (i, p) in out.iter_mut().enumerate() {
+                    *p = -dot(dense.h.row(i), grad);
                 }
             }
-            h => *h = Some(Matrix::identity(d)),
+            InverseHessian::Limited(ring) => {
+                two_loop_direction_into(grad, &ring.pairs, out, &mut ring.alphas)
+            }
+        }
+    }
+
+    /// Absorb the accepted pair `(s, y)` with `sy = sᵀy > 0` and
+    /// `yy = yᵀy`.
+    fn absorb(&mut self, s: &[f64], y: &[f64], sy: f64, yy: f64) {
+        match self {
+            InverseHessian::Dense(dense) => {
+                let h = &mut dense.h;
+                if !dense.scaled {
+                    // H is still the identity: scale it to the secant
+                    // curvature γ = sᵀy / yᵀy (Nocedal & Wright eq. 6.20)
+                    // before the first update.
+                    h.scale(sy / yy);
+                    dense.scaled = true;
+                }
+                let rho = 1.0 / sy;
+                for (i, hyi) in dense.hy.iter_mut().enumerate() {
+                    *hyi = dot(h.row(i), y);
+                }
+                let coeff = rho * (1.0 + rho * dot(y, &dense.hy));
+                ger(-rho, s, &dense.hy, h);
+                ger(-rho, &dense.hy, s, h);
+                ger(coeff, s, s, h);
+            }
+            InverseHessian::Limited(ring) => {
+                // A full ring hands its oldest pair's buffers to the new
+                // one.
+                let mut pair = if ring.pairs.len() == ring.memory {
+                    ring.pairs.pop_front().expect("memory > 0")
+                } else {
+                    ring.spare.pop().unwrap_or(Pair {
+                        s: Vec::new(),
+                        y: Vec::new(),
+                        rho: 0.0,
+                    })
+                };
+                pair.s.clear();
+                pair.s.extend_from_slice(s);
+                pair.y.clear();
+                pair.y.extend_from_slice(y);
+                pair.rho = 1.0 / sy;
+                ring.pairs.push_back(pair);
+            }
         }
     }
 }
 
-/// BFGS solver.
-#[derive(Debug, Clone)]
-pub struct Bfgs {
-    options: OptimOptions,
-    wolfe: WolfeParams,
-}
+/// Minimize `objective` from `theta0` with the dense estimate
+/// (`memory = None`) or an L-BFGS ring of `memory ≥ 1` pairs.
+/// [`minimize_with`](crate::minimize_with) picks by dimension; tests
+/// reach either state at any dimension through here.
+pub(crate) fn solve(
+    objective: &dyn Objective,
+    theta0: &[f64],
+    options: &OptimOptions,
+    ws: &mut MinimizeWorkspace,
+    memory: Option<usize>,
+) -> Result<OptimResult, OptimError> {
+    debug_assert!(memory != Some(0), "an L-BFGS ring needs one pair");
+    let d = objective.dim();
+    if theta0.len() != d {
+        return Err(OptimError::DimensionMismatch {
+            expected: d,
+            got: theta0.len(),
+        });
+    }
+    let mut theta = theta0.to_vec();
+    ws.reset(d, memory);
+    let MinimizeWorkspace {
+        grad,
+        direction,
+        s,
+        y,
+        scratch,
+        state,
+    } = ws;
+    let state = state.as_mut().expect("reset installs a state");
+    let mut value = objective.value_grad_into(&theta, grad);
+    if !value.is_finite() {
+        return Err(OptimError::NonFiniteObjective);
+    }
+    let mut function_evals = 1usize;
+    let wolfe = WolfeParams::default();
 
-impl Bfgs {
-    /// Solver with the given options and default Wolfe parameters.
-    pub fn new(options: OptimOptions) -> Self {
-        Bfgs {
-            options,
-            wolfe: WolfeParams::default(),
+    for iteration in 0..options.max_iterations {
+        if options.should_stop() {
+            return Err(OptimError::Cancelled);
         }
-    }
-
-    /// Minimize `objective` from `theta0`.
-    pub fn minimize(
-        &self,
-        objective: &dyn Objective,
-        theta0: &[f64],
-    ) -> Result<OptimResult, OptimError> {
-        self.minimize_with(objective, theta0, &mut BfgsWorkspace::new())
-    }
-
-    /// [`Self::minimize`] with caller-owned reusable state: repeated
-    /// fits hand the same [`BfgsWorkspace`] back in, so the dense
-    /// inverse-Hessian estimate and the line-search probe pool are
-    /// recycled across solves instead of reallocated per fit.
-    /// Bit-identical to [`Self::minimize`].
-    pub fn minimize_with(
-        &self,
-        objective: &dyn Objective,
-        theta0: &[f64],
-        ws: &mut BfgsWorkspace,
-    ) -> Result<OptimResult, OptimError> {
-        let d = objective.dim();
-        if theta0.len() != d {
-            return Err(OptimError::DimensionMismatch {
-                expected: d,
-                got: theta0.len(),
+        let gnorm = norm_inf(grad);
+        if gnorm <= options.gradient_tolerance {
+            return Ok(OptimResult {
+                theta,
+                value,
+                gradient_norm: gnorm,
+                iterations: iteration,
+                function_evals,
+                converged: true,
             });
         }
-        let mut theta = theta0.to_vec();
-        ws.reset(d);
-        let grad = &mut ws.grad;
-        let mut value = objective.value_grad_into(&theta, grad);
-        if !value.is_finite() {
-            return Err(OptimError::NonFiniteObjective);
-        }
-        let mut function_evals = 1usize;
-        let h = ws.h.as_mut().expect("reset installs the estimate");
-        let mut first_update_done = false;
-        let scratch = &mut ws.scratch;
-
-        for iteration in 0..self.options.max_iterations {
-            if self.options.should_stop() {
-                return Err(OptimError::Cancelled);
-            }
-            let gnorm = norm_inf(grad);
-            if gnorm <= self.options.gradient_tolerance {
+        state.direction_into(grad, direction);
+        let outcome = strong_wolfe(objective, &theta, value, grad, direction, &wolfe, scratch);
+        // Probe evaluations are charged whether or not the search
+        // succeeded.
+        function_evals += outcome.evals;
+        let Some(ls) = outcome.result else {
+            // Near the minimum, objective decreases can underflow f64
+            // resolution and no step passes the Wolfe tests. With a
+            // gradient at round-off scale this is convergence, not
+            // failure (scipy reports the same as "precision loss").
+            if gnorm <= 4.0 * f64::EPSILON.sqrt() * (1.0 + value.abs()) {
                 return Ok(OptimResult {
                     theta,
                     value,
@@ -119,96 +263,72 @@ impl Bfgs {
                     converged: true,
                 });
             }
-            // Search direction p = −H g.
-            let mut direction = gemv(h, grad).expect("H/g dims");
-            for p in &mut direction {
-                *p = -*p;
-            }
-            let outcome = strong_wolfe_buffered(
-                objective,
-                &theta,
-                value,
-                grad,
-                &direction,
-                &self.wolfe,
-                scratch,
-            );
-            // Probe evaluations are charged whether or not the search
-            // succeeded — the same accounting as L-BFGS.
-            function_evals += outcome.evals;
-            let Some(ls) = outcome.result else {
-                // Near the minimum, objective decreases can underflow f64
-                // resolution and no step passes the Wolfe tests. With a
-                // gradient at round-off scale this is convergence, not
-                // failure (scipy reports the same as "precision loss").
-                if gnorm <= 4.0 * f64::EPSILON.sqrt() * (1.0 + value.abs()) {
-                    return Ok(OptimResult {
-                        theta,
-                        value,
-                        gradient_norm: gnorm,
-                        iterations: iteration,
-                        function_evals,
-                        converged: true,
-                    });
-                }
-                return Err(OptimError::LineSearchFailed { iteration });
-            };
+            return Err(OptimError::LineSearchFailed { iteration });
+        };
 
-            let s: Vec<f64> = direction.iter().map(|p| ls.alpha * p).collect();
-            let y: Vec<f64> = ls
-                .gradient
-                .iter()
-                .zip(&*grad)
-                .map(|(gn, go)| gn - go)
-                .collect();
-            let prev_value = value;
-            for (t, si) in theta.iter_mut().zip(&s) {
-                *t += si;
-            }
-            value = ls.value;
-            scratch.recycle(std::mem::replace(grad, ls.gradient));
-
-            let sy = dot(&s, &y);
-            let yy = dot(&y, &y);
-            if sy > 1e-10 * yy.sqrt().max(1.0) {
-                if !first_update_done {
-                    // Scale the initial identity to the secant curvature
-                    // (Nocedal & Wright eq. 6.20) before the first update.
-                    let gamma = sy / yy;
-                    *h = Matrix::identity(d);
-                    h.scale(gamma);
-                    first_update_done = true;
-                }
-                let rho = 1.0 / sy;
-                let hy = gemv(h, &y).expect("H/y dims");
-                let coeff = rho * (1.0 + rho * dot(&y, &hy));
-                ger(-rho, &s, &hy, h);
-                ger(-rho, &hy, &s, h);
-                ger(coeff, &s, &s, h);
-            }
-
-            if self.options.value_tolerance > 0.0 {
-                let rel = (prev_value - value).abs() / prev_value.abs().max(1.0);
-                if rel < self.options.value_tolerance {
-                    return Ok(OptimResult {
-                        theta,
-                        value,
-                        gradient_norm: norm_inf(grad),
-                        iterations: iteration + 1,
-                        function_evals,
-                        converged: true,
-                    });
-                }
-            }
+        for (si, p) in s.iter_mut().zip(&*direction) {
+            *si = ls.alpha * p;
         }
-        Ok(OptimResult {
-            gradient_norm: norm_inf(grad),
-            theta,
-            value,
-            iterations: self.options.max_iterations,
-            function_evals,
-            converged: false,
-        })
+        for ((yi, gn), go) in y.iter_mut().zip(&ls.gradient).zip(&*grad) {
+            *yi = gn - go;
+        }
+        for (t, si) in theta.iter_mut().zip(&*s) {
+            *t += si;
+        }
+        value = ls.value;
+        scratch.recycle(std::mem::replace(grad, ls.gradient));
+
+        let sy = dot(s, y);
+        let yy = dot(y, y);
+        if sy > 1e-10 * yy.sqrt().max(1.0) {
+            state.absorb(s, y, sy, yy);
+        }
+    }
+    Ok(OptimResult {
+        gradient_norm: norm_inf(grad),
+        theta,
+        value,
+        iterations: options.max_iterations,
+        function_evals,
+        converged: false,
+    })
+}
+
+/// Nocedal's two-loop recursion, writing `−H_k ∇f` (with `H_k` the
+/// implicit L-BFGS inverse-Hessian estimate) into the reused `q` and
+/// `alphas` buffers.
+fn two_loop_direction_into(
+    grad: &[f64],
+    pairs: &VecDeque<Pair>,
+    q: &mut Vec<f64>,
+    alphas: &mut Vec<f64>,
+) {
+    q.clear();
+    q.extend_from_slice(grad);
+    alphas.clear();
+    for pair in pairs.iter().rev() {
+        let alpha = pair.rho * dot(&pair.s, q);
+        for (qi, yi) in q.iter_mut().zip(&pair.y) {
+            *qi -= alpha * yi;
+        }
+        alphas.push(alpha);
+    }
+    // Initial Hessian scaling γ = sᵀy / yᵀy from the newest pair.
+    if let Some(newest) = pairs.back() {
+        let gamma = dot(&newest.s, &newest.y) / dot(&newest.y, &newest.y);
+        for qi in q.iter_mut() {
+            *qi *= gamma;
+        }
+    }
+    for (pair, alpha) in pairs.iter().zip(alphas.iter().rev()) {
+        let beta = pair.rho * dot(&pair.y, q);
+        let coeff = alpha - beta;
+        for (qi, si) in q.iter_mut().zip(&pair.s) {
+            *qi += coeff * si;
+        }
+    }
+    for qi in q.iter_mut() {
+        *qi = -*qi;
     }
 }
 
@@ -216,6 +336,50 @@ impl Bfgs {
 mod tests {
     use super::*;
     use crate::problem::{QuadraticObjective, Rosenbrock};
+
+    /// The dense state (BFGS) at any dimension, on a fresh workspace.
+    fn dense(
+        objective: &dyn Objective,
+        theta0: &[f64],
+        options: OptimOptions,
+    ) -> Result<OptimResult, OptimError> {
+        solve(
+            objective,
+            theta0,
+            &options,
+            &mut MinimizeWorkspace::new(),
+            None,
+        )
+    }
+
+    /// The limited state (L-BFGS, m = 10) at any dimension, on a fresh
+    /// workspace.
+    fn limited(
+        objective: &dyn Objective,
+        theta0: &[f64],
+        options: OptimOptions,
+    ) -> Result<OptimResult, OptimError> {
+        let memory = Some(LBFGS_MEMORY);
+        solve(
+            objective,
+            theta0,
+            &options,
+            &mut MinimizeWorkspace::new(),
+            memory,
+        )
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Same iterations, evaluations, value and θ bits.
+    fn assert_same_solve(a: &OptimResult, b: &OptimResult) {
+        assert_eq!(a.iterations, b.iterations);
+        assert_eq!(a.function_evals, b.function_evals);
+        assert_eq!(a.value.to_bits(), b.value.to_bits());
+        assert_eq!(bits(&a.theta), bits(&b.theta));
+    }
 
     fn spd_quadratic(d: usize) -> (QuadraticObjective, Vec<f64>) {
         // A = tridiagonal SPD, b = ones; solution solves Aθ = b.
@@ -235,12 +399,65 @@ mod tests {
         (QuadraticObjective::new(a, b), solution)
     }
 
+    /// `minimize` on both sides of the dimension limit, pinned to the
+    /// bits the separate BFGS and L-BFGS solvers produced before they
+    /// became two states of this driver: Rosenbrock (dense) and the
+    /// d = 150 quadratic (limited). θ at d = 150 is pinned through an
+    /// FNV-1a digest of every coordinate's bits.
+    #[test]
+    fn trajectory_bits_are_pinned() {
+        let options = OptimOptions::default();
+        let r = crate::minimize(&Rosenbrock, &[-1.2, 1.0], &options).unwrap();
+        assert_eq!(
+            (r.iterations, r.function_evals, r.converged),
+            (36, 62, true)
+        );
+        assert_eq!(r.value.to_bits(), 0x3cfc_c508_2302_fba8);
+        assert_eq!(
+            bits(&r.theta),
+            [0x3ff0_0000_1573_f1df, 0x3ff0_0000_2ae0_54ff]
+        );
+
+        let (q, _) = lbfgs::spd_quadratic(150);
+        let r = crate::minimize(&q, &[0.0; 150], &options).unwrap();
+        assert_eq!(
+            (r.iterations, r.function_evals, r.converged),
+            (13, 15, true)
+        );
+        assert_eq!(r.value.to_bits(), 0xc028_e2ae_67ec_8f73);
+        let digest = r.theta.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, t| {
+            (h ^ t.to_bits()).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(digest, 0x36be_2048_9dc4_9263);
+    }
+
+    /// One workspace reused across a stream that switches between the
+    /// two states and dimensions is bit-identical to fresh solves.
+    #[test]
+    fn workspace_reuse_across_states_is_bitwise_fresh_solves() {
+        let mut ws = MinimizeWorkspace::new();
+        let (q8, _) = spd_quadratic(8);
+        let (q20, _) = lbfgs::spd_quadratic(20);
+        let options = OptimOptions::default();
+        let runs: [(&QuadraticObjective, Option<usize>); 5] = [
+            (&q8, None),
+            (&q20, Some(LBFGS_MEMORY)),
+            (&q8, Some(LBFGS_MEMORY)),
+            (&q20, None),
+            (&q8, None),
+        ];
+        for (obj, memory) in runs {
+            let start = vec![0.1; obj.dim()];
+            let fresh = solve(obj, &start, &options, &mut MinimizeWorkspace::new(), memory);
+            let reused = solve(obj, &start, &options, &mut ws, memory);
+            assert_same_solve(&fresh.unwrap(), &reused.unwrap());
+        }
+    }
+
     #[test]
     fn solves_quadratic_exactly() {
         let (q, solution) = spd_quadratic(8);
-        let res = Bfgs::new(OptimOptions::default())
-            .minimize(&q, &[0.0; 8])
-            .unwrap();
+        let res = dense(&q, &[0.0; 8], OptimOptions::default()).unwrap();
         assert!(res.converged, "did not converge: {res:?}");
         for (t, s) in res.theta.iter().zip(&solution) {
             assert!((t - s).abs() < 1e-5, "{t} vs {s}");
@@ -249,12 +466,11 @@ mod tests {
 
     #[test]
     fn converges_on_rosenbrock() {
-        let res = Bfgs::new(OptimOptions {
+        let options = OptimOptions {
             max_iterations: 500,
             ..OptimOptions::default()
-        })
-        .minimize(&Rosenbrock, &[-1.2, 1.0])
-        .unwrap();
+        };
+        let res = dense(&Rosenbrock, &[-1.2, 1.0], options).unwrap();
         assert!(res.converged, "gradient norm {}", res.gradient_norm);
         assert!((res.theta[0] - 1.0).abs() < 1e-4);
         assert!((res.theta[1] - 1.0).abs() < 1e-4);
@@ -263,32 +479,29 @@ mod tests {
     #[test]
     fn already_at_minimum_returns_immediately() {
         let (q, solution) = spd_quadratic(4);
-        let res = Bfgs::new(OptimOptions::default())
-            .minimize(&q, &solution)
-            .unwrap();
+        let res = dense(&q, &solution, OptimOptions::default()).unwrap();
         assert!(res.converged);
         assert_eq!(res.iterations, 0);
     }
 
     #[test]
     fn respects_iteration_cap() {
-        let res = Bfgs::new(OptimOptions {
+        let options = OptimOptions {
             max_iterations: 2,
             gradient_tolerance: 1e-16,
             ..OptimOptions::default()
-        })
-        .minimize(&Rosenbrock, &[-1.2, 1.0])
-        .unwrap();
+        };
+        let res = dense(&Rosenbrock, &[-1.2, 1.0], options).unwrap();
         assert!(!res.converged);
         assert_eq!(res.iterations, 2);
     }
 
     /// Reusing one workspace across solves of different dimensions must
-    /// be bit-identical to fresh `minimize` calls.
+    /// be bit-identical to fresh solves.
     #[test]
     fn workspace_reuse_is_bitwise_fresh_solves() {
-        let mut ws = BfgsWorkspace::new();
-        let solver = Bfgs::new(OptimOptions::default());
+        let mut ws = MinimizeWorkspace::new();
+        let options = OptimOptions::default();
         let (q8, _) = spd_quadratic(8);
         let (q4, _) = spd_quadratic(4);
         let runs: Vec<(&QuadraticObjective, Vec<f64>)> = vec![
@@ -297,13 +510,9 @@ mod tests {
             (&q8, vec![-0.1; 8]),
         ];
         for (obj, start) in runs {
-            let fresh = solver.minimize(obj, &start).unwrap();
-            let reused = solver.minimize_with(obj, &start, &mut ws).unwrap();
-            assert_eq!(fresh.iterations, reused.iterations);
-            assert_eq!(fresh.value.to_bits(), reused.value.to_bits());
-            for (a, b) in fresh.theta.iter().zip(&reused.theta) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
+            let fresh = dense(obj, &start, options.clone()).unwrap();
+            let reused = solve(obj, &start, &options, &mut ws, None).unwrap();
+            assert_same_solve(&fresh, &reused);
         }
     }
 
@@ -311,20 +520,161 @@ mod tests {
     fn rejects_dimension_mismatch() {
         let (q, _) = spd_quadratic(4);
         assert!(matches!(
-            Bfgs::new(OptimOptions::default()).minimize(&q, &[0.0; 3]),
+            dense(&q, &[0.0; 3], OptimOptions::default()),
             Err(OptimError::DimensionMismatch { .. })
         ));
     }
 
-    #[test]
-    fn value_tolerance_stops_early() {
-        let (q, _) = spd_quadratic(6);
-        let res = Bfgs::new(OptimOptions {
-            value_tolerance: 0.5, // very loose: stop as soon as progress slows
-            ..OptimOptions::default()
-        })
-        .minimize(&q, &[0.0; 6])
-        .unwrap();
-        assert!(res.converged);
+    /// The limited state's cases (L-BFGS), run below the dimension
+    /// limit where `minimize` would pick the dense state.
+    mod lbfgs {
+        use super::*;
+        use blinkml_linalg::blas::gemm_nt;
+        use proptest::prelude::*;
+
+        pub(super) fn spd_quadratic(d: usize) -> (QuadraticObjective, Vec<f64>) {
+            let mut a = Matrix::zeros(d, d);
+            for i in 0..d {
+                a[(i, i)] = 3.0 + (i % 5) as f64;
+                if i + 1 < d {
+                    a[(i, i + 1)] = -1.0;
+                    a[(i + 1, i)] = -1.0;
+                }
+            }
+            let b: Vec<f64> = (0..d).map(|i| (i as f64 * 0.7).sin()).collect();
+            let solution = blinkml_linalg::Cholesky::new(&a)
+                .unwrap()
+                .solve(&b)
+                .unwrap();
+            (QuadraticObjective::new(a, b), solution)
+        }
+
+        #[test]
+        fn solves_medium_quadratic() {
+            let (q, solution) = spd_quadratic(60);
+            let res = limited(&q, &[0.0; 60], OptimOptions::default()).unwrap();
+            assert!(res.converged, "grad norm {}", res.gradient_norm);
+            for (t, s) in res.theta.iter().zip(&solution) {
+                assert!((t - s).abs() < 1e-4);
+            }
+        }
+
+        #[test]
+        fn converges_on_rosenbrock() {
+            let options = OptimOptions {
+                max_iterations: 1000,
+                ..OptimOptions::default()
+            };
+            let res = limited(&Rosenbrock, &[-1.2, 1.0], options).unwrap();
+            assert!(res.converged);
+            assert!((res.theta[0] - 1.0).abs() < 1e-4);
+        }
+
+        #[test]
+        fn agrees_with_bfgs_on_small_problem() {
+            let (q, _) = spd_quadratic(10);
+            let full = dense(&q, &[0.1; 10], OptimOptions::default()).unwrap();
+            let ring = limited(&q, &[0.1; 10], OptimOptions::default()).unwrap();
+            for (a, b) in full.theta.iter().zip(&ring.theta) {
+                assert!((a - b).abs() < 1e-4, "{a} vs {b}");
+            }
+        }
+
+        #[test]
+        fn memory_one_still_converges() {
+            let (q, _) = spd_quadratic(20);
+            let options = OptimOptions {
+                max_iterations: 2000,
+                ..OptimOptions::default()
+            };
+            let mut ws = MinimizeWorkspace::new();
+            let res = solve(&q, &[0.0; 20], &options, &mut ws, Some(1)).unwrap();
+            assert!(res.converged);
+        }
+
+        #[test]
+        fn two_loop_with_no_pairs_is_steepest_descent() {
+            let grad = vec![1.0, -2.0, 3.0];
+            let mut dir = Vec::new();
+            let mut alphas = Vec::new();
+            two_loop_direction_into(&grad, &VecDeque::new(), &mut dir, &mut alphas);
+            assert_eq!(dir, vec![-1.0, 2.0, -3.0]);
+        }
+
+        /// Reusing one workspace across a stream of solves — different
+        /// problems, dimensions, and starts — must be bit-identical to
+        /// fresh solves.
+        #[test]
+        fn workspace_reuse_is_bitwise_fresh_solves() {
+            let mut ws = MinimizeWorkspace::new();
+            let options = OptimOptions::default();
+            let (q60, _) = spd_quadratic(60);
+            let (q20, _) = spd_quadratic(20);
+            let runs: Vec<(&QuadraticObjective, Vec<f64>)> = vec![
+                (&q60, vec![0.0; 60]),
+                (&q20, vec![0.1; 20]),
+                (&q60, (0..60).map(|i| 0.01 * i as f64).collect()),
+            ];
+            for (obj, start) in runs {
+                let fresh = limited(obj, &start, options.clone()).unwrap();
+                let reused = solve(obj, &start, &options, &mut ws, Some(LBFGS_MEMORY)).unwrap();
+                assert_same_solve(&fresh, &reused);
+            }
+        }
+
+        #[test]
+        fn rejects_dimension_mismatch() {
+            let (q, _) = spd_quadratic(5);
+            assert!(limited(&q, &[0.0; 4], OptimOptions::default()).is_err());
+        }
+
+        #[test]
+        fn iteration_counts_are_reported() {
+            let (q, _) = spd_quadratic(30);
+            let res = limited(&q, &[0.0; 30], OptimOptions::default()).unwrap();
+            assert!(res.iterations > 0);
+            assert!(res.function_evals >= res.iterations);
+        }
+
+        /// Random strongly convex quadratic of dimension `d` with its
+        /// exact minimizer.
+        fn random_quadratic(d: usize) -> impl Strategy<Value = (QuadraticObjective, Vec<f64>)> {
+            (
+                proptest::collection::vec(-1.0f64..1.0, d * d),
+                proptest::collection::vec(-2.0f64..2.0, d),
+            )
+                .prop_map(move |(bdata, lin)| {
+                    let b = Matrix::from_vec(d, d, bdata);
+                    let mut a = gemm_nt(&b, &b).unwrap();
+                    a.add_diag(d as f64 * 0.5 + 0.5);
+                    let solution = blinkml_linalg::Cholesky::new(&a)
+                        .unwrap()
+                        .solve(&lin)
+                        .unwrap();
+                    (QuadraticObjective::new(a, lin), solution)
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            #[test]
+            fn lbfgs_finds_quadratic_minimum((q, solution) in random_quadratic(8)) {
+                let res = limited(&q, &[0.0; 8], OptimOptions::default()).unwrap();
+                prop_assert!(res.converged);
+                for (t, s) in res.theta.iter().zip(&solution) {
+                    prop_assert!((t - s).abs() < 1e-4);
+                }
+            }
+
+            #[test]
+            fn solvers_agree_on_the_minimizer((q, _) in random_quadratic(5)) {
+                let a = dense(&q, &[0.2; 5], OptimOptions::default()).unwrap();
+                let b = limited(&q, &[0.2; 5], OptimOptions::default()).unwrap();
+                for (x, y) in a.theta.iter().zip(&b.theta) {
+                    prop_assert!((x - y).abs() < 1e-3, "{x} vs {y}");
+                }
+            }
+        }
     }
 }

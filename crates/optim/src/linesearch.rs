@@ -1,13 +1,11 @@
 //! Strong-Wolfe line search (Nocedal & Wright, Algorithms 3.5 / 3.6).
 //!
-//! The search is exposed twice: [`strong_wolfe`] is the original
-//! allocating convenience form, and [`strong_wolfe_buffered`] is the
-//! solvers' form — probe points and gradients live in a caller-owned
-//! [`LineSearchScratch`] pool, so a converged solver performs **zero
-//! steady-state allocation** per probe, and the number of objective
-//! evaluations is reported even when no acceptable step exists (the
-//! callers charge failed searches to `function_evals` too, keeping the
-//! accounting consistent across solvers).
+//! Probe points and gradients live in a caller-owned
+//! [`LineSearchScratch`] pool, so a converged solve performs **zero
+//! steady-state allocation** per probe, and [`strong_wolfe`] reports
+//! the number of objective evaluations even when no acceptable step
+//! exists (the quasi-Newton driver charges failed searches to
+//! `function_evals` too).
 
 use crate::problem::Objective;
 use blinkml_linalg::vector::dot;
@@ -55,7 +53,7 @@ pub struct LineSearchResult {
     pub evals: usize,
 }
 
-/// Outcome of a buffered search: the accepted step (if any) plus the
+/// Outcome of a search: the accepted step (if any) plus the
 /// evaluation count, which is reported **even on failure** so solvers
 /// account probe work consistently.
 #[derive(Debug)]
@@ -66,7 +64,7 @@ pub struct SearchOutcome {
     pub evals: usize,
 }
 
-/// Reusable probe buffers for [`strong_wolfe_buffered`]. One scratch is
+/// Reusable probe buffers for [`strong_wolfe`]. One scratch is
 /// owned per solver run; after the first few iterations every probe
 /// draws its point and gradient buffers from here instead of the
 /// allocator.
@@ -105,38 +103,13 @@ struct Probe {
     gradient: Vec<f64>,
 }
 
-/// Allocating convenience wrapper around [`strong_wolfe_buffered`]:
-/// finds a step satisfying the strong Wolfe conditions along descent
-/// direction `direction` from `theta`.
-///
-/// Returns `None` when no acceptable step is found within the evaluation
-/// budget (e.g. for non-descent directions).
-pub fn strong_wolfe(
-    objective: &dyn Objective,
-    theta: &[f64],
-    value0: f64,
-    grad0: &[f64],
-    direction: &[f64],
-    params: &WolfeParams,
-) -> Option<LineSearchResult> {
-    let mut scratch = LineSearchScratch::new();
-    strong_wolfe_buffered(
-        objective,
-        theta,
-        value0,
-        grad0,
-        direction,
-        params,
-        &mut scratch,
-    )
-    .result
-}
-
-/// Find a strong-Wolfe step with caller-owned probe buffers, reporting
-/// the evaluation count even on failure. Identical floating-point
-/// behaviour to [`strong_wolfe`] — only the buffer lifecycle differs.
+/// Find a step along descent direction `direction` from `theta` that
+/// satisfies the strong Wolfe conditions, with caller-owned probe
+/// buffers. The outcome has no step when none is found within the
+/// evaluation budget (e.g. for non-descent directions), and reports the
+/// evaluation count either way.
 #[allow(clippy::too_many_arguments)]
-pub fn strong_wolfe_buffered(
+pub fn strong_wolfe(
     objective: &dyn Objective,
     theta: &[f64],
     value0: f64,
@@ -344,6 +317,19 @@ mod tests {
     use crate::problem::{QuadraticObjective, Rosenbrock};
     use blinkml_linalg::Matrix;
 
+    /// One search on a fresh scratch pool.
+    fn search(
+        obj: &dyn Objective,
+        theta: &[f64],
+        v0: f64,
+        g0: &[f64],
+        dir: &[f64],
+        params: &WolfeParams,
+    ) -> Option<LineSearchResult> {
+        let mut scratch = LineSearchScratch::new();
+        strong_wolfe(obj, theta, v0, g0, dir, params, &mut scratch).result
+    }
+
     fn quadratic_1d() -> QuadraticObjective {
         // f(x) = ½·2x² − 4x, minimum at x = 2.
         QuadraticObjective::new(Matrix::from_vec(1, 1, vec![2.0]), vec![4.0])
@@ -356,7 +342,7 @@ mod tests {
         let (v0, g0) = q.value_grad(&theta);
         let dir = [-g0[0]]; // steepest descent
         let params = WolfeParams::default();
-        let res = strong_wolfe(&q, &theta, v0, &g0, &dir, &params).expect("search succeeds");
+        let res = search(&q, &theta, v0, &g0, &dir, &params).expect("search succeeds");
         let slope0 = g0[0] * dir[0];
         // Sufficient decrease.
         assert!(res.value <= v0 + params.c1 * res.alpha * slope0 + 1e-12);
@@ -372,7 +358,7 @@ mod tests {
         let q = quadratic_1d();
         let (v0, g0) = q.value_grad(&[0.0]);
         let dir = [-g0[0]];
-        let res = strong_wolfe(&q, &[0.0], v0, &g0, &dir, &WolfeParams::default()).unwrap();
+        let res = search(&q, &[0.0], v0, &g0, &dir, &WolfeParams::default()).unwrap();
         let x_new = 0.0 + res.alpha * dir[0];
         // Strong Wolfe with c2=0.9 is loose, but the step must land in a
         // broad neighborhood of the minimizer and reduce the value.
@@ -385,7 +371,7 @@ mod tests {
         let q = quadratic_1d();
         let (v0, g0) = q.value_grad(&[0.0]);
         let dir = [g0[0]]; // ascent
-        assert!(strong_wolfe(&q, &[0.0], v0, &g0, &dir, &WolfeParams::default()).is_none());
+        assert!(search(&q, &[0.0], v0, &g0, &dir, &WolfeParams::default()).is_none());
     }
 
     #[test]
@@ -394,8 +380,8 @@ mod tests {
         let theta = [-1.2, 1.0];
         let (v0, g0) = r.value_grad(&theta);
         let dir: Vec<f64> = g0.iter().map(|g| -g).collect();
-        let res = strong_wolfe(&r, &theta, v0, &g0, &dir, &WolfeParams::default())
-            .expect("must find a step");
+        let res =
+            search(&r, &theta, v0, &g0, &dir, &WolfeParams::default()).expect("must find a step");
         assert!(res.value < v0);
         assert!(res.alpha > 0.0);
     }
@@ -410,7 +396,7 @@ mod tests {
             ..WolfeParams::default()
         };
         // Bracketing should expand the step toward an acceptable one.
-        let res = strong_wolfe(&q, &[0.0], v0, &g0, &dir, &params).unwrap();
+        let res = search(&q, &[0.0], v0, &g0, &dir, &params).unwrap();
         assert!(res.value < v0);
     }
 
@@ -423,27 +409,9 @@ mod tests {
             max_evals: 3,
             ..WolfeParams::default()
         };
-        if let Some(res) = strong_wolfe(&q, &[0.0], v0, &g0, &dir, &params) {
+        if let Some(res) = search(&q, &[0.0], v0, &g0, &dir, &params) {
             assert!(res.evals <= 3);
         }
-    }
-
-    #[test]
-    fn buffered_search_matches_allocating_search() {
-        let r = Rosenbrock;
-        let theta = [-1.2, 1.0];
-        let (v0, g0) = r.value_grad(&theta);
-        let dir: Vec<f64> = g0.iter().map(|g| -g).collect();
-        let params = WolfeParams::default();
-        let plain = strong_wolfe(&r, &theta, v0, &g0, &dir, &params).unwrap();
-        let mut scratch = LineSearchScratch::new();
-        let out = strong_wolfe_buffered(&r, &theta, v0, &g0, &dir, &params, &mut scratch);
-        let buffered = out.result.unwrap();
-        assert_eq!(plain.alpha, buffered.alpha);
-        assert_eq!(plain.value, buffered.value);
-        assert_eq!(plain.gradient, buffered.gradient);
-        assert_eq!(plain.evals, buffered.evals);
-        assert_eq!(out.evals, buffered.evals);
     }
 
     #[test]
@@ -459,7 +427,7 @@ mod tests {
             ..WolfeParams::default()
         };
         let mut scratch = LineSearchScratch::new();
-        let out = strong_wolfe_buffered(&q, &[0.0], v0, &g0, &dir, &params, &mut scratch);
+        let out = strong_wolfe(&q, &[0.0], v0, &g0, &dir, &params, &mut scratch);
         if out.result.is_none() {
             assert!(out.evals >= 1, "failed search must report its probes");
         }
@@ -476,7 +444,7 @@ mod tests {
             let theta = [-1.2 + 0.1 * step as f64, 1.0];
             let (v0, g0) = r.value_grad(&theta);
             let dir: Vec<f64> = g0.iter().map(|g| -g).collect();
-            let out = strong_wolfe_buffered(&r, &theta, v0, &g0, &dir, &params, &mut scratch);
+            let out = strong_wolfe(&r, &theta, v0, &g0, &dir, &params, &mut scratch);
             if let Some(res) = out.result {
                 scratch.recycle(res.gradient);
             }

@@ -1,6 +1,6 @@
 //! The objective-function abstraction.
 
-use blinkml_linalg::blas::gemv;
+use blinkml_linalg::vector::dot;
 use blinkml_linalg::Matrix;
 
 /// A smooth objective `f : R^d -> R` exposing joint value+gradient
@@ -8,37 +8,25 @@ use blinkml_linalg::Matrix;
 ///
 /// BlinkML objectives are averaged negative log-likelihoods whose value
 /// and gradient share almost all computation (margins, probabilities), so
-/// the joint method is the primitive and the single-quantity accessors
-/// are derived.
+/// the joint evaluation into a caller-owned buffer is the one primitive.
 pub trait Objective {
     /// Dimension of the parameter vector.
     fn dim(&self) -> usize;
 
-    /// Evaluate `f(θ)` and `∇f(θ)` together.
-    fn value_grad(&self, theta: &[f64]) -> (f64, Vec<f64>);
-
     /// Evaluate `f(θ)` and write `∇f(θ)` into `grad`, returning the
-    /// value. This is the solvers' primitive: implementations that can
-    /// fill a caller-owned buffer (the batched training objectives)
-    /// override it so line-search probes allocate nothing; the default
-    /// simply copies out of [`Objective::value_grad`].
+    /// value. This is the solvers' primitive: line-search probes reuse
+    /// their gradient buffers, so a batched training objective
+    /// allocates nothing per probe.
     ///
     /// # Panics
     /// Implementations may panic when `grad.len() != dim()`.
-    fn value_grad_into(&self, theta: &[f64], grad: &mut [f64]) -> f64 {
-        let (value, g) = self.value_grad(theta);
-        grad.copy_from_slice(&g);
-        value
-    }
+    fn value_grad_into(&self, theta: &[f64], grad: &mut [f64]) -> f64;
 
-    /// Evaluate only `f(θ)`.
-    fn value(&self, theta: &[f64]) -> f64 {
-        self.value_grad(theta).0
-    }
-
-    /// Evaluate only `∇f(θ)`.
-    fn gradient(&self, theta: &[f64]) -> Vec<f64> {
-        self.value_grad(theta).1
+    /// Evaluate `f(θ)` and `∇f(θ)` together into a fresh gradient.
+    fn value_grad(&self, theta: &[f64]) -> (f64, Vec<f64>) {
+        let mut grad = vec![0.0; self.dim()];
+        let value = self.value_grad_into(theta, &mut grad);
+        (value, grad)
     }
 }
 
@@ -73,16 +61,17 @@ impl Objective for QuadraticObjective {
         self.b.len()
     }
 
-    fn value_grad(&self, theta: &[f64]) -> (f64, Vec<f64>) {
-        let a_theta = gemv(&self.a, theta).expect("dimension mismatch");
-        let value = 0.5 * blinkml_linalg::vector::dot(theta, &a_theta)
-            - blinkml_linalg::vector::dot(&self.b, theta);
-        let grad: Vec<f64> = a_theta
-            .iter()
-            .zip(&self.b)
-            .map(|(at, bi)| at - bi)
-            .collect();
-        (value, grad)
+    fn value_grad_into(&self, theta: &[f64], grad: &mut [f64]) -> f64 {
+        // `grad` holds `Aθ` (row by row, as `gemv` forms it) until the
+        // value is taken, then becomes `Aθ − b`.
+        for (i, g) in grad.iter_mut().enumerate() {
+            *g = dot(self.a.row(i), theta);
+        }
+        let value = 0.5 * dot(theta, grad) - dot(&self.b, theta);
+        for (g, bi) in grad.iter_mut().zip(&self.b) {
+            *g -= bi;
+        }
+        value
     }
 }
 
@@ -96,14 +85,11 @@ impl Objective for Rosenbrock {
         2
     }
 
-    fn value_grad(&self, theta: &[f64]) -> (f64, Vec<f64>) {
+    fn value_grad_into(&self, theta: &[f64], grad: &mut [f64]) -> f64 {
         let (x, y) = (theta[0], theta[1]);
-        let value = (1.0 - x).powi(2) + 100.0 * (y - x * x).powi(2);
-        let grad = vec![
-            -2.0 * (1.0 - x) - 400.0 * x * (y - x * x),
-            200.0 * (y - x * x),
-        ];
-        (value, grad)
+        grad[0] = -2.0 * (1.0 - x) - 400.0 * x * (y - x * x);
+        grad[1] = 200.0 * (y - x * x);
+        (1.0 - x).powi(2) + 100.0 * (y - x * x).powi(2)
     }
 }
 
@@ -129,9 +115,9 @@ mod tests {
         let a = Matrix::from_vec(2, 2, vec![3.0, 1.0, 1.0, 2.0]);
         let q = QuadraticObjective::new(a, vec![1.0, -1.0]);
         let theta = [0.3, -0.7];
-        let (v, g) = q.value_grad(&theta);
-        assert_eq!(q.value(&theta), v);
-        assert_eq!(q.gradient(&theta), g);
+        let mut g = [f64::NAN; 2];
+        let v = q.value_grad_into(&theta, &mut g);
+        assert_eq!(q.value_grad(&theta), (v, g.to_vec()));
     }
 
     #[test]
@@ -140,21 +126,21 @@ mod tests {
         let (v, g) = r.value_grad(&[1.0, 1.0]);
         assert!(v.abs() < 1e-15);
         assert!(g[0].abs() < 1e-12 && g[1].abs() < 1e-12);
-        assert!(r.value(&[0.0, 0.0]) > 0.0);
+        assert!(r.value_grad(&[0.0, 0.0]).0 > 0.0);
     }
 
     #[test]
     fn rosenbrock_gradient_matches_finite_difference() {
         let r = Rosenbrock;
         let theta = [-1.2, 1.0];
-        let g = r.gradient(&theta);
+        let (_, g) = r.value_grad(&theta);
         let eps = 1e-6;
         for i in 0..2 {
             let mut plus = theta;
             let mut minus = theta;
             plus[i] += eps;
             minus[i] -= eps;
-            let fd = (r.value(&plus) - r.value(&minus)) / (2.0 * eps);
+            let fd = (r.value_grad(&plus).0 - r.value_grad(&minus).0) / (2.0 * eps);
             assert!((g[i] - fd).abs() < 1e-3, "coord {i}: {} vs {}", g[i], fd);
         }
     }

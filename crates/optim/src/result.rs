@@ -31,18 +31,13 @@ impl fmt::Debug for StopCheck {
     }
 }
 
-/// Options shared by all solvers.
+/// Options of the quasi-Newton driver (both inverse-Hessian states).
 #[derive(Debug, Clone)]
 pub struct OptimOptions {
     /// Stop when the gradient infinity norm falls below this value.
     pub gradient_tolerance: f64,
     /// Hard iteration cap.
     pub max_iterations: usize,
-    /// Also stop when the relative objective decrease between iterations
-    /// falls below this value (0 disables the check).
-    pub value_tolerance: f64,
-    /// L-BFGS history length (ignored by other solvers).
-    pub lbfgs_memory: usize,
     /// Optional cooperative cancellation probe, polled at the top of
     /// every iteration; when it returns `true` the solver aborts with
     /// [`OptimError::Cancelled`]. `None` (the default) adds no work to
@@ -66,8 +61,6 @@ impl Default for OptimOptions {
         OptimOptions {
             gradient_tolerance: 1e-6,
             max_iterations: 500,
-            value_tolerance: 0.0,
-            lbfgs_memory: 10,
             stop_check: None,
         }
     }
@@ -146,7 +139,6 @@ mod tests {
         let o = OptimOptions::default();
         assert!(o.gradient_tolerance > 0.0);
         assert!(o.max_iterations > 0);
-        assert!(o.lbfgs_memory > 0);
     }
 
     #[test]

@@ -1,10 +1,13 @@
-//! Property-based tests for the optimizers: convergence on random
-//! strongly convex quadratics and line-search invariants.
+//! Property-based tests for the optimizer: convergence on random
+//! strongly convex quadratics and line-search invariants. The cases
+//! that force the L-BFGS state below the dimension limit live next to
+//! the driver (`bfgs::tests::lbfgs`).
 
 use blinkml_linalg::blas::gemm_nt;
 use blinkml_linalg::Matrix;
 use blinkml_optim::{
-    strong_wolfe, Bfgs, Lbfgs, Objective, OptimOptions, QuadraticObjective, WolfeParams,
+    minimize, strong_wolfe, LineSearchScratch, Objective, OptimOptions, QuadraticObjective,
+    WolfeParams,
 };
 use proptest::prelude::*;
 
@@ -32,32 +35,10 @@ proptest! {
 
     #[test]
     fn bfgs_finds_quadratic_minimum((q, solution) in random_quadratic(6)) {
-        let res = Bfgs::new(OptimOptions::default())
-            .minimize(&q, &[0.0; 6])
-            .unwrap();
+        let res = minimize(&q, &[0.0; 6], &OptimOptions::default()).unwrap();
         prop_assert!(res.converged);
         for (t, s) in res.theta.iter().zip(&solution) {
             prop_assert!((t - s).abs() < 1e-4, "{t} vs {s}");
-        }
-    }
-
-    #[test]
-    fn lbfgs_finds_quadratic_minimum((q, solution) in random_quadratic(8)) {
-        let res = Lbfgs::new(OptimOptions::default())
-            .minimize(&q, &[0.0; 8])
-            .unwrap();
-        prop_assert!(res.converged);
-        for (t, s) in res.theta.iter().zip(&solution) {
-            prop_assert!((t - s).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn solvers_agree_on_the_minimizer((q, _) in random_quadratic(5)) {
-        let a = Bfgs::new(OptimOptions::default()).minimize(&q, &[0.2; 5]).unwrap();
-        let b = Lbfgs::new(OptimOptions::default()).minimize(&q, &[0.2; 5]).unwrap();
-        for (x, y) in a.theta.iter().zip(&b.theta) {
-            prop_assert!((x - y).abs() < 1e-3, "{x} vs {y}");
         }
     }
 
@@ -71,7 +52,8 @@ proptest! {
         prop_assume!(gnorm > 1e-12);
         let dir: Vec<f64> = g0.iter().map(|g| -g).collect();
         let params = WolfeParams::default();
-        let res = strong_wolfe(&q, &start, v0, &g0, &dir, &params)
+        let res = strong_wolfe(&q, &start, v0, &g0, &dir, &params, &mut LineSearchScratch::new())
+            .result
             .expect("descent direction must yield a step");
         let slope0: f64 = g0.iter().zip(&dir).map(|(g, d)| g * d).sum();
         // Armijo.
@@ -84,13 +66,11 @@ proptest! {
     #[test]
     fn iteration_counts_monotone_in_tolerance((q, _) in random_quadratic(6)) {
         let run = |tol: f64| {
-            Bfgs::new(OptimOptions {
+            let options = OptimOptions {
                 gradient_tolerance: tol,
                 ..OptimOptions::default()
-            })
-            .minimize(&q, &[0.0; 6])
-            .unwrap()
-            .iterations
+            };
+            minimize(&q, &[0.0; 6], &options).unwrap().iterations
         };
         prop_assert!(run(1e-3) <= run(1e-9));
     }
