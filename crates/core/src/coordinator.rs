@@ -192,18 +192,53 @@ impl Coordinator {
             true,
             None,
         )?;
-        let stats = fit.stats.as_ref().expect("statistics requested");
-        let scorer = HoldoutScorer::new(spec, holdout, fit.model.parameters());
-        let sse = SampleSizeEstimator::new(self.config.num_param_samples);
-        Ok(sse.epsilon_at_scored(
-            &scorer,
-            stats,
+        let pilot = PilotState {
+            model: fit.model,
+            stats: fit.stats,
             n0,
+        };
+        Ok(pilot_curve_epsilon(
+            &self.config,
+            spec,
+            holdout,
+            &pilot,
             n,
             full_n,
-            self.config.delta,
-            split_seed(seed, 2),
+            seed,
         ))
+    }
+}
+
+/// The curve ε at `n` of `pilot` over a training set of `full_n` rows:
+/// the sample-size search's quantile with its own sub-seed (2) and draw
+/// pools, scored against `holdout`. `0.0` when the pilot saw every row
+/// (`n₀ = N`: it is exact). Both [`Coordinator::curve_epsilon_at`] and
+/// the serving layer's
+/// [`StalePilot`](crate::serve::resilience::DegradationRung::StalePilot)
+/// rung compute their ε here, so the two agree bit for bit.
+pub(crate) fn pilot_curve_epsilon<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
+    config: &BlinkMlConfig,
+    spec: &S,
+    holdout: &Dataset<F>,
+    pilot: &PilotState,
+    n: usize,
+    full_n: usize,
+    seed: u64,
+) -> f64 {
+    match &pilot.stats {
+        Some(stats) if pilot.n0 < full_n => {
+            let scorer = HoldoutScorer::new(spec, holdout, pilot.model.parameters());
+            SampleSizeEstimator::new(config.num_param_samples).epsilon_at_scored(
+                &scorer,
+                stats,
+                pilot.n0,
+                n,
+                full_n,
+                config.delta,
+                split_seed(seed, 2),
+            )
+        }
+        _ => 0.0,
     }
 }
 

@@ -119,7 +119,8 @@ pub struct DrawScores<'s> {
     pub scale_u: f64,
     /// Scores of the second-stage perturbation `w_i` and its scale.
     pub w: Option<(&'s [f64], f64)>,
-    /// Score outputs per row ([`ModelClassSpec::num_margin_outputs`]).
+    /// Score outputs per row: the width of the spec's
+    /// [`ModelClassSpec::margin_weights`] block.
     pub outputs: usize,
 }
 
@@ -252,8 +253,8 @@ impl DrawScores<'_> {
 
 /// What a model's prediction is computed from, for the fast-diff path.
 ///
-/// Every GLM in the paper predicts through per-output linear scores
-/// `x·θ_block`; exposing those lets the estimators precompute holdout
+/// Every GLM in the paper predicts through per-output affine scores
+/// `b + x·θ_block`; exposing those lets the estimators precompute holdout
 /// score matrices once per parameter-pool element and then evaluate the
 /// prediction difference at any sample size in `O(holdout · outputs)`
 /// (the engine behind the paper's "no additional training" sample-size
@@ -373,37 +374,27 @@ pub trait ModelClassSpec<F: FeatureVec>: Send + Sync {
     /// classifiers, RMSE for regressors.
     fn generalization_error(&self, theta: &[f64], data: &Dataset<F>) -> f64;
 
-    /// Number of linear-score outputs per example, when predictions are
-    /// a pure function of per-block linear scores `x·θ_block`
-    /// (`None` disables the fast-diff path; PPCA uses `None`).
-    fn num_margin_outputs(&self, _data_dim: usize) -> Option<usize> {
-        None
-    }
-
-    /// Linear scores for one example under `θ`, written into `out`
-    /// (length [`Self::num_margin_outputs`]). Only called when margins
-    /// are supported.
-    fn margins(&self, _theta: &[f64], _x: &F, _out: &mut [f64]) {
-        unreachable!("margins() called on a model without margin support");
-    }
-
-    /// The margin weight matrix `W(θ)` (`data_dim × outputs`, with
-    /// `outputs` = [`Self::num_margin_outputs`]) such that the margin
-    /// vector of example `x` is `xᵀ W(θ)`. The mapping `θ ↦ W(θ)` must be
-    /// linear (for GLMs it is a slice, for max-entropy a reshape), so it
-    /// applies to parameter-perturbation vectors as well as parameters.
+    /// The affine margin block of `θ`, when predictions are a pure
+    /// function of per-output affine scores: a `(data_dim + 1) × outputs`
+    /// matrix whose first `data_dim` rows are the weights `W(θ)` and
+    /// whose last row is the per-output offset `b(θ)` (an intercept GLM's
+    /// `θ_b`, zeros for every other built-in spec), so the score vector
+    /// of example `x` is `b(θ) + xᵀ W(θ)`. Its width is the spec's output
+    /// count. The mapping `θ ↦ block` must be linear (for GLMs a slice,
+    /// for max-entropy a reshape), so it applies to parameter-perturbation
+    /// vectors as well as parameters, and it must give a block of the
+    /// same shape for every `θ`.
     ///
     /// Returning `Some` lets `DiffEngine` build the holdout score
-    /// matrices of an entire parameter pool with one blocked GEMM instead
-    /// of per-example [`Self::margins`] calls — the batched fast path
-    /// behind the estimators. `None` (the default) falls back to
-    /// per-example scoring.
+    /// matrices of an entire parameter pool with one fused GEMM, the
+    /// fast path behind the estimators. `None` (the default; PPCA)
+    /// leaves the engine on the spec's own [`Self::diff`].
     fn margin_weights(&self, _theta: &[f64], _data_dim: usize) -> Option<Matrix> {
         None
     }
 
-    /// Prediction as a function of the margin scores (paired with
-    /// [`Self::margins`]).
+    /// Prediction as a function of one example's score vector (a row of
+    /// the scores [`Self::margin_weights`] defines).
     fn predict_from_margins(&self, _scores: &[f64]) -> f64 {
         unreachable!("predict_from_margins() called on a model without margin support");
     }
@@ -427,7 +418,8 @@ pub trait ModelClassSpec<F: FeatureVec>: Send + Sync {
     /// test the full one fails. Overrides must return exactly what this
     /// default loop returns whenever they do not stop early. The default
     /// calls [`Self::predict_from_margins`] twice per row and never
-    /// stops early. Only called when margins are supported.
+    /// stops early. Only called on specs whose
+    /// [`Self::margin_weights`] returns `Some`.
     fn margin_diff_sum(&self, scores: DrawScores<'_>, _stop: f64) -> f64 {
         let outputs = scores.outputs;
         let mut a = vec![0.0; outputs];

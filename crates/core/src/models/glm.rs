@@ -378,23 +378,15 @@ impl<Fam: GlmFamily, F: FeatureVec> ModelClassSpec<F> for GlmSpec<Fam> {
         }
     }
 
-    fn num_margin_outputs(&self, _data_dim: usize) -> Option<usize> {
-        Some(1)
-    }
-
-    fn margins(&self, theta: &[f64], x: &F, out: &mut [f64]) {
-        out[0] = self.margin(theta, x);
-    }
-
     fn margin_weights(&self, theta: &[f64], data_dim: usize) -> Option<Matrix> {
-        if self.intercept {
-            // Affine margins (`xᵀw + b`) are outside the pure-linear
-            // pool-GEMM contract; the diff engine falls back to the
-            // per-example margins path, which includes the bias.
-            return None;
+        // θ_w, then the offset row: θ_b, or +0.0 without an intercept.
+        debug_assert_eq!(theta.len(), data_dim + usize::from(self.intercept));
+        let mut block = Vec::with_capacity(data_dim + 1);
+        block.extend_from_slice(theta);
+        if !self.intercept {
+            block.push(0.0);
         }
-        debug_assert_eq!(theta.len(), data_dim);
-        Some(Matrix::from_vec(data_dim, 1, theta.to_vec()))
+        Some(Matrix::from_vec(data_dim + 1, 1, block))
     }
 
     fn predict_from_margins(&self, scores: &[f64]) -> f64 {
@@ -754,16 +746,30 @@ mod tests {
         }
     }
 
+    /// The intercept's block is `θ_w` over the offset row `θ_b`, a
+    /// plain spec's offset row is `+0.0`, and the affine scores
+    /// `θ_b + Σ xᵢθ_wᵢ` predict what `predict` does.
     #[test]
-    fn margin_weights_disabled_with_intercept() {
+    fn margin_block_ends_in_the_offset_row() {
+        type M = dyn ModelClassSpec<DenseVec>;
+        let (data, _) = synthetic_logistic(60, 2, 2.0, 12);
         let spec = Spec::with_intercept(1e-3);
-        assert!(
-            <Spec as ModelClassSpec<DenseVec>>::margin_weights(&spec, &[0.1, 0.2, 0.3], 2)
-                .is_none()
-        );
-        let plain = Spec::new(1e-3);
-        assert!(
-            <Spec as ModelClassSpec<DenseVec>>::margin_weights(&plain, &[0.1, 0.2], 2).is_some()
-        );
+        let theta = [0.8, -1.1, 0.35];
+        let block = <M>::margin_weights(&spec, &theta, 2).expect("margin spec");
+        assert_eq!((block.rows(), block.cols()), (3, 1));
+        for (i, t) in theta.iter().enumerate() {
+            assert_eq!(block[(i, 0)].to_bits(), t.to_bits());
+        }
+        for e in data.iter() {
+            let x = e.x.as_slice();
+            let score = block[(2, 0)] + x[0] * block[(0, 0)] + x[1] * block[(1, 0)];
+            assert_eq!(
+                <M>::predict_from_margins(&spec, &[score]),
+                spec.predict(&theta, &e.x)
+            );
+        }
+        let plain = <M>::margin_weights(&Spec::new(1e-3), &theta[..2], 2).expect("margin spec");
+        assert_eq!((plain.rows(), plain.cols()), (3, 1));
+        assert_eq!(plain[(2, 0)].to_bits(), 0.0f64.to_bits());
     }
 }

@@ -243,17 +243,13 @@ impl<F: FeatureVec> ModelClassSpec<F> for LinearRegressionSpec {
         (sum_sq / data.len() as f64).sqrt()
     }
 
-    fn num_margin_outputs(&self, _data_dim: usize) -> Option<usize> {
-        Some(1)
-    }
-
-    fn margins(&self, theta: &[f64], x: &F, out: &mut [f64]) {
-        out[0] = x.dot(self.weights(theta));
-    }
-
     fn margin_weights(&self, theta: &[f64], data_dim: usize) -> Option<Matrix> {
-        // Predictions ignore the trailing ln σ² parameter.
-        Some(Matrix::from_vec(data_dim, 1, theta[..data_dim].to_vec()))
+        // Predictions ignore the trailing ln σ² parameter; the offset
+        // row is +0.0.
+        let mut block = Vec::with_capacity(data_dim + 1);
+        block.extend_from_slice(&theta[..data_dim]);
+        block.push(0.0);
+        Some(Matrix::from_vec(data_dim + 1, 1, block))
     }
 
     fn predict_from_margins(&self, scores: &[f64]) -> f64 {
@@ -461,12 +457,19 @@ mod tests {
         let (data, _) = synthetic_linear(10, 3, 0.1, 6);
         let spec = LinearRegressionSpec::new(0.0);
         let theta = vec![0.5, -1.0, 2.0, 0.1];
-        let mut out = [0.0];
+        let block = <M>::margin_weights(&spec, &theta, 3).expect("margin spec");
+        assert_eq!((block.rows(), block.cols()), (4, 1));
+        assert_eq!(block[(3, 0)].to_bits(), 0.0f64.to_bits());
         for e in data.iter() {
-            <M>::margins(&spec, &theta, &e.x, &mut out);
-            assert_eq!(
-                <M>::predict_from_margins(&spec, &out),
-                spec.predict(&theta, &e.x)
+            let x = e.x.as_slice();
+            let score = (0..3).fold(block[(3, 0)], |s, i| s + x[i] * block[(i, 0)]);
+            let (got, want) = (
+                <M>::predict_from_margins(&spec, &[score]),
+                spec.predict(&theta, &e.x),
+            );
+            assert!(
+                (got - want).abs() <= 1e-12 * (1.0 + want.abs()),
+                "{got} vs {want}"
             );
         }
         assert!(<M>::diff_is_rms(&spec));

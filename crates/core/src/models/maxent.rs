@@ -285,19 +285,16 @@ impl<F: FeatureVec> ModelClassSpec<F> for MaxEntSpec {
         wrong as f64 / data.len() as f64
     }
 
-    fn num_margin_outputs(&self, _data_dim: usize) -> Option<usize> {
-        Some(self.num_classes)
-    }
-
-    fn margins(&self, theta: &[f64], x: &F, out: &mut [f64]) {
-        self.scores(theta, x, out);
-    }
-
     fn margin_weights(&self, theta: &[f64], data_dim: usize) -> Option<Matrix> {
-        // Class-major θ reshaped to data_dim × K: W[i][k] = θ[k·d + i].
+        // Class-major θ reshaped to data_dim × K, W[i][k] = θ[k·d + i],
+        // over an offset row of +0.0.
         debug_assert_eq!(theta.len(), self.num_classes * data_dim);
-        Some(Matrix::from_fn(data_dim, self.num_classes, |i, k| {
-            theta[k * data_dim + i]
+        Some(Matrix::from_fn(data_dim + 1, self.num_classes, |i, k| {
+            if i < data_dim {
+                theta[k * data_dim + i]
+            } else {
+                0.0
+            }
         }))
     }
 
@@ -611,11 +608,13 @@ mod tests {
         let data = synthetic_multiclass(50, 4, 3, 5);
         let spec = Spec::new(1e-3, 3);
         let theta: Vec<f64> = (0..12).map(|i| (i as f64 * 0.37).sin()).collect();
-        let mut out = vec![0.0; 3];
+        let block = <M>::margin_weights(&spec, &theta, 4).expect("margin spec");
+        assert_eq!((block.rows(), block.cols()), (5, 3));
         for e in data.iter() {
-            <Spec as ModelClassSpec<blinkml_data::DenseVec>>::margins(
-                &spec, &theta, &e.x, &mut out,
-            );
+            let x = e.x.as_slice();
+            let out: Vec<f64> = (0..3)
+                .map(|k| (0..4).fold(block[(4, k)], |s, i| s + x[i] * block[(i, k)]))
+                .collect();
             let from_margins = <M>::predict_from_margins(&spec, &out);
             assert_eq!(from_margins, spec.predict(&theta, &e.x));
         }

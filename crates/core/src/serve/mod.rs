@@ -116,11 +116,11 @@ pub mod resilience;
 pub(crate) mod sidecar;
 
 use crate::config::{BlinkMlConfig, ServeConfig, ShedPolicy};
-use crate::coordinator::{run_train, PilotState, RunControl, TrainingOutcome, TrainingPhaseTimes};
-use crate::diff_engine::HoldoutScorer;
+use crate::coordinator::{
+    pilot_curve_epsilon, run_train, PilotState, RunControl, TrainingOutcome, TrainingPhaseTimes,
+};
 use crate::error::CoreError;
 use crate::mcs::ModelClassSpec;
-use crate::sample_size::SampleSizeEstimator;
 use crate::serve::cache::{PilotCache, PilotKey, PilotTicket};
 use crate::serve::resilience::{retry_backoff, ActiveTokenGuard, CancelToken, DegradationRung};
 use crate::sweep::{run_sweep, SweepResult};
@@ -128,7 +128,6 @@ use blinkml_data::{
     CaptureScratch, Dataset, DatasetMatrix, FeatureVec, IngestPolicy, StreamSnapshot,
     StreamingPool, TrainScratch,
 };
-use blinkml_prob::split_seed;
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -1350,18 +1349,20 @@ where
             let train = snap.train_dataset();
             let holdout = snap.holdout_dataset();
             let matrix = design_matrix(resident, &train);
-            return run_contained(
-                config,
-                spec,
-                &train,
-                &holdout,
-                &matrix,
-                scratch,
-                query.seed,
-                Some(&pilot),
-                false,
-                &control,
-            )
+            return contained(|| {
+                run_train(
+                    &config,
+                    spec,
+                    &train,
+                    &holdout,
+                    &matrix,
+                    scratch,
+                    query.seed,
+                    Some(&pilot),
+                    false,
+                    &control,
+                )
+            })
             .map(|(outcome, _, rung)| (outcome, rung, e));
         }
         if score <= serve.drift_fail {
@@ -1403,9 +1404,12 @@ where
         PilotTicket::Lead => {
             // Lead: train the pilot, then complete or fail the
             // in-flight entry.
-            let led = run_contained(
-                config, spec, &train, &holdout, &matrix, scratch, query.seed, None, true, &control,
-            );
+            let led = contained(|| {
+                run_train(
+                    &config, spec, &train, &holdout, &matrix, scratch, query.seed, None, true,
+                    &control,
+                )
+            });
             return match led {
                 Ok((outcome, Some(pilot), rung)) => {
                     stats.pilot_trains.fetch_add(1, Ordering::Relaxed);
@@ -1432,18 +1436,20 @@ where
             };
         }
     };
-    run_contained(
-        config,
-        spec,
-        &train,
-        &holdout,
-        &matrix,
-        scratch,
-        query.seed,
-        Some(&pilot),
-        false,
-        &control,
-    )
+    contained(|| {
+        run_train(
+            &config,
+            spec,
+            &train,
+            &holdout,
+            &matrix,
+            scratch,
+            query.seed,
+            Some(&pilot),
+            false,
+            &control,
+        )
+    })
     .map(|(outcome, _, rung)| (outcome, rung, epoch))
 }
 
@@ -1524,7 +1530,7 @@ where
 /// on the pilot's **own** snapshot — exactly the value
 /// [`Coordinator::curve_epsilon_at`](crate::Coordinator::curve_epsilon_at)
 /// returns for `(train_e, holdout_e, seed, n₀)` on that snapshot's
-/// datasets.
+/// datasets (both call [`pilot_curve_epsilon`]).
 fn stale_pilot_outcome<F, S>(
     config: &BlinkMlConfig,
     spec: &S,
@@ -1537,27 +1543,10 @@ where
     F: FeatureVec,
     S: ModelClassSpec<F> + ?Sized,
 {
-    let n0 = pilot.n0;
-    let eps0 = match pilot.stats.as_ref() {
-        Some(stats) if n0 < full_n => {
-            let scorer = HoldoutScorer::new(spec, holdout, pilot.model.parameters());
-            let sse = SampleSizeEstimator::new(config.num_param_samples);
-            sse.epsilon_at_scored(
-                &scorer,
-                stats,
-                n0,
-                n0,
-                full_n,
-                config.delta,
-                split_seed(seed, 2),
-            )
-        }
-        // n₀ = N at the pilot's epoch: the pilot is exact for it.
-        _ => 0.0,
-    };
+    let eps0 = pilot_curve_epsilon(config, spec, holdout, pilot, pilot.n0, full_n, seed);
     TrainingOutcome {
         model: pilot.model.clone(),
-        sample_size: n0,
+        sample_size: pilot.n0,
         full_data_size: full_n,
         initial_epsilon: eps0,
         estimated_epsilon: eps0,
@@ -1585,7 +1574,7 @@ where
     S: ModelClassSpec<F> + ?Sized,
 {
     let config = query_config(base, query.epsilon, query.delta, query.initial_sample_size)?;
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
+    contained(|| {
         run_sweep(
             &config,
             spec,
@@ -1597,43 +1586,18 @@ where
             &query.lambdas,
             query.seed,
         )
-    }));
-    match attempt {
-        Ok(Ok(result)) => Ok(result),
-        Ok(Err(e)) => Err(ServeError::Train(e)),
-        Err(payload) => Err(ServeError::WorkerPanicked(panic_message(payload))),
-    }
+    })
 }
 
-/// Run the coordinator workflow with panics contained to this job:
-/// a panic inside training (e.g. a library bug or a pathological
-/// dataset) becomes [`ServeError::WorkerPanicked`] instead of killing
-/// the worker, so one bad query cannot take the queue down.
-/// Cancellation errors (the fail-fast floor of the ladder) surface as
-/// [`ServeError::DeadlineExceeded`].
-#[allow(clippy::too_many_arguments)]
-fn run_contained<F, S>(
-    config: BlinkMlConfig,
-    spec: &S,
-    train: &Dataset<F>,
-    holdout: &Dataset<F>,
-    pool: &DatasetMatrix<'_>,
-    scratch: &mut CaptureScratch,
-    seed: u64,
-    pilot: Option<&PilotState>,
-    want_pilot: bool,
-    control: &RunControl,
-) -> Result<(TrainingOutcome, Option<PilotState>, DegradationRung), ServeError>
-where
-    F: FeatureVec,
-    S: ModelClassSpec<F> + ?Sized,
-{
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        run_train(
-            &config, spec, train, holdout, pool, scratch, seed, pilot, want_pilot, control,
-        )
-    }));
-    match attempt {
+/// Run one job's work with panics contained to the job: a panic inside
+/// it (e.g. a library bug or a pathological dataset) becomes
+/// [`ServeError::WorkerPanicked`] instead of killing the worker, so one
+/// bad query cannot take the queue down. Cancellation errors (the
+/// fail-fast floor of the ladder) surface as
+/// [`ServeError::DeadlineExceeded`]; sweeps carry no token, so only
+/// training queries reach that arm.
+fn contained<T>(work: impl FnOnce() -> Result<T, CoreError>) -> Result<T, ServeError> {
+    match catch_unwind(AssertUnwindSafe(work)) {
         Ok(Ok(result)) => Ok(result),
         Ok(Err(e)) if e.is_cancellation() => Err(ServeError::DeadlineExceeded),
         Ok(Err(e)) => Err(ServeError::Train(e)),
@@ -1856,7 +1820,7 @@ mod tests {
     /// wrapped logistic spec still gates shard labels to {0, 1}.
     #[test]
     fn wrapped_specs_keep_the_inner_label_domain() {
-        use crate::testing::{HookedSpec, MultiLambdaPanicSpec, NoBatch};
+        use crate::testing::{HookedSpec, MultiLambdaPanicSpec, PerRowLoop};
         fn spawn_err<S: ModelClassSpec<DenseVec> + 'static>(spec: S) -> Option<CoreError> {
             let sh = shard(1, 2_000, 3);
             let mut rows = sh.train.examples().to_vec();
@@ -1874,7 +1838,7 @@ mod tests {
                 "HookedSpec",
                 spawn_err(HookedSpec::new(spec.clone(), |_| {})),
             ),
-            ("NoBatch", spawn_err(NoBatch(spec.clone()))),
+            ("PerRowLoop", spawn_err(PerRowLoop(spec.clone()))),
             (
                 "MultiLambdaPanicSpec",
                 spawn_err(MultiLambdaPanicSpec(Box::new(spec.clone()))),

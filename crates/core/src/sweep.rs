@@ -798,12 +798,6 @@ mod tests {
             ) -> f64 {
                 self.0.generalization_error(theta, data)
             }
-            fn num_margin_outputs(&self, data_dim: usize) -> Option<usize> {
-                Inner::num_margin_outputs(&self.0, data_dim)
-            }
-            fn margins(&self, theta: &[f64], x: &blinkml_data::DenseVec, out: &mut [f64]) {
-                self.0.margins(theta, x, out)
-            }
             fn margin_weights(
                 &self,
                 theta: &[f64],

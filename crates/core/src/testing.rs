@@ -133,15 +133,15 @@ impl<F: FeatureVec, S: ModelClassSpec<F> + ScalarOracle<F>> Objective
     }
 }
 
-/// Wrapper that hides [`ModelClassSpec::margin_weights`], forcing
-/// `DiffEngine` onto the per-example margins path — the pre-batching
-/// construction behaviour — and leaves
-/// [`ModelClassSpec::margin_diff_sum`] at its default per-row loop.
-/// Used as the sequential reference in the core proptests and the
-/// `diff_engine` unit tests.
-pub struct NoBatch<S>(pub S);
+/// Forwards every [`ModelClassSpec`] method except
+/// [`ModelClassSpec::margin_diff_sum`], which stays at the trait's
+/// default per-row loop: two [`ModelClassSpec::predict_from_margins`]
+/// calls per holdout row and no early exit. That loop is the oracle the
+/// built-in blocked kernels, with their early exits, are pinned against
+/// (the `diff_engine` unit tests, `tests/search_oracle.rs`).
+pub struct PerRowLoop<S>(pub S);
 
-impl<F: FeatureVec, S: ModelClassSpec<F>> ModelClassSpec<F> for NoBatch<S> {
+impl<F: FeatureVec, S: ModelClassSpec<F>> ModelClassSpec<F> for PerRowLoop<S> {
     fn name(&self) -> &'static str {
         self.0.name()
     }
@@ -166,6 +166,9 @@ impl<F: FeatureVec, S: ModelClassSpec<F>> ModelClassSpec<F> for NoBatch<S> {
     fn grads(&self, theta: &[f64], xm: &MatrixView) -> Grads {
         self.0.grads(theta, xm)
     }
+    fn closed_form_hessian(&self, theta: &[f64], xm: &MatrixView) -> Option<Matrix> {
+        self.0.closed_form_hessian(theta, xm)
+    }
     fn predict(&self, theta: &[f64], x: &F) -> f64 {
         self.0.predict(theta, x)
     }
@@ -175,11 +178,8 @@ impl<F: FeatureVec, S: ModelClassSpec<F>> ModelClassSpec<F> for NoBatch<S> {
     fn generalization_error(&self, theta: &[f64], data: &Dataset<F>) -> f64 {
         self.0.generalization_error(theta, data)
     }
-    fn num_margin_outputs(&self, data_dim: usize) -> Option<usize> {
-        self.0.num_margin_outputs(data_dim)
-    }
-    fn margins(&self, theta: &[f64], x: &F, out: &mut [f64]) {
-        self.0.margins(theta, x, out)
+    fn margin_weights(&self, theta: &[f64], data_dim: usize) -> Option<Matrix> {
+        self.0.margin_weights(theta, data_dim)
     }
     fn predict_from_margins(&self, scores: &[f64]) -> f64 {
         self.0.predict_from_margins(scores)
@@ -187,8 +187,14 @@ impl<F: FeatureVec, S: ModelClassSpec<F>> ModelClassSpec<F> for NoBatch<S> {
     fn diff_is_rms(&self) -> bool {
         self.0.diff_is_rms()
     }
-    // margin_weights deliberately left at the default `None`, and
-    // margin_diff_sum at the default per-row loop (the kernel oracle).
+    fn train_view(
+        &self,
+        xm: &MatrixView,
+        warm_start: Option<&[f64]>,
+        options: &OptimOptions,
+    ) -> Result<TrainedModel, CoreError> {
+        self.0.train_view(xm, warm_start, options)
+    }
 }
 
 /// Forwards every [`ModelClassSpec`] method to the inner spec, calling
@@ -254,12 +260,6 @@ where
     }
     fn generalization_error(&self, theta: &[f64], data: &Dataset<F>) -> f64 {
         self.inner.generalization_error(theta, data)
-    }
-    fn num_margin_outputs(&self, data_dim: usize) -> Option<usize> {
-        self.inner.num_margin_outputs(data_dim)
-    }
-    fn margins(&self, theta: &[f64], x: &F, out: &mut [f64]) {
-        self.inner.margins(theta, x, out)
     }
     fn margin_weights(&self, theta: &[f64], data_dim: usize) -> Option<Matrix> {
         self.inner.margin_weights(theta, data_dim)
@@ -340,12 +340,6 @@ impl<F: FeatureVec> ModelClassSpec<F> for MultiLambdaPanicSpec<F> {
     }
     fn generalization_error(&self, theta: &[f64], data: &Dataset<F>) -> f64 {
         self.0.generalization_error(theta, data)
-    }
-    fn num_margin_outputs(&self, data_dim: usize) -> Option<usize> {
-        self.0.num_margin_outputs(data_dim)
-    }
-    fn margins(&self, theta: &[f64], x: &F, out: &mut [f64]) {
-        self.0.margins(theta, x, out)
     }
     fn margin_weights(&self, theta: &[f64], data_dim: usize) -> Option<Matrix> {
         self.0.margin_weights(theta, data_dim)

@@ -5,12 +5,14 @@
 use blinkml_core::accuracy::sampling_alpha;
 use blinkml_core::diff_engine::{draw_pool, DiffEngine};
 use blinkml_core::grads::Grads;
-use blinkml_core::models::{LinearRegressionSpec, LogisticRegressionSpec, MaxEntSpec};
-use blinkml_core::testing::{view_grads, view_objective, NoBatch};
+use blinkml_core::models::{
+    LinearRegressionSpec, LogisticRegressionSpec, MaxEntSpec, PoissonRegressionSpec,
+};
+use blinkml_core::testing::{view_grads, view_objective};
 use blinkml_core::StatisticsMethod::ObservedFisher;
 use blinkml_core::{compute_statistics, ModelClassSpec};
 use blinkml_data::generators::{synthetic_linear, synthetic_logistic, synthetic_multiclass};
-use blinkml_data::SparseVec;
+use blinkml_data::{Dataset, FeatureVec, SparseVec};
 use blinkml_linalg::Matrix;
 use blinkml_optim::OptimOptions;
 use proptest::prelude::*;
@@ -71,6 +73,33 @@ fn naive_gram(g: &Grads) -> Matrix {
             .sum::<f64>()
             / n.max(1) as f64
     })
+}
+
+/// The largest gap between a [`DiffEngine`]'s diffs and `spec.diff`,
+/// the semantic per-row oracle, on the parameter vectors each diff
+/// compares: one-stage at scale `one`, two-stage at scales `two`, with
+/// `pool` as both the first- and the second-stage pool.
+fn engine_gap_to_spec_diff<F: FeatureVec, S: ModelClassSpec<F>>(
+    spec: &S,
+    holdout: &Dataset<F>,
+    base: &[f64],
+    pool: &[Vec<f64>],
+    one: f64,
+    two: (f64, f64),
+) -> f64 {
+    let engine = DiffEngine::new(spec, holdout, base, pool, pool);
+    let axpy = |a: &[f64], s: f64, b: &[f64]| -> Vec<f64> {
+        a.iter().zip(b).map(|(a, b)| a + s * b).collect()
+    };
+    let mut gap = 0.0f64;
+    for (i, u) in pool.iter().enumerate() {
+        let want = spec.diff(base, &axpy(base, one, u), holdout);
+        gap = gap.max((engine.diff_one_stage(i, one) - want).abs());
+        let theta_n = axpy(base, two.0, u);
+        let want = spec.diff(&theta_n, &axpy(&theta_n, two.1, u), holdout);
+        gap = gap.max((engine.diff_two_stage(i, two.0, two.1) - want).abs());
+    }
+    gap
 }
 
 proptest! {
@@ -160,24 +189,23 @@ proptest! {
     fn gemm_diff_engine_matches_per_example_linear(
         h in 1usize..200, d in 1usize..8, k in 1usize..6, seed in 0u64..500,
     ) {
-        // Batched GEMM construction vs. the per-example margins path,
-        // for random shapes, one- and two-stage forms.
+        // Fused GEMM scoring vs. `spec.diff` on the materialized
+        // parameters, for random shapes, one- and two-stage forms: linear
+        // regression, and logistic and Poisson regression with an
+        // intercept (affine scores, the offset row seeded). All three
+        // have d + 1 parameters.
         let (holdout, _) = synthetic_linear(h, d, 0.4, seed);
-        let spec = LinearRegressionSpec::new(1e-3);
         let base: Vec<f64> = (0..d + 1).map(|i| ((i * 3 + 1) as f64 * 0.17).sin()).collect();
         let pool: Vec<Vec<f64>> = (0..k)
             .map(|p| (0..d + 1).map(|i| ((p * 7 + i) as f64 * 0.29).cos() * 0.3).collect())
             .collect();
-        let batched = DiffEngine::new(&spec, &holdout, &base, &pool, &pool);
-        let reference = NoBatch(spec.clone());
-        let seq = DiffEngine::new(&reference, &holdout, &base, &pool, &pool);
-        for i in 0..k {
-            let f = batched.diff_one_stage(i, 0.7);
-            let s = seq.diff_one_stage(i, 0.7);
-            prop_assert!((f - s).abs() < 1e-12, "one-stage draw {i}: {f} vs {s}");
-            let f2 = batched.diff_two_stage(i, 0.6, 0.3);
-            let s2 = seq.diff_two_stage(i, 0.6, 0.3);
-            prop_assert!((f2 - s2).abs() < 1e-12, "two-stage draw {i}: {f2} vs {s2}");
+        let gaps = [
+            engine_gap_to_spec_diff(&LinearRegressionSpec::new(1e-3), &holdout, &base, &pool, 0.7, (0.6, 0.3)),
+            engine_gap_to_spec_diff(&LogisticRegressionSpec::with_intercept(1e-3), &holdout, &base, &pool, 0.7, (0.6, 0.3)),
+            engine_gap_to_spec_diff(&PoissonRegressionSpec::with_intercept(1e-3), &holdout, &base, &pool, 0.7, (0.6, 0.3)),
+        ];
+        for (name, gap) in ["linear", "logistic+b", "poisson+b"].iter().zip(gaps) {
+            prop_assert!(gap < 1e-12, "{name}: gap {gap}");
         }
     }
 
@@ -192,18 +220,8 @@ proptest! {
         let pool: Vec<Vec<f64>> = (0..3)
             .map(|p| (0..9).map(|i| ((p * 5 + i) as f64 * 0.31).cos() * 0.4).collect())
             .collect();
-        let batched = DiffEngine::new(&spec, &holdout, &base, &pool, &pool);
-        let reference = NoBatch(MaxEntSpec::new(1e-3, 3));
-        let seq = DiffEngine::new(&reference, &holdout, &base, &pool, &pool);
-        for i in 0..3 {
-            prop_assert!(
-                (batched.diff_one_stage(i, 0.9) - seq.diff_one_stage(i, 0.9)).abs() < 1e-12
-            );
-            prop_assert!(
-                (batched.diff_two_stage(i, 0.5, 0.4) - seq.diff_two_stage(i, 0.5, 0.4)).abs()
-                    < 1e-12
-            );
-        }
+        let gap = engine_gap_to_spec_diff(&spec, &holdout, &base, &pool, 0.9, (0.5, 0.4));
+        prop_assert!(gap < 1e-12, "gap {gap}");
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! Every built-in margin spec overrides
 //! [`ModelClassSpec::margin_diff_sum`] with a blocked kernel that may
 //! stop early once a draw's verdict is settled, and the sample-size
-//! search stops a probe once its verdict is settled. [`PerRowLoop`]
-//! forwards every method **except** the kernel, so it runs the trait's
-//! default per-row loop: two `predict_from_margins` calls per holdout
-//! row and no early exit. Against it, `to_bits` equality of:
+//! search stops a probe once its verdict is settled.
+//! `blinkml_core::testing::PerRowLoop` forwards every method **except**
+//! the kernel, so it runs the trait's default per-row loop: two
+//! `predict_from_margins` calls per holdout row and no early exit. Against it, `to_bits` equality of:
 //!
 //! * every per-draw one- and two-stage diff, and the search's per-draw
 //!   verdict at, just below and just above each diff,
@@ -19,91 +19,22 @@
 
 use blinkml_core::config::ServeConfig;
 use blinkml_core::diff_engine::{draw_pool, DiffEngine};
-use blinkml_core::grads::Grads;
 use blinkml_core::models::{
     LinearRegressionSpec, LogisticRegressionSpec, MaxEntSpec, PoissonRegressionSpec,
 };
 use blinkml_core::serve::{DatasetShard, Query, Server};
-use blinkml_core::testing::{FaultAction, FaultPlan, FaultSite, HookedSpec};
+use blinkml_core::testing::{FaultAction, FaultPlan, FaultSite, HookedSpec, PerRowLoop};
 use blinkml_core::{
     compute_statistics, BlinkMlConfig, Coordinator, DegradationRung, ExecConfig, ModelClassSpec,
-    StatisticsMethod, TrainedModel, TrainingOutcome,
+    StatisticsMethod, TrainingOutcome,
 };
 use blinkml_data::generators::{
     synthetic_linear, synthetic_logistic, synthetic_multiclass, synthetic_poisson, yelp_like,
 };
 use blinkml_data::parallel::set_max_threads;
-use blinkml_data::{Dataset, Example, FeatureVec, MatrixView, SparseVec, TrainScratch};
+use blinkml_data::{Dataset, Example, FeatureVec, SparseVec};
 use blinkml_linalg::testing::budget_lock;
-use blinkml_linalg::Matrix;
 use blinkml_optim::OptimOptions;
-
-/// Forwards every [`ModelClassSpec`] method except `margin_diff_sum`,
-/// which stays at the trait's default per-row loop — the oracle the
-/// built-in kernels are pinned against.
-struct PerRowLoop<S>(S);
-
-impl<F: FeatureVec, S: ModelClassSpec<F>> ModelClassSpec<F> for PerRowLoop<S> {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn param_dim(&self, data_dim: usize) -> usize {
-        self.0.param_dim(data_dim)
-    }
-    fn regularization(&self) -> f64 {
-        self.0.regularization()
-    }
-    fn label_domain(&self) -> blinkml_data::LabelDomain {
-        self.0.label_domain()
-    }
-    fn value_grad(
-        &self,
-        theta: &[f64],
-        xm: &MatrixView,
-        scratch: &mut TrainScratch,
-        grad: &mut [f64],
-    ) -> f64 {
-        self.0.value_grad(theta, xm, scratch, grad)
-    }
-    fn grads(&self, theta: &[f64], xm: &MatrixView) -> Grads {
-        self.0.grads(theta, xm)
-    }
-    fn closed_form_hessian(&self, theta: &[f64], xm: &MatrixView) -> Option<Matrix> {
-        self.0.closed_form_hessian(theta, xm)
-    }
-    fn predict(&self, theta: &[f64], x: &F) -> f64 {
-        self.0.predict(theta, x)
-    }
-    fn diff(&self, theta_a: &[f64], theta_b: &[f64], holdout: &Dataset<F>) -> f64 {
-        self.0.diff(theta_a, theta_b, holdout)
-    }
-    fn generalization_error(&self, theta: &[f64], data: &Dataset<F>) -> f64 {
-        self.0.generalization_error(theta, data)
-    }
-    fn num_margin_outputs(&self, data_dim: usize) -> Option<usize> {
-        self.0.num_margin_outputs(data_dim)
-    }
-    fn margins(&self, theta: &[f64], x: &F, out: &mut [f64]) {
-        self.0.margins(theta, x, out)
-    }
-    fn margin_weights(&self, theta: &[f64], data_dim: usize) -> Option<Matrix> {
-        self.0.margin_weights(theta, data_dim)
-    }
-    fn predict_from_margins(&self, scores: &[f64]) -> f64 {
-        self.0.predict_from_margins(scores)
-    }
-    fn diff_is_rms(&self) -> bool {
-        self.0.diff_is_rms()
-    }
-    fn train_view(
-        &self,
-        xm: &MatrixView,
-        warm_start: Option<&[f64]>,
-        options: &OptimOptions,
-    ) -> Result<TrainedModel, blinkml_core::CoreError> {
-        self.0.train_view(xm, warm_start, options)
-    }
-}
 
 const THREADS: [Option<usize>; 2] = [Some(1), Some(4)];
 

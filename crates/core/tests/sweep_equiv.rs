@@ -1,9 +1,10 @@
 //! Property tests of the sweep engine's exactness contract:
 //! `Session::sweep` over a λ grid must be **bit-identical**, per grid
 //! point, to looped independent `Session::train` runs on per-λ specs —
-//! across model families (logistic / poisson / linear regression),
-//! feature layouts (dense and sparse), widths (d = 5 and, with a packed
-//! final capture, d = 37), thread budgets ({1, 4}), and any λ order
+//! across model families (logistic with and without an intercept /
+//! poisson / linear regression), feature layouts (dense and sparse),
+//! widths (d = 5 and, with a packed final capture, d = 37), thread
+//! budgets ({1, 4}), and any λ order
 //! (descending, ascending, shuffled). No tolerances anywhere:
 //! θ, ε₀, and ε̂ compare by `f64::to_bits`; the chosen `n`, probe
 //! counts, and decision paths compare exactly.
@@ -282,5 +283,30 @@ fn wide_packed_final_matrix() {
             threads,
         );
         assert!(packs(n), "linreg final sample of {n} rows must pack");
+    }
+}
+
+/// Logistic regression with an intercept: every grid point's base
+/// scores come out of the sweep's one stacked holdout GEMM (the offset
+/// row carries `θ_b`), and each point must stay bit-identical to its
+/// solo run, descending and shuffled, at budgets {1, 4}.
+#[test]
+fn intercept_logistic_matrix() {
+    let (data, _) = synthetic_logistic(6_000, 5, 2.0, 85);
+    let split = data.split(600, 0, 86);
+    let shuf = shuffled(GRID.to_vec(), 23);
+    for threads in [Some(1), Some(4)] {
+        for (order_name, grid) in [("desc", &GRID[..]), ("shuffled", &shuf[..])] {
+            check_sweep_equals_loops(
+                &format!("logistic+b {order_name} t={threads:?}"),
+                LogisticRegressionSpec::with_intercept,
+                &split.train,
+                &split.holdout,
+                grid,
+                0.03,
+                5,
+                threads,
+            );
+        }
     }
 }

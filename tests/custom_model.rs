@@ -133,12 +133,11 @@ impl ModelClassSpec<DenseVec> for ExponentialRegressionSpec {
         (sum_sq / data.len() as f64).sqrt()
     }
 
-    fn num_margin_outputs(&self, _data_dim: usize) -> Option<usize> {
-        Some(1)
-    }
-
-    fn margins(&self, theta: &[f64], x: &DenseVec, out: &mut [f64]) {
-        out[0] = self.margin(theta, x.as_slice());
+    fn margin_weights(&self, theta: &[f64], data_dim: usize) -> Option<Matrix> {
+        // The weights over a zero offset row: the score is θᵀx.
+        let mut block = theta.to_vec();
+        block.push(0.0);
+        Some(Matrix::from_vec(data_dim + 1, 1, block))
     }
 
     fn predict_from_margins(&self, scores: &[f64]) -> f64 {
