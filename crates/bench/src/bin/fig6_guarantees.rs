@@ -4,12 +4,15 @@
 //! and measures the *actual* accuracy of each approximate model against
 //! a trained full model on the test set. The paper's guarantee requires
 //! the 5th percentile of actual accuracies to clear the requested level.
+//! Each cell also reports the 95% one-sided Clopper–Pearson upper bound
+//! on the true violation rate given its violation count, which the
+//! guarantee puts at δ = 0.05 or below.
 //!
 //! Usage:
 //! `cargo run --release -p blinkml-bench --bin fig6_guarantees -- [scale=1.0] [reps=20] [n0=1000] [k=100] [seed=1] [combo=<label substr>]`
 
 use blinkml_bench::{combos::ComboId, BenchArgs, Table};
-use blinkml_prob::quantile::summary;
+use blinkml_prob::{clopper_pearson_upper, quantile::summary};
 
 fn main() {
     let args = BenchArgs::parse(&["scale", "reps", "n0", "k", "seed", "combo"]);
@@ -37,6 +40,7 @@ fn main() {
                 "5th Pct",
                 "95th Pct",
                 "Violations",
+                "Rate UB (95%)",
             ],
         );
         for &accuracy in id.accuracy_sweep() {
@@ -59,12 +63,14 @@ fn main() {
             // a pass/fail on the min (which flags ~1/3 of cells even
             // under perfect calibration at small rep counts).
             let violations = actuals.iter().filter(|&&a| a < accuracy - 1e-9).count();
+            let rate_upper = clopper_pearson_upper(violations, reps, 0.95);
             table.row(&[
                 format!("{:.2}%", accuracy * 100.0),
                 format!("{:.2}%", mean * 100.0),
                 format!("{:.2}%", p5 * 100.0),
                 format!("{:.2}%", p95 * 100.0),
                 format!("{violations}/{reps}"),
+                format!("{rate_upper:.4}"),
             ]);
             blinkml_bench::report::append_result(
                 "fig6_guarantees",
@@ -75,6 +81,7 @@ fn main() {
                     "actual_p5": p5,
                     "actual_p95": p95,
                     "violations": violations,
+                    "violation_rate_upper_95": rate_upper,
                     "reps": reps,
                 }),
             );

@@ -115,11 +115,12 @@ impl Coordinator {
 
     /// Train against an explicit training pool and holdout set.
     ///
-    /// Samples are index views gathered from **one** pool-resident
-    /// design matrix built here — drawing the initial and final samples
-    /// clones no example and rebuilds no matrix, and by the
-    /// gathered-view exactness contract outcomes are bit-identical to
-    /// training on the materialized samples.
+    /// Each sample (initial and final) is drawn as an index list and
+    /// its rows are packed straight from `train` into one recycled
+    /// buffer ([`DatasetMatrix::pack`]): the call copies its sampled rows
+    /// and nothing of the rest of the pool, and by the capture's
+    /// exactness contract outcomes are bit-identical to training on the
+    /// materialized samples.
     pub fn train_with_holdout<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
         &self,
         spec: &S,
@@ -131,15 +132,12 @@ impl Coordinator {
         // Install the thread budget for every parallel kernel downstream.
         // Deterministic chunking means this never changes results.
         self.config.exec.apply();
-        let pool = DatasetMatrix::from_dataset(train);
-        let mut cap_scratch = CaptureScratch::new();
         run_train(
             &self.config,
             spec,
             train,
             holdout,
-            &pool,
-            &mut cap_scratch,
+            &mut CaptureScratch::new(),
             seed,
             None,
             false,
@@ -178,14 +176,11 @@ impl Coordinator {
         if n0 == full_n {
             return Ok(0.0);
         }
-        let pool = DatasetMatrix::from_dataset(train);
-        let mut cap_scratch = CaptureScratch::new();
         let fit = fit_sample(
             &self.config,
             spec,
             train,
-            &pool,
-            &mut cap_scratch,
+            &mut CaptureScratch::new(),
             n0,
             split_seed(seed, 0),
             None,
@@ -396,8 +391,7 @@ pub(crate) fn final_accuracy_scored<F: FeatureVec, S: ModelClassSpec<F> + ?Sized
 
 /// One sample fit: draw the deterministic sample for `(n, sample_seed)`,
 /// train on it (warm-started when given), and optionally compute its
-/// statistics — reusing one capture of the pool matrix for both (zero
-/// example clones).
+/// statistics — reusing one packed capture of the sample for both.
 struct SampleFit {
     model: TrainedModel,
     stats: Option<ModelStatistics>,
@@ -410,7 +404,6 @@ fn fit_sample<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     config: &BlinkMlConfig,
     spec: &S,
     train: &Dataset<F>,
-    pool: &DatasetMatrix<'_>,
     cap_scratch: &mut CaptureScratch,
     n: usize,
     sample_seed: u64,
@@ -428,13 +421,11 @@ fn fit_sample<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     };
     let t = Instant::now();
     // The sample is an index list. Training and statistics share one
-    // capture — a gathered view straight into the pool matrix while the
-    // sample is cache-resident, or a packed contiguous block above the
-    // pack threshold (one bulk copy instead of latency-bound random
-    // gathers on every optimizer probe; never per-example clones). Both
-    // forms are bit-identical.
+    // capture: the sampled rows packed straight from the dataset into
+    // one contiguous block (one bulk copy of n rows, then contiguous
+    // streaming on every optimizer probe; never per-example clones).
     let sample = train.sample_view(n, sample_seed);
-    let capture = pool.capture_sample_with(sample.indices(), cap_scratch);
+    let capture = DatasetMatrix::pack(train, sample.indices(), cap_scratch);
     let view = capture.view();
     let model = spec.train_view(&view, warm_start, &config.optim)?;
     let train_time = t.elapsed();
@@ -444,8 +435,8 @@ fn fit_sample<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
         .then(|| compute_statistics_view(config.statistics_method, spec, model.parameters(), &view))
         .transpose()?;
     let stats_time = t.elapsed();
-    // Give a packed capture's buffers back so the next capture (the
-    // final sample, or the next session query) rewrites warm pages
+    // Give the capture's buffers back so the next capture (the final
+    // sample, or the next session query) rewrites warm pages
     // instead of faulting in fresh ones.
     capture.recycle(cap_scratch);
     Ok(SampleFit {
@@ -483,8 +474,8 @@ fn pilot_rung_outcome(
 /// [`crate::session::Session::train`] and the server: pilot (train
 /// `m₀`, statistics), accuracy estimate, sample-size search, final
 /// training — with the holdout `DiffEngine` base scores built **once**
-/// and shared between the ε₀ estimate and the search, and samples
-/// served from the pool matrix.
+/// and shared between the ε₀ estimate and the search, and each sample
+/// packed from `train` into `cap_scratch`'s recycled buffers.
 ///
 /// `pilot` short-circuits the pilot phase with cached artifacts (the
 /// Session amortization); `want_pilot` asks for the artifacts back so
@@ -512,7 +503,6 @@ pub(crate) fn run_train<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     spec: &S,
     train: &Dataset<F>,
     holdout: &Dataset<F>,
-    pool: &DatasetMatrix<'_>,
     cap_scratch: &mut CaptureScratch,
     seed: u64,
     pilot: Option<&PilotState>,
@@ -566,7 +556,6 @@ pub(crate) fn run_train<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
                 config,
                 spec,
                 train,
-                pool,
                 cap_scratch,
                 n0,
                 split_seed(seed, 0),
@@ -696,17 +685,16 @@ pub(crate) fn run_train<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     // The search's scored pools are not needed past the checkpoint.
     drop(search);
 
-    // Phase 4: final model, warm-started from θ₀, gathered from the
-    // same pool matrix; the optional closing statistics pass reuses the
-    // final sample's view (full rung only — under pressure the extra
-    // pass is exactly what the ladder is shedding).
+    // Phase 4: final model, warm-started from θ₀, on a capture packed
+    // into the run's recycled buffers; the optional closing statistics
+    // pass reuses the final sample's view (full rung only — under
+    // pressure the extra pass is exactly what the ladder is shedding).
     let want_final_stats =
         config.estimate_final_accuracy && rung == DegradationRung::Full && final_n < full_n;
     let fit = match fit_sample(
         config,
         spec,
         train,
-        pool,
         cap_scratch,
         final_n,
         split_seed(seed, 3),

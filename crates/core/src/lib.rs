@@ -20,9 +20,9 @@
 //! * [`accuracy`] — the Model Accuracy Estimator (paper §3),
 //! * [`sample_size`] — the Sample Size Estimator (paper §4),
 //! * [`coordinator`] — the end-to-end workflow (paper §2.3),
-//! * [`session`] — the amortized multi-query Session API (pool-resident
-//!   design matrix + cached pilot statistics across repeated `train()`
-//!   calls — the serving scenario),
+//! * [`session`] — the amortized multi-query Session API (a recycled
+//!   capture scratch + cached pilot statistics across repeated
+//!   `train()` calls — the serving scenario),
 //! * [`serve`] — the multi-tenant serving layer (request queue + worker
 //!   pool, keyed LRU over pilot artifacts, in-flight coalescing) that
 //!   promotes the Session's amortization to a concurrent service,

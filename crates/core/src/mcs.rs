@@ -282,9 +282,8 @@ pub trait ModelClassSpec<F: FeatureVec>: Send + Sync {
 
     /// Averaged objective `f_n(θ)` (Equation 2) returned, its gradient
     /// `∇f_n(θ)` written into `grad`, over the rows of a design-matrix
-    /// view: the full matrix of a materialized sample, a gathered index
-    /// view over the pool matrix (the zero-copy sample representation),
-    /// or a packed capture. The contract is exactness across view kinds:
+    /// view: the full matrix of a dataset, a packed sample capture, or a
+    /// row prefix of either. The contract is exactness across view kinds:
     /// the value and gradient must depend only on the rows the view
     /// selects, so the built-in model classes are bit-identical for every
     /// view kind and thread budget (and to their per-example reference
@@ -459,8 +458,7 @@ pub trait ModelClassSpec<F: FeatureVec>: Send + Sync {
     }
 
     /// Train on the rows of a design-matrix view — the full view of a
-    /// materialized sample, a **gathered** view into a pool-resident
-    /// matrix (the coordinator's zero-copy path), or a packed capture.
+    /// dataset, or a packed sample capture (the coordinator's path).
     /// The default runs the dimension-appropriate quasi-Newton solver
     /// on [`Self::value_grad`]; closed-form models (PPCA) override it.
     fn train_view(

@@ -19,7 +19,7 @@
 //! # Batched path
 //!
 //! [`ModelClassSpec::value_grad`] evaluates the objective against a
-//! design-matrix view (full, pool-gathered or packed [`MatrixView`]):
+//! design-matrix view (a full, packed or prefix [`MatrixView`]):
 //! one fused margin pass (`m = X·θ_w + θ_b`), one vectorized
 //! [`GlmFamily::loss_dloss`] sweep over the margin block, and one
 //! chunk-reduced `Xᵀw` gradient pass. Every reduction keeps the

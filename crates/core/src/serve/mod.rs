@@ -11,18 +11,17 @@
 //! adopts the shard's rows without copying them, so every query takes
 //! the same path whichever kind registered its dataset.
 //!
-//! * the **pool-resident design matrix** of each static shard is built
-//!   once and shared by every worker (its pool never leaves epoch 0;
-//!   stream queries build one over their own epoch snapshot),
 //! * **pilot artifacts** (`m₀` + Fisher statistics) are cached in a
 //!   keyed LRU by `(dataset_version, n₀, seed)` with a configurable
 //!   capacity ([`ServeConfig::pilot_cache_capacity`]),
 //! * concurrent queries that miss on the same key **coalesce**: one
 //!   worker (the leader) trains the pilot exactly once, the rest block
 //!   on the in-flight entry and reuse the published artifacts,
-//! * each worker owns its **own** capture scratch, so overlapping
-//!   queries can never alias a packing buffer (the scratch is
-//!   per-worker, not per-session).
+//! * each worker owns its **own** capture scratch: every query packs
+//!   its samples straight from its epoch snapshot's rows into the
+//!   worker's recycled buffers, so a query copies only the rows it
+//!   samples and overlapping queries can never alias a packing buffer
+//!   (the scratch is per-worker, not per-session).
 //!
 //! # Bit-identity contract
 //!
@@ -125,10 +124,8 @@ use crate::serve::cache::{PilotCache, PilotKey, PilotTicket};
 use crate::serve::resilience::{retry_backoff, ActiveTokenGuard, CancelToken, DegradationRung};
 use crate::sweep::{run_sweep, SweepResult};
 use blinkml_data::{
-    CaptureScratch, Dataset, DatasetMatrix, FeatureVec, IngestPolicy, StreamSnapshot,
-    StreamingPool, TrainScratch,
+    CaptureScratch, Dataset, FeatureVec, IngestPolicy, StreamSnapshot, StreamingPool, TrainScratch,
 };
-use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -428,11 +425,6 @@ impl<F: FeatureVec> StreamShard<F> {
 struct Registration<F> {
     id: u64,
     pool: Arc<StreamingPool<F>>,
-    /// A static shard's epoch-0 training view, which its resident
-    /// matrix borrows; `None` for streams. Only the server holds a
-    /// static shard's pool and never appends to it, so every snapshot
-    /// of that pool is this view.
-    frozen: Option<Dataset<F>>,
 }
 
 /// A registered dataset's current-epoch probe (the pools are generic
@@ -745,9 +737,9 @@ pub struct Server {
 
 impl Server {
     /// Spawn a server: validates the configuration and datasets,
-    /// registers each shard as a pool frozen at epoch 0, builds one
-    /// pool-resident design matrix per shard, and starts
-    /// [`ServeConfig::workers`] worker threads.
+    /// registers each shard as a pool frozen at epoch 0, and starts
+    /// [`ServeConfig::workers`] worker threads, each with its own
+    /// capture scratch.
     ///
     /// The spec and datasets move into the serving threads; keep
     /// [`DatasetShard`] clones (they are `Arc`-shared) for oracle runs
@@ -800,14 +792,12 @@ impl Server {
             )?;
             registered.push(Registration {
                 id: shard.version,
-                frozen: Some(pool.snapshot().train_dataset()),
                 pool: Arc::new(pool),
             });
         }
         registered.extend(streams.into_iter().map(|stream| Registration {
             id: stream.id,
             pool: stream.pool,
-            frozen: None,
         }));
         let mut datasets = HashMap::new();
         for (i, reg) in registered.iter().enumerate() {
@@ -870,22 +860,16 @@ impl Server {
         let owner = {
             let shared = shared.clone();
             std::thread::spawn(move || {
-                // The owner thread owns the generic state (spec, pools,
-                // resident matrices); workers are scoped threads
-                // borrowing it, which is what lets the pool-resident
-                // matrices be built once and shared without any
-                // self-referential tricks. Streams have no resident
-                // matrix — every query pins its own epoch snapshot and
-                // pools exactly that prefix view.
+                // The owner thread owns the generic state (spec and
+                // pools); workers are scoped threads borrowing it, so
+                // the server's handle stays free of the spec and
+                // feature types. Every query pins an epoch snapshot and
+                // packs its samples from exactly that prefix view.
                 config.exec.apply();
-                let residents: Vec<Option<DatasetMatrix<'_>>> = registered
-                    .iter()
-                    .map(|reg| reg.frozen.as_ref().map(DatasetMatrix::from_dataset))
-                    .collect();
                 std::thread::scope(|scope| {
                     for _ in 0..worker_count {
-                        let (shared, config, spec, registered, residents) =
-                            (&shared, &config, &spec, &registered, &residents);
+                        let (shared, config, spec, registered) =
+                            (&shared, &config, &spec, &registered);
                         scope.spawn(move || {
                             // One capture scratch per worker — never
                             // shared, so two overlapping queries cannot
@@ -897,7 +881,6 @@ impl Server {
                                     config,
                                     spec,
                                     &registered[i],
-                                    residents[i].as_ref(),
                                     shared,
                                     &mut scratch,
                                     job,
@@ -1162,7 +1145,6 @@ fn process_job<F, S>(
     base: &BlinkMlConfig,
     spec: &S,
     reg: &Registration<F>,
-    resident: Option<&DatasetMatrix<'_>>,
     shared: &Shared,
     scratch: &mut CaptureScratch,
     job: Job,
@@ -1194,7 +1176,6 @@ fn process_job<F, S>(
                         base,
                         spec,
                         reg,
-                        resident,
                         shared,
                         scratch,
                         &query,
@@ -1257,8 +1238,7 @@ fn process_job<F, S>(
             let snapshot = reg.pool.snapshot();
             let train = snapshot.train_dataset();
             let holdout = snapshot.holdout_dataset();
-            let matrix = design_matrix(resident, &train);
-            let result = serve_sweep(base, spec, &train, &holdout, &matrix, scratch, &query);
+            let result = serve_sweep(base, spec, &train, &holdout, scratch, &query);
             match result {
                 Ok(result) => {
                     stats.completed.fetch_add(1, Ordering::Relaxed);
@@ -1291,7 +1271,6 @@ fn serve_stream_query<F, S>(
     base: &BlinkMlConfig,
     spec: &S,
     reg: &Registration<F>,
-    resident: Option<&DatasetMatrix<'_>>,
     shared: &Shared,
     scratch: &mut CaptureScratch,
     query: &Query,
@@ -1348,14 +1327,12 @@ where
             stats.drift_fresh.fetch_add(1, Ordering::Relaxed);
             let train = snap.train_dataset();
             let holdout = snap.holdout_dataset();
-            let matrix = design_matrix(resident, &train);
             return contained(|| {
                 run_train(
                     &config,
                     spec,
                     &train,
                     &holdout,
-                    &matrix,
                     scratch,
                     query.seed,
                     Some(&pilot),
@@ -1389,7 +1366,6 @@ where
     // 3. The current epoch: hit / coalesce / lead through the cache.
     let train = snapshot.train_dataset();
     let holdout = snapshot.holdout_dataset();
-    let matrix = design_matrix(resident, &train);
     let pilot = match shared.cache.resolve(key) {
         PilotTicket::Cached(pilot) => {
             stats.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -1406,8 +1382,7 @@ where
             // in-flight entry.
             let led = contained(|| {
                 run_train(
-                    &config, spec, &train, &holdout, &matrix, scratch, query.seed, None, true,
-                    &control,
+                    &config, spec, &train, &holdout, scratch, query.seed, None, true, &control,
                 )
             });
             return match led {
@@ -1442,7 +1417,6 @@ where
             spec,
             &train,
             &holdout,
-            &matrix,
             scratch,
             query.seed,
             Some(&pilot),
@@ -1470,19 +1444,6 @@ fn query_config(
     config.validate()?;
     config.exec.apply();
     Ok(config)
-}
-
-/// The design matrix a query on `train` runs against: a static shard's
-/// resident matrix (its pool never leaves epoch 0, so every snapshot
-/// matches it), otherwise one built for this query.
-fn design_matrix<'a, F: FeatureVec>(
-    resident: Option<&'a DatasetMatrix<'a>>,
-    train: &'a Dataset<F>,
-) -> Cow<'a, DatasetMatrix<'a>> {
-    resident.map_or_else(
-        || Cow::Owned(DatasetMatrix::from_dataset(train)),
-        Cow::Borrowed,
-    )
 }
 
 /// Cheap drift test for a cached pilot from `pilot_epoch` against the
@@ -1565,7 +1526,6 @@ fn serve_sweep<F, S>(
     spec: &S,
     train: &Dataset<F>,
     holdout: &Dataset<F>,
-    pool: &DatasetMatrix<'_>,
     scratch: &mut CaptureScratch,
     query: &SweepQuery,
 ) -> Result<SweepResult, ServeError>
@@ -1580,7 +1540,6 @@ where
             spec,
             train,
             holdout,
-            pool,
             scratch,
             &mut TrainScratch::new(),
             &query.lambdas,

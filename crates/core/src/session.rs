@@ -4,13 +4,14 @@
 //! workload) issues **many** `train()` calls against one training pool —
 //! a sweep of `(ε, δ)` contracts, repeated interactive queries, or a
 //! search loop. A fresh [`Coordinator`](crate::Coordinator) run pays for
-//! the pool's design matrix, the pilot training, and the pilot
-//! statistics every time, even though none of them depend on the
-//! contract. A [`Session`] hoists all of that out of the per-query path:
+//! the pilot training and the pilot statistics every time, even though
+//! neither depends on the contract. A [`Session`] hoists both out of
+//! the per-query path:
 //!
-//! * the **pool-resident design matrix** is built once at session
-//!   construction and every sample (pilot and final, in every query) is
-//!   gathered from it as a zero-copy index view,
+//! * one **capture scratch** is kept across queries: every sample
+//!   (pilot and final, in every query) is packed straight from the
+//!   training pool into its recycled buffers, so steady-state queries
+//!   copy their sampled rows into warm pages and allocate nothing,
 //! * the **pilot artifacts** — the initial model `m₀` and its
 //!   statistics — are cached per `(n₀, seed)` and reused by every later
 //!   query with the same seed, so a sweep of ε targets trains the pilot
@@ -21,22 +22,22 @@
 //!
 //! Results are **bit-identical** to fresh coordinator runs with the same
 //! configuration and seed: the cache stores exactly the values a fresh
-//! run would recompute, and the zero-copy sampling layer is bit-exact by
-//! construction (see `docs/ARCHITECTURE.md`, "Zero-copy sampling
-//! layer").
+//! run would recompute, and sample captures are bit-exact by
+//! construction (see `docs/ARCHITECTURE.md`, "Sample captures").
 //!
 //! A `Session` is single-caller (`&mut self` queries, one capture
 //! scratch). For many tenants querying concurrently, the
-//! [`serve`](crate::serve) module promotes the same amortization — one
-//! shared pool matrix, cached pilots, bit-identity — to a thread-safe
-//! server with a worker pool, a keyed LRU, and in-flight coalescing.
+//! [`serve`](crate::serve) module promotes the same amortization —
+//! cached pilots, a capture scratch per worker, bit-identity — to a
+//! thread-safe server with a worker pool, a keyed LRU, and in-flight
+//! coalescing.
 
 use crate::config::BlinkMlConfig;
 use crate::coordinator::{run_train, PilotState, RunControl, TrainingOutcome};
 use crate::error::CoreError;
 use crate::mcs::ModelClassSpec;
 use crate::sweep::{run_sweep, SweepResult};
-use blinkml_data::{CaptureScratch, Dataset, DatasetMatrix, FeatureVec, TrainScratch};
+use blinkml_data::{CaptureScratch, Dataset, FeatureVec, TrainScratch};
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -68,7 +69,6 @@ pub struct Session<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> {
     spec: &'a S,
     train: &'a Dataset<F>,
     holdout: &'a Dataset<F>,
-    pool: DatasetMatrix<'a>,
     pilots: RefCell<HashMap<(usize, u64), PilotState>>,
     cap_scratch: RefCell<CaptureScratch>,
     /// The fused sweeps' objective buffers, kept across sweeps.
@@ -76,8 +76,8 @@ pub struct Session<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> {
 }
 
 impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
-    /// Open a session: validates the configuration, installs the thread
-    /// budget, and builds the pool-resident design matrix.
+    /// Open a session: validates the configuration and the datasets and
+    /// installs the thread budget.
     ///
     /// [`Session::train`] and [`Session::sweep`] take the contract
     /// `(ε, δ)` per query, overriding the `epsilon`/`delta` in `config`.
@@ -95,13 +95,11 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
             return Err(CoreError::InvalidData("empty holdout set".into()));
         }
         config.exec.apply();
-        let pool = DatasetMatrix::from_dataset(train);
         Ok(Session {
             config,
             spec,
             train,
             holdout,
-            pool,
             pilots: RefCell::new(HashMap::new()),
             cap_scratch: RefCell::new(CaptureScratch::new()),
             train_scratch: RefCell::new(TrainScratch::new()),
@@ -131,8 +129,8 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
     }
 
     /// Train a model satisfying `Pr[v(m) ≤ ε] ≥ 1 − δ` for this query's
-    /// contract, reusing the session's pool matrix and any cached pilot
-    /// for `seed`. Bit-identical to
+    /// contract, reusing the session's capture scratch and any cached
+    /// pilot for `seed`. Bit-identical to
     /// `Coordinator::new(config with (ε, δ)).train_with_holdout(spec,
     /// train, holdout, seed)`.
     pub fn train(&self, epsilon: f64, delta: f64, seed: u64) -> Result<TrainingOutcome, CoreError> {
@@ -179,7 +177,6 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
             self.spec,
             self.train,
             self.holdout,
-            &self.pool,
             &mut self.cap_scratch.borrow_mut(),
             &mut self.train_scratch.borrow_mut(),
             lambdas,
@@ -206,7 +203,6 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
                     self.spec,
                     self.train,
                     self.holdout,
-                    &self.pool,
                     &mut self.cap_scratch.borrow_mut(),
                     seed,
                     Some(pilot),
@@ -221,7 +217,6 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
             self.spec,
             self.train,
             self.holdout,
-            &self.pool,
             &mut self.cap_scratch.borrow_mut(),
             seed,
             None,

@@ -240,10 +240,9 @@ pub fn compute_statistics<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
 }
 
 /// Compute model statistics with the requested method over the rows of a
-/// design-matrix view. The coordinator passes the view it
-/// already served for training — a gathered index view over the pool
-/// matrix or a packed capture — so the statistics phase's `grads` /
-/// Hessian / gradient probes run without materializing the sample.
+/// design-matrix view. The coordinator passes the packed sample
+/// capture it already trained on, so the statistics phase's `grads` /
+/// Hessian / gradient probes run without capturing the sample again.
 pub fn compute_statistics_view<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     method: StatisticsMethod,
     spec: &S,

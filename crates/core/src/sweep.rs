@@ -380,7 +380,6 @@ pub(crate) fn run_sweep<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     spec: &S,
     train: &Dataset<F>,
     holdout: &Dataset<F>,
-    pool: &DatasetMatrix<'_>,
     cap_scratch: &mut CaptureScratch,
     scratch: &mut TrainScratch,
     lambdas: &[f64],
@@ -419,7 +418,7 @@ pub(crate) fn run_sweep<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     // against the same view.
     let t = Instant::now();
     let sample = train.sample_view(n0, split_seed(seed, 0));
-    let capture = pool.capture_sample_with(sample.indices(), cap_scratch);
+    let capture = DatasetMatrix::pack(train, sample.indices(), cap_scratch);
     let view = capture.view();
     let zeros = vec![0.0; dim];
     let theta0s: Vec<Vec<f64>> = (0..k).map(|_| zeros.clone()).collect();
@@ -557,7 +556,7 @@ pub(crate) fn run_sweep<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
         let max_n = needs.iter().map(|&(_, n)| n).max().expect("non-empty");
         let t = Instant::now();
         let fsample = train.sample_view(max_n, split_seed(seed, 3));
-        let fcapture = pool.capture_sample_with(fsample.indices(), cap_scratch);
+        let fcapture = DatasetMatrix::pack(train, fsample.indices(), cap_scratch);
         let fview = fcapture.view();
         // Each point's final fit replays a solo run exactly: warm-started
         // from its own pilot θ₀ over its own sample prefix, fused through

@@ -1,10 +1,10 @@
-//! The zero-copy sampling layer's exactness contract.
+//! The sample capture's exactness contract.
 //!
 //! Property tests asserting that `train`, `grads` and
-//! `compute_statistics` on a **gathered** index view over the pool
-//! matrix, and on a **packed** capture of the same rows, are bit-equal
-//! to the same calls on `DatasetMatrix::from_dataset(&train.sample(n,
-//! seed))` — the materialized sample — across all four iteratively
+//! `compute_statistics` on a **packed** capture of a drawn sample
+//! (`DatasetMatrix::pack`) are bit-equal to the same calls on
+//! `DatasetMatrix::from_dataset(&train.sample(n, seed))` — the
+//! materialized sample — across all four iteratively
 //! trained model classes plus PPCA, dense and sparse features, and
 //! thread budgets {1, 4}; plus Session checks that repeated `train()`
 //! calls reproduce fresh coordinator runs, and pins that the batched
@@ -25,7 +25,9 @@ use blinkml_data::generators::{
     synthetic_multiclass, synthetic_poisson, yelp_like,
 };
 use blinkml_data::parallel::set_max_threads;
-use blinkml_data::{Dataset, DatasetMatrix, Example, FeatureVec, MatrixView, SparseVec};
+use blinkml_data::{
+    CaptureScratch, Dataset, DatasetMatrix, Example, FeatureVec, MatrixView, SparseVec,
+};
 use blinkml_linalg::testing::budget_lock;
 use blinkml_optim::OptimOptions;
 use blinkml_prob::{rng_from_seed, split_seed, MvnSampler};
@@ -95,10 +97,9 @@ fn all_statistics<F: FeatureVec, S: ModelClassSpec<F>>(
     .collect()
 }
 
-/// Train, `grads` and every statistics method on the gathered view and
-/// on the packed capture of `train.sample_view(n, seed)` must be
-/// bit-equal to the same calls on the materialized sample's matrix, at
-/// thread budgets {1, 4}.
+/// Train, `grads` and every statistics method on the packed capture of
+/// `train.sample_view(n, seed)` must be bit-equal to the same calls on
+/// the materialized sample's matrix, at thread budgets {1, 4}.
 fn assert_views_match_materialized<F: FeatureVec, S: ModelClassSpec<F>>(
     spec: &S,
     train: &Dataset<F>,
@@ -108,9 +109,8 @@ fn assert_views_match_materialized<F: FeatureVec, S: ModelClassSpec<F>>(
     let opts = OptimOptions::default();
     let sample = train.sample(n, seed);
     let materialized = DatasetMatrix::from_dataset(&sample);
-    let pool = DatasetMatrix::from_dataset(train);
     let drawn = train.sample_view(n, seed);
-    let packed = pool.gather_packed(drawn.indices());
+    let packed = DatasetMatrix::pack(train, drawn.indices(), &mut CaptureScratch::new());
     let _budget = budget_lock();
     for threads in [Some(1), Some(4)] {
         set_max_threads(threads);
@@ -120,39 +120,34 @@ fn assert_views_match_materialized<F: FeatureVec, S: ModelClassSpec<F>>(
         let theta = reference.parameters();
         let ref_grads = spec.grads(theta, &materialized.view());
         let ref_stats = all_statistics(spec, theta, &materialized.view());
-        let views: [(&str, MatrixView); 2] = [
-            ("gathered", pool.gather(drawn.indices())),
-            ("packed", packed.view()),
-        ];
-        for (kind, view) in views {
-            let tag = format!("{} {kind} threads {threads:?}", spec.name());
-            let model = spec.train_view(&view, None, &opts).expect("view fit");
-            assert_bits(model.parameters(), theta, &format!("{tag}: θ"));
-            assert_eq!(model.iterations, reference.iterations, "{tag}: iterations");
-            assert_eq!(
-                model.objective_value.to_bits(),
-                reference.objective_value.to_bits(),
-                "{tag}: objective value"
+        let view = packed.view();
+        let tag = format!("{} packed threads {threads:?}", spec.name());
+        let model = spec.train_view(&view, None, &opts).expect("view fit");
+        assert_bits(model.parameters(), theta, &format!("{tag}: θ"));
+        assert_eq!(model.iterations, reference.iterations, "{tag}: iterations");
+        assert_eq!(
+            model.objective_value.to_bits(),
+            reference.objective_value.to_bits(),
+            "{tag}: objective value"
+        );
+        let grads = spec.grads(theta, &view);
+        assert_eq!(grads.num_rows(), ref_grads.num_rows(), "{tag}: grads rows");
+        for i in 0..grads.num_rows() {
+            assert_bits(
+                &grads.row_dense(i),
+                &ref_grads.row_dense(i),
+                &format!("{tag}: grads row"),
             );
-            let grads = spec.grads(theta, &view);
-            assert_eq!(grads.num_rows(), ref_grads.num_rows(), "{tag}: grads rows");
-            for i in 0..grads.num_rows() {
-                assert_bits(
-                    &grads.row_dense(i),
-                    &ref_grads.row_dense(i),
-                    &format!("{tag}: grads row"),
-                );
-            }
-            for (k, (got, want)) in all_statistics(spec, theta, &view)
-                .iter()
-                .zip(&ref_stats)
-                .enumerate()
-            {
-                match (got, want) {
-                    (Some(g), Some(w)) => assert_stats_bitwise(g, w, &format!("{tag}: method {k}")),
-                    (None, None) => {}
-                    _ => panic!("{tag}: method {k} succeeded on only one representation"),
-                }
+        }
+        for (k, (got, want)) in all_statistics(spec, theta, &view)
+            .iter()
+            .zip(&ref_stats)
+            .enumerate()
+        {
+            match (got, want) {
+                (Some(g), Some(w)) => assert_stats_bitwise(g, w, &format!("{tag}: method {k}")),
+                (None, None) => {}
+                _ => panic!("{tag}: method {k} succeeded on only one representation"),
             }
         }
     }
@@ -214,8 +209,8 @@ proptest! {
 
     #[test]
     fn maxent_sparse_view_is_bitwise_materialized(seed in 1u64..200) {
-        // Sparse features exercise the CSR pool matrix and gathered
-        // CSR margins/gradients.
+        // Sparse features exercise the packed CSR capture's
+        // margins/gradients.
         let data = yelp_like(1_200, 50, seed);
         assert_views_match_materialized(&MaxEntSpec::new(1e-3, 5), &data, 200, seed);
     }

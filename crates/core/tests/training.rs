@@ -5,7 +5,7 @@
 //! bit** for all five model classes, dense and sparse features alike —
 //! plus end-to-end checks: view training and the scalar training oracle
 //! (`testing::ScalarTrain`) produce identical parameters, spec-level
-//! pins over gathered and packed views for every class, and the
+//! pins over packed sample captures for every class, and the
 //! coordinator's results are bit-identical across thread budgets.
 
 use blinkml_core::models::{
@@ -18,7 +18,7 @@ use blinkml_data::generators::{
     synthetic_poisson, yelp_like,
 };
 use blinkml_data::parallel::set_max_threads;
-use blinkml_data::{Dataset, DatasetMatrix, DenseVec, FeatureVec, MatrixView, TrainScratch};
+use blinkml_data::{CaptureScratch, Dataset, DatasetMatrix, DenseVec, FeatureVec, TrainScratch};
 use blinkml_linalg::testing::budget_lock;
 use blinkml_optim::OptimOptions;
 use proptest::prelude::*;
@@ -282,10 +282,10 @@ fn coordinator_is_bit_identical_across_thread_budgets_with_batching() {
     assert_eq!(a.model.parameters(), b.model.parameters());
 }
 
-/// One spec-level pin: training and `grads` on a gathered pool view and
-/// on a packed capture of the sample `train.sample_view(n, seed)` must
-/// reproduce the per-example oracle on the materialized sample, bit for
-/// bit — the contract the coordinator's zero-copy path relies on.
+/// One spec-level pin: training and `grads` on a packed capture of the
+/// sample `train.sample_view(n, seed)` must reproduce the per-example
+/// oracle on the materialized sample, bit for bit — the contract the
+/// coordinator's sample path relies on.
 /// Iterative classes are trained by the scalar oracle
 /// ([`ScalarTrain`]); closed-form classes (PPCA) by `train` on the
 /// materialized sample, with the recorded objective value pinned to the
@@ -298,8 +298,7 @@ where
     let opts = OptimOptions::default();
     let sample = pool.sample(n, seed);
     let drawn = pool.sample_view(n, seed);
-    let pm = DatasetMatrix::from_dataset(pool);
-    let packed = pm.gather_packed(drawn.indices());
+    let packed = DatasetMatrix::pack(pool, drawn.indices(), &mut CaptureScratch::new());
     let closed_form = spec.name() == "ppca";
     let reference = if closed_form {
         spec.train(&sample, None, &opts).unwrap()
@@ -322,29 +321,24 @@ where
     let _budget = budget_lock();
     for budget in [Some(1), Some(4)] {
         set_max_threads(budget);
-        let views: [(&str, MatrixView); 2] = [
-            ("gathered", pm.gather(drawn.indices())),
-            ("packed", packed.view()),
-        ];
-        for (kind, view) in views {
-            let tag = format!("{} {kind} budget {budget:?}", spec.name());
-            let m = spec.train_view(&view, None, &opts).unwrap();
-            assert_bits(m.parameters(), theta, &format!("{tag}: θ"));
-            assert_eq!(m.iterations, reference.iterations, "{tag}: iterations");
-            assert_eq!(
-                m.objective_value.to_bits(),
-                reference.objective_value.to_bits(),
-                "{tag}: objective value"
+        let view = packed.view();
+        let tag = format!("{} packed budget {budget:?}", spec.name());
+        let m = spec.train_view(&view, None, &opts).unwrap();
+        assert_bits(m.parameters(), theta, &format!("{tag}: θ"));
+        assert_eq!(m.iterations, reference.iterations, "{tag}: iterations");
+        assert_eq!(
+            m.objective_value.to_bits(),
+            reference.objective_value.to_bits(),
+            "{tag}: objective value"
+        );
+        let g = spec.grads(theta, &view);
+        assert_eq!(g.num_rows(), n, "{tag}: grads rows");
+        for i in 0..n {
+            assert_bits(
+                &g.row_dense(i),
+                &g_ref.row_dense(i),
+                &format!("{tag}: grads row"),
             );
-            let g = spec.grads(theta, &view);
-            assert_eq!(g.num_rows(), n, "{tag}: grads rows");
-            for i in 0..n {
-                assert_bits(
-                    &g.row_dense(i),
-                    &g_ref.row_dense(i),
-                    &format!("{tag}: grads row"),
-                );
-            }
         }
     }
     set_max_threads(None);

@@ -188,9 +188,9 @@ impl<F: FeatureVec> Dataset<F> {
     /// Zero-copy form of [`Dataset::sample`]: the same deterministic
     /// index list for `(n, seed)` — `sample(n, seed)` is exactly
     /// `sample_view(n, seed).materialize()` — wrapped as an
-    /// [`IndexView`] so no example is cloned. Pair the view with a
-    /// pool-resident design matrix (`DatasetMatrix::gather`) to train
-    /// on the sample without touching the examples at all.
+    /// [`IndexView`] so no example is cloned. `DatasetMatrix::pack`
+    /// copies the drawn rows from there into one contiguous block (or
+    /// CSR triple) for training, without an `Example` clone.
     pub fn sample_view(&self, n: usize, seed: u64) -> IndexView<'_, F> {
         let n = n.min(self.len());
         IndexView {
@@ -282,8 +282,8 @@ impl<F: FeatureVec> Dataset<F> {
 /// This is the paper's sampling abstraction without the copy — drawing
 /// a sample costs `O(n)` indices, never a clone of the drawn examples.
 /// The batched training engine consumes it through
-/// `DatasetMatrix::gather`, which turns the index list into a gathered
-/// design-matrix view over the pool-resident matrix.
+/// `DatasetMatrix::pack`, which copies the indexed rows straight from
+/// the base dataset into one packed design matrix.
 #[derive(Debug, Clone)]
 pub struct IndexView<'a, F> {
     base: &'a Dataset<F>,

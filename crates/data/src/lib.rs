@@ -15,10 +15,12 @@
 //!   of the paper's datasets (see DESIGN.md §3 for the substitution
 //!   rationale),
 //! * [`io`] — LIBSVM and CSV loaders for users with the real datasets,
-//! * [`matrix`] — cached design-matrix views ([`DatasetMatrix`]) plus
-//!   reusable training scratch buffers ([`TrainScratch`]), the substrate
-//!   of the batched training engine (contiguous dense blocks, CSR for
-//!   sparse features, bit-exact batched margin/gradient passes),
+//! * [`matrix`] — design matrices ([`DatasetMatrix`]), sample captures
+//!   packed straight from a dataset into recycled buffers
+//!   ([`CaptureScratch`]), and reusable training scratch buffers
+//!   ([`TrainScratch`]): the substrate of the batched training engine
+//!   (contiguous dense blocks, CSR for sparse features, bit-exact
+//!   batched margin/gradient passes),
 //! * [`stream`] — epoch-versioned append-only pools
 //!   ([`StreamingPool`]) with immutable prefix snapshots
 //!   ([`StreamSnapshot`]) and an ingest validation gate
@@ -46,10 +48,7 @@ pub mod wal;
 
 pub use dataset::{Dataset, Example, IndexView, Split};
 pub use features::{DenseVec, FeatureVec, SparseVec};
-pub use matrix::{
-    CaptureScratch, DatasetMatrix, FoldRequest, MatrixView, SampleCapture, TrainScratch,
-    PACK_THRESHOLD_BYTES,
-};
+pub use matrix::{CaptureScratch, DatasetMatrix, FoldRequest, MatrixView, TrainScratch};
 pub use parallel::par_ranges;
 pub use stream::{
     AppendReceipt, EpochMark, IngestError, IngestPolicy, LabelDomain, QuarantineReceipt,

@@ -1,13 +1,16 @@
-//! Cached design-matrix views for the batched training engine.
+//! Design matrices and sample captures for the batched training engine.
 //!
 //! A per-example objective walks the sample example by example — a
 //! pointer chase through per-row `Vec` allocations repeated on every
-//! optimizer probe. A [`DatasetMatrix`] captures the sample
-//! **once per `train()` call** as a design-matrix view — borrowed
-//! per-row slices for dense features (zero copy), a CSR triple for
-//! sparse ones — plus a label vector. The batched passes every model
-//! objective is built from run over a [`MatrixView`] of it (the whole
-//! matrix, a gathered sample or a row prefix):
+//! optimizer probe. A [`DatasetMatrix`] holds the rows once as a design
+//! matrix plus a label vector. A whole dense dataset is viewed in place
+//! ([`DatasetMatrix::from_dataset`]: borrowed per-row slices, zero
+//! copy); a sample is **captured** by packing its rows straight from the
+//! dataset into recycled buffers ([`DatasetMatrix::pack`]: one row-major
+//! block for dense features, one CSR triple for sparse ones), so a call
+//! pays for its `n` sampled rows, never for the `N`-row pool. The
+//! batched passes every model objective is built from run over a
+//! [`MatrixView`] of a matrix (all of it, or a row prefix):
 //!
 //! * [`MatrixView::margins_into`] — `out = X·w + bias`, the margin
 //!   pass (one fused kernel over the view),
@@ -31,27 +34,29 @@
 //! [`CHUNK_SIZE`] with partials merged in chunk order — the same
 //! contract as `parallel::par_sum_vecs`, which is what the scalar
 //! objectives use. Results are therefore bit-identical to the scalar
-//! path for dense and sparse features, at any thread budget.
+//! path for dense and sparse features, at any thread budget, and a
+//! packed capture is bit-identical to a matrix built from the
+//! materialized sample (`dataset.subset(indices)`).
 
 use crate::dataset::Dataset;
 use crate::features::FeatureVec;
 use crate::parallel::{max_threads, par_fill_slice, par_map_reduce_matrix, par_ranges, CHUNK_SIZE};
 use blinkml_linalg::simd::{
-    rows_dot, rows_dot_gather, rows_dot_gather_idx, rows_dot_multi, rows_weighted_sum,
-    rows_weighted_sum_gather, rows_weighted_sum_gather_idx, rows_weighted_sum_multi,
+    rows_dot, rows_dot_gather, rows_dot_multi, rows_weighted_sum, rows_weighted_sum_gather,
+    rows_weighted_sum_multi,
 };
-use blinkml_linalg::{vector, Matrix};
+use blinkml_linalg::Matrix;
 use std::ops::Range;
 
-/// The captured feature block of a [`DatasetMatrix`].
+/// The feature block of a [`DatasetMatrix`].
 #[derive(Debug, Clone)]
 enum DesignBlock<'a> {
     /// Borrowed per-row slices — the zero-copy view over dense feature
     /// vectors (the rows stay wherever the dataset allocated them; only
     /// the 8-byte slice table is built).
     DenseRows(Vec<&'a [f64]>),
-    /// Owned row-major `n × d` block, for dense feature types that
-    /// cannot expose a borrowed slice.
+    /// Owned row-major `n × d` block: every packed dense capture, and
+    /// whole datasets whose dense feature type exposes no slice.
     DenseOwned(Vec<f64>),
     /// CSR triple: `indptr` (`n + 1` row offsets), column indices, and
     /// values — the standard layout for the sparse regime.
@@ -62,7 +67,8 @@ enum DesignBlock<'a> {
     },
 }
 
-/// A dataset captured for batched objective/gradient evaluation.
+/// A design matrix plus labels, for batched objective/gradient
+/// evaluation.
 #[derive(Debug, Clone)]
 pub struct DatasetMatrix<'a> {
     rows: usize,
@@ -72,49 +78,79 @@ pub struct DatasetMatrix<'a> {
 }
 
 impl<'a> DatasetMatrix<'a> {
-    /// Capture `data` once: dense features become a borrowed row-slice
-    /// view (or an owned block when the feature type exposes no slice),
-    /// sparse features a CSR triple. Labels are copied alongside so the
-    /// batched passes never touch the `Example` list again.
+    /// View all of `data` for whole-dataset passes: dense features
+    /// become a borrowed row-slice view (or an owned block when the
+    /// feature type exposes no slice), sparse features a CSR triple.
+    /// Labels are copied alongside so the batched passes never touch the
+    /// `Example` list again. Samples are captured with
+    /// [`DatasetMatrix::pack`] instead, which copies only their rows.
     pub fn from_dataset<F: FeatureVec>(data: &'a Dataset<F>) -> Self {
-        let (rows, dim) = (data.len(), data.dim());
-        let labels: Vec<f64> = data.iter().map(|e| e.y).collect();
-        let block = if F::IS_SPARSE {
-            let mut indptr = Vec::with_capacity(rows + 1);
-            let mut indices = Vec::new();
-            let mut values = Vec::new();
-            indptr.push(0);
-            for e in data.iter() {
-                // `scaled_sparse(1.0, …)` copies the stored entries
-                // bit-exactly for any sparse representation.
-                let s = e.x.scaled_sparse(1.0, dim, 0);
-                indices.extend_from_slice(s.indices());
-                values.extend_from_slice(s.values());
-                indptr.push(indices.len());
-            }
+        if F::IS_SPARSE || data.iter().any(|e| e.x.dense_slice().is_none()) {
+            return pack_rows(data, 0..data.len(), &mut CaptureScratch::new());
+        }
+        DatasetMatrix {
+            rows: data.len(),
+            dim: data.dim(),
+            labels: data.iter().map(|e| e.y).collect(),
+            block: DesignBlock::DenseRows(
+                data.iter()
+                    .map(|e| e.x.dense_slice().expect("checked above"))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Capture the sample `indices` of `data` (in order, repeats
+    /// allowed) for repeated batched passes — optimizer probes plus the
+    /// statistics phase. The rows are packed straight from the dataset
+    /// into `scratch`'s recycled buffers: one row-major block for dense
+    /// features (through [`FeatureVec::write_dense_into`]), one CSR
+    /// triple holding exactly the stored entries for sparse ones, and
+    /// the labels alongside. Every pass over the capture is
+    /// bit-identical to the same pass over
+    /// `DatasetMatrix::from_dataset(&data.subset(indices))`.
+    ///
+    /// Hand the capture back with [`DatasetMatrix::recycle`] when done,
+    /// so the next capture rewrites warm pages instead of faulting in
+    /// fresh ones. Values are fully overwritten, so reuse never changes
+    /// a bit.
+    ///
+    /// # Panics
+    /// Panics when an index is out of range.
+    pub fn pack<F: FeatureVec>(
+        data: &Dataset<F>,
+        indices: &[usize],
+        scratch: &mut CaptureScratch,
+    ) -> DatasetMatrix<'static> {
+        pack_rows(data, indices.iter().copied(), scratch)
+    }
+
+    /// Capture rows `indices` of this matrix as an owned matrix — the
+    /// same packing body as [`DatasetMatrix::pack`], reading the rows
+    /// from this matrix instead of a dataset, so the bytes match.
+    ///
+    /// # Panics
+    /// Panics when an index is out of range.
+    pub fn capture_sample(&self, indices: &[usize]) -> DatasetMatrix<'static> {
+        pack_rows(self, indices.iter().copied(), &mut CaptureScratch::new())
+    }
+
+    /// Return this matrix's owned buffers to `scratch` for the next
+    /// [`DatasetMatrix::pack`].
+    pub fn recycle(self, scratch: &mut CaptureScratch) {
+        scratch.labels = self.labels;
+        match self.block {
+            DesignBlock::DenseOwned(x) => scratch.dense = x,
             DesignBlock::Csr {
                 indptr,
                 indices,
                 values,
+            } => {
+                scratch.indptr = indptr;
+                scratch.sp_indices = indices;
+                scratch.sp_values = values;
             }
-        } else if data.iter().all(|e| e.x.dense_slice().is_some()) {
-            DesignBlock::DenseRows(
-                data.iter()
-                    .map(|e| e.x.dense_slice().expect("checked above"))
-                    .collect(),
-            )
-        } else {
-            let mut block = vec![0.0; rows * dim];
-            for (slot, e) in block.chunks_exact_mut(dim.max(1)).zip(data.iter()) {
-                e.x.write_dense_into(slot);
-            }
-            DesignBlock::DenseOwned(block)
-        };
-        DatasetMatrix {
-            rows,
-            dim,
-            labels,
-            block,
+            DesignBlock::DenseRows(_) => {}
         }
     }
 
@@ -147,29 +183,7 @@ impl<'a> DatasetMatrix<'a> {
     pub fn view(&self) -> MatrixView<'_> {
         MatrixView {
             matrix: self,
-            indices: None,
-            limit: None,
-        }
-    }
-
-    /// A gathered view selecting rows `indices` (in order, repeats
-    /// allowed): the zero-copy representation of a sample drawn from
-    /// this matrix's dataset. Every pass over the gathered view is
-    /// bit-identical to the same pass over a [`DatasetMatrix`] freshly
-    /// built from `dataset.subset(indices)` — no example is cloned and
-    /// no per-sample matrix is rebuilt.
-    ///
-    /// Out-of-range indices panic inside the passes (debug-asserted
-    /// here).
-    pub fn gather<'m>(&'m self, indices: &'m [usize]) -> MatrixView<'m> {
-        debug_assert!(
-            indices.iter().all(|&i| i < self.rows),
-            "gather: index out of range"
-        );
-        MatrixView {
-            matrix: self,
-            indices: Some(indices),
-            limit: None,
+            rows: self.rows,
         }
     }
 
@@ -196,188 +210,124 @@ impl<'a> DatasetMatrix<'a> {
             }
         }
     }
+}
 
-    /// Pack the gathered rows into an **owned** matrix: one flat
-    /// row-major block (dense) or one contiguous CSR triple (sparse)
-    /// plus the gathered labels — a single bulk allocation, never a
-    /// per-example clone. Every pass over the packed matrix is
-    /// bit-identical to the same pass over [`DatasetMatrix::gather`]
-    /// (the contiguous kernels share the gathered kernels' reduction
-    /// shape).
-    ///
-    /// This trades one `O(sample bytes)` copy for contiguous streaming:
-    /// profitable when the sample outgrows the cache **and** will be
-    /// streamed many times (optimizer probes) — random row gathers from
-    /// a DRAM-resident pool stall on latency that software prefetch
-    /// cannot fully hide. [`DatasetMatrix::capture_sample`] applies
-    /// that policy; single-pass consumers should keep the plain gather.
-    pub fn gather_packed(&self, indices: &[usize]) -> DatasetMatrix<'static> {
-        self.pack_rows(indices, &mut CaptureScratch::new())
+/// Where a packed capture reads its rows from: a dataset's examples, or
+/// a matrix already built over them.
+trait PackSource {
+    fn dim(&self) -> usize;
+    fn is_sparse(&self) -> bool;
+    fn label(&self, i: usize) -> f64;
+    /// Append dense row `i` to `block`.
+    fn push_dense(&self, i: usize, block: &mut Vec<f64>);
+    /// Append the stored entries of sparse row `i`.
+    fn push_sparse(&self, i: usize, indices: &mut Vec<u32>, values: &mut Vec<f64>);
+}
+
+impl<F: FeatureVec> PackSource for Dataset<F> {
+    fn dim(&self) -> usize {
+        Dataset::dim(self)
     }
 
-    /// The shared packing body behind [`Self::gather_packed`] and
-    /// [`Self::capture_sample_with`]: gather rows and labels into
-    /// `scratch`'s (possibly recycled) buffers and wrap them as an
-    /// owned matrix.
-    fn pack_rows(&self, indices: &[usize], scratch: &mut CaptureScratch) -> DatasetMatrix<'static> {
-        let d = self.dim;
-        let mut labels = std::mem::take(&mut scratch.labels);
-        labels.clear();
-        labels.extend(indices.iter().map(|&i| self.labels[i]));
-        let block = match &self.block {
-            DesignBlock::DenseRows(rows) => {
-                let mut x = std::mem::take(&mut scratch.dense);
-                x.clear();
-                x.reserve(indices.len() * d);
-                for &i in indices {
-                    x.extend_from_slice(rows[i]);
-                }
-                DesignBlock::DenseOwned(x)
-            }
-            DesignBlock::DenseOwned(xp) => {
-                let mut x = std::mem::take(&mut scratch.dense);
-                x.clear();
-                x.reserve(indices.len() * d);
-                for &i in indices {
-                    x.extend_from_slice(&xp[i * d..(i + 1) * d]);
-                }
-                DesignBlock::DenseOwned(x)
-            }
-            DesignBlock::Csr {
-                indptr,
-                indices: ci,
-                values,
-            } => {
-                let nnz: usize = indices.iter().map(|&i| indptr[i + 1] - indptr[i]).sum();
-                let mut nindptr = std::mem::take(&mut scratch.indptr);
-                let mut nindices = std::mem::take(&mut scratch.sp_indices);
-                let mut nvalues = std::mem::take(&mut scratch.sp_values);
-                nindptr.clear();
-                nindices.clear();
-                nvalues.clear();
-                nindptr.reserve(indices.len() + 1);
-                nindices.reserve(nnz);
-                nvalues.reserve(nnz);
-                nindptr.push(0);
-                for &i in indices {
-                    let (s, e) = (indptr[i], indptr[i + 1]);
-                    nindices.extend_from_slice(&ci[s..e]);
-                    nvalues.extend_from_slice(&values[s..e]);
-                    nindptr.push(nindices.len());
-                }
-                DesignBlock::Csr {
-                    indptr: nindptr,
-                    indices: nindices,
-                    values: nvalues,
-                }
-            }
-        };
-        DatasetMatrix {
-            rows: indices.len(),
-            dim: d,
-            labels,
-            block,
-        }
+    fn is_sparse(&self) -> bool {
+        F::IS_SPARSE
     }
 
-    /// Capture the sample `indices` for **repeated** batched passes
-    /// (optimizer probes plus the statistics phase): a zero-copy
-    /// gathered view while the sample's data footprint is
-    /// cache-resident, a packed owned matrix ([`Self::gather_packed`])
-    /// above [`PACK_THRESHOLD_BYTES`]. Both forms are bit-identical;
-    /// only streaming speed differs.
-    pub fn capture_sample<'m>(&'m self, indices: &'m [usize]) -> SampleCapture<'m> {
-        self.capture_sample_with(indices, &mut CaptureScratch::new())
+    fn label(&self, i: usize) -> f64 {
+        self.get(i).y
     }
 
-    /// [`Self::capture_sample`] recycling `scratch`'s buffers for the
-    /// packed form: repeated captures (a coordinator run's pilot and
-    /// final sample, or every query of a multi-query session) rewrite
-    /// warm pages instead of faulting in a fresh block each time. Hand
-    /// the capture back with [`SampleCapture::recycle`] when done.
-    /// Values are fully overwritten, so reuse never changes a bit.
-    pub fn capture_sample_with<'m>(
-        &'m self,
-        indices: &'m [usize],
-        scratch: &mut CaptureScratch,
-    ) -> SampleCapture<'m> {
-        let view = self.gather(indices);
-        if view.data_bytes() <= PACK_THRESHOLD_BYTES {
-            return SampleCapture::Gathered(view);
-        }
-        SampleCapture::Packed(self.pack_rows(indices, scratch))
+    fn push_dense(&self, i: usize, block: &mut Vec<f64>) {
+        let at = block.len();
+        block.resize(at + Dataset::dim(self), 0.0);
+        self.get(i).x.write_dense_into(&mut block[at..]);
+    }
+
+    fn push_sparse(&self, i: usize, indices: &mut Vec<u32>, values: &mut Vec<f64>) {
+        // `scaled_sparse(1.0, …)` copies the stored entries bit-exactly
+        // for any sparse representation.
+        let s = self.get(i).x.scaled_sparse(1.0, Dataset::dim(self), 0);
+        indices.extend_from_slice(s.indices());
+        values.extend_from_slice(s.values());
     }
 }
 
-/// Data footprint above which [`DatasetMatrix::capture_sample`] packs
-/// the sample into a contiguous owned matrix instead of serving a
-/// gathered view. Measured on DRAM-resident pools, optimizer probes
-/// over randomly-ordered gathered rows run ~2–2.5× slower than over a
-/// contiguous block (row-start latency and dTLB misses that software
-/// prefetch cannot fully hide — prefetches are dropped on dTLB misses),
-/// while the pack itself costs about one extra stream of the sample.
-/// Packing therefore pays for itself within a couple of probes; only
-/// samples small enough for the gather penalty to be immeasurable
-/// (at most a few hundred KB — resident after the first probe) stay as
-/// pure views.
-pub const PACK_THRESHOLD_BYTES: usize = 256 << 10;
+impl PackSource for DatasetMatrix<'_> {
+    fn dim(&self) -> usize {
+        self.dim
+    }
 
-/// A sample captured for repeated batched passes — the output of
-/// [`DatasetMatrix::capture_sample`]. Hand its [`SampleCapture::view`]
-/// to training and statistics; both forms obey the same bitwise
-/// contract.
-#[derive(Debug)]
-pub enum SampleCapture<'m> {
-    /// Zero-copy gathered view into the pool matrix (cache-resident
-    /// samples).
-    Gathered(MatrixView<'m>),
-    /// Packed owned matrix (DRAM-resident samples): one bulk copy,
-    /// contiguous probes.
-    Packed(DatasetMatrix<'static>),
+    fn is_sparse(&self) -> bool {
+        DatasetMatrix::is_sparse(self)
+    }
+
+    fn label(&self, i: usize) -> f64 {
+        self.labels[i]
+    }
+
+    fn push_dense(&self, i: usize, block: &mut Vec<f64>) {
+        block.extend_from_slice(self.dense_row(i).expect("dense block"));
+    }
+
+    fn push_sparse(&self, i: usize, indices: &mut Vec<u32>, values: &mut Vec<f64>) {
+        let (ix, vals) = self.sparse_row(i).expect("CSR block");
+        indices.extend_from_slice(ix);
+        values.extend_from_slice(vals);
+    }
 }
 
-impl SampleCapture<'_> {
-    /// The design-matrix view over the captured sample.
-    pub fn view(&self) -> MatrixView<'_> {
-        match self {
-            SampleCapture::Gathered(v) => *v,
-            SampleCapture::Packed(matrix) => matrix.view(),
+/// The one packing body: copy rows `rows` of `src`, in order, into
+/// `scratch`'s buffers as an owned matrix.
+fn pack_rows<S: PackSource>(
+    src: &S,
+    rows: impl ExactSizeIterator<Item = usize>,
+    scratch: &mut CaptureScratch,
+) -> DatasetMatrix<'static> {
+    let (n, dim) = (rows.len(), src.dim());
+    let mut labels = std::mem::take(&mut scratch.labels);
+    labels.clear();
+    labels.reserve(n);
+    let block = if src.is_sparse() {
+        let mut indptr = std::mem::take(&mut scratch.indptr);
+        let mut indices = std::mem::take(&mut scratch.sp_indices);
+        let mut values = std::mem::take(&mut scratch.sp_values);
+        indptr.clear();
+        indices.clear();
+        values.clear();
+        indptr.reserve(n + 1);
+        indptr.push(0);
+        for i in rows {
+            labels.push(src.label(i));
+            src.push_sparse(i, &mut indices, &mut values);
+            indptr.push(indices.len());
         }
-    }
-
-    /// Whether the capture packed the sample into an owned matrix.
-    pub fn is_packed(&self) -> bool {
-        matches!(self, SampleCapture::Packed(_))
-    }
-
-    /// Return a packed capture's buffers to `scratch` so the next
-    /// [`DatasetMatrix::capture_sample_with`] rewrites warm pages
-    /// instead of faulting in fresh ones. A no-op for gathered views.
-    pub fn recycle(self, scratch: &mut CaptureScratch) {
-        if let SampleCapture::Packed(m) = self {
-            scratch.labels = m.labels;
-            match m.block {
-                DesignBlock::DenseOwned(x) => scratch.dense = x,
-                DesignBlock::Csr {
-                    indptr,
-                    indices,
-                    values,
-                } => {
-                    scratch.indptr = indptr;
-                    scratch.sp_indices = indices;
-                    scratch.sp_values = values;
-                }
-                DesignBlock::DenseRows(_) => {}
-            }
+        DesignBlock::Csr {
+            indptr,
+            indices,
+            values,
         }
+    } else {
+        let mut x = std::mem::take(&mut scratch.dense);
+        x.clear();
+        x.reserve(n * dim);
+        for i in rows {
+            labels.push(src.label(i));
+            src.push_dense(i, &mut x);
+        }
+        DesignBlock::DenseOwned(x)
+    };
+    DatasetMatrix {
+        rows: n,
+        dim,
+        labels,
+        block,
     }
 }
 
 /// Recyclable buffers behind packed sample captures
-/// ([`DatasetMatrix::capture_sample_with`]): one coordinator run reuses
-/// them between its pilot and final captures, and a multi-query session
-/// keeps one across every `train()` call, so steady-state packing
-/// allocates nothing.
+/// ([`DatasetMatrix::pack`]): one coordinator run reuses them between
+/// its pilot and final captures, and a session or server worker keeps
+/// one across every query, so steady-state packing allocates nothing.
 #[derive(Debug, Default)]
 pub struct CaptureScratch {
     dense: Vec<f64>,
@@ -388,55 +338,40 @@ pub struct CaptureScratch {
 }
 
 impl CaptureScratch {
-    /// Empty scratch; buffers grow on first packed capture.
+    /// Empty scratch; buffers grow on first capture.
     pub fn new() -> Self {
         CaptureScratch::default()
     }
 }
 
-/// A (possibly gathered) window onto a [`DatasetMatrix`].
+/// A window onto a [`DatasetMatrix`]: the whole matrix
+/// ([`DatasetMatrix::view`]) or its first rows ([`MatrixView::prefix`]).
 ///
-/// A view is the unit every batched pass runs over: either the whole
-/// matrix ([`DatasetMatrix::view`]) or an index-selected sample of its
-/// rows ([`DatasetMatrix::gather`]) — the zero-copy representation of
-/// `Dataset::sample_view`. Views are `Copy` (two pointers); drawing a
-/// sample never clones an example or rebuilds a matrix.
+/// A view is the unit every batched pass runs over. Views are `Copy` (a
+/// pointer and a row count).
 ///
 /// # Exactness and determinism
 ///
-/// Every pass over a gathered view is **bit-identical** to the same
-/// pass over a `DatasetMatrix` built from the materialized sample
-/// (`dataset.subset(indices)`): the gathered kernels keep the per-row
-/// 4-lane dot shape (`rows_dot_gather_idx`), accumulate gradient rows
-/// in ascending sample order (`rows_weighted_sum_gather_idx`), and
-/// chunk at the same fixed [`CHUNK_SIZE`] boundaries with the same
-/// merge order — the chunk grid depends only on the *sample* length,
-/// which both representations share. Thread budgets never change a bit
-/// (same contract as the full-matrix passes).
+/// Every pass chunks at the fixed [`CHUNK_SIZE`] grid anchored at row 0
+/// and merges partials in chunk order, so a pass over a view depends
+/// only on the rows it covers, never on how they were stored (borrowed
+/// slices, a packed block) or on the thread budget.
 #[derive(Debug, Clone, Copy)]
 pub struct MatrixView<'m> {
     matrix: &'m DatasetMatrix<'m>,
-    /// Storage-level gather list: rows are read through these indices.
-    indices: Option<&'m [usize]>,
-    /// Row cap for non-gathered views: `Some(n)` restricts the view to
-    /// the matrix's first `n` rows (see [`MatrixView::prefix`]).
-    /// Gathered views never set this — prefixing them slices the index
-    /// list instead.
-    limit: Option<usize>,
+    /// The view covers the matrix's first `rows` rows.
+    rows: usize,
 }
 
 impl<'m> MatrixView<'m> {
-    /// Number of rows the view selects (`n` of the sample).
+    /// Number of rows the view covers (`n` of the sample).
     pub fn len(&self) -> usize {
-        match self.indices {
-            Some(idx) => idx.len(),
-            None => self.limit.unwrap_or(self.matrix.rows),
-        }
+        self.rows
     }
 
-    /// True when the view selects no rows.
+    /// True when the view covers no rows.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.rows == 0
     }
 
     /// Feature dimension `d`.
@@ -449,31 +384,19 @@ impl<'m> MatrixView<'m> {
         self.matrix.is_sparse()
     }
 
-    /// The gather list, when this view is a gathered sample.
-    pub fn indices(&self) -> Option<&'m [usize]> {
-        self.indices
-    }
-
-    /// Whether this view gathers a row subset (vs the full matrix).
-    pub fn is_gathered(&self) -> bool {
-        self.indices.is_some()
-    }
-
-    /// The underlying pool-resident matrix.
+    /// The matrix this view windows.
     pub fn matrix(&self) -> &'m DatasetMatrix<'m> {
         self.matrix
     }
 
     /// The view restricted to its first `n` rows.
     ///
-    /// For gathered views this slices the index list; for full or packed
-    /// views it caps the row count. Because every batched pass chunks at
-    /// the fixed [`CHUNK_SIZE`] grid anchored at row 0, each pass over
-    /// `prefix(n)` is **bit-identical** to the same pass over a view of
-    /// the first `n` rows built any other way (a sliced gather list, or
-    /// a matrix packed from just those rows). This is what lets nested
-    /// samples — `sample_indices`' prefix property makes every smaller
-    /// sample a prefix of the largest one — share a single capture.
+    /// Because every batched pass chunks at the fixed [`CHUNK_SIZE`]
+    /// grid anchored at row 0, each pass over `prefix(n)` is
+    /// **bit-identical** to the same pass over a matrix packed from just
+    /// those `n` rows. This is what lets nested samples —
+    /// `sample_indices`' prefix property makes every smaller sample a
+    /// prefix of the largest one — share a single capture.
     ///
     /// # Panics
     /// Panics when `n > len()`.
@@ -483,98 +406,55 @@ impl<'m> MatrixView<'m> {
             "prefix: {n} rows from a {}-row view",
             self.len()
         );
-        match self.indices {
-            Some(idx) => MatrixView {
-                matrix: self.matrix,
-                indices: Some(&idx[..n]),
-                limit: None,
-            },
-            None => MatrixView {
-                matrix: self.matrix,
-                indices: None,
-                limit: Some(n),
-            },
+        MatrixView {
+            matrix: self.matrix,
+            rows: n,
         }
     }
 
     /// Bytes of feature data the view's rows span: `len·dim·8` for
-    /// dense blocks, stored entries (12 bytes each) for CSR. The
-    /// footprint [`DatasetMatrix::capture_sample`] compares against
-    /// [`PACK_THRESHOLD_BYTES`].
+    /// dense blocks, stored entries (12 bytes each) for CSR.
     pub fn data_bytes(&self) -> usize {
         match &self.matrix.block {
             DesignBlock::DenseRows(_) | DesignBlock::DenseOwned(_) => {
-                self.len() * self.matrix.dim * 8
+                self.rows * self.matrix.dim * 8
             }
-            DesignBlock::Csr { indptr, .. } => {
-                let nnz: usize = match self.indices {
-                    None => indptr[self.len()],
-                    Some(idx) => idx.iter().map(|&i| indptr[i + 1] - indptr[i]).sum(),
-                };
-                nnz * 12
-            }
-        }
-    }
-
-    /// Pool row index behind view row `k`.
-    #[inline]
-    fn row_index(&self, k: usize) -> usize {
-        match self.indices {
-            None => k,
-            Some(idx) => idx[k],
+            DesignBlock::Csr { indptr, .. } => indptr[self.rows] * 12,
         }
     }
 
     /// Label of view row `k`.
     #[inline]
     pub fn label(&self, k: usize) -> f64 {
-        self.matrix.labels[self.row_index(k)]
+        self.matrix.labels[k]
     }
 
     /// Dense view row `k` as a slice (`None` for CSR blocks).
     pub fn dense_row(&self, k: usize) -> Option<&'m [f64]> {
-        self.matrix.dense_row(self.row_index(k))
+        self.matrix.dense_row(k)
     }
 
     /// The stored entries of sparse view row `k` (`None` for dense
     /// blocks).
     pub fn sparse_row(&self, k: usize) -> Option<(&'m [u32], &'m [f64])> {
-        self.matrix.sparse_row(self.row_index(k))
+        self.matrix.sparse_row(k)
     }
 
     /// Margins of view rows `start..end` written into `out` — the
     /// chunk kernel of every margin pass. Dense blocks run the
-    /// contiguous or row-slice kernels over full views and the
-    /// index-gather kernels over gathered ones; CSR rows accumulate
-    /// their stored entries in index order.
+    /// contiguous or row-slice kernels; CSR rows accumulate their
+    /// stored entries in index order.
     fn margins_range(&self, start: usize, end: usize, w: &[f64], bias: f64, out: &mut [f64]) {
         let d = self.matrix.dim;
-        let idx = self.indices.map(|idx| &idx[start..end]);
-        match (&self.matrix.block, idx) {
-            (DesignBlock::DenseRows(rows), None) => {
-                rows_dot_gather(&rows[start..end], d, w, bias, out);
-            }
-            (DesignBlock::DenseRows(rows), Some(idx)) => {
-                rows_dot_gather_idx(rows, idx, d, w, bias, out);
-            }
-            (DesignBlock::DenseOwned(x), None) => {
-                rows_dot(&x[start * d..end * d], d, w, bias, out);
-            }
-            (DesignBlock::DenseOwned(x), Some(idx)) => {
-                for (o, &i) in out.iter_mut().zip(idx) {
-                    *o = vector::dot(&x[i * d..(i + 1) * d], w) + bias;
-                }
-            }
-            (
-                DesignBlock::Csr {
-                    indptr,
-                    indices,
-                    values,
-                },
-                _,
-            ) => {
-                for (o, k) in out.iter_mut().zip(start..end) {
-                    let i = self.row_index(k);
+        match &self.matrix.block {
+            DesignBlock::DenseRows(rows) => rows_dot_gather(&rows[start..end], d, w, bias, out),
+            DesignBlock::DenseOwned(x) => rows_dot(&x[start * d..end * d], d, w, bias, out),
+            DesignBlock::Csr {
+                indptr,
+                indices,
+                values,
+            } => {
+                for (o, i) in out.iter_mut().zip(start..end) {
                     let (s, e) = (indptr[i], indptr[i + 1]);
                     let mut acc = 0.0;
                     for (&j, &v) in indices[s..e].iter().zip(&values[s..e]) {
@@ -586,39 +466,20 @@ impl<'m> MatrixView<'m> {
         }
     }
 
-    /// `out += Σ_{k in start..end} w[k - start]·x_{row(k)}`, in
-    /// ascending view-row order — the chunk kernel of every gradient
-    /// pass, with the same kernel choice as [`Self::margins_range`].
+    /// `out += Σ_{k in start..end} w[k - start]·x_k`, in ascending row
+    /// order — the chunk kernel of every gradient pass, with the same
+    /// kernel choice as [`Self::margins_range`].
     fn weighted_sum_range(&self, start: usize, end: usize, w: &[f64], out: &mut [f64]) {
         let d = self.matrix.dim;
-        let idx = self.indices.map(|idx| &idx[start..end]);
-        match (&self.matrix.block, idx) {
-            (DesignBlock::DenseRows(rows), None) => {
-                rows_weighted_sum_gather(&rows[start..end], d, w, out);
-            }
-            (DesignBlock::DenseRows(rows), Some(idx)) => {
-                rows_weighted_sum_gather_idx(rows, idx, d, w, out);
-            }
-            (DesignBlock::DenseOwned(x), None) => {
-                rows_weighted_sum(&x[start * d..end * d], d, w, out);
-            }
-            (DesignBlock::DenseOwned(x), Some(idx)) => {
-                for (&wi, &i) in w.iter().zip(idx) {
-                    for (oj, &xj) in out.iter_mut().zip(&x[i * d..(i + 1) * d]) {
-                        *oj += wi * xj;
-                    }
-                }
-            }
-            (
-                DesignBlock::Csr {
-                    indptr,
-                    indices,
-                    values,
-                },
-                _,
-            ) => {
-                for (&wi, k) in w.iter().zip(start..end) {
-                    let i = self.row_index(k);
+        match &self.matrix.block {
+            DesignBlock::DenseRows(rows) => rows_weighted_sum_gather(&rows[start..end], d, w, out),
+            DesignBlock::DenseOwned(x) => rows_weighted_sum(&x[start * d..end * d], d, w, out),
+            DesignBlock::Csr {
+                indptr,
+                indices,
+                values,
+            } => {
+                for (&wi, i) in w.iter().zip(start..end) {
                     let (s, e) = (indptr[i], indptr[i + 1]);
                     for (&j, &v) in indices[s..e].iter().zip(&values[s..e]) {
                         out[j as usize] += wi * v;
@@ -628,12 +489,11 @@ impl<'m> MatrixView<'m> {
         }
     }
 
-    /// Margin pass `out[k] = x_{row(k)}·w + bias`.
+    /// Margin pass `out[k] = x_k·w + bias`.
     ///
     /// Bit-identical to the per-example `e.x.dot(w) + bias` loop over
-    /// the (conceptually materialized) sample: the dense paths keep each
-    /// row's 4-lane dot shape, the sparse path accumulates stored
-    /// entries in index order. Output rows are partitioned across
+    /// the view's rows: the dense paths keep each row's 4-lane dot
+    /// shape, the sparse path accumulates stored entries in index order. Output rows are partitioned across
     /// threads, so the budget never changes a single bit.
     ///
     /// # Panics
@@ -654,7 +514,7 @@ impl<'m> MatrixView<'m> {
         });
     }
 
-    /// Gradient reduction `out = Xᵀ·w = Σₖ w[k]·x_{row(k)}`
+    /// Gradient reduction `out = Xᵀ·w = Σₖ w[k]·x_k`
     /// (overwriting `out`).
     ///
     /// Chunked at [`CHUNK_SIZE`] over the view rows with partials
@@ -701,9 +561,9 @@ impl<'m> MatrixView<'m> {
     /// hands them to `chunk_fn`, and accumulates each request's gradient
     /// partial, all while the chunk's rows are still cache-hot. The
     /// kernels follow the number of live requests. With one, the chunk
-    /// runs the chunk-wide single-request kernels (contiguous, row-slice
-    /// or index-gather), the fastest form for one probe. With two or more
-    /// on a dense view, the chunk is walked twice in row blocks sized to
+    /// runs the chunk-wide single-request kernels (contiguous or
+    /// row-slice), the fastest form for one probe. With two or more on a
+    /// dense view, the chunk is walked twice in row blocks sized to
     /// stay in L1 (a constant byte budget over `dim()`; a 4,096-row chunk
     /// at `d = 100` is 3.2 MB, past L2): every covering request's margins
     /// block by block with [`rows_dot_multi`], then `chunk_fn` per
@@ -888,7 +748,7 @@ impl<'m> MatrixView<'m> {
         &table[..end - start]
     }
 
-    /// Weighted Gram accumulation `Σₖ w[k]·x_{row(k)}x_{row(k)}ᵀ`
+    /// Weighted Gram accumulation `Σₖ w[k]·x_k x_kᵀ`
     /// (`d × d`), the kernel behind closed-form Hessians and the PPCA
     /// second moment. Rows with zero weight are skipped; the upper
     /// triangle is accumulated chunk-reduced in chunk order and
@@ -962,7 +822,7 @@ pub struct FoldRequest<'r> {
     /// The probe evaluates over the view's first `rows` rows
     /// (`rows <= len()`).
     pub rows: usize,
-    /// Gradient output `Σₖ chunk_weightₖ·x_{row(k)}` (`dim()` long,
+    /// Gradient output `Σₖ chunk_weightₖ·x_k` (`dim()` long,
     /// overwritten).
     pub grad: &'r mut [f64],
     /// Output: `chunk_fn` loss partials summed in chunk order.
@@ -1420,182 +1280,183 @@ mod tests {
         assert_eq!(xm.sparse_row(1).unwrap(), (&[0u32][..], &[5.0][..]));
     }
 
-    /// Gathered-view passes must equal the passes over a matrix built
-    /// from the materialized subset — bit for bit, dense (d = 7 in one
-    /// chunk, d = 13 over two) and sparse, at thread budgets {1, 4}.
-    #[test]
-    fn gathered_view_is_bitwise_materialized_subset() {
+    /// Every row pass over `got` must equal the same pass over `want`,
+    /// bit for bit: the stored rows and labels, margins, the weighted
+    /// sum and the Gram.
+    fn assert_same_passes(got: &DatasetMatrix<'_>, want: &DatasetMatrix<'_>, tag: &str) {
+        let (n, d) = (want.len(), want.dim());
+        assert_eq!((got.len(), got.dim()), (n, d), "{tag}: shape");
+        assert_eq!(got.is_sparse(), want.is_sparse(), "{tag}: layout");
+        assert_eq!(bits(got.labels()), bits(want.labels()), "{tag}: labels");
+        for k in 0..n {
+            match (got.sparse_row(k), want.sparse_row(k)) {
+                (Some((ia, va)), Some((ib, vb))) => {
+                    assert_eq!(ia, ib, "{tag}: row {k} indices");
+                    assert_eq!(bits(va), bits(vb), "{tag}: row {k} values");
+                }
+                _ => assert_eq!(
+                    bits(got.dense_row(k).unwrap()),
+                    bits(want.dense_row(k).unwrap()),
+                    "{tag}: row {k}"
+                ),
+            }
+        }
+        let w: Vec<f64> = (0..d).map(|i| (i as f64 * 0.7).sin()).collect();
+        let wr: Vec<f64> = (0..n).map(|i| (i as f64 * 0.19).sin()).collect();
+        let margins = |v: MatrixView<'_>| {
+            let mut out = vec![f64::NAN; n];
+            v.margins_into(&w, 0.5, &mut out);
+            bits(&out)
+        };
+        let wsum = |v: MatrixView<'_>| {
+            let mut out = vec![f64::NAN; d];
+            v.weighted_sum_into(&wr, &mut out);
+            bits(&out)
+        };
+        let gram = |v: MatrixView<'_>| bits(v.weighted_gram(&wr).as_slice());
+        let (a, b) = (got.view(), want.view());
+        assert_eq!(margins(a), margins(b), "{tag}: margins");
+        assert_eq!(wsum(a), wsum(b), "{tag}: weighted sum");
+        assert_eq!(gram(a), gram(b), "{tag}: gram");
+    }
+
+    /// The fused fold over `got` must equal the fold over `want`, bit
+    /// for bit, with one and with three requests.
+    fn assert_same_folds(got: &DatasetMatrix<'_>, want: &DatasetMatrix<'_>, tag: &str) {
+        let (n, d) = (want.len(), want.dim());
+        assert_eq!((got.len(), got.dim()), (n, d), "{tag}: shape");
+        let w: Vec<f64> = (0..d).map(|i| (i as f64 * 0.7).sin()).collect();
+        // `k` requests over shrinking prefixes (all, 2/3, 1/3 of the rows).
+        let fold = |v: MatrixView<'_>, k: usize| {
+            let ws: Vec<Vec<f64>> = (0..k)
+                .map(|q| w.iter().map(|x| x * (1.0 + q as f64)).collect())
+                .collect();
+            let mut grads = vec![vec![f64::NAN; d]; k];
+            let mut reqs: Vec<FoldRequest> = ws
+                .iter()
+                .zip(grads.iter_mut())
+                .enumerate()
+                .map(|(q, (w, g))| FoldRequest::new(w, 0.1 * q as f64, n * (k - q) / k, g))
+                .collect();
+            v.value_grad_fold_multi(&mut reqs, &mut TrainScratch::new(), |q, start, ms| {
+                let mut part = 0.0;
+                for (local, m) in ms.iter_mut().enumerate() {
+                    part += *m;
+                    *m = (1.5 + q as f64) * *m - v.label(start + local);
+                }
+                (part, 0.0)
+            });
+            let parts: Vec<(f64, f64)> = reqs.iter().map(|r| (r.loss, r.extra)).collect();
+            drop(reqs);
+            parts
+                .into_iter()
+                .zip(grads)
+                .map(|((loss, extra), grad)| fold_bits(&(loss, extra, grad)))
+                .collect::<Vec<_>>()
+        };
+        for k in [1, 3] {
+            assert_eq!(
+                fold(got.view(), k),
+                fold(want.view(), k),
+                "{tag}: {k}-request fold"
+            );
+        }
+    }
+
+    /// What a packing pin checks of one capture: the pack of `idx`, the
+    /// matrix of the materialized subset, the pool matrix, `idx`, a tag.
+    type PackCheck<'c> =
+        dyn Fn(&DatasetMatrix<'_>, &DatasetMatrix<'_>, &DatasetMatrix<'_>, &[usize], &str) + 'c;
+
+    /// Pack `idx` of `data` through `scratch`, run `check` on the
+    /// capture, then recycle it.
+    fn check_pack<F: FeatureVec>(
+        data: &Dataset<F>,
+        idx: &[usize],
+        scratch: &mut CaptureScratch,
+        tag: &str,
+        check: &PackCheck<'_>,
+    ) {
+        let packed = DatasetMatrix::pack(data, idx, scratch);
+        let sub = data.subset(idx);
+        let pool = DatasetMatrix::from_dataset(data);
+        check(&packed, &DatasetMatrix::from_dataset(&sub), &pool, idx, tag);
+        packed.recycle(scratch);
+    }
+
+    /// Run `check` on packs of dense (d = 7 in one chunk, d = 13 over
+    /// two) and sparse data, for reversed, shuffled, strided, repeated
+    /// and empty index lists, at thread budgets {1, 4}. One scratch is
+    /// recycled through every capture, so it switches dense↔sparse and
+    /// shrinks from sample to sample.
+    fn for_each_pack(check: &PackCheck<'_>) {
         let _budget = budget_lock();
-        let (dense, w) = dense_pair();
-        let (wide, ww) = wide_pair();
+        let (dense, _) = dense_pair();
+        let (wide, _) = wide_pair();
         let sparse = yelp_like(260, 50, 4);
-        let sw: Vec<f64> = (0..50).map(|i| ((i * 5) % 11) as f64 * 0.1 - 0.3).collect();
         let patterns = |n: usize| -> Vec<Vec<usize>> {
             vec![
                 (0..n).rev().collect(),
-                (0..n).step_by(3).collect(),
                 (0..n).map(|i| (i * 13 + 1) % n).collect(),
+                (0..n).step_by(3).collect(),
+                (0..n / 2).map(|i| (i * 5) % 7).collect(),
+                vec![],
             ]
         };
+        let mut scratch = CaptureScratch::new();
         for budget in [Some(1), Some(4)] {
             set_max_threads(budget);
-            // Dense block.
-            for (dense, w) in [(&dense, &w), (&wide, &ww)] {
-                let pool = DatasetMatrix::from_dataset(dense);
-                let tag = format!("d={} budget {budget:?}", dense.dim());
-                for idx in patterns(dense.len()) {
-                    let view = pool.gather(&idx);
-                    let sub = dense.subset(&idx);
-                    let mat = DatasetMatrix::from_dataset(&sub);
-                    assert_eq!(view.len(), idx.len());
-                    assert!(view.is_gathered());
-                    let mut a = vec![0.0; idx.len()];
-                    let mut b = vec![0.0; idx.len()];
-                    view.margins_into(w, 0.5, &mut a);
-                    mat.view().margins_into(w, 0.5, &mut b);
-                    assert_eq!(bits(&a), bits(&b), "dense margins {tag}");
-                    let wr: Vec<f64> = (0..idx.len()).map(|i| (i as f64 * 0.19).sin()).collect();
-                    let mut ga = vec![0.0; dense.dim()];
-                    let mut gb = vec![0.0; dense.dim()];
-                    view.weighted_sum_into(&wr, &mut ga);
-                    mat.view().weighted_sum_into(&wr, &mut gb);
-                    assert_eq!(bits(&ga), bits(&gb), "dense wsum {tag}");
-                    let gram_a = view.weighted_gram(&wr);
-                    let gram_b = mat.view().weighted_gram(&wr);
-                    assert_eq!(
-                        bits(gram_a.as_slice()),
-                        bits(gram_b.as_slice()),
-                        "dense gram {tag}"
-                    );
-                    for (k, &i) in idx.iter().enumerate() {
-                        assert_eq!(view.label(k), dense.get(i).y);
-                        assert_eq!(view.dense_row(k).unwrap(), mat.dense_row(k).unwrap());
-                    }
-                }
-            }
-            // Sparse (CSR) block.
-            let spool = DatasetMatrix::from_dataset(&sparse);
-            for idx in patterns(sparse.len()) {
-                let view = spool.gather(&idx);
-                let sub = sparse.subset(&idx);
-                let mat = DatasetMatrix::from_dataset(&sub);
-                let mut a = vec![0.0; idx.len()];
-                let mut b = vec![0.0; idx.len()];
-                view.margins_into(&sw, -0.25, &mut a);
-                mat.view().margins_into(&sw, -0.25, &mut b);
-                assert_eq!(a, b, "sparse margins budget {budget:?}");
-                let wr: Vec<f64> = (0..idx.len()).map(|i| (i as f64 * 0.31).cos()).collect();
-                let mut ga = vec![0.0; sparse.dim()];
-                let mut gb = vec![0.0; sparse.dim()];
-                view.weighted_sum_into(&wr, &mut ga);
-                mat.view().weighted_sum_into(&wr, &mut gb);
-                assert_eq!(ga, gb, "sparse wsum budget {budget:?}");
-                for k in 0..idx.len() {
-                    assert_eq!(view.sparse_row(k), mat.sparse_row(k));
-                }
+            for p in 0..patterns(1).len() {
+                let tag = format!("pattern {p} budget {budget:?}");
+                let idx = patterns(dense.len());
+                check_pack(&dense, &idx[p], &mut scratch, &format!("d=7 {tag}"), check);
+                let idx = patterns(sparse.len());
+                check_pack(&sparse, &idx[p], &mut scratch, &format!("CSR {tag}"), check);
+                let idx = patterns(wide.len());
+                check_pack(&wide, &idx[p], &mut scratch, &format!("d=13 {tag}"), check);
             }
         }
         set_max_threads(None);
     }
 
-    /// The fused fold over a gathered view, run as one request, must
-    /// equal the two-pass form over the materialized subset — bit for
-    /// bit, d = 7 in one chunk and d = 13 over two, at budgets {1, 4}.
+    /// A pack gathers the rows `idx` of the dataset: its stored rows,
+    /// labels, margins, weighted sum and Gram must equal those of a
+    /// matrix built from the materialized subset, bit for bit, over
+    /// every shape, index list and budget of `for_each_pack`.
+    #[test]
+    fn gathered_view_is_bitwise_materialized_subset() {
+        for_each_pack(&|packed, materialized, _, _, tag| {
+            assert_same_passes(packed, materialized, tag)
+        });
+    }
+
+    /// The fused fold over a pack, with one and with three requests,
+    /// must equal the fold over the materialized subset, bit for bit,
+    /// over every shape, index list and budget of `for_each_pack`.
     #[test]
     fn gathered_fold_is_bitwise_materialized_fold() {
-        let _budget = budget_lock();
-        let (data, w) = dense_pair();
-        let (wide, ww) = wide_pair();
-        for budget in [Some(1), Some(4)] {
-            set_max_threads(budget);
-            for (data, w) in [(&data, &w), (&wide, &ww)] {
-                let n = data.len();
-                let pool = DatasetMatrix::from_dataset(data);
-                let idx: Vec<usize> = (0..n).map(|i| (i * 7 + 2) % n).collect();
-                let sub = data.subset(&idx);
-                let mat = DatasetMatrix::from_dataset(&sub);
-                let view = pool.gather(&idx);
-                let transform = |labels: &[f64], start: usize, ms: &mut [f64]| {
-                    let mut part = 0.0;
-                    for (local, m) in ms.iter_mut().enumerate() {
-                        part += *m;
-                        *m = 1.5 * *m - labels[start + local];
-                    }
-                    (part, 0.0)
-                };
-                let labels_v: Vec<f64> = (0..view.len()).map(|k| view.label(k)).collect();
-                let got = single_fold(view, w, 0.1, |start, ms| transform(&labels_v, start, ms));
-                let labels_m = mat.labels();
-                let expect = two_pass_fold(mat.view(), w, 0.1, |start, ms| {
-                    transform(labels_m, start, ms)
-                });
-                let tag = format!("d={} budget {budget:?}", data.dim());
-                assert_eq!(fold_bits(&got), fold_bits(&expect), "{tag}");
-            }
-        }
-        set_max_threads(None);
+        for_each_pack(&|packed, materialized, _, _, tag| {
+            assert_same_folds(packed, materialized, tag)
+        });
     }
 
+    /// `capture_sample` on a pool matrix and `pack` from the dataset
+    /// run one packing body, so they must give the same bytes and the
+    /// same passes and folds.
     #[test]
     fn packed_gather_is_bitwise_gathered_view() {
-        // gather_packed must be indistinguishable from the gathered
-        // view in every pass — the capture policy can then flip between
-        // them on footprint alone.
-        let (dense, w) = dense_pair();
-        let pool = DatasetMatrix::from_dataset(&dense);
-        let idx: Vec<usize> = (0..dense.len())
-            .map(|i| (i * 11 + 5) % dense.len())
-            .collect();
-        let view = pool.gather(&idx);
-        let packed = pool.gather_packed(&idx);
-        assert_eq!(packed.len(), idx.len());
-        assert_eq!(packed.dim(), dense.dim());
-        let mut a = vec![0.0; idx.len()];
-        let mut b = vec![0.0; idx.len()];
-        view.margins_into(&w, 0.75, &mut a);
-        packed.view().margins_into(&w, 0.75, &mut b);
-        assert_eq!(a, b, "margins");
-        let wr: Vec<f64> = (0..idx.len()).map(|i| (i as f64 * 0.23).sin()).collect();
-        let mut ga = vec![0.0; dense.dim()];
-        let mut gb = vec![0.0; dense.dim()];
-        view.weighted_sum_into(&wr, &mut ga);
-        packed.view().weighted_sum_into(&wr, &mut gb);
-        assert_eq!(ga, gb, "weighted sum");
-        assert_eq!(
-            view.weighted_gram(&wr).as_slice(),
-            packed.view().weighted_gram(&wr).as_slice(),
-            "gram"
-        );
-        for (k, &i) in idx.iter().enumerate() {
-            assert_eq!(packed.labels()[k], dense.get(i).y);
-            assert_eq!(packed.dense_row(k).unwrap(), dense.get(i).x.as_slice());
-        }
-
-        // CSR: the packed triple holds the exact stored entries.
-        let sparse = yelp_like(180, 60, 6);
-        let spool = DatasetMatrix::from_dataset(&sparse);
-        let sidx: Vec<usize> = (0..sparse.len()).rev().collect();
-        let sview = spool.gather(&sidx);
-        let spacked = spool.gather_packed(&sidx);
-        let sw: Vec<f64> = (0..60).map(|i| 0.1 * i as f64 - 1.0).collect();
-        let mut sa = vec![0.0; sidx.len()];
-        let mut sb = vec![0.0; sidx.len()];
-        sview.margins_into(&sw, 0.0, &mut sa);
-        spacked.view().margins_into(&sw, 0.0, &mut sb);
-        assert_eq!(sa, sb, "sparse margins");
-        for k in 0..sidx.len() {
-            assert_eq!(sview.sparse_row(k), spacked.view().sparse_row(k));
-        }
+        for_each_pack(&|packed, _, pool, idx, tag| {
+            let captured = pool.capture_sample(idx);
+            let tag = format!("{tag} capture_sample");
+            assert_same_passes(&captured, packed, &tag);
+            assert_same_folds(&captured, packed, &tag);
+        });
     }
 
     #[test]
-    fn capture_policy_follows_the_footprint() {
-        let (dense, _) = dense_pair(); // 300 × 7 → ~16 KB: gathered.
+    fn data_bytes_count_dense_cells_and_stored_entries() {
+        let (dense, _) = dense_pair();
         let pool = DatasetMatrix::from_dataset(&dense);
-        let idx: Vec<usize> = (0..dense.len()).collect();
-        let small = pool.capture_sample(&idx);
-        assert!(!small.is_packed());
-        assert_eq!(small.view().len(), idx.len());
         assert_eq!(
             pool.view().data_bytes(),
             dense.len() * dense.dim() * 8,
@@ -1613,8 +1474,6 @@ mod tests {
         let (data, w) = dense_pair();
         let xm = DatasetMatrix::from_dataset(&data);
         let view = xm.view();
-        assert!(!view.is_gathered());
-        assert!(view.indices().is_none());
         assert_eq!(view.len(), xm.len());
         assert_eq!(view.dim(), xm.dim());
         assert!(std::ptr::eq(view.matrix(), &xm));
@@ -1626,58 +1485,61 @@ mod tests {
         }
     }
 
-    /// `prefix(n)` must be indistinguishable — bit for bit — from a view
-    /// of the first `n` rows built any other way: a sliced gather list,
-    /// or a matrix packed from just those rows.
+    /// `prefix(n)` must be indistinguishable — bit for bit — from a
+    /// matrix packed from just the first `n` rows, over a borrowed dense
+    /// view, a packed capture and a CSR matrix; its footprint counts
+    /// only the prefix.
     #[test]
     fn prefix_views_are_bitwise_equal_to_sliced_views() {
         let _budget = budget_lock();
         let (dense, w) = dense_pair();
         let sparse = yelp_like(260, 50, 4);
         let sw: Vec<f64> = (0..50).map(|i| ((i * 5) % 11) as f64 * 0.1 - 0.3).collect();
+        fn pack<F: FeatureVec>(data: &Dataset<F>, idx: &[usize]) -> DatasetMatrix<'static> {
+            DatasetMatrix::pack(data, idx, &mut CaptureScratch::new())
+        }
         for budget in [Some(1), Some(4)] {
             set_max_threads(budget);
-            // Full dense view: prefix(n) vs an explicit 0..n gather.
+            // Borrowed dense view: prefix(n) vs the first n rows packed.
             let pool = DatasetMatrix::from_dataset(&dense);
             let n = 140;
             let head: Vec<usize> = (0..n).collect();
             let pre = pool.view().prefix(n);
             assert_eq!(pre.len(), n);
-            assert!(!pre.is_gathered());
-            let gat = pool.gather(&head);
+            let packed_head = pack(&dense, &head);
             let mut a = vec![0.0; n];
             let mut b = vec![0.0; n];
             pre.margins_into(&w, 0.5, &mut a);
-            gat.margins_into(&w, 0.5, &mut b);
-            assert_eq!(a, b, "dense prefix margins budget {budget:?}");
+            packed_head.view().margins_into(&w, 0.5, &mut b);
+            assert_eq!(bits(&a), bits(&b), "dense prefix margins budget {budget:?}");
             let wr: Vec<f64> = (0..n).map(|i| (i as f64 * 0.19).sin()).collect();
             let mut ga = vec![0.0; dense.dim()];
             let mut gb = vec![0.0; dense.dim()];
             pre.weighted_sum_into(&wr, &mut ga);
-            gat.weighted_sum_into(&wr, &mut gb);
-            assert_eq!(ga, gb, "dense prefix wsum budget {budget:?}");
+            packed_head.view().weighted_sum_into(&wr, &mut gb);
+            assert_eq!(bits(&ga), bits(&gb), "dense prefix wsum budget {budget:?}");
             for k in 0..n {
-                assert_eq!(pre.label(k), gat.label(k));
+                assert_eq!(pre.label(k), packed_head.labels()[k]);
             }
             assert_eq!(pre.data_bytes(), n * dense.dim() * 8);
 
-            // Gathered view: prefix slices the index list.
+            // Packed capture: prefix caps the packed block.
             let idx: Vec<usize> = (0..dense.len())
                 .map(|i| (i * 13 + 1) % dense.len())
                 .collect();
-            let gpre = pool.gather(&idx).prefix(n);
-            assert_eq!(gpre.indices(), Some(&idx[..n]));
-
-            // Packed capture: prefix caps the packed matrix.
-            let pview = SampleCapture::Packed(pool.gather_packed(&idx));
-            let ppre = pview.view().prefix(n);
+            let packed = pack(&dense, &idx);
+            let ppre = packed.view().prefix(n);
             assert_eq!(ppre.len(), n);
-            let gexp = pool.gather(&idx[..n]);
+            let pexp = pack(&dense, &idx[..n]);
             let mut pa = vec![0.0; n];
             let mut pb = vec![0.0; n];
             ppre.margins_into(&w, -0.25, &mut pa);
-            gexp.margins_into(&w, -0.25, &mut pb);
-            assert_eq!(pa, pb, "packed prefix margins budget {budget:?}");
+            pexp.view().margins_into(&w, -0.25, &mut pb);
+            assert_eq!(
+                bits(&pa),
+                bits(&pb),
+                "packed prefix margins budget {budget:?}"
+            );
 
             // Sparse: prefix data_bytes counts only the prefix's nnz.
             let spool = DatasetMatrix::from_dataset(&sparse);
@@ -1686,12 +1548,16 @@ mod tests {
             let nnz: usize = (0..sn).map(|i| sparse.get(i).x.nnz()).sum();
             assert_eq!(spre.data_bytes(), nnz * 12, "CSR prefix footprint");
             let shead: Vec<usize> = (0..sn).collect();
-            let sgat = spool.gather(&shead);
+            let sexp = pack(&sparse, &shead);
             let mut sa = vec![0.0; sn];
             let mut sb = vec![0.0; sn];
             spre.margins_into(&sw, 0.0, &mut sa);
-            sgat.margins_into(&sw, 0.0, &mut sb);
-            assert_eq!(sa, sb, "sparse prefix margins budget {budget:?}");
+            sexp.view().margins_into(&sw, 0.0, &mut sb);
+            assert_eq!(
+                bits(&sa),
+                bits(&sb),
+                "sparse prefix margins budget {budget:?}"
+            );
         }
         set_max_threads(None);
     }
@@ -1700,7 +1566,7 @@ mod tests {
     /// requests, the two-pass form over the matching prefix — bit for
     /// bit, dense (d ∈ {7, 13, 100}: under and over the AVX gate, with
     /// and without a column tail; d = 13 also at `CHUNK_SIZE + 37` rows)
-    /// and sparse, over full, gathered and packed views, at thread
+    /// and sparse, over full views and packed captures, at thread
     /// budgets {1, 4}, for 1–5 requests whose row counts straddle chunk
     /// boundaries and end inside a row block.
     #[test]
@@ -1786,9 +1652,8 @@ mod tests {
                 for &d in dims {
                     let (dense, _) = synthetic_linear(rows, d, 0.4, 9);
                     let pool = DatasetMatrix::from_dataset(&dense);
-                    let packed = pool.gather_packed(&idx);
+                    let packed = DatasetMatrix::pack(&dense, &idx, &mut CaptureScratch::new());
                     check(pool.view(), &format!("dense n={rows} d={d} full"));
-                    check(pool.gather(&idx), &format!("dense n={rows} d={d} gathered"));
                     check(packed.view(), &format!("dense n={rows} d={d} packed"));
                 }
             }
@@ -1796,8 +1661,9 @@ mod tests {
             let idx: Vec<usize> = (0..rows).map(|i| (i * 7 + 3) % rows).collect();
             let sparse = yelp_like(rows, 50, 11);
             let spool = DatasetMatrix::from_dataset(&sparse);
+            let spacked = DatasetMatrix::pack(&sparse, &idx, &mut CaptureScratch::new());
             check(spool.view(), "sparse full");
-            check(spool.gather(&idx), "sparse gathered");
+            check(spacked.view(), "sparse packed");
         }
         set_max_threads(None);
     }

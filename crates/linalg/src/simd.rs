@@ -160,12 +160,13 @@ pub fn rows_weighted_sum_gather(rows: &[&[f64]], d: usize, w: &[f64], out: &mut 
 
 /// Index-gathered form of [`rows_dot_gather`]: the rows to score are
 /// named by `idx` — `out[k] = dot(rows[idx[k]], w) + bias` — instead of
-/// being pre-gathered into their own slice table. This is the kernel
-/// behind zero-copy sample views: the pool's row table is built once
-/// and every sample is just an index list into it. Same bitwise
-/// contract as [`rows_dot_gather`] (per-row 4-lane reduction, bias
-/// last), with the next block's rows software-prefetched through the
-/// index indirection.
+/// being pre-gathered into their own slice table. Same bitwise contract
+/// as [`rows_dot_gather`] (per-row 4-lane reduction, bias last), with
+/// the next block's rows software-prefetched through the index
+/// indirection. The training engine packs its samples instead; this
+/// kernel's caller is blinkbench's `linalg.simd.gather_idx_gbps` layer,
+/// which measures random-order row streaming against the contiguous
+/// [`rows_dot`].
 ///
 /// # Panics
 /// Panics when `idx.len() != out.len()` or `w.len() != d`; row bounds
@@ -194,44 +195,6 @@ pub fn rows_dot_gather_idx(
     for (&i, o) in idx.iter().zip(out.iter_mut()) {
         debug_assert_eq!(rows[i].len(), d);
         *o = dot(rows[i], w) + bias;
-    }
-}
-
-/// Index-gathered form of [`rows_weighted_sum_gather`]:
-/// `out[j] += Σ_k w[k]·rows[idx[k]][j]` in ascending `k` order — the
-/// gradient reduction over an index-view sample, bit-identical to
-/// running [`rows_weighted_sum_gather`] over the pre-gathered rows.
-///
-/// # Panics
-/// Panics when `idx.len() != w.len()` or `out.len() != d`.
-pub fn rows_weighted_sum_gather_idx(
-    rows: &[&[f64]],
-    idx: &[usize],
-    d: usize,
-    w: &[f64],
-    out: &mut [f64],
-) {
-    assert_eq!(
-        idx.len(),
-        w.len(),
-        "rows_weighted_sum_gather_idx: weight length mismatch"
-    );
-    assert_eq!(
-        out.len(),
-        d,
-        "rows_weighted_sum_gather_idx: output length mismatch"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if d >= 8 && is_x86_feature_detected!("avx") {
-        // SAFETY: AVX presence just checked; bounds asserted above.
-        unsafe { rows_weighted_sum_gather_idx_avx(rows, idx, d, w, out) };
-        return;
-    }
-    for (&i, &wi) in idx.iter().zip(w) {
-        debug_assert_eq!(rows[i].len(), d);
-        for (oj, &xj) in out.iter_mut().zip(rows[i]) {
-            *oj += wi * xj;
-        }
     }
 }
 
@@ -789,12 +752,12 @@ unsafe fn rows_dot_gather_idx_avx(
         let p1 = r1.as_ptr();
         let p2 = r2.as_ptr();
         let p3 = r3.as_ptr();
-        // Two-stage software pipeline against the random row order of
-        // gathered samples: a volatile touch of each row ~6 blocks out
-        // forces the dTLB walk early (plain `_mm_prefetch` is dropped on
-        // a dTLB miss on common x86 cores, so prefetching a not-yet-
-        // mapped random row does nothing), then full-line prefetches one
-        // block out run with a warm TLB.
+        // Two-stage software pipeline against a random index order: a
+        // volatile touch of each row ~6 blocks out forces the dTLB walk
+        // early (plain `_mm_prefetch` is dropped on a dTLB miss on
+        // common x86 cores, so prefetching a not-yet-mapped random row
+        // does nothing), then full-line prefetches one block out run
+        // with a warm TLB.
         if i + 28 <= n {
             for r in 24..28 {
                 let tp = rows[idx[i + r]].as_ptr();
@@ -847,83 +810,6 @@ unsafe fn rows_dot_gather_idx_avx(
     }
     while i < n {
         out[i] = dot(rows[idx[i]], w) + bias;
-        i += 1;
-    }
-}
-
-/// AVX [`rows_weighted_sum_gather_idx`]: [`rows_weighted_sum_gather_avx`]
-/// reading its four in-flight rows through the index list, preserving
-/// ascending-`k` accumulation.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn rows_weighted_sum_gather_idx_avx(
-    rows: &[&[f64]],
-    idx: &[usize],
-    d: usize,
-    w: &[f64],
-    out: &mut [f64],
-) {
-    use std::arch::x86_64::*;
-    let n = idx.len();
-    let cols4 = d / 4 * 4;
-    let mut i = 0;
-    while i + 4 <= n {
-        let r0 = rows[idx[i]];
-        let r1 = rows[idx[i + 1]];
-        let r2 = rows[idx[i + 2]];
-        let r3 = rows[idx[i + 3]];
-        debug_assert!(r0.len() == d && r1.len() == d && r2.len() == d && r3.len() == d);
-        let p0 = r0.as_ptr();
-        let p1 = r1.as_ptr();
-        let p2 = r2.as_ptr();
-        let p3 = r3.as_ptr();
-        // Same two-stage pipeline as the gathered dot kernel: TLB touch
-        // far ahead, full-line prefetch one block ahead.
-        if i + 28 <= n {
-            for r in 24..28 {
-                let tp = rows[idx[i + r]].as_ptr();
-                let _ = std::ptr::read_volatile(tp);
-            }
-        }
-        if i + 8 <= n {
-            for r in 4..8 {
-                let np = rows[idx[i + r]].as_ptr() as *const i8;
-                let mut off = 0;
-                while off < d * 8 {
-                    _mm_prefetch(np.add(off), _MM_HINT_T0);
-                    off += 64;
-                }
-            }
-        }
-        let w0 = _mm256_set1_pd(w[i]);
-        let w1 = _mm256_set1_pd(w[i + 1]);
-        let w2 = _mm256_set1_pd(w[i + 2]);
-        let w3 = _mm256_set1_pd(w[i + 3]);
-        let op = out.as_mut_ptr();
-        let mut j = 0;
-        while j < cols4 {
-            let mut ov = _mm256_loadu_pd(op.add(j));
-            ov = _mm256_add_pd(ov, _mm256_mul_pd(w0, _mm256_loadu_pd(p0.add(j))));
-            ov = _mm256_add_pd(ov, _mm256_mul_pd(w1, _mm256_loadu_pd(p1.add(j))));
-            ov = _mm256_add_pd(ov, _mm256_mul_pd(w2, _mm256_loadu_pd(p2.add(j))));
-            ov = _mm256_add_pd(ov, _mm256_mul_pd(w3, _mm256_loadu_pd(p3.add(j))));
-            _mm256_storeu_pd(op.add(j), ov);
-            j += 4;
-        }
-        for j in cols4..d {
-            let o = out.get_unchecked_mut(j);
-            *o += w[i] * *p0.add(j);
-            *o += w[i + 1] * *p1.add(j);
-            *o += w[i + 2] * *p2.add(j);
-            *o += w[i + 3] * *p3.add(j);
-        }
-        i += 4;
-    }
-    while i < n {
-        let wi = w[i];
-        for (oj, &xj) in out.iter_mut().zip(rows[idx[i]]) {
-            *oj += wi * xj;
-        }
         i += 1;
     }
 }
@@ -1502,7 +1388,7 @@ mod tests {
 
     #[test]
     fn idx_kernels_match_pregathered_bitwise() {
-        // Indexing into the pool row table must equal gathering the rows
+        // Indexing into a row table must equal gathering the rows
         // first — for identity, reversed, strided, and repeated index
         // lists (samples are permutations, but the kernel contract is
         // arbitrary indices).
@@ -1523,13 +1409,6 @@ mod tests {
                 rows_dot_gather(&gathered, d, &w, -0.25, &mut a);
                 rows_dot_gather_idx(&rows, &idx, d, &w, -0.25, &mut b);
                 assert_eq!(a, b, "dot n={n} d={d} idx={idx:?}");
-
-                let wr = block(1, idx.len(), 22);
-                let mut ga = block(1, d, 23);
-                let mut gb = ga.clone();
-                rows_weighted_sum_gather(&gathered, d, &wr, &mut ga);
-                rows_weighted_sum_gather_idx(&rows, &idx, d, &wr, &mut gb);
-                assert_eq!(ga, gb, "wsum n={n} d={d} idx={idx:?}");
             }
         }
     }
@@ -1878,9 +1757,6 @@ mod tests {
         let rows: Vec<&[f64]> = x.chunks_exact(3).collect();
         let mut out: Vec<f64> = vec![];
         rows_dot_gather_idx(&rows, &[], 3, &[0.0; 3], 0.0, &mut out);
-        let mut g = vec![1.0, 2.0, 3.0];
-        rows_weighted_sum_gather_idx(&rows, &[], 3, &[], &mut g);
-        assert_eq!(g, vec![1.0, 2.0, 3.0]);
     }
 
     #[test]

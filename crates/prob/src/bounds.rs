@@ -7,6 +7,10 @@
 //! holds with probability 0.95, so the two failure modes jointly stay
 //! below `δ`.
 //!
+//! [`clopper_pearson_upper`] bounds the other side of the promise: the
+//! true violation rate of a guarantee, from the violations counted over
+//! seeded runs.
+//!
 //! **Deviation from the paper text.** Lemma 2 as printed uses
 //! `sqrt(log 0.95 / (−2k))`; the Hoeffding step in its own proof requires
 //! `exp(−2kt²) = 0.05`, i.e. `t = sqrt(ln 20 / (2k))`. We implement the
@@ -49,9 +53,100 @@ pub fn conservative_level(delta: f64, k: usize) -> f64 {
     raw.min(1.0)
 }
 
+/// One-sided Clopper–Pearson upper confidence bound on a binomial
+/// rate: the largest `p` for which observing at most `successes` in
+/// `trials` independent Bernoulli(`p`) draws still has probability at
+/// least `1 − confidence`. With `confidence = 0.95` it bounds, say, a
+/// guarantee's true violation rate from `successes` violations in
+/// `trials` seeded runs: 0.0487 for 0 of 60, and 0.1391 for 0 of 20.
+///
+/// The binomial tail is summed exactly (term by term in log space) and
+/// the bound found by bisection on `p`; `successes = trials` gives 1.
+///
+/// # Panics
+/// Panics for `trials = 0`, `successes > trials`, or `confidence`
+/// outside `(0, 1)`.
+pub fn clopper_pearson_upper(successes: usize, trials: usize, confidence: f64) -> f64 {
+    assert!(trials > 0, "clopper_pearson_upper requires trials > 0");
+    assert!(
+        successes <= trials,
+        "{successes} successes exceed {trials} trials"
+    );
+    assert!(
+        confidence > 0.0 && confidence < 1.0,
+        "confidence must be in (0,1), got {confidence}"
+    );
+    if successes == trials {
+        return 1.0;
+    }
+    // Pr[Bin(trials, p) ≤ successes], decreasing in p.
+    let cdf = |p: f64| {
+        let (ln_p, ln_q) = (p.ln(), (-p).ln_1p());
+        let mut ln_term = trials as f64 * ln_q;
+        let mut sum = ln_term.exp();
+        for i in 1..=successes {
+            ln_term += ((trials - i + 1) as f64 / i as f64).ln() + ln_p - ln_q;
+            sum += ln_term.exp();
+        }
+        sum
+    };
+    let alpha = 1.0 - confidence;
+    // 64 halvings of [0, 1] leave an interval below one ulp of any
+    // bound that matters (2⁻⁶⁴ ≈ 5e-20).
+    let (mut lo, mut hi) = (0.0, 1.0);
+    for _ in 0..64 {
+        let mid = 0.5 * (lo + hi);
+        if cdf(mid) > alpha {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    hi
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn clopper_pearson_matches_the_exact_binomial_figures() {
+        // 95% one-sided upper bounds at R = 60 for 0, 1 and 2
+        // violations, and at R = 20 for 0 (the closed form for zero
+        // successes is 1 − α^{1/R}).
+        let cases = [
+            (0, 60, 0.0487),
+            (1, 60, 0.0766),
+            (2, 60, 0.1012),
+            (0, 20, 0.1391),
+        ];
+        for (k, r, want) in cases {
+            let got = clopper_pearson_upper(k, r, 0.95);
+            assert!((got - want).abs() < 5e-5, "{k}/{r}: {got} vs {want}");
+        }
+        let closed = 1.0 - 0.05f64.powf(1.0 / 60.0);
+        assert!((clopper_pearson_upper(0, 60, 0.95) - closed).abs() < 1e-12);
+    }
+
+    #[test]
+    fn clopper_pearson_is_one_at_all_successes_and_monotone() {
+        assert_eq!(clopper_pearson_upper(60, 60, 0.95), 1.0);
+        assert_eq!(clopper_pearson_upper(1, 1, 0.95), 1.0);
+        for r in [1, 20, 60] {
+            let bounds: Vec<f64> = (0..=r).map(|k| clopper_pearson_upper(k, r, 0.95)).collect();
+            for w in bounds.windows(2) {
+                assert!(w[0] < w[1], "R = {r}: {bounds:?} not increasing");
+            }
+        }
+        // More confidence, wider bound.
+        assert!(clopper_pearson_upper(1, 60, 0.99) > clopper_pearson_upper(1, 60, 0.95));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed")]
+    fn clopper_pearson_rejects_more_successes_than_trials() {
+        clopper_pearson_upper(3, 2, 0.95);
+    }
 
     #[test]
     fn deviation_shrinks_with_k() {

@@ -13,7 +13,8 @@
 //!   implicit factored form BlinkML's ObservedFisher statistics produce,
 //! * [`quantile`] — empirical quantiles and order statistics,
 //! * [`bounds`] — Hoeffding machinery behind the paper's Lemma 2
-//!   (conservative empirical-quantile levels),
+//!   (conservative empirical-quantile levels) and the exact one-sided
+//!   Clopper–Pearson bound on a violation rate,
 //! * [`stats`] — Welford online mean/variance accumulators.
 
 pub mod bounds;
@@ -24,7 +25,7 @@ pub mod quantile;
 pub mod rng;
 pub mod stats;
 
-pub use bounds::{conservative_level, hoeffding_deviation};
+pub use bounds::{clopper_pearson_upper, conservative_level, hoeffding_deviation};
 pub use discrete::{sample_bernoulli, sample_categorical, sample_poisson, ZipfSampler};
 pub use mvn::{CovarianceFactor, DenseFactor, DiagonalFactor, MvnSampler};
 pub use normal::{standard_normal_cdf, standard_normal_quantile, NormalSampler};

@@ -1,8 +1,8 @@
 //! Repeated training queries through one amortized Session.
 //!
 //! The multi-query serving scenario: one training pool, many `(ε, δ)`
-//! contracts. A `Session` builds the pool-resident design matrix once
-//! and trains the pilot model once per seed; each query then only pays
+//! contracts. A `Session` trains the pilot model once per seed and
+//! keeps one capture scratch for every sample; each query then only pays
 //! for the accuracy estimate, the sample-size search, and (for tight
 //! contracts) the final training. Results are bit-identical to fresh
 //! coordinator runs — the sweep below prints the per-query time next to
@@ -27,7 +27,7 @@ fn main() {
     let session = Session::new(config.clone(), &spec, &split.train, &split.holdout)
         .expect("session construction");
     println!(
-        "session opened over N = {} in {:.0} ms (pool matrix built once)\n",
+        "session opened over N = {} in {:.0} ms\n",
         session.pool_size(),
         t.elapsed().as_secs_f64() * 1e3
     );
@@ -42,7 +42,8 @@ fn main() {
         let session_ms = t.elapsed().as_secs_f64() * 1e3;
 
         // The same contract through a fresh coordinator, for comparison:
-        // same bits, but the pool matrix and the pilot are paid again.
+        // same bits, but the pilot and fresh capture buffers are paid
+        // again.
         let mut cold_cfg = config.clone();
         cold_cfg.epsilon = epsilon;
         let t = Instant::now();

@@ -8,10 +8,10 @@ use blinkml::core::grads::Grads;
 use blinkml::core::mcs::regression_diff;
 use blinkml::linalg::{vector, Matrix};
 use blinkml::prelude::*;
-use blinkml_data::{DatasetMatrix, DenseVec, Example, MatrixView, TrainScratch};
+use blinkml_data::{CaptureScratch, DatasetMatrix, DenseVec, Example, MatrixView, TrainScratch};
 use blinkml_prob::rng_from_seed;
 use rand::Rng;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Exponential regression with the log link.
 ///
@@ -22,8 +22,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// `xm.label`): the spec never sees how the sample is stored.
 struct ExponentialRegressionSpec {
     beta: f64,
-    /// Objective evaluations that arrived as a gathered pool view.
-    gathered_evals: AtomicUsize,
+    /// `(view rows, matrix rows)` of every objective evaluation.
+    eval_rows: Mutex<Vec<(usize, usize)>>,
 }
 
 const CLAMP: f64 = 30.0;
@@ -32,7 +32,7 @@ impl ExponentialRegressionSpec {
     fn new(beta: f64) -> Self {
         ExponentialRegressionSpec {
             beta,
-            gathered_evals: AtomicUsize::new(0),
+            eval_rows: Mutex::new(Vec::new()),
         }
     }
 
@@ -61,9 +61,10 @@ impl ModelClassSpec<DenseVec> for ExponentialRegressionSpec {
         _scratch: &mut TrainScratch,
         grad: &mut [f64],
     ) -> f64 {
-        if xm.is_gathered() {
-            self.gathered_evals.fetch_add(1, Ordering::Relaxed);
-        }
+        self.eval_rows
+            .lock()
+            .unwrap()
+            .push((xm.len(), xm.matrix().len()));
         let n = xm.len().max(1) as f64;
         let mut value = 0.0;
         grad.iter_mut().for_each(|g| *g = 0.0);
@@ -211,12 +212,12 @@ fn custom_model_gradient_is_consistent() {
     }
 }
 
-/// A per-row custom spec sees the same zero-copy sample representations
-/// as the built-in classes: its objective over a gathered pool view and
-/// over a packed capture is bit-equal to the materialized sample's, and
-/// the coordinator serves it gathered views of its pool.
+/// A per-row custom spec sees the same sample captures as the built-in
+/// classes: its objective over a packed capture is bit-equal to the
+/// materialized sample's, and the coordinator trains it on captures of
+/// exactly the sampled rows, never on the pool.
 #[test]
-fn custom_spec_gets_gathered_and_packed_views_bitwise() {
+fn custom_spec_gets_packed_captures_bitwise() {
     let (data, _) = exponential_data(4_000, 5, 6);
     let spec = ExponentialRegressionSpec::new(1e-3);
     let theta = vec![0.2, -0.1, 0.05, 0.3, -0.25];
@@ -224,17 +225,12 @@ fn custom_spec_gets_gathered_and_packed_views_bitwise() {
     let sample = data.sample(n, seed);
     let materialized = DatasetMatrix::from_dataset(&sample);
     let (v_ref, g_ref) = value_and_grad(&spec, &theta, &materialized.view());
-    let pool = DatasetMatrix::from_dataset(&data);
     let drawn = data.sample_view(n, seed);
-    let packed = pool.gather_packed(drawn.indices());
-    let gathered = pool.gather(drawn.indices());
-    assert!(gathered.is_gathered());
-    for (kind, view) in [("gathered", gathered), ("packed", packed.view())] {
-        let (v, g) = value_and_grad(&spec, &theta, &view);
-        assert_eq!(v.to_bits(), v_ref.to_bits(), "{kind}: value");
-        for (a, b) in g.iter().zip(&g_ref) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{kind}: gradient");
-        }
+    let packed = DatasetMatrix::pack(&data, drawn.indices(), &mut CaptureScratch::new());
+    let (v, g) = value_and_grad(&spec, &theta, &packed.view());
+    assert_eq!(v.to_bits(), v_ref.to_bits(), "packed: value");
+    for (a, b) in g.iter().zip(&g_ref) {
+        assert_eq!(a.to_bits(), b.to_bits(), "packed: gradient");
     }
 
     let config = BlinkMlConfig {
@@ -244,12 +240,18 @@ fn custom_spec_gets_gathered_and_packed_views_bitwise() {
         num_param_samples: 32,
         ..BlinkMlConfig::default()
     };
-    let before = spec.gathered_evals.load(Ordering::Relaxed);
-    Coordinator::new(config).train(&spec, &data, 3).unwrap();
-    assert!(
-        spec.gathered_evals.load(Ordering::Relaxed) > before,
-        "the coordinator trains custom specs on gathered pool views"
-    );
+    let n0 = config.initial_sample_size;
+    spec.eval_rows.lock().unwrap().clear();
+    let outcome = Coordinator::new(config).train(&spec, &data, 3).unwrap();
+    let evals = spec.eval_rows.lock().unwrap();
+    assert!(!evals.is_empty(), "the coordinator trained the custom spec");
+    for &(rows, matrix_rows) in evals.iter() {
+        assert!(
+            rows == n0 || rows == outcome.sample_size,
+            "an evaluation over {rows} rows, not an n₀ or final sample"
+        );
+        assert_eq!(rows, matrix_rows, "the capture holds exactly the sample");
+    }
 }
 #[test]
 fn custom_model_trains_and_recovers_truth() {
