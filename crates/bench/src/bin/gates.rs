@@ -7,7 +7,7 @@
 //! | sweep | looped `Session::train` → fused `Session::sweep` | speedup ≥ 1.0× | smoke |
 //! | pilot cache | cold query → cached-pilot hit | strictly faster | both |
 //! | durable ingest | in-memory pool → `SyncPolicy::OsManaged` pool | overhead ≤ 1.2× | both |
-//! | armed token | cold coordinator → served query with a deadline | overhead ≤ 1.02× | full |
+//! | armed token | served query → the same query with a deadline | overhead ≤ 1.02× | full |
 //!
 //! Every gate runs in both modes at that mode's shape; a gate outside
 //! its mode is printed but not enforced. Exactness is not checked here:
@@ -21,11 +21,11 @@ use blinkml_bench::{fmt_duration, paired_min_times, BenchArgs, Table};
 use blinkml_core::models::LogisticRegressionSpec;
 use blinkml_core::serve::{DatasetShard, Query, Server};
 use blinkml_core::testing::ScalarTrain;
-use blinkml_core::{BlinkMlConfig, Coordinator, ModelClassSpec, ServeConfig, Session};
+use blinkml_core::{BlinkMlConfig, ModelClassSpec, ServeConfig, Session};
 use blinkml_data::generators::synthetic_logistic;
 use blinkml_data::parallel::set_max_threads;
 use blinkml_data::{
-    Dataset, DenseVec, DurableOptions, IngestPolicy, LabelDomain, Split, StreamingPool, SyncPolicy,
+    DenseVec, DurableOptions, IngestPolicy, LabelDomain, Split, StreamingPool, SyncPolicy,
 };
 use blinkml_optim::OptimOptions;
 use blinkml_prob::split_seed;
@@ -161,12 +161,9 @@ fn sweep(smoke: bool, seed: u64) -> Gate {
     }
 }
 
-/// The generated pool behind the serving gates and its train/holdout
-/// split. Callers keep the pool alive while they time: freeing its rows
-/// would warm the calling thread's allocator, which only a cold
-/// coordinator arm allocates from (served queries run on worker
-/// threads).
-fn serving_data(smoke: bool, seed: u64) -> (Dataset<DenseVec>, Split<DenseVec>, BlinkMlConfig) {
+/// The train/holdout split of the generated pool behind the serving
+/// gates, and their configuration.
+fn serving_data(smoke: bool, seed: u64) -> (Split<DenseVec>, BlinkMlConfig) {
     let (n, dim, n0, holdout) = if smoke {
         (8_000, 8, 400, 800)
     } else {
@@ -174,13 +171,13 @@ fn serving_data(smoke: bool, seed: u64) -> (Dataset<DenseVec>, Split<DenseVec>, 
     };
     let (data, _) = synthetic_logistic(n, dim, 2.0, split_seed(seed, 1));
     let split = data.split(holdout, 0, split_seed(seed, 11));
-    (data, split, config(0.10, n0, holdout))
+    (split, config(0.10, n0, holdout))
 }
 
 /// A cold query (fresh seed: pilot train + statistics) against a
 /// cached-pilot hit, which skips both.
 fn pilot_cache(smoke: bool, seed: u64) -> Gate {
-    let (_pool, split, cfg) = serving_data(smoke, seed);
+    let (split, cfg) = serving_data(smoke, seed);
     let server = Server::spawn(
         cfg,
         ServeConfig::default(),
@@ -217,44 +214,37 @@ fn pilot_cache(smoke: bool, seed: u64) -> Gate {
 }
 
 /// A generous-deadline query on a 1-worker server (cancellation token
-/// armed, polled every optimizer iteration) against the same cold run
-/// on a bare coordinator. Fresh seeds keep both arms cold.
+/// armed, polled every optimizer iteration) against the same query on
+/// the same server with no deadline, so the ratio reads the armed token
+/// alone. Every rep of both arms serves that one query from an empty
+/// pilot cache, so each does the same work: pilot, statistics, search
+/// and final fit.
 fn armed_token(smoke: bool, seed: u64) -> Gate {
-    let (_pool, split, cfg) = serving_data(smoke, seed);
-    let spec = LogisticRegressionSpec::new(1e-3);
-    let shard = DatasetShard::new(1, split.train, split.holdout);
+    let (split, cfg) = serving_data(smoke, seed);
     let server = Server::spawn(
-        cfg.clone(),
+        cfg,
         ServeConfig {
             workers: 1,
             ..ServeConfig::default()
         },
-        spec.clone(),
-        vec![shard.clone()],
+        LogisticRegressionSpec::new(1e-3),
+        vec![DatasetShard::new(1, split.train, split.holdout)],
     )
     .unwrap();
     let deadline = Duration::from_secs(3600);
-    let cold = |s: u64| {
-        Coordinator::new(cfg.clone())
-            .train_with_holdout(&spec, &shard.train, &shard.holdout, s)
-            .unwrap()
+    let serve = |q: Query| {
+        server.clear_pilot_cache();
+        server.query(q).unwrap()
     };
-    let served = |s: u64| {
-        server
-            .query(Query::new(1, 0.10, 0.05, s).with_deadline(deadline))
-            .unwrap()
-    };
-    cold(900);
-    served(900);
-    let (mut cold_seeds, mut served_seeds) = (1_000.., 1_000..);
+    let query = Query::new(1, 0.10, 0.05, 1_000);
     let (baseline, candidate) = paired_min_times(
-        if smoke { 3 } else { 5 },
-        || cold(cold_seeds.next().unwrap()),
-        || served(served_seeds.next().unwrap()),
+        if smoke { 3 } else { 41 },
+        || serve(query),
+        || serve(query.with_deadline(deadline)),
     );
     server.shutdown();
     Gate {
-        name: "serving: armed token vs cold coordinator",
+        name: "serving: armed token vs unarmed query",
         baseline,
         candidate,
         bound: Bound::MaxOverhead(1.02),
@@ -356,10 +346,9 @@ fn main() {
     );
     let seed = args.get_u64("seed", 1);
 
-    // Run order matters on a small host. The armed-token pair goes
-    // first, before other gates free memory the cold arm's allocator
-    // would reuse; durable ingest goes last, so the log's background
-    // writeback cannot land in another gate's timed region.
+    // Run order matters on a small host: durable ingest goes last, so
+    // the log's background writeback cannot land in another gate's
+    // timed region.
     let gates = [
         armed_token(smoke, seed),
         pilot_cache(smoke, seed),

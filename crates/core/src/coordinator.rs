@@ -17,7 +17,8 @@ use crate::stats::{compute_statistics_view, ModelStatistics};
 use blinkml_data::{CaptureScratch, Dataset, DatasetMatrix, FeatureVec};
 use blinkml_optim::StopCheck;
 use blinkml_prob::split_seed;
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Wall-clock time spent in each coordinator phase — the decomposition
@@ -77,15 +78,48 @@ impl TrainingOutcome {
 }
 
 /// The BlinkML coordinator.
-#[derive(Debug, Clone)]
+///
+/// It keeps the capture buffers of finished calls and hands one to each
+/// new call, so a coordinator reused across calls packs its samples
+/// into warm pages, as a [`Session`](crate::Session) or a server worker
+/// does. Concurrent calls each take their own buffers. A clone shares
+/// the configuration and starts with no buffers.
 pub struct Coordinator {
     config: BlinkMlConfig,
+    captures: Mutex<Vec<CaptureScratch>>,
+}
+
+impl Clone for Coordinator {
+    fn clone(&self) -> Self {
+        Coordinator::new(self.config.clone())
+    }
+}
+
+impl fmt::Debug for Coordinator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Coordinator")
+            .field("config", &self.config)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Coordinator {
     /// Coordinator with the given configuration.
     pub fn new(config: BlinkMlConfig) -> Self {
-        Coordinator { config }
+        Coordinator {
+            config,
+            captures: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Run `f` on capture buffers taken from this coordinator's spares
+    /// (fresh ones when there are none), and keep them afterwards.
+    fn with_capture<T>(&self, f: impl FnOnce(&mut CaptureScratch) -> T) -> T {
+        let spares = || self.captures.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut scratch = spares().pop().unwrap_or_default();
+        let out = f(&mut scratch);
+        spares().push(scratch);
+        out
     }
 
     /// Borrow the configuration.
@@ -115,10 +149,12 @@ impl Coordinator {
 
     /// Train against an explicit training pool and holdout set.
     ///
-    /// Each sample (initial and final) is drawn as an index list and
-    /// its rows are packed straight from `train` into one recycled
-    /// buffer ([`DatasetMatrix::pack`]): the call copies its sampled rows
-    /// and nothing of the rest of the pool, and by the capture's
+    /// Each sample (initial and final) is drawn as an index list
+    /// ([`blinkml_data::dataset::sample_indices`]: `O(n)` below a
+    /// twentieth of the pool) and its rows are packed straight from
+    /// `train` into capture buffers this coordinator keeps between
+    /// calls ([`DatasetMatrix::pack`]): the call touches its sampled
+    /// rows and nothing of the rest of the pool, and by the capture's
     /// exactness contract outcomes are bit-identical to training on the
     /// materialized samples.
     pub fn train_with_holdout<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
@@ -132,17 +168,19 @@ impl Coordinator {
         // Install the thread budget for every parallel kernel downstream.
         // Deterministic chunking means this never changes results.
         self.config.exec.apply();
-        run_train(
-            &self.config,
-            spec,
-            train,
-            holdout,
-            &mut CaptureScratch::new(),
-            seed,
-            None,
-            false,
-            &RunControl::unbounded(),
-        )
+        self.with_capture(|scratch| {
+            run_train(
+                &self.config,
+                spec,
+                train,
+                holdout,
+                scratch,
+                seed,
+                None,
+                false,
+                &RunControl::unbounded(),
+            )
+        })
         .map(|(outcome, _, _)| outcome)
     }
 
@@ -176,17 +214,19 @@ impl Coordinator {
         if n0 == full_n {
             return Ok(0.0);
         }
-        let fit = fit_sample(
-            &self.config,
-            spec,
-            train,
-            &mut CaptureScratch::new(),
-            n0,
-            split_seed(seed, 0),
-            None,
-            true,
-            None,
-        )?;
+        let fit = self.with_capture(|scratch| {
+            fit_sample(
+                &self.config,
+                spec,
+                train,
+                scratch,
+                n0,
+                split_seed(seed, 0),
+                None,
+                true,
+                None,
+            )
+        })?;
         let pilot = PilotState {
             model: fit.model,
             stats: fit.stats,

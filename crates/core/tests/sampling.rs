@@ -26,7 +26,7 @@ use blinkml_data::generators::{
 };
 use blinkml_data::parallel::set_max_threads;
 use blinkml_data::{
-    CaptureScratch, Dataset, DatasetMatrix, Example, FeatureVec, MatrixView, SparseVec,
+    CaptureScratch, Dataset, DatasetMatrix, Example, FeatureVec, MatrixView, SparseVec, Split,
 };
 use blinkml_linalg::testing::budget_lock;
 use blinkml_optim::OptimOptions;
@@ -309,6 +309,75 @@ fn session_agrees_across_thread_budgets_and_modes() {
         assert_eq!(o.initial_epsilon, outcomes[0].initial_epsilon);
         assert_eq!(o.model.parameters(), outcomes[0].model.parameters());
     }
+}
+
+/// What a reused coordinator must reproduce of a call: θ, ε₀, ε̂ and
+/// the chosen n.
+type OutcomeBits = (Vec<u64>, u64, u64, usize);
+
+fn train_bits<F: FeatureVec>(c: &Coordinator, split: &Split<F>, seed: u64) -> OutcomeBits {
+    let o = c
+        .train_with_holdout(
+            &LogisticRegressionSpec::new(1e-3),
+            &split.train,
+            &split.holdout,
+            seed,
+        )
+        .unwrap();
+    (
+        o.model.parameters().iter().map(|x| x.to_bits()).collect(),
+        o.initial_epsilon.to_bits(),
+        o.estimated_epsilon.to_bits(),
+        o.sample_size,
+    )
+}
+
+#[test]
+fn reused_coordinator_is_bitwise_fresh_coordinators() {
+    // A coordinator keeps its capture buffers between calls. A call on
+    // buffers left by another seed, another feature type or a larger
+    // sample, or beside a concurrent call, must return what a fresh
+    // coordinator returns.
+    let cfg = config(0.03, 300, Some(2));
+    let (big, _) = synthetic_logistic(20_000, 6, 2.0, 71);
+    let big = big.split(600, 0, 72);
+    let (small, _) = synthetic_logistic(2_500, 6, 2.0, 73);
+    let small = small.split(600, 0, 74);
+    let sparse = binarized(&yelp_like(4_000, 60, 75)).split(600, 0, 76);
+    let _budget = budget_lock();
+    let fresh = || Coordinator::new(cfg.clone());
+    let reused = fresh();
+
+    for seed in [5, 6, 5] {
+        let want = train_bits(&fresh(), &big, seed);
+        assert_eq!(train_bits(&reused, &big, seed), want, "seed {seed}");
+    }
+
+    let want = train_bits(&fresh(), &sparse, 5);
+    assert_eq!(train_bits(&reused, &sparse, 5), want, "dense, then sparse");
+
+    let large = train_bits(&reused, &big, 7);
+    let shrunk = train_bits(&reused, &small, 7);
+    assert!(large.3 > shrunk.3, "the second final capture is smaller");
+    assert_eq!(large, train_bits(&fresh(), &big, 7), "large final capture");
+    assert_eq!(shrunk, train_bits(&fresh(), &small, 7), "then a small one");
+
+    let spec = LogisticRegressionSpec::new(1e-3);
+    let curve = |c: &Coordinator| {
+        c.curve_epsilon_at(&spec, &big.train, &big.holdout, 8, 4_000)
+            .unwrap()
+            .to_bits()
+    };
+    assert_eq!(curve(&reused), curve(&fresh()), "curve ε on reused buffers");
+
+    let (a, b) = std::thread::scope(|s| {
+        let a = s.spawn(|| train_bits(&reused, &big, 9));
+        let b = s.spawn(|| train_bits(&reused, &sparse, 10));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert_eq!(a, train_bits(&fresh(), &big, 9), "concurrent dense");
+    assert_eq!(b, train_bits(&fresh(), &sparse, 10), "concurrent sparse");
+    set_max_threads(None);
 }
 
 #[test]

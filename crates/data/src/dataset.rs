@@ -174,7 +174,9 @@ impl<F: FeatureVec> Dataset<F> {
     /// Uniform random sample of `n` examples **without replacement**,
     /// deterministic for a given seed. `n` is clamped to `len()`.
     ///
-    /// Uses a partial Fisher–Yates shuffle: `O(N)` memory, `O(n)` swaps.
+    /// Uses a partial Fisher–Yates shuffle ([`sample_indices`]): `O(n)`
+    /// swaps, and `O(n)` memory for a draw of under a twentieth of the
+    /// pool (`O(N)` for a denser one).
     ///
     /// This **materializes** the drawn examples (one clone each). The
     /// zero-copy alternative is [`Dataset::sample_view`], which returns
@@ -279,11 +281,12 @@ impl<F: FeatureVec> Dataset<F> {
 
 /// A zero-copy sample: an index list into a base dataset.
 ///
-/// This is the paper's sampling abstraction without the copy — drawing
-/// a sample costs `O(n)` indices, never a clone of the drawn examples.
-/// The batched training engine consumes it through
-/// `DatasetMatrix::pack`, which copies the indexed rows straight from
-/// the base dataset into one packed design matrix.
+/// This is the paper's sampling abstraction without the copy: the view
+/// holds `n` indices and clones no drawn example, and drawing it
+/// ([`Dataset::sample_view`]) touches nothing of the pool's rows (its
+/// cost is that of [`sample_indices`]). The batched training engine
+/// consumes it through `DatasetMatrix::pack`, which copies the indexed
+/// rows straight from the base dataset into one packed design matrix.
 #[derive(Debug, Clone)]
 pub struct IndexView<'a, F> {
     base: &'a Dataset<F>,
@@ -351,16 +354,113 @@ impl<'a, F: FeatureVec> IndexView<'a, F> {
 
 /// Choose `n` distinct indices uniformly from `0..len` (partial
 /// Fisher–Yates), deterministic per seed.
+///
+/// Step `i` draws `j` from `i..len` and swaps slots `i` and `j` of the
+/// identity permutation of `0..len`; the sample is the first `n` slots,
+/// so every shorter draw on the same seed is a prefix of a longer one.
+/// A draw of fewer than `len / SPARSE_DRAW_RATIO` rows keeps only the
+/// slots its swaps displaced, in a map of at most `n` entries, and costs
+/// `O(n)` time and memory; a denser draw keeps the whole permutation,
+/// which is faster once the map would hold a sizable share of it. Both
+/// run one swap loop on the same draws, so the list depends only on
+/// `(len, n, seed)`.
 pub fn sample_indices(len: usize, n: usize, seed: u64) -> Vec<usize> {
     let n = n.min(len);
-    let mut rng = rng_from_seed(seed);
-    let mut pool: Vec<usize> = (0..len).collect();
-    for i in 0..n {
-        let j = rng.gen_range(i..len);
-        pool.swap(i, j);
+    let rng = rng_from_seed(seed);
+    if n < len / SPARSE_DRAW_RATIO {
+        fisher_yates(DisplacedSlots::new(n), len, n, rng)
+    } else {
+        fisher_yates((0..len).collect::<Vec<usize>>(), len, n, rng)
     }
-    pool.truncate(n);
-    pool
+}
+
+/// Pool rows per drawn row above which [`sample_indices`] keeps a map of
+/// displaced slots instead of the whole permutation: about where the
+/// two cost the same on a 1M-row pool (on a 2-vCPU x86-64 guest, a
+/// 46,000-row draw took 0.9 ms through the map and 1.1 ms through the
+/// permutation, a 100,000-row draw 4.3 and 1.9 ms).
+const SPARSE_DRAW_RATIO: usize = 20;
+
+/// The slots of a permutation of `0..len` that a partial Fisher–Yates
+/// shuffle rewrites.
+trait Slots {
+    /// Swap slots `i <= j`. Slot `i` is final: no later step reads it.
+    fn swap(&mut self, i: usize, j: usize);
+    /// The first `n` slots, once `n` swaps have run.
+    fn into_prefix(self, n: usize) -> Vec<usize>;
+}
+
+/// The one swap loop behind [`sample_indices`].
+fn fisher_yates(mut slots: impl Slots, len: usize, n: usize, mut rng: impl Rng) -> Vec<usize> {
+    for i in 0..n {
+        slots.swap(i, rng.gen_range(i..len));
+    }
+    slots.into_prefix(n)
+}
+
+/// The whole permutation, stored.
+impl Slots for Vec<usize> {
+    fn swap(&mut self, i: usize, j: usize) {
+        self.as_mut_slice().swap(i, j);
+    }
+
+    fn into_prefix(mut self, n: usize) -> Vec<usize> {
+        self.truncate(n);
+        self
+    }
+}
+
+/// Only the displaced slots: an open-addressing map from slot to value
+/// (a slot it does not hold still holds its own index), plus the final
+/// slots in order.
+struct DisplacedSlots {
+    /// `(slot, value)` entries, linearly probed from `slot mod
+    /// table.len()`; `slot == usize::MAX` marks a free entry. At most
+    /// half full. The identity hash spreads the stored slots, which are
+    /// uniform draws, and walks the table in order for the final slots.
+    table: Vec<(usize, usize)>,
+    prefix: Vec<usize>,
+}
+
+impl DisplacedSlots {
+    /// Room for the `n` slots that `n` swaps can displace.
+    fn new(n: usize) -> Self {
+        DisplacedSlots {
+            table: vec![(usize::MAX, 0); (2 * n).next_power_of_two()],
+            prefix: Vec::with_capacity(n),
+        }
+    }
+
+    /// The entry holding `slot`, or the free entry where it would go.
+    fn entry(&self, slot: usize) -> usize {
+        let mask = self.table.len() - 1;
+        let mut at = slot & mask;
+        while self.table[at].0 != slot && self.table[at].0 != usize::MAX {
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    /// The value of `slot`, whose entry is `at`.
+    fn value(&self, at: usize, slot: usize) -> usize {
+        match self.table[at] {
+            (s, v) if s == slot => v,
+            _ => slot,
+        }
+    }
+}
+
+impl Slots for DisplacedSlots {
+    fn swap(&mut self, i: usize, j: usize) {
+        let vi = self.value(self.entry(i), i);
+        let at = self.entry(j);
+        self.prefix.push(self.value(at, j));
+        self.table[at] = (j, vi);
+    }
+
+    fn into_prefix(self, _n: usize) -> Vec<usize> {
+        self.prefix
+    }
 }
 
 #[cfg(test)]

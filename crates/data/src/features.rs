@@ -58,6 +58,15 @@ pub trait FeatureVec: Clone + Send + Sync + 'static {
         None
     }
 
+    /// Borrow the stored entries as `(indices, values)` slices, when the
+    /// representation stores them that way: the sparse counterpart of
+    /// [`FeatureVec::dense_slice`], which lets `DatasetMatrix` copy a
+    /// sparse row without allocating. The default `None` falls back to
+    /// a [`FeatureVec::scaled_sparse`] copy.
+    fn sparse_entries(&self) -> Option<(&[u32], &[f64])> {
+        None
+    }
+
     /// Squared Euclidean norm.
     fn norm_sq(&self) -> f64;
 
@@ -285,6 +294,10 @@ impl FeatureVec for SparseVec {
 
     fn all_finite(&self) -> bool {
         self.values.iter().all(|v| v.is_finite())
+    }
+
+    fn sparse_entries(&self) -> Option<(&[u32], &[f64])> {
+        Some((&self.indices, &self.values))
     }
 
     fn scaled_sparse(&self, coef: f64, out_dim: usize, offset: usize) -> SparseVec {

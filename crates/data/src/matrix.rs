@@ -86,7 +86,7 @@ impl<'a> DatasetMatrix<'a> {
     /// [`DatasetMatrix::pack`] instead, which copies only their rows.
     pub fn from_dataset<F: FeatureVec>(data: &'a Dataset<F>) -> Self {
         if F::IS_SPARSE || data.iter().any(|e| e.x.dense_slice().is_none()) {
-            return pack_rows(data, 0..data.len(), &mut CaptureScratch::new());
+            return pack_rows(data, data.len(), |k| k, &mut CaptureScratch::new());
         }
         DatasetMatrix {
             rows: data.len(),
@@ -122,7 +122,7 @@ impl<'a> DatasetMatrix<'a> {
         indices: &[usize],
         scratch: &mut CaptureScratch,
     ) -> DatasetMatrix<'static> {
-        pack_rows(data, indices.iter().copied(), scratch)
+        pack_rows(data, indices.len(), |k| indices[k], scratch)
     }
 
     /// Capture rows `indices` of this matrix as an owned matrix — the
@@ -132,7 +132,12 @@ impl<'a> DatasetMatrix<'a> {
     /// # Panics
     /// Panics when an index is out of range.
     pub fn capture_sample(&self, indices: &[usize]) -> DatasetMatrix<'static> {
-        pack_rows(self, indices.iter().copied(), &mut CaptureScratch::new())
+        pack_rows(
+            self,
+            indices.len(),
+            |k| indices[k],
+            &mut CaptureScratch::new(),
+        )
     }
 
     /// Return this matrix's owned buffers to `scratch` for the next
@@ -222,7 +227,19 @@ trait PackSource {
     fn push_dense(&self, i: usize, block: &mut Vec<f64>);
     /// Append the stored entries of sparse row `i`.
     fn push_sparse(&self, i: usize, indices: &mut Vec<u32>, values: &mut Vec<f64>);
+    /// Start loading row `i`'s entry in the row table, [`EXAMPLE_AHEAD`]
+    /// rows before its push. Nothing by default.
+    fn prefetch_entry(&self, _i: usize) {}
+    /// Start loading row `i`'s data, [`ROW_AHEAD`] rows before its push
+    /// (its entry has arrived by then). Nothing by default.
+    fn prefetch_data(&self, _i: usize) {}
 }
+
+/// How far ahead in its row list [`pack_rows`] prefetches each row's
+/// `Example` and, once that has arrived, the row's data: far enough to
+/// cover the cache misses of a random sample of a large pool.
+const EXAMPLE_AHEAD: usize = 16;
+const ROW_AHEAD: usize = 8;
 
 impl<F: FeatureVec> PackSource for Dataset<F> {
     fn dim(&self) -> usize {
@@ -238,18 +255,61 @@ impl<F: FeatureVec> PackSource for Dataset<F> {
     }
 
     fn push_dense(&self, i: usize, block: &mut Vec<f64>) {
-        let at = block.len();
-        block.resize(at + Dataset::dim(self), 0.0);
-        self.get(i).x.write_dense_into(&mut block[at..]);
+        let x = &self.get(i).x;
+        if let Some(row) = x.dense_slice() {
+            block.extend_from_slice(row);
+        } else {
+            let at = block.len();
+            block.resize(at + Dataset::dim(self), 0.0);
+            x.write_dense_into(&mut block[at..]);
+        }
     }
 
     fn push_sparse(&self, i: usize, indices: &mut Vec<u32>, values: &mut Vec<f64>) {
-        // `scaled_sparse(1.0, …)` copies the stored entries bit-exactly
-        // for any sparse representation.
-        let s = self.get(i).x.scaled_sparse(1.0, Dataset::dim(self), 0);
-        indices.extend_from_slice(s.indices());
-        values.extend_from_slice(s.values());
+        let x = &self.get(i).x;
+        if let Some((ix, vals)) = x.sparse_entries() {
+            indices.extend_from_slice(ix);
+            values.extend_from_slice(vals);
+        } else {
+            // `scaled_sparse(1.0, …)` copies the stored entries
+            // bit-exactly for any sparse representation.
+            let s = x.scaled_sparse(1.0, Dataset::dim(self), 0);
+            indices.extend_from_slice(s.indices());
+            values.extend_from_slice(s.values());
+        }
     }
+
+    fn prefetch_entry(&self, i: usize) {
+        prefetch_slice(std::slice::from_ref(self.get(i)));
+    }
+
+    fn prefetch_data(&self, i: usize) {
+        let x = &self.get(i).x;
+        if let Some(row) = x.dense_slice() {
+            prefetch_slice(row);
+        } else if let Some((indices, values)) = x.sparse_entries() {
+            prefetch_slice(indices);
+            prefetch_slice(values);
+        }
+    }
+}
+
+/// Ask for the bytes of `s` to be loaded into the cache, one request per
+/// 64-byte line. A hint only: it reads nothing and faults on nothing,
+/// and it is a no-op off x86-64.
+#[inline]
+fn prefetch_slice<T>(s: &[T]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let p = s.as_ptr() as *const i8;
+        for off in (0..std::mem::size_of_val(s)).step_by(64) {
+            // Prefetching is defined for any address, mapped or not.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(p.wrapping_add(off)) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = s;
 }
 
 impl PackSource for DatasetMatrix<'_> {
@@ -276,14 +336,25 @@ impl PackSource for DatasetMatrix<'_> {
     }
 }
 
-/// The one packing body: copy rows `rows` of `src`, in order, into
-/// `scratch`'s buffers as an owned matrix.
+/// The one packing body: copy the `n` rows `row(0), …, row(n − 1)` of
+/// `src`, in order, into `scratch`'s buffers as an owned matrix. From a
+/// dataset, each row's `Example` and data are prefetched a few rows
+/// ahead.
 fn pack_rows<S: PackSource>(
     src: &S,
-    rows: impl ExactSizeIterator<Item = usize>,
+    n: usize,
+    row: impl Fn(usize) -> usize,
     scratch: &mut CaptureScratch,
 ) -> DatasetMatrix<'static> {
-    let (n, dim) = (rows.len(), src.dim());
+    let dim = src.dim();
+    let prefetch = |k: usize| {
+        if k + EXAMPLE_AHEAD < n {
+            src.prefetch_entry(row(k + EXAMPLE_AHEAD));
+        }
+        if k + ROW_AHEAD < n {
+            src.prefetch_data(row(k + ROW_AHEAD));
+        }
+    };
     let mut labels = std::mem::take(&mut scratch.labels);
     labels.clear();
     labels.reserve(n);
@@ -296,7 +367,9 @@ fn pack_rows<S: PackSource>(
         values.clear();
         indptr.reserve(n + 1);
         indptr.push(0);
-        for i in rows {
+        for k in 0..n {
+            prefetch(k);
+            let i = row(k);
             labels.push(src.label(i));
             src.push_sparse(i, &mut indices, &mut values);
             indptr.push(indices.len());
@@ -310,7 +383,9 @@ fn pack_rows<S: PackSource>(
         let mut x = std::mem::take(&mut scratch.dense);
         x.clear();
         x.reserve(n * dim);
-        for i in rows {
+        for k in 0..n {
+            prefetch(k);
+            let i = row(k);
             labels.push(src.label(i));
             src.push_dense(i, &mut x);
         }
@@ -1384,24 +1459,86 @@ mod tests {
         packed.recycle(scratch);
     }
 
+    /// A dense row type that exposes no slice, so a pack of it runs the
+    /// `write_dense_into` path.
+    #[derive(Clone)]
+    struct Unsliced(DenseVec);
+
+    impl FeatureVec for Unsliced {
+        const IS_SPARSE: bool = false;
+
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+
+        fn nnz(&self) -> usize {
+            self.0.nnz()
+        }
+
+        fn dot(&self, w: &[f64]) -> f64 {
+            self.0.dot(w)
+        }
+
+        fn add_scaled_into(&self, coef: f64, out: &mut [f64]) {
+            self.0.add_scaled_into(coef, out)
+        }
+
+        fn get(&self, i: usize) -> f64 {
+            self.0.get(i)
+        }
+
+        fn norm_sq(&self) -> f64 {
+            self.0.norm_sq()
+        }
+
+        fn add_rows_times_table(rows: &[&Self], table: &[f64], width: usize, out: &mut [f64]) {
+            let rows: Vec<&DenseVec> = rows.iter().map(|r| &r.0).collect();
+            DenseVec::add_rows_times_table(&rows, table, width, out)
+        }
+
+        fn scaled_sparse(&self, coef: f64, out_dim: usize, offset: usize) -> SparseVec {
+            self.0.scaled_sparse(coef, out_dim, offset)
+        }
+    }
+
     /// Run `check` on packs of dense (d = 7 in one chunk, d = 13 over
-    /// two) and sparse data, for reversed, shuffled, strided, repeated
-    /// and empty index lists, at thread budgets {1, 4}. One scratch is
-    /// recycled through every capture, so it switches dense↔sparse and
-    /// shrinks from sample to sample.
+    /// two, and d = 7 rows with no slice) and sparse data, for reversed,
+    /// shuffled, strided, repeated and empty index lists, and for
+    /// scattered lists of 1, 8, 9, 16, 17 and 33 rows (around both
+    /// prefetch distances of `pack_rows`) that end on the last row, at
+    /// thread budgets {1, 4}. One scratch is recycled through every
+    /// capture, so it switches dense↔sparse and shrinks from sample to
+    /// sample.
     fn for_each_pack(check: &PackCheck<'_>) {
         let _budget = budget_lock();
         let (dense, _) = dense_pair();
         let (wide, _) = wide_pair();
         let sparse = yelp_like(260, 50, 4);
+        let unsliced = Dataset::new(
+            "unsliced",
+            dense.dim(),
+            dense
+                .iter()
+                .map(|e| Example {
+                    x: Unsliced(e.x.clone()),
+                    y: e.y,
+                })
+                .collect(),
+        );
         let patterns = |n: usize| -> Vec<Vec<usize>> {
-            vec![
+            let mut lists = vec![
                 (0..n).rev().collect(),
                 (0..n).map(|i| (i * 13 + 1) % n).collect(),
                 (0..n).step_by(3).collect(),
                 (0..n / 2).map(|i| (i * 5) % 7).collect(),
                 vec![],
-            ]
+            ];
+            for len in [1, 8, 9, 16, 17, 33] {
+                let mut idx: Vec<usize> = (0..len - 1).map(|k| (k * 37 + 11) % n).collect();
+                idx.push(n - 1);
+                lists.push(idx);
+            }
+            lists
         };
         let mut scratch = CaptureScratch::new();
         for budget in [Some(1), Some(4)] {
@@ -1414,6 +1551,9 @@ mod tests {
                 check_pack(&sparse, &idx[p], &mut scratch, &format!("CSR {tag}"), check);
                 let idx = patterns(wide.len());
                 check_pack(&wide, &idx[p], &mut scratch, &format!("d=13 {tag}"), check);
+                let idx = patterns(unsliced.len());
+                let tag = format!("unsliced d=7 {tag}");
+                check_pack(&unsliced, &idx[p], &mut scratch, &tag, check);
             }
         }
         set_max_threads(None);

@@ -14,6 +14,63 @@ fn toy_dataset(n: usize) -> Dataset<DenseVec> {
     Dataset::new("toy", 1, examples)
 }
 
+/// The partial Fisher–Yates draw over the whole stored permutation:
+/// the oracle `sample_indices` must match for every `(len, n, seed)`,
+/// whichever slot store it picks.
+fn dense_fisher_yates(len: usize, n: usize, seed: u64) -> Vec<usize> {
+    use rand::Rng;
+    let n = n.min(len);
+    let mut rng = blinkml_prob::rng_from_seed(seed);
+    let mut pool: Vec<usize> = (0..len).collect();
+    for i in 0..n {
+        let j = rng.gen_range(i..len);
+        pool.swap(i, j);
+    }
+    pool.truncate(n);
+    pool
+}
+
+/// Draws from a 1M-row pool on both sides of the density switch: the
+/// pilot-sized and final-sized draws of a large pool, a draw just past
+/// the switch, and the whole pool.
+#[test]
+fn sample_indices_is_the_dense_draw_on_a_large_pool() {
+    let len = 1_000_000;
+    for n in [1, 1_000, 46_000, 100_000, 1_000_000] {
+        for seed in [3, 0x5eed] {
+            assert_eq!(
+                sample_indices(len, n, seed),
+                dense_fisher_yates(len, n, seed),
+                "len {len} n {n} seed {seed}"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `n` is drawn just below the density switch (where draws revisit
+    /// displaced slots most), anywhere below it, anywhere in `0..=len`,
+    /// or at the two ends.
+    #[test]
+    fn sample_indices_is_the_dense_draw(
+        len in 0usize..4_000,
+        pick in 0usize..4_001,
+        mode in 0usize..5,
+        seed in 0u64..1_000_000,
+    ) {
+        let n = match mode {
+            0 => (len / 20).saturating_sub(1 + pick % 8),
+            1 => pick % (len / 20 + 1),
+            2 => pick % (len + 1),
+            3 => 0,
+            _ => len,
+        };
+        prop_assert_eq!(sample_indices(len, n, seed), dense_fisher_yates(len, n, seed));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
