@@ -15,6 +15,7 @@
 //! `cargo run --release -p blinkml-bench --bin ablation -- [n=60000] [d=2000] [k=100] [probes=16] [seed=1]`
 
 use blinkml_bench::{BenchArgs, Table};
+use blinkml_core::accuracy::sampling_alpha;
 use blinkml_core::compute_statistics;
 use blinkml_core::diff_engine::{draw_pool, DiffEngine};
 use blinkml_core::models::{LogisticRegressionSpec, MaxEntSpec};
@@ -199,15 +200,14 @@ fn sampling_by_scaling_ablation(n: usize, d: usize, k: usize, seed: u64) {
     // Redraw variant: fresh pools and a fresh engine per probe.
     let t = Instant::now();
     let level = blinkml_prob::conservative_level(0.05, k);
-    let alpha = |a: usize, b: usize| (1.0 / a as f64 - 1.0 / b as f64).max(0.0);
     let mut probes = 0usize;
     let mut satisfied = |nn: usize, probe_seed: u64| -> bool {
         probes += 1;
         let pool_u = draw_pool(&stats, k, probe_seed);
         let pool_w = draw_pool(&stats, k, probe_seed + 1);
         let engine = DiffEngine::new(&spec, &split.holdout, model.parameters(), &pool_u, &pool_w);
-        let a1 = alpha(n0, nn).sqrt();
-        let a2 = alpha(nn, full_n).sqrt();
+        let a1 = sampling_alpha(n0, nn).sqrt();
+        let a2 = sampling_alpha(nn, full_n).sqrt();
         let hits = (0..k)
             .filter(|&i| engine.diff_two_stage(i, a1, a2) <= epsilon)
             .count();

@@ -9,8 +9,9 @@
 //! coarser than the regularization dimension. The BlinkML arm exploits
 //! that structure: each group projects its design matrix once and runs
 //! the whole β grid through one `Session::sweep` call (shared pilot
-//! capture, lockstep multi-β probe rounds, one nested final capture),
-//! instead of one `Coordinator` run per candidate. Reports how many
+//! capture, multi-β probe rounds answered on the calling thread by one
+//! fused kernel pass each, one nested final capture), instead of one
+//! `Coordinator` run per candidate. Reports how many
 //! models each approach evaluates within the time budget and the best
 //! test accuracy found over time.
 //!

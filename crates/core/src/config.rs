@@ -37,7 +37,8 @@ impl StatisticsMethod {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecConfig {
     /// Cap on worker threads; `None` uses all available cores (capped at
-    /// 16). `Some(1)` forces fully sequential execution.
+    /// 16). `Some(1)` forces fully sequential execution, λ-sweeps
+    /// included: a sweep's K solves run on its caller's thread.
     pub max_threads: Option<usize>,
 }
 

@@ -9,7 +9,7 @@
 //! (sampling by scaling, §4.3), and the minimum `n` is located by binary
 //! search, justified by the monotonicity of Theorem 2.
 
-use crate::accuracy::DRAW_CHUNK;
+use crate::accuracy::{sampling_alpha, DRAW_CHUNK};
 use crate::diff_engine::{draw_pool, DiffEngine, HoldoutScorer};
 use crate::mcs::ModelClassSpec;
 use crate::stats::ModelStatistics;
@@ -177,8 +177,8 @@ impl<F: FeatureVec, S: ModelClassSpec<F> + ?Sized> PreparedSearch<'_, F, S> {
 
         let mut satisfied = |n: usize| -> bool {
             probes += 1;
-            let a1 = alpha(n0, n).sqrt();
-            let a2 = alpha(n, full_n).sqrt();
+            let a1 = sampling_alpha(n0, n).sqrt();
+            let a2 = sampling_alpha(n, full_n).sqrt();
             lazy_verdict(k, self.level, |i| {
                 self.engine.two_stage_within(i, a1, a2, &bound)
             })
@@ -213,8 +213,8 @@ impl<F: FeatureVec, S: ModelClassSpec<F> + ?Sized> PreparedSearch<'_, F, S> {
     /// every draw, since the quantile needs every value.
     pub fn epsilon_at(&self, n: usize) -> f64 {
         assert!(self.n0 <= n && n <= self.full_n, "need 0 < n0 <= n <= N");
-        let a1 = alpha(self.n0, n).sqrt();
-        let a2 = alpha(n, self.full_n).sqrt();
+        let a1 = sampling_alpha(self.n0, n).sqrt();
+        let a2 = sampling_alpha(n, self.full_n).sqrt();
         let diffs: Vec<f64> = par_ranges_with(self.k, DRAW_CHUNK, |range| {
             range
                 .map(|i| self.engine.diff_two_stage(i, a1, a2))
@@ -253,11 +253,6 @@ fn lazy_verdict(k: usize, level: f64, passes: impl Fn(usize) -> bool + Sync) -> 
         }
     });
     hits.into_inner() as f64 / k as f64 >= level
-}
-
-/// `α = 1/a − 1/b`, clamped at zero.
-fn alpha(a: usize, b: usize) -> f64 {
-    (1.0 / a as f64 - 1.0 / b as f64).max(0.0)
 }
 
 #[cfg(test)]
@@ -381,8 +376,8 @@ mod tests {
         let engine = DiffEngine::new(&spec, &holdout, &theta0, &pool_u, &pool_w);
         let full_n = train.len();
         let frac = |n: usize| -> f64 {
-            let a1 = alpha(n0, n).sqrt();
-            let a2 = alpha(n, full_n).sqrt();
+            let a1 = sampling_alpha(n0, n).sqrt();
+            let a2 = sampling_alpha(n, full_n).sqrt();
             (0..k)
                 .filter(|&i| engine.diff_two_stage(i, a1, a2) <= 0.05)
                 .count() as f64
@@ -460,7 +455,8 @@ mod tests {
         let mut probes = 0;
         let mut satisfied = |n: usize| {
             probes += 1;
-            let (a1, a2) = (alpha(n0, n).sqrt(), alpha(n, full_n).sqrt());
+            let a1 = sampling_alpha(n0, n).sqrt();
+            let a2 = sampling_alpha(n, full_n).sqrt();
             let hits = (0..k)
                 .filter(|&i| search.engine.diff_two_stage(i, a1, a2) <= epsilon)
                 .count();

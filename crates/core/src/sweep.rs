@@ -12,10 +12,11 @@
 //!
 //! * **one pilot capture** — the pilot sample is drawn and captured
 //!   once; every λ's initial model trains against the same block,
-//! * **lockstep fused fits** — the K concurrent quasi-Newton solves are
-//!   driven round by round through
+//! * **lockstep fused fits** — the K quasi-Newton solves are resumable
+//!   ([`blinkml_optim::Solve`]) and are driven round by round on the
+//!   caller's thread through
 //!   [`ModelClassSpec::value_grad_batched_multi`]: each round answers
-//!   every live solver's probe with one fused pass over the capture,
+//!   every unfinished solve's probe with one fused pass over the capture,
 //!   which walks the rows in L1-sized blocks and reuses each block for
 //!   up to K margin evaluations, then for up to K gradient
 //!   accumulations (a whole 4,096-row chunk at d = 100 is 3.2 MB, too
@@ -38,11 +39,15 @@
 //! the chain is bit-identical to its per-λ form: the multi-λ objective
 //! to [`ModelClassSpec::value_grad`] over a prefix view, the
 //! stacked scorer GEMM to per-λ scorers, and prefix views to captures
-//! of the per-λ samples. The lockstep driver only *batches* probe
+//! of the per-λ samples. The round loop only *batches* probe
 //! evaluations; it never mixes state between grid points, so each λ's
 //! optimizer trajectory is exactly the trajectory of a solo solve: each
 //! final fit warm-starts from its own pilot θ₀ over its own sample
 //! prefix, as a solo run does.
+//!
+//! A sweep runs entirely on its caller's thread: it starts no thread of
+//! its own, so `ExecConfig::sequential()` runs it on one thread, and a
+//! panic in a kernel unwinds straight to the caller.
 //!
 //! Every spec whose [`ModelClassSpec::with_regularization`] returns
 //! `Some` runs this one engine. The solver runs on the multi-λ
@@ -58,11 +63,8 @@ use crate::error::CoreError;
 use crate::mcs::{ModelClassSpec, SweepEval, TrainedModel};
 use crate::stats::{compute_statistics_view, ModelStatistics};
 use blinkml_data::{CaptureScratch, Dataset, DatasetMatrix, FeatureVec, MatrixView, TrainScratch};
-use blinkml_optim::{
-    minimize_with, MinimizeWorkspace, Objective, OptimError, OptimOptions, OptimResult,
-};
+use blinkml_optim::{MinimizeWorkspace, OptimError, OptimOptions, OptimResult, Solve};
 use blinkml_prob::split_seed;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// One grid point's result.
@@ -89,238 +91,16 @@ pub struct SweepResult {
     pub fused: bool,
 }
 
-// ---------------------------------------------------------------------
-// The lockstep evaluation bridge.
-// ---------------------------------------------------------------------
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum SlotPhase {
-    /// No outstanding probe.
-    Idle,
-    /// The solver posted a probe θ and is blocked on the answer.
-    Requested,
-    /// The coordinator answered; the solver has not consumed it yet.
-    Answered,
-    /// The solver finished its solve.
-    Done,
-}
-
-/// One solver's mailbox: the posted probe, the answered gradient and
-/// value, and the handshake phase.
-struct EvalSlot {
-    theta: Vec<f64>,
-    grad: Vec<f64>,
-    value: f64,
-    phase: SlotPhase,
-}
-
-struct BridgeState {
-    slots: Vec<EvalSlot>,
-    /// Slots in `Requested` phase.
-    pending: usize,
-    /// Solvers still running.
-    live: usize,
-    /// The driver unwound: no round will be answered again.
-    aborted: bool,
-}
-
-/// The rendezvous between K unchanged quasi-Newton solvers (one OS
-/// thread each) and the fused multi-λ objective kernel: solvers post
-/// probes and block; once **every** live solver has posted, the driver
-/// answers the whole round with one `value_grad_batched_multi` pass.
-///
-/// Lockstep never changes a solver's results — each slot's answer
-/// sequence depends only on its own probe sequence (the fused kernel is
-/// bit-identical per request), so a solver cannot observe how many
-/// neighbors share its rounds.
-///
-/// A panic on either side cannot hang the other: a driver that unwinds
-/// marks the bridge aborted and wakes every solver, whose pending `eval`
-/// then panics; a solver that unwinds still reports itself finished
-/// (see [`lockstep_fits`]). The lock is recovered after a poisoning
-/// panic, so the original panic is the one that reaches the caller.
-struct EvalBridge {
-    state: Mutex<BridgeState>,
-    /// Signaled when a probe is posted or a solver finishes.
-    work_ready: Condvar,
-    /// Signaled when a round of answers is published.
-    result_ready: Condvar,
-}
-
-impl EvalBridge {
-    fn new(k: usize, dim: usize) -> Self {
-        EvalBridge {
-            state: Mutex::new(BridgeState {
-                slots: (0..k)
-                    .map(|_| EvalSlot {
-                        theta: Vec::with_capacity(dim),
-                        grad: vec![0.0; dim],
-                        value: 0.0,
-                        phase: SlotPhase::Idle,
-                    })
-                    .collect(),
-                pending: 0,
-                live: k,
-                aborted: false,
-            }),
-            work_ready: Condvar::new(),
-            result_ready: Condvar::new(),
-        }
-    }
-
-    /// The bridge state, recovered if a panicking thread poisoned it.
-    /// Recovery is sound: only a driver panic can leave a round half
-    /// answered, and it marks the bridge aborted, after which no slot's
-    /// probe or answer is read again.
-    fn lock(&self) -> MutexGuard<'_, BridgeState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Solver side: post a probe and block until the driver answers.
-    ///
-    /// # Panics
-    /// Panics when the driver aborted the bridge.
-    fn eval(&self, slot: usize, theta: &[f64], grad: &mut [f64]) -> f64 {
-        let mut st = self.lock();
-        let s = &mut st.slots[slot];
-        s.theta.clear();
-        s.theta.extend_from_slice(theta);
-        s.phase = SlotPhase::Requested;
-        st.pending += 1;
-        self.work_ready.notify_all();
-        while st.slots[slot].phase != SlotPhase::Answered && !st.aborted {
-            st = self
-                .result_ready
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        assert!(!st.aborted, "lockstep evaluation aborted by a driver panic");
-        let s = &mut st.slots[slot];
-        s.phase = SlotPhase::Idle;
-        grad.copy_from_slice(&s.grad);
-        s.value
-    }
-
-    /// Solver side: report this slot's solve as finished.
-    fn finish(&self, slot: usize) {
-        let mut st = self.lock();
-        st.slots[slot].phase = SlotPhase::Done;
-        st.live -= 1;
-        self.work_ready.notify_all();
-    }
-
-    /// Driver side: answer rounds until every solver finishes. Each
-    /// round waits for all live solvers to post, then evaluates the
-    /// whole batch with one fused multi-λ pass.
-    fn drive<F: FeatureVec>(
-        &self,
-        spec: &dyn ModelClassSpec<F>,
-        betas: &[f64],
-        rows: &[usize],
-        xm: &MatrixView,
-        scratch: &mut TrainScratch,
-    ) {
-        // Declared before the lock guard, so it runs after an unwind has
-        // released (and poisoned) the lock.
-        let _abort = AbortOnUnwind(self);
-        let mut st = self.lock();
-        loop {
-            while st.live > 0 && st.pending < st.live {
-                st = self
-                    .work_ready
-                    .wait(st)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            if st.live == 0 {
-                return;
-            }
-            // All live solvers are blocked on this round, so holding the
-            // lock through the evaluation contends with nobody.
-            let mut batch: Vec<(usize, Vec<f64>, Vec<f64>)> = st
-                .slots
-                .iter_mut()
-                .enumerate()
-                .filter(|(_, s)| s.phase == SlotPhase::Requested)
-                .map(|(k, s)| (k, std::mem::take(&mut s.theta), std::mem::take(&mut s.grad)))
-                .collect();
-            let values: Vec<f64> = {
-                let mut evals: Vec<SweepEval> = batch
-                    .iter_mut()
-                    .map(|(k, theta, grad)| {
-                        SweepEval::new(theta, betas[*k], rows[*k], grad.as_mut_slice())
-                    })
-                    .collect();
-                spec.value_grad_batched_multi(&mut evals, xm, scratch);
-                evals.iter().map(|e| e.value).collect()
-            };
-            for ((k, theta, grad), value) in batch.into_iter().zip(values) {
-                let s = &mut st.slots[k];
-                s.theta = theta;
-                s.grad = grad;
-                s.value = value;
-                s.phase = SlotPhase::Answered;
-            }
-            st.pending = 0;
-            self.result_ready.notify_all();
-        }
-    }
-}
-
-/// Marks its bridge aborted and wakes every solver when dropped during
-/// an unwind of the driver.
-struct AbortOnUnwind<'b>(&'b EvalBridge);
-
-impl Drop for AbortOnUnwind<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.lock().aborted = true;
-            self.0.result_ready.notify_all();
-        }
-    }
-}
-
-/// Reports its solver slot finished when dropped, so a solver that
-/// panics still releases the driver.
-struct FinishOnDrop<'b> {
-    bridge: &'b EvalBridge,
-    slot: usize,
-}
-
-impl Drop for FinishOnDrop<'_> {
-    fn drop(&mut self) {
-        self.bridge.finish(self.slot);
-    }
-}
-
-/// One solver's view of the bridge, shaped as a plain [`Objective`] so
-/// the quasi-Newton driver runs **unchanged** — every probe it makes is
-/// transparently batched into the bridge's rounds.
-struct BridgeObjective<'b> {
-    bridge: &'b EvalBridge,
-    slot: usize,
-    dim: usize,
-}
-
-impl Objective for BridgeObjective<'_> {
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn value_grad_into(&self, theta: &[f64], grad: &mut [f64]) -> f64 {
-        self.bridge.eval(self.slot, theta, grad)
-    }
-}
-
-/// Run K quasi-Newton solves in lockstep against one shared design
-/// matrix view: solver `k` minimizes the λ = `betas[k]` objective over
-/// the view's first `rows[k]` rows, starting from `theta0s[k]`, with
-/// its own reusable workspace. Per-solve results are bit-identical to
-/// solo [`blinkml_optim::minimize`] runs on the equivalent single-λ
+/// Run K quasi-Newton solves in lockstep rounds against one shared
+/// design matrix view: solve `k` minimizes the λ = `betas[k]` objective
+/// over the view's first `rows[k]` rows, starting from `theta0s[k]`,
+/// with its own reusable workspace. Each round answers every unfinished
+/// solve's probe with one `value_grad_batched_multi` pass, on the
+/// caller's thread. A solve's path depends only on the answers to its
+/// own probes, and the fused kernel answers each probe bit-identically
+/// to a solo evaluation, so per-solve results are bit-identical to solo
+/// [`blinkml_optim::minimize`] runs on the equivalent single-λ
 /// objective.
-///
-/// # Panics
-/// A panic in the fused kernel or in a solver is re-raised here once
-/// every solver thread has stopped (it never hangs the scope).
 #[allow(clippy::too_many_arguments)]
 fn lockstep_fits<F: FeatureVec>(
     spec: &dyn ModelClassSpec<F>,
@@ -333,32 +113,31 @@ fn lockstep_fits<F: FeatureVec>(
     workspaces: &mut [MinimizeWorkspace],
     scratch: &mut TrainScratch,
 ) -> Vec<Result<OptimResult, OptimError>> {
-    let k = betas.len();
-    debug_assert_eq!(rows.len(), k);
-    debug_assert_eq!(theta0s.len(), k);
-    debug_assert_eq!(workspaces.len(), k);
-    let bridge = EvalBridge::new(k, dim);
-    let mut results: Vec<Option<Result<OptimResult, OptimError>>> = (0..k).map(|_| None).collect();
-    std::thread::scope(|s| {
-        for (slot, ((ws, theta0), res)) in workspaces
+    let mut solves: Vec<Solve> = workspaces
+        .iter_mut()
+        .zip(theta0s)
+        .map(|(ws, theta0)| Solve::new(dim, theta0, options, ws))
+        .collect();
+    loop {
+        let mut evals: Vec<SweepEval> = solves
             .iter_mut()
-            .zip(theta0s.iter())
-            .zip(results.iter_mut())
-            .enumerate()
-        {
-            let bridge = &bridge;
-            s.spawn(move || {
-                let _finish = FinishOnDrop { bridge, slot };
-                let objective = BridgeObjective { bridge, slot, dim };
-                *res = Some(minimize_with(&objective, theta0, options, ws));
-            });
+            .zip(betas.iter().zip(rows))
+            .filter_map(|(solve, (&beta, &n))| {
+                let (theta, grad) = solve.probe()?;
+                Some(SweepEval::new(theta, beta, n, grad))
+            })
+            .collect();
+        if evals.is_empty() {
+            break;
         }
-        bridge.drive(spec, betas, rows, xm, scratch);
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("lockstep solver completed"))
-        .collect()
+        spec.value_grad_batched_multi(&mut evals, xm, scratch);
+        let values: Vec<f64> = evals.iter().map(|e| e.value).collect();
+        let live = solves.iter_mut().filter(|solve| !solve.is_done());
+        for (solve, value) in live.zip(values) {
+            solve.tell(value);
+        }
+    }
+    solves.into_iter().map(Solve::finish).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -560,7 +339,7 @@ pub(crate) fn run_sweep<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
         let fview = fcapture.view();
         // Each point's final fit replays a solo run exactly: warm-started
         // from its own pilot θ₀ over its own sample prefix, fused through
-        // the lockstep bridge.
+        // the lockstep rounds.
         let betas: Vec<f64> = needs.iter().map(|&(i, _)| lambdas[i]).collect();
         let rows: Vec<usize> = needs.iter().map(|&(_, n)| n).collect();
         let starts: Vec<Vec<f64>> = needs
@@ -749,12 +528,18 @@ mod tests {
     /// A spec without its own multi-λ kernel runs the fused engine on
     /// the trait's default kernel. Each point is bitwise a solo
     /// `Session::train` on that λ's spec, and bitwise the logistic sweep
-    /// whose kernel it hides, at two λ orders and budgets {1, 4}.
+    /// whose kernel it hides, at two λ orders and budgets {1, 4}. Every
+    /// `value_grad_batched_multi` call runs on the thread that called
+    /// `Session::sweep`.
     #[test]
     fn default_multi_lambda_kernel_sweep_matches_solo_runs() {
+        use std::thread::{current, ThreadId};
         /// Logistic regression with its own multi-λ kernel hidden, so
-        /// sweeps run the trait's default one.
-        struct SoloLambda(LogisticRegressionSpec);
+        /// sweeps run the trait's default one, which calls `value_grad`
+        /// once per eval on the thread it runs on. `value_grad` checks
+        /// that thread against the one that built the spec, the thread
+        /// that calls `Session::sweep` and `Session::train` below.
+        struct SoloLambda(LogisticRegressionSpec, ThreadId);
         type Inner = dyn ModelClassSpec<blinkml_data::DenseVec>;
         impl ModelClassSpec<blinkml_data::DenseVec> for SoloLambda {
             fn name(&self) -> &'static str {
@@ -773,13 +558,21 @@ mod tests {
                 scratch: &mut TrainScratch,
                 grad: &mut [f64],
             ) -> f64 {
+                assert_eq!(
+                    current().id(),
+                    self.1,
+                    "an objective call left the caller's thread"
+                );
                 Inner::value_grad(&self.0, theta, xm, scratch, grad)
             }
             fn with_regularization(
                 &self,
                 beta: f64,
             ) -> Option<Box<dyn ModelClassSpec<blinkml_data::DenseVec>>> {
-                Some(Box::new(SoloLambda(LogisticRegressionSpec::new(beta))))
+                Some(Box::new(SoloLambda(
+                    LogisticRegressionSpec::new(beta),
+                    self.1,
+                )))
             }
             fn grads(&self, theta: &[f64], xm: &MatrixView) -> crate::grads::Grads {
                 Inner::grads(&self.0, theta, xm)
@@ -816,7 +609,7 @@ mod tests {
         let _budget = blinkml_linalg::testing::budget_lock();
         let (data, _) = synthetic_logistic(5_000, 3, 2.0, 35);
         let split = data.split(500, 0, 36);
-        let spec = SoloLambda(LogisticRegressionSpec::new(1e-3));
+        let spec = SoloLambda(LogisticRegressionSpec::new(1e-3), current().id());
         for threads in [Some(1), Some(4)] {
             let cfg = BlinkMlConfig {
                 exec: ExecConfig {
@@ -841,7 +634,8 @@ mod tests {
                 .unwrap();
                 for (p, k) in sweep.points.iter().zip(&kernel.points) {
                     let tag = format!("λ={} t={threads:?} grid={grid:?}", p.lambda);
-                    let solo_spec = SoloLambda(LogisticRegressionSpec::new(p.lambda));
+                    let solo_spec =
+                        SoloLambda(LogisticRegressionSpec::new(p.lambda), current().id());
                     let solo = Session::new(cfg.clone(), &solo_spec, &split.train, &split.holdout)
                         .unwrap()
                         .train(0.04, 0.05, 5)
@@ -859,8 +653,8 @@ mod tests {
     }
 
     /// A panic inside the fused multi-λ kernel must reach the caller of
-    /// `Session::sweep` instead of leaving the solver threads blocked on
-    /// the bridge forever; a watchdog turns a hang into a failure.
+    /// `Session::sweep` as the original panic; a watchdog turns a hang
+    /// into a failure.
     #[test]
     fn multi_lambda_kernel_panic_reaches_the_caller() {
         use crate::testing::MultiLambdaPanicSpec;

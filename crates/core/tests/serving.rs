@@ -464,9 +464,9 @@ fn mid_train_panic_fails_one_query_and_queue_recovers() {
     assert_eq!(stats.pilot_trains, 1);
 }
 
-/// A panic inside the fused multi-λ kernel resolves that sweep ticket to
-/// `WorkerPanicked` instead of wedging its worker on the lockstep
-/// bridge, and the same server (one worker) then serves a plain query
+/// A panic inside the fused multi-λ kernel unwinds the worker's sweep
+/// and resolves that ticket to `WorkerPanicked` instead of wedging the
+/// worker, and the same server (one worker) then serves a plain query
 /// with the exact oracle answer.
 #[test]
 fn multi_lambda_kernel_panic_fails_the_sweep_and_worker_recovers() {

@@ -12,8 +12,15 @@
 //! * **limited** — a ring of the last m = 10 curvature pairs applied
 //!   by Nocedal's two-loop recursion (L-BFGS), `O(m d)` per iteration,
 //!   for `d ≥ 100`.
+//!
+//! The loop is resumable ([`Solve`]): instead of calling an objective it
+//! hands out each point it needs evaluated and waits to be told the
+//! value, so one caller can drive many solves and answer their probes
+//! together, as the λ-sweep engine does with one fused kernel pass per
+//! round. [`minimize_with`](crate::minimize_with) is the same solve
+//! driven against a single objective.
 
-use crate::linesearch::{strong_wolfe, LineSearchScratch, WolfeParams};
+use crate::linesearch::{LineSearchScratch, WolfeParams, WolfeSearch};
 use crate::problem::Objective;
 use crate::result::{OptimError, OptimOptions, OptimResult};
 use blinkml_linalg::blas::ger;
@@ -25,7 +32,7 @@ use std::collections::VecDeque;
 pub(crate) const LBFGS_MEMORY: usize = 10;
 
 /// Caller-owned reusable solver state for
-/// [`minimize_with`](crate::minimize_with): one set of gradient,
+/// [`minimize_with`](crate::minimize_with) and [`Solve`]: one set of gradient,
 /// direction, step and line-search probe buffers plus the active
 /// inverse-Hessian state, so one instance serves a stream of fits
 /// whatever dimension each runs at. The sweep engine keeps one per grid
@@ -191,107 +198,237 @@ impl InverseHessian {
     }
 }
 
-/// Minimize `objective` from `theta0` with the dense estimate
-/// (`memory = None`) or an L-BFGS ring of `memory ≥ 1` pairs.
-/// [`minimize_with`](crate::minimize_with) picks by dimension; tests
-/// reach either state at any dimension through here.
-pub(crate) fn solve(
-    objective: &dyn Objective,
-    theta0: &[f64],
-    options: &OptimOptions,
-    ws: &mut MinimizeWorkspace,
-    memory: Option<usize>,
-) -> Result<OptimResult, OptimError> {
-    debug_assert!(memory != Some(0), "an L-BFGS ring needs one pair");
-    let d = objective.dim();
-    if theta0.len() != d {
-        return Err(OptimError::DimensionMismatch {
-            expected: d,
-            got: theta0.len(),
-        });
-    }
-    let mut theta = theta0.to_vec();
-    ws.reset(d, memory);
-    let MinimizeWorkspace {
-        grad,
-        direction,
-        s,
-        y,
-        scratch,
-        state,
-    } = ws;
-    let state = state.as_mut().expect("reset installs a state");
-    let mut value = objective.value_grad_into(&theta, grad);
-    if !value.is_finite() {
-        return Err(OptimError::NonFiniteObjective);
-    }
-    let mut function_evals = 1usize;
-    let wolfe = WolfeParams::default();
+/// A quasi-Newton solve in flight: [`minimize_with`](crate::minimize_with)
+/// as a resumable state machine, so one caller can drive many solves
+/// and answer their probes in any order, or batch them.
+///
+/// [`probe`](Self::probe) hands out the point the solve needs evaluated
+/// and the buffer its gradient goes into; [`tell`](Self::tell) takes the
+/// objective's value there and runs the solve on to its next probe or
+/// its end; [`finish`](Self::finish) returns the result. Driven against
+/// one objective, the solve is `minimize_with`: the same float
+/// operations in the same order, the same `stop_check` polls at the
+/// top of every iteration, the same recycled buffers.
+pub struct Solve<'a> {
+    options: &'a OptimOptions,
+    ws: &'a mut MinimizeWorkspace,
+    theta: Vec<f64>,
+    value: f64,
+    function_evals: usize,
+    iteration: usize,
+    stage: Stage,
+}
 
-    for iteration in 0..options.max_iterations {
-        if options.should_stop() {
-            return Err(OptimError::Cancelled);
+enum Stage {
+    /// Waiting for the objective at `θ₀`.
+    Start,
+    /// Waiting for a line-search probe; the gradient infinity norm at
+    /// the search's start point rides along.
+    Search(WolfeSearch, f64),
+    Done(Result<OptimResult, OptimError>),
+}
+
+impl<'a> Solve<'a> {
+    /// Start minimizing a dimension-`dim` objective from `theta0` on
+    /// `workspace`, with the state the paper picks for `dim`: BFGS below
+    /// [`BFGS_DIMENSION_LIMIT`](crate::BFGS_DIMENSION_LIMIT), L-BFGS at or
+    /// above it.
+    pub fn new(
+        dim: usize,
+        theta0: &[f64],
+        options: &'a OptimOptions,
+        workspace: &'a mut MinimizeWorkspace,
+    ) -> Self {
+        let memory = (dim >= crate::BFGS_DIMENSION_LIMIT).then_some(LBFGS_MEMORY);
+        Solve::with_memory(dim, theta0, options, workspace, memory)
+    }
+
+    /// [`Solve::new`] with the dense estimate (`memory = None`) or an
+    /// L-BFGS ring of `memory ≥ 1` pairs; tests reach either state at
+    /// any dimension through here.
+    pub(crate) fn with_memory(
+        dim: usize,
+        theta0: &[f64],
+        options: &'a OptimOptions,
+        ws: &'a mut MinimizeWorkspace,
+        memory: Option<usize>,
+    ) -> Self {
+        debug_assert!(memory != Some(0), "an L-BFGS ring needs one pair");
+        let stage = if theta0.len() == dim {
+            ws.reset(dim, memory);
+            Stage::Start
+        } else {
+            Stage::Done(Err(OptimError::DimensionMismatch {
+                expected: dim,
+                got: theta0.len(),
+            }))
+        };
+        Solve {
+            options,
+            ws,
+            theta: theta0.to_vec(),
+            value: 0.0,
+            function_evals: 0,
+            iteration: 0,
+            stage,
         }
-        let gnorm = norm_inf(grad);
-        if gnorm <= options.gradient_tolerance {
-            return Ok(OptimResult {
-                theta,
-                value,
-                gradient_norm: gnorm,
-                iterations: iteration,
-                function_evals,
-                converged: true,
-            });
+    }
+
+    /// The point to evaluate next and the buffer its gradient goes
+    /// into, or `None` once the solve has finished.
+    pub fn probe(&mut self) -> Option<(&[f64], &mut [f64])> {
+        match &mut self.stage {
+            Stage::Start => Some((&self.theta, &mut self.ws.grad)),
+            Stage::Search(search, _) => search.probe(),
+            Stage::Done(_) => None,
         }
-        state.direction_into(grad, direction);
-        let outcome = strong_wolfe(objective, &theta, value, grad, direction, &wolfe, scratch);
+    }
+
+    /// Whether the solve has finished.
+    pub fn is_done(&self) -> bool {
+        matches!(self.stage, Stage::Done(_))
+    }
+
+    /// Take the objective's value at the pending probe, whose gradient
+    /// the caller has written into the probe's buffer, and run the solve
+    /// on to its next probe or its end: each iteration checks the
+    /// iteration cap, polls the stop probe, tests the gradient and
+    /// starts a line search along the state's direction.
+    ///
+    /// # Panics
+    /// Panics when the solve has finished.
+    pub fn tell(&mut self, value: f64) {
+        let mut in_flight = match std::mem::replace(&mut self.stage, Stage::Start) {
+            Stage::Start => {
+                self.value = value;
+                self.function_evals = 1;
+                if !value.is_finite() {
+                    self.stage = Stage::Done(Err(OptimError::NonFiniteObjective));
+                    return;
+                }
+                None
+            }
+            Stage::Search(mut search, gnorm) => {
+                search.tell(value, &self.theta, &self.ws.direction);
+                Some((search, gnorm))
+            }
+            Stage::Done(_) => panic!("no probe is pending: the solve has finished"),
+        };
+        loop {
+            if let Some((mut search, gnorm)) = in_flight.take() {
+                if search.probe().is_some() {
+                    self.stage = Stage::Search(search, gnorm);
+                    return;
+                }
+                if !self.end_search(search, gnorm) {
+                    return;
+                }
+            }
+            if self.iteration == self.options.max_iterations {
+                return self.end(norm_inf(&self.ws.grad), false);
+            }
+            if self.options.should_stop() {
+                self.stage = Stage::Done(Err(OptimError::Cancelled));
+                return;
+            }
+            let gnorm = norm_inf(&self.ws.grad);
+            if gnorm <= self.options.gradient_tolerance {
+                return self.end(gnorm, true);
+            }
+            let ws = &mut *self.ws;
+            let state = ws.state.as_mut().expect("reset installs a state");
+            state.direction_into(&ws.grad, &mut ws.direction);
+            let wolfe = WolfeParams::default();
+            let search = WolfeSearch::new(
+                &self.theta,
+                self.value,
+                &ws.grad,
+                &ws.direction,
+                &wolfe,
+                &mut ws.scratch,
+            );
+            in_flight = Some((search, gnorm));
+        }
+    }
+
+    /// The solve's result.
+    ///
+    /// # Panics
+    /// Panics while a probe is still pending.
+    pub fn finish(self) -> Result<OptimResult, OptimError> {
+        match self.stage {
+            Stage::Done(result) => result,
+            _ => panic!("the solve still has a pending probe"),
+        }
+    }
+
+    /// Drive the solve to its end against one objective.
+    pub(crate) fn run(mut self, objective: &dyn Objective) -> Result<OptimResult, OptimError> {
+        while let Some((theta, grad)) = self.probe() {
+            let value = objective.value_grad_into(theta, grad);
+            self.tell(value);
+        }
+        self.finish()
+    }
+
+    /// Close the current iteration's finished line search: take the
+    /// accepted step and absorb its curvature pair, returning `true`,
+    /// or end the solve when no step was found.
+    fn end_search(&mut self, search: WolfeSearch, gnorm: f64) -> bool {
+        let ws = &mut *self.ws;
+        let outcome = search.finish(&mut ws.scratch);
         // Probe evaluations are charged whether or not the search
         // succeeded.
-        function_evals += outcome.evals;
+        self.function_evals += outcome.evals;
         let Some(ls) = outcome.result else {
             // Near the minimum, objective decreases can underflow f64
             // resolution and no step passes the Wolfe tests. With a
             // gradient at round-off scale this is convergence, not
             // failure (scipy reports the same as "precision loss").
-            if gnorm <= 4.0 * f64::EPSILON.sqrt() * (1.0 + value.abs()) {
-                return Ok(OptimResult {
-                    theta,
-                    value,
-                    gradient_norm: gnorm,
-                    iterations: iteration,
-                    function_evals,
-                    converged: true,
-                });
+            if gnorm <= 4.0 * f64::EPSILON.sqrt() * (1.0 + self.value.abs()) {
+                self.end(gnorm, true);
+            } else {
+                self.stage = Stage::Done(Err(OptimError::LineSearchFailed {
+                    iteration: self.iteration,
+                }));
             }
-            return Err(OptimError::LineSearchFailed { iteration });
+            return false;
         };
 
-        for (si, p) in s.iter_mut().zip(&*direction) {
+        for (si, p) in ws.s.iter_mut().zip(&ws.direction) {
             *si = ls.alpha * p;
         }
-        for ((yi, gn), go) in y.iter_mut().zip(&ls.gradient).zip(&*grad) {
+        for ((yi, gn), go) in ws.y.iter_mut().zip(&ls.gradient).zip(&ws.grad) {
             *yi = gn - go;
         }
-        for (t, si) in theta.iter_mut().zip(&*s) {
+        for (t, si) in self.theta.iter_mut().zip(&ws.s) {
             *t += si;
         }
-        value = ls.value;
-        scratch.recycle(std::mem::replace(grad, ls.gradient));
+        self.value = ls.value;
+        ws.scratch
+            .recycle(std::mem::replace(&mut ws.grad, ls.gradient));
 
-        let sy = dot(s, y);
-        let yy = dot(y, y);
+        let (sy, yy) = (dot(&ws.s, &ws.y), dot(&ws.y, &ws.y));
         if sy > 1e-10 * yy.sqrt().max(1.0) {
-            state.absorb(s, y, sy, yy);
+            let state = ws.state.as_mut().expect("reset installs a state");
+            state.absorb(&ws.s, &ws.y, sy, yy);
         }
+        self.iteration += 1;
+        true
     }
-    Ok(OptimResult {
-        gradient_norm: norm_inf(grad),
-        theta,
-        value,
-        iterations: options.max_iterations,
-        function_evals,
-        converged: false,
-    })
+
+    /// End the solve at the current iterate, whose gradient infinity
+    /// norm is `gnorm`.
+    fn end(&mut self, gnorm: f64, converged: bool) {
+        self.stage = Stage::Done(Ok(OptimResult {
+            theta: std::mem::take(&mut self.theta),
+            value: self.value,
+            gradient_norm: gnorm,
+            iterations: self.iteration,
+            function_evals: self.function_evals,
+            converged,
+        }));
+    }
 }
 
 /// Nocedal's two-loop recursion, writing `−H_k ∇f` (with `H_k` the
@@ -336,6 +473,18 @@ fn two_loop_direction_into(
 mod tests {
     use super::*;
     use crate::problem::{QuadraticObjective, Rosenbrock};
+
+    /// The solve in either state (`memory` as in
+    /// [`Solve::with_memory`]), driven against one objective.
+    fn solve(
+        objective: &dyn Objective,
+        theta0: &[f64],
+        options: &OptimOptions,
+        ws: &mut MinimizeWorkspace,
+        memory: Option<usize>,
+    ) -> Result<OptimResult, OptimError> {
+        Solve::with_memory(objective.dim(), theta0, options, ws, memory).run(objective)
+    }
 
     /// The dense state (BFGS) at any dimension, on a fresh workspace.
     fn dense(

@@ -8,10 +8,14 @@
 //! * [`problem`] — the [`Objective`] trait (joint value+gradient
 //!   evaluation, the natural granularity for log-likelihoods),
 //! * [`linesearch`] — the strong-Wolfe line search (Nocedal & Wright
-//!   Algorithms 3.5/3.6),
+//!   Algorithms 3.5/3.6), resumable in the same way,
 //! * [`bfgs`] — the one quasi-Newton driver: BFGS's dense
 //!   inverse-Hessian estimate and L-BFGS's ring of m = 10 curvature
-//!   pairs (two-loop recursion) are two states of one solve loop,
+//!   pairs (two-loop recursion) are two states of one resumable solve
+//!   ([`Solve`]), which hands out each probe point and is told its
+//!   value, so a caller can drive many solves in batched rounds;
+//!   [`minimize`] and [`minimize_with`] drive one against a single
+//!   objective,
 //! * [`result`] — convergence bookkeeping ([`OptimResult`]), including
 //!   the iteration counts surfaced in the paper's Figure 8c.
 
@@ -20,7 +24,7 @@ pub mod linesearch;
 pub mod problem;
 pub mod result;
 
-pub use bfgs::MinimizeWorkspace;
+pub use bfgs::{MinimizeWorkspace, Solve};
 pub use linesearch::{
     strong_wolfe, LineSearchResult, LineSearchScratch, SearchOutcome, WolfeParams,
 };
@@ -49,6 +53,5 @@ pub fn minimize_with(
     options: &OptimOptions,
     workspace: &mut MinimizeWorkspace,
 ) -> Result<OptimResult, OptimError> {
-    let memory = (objective.dim() >= BFGS_DIMENSION_LIMIT).then_some(bfgs::LBFGS_MEMORY);
-    bfgs::solve(objective, theta0, options, workspace, memory)
+    Solve::new(objective.dim(), theta0, options, workspace).run(objective)
 }

@@ -1,5 +1,11 @@
 //! Strong-Wolfe line search (Nocedal & Wright, Algorithms 3.5 / 3.6).
 //!
+//! The search is one resumable state machine (`WolfeSearch`): it hands
+//! out a trial point and a gradient buffer, takes the objective's value
+//! there, and runs on to its next trial point or its end. The
+//! quasi-Newton driver keeps one inside each resumable solve;
+//! [`strong_wolfe`] drives one to its end against a single objective.
+//!
 //! Probe points and gradients live in a caller-owned
 //! [`LineSearchScratch`] pool, so a converged solve performs **zero
 //! steady-state allocation** per probe, and [`strong_wolfe`] reports
@@ -103,12 +109,232 @@ struct Probe {
     gradient: Vec<f64>,
 }
 
+/// A strong-Wolfe search in flight: [`strong_wolfe`] as a resumable
+/// state machine. [`probe`](Self::probe) hands out the pending trial
+/// point and the buffer its gradient goes into; [`tell`](Self::tell)
+/// takes its value and runs the search on to its next trial point or
+/// its end. The search holds the caller's scratch pool until
+/// [`finish`](Self::finish) hands it back.
+pub(crate) struct WolfeSearch {
+    params: WolfeParams,
+    value0: f64,
+    slope0: f64,
+    evals: usize,
+    pool: LineSearchScratch,
+    /// The pending probe's step and the buffer its gradient goes into
+    /// (its point `θ + αp` is `pool.point`).
+    alpha: f64,
+    gradient: Vec<f64>,
+    phase: Phase,
+}
+
+enum Phase {
+    /// Algorithm 3.5, bracketing from the previous probe (the start
+    /// point at `α = 0` first).
+    Bracket { prev: Probe },
+    /// Algorithm 3.6; `lo` always has the lower value.
+    Zoom { lo: Probe, hi: Probe },
+    /// Finished, with the accepted step if one was found.
+    Done(Option<LineSearchResult>),
+}
+
+impl WolfeSearch {
+    /// Start a search along `direction` from `theta`, where the
+    /// objective has value `value0` and gradient `grad0`. A direction
+    /// that does not descend ends the search at once, with no probe.
+    pub(crate) fn new(
+        theta: &[f64],
+        value0: f64,
+        grad0: &[f64],
+        direction: &[f64],
+        params: &WolfeParams,
+        scratch: &mut LineSearchScratch,
+    ) -> Self {
+        let slope0 = dot(grad0, direction);
+        let mut search = WolfeSearch {
+            params: params.clone(),
+            value0,
+            slope0,
+            evals: 0,
+            pool: std::mem::take(scratch),
+            alpha: 0.0,
+            gradient: Vec::new(),
+            phase: Phase::Done(None),
+        };
+        if slope0 >= 0.0 || !slope0.is_finite() {
+            return search; // Not a descent direction.
+        }
+        let mut gradient = search.pool.take(theta.len());
+        gradient.copy_from_slice(grad0);
+        let prev = Probe {
+            alpha: 0.0,
+            value: value0,
+            slope: slope0,
+            gradient,
+        };
+        let alpha = params.initial_step.min(params.max_step);
+        search.bracket(prev, alpha, theta, direction);
+        search
+    }
+
+    /// The pending probe's point and gradient buffer, or `None` once
+    /// the search has finished.
+    pub(crate) fn probe(&mut self) -> Option<(&[f64], &mut [f64])> {
+        match self.phase {
+            Phase::Done(_) => None,
+            _ => Some((&self.pool.point, &mut self.gradient)),
+        }
+    }
+
+    /// Take the objective's value at the pending probe (its gradient
+    /// already in the probe's buffer) and run the search on to its next
+    /// probe or its end, along the `theta` and `direction` it started
+    /// from.
+    pub(crate) fn tell(&mut self, value: f64, theta: &[f64], direction: &[f64]) {
+        self.evals += 1;
+        let cur = Probe {
+            alpha: self.alpha,
+            value,
+            slope: dot(&self.gradient, direction),
+            gradient: std::mem::take(&mut self.gradient),
+        };
+        let (value0, slope0, c1, c2) = (self.value0, self.slope0, self.params.c1, self.params.c2);
+        match std::mem::replace(&mut self.phase, Phase::Done(None)) {
+            Phase::Bracket { prev } => {
+                if !cur.value.is_finite() {
+                    // Step overshot into a non-finite region: bisect
+                    // downward.
+                    let alpha = 0.5 * (prev.alpha + cur.alpha);
+                    self.pool.recycle(cur.gradient);
+                    if alpha <= f64::MIN_POSITIVE {
+                        self.pool.recycle(prev.gradient);
+                    } else {
+                        self.bracket(prev, alpha, theta, direction);
+                    }
+                } else if cur.value > value0 + c1 * cur.alpha * slope0
+                    || (self.evals > 1 && cur.value >= prev.value)
+                {
+                    self.zoom(prev, cur, theta, direction);
+                } else if cur.slope.abs() <= -c2 * slope0 {
+                    self.pool.recycle(prev.gradient);
+                    self.accept(cur);
+                } else if cur.slope >= 0.0 {
+                    self.zoom(cur, prev, theta, direction);
+                } else if cur.alpha >= self.params.max_step {
+                    // Slope still negative at the cap: accept the capped
+                    // step.
+                    self.pool.recycle(prev.gradient);
+                    self.accept(cur);
+                } else {
+                    let alpha = (2.0 * cur.alpha).min(self.params.max_step);
+                    self.pool.recycle(prev.gradient);
+                    self.bracket(cur, alpha, theta, direction);
+                }
+            }
+            Phase::Zoom { mut lo, mut hi } => {
+                if !cur.value.is_finite()
+                    || cur.value > value0 + c1 * cur.alpha * slope0
+                    || cur.value >= lo.value
+                {
+                    self.pool.recycle(std::mem::replace(&mut hi, cur).gradient);
+                } else if cur.slope.abs() <= -c2 * slope0 {
+                    self.pool.recycle(lo.gradient);
+                    self.pool.recycle(hi.gradient);
+                    return self.accept(cur);
+                } else {
+                    if cur.slope * (hi.alpha - lo.alpha) >= 0.0 {
+                        // hi takes lo's state (gradient copied into hi's
+                        // buffer).
+                        hi.alpha = lo.alpha;
+                        hi.value = lo.value;
+                        hi.slope = lo.slope;
+                        hi.gradient.copy_from_slice(&lo.gradient);
+                    }
+                    self.pool.recycle(std::mem::replace(&mut lo, cur).gradient);
+                }
+                self.zoom(lo, hi, theta, direction);
+            }
+            Phase::Done(_) => panic!("no probe is pending: the line search has finished"),
+        }
+    }
+
+    /// End the search, handing its scratch pool back.
+    ///
+    /// # Panics
+    /// Panics while a probe is still pending.
+    pub(crate) fn finish(self, scratch: &mut LineSearchScratch) -> SearchOutcome {
+        *scratch = self.pool;
+        let Phase::Done(result) = self.phase else {
+            panic!("the line search still has a pending probe");
+        };
+        SearchOutcome {
+            result,
+            evals: self.evals,
+        }
+    }
+
+    /// Algorithm 3.5's next trial step `alpha` past `prev`, unless the
+    /// evaluation budget is spent.
+    fn bracket(&mut self, prev: Probe, alpha: f64, theta: &[f64], direction: &[f64]) {
+        if self.evals >= self.params.max_evals {
+            return self.pool.recycle(prev.gradient);
+        }
+        self.phase = Phase::Bracket { prev };
+        self.issue(alpha, theta, direction);
+    }
+
+    /// Algorithm 3.6's next trial step inside the bracket `(lo, hi)`:
+    /// quadratic interpolation with a bisection safeguard. When the
+    /// budget is spent or the interval has collapsed, the search ends on
+    /// the best point seen so far if it at least decreases the
+    /// objective.
+    fn zoom(&mut self, lo: Probe, hi: Probe, theta: &[f64], direction: &[f64]) {
+        if self.evals < self.params.max_evals {
+            let mut trial = quadratic_interpolate(&lo, &hi);
+            let (lo_a, hi_a) = (lo.alpha.min(hi.alpha), lo.alpha.max(hi.alpha));
+            let width = hi_a - lo_a;
+            if !(trial.is_finite()) || trial <= lo_a + 0.1 * width || trial >= hi_a - 0.1 * width {
+                trial = 0.5 * (lo_a + hi_a);
+            }
+            let collapsed = width < 1e-14 * (1.0 + lo_a);
+            if !collapsed {
+                self.phase = Phase::Zoom { lo, hi };
+                return self.issue(trial, theta, direction);
+            }
+        }
+        self.pool.recycle(hi.gradient);
+        if lo.value < self.value0 && lo.alpha > 0.0 {
+            self.accept(lo);
+        } else {
+            self.pool.recycle(lo.gradient);
+        }
+    }
+
+    /// Make `θ + αp` the pending probe, with a pooled gradient buffer.
+    fn issue(&mut self, alpha: f64, theta: &[f64], direction: &[f64]) {
+        self.alpha = alpha;
+        let point = &mut self.pool.point;
+        point.clear();
+        point.extend(theta.iter().zip(direction).map(|(t, d)| t + alpha * d));
+        self.gradient = self.pool.take(theta.len());
+    }
+
+    /// End the search on `probe`'s step.
+    fn accept(&mut self, probe: Probe) {
+        self.phase = Phase::Done(Some(LineSearchResult {
+            alpha: probe.alpha,
+            value: probe.value,
+            gradient: probe.gradient,
+            evals: self.evals,
+        }));
+    }
+}
+
 /// Find a step along descent direction `direction` from `theta` that
 /// satisfies the strong Wolfe conditions, with caller-owned probe
 /// buffers. The outcome has no step when none is found within the
 /// evaluation budget (e.g. for non-descent directions), and reports the
 /// evaluation count either way.
-#[allow(clippy::too_many_arguments)]
 pub fn strong_wolfe(
     objective: &dyn Objective,
     theta: &[f64],
@@ -118,186 +344,12 @@ pub fn strong_wolfe(
     params: &WolfeParams,
     scratch: &mut LineSearchScratch,
 ) -> SearchOutcome {
-    let slope0 = dot(grad0, direction);
-    if slope0 >= 0.0 || !slope0.is_finite() {
-        return SearchOutcome {
-            result: None,
-            evals: 0,
-        }; // Not a descent direction.
+    let mut search = WolfeSearch::new(theta, value0, grad0, direction, params, scratch);
+    while let Some((point, gradient)) = search.probe() {
+        let value = objective.value_grad_into(point, gradient);
+        search.tell(value, theta, direction);
     }
-    let dim = theta.len();
-    let evals = std::cell::Cell::new(0usize);
-    let probe = |alpha: f64, scratch: &mut LineSearchScratch| -> Probe {
-        let mut point = std::mem::take(&mut scratch.point);
-        point.clear();
-        point.extend(theta.iter().zip(direction).map(|(t, d)| t + alpha * d));
-        let mut gradient = scratch.take(dim);
-        let value = objective.value_grad_into(&point, &mut gradient);
-        scratch.point = point;
-        evals.set(evals.get() + 1);
-        let slope = dot(&gradient, direction);
-        Probe {
-            alpha,
-            value,
-            slope,
-            gradient,
-        }
-    };
-
-    // Algorithm 3.5: bracketing phase.
-    let mut prev = Probe {
-        alpha: 0.0,
-        value: value0,
-        slope: slope0,
-        gradient: {
-            let mut g = scratch.take(dim);
-            g.copy_from_slice(grad0);
-            g
-        },
-    };
-    let mut alpha = params.initial_step.min(params.max_step);
-    let mut bracket: Option<(Probe, Probe)> = None;
-    for i in 0.. {
-        if evals.get() >= params.max_evals {
-            scratch.recycle(prev.gradient);
-            return SearchOutcome {
-                result: None,
-                evals: evals.get(),
-            };
-        }
-        let cur = probe(alpha, scratch);
-        if !cur.value.is_finite() {
-            // Step overshot into a non-finite region: bisect downward.
-            alpha = 0.5 * (prev.alpha + alpha);
-            scratch.recycle(cur.gradient);
-            if alpha <= f64::MIN_POSITIVE {
-                scratch.recycle(prev.gradient);
-                return SearchOutcome {
-                    result: None,
-                    evals: evals.get(),
-                };
-            }
-            continue;
-        }
-        if cur.value > value0 + params.c1 * cur.alpha * slope0 || (i > 0 && cur.value >= prev.value)
-        {
-            bracket = Some((prev, cur));
-            break;
-        }
-        if cur.slope.abs() <= -params.c2 * slope0 {
-            scratch.recycle(prev.gradient);
-            return SearchOutcome {
-                result: Some(LineSearchResult {
-                    alpha: cur.alpha,
-                    value: cur.value,
-                    gradient: cur.gradient,
-                    evals: evals.get(),
-                }),
-                evals: evals.get(),
-            };
-        }
-        if cur.slope >= 0.0 {
-            bracket = Some((cur, prev));
-            break;
-        }
-        if cur.alpha >= params.max_step {
-            // Slope still negative at the cap: accept the capped step.
-            scratch.recycle(prev.gradient);
-            return SearchOutcome {
-                result: Some(LineSearchResult {
-                    alpha: cur.alpha,
-                    value: cur.value,
-                    gradient: cur.gradient,
-                    evals: evals.get(),
-                }),
-                evals: evals.get(),
-            };
-        }
-        alpha = (2.0 * cur.alpha).min(params.max_step);
-        scratch.recycle(std::mem::replace(&mut prev, cur).gradient);
-    }
-
-    // Algorithm 3.6: zoom phase. `lo` always has the lower value.
-    let (mut lo, mut hi) = bracket.expect("bracket set before break");
-    while evals.get() < params.max_evals {
-        // Quadratic interpolation with a bisection safeguard.
-        let mut trial = quadratic_interpolate(&lo, &hi);
-        let (lo_a, hi_a) = (lo.alpha.min(hi.alpha), lo.alpha.max(hi.alpha));
-        let width = hi_a - lo_a;
-        if !(trial.is_finite()) || trial <= lo_a + 0.1 * width || trial >= hi_a - 0.1 * width {
-            trial = 0.5 * (lo_a + hi_a);
-        }
-        if width < 1e-14 * (1.0 + lo_a) {
-            // Interval collapsed: accept the best point seen so far if it
-            // at least decreases the objective.
-            scratch.recycle(hi.gradient);
-            return if lo.value < value0 && lo.alpha > 0.0 {
-                SearchOutcome {
-                    result: Some(LineSearchResult {
-                        alpha: lo.alpha,
-                        value: lo.value,
-                        gradient: lo.gradient,
-                        evals: evals.get(),
-                    }),
-                    evals: evals.get(),
-                }
-            } else {
-                scratch.recycle(lo.gradient);
-                SearchOutcome {
-                    result: None,
-                    evals: evals.get(),
-                }
-            };
-        }
-        let cur = probe(trial, scratch);
-        if !cur.value.is_finite()
-            || cur.value > value0 + params.c1 * cur.alpha * slope0
-            || cur.value >= lo.value
-        {
-            scratch.recycle(std::mem::replace(&mut hi, cur).gradient);
-        } else {
-            if cur.slope.abs() <= -params.c2 * slope0 {
-                scratch.recycle(lo.gradient);
-                scratch.recycle(hi.gradient);
-                return SearchOutcome {
-                    result: Some(LineSearchResult {
-                        alpha: cur.alpha,
-                        value: cur.value,
-                        gradient: cur.gradient,
-                        evals: evals.get(),
-                    }),
-                    evals: evals.get(),
-                };
-            }
-            if cur.slope * (hi.alpha - lo.alpha) >= 0.0 {
-                // hi takes lo's state (gradient copied into hi's buffer).
-                hi.alpha = lo.alpha;
-                hi.value = lo.value;
-                hi.slope = lo.slope;
-                hi.gradient.copy_from_slice(&lo.gradient);
-            }
-            scratch.recycle(std::mem::replace(&mut lo, cur).gradient);
-        }
-    }
-    // Budget exhausted: fall back to the best decreasing point.
-    scratch.recycle(hi.gradient);
-    if lo.value < value0 && lo.alpha > 0.0 {
-        SearchOutcome {
-            result: Some(LineSearchResult {
-                alpha: lo.alpha,
-                value: lo.value,
-                gradient: lo.gradient,
-                evals: evals.get(),
-            }),
-            evals: evals.get(),
-        }
-    } else {
-        scratch.recycle(lo.gradient);
-        SearchOutcome {
-            result: None,
-            evals: evals.get(),
-        }
-    }
+    search.finish(scratch)
 }
 
 /// Minimizer of the quadratic through `(lo.alpha, lo.value, lo.slope)`
