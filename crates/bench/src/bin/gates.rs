@@ -1,5 +1,7 @@
-//! Wall-clock gates: each one times a baseline arm against a candidate
-//! arm on the shared [`paired_min_times`] loop and checks one bound.
+//! Timing gates: each one times a baseline arm against a candidate arm
+//! on the shared [`paired_min_times`] loop (wall clock) or its
+//! [`paired_min_cpu_times`] form (process CPU time) and checks one
+//! bound.
 //!
 //! | gate | baseline → candidate | bound | enforced in |
 //! |---|---|---|---|
@@ -7,7 +9,7 @@
 //! | sweep | looped `Session::train` → fused `Session::sweep` | speedup ≥ 1.0× | smoke |
 //! | pilot cache | cold query → cached-pilot hit | strictly faster | both |
 //! | durable ingest | in-memory pool → `SyncPolicy::OsManaged` pool | overhead ≤ 1.2× | both |
-//! | armed token | served query → the same query with a deadline | overhead ≤ 1.02× | full |
+//! | armed token | served query → the same query with a deadline, in process CPU time | overhead ≤ 1.02× | full |
 //!
 //! Every gate runs in both modes at that mode's shape; a gate outside
 //! its mode is printed but not enforced. Exactness is not checked here:
@@ -17,7 +19,7 @@
 //! Usage:
 //! `cargo run --release -p blinkml-bench --bin gates -- [mode=full|smoke] [seed=1]`
 
-use blinkml_bench::{fmt_duration, paired_min_times, BenchArgs, Table};
+use blinkml_bench::{fmt_duration, paired_min_cpu_times, paired_min_times, BenchArgs, Table};
 use blinkml_core::models::LogisticRegressionSpec;
 use blinkml_core::serve::{DatasetShard, Query, Server};
 use blinkml_core::testing::ScalarTrain;
@@ -237,7 +239,10 @@ fn armed_token(smoke: bool, seed: u64) -> Gate {
         server.query(q).unwrap()
     };
     let query = Query::new(1, 0.10, 0.05, 1_000);
-    let (baseline, candidate) = paired_min_times(
+    // The arms differ by a few clock reads, far under the bound's 2%,
+    // so they are timed in the CPU time the process spends on them,
+    // which leaves out the scheduling waits of a shared host.
+    let (baseline, candidate) = paired_min_cpu_times(
         if smoke { 3 } else { 41 },
         || serve(query),
         || serve(query.with_deadline(deadline)),

@@ -13,7 +13,7 @@ pub mod report;
 
 pub use args::BenchArgs;
 pub use combos::{ComboId, ComboRun};
-pub use report::{fmt_duration, paired_min_times, Table};
+pub use report::{fmt_duration, paired_min_cpu_times, paired_min_times, Table};
 
 /// The requested-accuracy sweep used by Figures 5 and 6 for Lin/LR/ME.
 pub const GLM_ACCURACY_SWEEP: &[f64] = &[0.80, 0.85, 0.90, 0.95, 0.96, 0.97, 0.98, 0.99];

@@ -79,20 +79,36 @@ impl Table {
 /// reported — the robust estimator for deterministic kernels, whose
 /// timing noise is strictly additive. (Separately-batched medians let a
 /// few ms of jitter read as a phantom regression on near-identical
-/// arms.) Every wall-clock gate in the `gates` binary runs on it.
+/// arms.) Every gate in the `gates` binary runs on it or on
+/// [`paired_min_cpu_times`].
 pub fn paired_min_times<A, B>(
+    reps: usize,
+    baseline: impl FnMut() -> A,
+    candidate: impl FnMut() -> B,
+) -> (Duration, Duration) {
+    paired_min_by(wall_time, reps, baseline, candidate)
+}
+
+/// [`paired_min_times`] on the process CPU clock: the CPU time all
+/// threads of the process spend on each arm, which leaves out the time
+/// a thread waits to be scheduled (a wake-up across threads, or a CPU
+/// the host gave to another machine).
+pub fn paired_min_cpu_times<A, B>(
+    reps: usize,
+    baseline: impl FnMut() -> A,
+    candidate: impl FnMut() -> B,
+) -> (Duration, Duration) {
+    paired_min_by(process_cpu_time, reps, baseline, candidate)
+}
+
+fn paired_min_by<A, B>(
+    measure: fn(&mut dyn FnMut()) -> Duration,
     reps: usize,
     mut baseline: impl FnMut() -> A,
     mut candidate: impl FnMut() -> B,
 ) -> (Duration, Duration) {
-    use std::time::Instant;
     let mut best_baseline = Duration::MAX;
     let mut best_candidate = Duration::MAX;
-    fn time_into(best: &mut Duration, f: &mut dyn FnMut()) {
-        let t = Instant::now();
-        f();
-        *best = (*best).min(t.elapsed());
-    }
     for rep in 0..reps.max(1) {
         let mut run_baseline = || {
             std::hint::black_box(baseline());
@@ -101,14 +117,51 @@ pub fn paired_min_times<A, B>(
             std::hint::black_box(candidate());
         };
         if rep % 2 == 0 {
-            time_into(&mut best_baseline, &mut run_baseline);
-            time_into(&mut best_candidate, &mut run_candidate);
+            best_baseline = best_baseline.min(measure(&mut run_baseline));
+            best_candidate = best_candidate.min(measure(&mut run_candidate));
         } else {
-            time_into(&mut best_candidate, &mut run_candidate);
-            time_into(&mut best_baseline, &mut run_baseline);
+            best_candidate = best_candidate.min(measure(&mut run_candidate));
+            best_baseline = best_baseline.min(measure(&mut run_baseline));
         }
     }
     (best_baseline, best_candidate)
+}
+
+fn wall_time(f: &mut dyn FnMut()) -> Duration {
+    let t = std::time::Instant::now();
+    f();
+    t.elapsed()
+}
+
+fn process_cpu_time(f: &mut dyn FnMut()) -> Duration {
+    let t = process_cpu();
+    f();
+    process_cpu().saturating_sub(t)
+}
+
+#[repr(C)]
+struct Timespec {
+    tv_sec: i64,
+    tv_nsec: i64,
+}
+
+extern "C" {
+    fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+}
+
+const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+
+/// CPU time consumed so far by all threads of this process.
+fn process_cpu() -> Duration {
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `ts` is a live, writable `struct timespec` (two 64-bit
+    // fields on 64-bit Linux) that `clock_gettime` only writes into.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "the process CPU clock exists on Linux");
+    Duration::new(ts.tv_sec as u64, ts.tv_nsec as u32)
 }
 
 /// Human-readable duration (`1.23 s` / `45.6 ms`).

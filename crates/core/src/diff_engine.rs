@@ -34,10 +34,13 @@
 //! soon as the draw's `v ≤ ε` verdict is settled.
 //!
 //! The **base** score matrix (of `θ_base`) depends on neither the draw
-//! pools nor the contract, so a [`HoldoutScorer`] computes it **once
-//! per coordinator run** and shares it (reference-counted) between the
-//! accuracy estimator's engine and the sample-size estimator's engine —
-//! previously the same spec/θ₀/holdout scores were constructed twice.
+//! pools nor the contract. A [`HoldoutScorer`] keeps `θ_base`'s margin
+//! block, and its first engine appends that block to the stacked pool
+//! table, so one GEMM yields the pool's scores and the base's together;
+//! the scorer keeps the base and shares it (reference-counted) with
+//! every later engine, so the accuracy estimator's engine and the
+//! sample-size search's engine score `θ_base` once between them and
+//! never in a pass of its own.
 
 use crate::mcs::{DrawScores, ModelClassSpec};
 use crate::stats::ModelStatistics;
@@ -45,7 +48,7 @@ use blinkml_data::parallel::par_ranges;
 use blinkml_data::{Dataset, FeatureVec};
 use blinkml_linalg::Matrix;
 use blinkml_prob::{rng_from_seed, MvnSampler};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Precomputed state for repeated difference evaluations over pooled
 /// parameter draws.
@@ -76,15 +79,16 @@ enum Mode<'a> {
     },
 }
 
-/// The holdout scores of one base parameter vector, computed once and
-/// shared by every [`DiffEngine`] derived from the scorer.
-struct BaseScores {
-    outputs: usize,
+/// The base parameter's margin block and its holdout scores, which the
+/// scorer's first engine computes in its pool GEMM and every later
+/// engine shares.
+struct BaseBlock {
+    weights: Matrix,
     rms: bool,
-    scores: Arc<Vec<f64>>,
+    scores: OnceLock<Arc<Vec<f64>>>,
 }
 
-/// Per-run holdout scoring state: spec + holdout + base parameters with
+/// Per-run holdout scoring state: spec + holdout + base parameters, with
 /// the base score matrix built **once**. Both estimators derive their
 /// [`DiffEngine`]s from one scorer ([`HoldoutScorer::engine`]), so the
 /// ε₀ estimate and the sample-size search share the θ₀ scores instead
@@ -93,18 +97,19 @@ pub struct HoldoutScorer<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> {
     spec: &'a S,
     holdout: &'a Dataset<F>,
     theta_base: &'a [f64],
-    base: Option<BaseScores>,
+    base: Option<BaseBlock>,
 }
 
 impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> HoldoutScorer<'a, F, S> {
-    /// Score `theta_base` over the holdout set (one fused GEMM for
-    /// margin specs, nothing for generic specs).
+    /// Take `theta_base`'s margin block (nothing for generic specs); its
+    /// scores are computed by the first [`HoldoutScorer::engine`].
     pub fn new(spec: &'a S, holdout: &'a Dataset<F>, theta_base: &'a [f64]) -> Self {
-        let base = checked_margin_weights(spec, theta_base, holdout.dim()).map(|wb| BaseScores {
-            outputs: wb.cols(),
-            rms: spec.diff_is_rms(),
-            scores: Arc::new(batched_scores(holdout, &wb, wb.cols())),
-        });
+        let base =
+            checked_margin_weights(spec, theta_base, holdout.dim()).map(|weights| BaseBlock {
+                weights,
+                rms: spec.diff_is_rms(),
+                scores: OnceLock::new(),
+            });
         HoldoutScorer {
             spec,
             holdout,
@@ -113,69 +118,20 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> HoldoutScorer<'a, F, S> {
         }
     }
 
-    /// Score a whole grid of `(spec, θ_base)` pairs over one holdout set
-    /// with **one** fused GEMM: the margin blocks of every pair are
-    /// stacked horizontally and streamed through `batched_scores`
-    /// together, so a λ-sweep's K base score matrices cost one pass over
-    /// the holdout design matrix instead of K.
-    ///
-    /// Bit-exactness: `batched_scores` computes each output column
-    /// independently of how many blocks are stacked beside it, so every
-    /// returned scorer is **bit-identical** to `HoldoutScorer::new(spec,
-    /// holdout, theta)` for its pair. Pairs whose specs expose no margin
-    /// block (or disagree on the output count) fall back to per-pair
-    /// construction — identical results, just without the fusion.
-    ///
-    /// Each scorer gets its own copy of its `h × outputs` slice of the
-    /// stacked result rather than a shared buffer and an offset: a base
-    /// matrix is one column block of the stack, so the copy is cheap,
-    /// and every scorer keeps the one representation `new` builds.
-    pub fn new_many(holdout: &'a Dataset<F>, entries: &[(&'a S, &'a [f64])]) -> Vec<Self> {
-        let dim = holdout.dim();
-        let blocks: Option<Vec<Matrix>> = entries
-            .iter()
-            .map(|(spec, theta)| checked_margin_weights(*spec, theta, dim))
-            .collect();
-        let outputs = blocks
-            .as_ref()
-            .and_then(|b| b.first())
-            .map_or(0, Matrix::cols);
-        let Some(blocks) =
-            blocks.filter(|b| !b.is_empty() && b.iter().all(|w| w.cols() == outputs))
-        else {
-            return entries
-                .iter()
-                .map(|(spec, theta)| HoldoutScorer::new(*spec, holdout, theta))
-                .collect();
-        };
-        let scores = batched_scores(holdout, &Matrix::hstack(&blocks), outputs);
-        let stride = holdout.len() * outputs;
-        entries
-            .iter()
-            .enumerate()
-            .map(|(k, (spec, theta))| HoldoutScorer {
-                spec: *spec,
-                holdout,
-                theta_base: theta,
-                base: Some(BaseScores {
-                    outputs,
-                    rms: spec.diff_is_rms(),
-                    scores: Arc::new(scores[k * stride..(k + 1) * stride].to_vec()),
-                }),
-            })
-            .collect()
-    }
-
     /// Number of score outputs (None for generic specs).
     pub fn outputs(&self) -> Option<usize> {
-        self.base.as_ref().map(|b| b.outputs)
+        self.base.as_ref().map(|b| b.weights.cols())
     }
 
-    /// Derive an engine for the given perturbation pools, reusing the
-    /// base scores. Pools are scored exactly as [`DiffEngine::new`]
-    /// scores them (same GEMM kernels, same chunking), so engines built
-    /// here are bit-identical to standalone engines. The engine keeps
-    /// no borrow of the pools: margin engines keep their scores, generic
+    /// Derive an engine for the given perturbation pools. The first
+    /// engine appends the base's margin block to the stacked pool blocks,
+    /// so one [`batched_scores`] GEMM scores the pools and the base; it
+    /// splits the base's matrix off the end of the result and the scorer
+    /// keeps it for every later engine. `batched_scores` computes each
+    /// column independently of the blocks beside it, so every score
+    /// carries the bits of a GEMM of its block alone, and engines built
+    /// here are bit-identical to standalone engines. The engine keeps no
+    /// borrow of the pools: margin engines keep their scores, generic
     /// engines a copy of the pools.
     ///
     /// # Panics
@@ -185,25 +141,34 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> HoldoutScorer<'a, F, S> {
         let mode = match &self.base {
             Some(b) => {
                 let dim = self.holdout.dim();
-                let blocks: Vec<Matrix> = pool_u
+                let outputs = b.weights.cols();
+                let mut blocks: Vec<Matrix> = pool_u
                     .iter()
                     .chain(pool_w)
                     .map(|t| {
                         let wb = checked_margin_weights(self.spec, t, dim)
                             .expect("margin_weights must be Some for every parameter vector");
-                        assert_eq!(wb.cols(), b.outputs, "margin block width changed with θ");
+                        assert_eq!(wb.cols(), outputs, "margin block width changed with θ");
                         wb
                     })
                     .collect();
-                let pool = if blocks.is_empty() {
+                let cached = b.scores.get().cloned();
+                if cached.is_none() {
+                    blocks.push(b.weights.clone());
+                }
+                let mut pool = if blocks.is_empty() {
                     Vec::new()
                 } else {
-                    batched_scores(self.holdout, &Matrix::hstack(&blocks), b.outputs)
+                    batched_scores(self.holdout, &Matrix::hstack(&blocks), outputs)
                 };
+                let base = cached.unwrap_or_else(|| {
+                    let scores = pool.split_off(pool.len() - self.holdout.len() * outputs);
+                    Arc::clone(b.scores.get_or_init(|| Arc::new(scores)))
+                });
                 Mode::Margins {
-                    outputs: b.outputs,
+                    outputs,
                     rms: b.rms,
-                    base: Arc::clone(&b.scores),
+                    base,
                     pool,
                     draws: pool_u.len(),
                 }
@@ -266,9 +231,10 @@ fn sub_block_rows(cols: usize) -> usize {
 /// L1-sized sub-blocks ([`sub_block_rows`]): every row of one reused
 /// buffer is seeded with the offset row `b` ([`seed_rows`]), one
 /// [`FeatureVec::add_rows_times_table`] call per sub-block adds the
-/// weight rows (dense rows run the 4-row × 8-column register tile of
-/// `blinkml_linalg::simd::rows_times_table`, sparse rows run
-/// `sparse_row_times_table` one at a time), then each parameter's
+/// weight rows (dense rows run the 4-row register tiles of
+/// `blinkml_linalg::simd::rows_times_table`, 16 columns wide under
+/// AVX-512 and 8 under AVX, sparse rows run `sparse_row_times_table`
+/// one at a time), then each parameter's
 /// `rows × outputs` slice is copied into its run of the chunk's
 /// parameter-major block. Every score is its offset plus its row's
 /// nonzero terms in ascending feature order, whatever the tiling or the
@@ -705,96 +671,106 @@ mod tests {
         }
     }
 
-    /// `new_many` over `specs` (one θ₀ each) gives scorers whose base
-    /// scores and engine diffs equal those of individually built ones.
-    fn assert_new_many_matches<F, S>(specs: &[S], holdout: &Dataset<F>, dim: usize)
+    /// The base scores a margin engine serves and its pool scores.
+    fn margin_scores<'e, F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
+        engine: &'e DiffEngine<'_, F, S>,
+    ) -> (&'e Arc<Vec<f64>>, &'e [f64]) {
+        match &engine.mode {
+            Mode::Margins { base, pool, .. } => (base, pool),
+            Mode::Generic { .. } => panic!("margin spec built a generic engine"),
+        }
+    }
+
+    fn bits(scores: &[f64]) -> Vec<u64> {
+        scores.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// For each first engine — `pool_w` empty, both pools, no draws —
+    /// the base it serves is bitwise `batched_scores` of θ₀'s block
+    /// alone, its pool scores are bitwise `batched_scores` of the pool
+    /// blocks alone, and a second engine reuses that base.
+    fn assert_stacked_base_is_solo_gemm<F, S>(spec: &S, holdout: &Dataset<F>, theta: &[f64])
     where
         F: FeatureVec,
         S: ModelClassSpec<F>,
     {
-        let thetas = wave_pool(specs.len(), dim, 0.31);
+        let dim = theta.len();
+        let data_dim = holdout.dim();
+        let base_block = checked_margin_weights(spec, theta, data_dim).expect("margin spec");
+        let outputs = base_block.cols();
+        let want_base = bits(&batched_scores(holdout, &base_block, outputs));
+        let solo_pool = |u: &[Vec<f64>], w: &[Vec<f64>]| -> Vec<u64> {
+            let blocks: Vec<Matrix> = u
+                .iter()
+                .chain(w)
+                .map(|t| checked_margin_weights(spec, t, data_dim).expect("margin spec"))
+                .collect();
+            if blocks.is_empty() {
+                return Vec::new();
+            }
+            bits(&batched_scores(holdout, &Matrix::hstack(&blocks), outputs))
+        };
         let pool_u = wave_pool(3, dim, 0.17);
         let pool_w = wave_pool(3, dim, 0.53);
-        let entries: Vec<(&S, &[f64])> = specs
-            .iter()
-            .zip(&thetas)
-            .map(|(s, t)| (s, t.as_slice()))
-            .collect();
-        let many = HoldoutScorer::new_many(holdout, &entries);
-        assert_eq!(many.len(), specs.len());
-        for ((scorer, spec), theta) in many.iter().zip(specs).zip(&thetas) {
-            let solo = HoldoutScorer::new(spec, holdout, theta);
-            let bits = |s: &HoldoutScorer<'_, F, S>| -> Vec<u64> {
-                let base = s.base.as_ref().expect("margin spec");
-                base.scores.iter().map(|v| v.to_bits()).collect()
-            };
-            assert_eq!(bits(scorer), bits(&solo), "{}: base scores", spec.name());
-            let fast = scorer.engine(&pool_u, &pool_w);
-            let slow = solo.engine(&pool_u, &pool_w);
-            for i in 0..3 {
-                for scale in [0.0, 0.4, 1.0] {
-                    assert_eq!(
-                        fast.diff_one_stage(i, scale).to_bits(),
-                        slow.diff_one_stage(i, scale).to_bits()
-                    );
-                    assert_eq!(
-                        fast.diff_two_stage(i, scale, 0.6).to_bits(),
-                        slow.diff_two_stage(i, scale, 0.6).to_bits()
-                    );
-                }
-            }
+        for (u, w) in [(3, 0), (3, 3), (0, 0)] {
+            let (u, w) = (&pool_u[..u], &pool_w[..w]);
+            let tag = format!(
+                "{}: h = {}, first engine {}+{} draws",
+                spec.name(),
+                holdout.len(),
+                u.len(),
+                w.len()
+            );
+            let scorer = HoldoutScorer::new(spec, holdout, theta);
+            let first = scorer.engine(u, w);
+            let (base, pool) = margin_scores(&first);
+            assert_eq!(bits(base), want_base, "{tag}: base");
+            assert_eq!(bits(pool), solo_pool(u, w), "{tag}: pool");
+            let second = scorer.engine(&pool_u, &pool_w);
+            let (reused, pool) = margin_scores(&second);
+            assert!(
+                Arc::ptr_eq(base, reused),
+                "{tag}: second engine rescored the base"
+            );
+            assert_eq!(
+                bits(pool),
+                solo_pool(&pool_u, &pool_w),
+                "{tag}: second pool"
+            );
         }
     }
 
-    /// One stacked GEMM serving a grid of `(spec, θ₀)` pairs must yield
-    /// scorers bit-identical to independently built ones — the sweep
-    /// engine's shared-scorer construction cannot move a bit.
+    /// The base rides in the first engine's GEMM and lands bit-equal to
+    /// a GEMM of its block alone: one chunk and several at budgets
+    /// {1, 4}, logistic with and without an intercept, Poisson with an
+    /// intercept (dense and sparse), and sparse max-entropy.
     #[test]
-    fn new_many_matches_individual_scorers_bitwise() {
+    fn stacked_base_matches_solo_base_gemm_bitwise() {
         use crate::models::maxent::MaxEntSpec;
         use crate::models::poisson::PoissonRegressionSpec;
         use blinkml_data::parallel::{set_max_threads, CHUNK_SIZE};
         let _budget = blinkml_linalg::testing::budget_lock();
-        let betas = [0.0, 1e-3, 0.5];
-        let logistic: Vec<LogisticRegressionSpec> = betas
-            .iter()
-            .map(|&b| LogisticRegressionSpec::new(b))
-            .collect();
-        let maxent: Vec<MaxEntSpec> = betas.iter().map(|&b| MaxEntSpec::new(b, 5)).collect();
-        // Intercept specs score through the same stack, offset row seeded.
-        let logistic_b: Vec<LogisticRegressionSpec> = betas
-            .iter()
-            .map(|&b| LogisticRegressionSpec::with_intercept(b))
-            .collect();
-        let poisson_b: Vec<PoissonRegressionSpec> = betas
-            .iter()
-            .map(|&b| PoissonRegressionSpec::with_intercept(b))
-            .collect();
+        let logistic = LogisticRegressionSpec::new(1e-3);
+        let logistic_b = LogisticRegressionSpec::with_intercept(1e-3);
+        let poisson_b = PoissonRegressionSpec::with_intercept(1e-3);
+        let maxent = MaxEntSpec::new(1e-3, 5);
+        let theta = |dim: usize| wave_pool(1, dim, 0.31).remove(0);
         let (holdout, _) = synthetic_logistic(350, 4, 2.0, 21);
-        assert_new_many_matches(&logistic, &holdout, 4);
-        assert_new_many_matches(&logistic_b, &holdout, 5);
-        assert_new_many_matches(&poisson_b, &holdout, 5);
+        assert_stacked_base_is_solo_gemm(&logistic, &holdout, &theta(4));
+        assert_stacked_base_is_solo_gemm(&logistic_b, &holdout, &theta(5));
+        assert_stacked_base_is_solo_gemm(&poisson_b, &holdout, &theta(5));
 
         let (tall, _) = synthetic_logistic(CHUNK_SIZE + 37, 12, 2.0, 22);
         let sparse = blinkml_data::generators::yelp_like(CHUNK_SIZE + 300, 60, 23);
-        let maxent_dim = ModelClassSpec::<blinkml_data::SparseVec>::param_dim(&maxent[0], 60);
+        let maxent_dim = ModelClassSpec::<blinkml_data::SparseVec>::param_dim(&maxent, 60);
         for budget in [1, 4] {
             set_max_threads(Some(budget));
-            assert_new_many_matches(&logistic, &tall, 12);
-            assert_new_many_matches(&logistic_b, &tall, 13);
-            assert_new_many_matches(&poisson_b, &sparse, 61);
-            assert_new_many_matches(&maxent, &sparse, maxent_dim);
+            assert_stacked_base_is_solo_gemm(&logistic, &tall, &theta(12));
+            assert_stacked_base_is_solo_gemm(&logistic_b, &tall, &theta(13));
+            assert_stacked_base_is_solo_gemm(&poisson_b, &sparse, &theta(61));
+            assert_stacked_base_is_solo_gemm(&maxent, &sparse, &theta(maxent_dim));
         }
         set_max_threads(None);
-
-        // Generic specs (no margin weights) fall back per pair.
-        let g_holdout = low_rank_gaussian(40, 4, 2, 0.2, 7);
-        let g_spec = PpcaSpec::new(2);
-        let g_theta: Vec<f64> = (0..9).map(|i| 0.2 + 0.1 * i as f64).collect();
-        let g_entries: Vec<(&PpcaSpec, &[f64])> = vec![(&g_spec, &g_theta), (&g_spec, &g_theta)];
-        let g_many = HoldoutScorer::new_many(&g_holdout, &g_entries);
-        assert_eq!(g_many.len(), 2);
-        assert!(g_many[0].outputs().is_none());
     }
 
     /// The layout `batched_scores` had before it wrote parameter-major

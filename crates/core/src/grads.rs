@@ -13,11 +13,12 @@
 //! is shared by all rows; [`Grads::Sparse`] keeps that structure so the
 //! three operations stay `O(nnz)` instead of `O(n·D)`.
 //!
-//! The sparse Gram is a scatter-gather: row `i` is scattered once into a
-//! dense `D`-length buffer, and every row `j ≥ i` is gathered against it
-//! in ascending index order. Each entry is bitwise the merge-join of the
-//! two rows for finite values (see [`Grads::gram`]), which the unit
-//! tests pin with `to_bits` against the merge-join oracle.
+//! The sparse Gram is a scatter-gather: rows are scattered eight at a
+//! time into a lane-major `D × 8` buffer, and every later row `j` is
+//! gathered once against all eight lanes in ascending index order. Each
+//! entry is bitwise the merge-join of the two rows for finite values
+//! (see [`Grads::gram`]), which the unit tests pin with `to_bits`
+//! against the merge-join oracle.
 
 use blinkml_data::parallel::{par_fill_slice, par_map_reduce_matrix, par_ranges, par_sum_vecs};
 use blinkml_data::{FeatureVec, SparseVec};
@@ -29,6 +30,10 @@ use blinkml_linalg::Matrix;
 /// Draws per group in the sparse [`Grads::t_apply_rows`]: one 64-byte
 /// accumulator line per parameter.
 const DRAW_LANES: usize = 8;
+
+/// Rows per group in the sparse [`Grads::gram`]: one 64-byte line of the
+/// scatter buffer per parameter.
+const GRAM_LANES: usize = 8;
 
 /// The per-example gradient list in one of two layouts.
 #[derive(Debug, Clone)]
@@ -111,14 +116,16 @@ impl Grads {
     /// computed row-chunk-parallel over the upper triangle.
     ///
     /// The sparse layout computes `s_i·s_j` by scatter-gather: each chunk
-    /// scatters row `i` into one `D`-length dense buffer, walks every row
-    /// `j ≥ i` in ascending index order adding `dense[k]·v` to an
-    /// accumulator that starts at `+0.0`, then clears the buffer through
-    /// row `i`'s own indices. The matched products are added in the same
-    /// ascending order as a merge-join of the two rows, and an unmatched
-    /// index adds `±0.0`, which leaves an accumulator that can never be
-    /// `−0.0` unchanged. So for finite rows every entry is bitwise the
-    /// merge-join's, for any thread count.
+    /// scatters a group of eight rows `i` into the lanes of one lane-major
+    /// `D × 8` buffer, walks every row `j` from the group's first once in
+    /// ascending index order, adding `lane[k]·v` to each lane's
+    /// accumulator (eight independent chains, each starting at `+0.0`),
+    /// stores the entries with `j ≥ i`, then clears the buffer through
+    /// the group's own indices. Each entry adds its matched products in
+    /// the same ascending order as a merge-join of the two rows, and an
+    /// unmatched index adds `±0.0`, which leaves an accumulator that can
+    /// never be `−0.0` unchanged. So for finite rows every entry is
+    /// bitwise the merge-join's, for any thread count.
     ///
     /// # Panics
     /// Panics if a sparse row's dimension differs from the shift's.
@@ -149,21 +156,30 @@ impl Grads {
                 .flatten()
                 .collect();
                 par_symmetric(n, |chunk, block| {
-                    let mut dense = vec![0.0; d];
-                    for (i, out) in chunk.zip(block.chunks_exact_mut(n)) {
-                        let (idx, val) = (rows[i].indices(), rows[i].values());
-                        for (&k, &v) in idx.iter().zip(val) {
-                            dense[k as usize] = v;
-                        }
-                        for (j, o) in out.iter_mut().enumerate().skip(i) {
-                            let mut s = 0.0;
-                            for (&k, &v) in rows[j].indices().iter().zip(rows[j].values()) {
-                                s += dense[k as usize] * v;
+                    let mut lanes = vec![[0.0; GRAM_LANES]; d];
+                    for first in chunk.clone().step_by(GRAM_LANES) {
+                        let group = first..(first + GRAM_LANES).min(chunk.end);
+                        for (l, i) in group.clone().enumerate() {
+                            for (&k, &v) in rows[i].indices().iter().zip(rows[i].values()) {
+                                lanes[k as usize][l] = v;
                             }
-                            *o = (s + s_dot_c[i] + s_dot_c[j] + c_dot_c) * scale;
                         }
-                        for &k in idx {
-                            dense[k as usize] = 0.0;
+                        for j in first..n {
+                            let mut s = [0.0; GRAM_LANES];
+                            for (&k, &v) in rows[j].indices().iter().zip(rows[j].values()) {
+                                for (acc, &x) in s.iter_mut().zip(&lanes[k as usize]) {
+                                    *acc += x * v;
+                                }
+                            }
+                            for (l, i) in group.clone().enumerate().take_while(|&(_, i)| i <= j) {
+                                block[(i - chunk.start) * n + j] =
+                                    (s[l] + s_dot_c[i] + s_dot_c[j] + c_dot_c) * scale;
+                            }
+                        }
+                        for i in group {
+                            for &k in rows[i].indices() {
+                                lanes[k as usize] = [0.0; GRAM_LANES];
+                            }
                         }
                     }
                 })
@@ -673,9 +689,10 @@ mod tests {
 
     #[test]
     fn sparse_gram_is_bitwise_merge_join_oracle() {
-        // n crosses the 64-row chunk of `par_symmetric` on both sides.
+        // n crosses the 8-row group and the 64-row chunk of
+        // `par_symmetric` on both sides, with partial groups at the tails.
         let d = 37;
-        for n in [0, 1, 2, 63, 64, 65, 130] {
+        for n in [0, 1, 2, 7, 8, 9, 63, 64, 65, 71, 72, 73, 130] {
             for zero_shift in [true, false] {
                 let shift: Vec<f64> = (0..d)
                     .map(|k| {

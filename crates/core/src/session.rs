@@ -142,10 +142,9 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
 
     /// Evaluate an L2-regularization grid under one `(ε, δ)` contract
     /// with the fused sweep engine: every λ trains over the same pilot
-    /// capture, the same stacked holdout scorer pass, and the same
-    /// nested final capture, with per-probe objective evaluations
-    /// batched across live grid points (one fused pass over the data
-    /// per optimizer round instead of one per λ).
+    /// capture and the same nested final capture, with per-probe
+    /// objective evaluations batched across live grid points (one fused
+    /// pass over the data per optimizer round instead of one per λ).
     ///
     /// Results come back in `lambdas` order, each **bit-identical** to
     /// an independent [`Session::train`] on a spec carrying that λ

@@ -24,9 +24,11 @@
 //!   `MatrixView::value_grad_fold_multi`). A spec without its own
 //!   multi-λ kernel runs the trait's default, one `value_grad` per
 //!   probe, and still shares every other stage below,
-//! * **one scorer pass** — the K holdout base score matrices behind the
-//!   ε₀ estimates and sample-size searches are built by one stacked GEMM
-//!   ([`HoldoutScorer::new_many`]),
+//! * **no base pass** — each λ's holdout base scores, behind its ε₀
+//!   estimate and its sample-size search, ride as one more column block
+//!   in the GEMM that scores its ε₀ draw pool
+//!   ([`HoldoutScorer::engine`]), so no λ scores its θ₀ in a pass of
+//!   its own,
 //! * **one final capture** — deterministic subsampling is *nested*
 //!   (the size-`n` sample is a prefix of the size-`n'` sample for
 //!   `n ≤ n'`, same seed), so one capture of the largest chosen sample
@@ -37,9 +39,8 @@
 //! identical to an independent [`Session::train`](crate::Session) run
 //! on a spec with that λ. This holds because every fused kernel in
 //! the chain is bit-identical to its per-λ form: the multi-λ objective
-//! to [`ModelClassSpec::value_grad`] over a prefix view, the
-//! stacked scorer GEMM to per-λ scorers, and prefix views to captures
-//! of the per-λ samples. The round loop only *batches* probe
+//! to [`ModelClassSpec::value_grad`] over a prefix view, and prefix
+//! views to captures of the per-λ samples. The round loop only *batches* probe
 //! evaluations; it never mixes state between grid points, so each λ's
 //! optimizer trajectory is exactly the trajectory of a solo solve: each
 //! final fit warm-starts from its own pilot θ₀ over its own sample
@@ -147,8 +148,8 @@ fn lockstep_fits<F: FeatureVec>(
 /// The sweep engine behind [`Session::sweep`](crate::Session) and the
 /// serving layer: validate the λ grid, instantiate one spec per λ, then
 /// run the fused shared-substrate workflow — one pilot capture, lockstep
-/// pilot fits, per-λ statistics, one stacked scorer GEMM, per-λ
-/// decisions, one nested final capture, and lockstep final fits. Every
+/// pilot fits, per-λ statistics, per-λ decisions, one nested final
+/// capture, and lockstep final fits. Every
 /// grid point shares the `(ε, δ)` contract in `config` and the `seed`,
 /// so grid points share their pilot and final samples; results come
 /// back in `lambdas` order. `scratch` holds the objective buffers; a
@@ -289,24 +290,21 @@ pub(crate) fn run_sweep<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
         return Ok(assemble(pilots, finals, decisions, &phases));
     }
 
-    // Stage 2: one stacked GEMM for all K base score matrices, then the
-    // per-λ decision stage (ε₀ estimate + sample-size search).
+    // Stage 2: the per-λ decision stage (ε₀ estimate + sample-size
+    // search), each against its own scorer, whose θ₀ scores ride in its
+    // ε₀ accuracy GEMM. Per point: `(ε₀, Some((n, probes)))` when the
+    // contract needs a final model on `n` rows, `(ε₀, None)` when the
+    // pilot satisfies it.
     let t = Instant::now();
-    let entries: Vec<(&dyn ModelClassSpec<F>, &[f64])> = specs
+    let unbounded = RunControl::unbounded();
+    let decisions: Vec<(f64, Option<(usize, usize)>)> = specs
         .iter()
         .zip(&pilots)
-        .map(|(s, m)| (s.as_ref(), m.parameters()))
-        .collect();
-    let scorers = HoldoutScorer::new_many(holdout, &entries);
-    // Per point: `(ε₀, Some((n, probes)))` when the contract needs a
-    // final model on `n` rows, `(ε₀, None)` when the pilot satisfies it.
-    let unbounded = RunControl::unbounded();
-    let decisions: Vec<(f64, Option<(usize, usize)>)> = scorers
-        .iter()
         .zip(&stats)
-        .map(|(scorer, st)| {
+        .map(|((spec, pilot), st)| {
             let st = st.as_ref().expect("statistics computed when n0 < N");
-            match decide_controlled(config, scorer, st, n0, full_n, seed, &unbounded) {
+            let scorer = HoldoutScorer::new(spec.as_ref(), holdout, pilot.parameters());
+            match decide_controlled(config, &scorer, st, n0, full_n, seed, &unbounded) {
                 ControlledDecision::InitialSatisfies { eps0 } => (eps0, None),
                 ControlledDecision::Train {
                     eps0, n, probes, ..
@@ -317,8 +315,6 @@ pub(crate) fn run_sweep<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
             }
         })
         .collect();
-    drop(scorers);
-    drop(entries);
     phases.sample_size_search = t.elapsed();
 
     // Stage 3: final models for the grid points whose contract needs
@@ -470,6 +466,11 @@ mod tests {
         }
         assert_eq!(p.outcome.model.iterations, solo.model.iterations, "{tag}");
         assert_eq!(p.outcome.model.converged, solo.model.converged, "{tag}");
+        assert_eq!(
+            p.outcome.model.objective_value.to_bits(),
+            solo.model.objective_value.to_bits(),
+            "{tag}: objective value"
+        );
     }
 
     /// The fused sweep must be bit-identical, per grid point, to looped

@@ -72,6 +72,11 @@ fn assert_outcome_bitwise(context: &str, sweep: &TrainingOutcome, solo: &Trainin
         sweep.model.converged, solo.model.converged,
         "{context}: convergence flag"
     );
+    assert_eq!(
+        sweep.model.objective_value.to_bits(),
+        solo.model.objective_value.to_bits(),
+        "{context}: objective value"
+    );
 }
 
 /// The core check: one fused sweep vs per-λ independent sessions,
@@ -275,9 +280,9 @@ fn wide_packed_final_matrix() {
 }
 
 /// Logistic regression with an intercept: every grid point's base
-/// scores come out of the sweep's one stacked holdout GEMM (the offset
-/// row carries `θ_b`), and each point must stay bit-identical to its
-/// solo run, descending and shuffled, at budgets {1, 4}.
+/// scores ride in its own accuracy GEMM (the offset row carries `θ_b`),
+/// and each point must stay bit-identical to its solo run, descending
+/// and shuffled, at budgets {1, 4}.
 #[test]
 fn intercept_logistic_matrix() {
     let (data, _) = synthetic_logistic(6_000, 5, 2.0, 85);

@@ -50,12 +50,18 @@
 //!   it never turns `-0.0` into `+0.0` or meets an infinite table entry.
 //!   The AVX bodies hold a 4-row × 8-column (dense) or 16-column
 //!   (sparse) tile of outputs in registers across the whole table
-//!   height; row and column tails keep the same per-output order.
+//!   height; row and column tails keep the same per-output order. On a
+//!   host with AVX-512F, dense tables of 8 or more columns run an
+//!   AVX-512 body instead: a 4-row × 16-column tile in eight `__m512d`
+//!   accumulators, then an 8-column tile, with the last `width % 8`
+//!   columns through the AVX 4-column tile and single columns.
 //!
-//! The AVX paths execute the same IEEE multiply/add DAG as the scalar
-//! fallbacks (no FMA contraction), so results do not depend on which
-//! path the runtime dispatch picks; a machine without AVX produces the
-//! same bits, only slower. Unit tests pin both properties.
+//! The AVX and AVX-512 paths execute the same IEEE multiply/add DAG as
+//! the scalar fallbacks (no FMA contraction), so results do not depend
+//! on which path the runtime dispatch picks; a machine without AVX
+//! produces the same bits, only slower. Unit tests pin both properties,
+//! and call each body the host can run directly, so an AVX-512 host
+//! still pins the AVX body.
 
 use crate::vector::dot;
 
@@ -222,11 +228,17 @@ pub fn rows_times_table(rows: &[&[f64]], table: &[f64], width: usize, out: &mut 
         );
     }
     #[cfg(target_arch = "x86_64")]
+    if width >= 8 && is_x86_feature_detected!("avx512f") {
+        // SAFETY: AVX-512F (and with it AVX) presence just checked; every
+        // row spans the table's height and `out` holds `rows.len()` rows
+        // of `width` (asserted above).
+        unsafe { rows_times_table_avx::<true>(rows, table, width, out) };
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
     if width >= 4 && is_x86_feature_detected!("avx") {
-        // SAFETY: AVX presence just checked; every row spans the table's
-        // height and `out` holds `rows.len()` rows of `width` (asserted
-        // above).
-        unsafe { rows_times_table_avx(rows, table, width, out) };
+        // SAFETY: as above, with AVX presence just checked.
+        unsafe { rows_times_table_avx::<false>(rows, table, width, out) };
         return;
     }
     rows_times_table_fallback(rows, table, width, out);
@@ -1004,43 +1016,71 @@ unsafe fn wsum_tile<const Q: usize>(
     }
 }
 
-/// AVX [`rows_times_table`]: blocks of four rows through 4 × 8 register
-/// tiles, then the last `rows.len() % 4` rows one at a time. A block
-/// with no zero entry runs without the per-term zero tests.
+/// AVX [`rows_times_table`]: blocks of four rows, then the last
+/// `rows.len() % 4` rows one at a time, through the AVX-512 tiles of
+/// [`rows_tile_avx512`] when `WIDE` and the AVX tiles of [`rows_tile`]
+/// otherwise.
+///
+/// # Safety
+/// The CPU must support AVX, and AVX-512F when `WIDE`, and the shapes
+/// must satisfy the asserts of [`rows_times_table`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn rows_times_table_avx(rows: &[&[f64]], table: &[f64], width: usize, out: &mut [f64]) {
+unsafe fn rows_times_table_avx<const WIDE: bool>(
+    rows: &[&[f64]],
+    table: &[f64],
+    width: usize,
+    out: &mut [f64],
+) {
     let mut r = 0;
     while r + 4 <= rows.len() {
         let block = [rows[r], rows[r + 1], rows[r + 2], rows[r + 3]];
-        let out = &mut out[r * width..(r + 4) * width];
-        if block.iter().any(|row| row.contains(&0.0)) {
-            rows_tile::<4, true>(block, table, width, out);
-        } else {
-            rows_tile::<4, false>(block, table, width, out);
-        }
+        table_tile::<4, WIDE>(block, table, width, &mut out[r * width..(r + 4) * width]);
         r += 4;
     }
     for (row, out) in rows[r..]
         .iter()
         .zip(out[r * width..].chunks_exact_mut(width))
     {
-        if row.contains(&0.0) {
-            rows_tile::<1, true>([row], table, width, out);
-        } else {
-            rows_tile::<1, false>([row], table, width, out);
-        }
+        table_tile::<1, WIDE>([row], table, width, out);
     }
 }
 
-/// `R` rows of [`rows_times_table_avx`]: 8-column tiles (two `__m256d`
-/// accumulators per row, one table load shared by the `R` rows), then a
-/// 4-column tile, then single columns. Every output starts from its `out`
-/// value and adds `x·t` in ascending `i`, skipping zero `x` when `SKIP`
-/// (callers pass `false` only for rows without zeros).
+/// One `R`-row tile of [`rows_times_table_avx`]: rows with no zero
+/// entry run without the per-term zero tests.
+///
+/// # Safety
+/// As for [`rows_times_table_avx`], with `out` holding `R` rows.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn rows_tile<const R: usize, const SKIP: bool>(
+unsafe fn table_tile<const R: usize, const WIDE: bool>(
+    rows: [&[f64]; R],
+    table: &[f64],
+    width: usize,
+    out: &mut [f64],
+) {
+    let skip = rows.iter().any(|row| row.contains(&0.0));
+    match (WIDE, skip) {
+        (true, true) => rows_tile_avx512::<R, true>(rows, table, width, out),
+        (true, false) => rows_tile_avx512::<R, false>(rows, table, width, out),
+        (false, true) => rows_tile::<R, true>(rows, table, width, out, 0),
+        (false, false) => rows_tile::<R, false>(rows, table, width, out, 0),
+    }
+}
+
+/// `R` rows of [`rows_times_table_avx`] on AVX-512: 16-column tiles (two
+/// `__m512d` accumulators per row, eight for four rows, one table load
+/// pair shared by the `R` rows), then one 8-column tile, then the last
+/// `width % 8` columns through [`rows_tile`]'s 4-column tile and single
+/// columns. Each lane multiplies then adds, as the AVX tiles do, so
+/// every output gets the same bits.
+///
+/// # Safety
+/// The CPU must support AVX-512F; every row spans the table's height and
+/// `out` holds `R` rows of `width`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn rows_tile_avx512<const R: usize, const SKIP: bool>(
     rows: [&[f64]; R],
     table: &[f64],
     width: usize,
@@ -1052,6 +1092,80 @@ unsafe fn rows_tile<const R: usize, const SKIP: bool>(
     let op = out.as_mut_ptr();
     let xp = rows.map(<[f64]>::as_ptr);
     let mut c = 0;
+    while c + 16 <= width {
+        let mut acc = [[_mm512_setzero_pd(); 2]; R];
+        for (r, a) in acc.iter_mut().enumerate() {
+            let o = op.add(r * width + c);
+            *a = [_mm512_loadu_pd(o), _mm512_loadu_pd(o.add(8))];
+        }
+        for i in 0..d {
+            let t = tp.add(i * width + c);
+            let (t0, t1) = (_mm512_loadu_pd(t), _mm512_loadu_pd(t.add(8)));
+            for (a, x) in acc.iter_mut().zip(xp) {
+                let x = *x.add(i);
+                if SKIP && x == 0.0 {
+                    continue;
+                }
+                let xv = _mm512_set1_pd(x);
+                a[0] = _mm512_add_pd(a[0], _mm512_mul_pd(xv, t0));
+                a[1] = _mm512_add_pd(a[1], _mm512_mul_pd(xv, t1));
+            }
+        }
+        for (r, a) in acc.iter().enumerate() {
+            let o = op.add(r * width + c);
+            _mm512_storeu_pd(o, a[0]);
+            _mm512_storeu_pd(o.add(8), a[1]);
+        }
+        c += 16;
+    }
+    if c + 8 <= width {
+        let mut acc = [_mm512_setzero_pd(); R];
+        for (r, a) in acc.iter_mut().enumerate() {
+            *a = _mm512_loadu_pd(op.add(r * width + c));
+        }
+        for i in 0..d {
+            let t0 = _mm512_loadu_pd(tp.add(i * width + c));
+            for (a, x) in acc.iter_mut().zip(xp) {
+                let x = *x.add(i);
+                if SKIP && x == 0.0 {
+                    continue;
+                }
+                *a = _mm512_add_pd(*a, _mm512_mul_pd(_mm512_set1_pd(x), t0));
+            }
+        }
+        for (r, a) in acc.iter().enumerate() {
+            _mm512_storeu_pd(op.add(r * width + c), *a);
+        }
+        c += 8;
+    }
+    rows_tile::<R, SKIP>(rows, table, width, out, c);
+}
+
+/// `R` rows of [`rows_times_table_avx`], columns `first..width`: 8-column
+/// tiles (two `__m256d` accumulators per row, one table load shared by
+/// the `R` rows), then a 4-column tile, then single columns, each with
+/// the `R` rows' sums in flight together. Every output starts from its
+/// `out` value and adds `x·t` in ascending `i`, skipping zero `x` when
+/// `SKIP` (callers pass `false` only for rows without zeros).
+///
+/// # Safety
+/// The CPU must support AVX; every row spans the table's height and
+/// `out` holds `R` rows of `width`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn rows_tile<const R: usize, const SKIP: bool>(
+    rows: [&[f64]; R],
+    table: &[f64],
+    width: usize,
+    out: &mut [f64],
+    first: usize,
+) {
+    use std::arch::x86_64::*;
+    let d = rows[0].len();
+    let tp = table.as_ptr();
+    let op = out.as_mut_ptr();
+    let xp = rows.map(<[f64]>::as_ptr);
+    let mut c = first;
     while c + 8 <= width {
         let mut acc = [[_mm256_setzero_pd(); 2]; R];
         for (r, a) in acc.iter_mut().enumerate() {
@@ -1099,17 +1213,19 @@ unsafe fn rows_tile<const R: usize, const SKIP: bool>(
         c += 4;
     }
     for c in c..width {
-        for (r, x) in xp.iter().enumerate() {
-            let o = op.add(r * width + c);
-            let mut acc = *o;
-            for i in 0..d {
+        let mut acc: [f64; R] = std::array::from_fn(|r| *op.add(r * width + c));
+        for i in 0..d {
+            let t = *tp.add(i * width + c);
+            for (a, x) in acc.iter_mut().zip(xp) {
                 let x = *x.add(i);
                 if SKIP && x == 0.0 {
                     continue;
                 }
-                acc += x * *tp.add(i * width + c);
+                *a += x * t;
             }
-            *o = acc;
+        }
+        for (r, a) in acc.iter().enumerate() {
+            *op.add(r * width + c) = *a;
         }
     }
 }
@@ -1474,21 +1590,51 @@ mod tests {
                 for width in 1..=37 {
                     let table = poisoned_table(d, width, 50 + width as u64);
                     let start = start_values(n * width, 60);
-                    let (mut fast, mut slow) = (start.clone(), start.clone());
-                    rows_times_table(&rows, &table, width, &mut fast);
+                    let mut slow = start.clone();
                     rows_times_table_fallback(&rows, &table, width, &mut slow);
-                    assert_eq!(bits(&fast), bits(&slow), "d={d} n={n} width={width}");
-                    assert!(
-                        fast.iter().all(|v| !v.is_nan()),
-                        "d={d} n={n} width={width}"
-                    );
-                    for r in (2..n).step_by(3) {
-                        let o = r * width..(r + 1) * width;
-                        assert_eq!(bits(&fast[o.clone()]), bits(&start[o]), "zero row {r}");
+                    for (body, kernel) in rows_times_table_bodies() {
+                        let tag = format!("{body}: d={d} n={n} width={width}");
+                        let mut fast = start.clone();
+                        kernel(&rows, &table, width, &mut fast);
+                        assert_eq!(bits(&fast), bits(&slow), "{tag}");
+                        assert!(fast.iter().all(|v| !v.is_nan()), "{tag}");
+                        for r in (2..n).step_by(3) {
+                            let o = r * width..(r + 1) * width;
+                            assert_eq!(
+                                bits(&fast[o.clone()]),
+                                bits(&start[o]),
+                                "{tag}: zero row {r}"
+                            );
+                        }
                     }
                 }
             }
         }
+    }
+
+    type TableKernel = fn(&[&[f64]], &[f64], usize, &mut [f64]);
+
+    /// The dispatcher and every [`rows_times_table`] body this host can
+    /// run, called directly: the dispatcher picks only the widest.
+    fn rows_times_table_bodies() -> Vec<(&'static str, TableKernel)> {
+        let mut bodies: Vec<(&'static str, TableKernel)> = vec![("dispatch", rows_times_table)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx") {
+                // SAFETY: AVX presence just checked; the tests pass
+                // shape-checked inputs.
+                bodies.push(("avx", |rows, table, width, out| unsafe {
+                    rows_times_table_avx::<false>(rows, table, width, out)
+                }));
+            }
+            if is_x86_feature_detected!("avx512f") {
+                // SAFETY: AVX-512F presence just checked, as above.
+                bodies.push(("avx512", |rows, table, width, out| unsafe {
+                    rows_times_table_avx::<true>(rows, table, width, out)
+                }));
+            }
+        }
+        bodies
     }
 
     /// The sparse kernel's AVX dispatch against the scalar loop, bit for

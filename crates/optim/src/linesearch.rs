@@ -55,8 +55,6 @@ pub struct LineSearchResult {
     /// callers return their previous gradient buffer via
     /// [`LineSearchScratch::recycle`] to keep the pool closed.
     pub gradient: Vec<f64>,
-    /// Number of objective evaluations consumed.
-    pub evals: usize,
 }
 
 /// Outcome of a search: the accepted step (if any) plus the
@@ -325,7 +323,6 @@ impl WolfeSearch {
             alpha: probe.alpha,
             value: probe.value,
             gradient: probe.gradient,
-            evals: self.evals,
         }));
     }
 }
@@ -461,9 +458,9 @@ mod tests {
             max_evals: 3,
             ..WolfeParams::default()
         };
-        if let Some(res) = search(&q, &[0.0], v0, &g0, &dir, &params) {
-            assert!(res.evals <= 3);
-        }
+        let mut scratch = LineSearchScratch::new();
+        let out = strong_wolfe(&q, &[0.0], v0, &g0, &dir, &params, &mut scratch);
+        assert!(out.evals <= 3, "{} evaluations", out.evals);
     }
 
     #[test]
