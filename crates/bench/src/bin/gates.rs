@@ -9,7 +9,7 @@
 //! | sweep | looped `Session::train` → fused `Session::sweep` | speedup ≥ 1.0× | smoke |
 //! | pilot cache | cold query → cached-pilot hit | strictly faster | both |
 //! | durable ingest | in-memory pool → `SyncPolicy::OsManaged` pool | overhead ≤ 1.2× | both |
-//! | armed token | served query → the same query with a deadline, in process CPU time | overhead ≤ 1.02× | full |
+//! | armed token | 8 served queries → the same 8 with a deadline, in process CPU time | overhead ≤ 1.02× | full |
 //!
 //! Every gate runs in both modes at that mode's shape; a gate outside
 //! its mode is printed but not enforced. Exactness is not checked here:
@@ -215,12 +215,17 @@ fn pilot_cache(smoke: bool, seed: u64) -> Gate {
     }
 }
 
+/// Queries each rep of the armed-token gate serves back to back. One
+/// query is under a millisecond, too short for the gate's minimum to
+/// resolve 2% on a shared host; a batch makes each rep several.
+const ARMED_BATCH: usize = 8;
+
 /// A generous-deadline query on a 1-worker server (cancellation token
 /// armed, polled every optimizer iteration) against the same query on
 /// the same server with no deadline, so the ratio reads the armed token
-/// alone. Every rep of both arms serves that one query from an empty
-/// pilot cache, so each does the same work: pilot, statistics, search
-/// and final fit.
+/// alone. Every rep of both arms serves that one query [`ARMED_BATCH`]
+/// times, each from an empty pilot cache, so each does the same work:
+/// pilot, statistics, search and final fit.
 fn armed_token(smoke: bool, seed: u64) -> Gate {
     let (split, cfg) = serving_data(smoke, seed);
     let server = Server::spawn(
@@ -235,8 +240,10 @@ fn armed_token(smoke: bool, seed: u64) -> Gate {
     .unwrap();
     let deadline = Duration::from_secs(3600);
     let serve = |q: Query| {
-        server.clear_pilot_cache();
-        server.query(q).unwrap()
+        for _ in 0..ARMED_BATCH {
+            server.clear_pilot_cache();
+            server.query(q).unwrap();
+        }
     };
     let query = Query::new(1, 0.10, 0.05, 1_000);
     // The arms differ by a few clock reads, far under the bound's 2%,

@@ -14,24 +14,30 @@
 //! `(data_dim + 1) × outputs` block [`ModelClassSpec::margin_weights`]
 //! (the weights over one offset row), and the score matrices are built
 //! with fused GEMMs — the holdout design matrix times stacked weight
-//! blocks — streamed in parallel chunks of holdout rows. Each chunk walks
-//! its rows in L1-sized sub-blocks: it seeds every sub-block row with the
+//! blocks — streamed in parallel chunks of holdout rows. The blocks are
+//! stacked in panels of whole blocks under a fixed byte budget (512 KB),
+//! so the table every holdout row walks stays in L2; a table within the
+//! budget (every dense workload's) is one panel. Each chunk walks its
+//! rows in L1-sized sub-blocks: it seeds every sub-block row with the
 //! stacked offset row, then adds the weight rows through the
 //! register-tiled, runtime-dispatched AVX kernels in
 //! `blinkml_linalg::simd`, which add every score's terms in the order of
 //! the per-row axpy loop, so the scores carry the same bits on every
 //! host. A zero offset is `+0.0`, so specs without an intercept score
 //! exactly the sum of their terms. Each sub-block's scores go straight
-//! into the score matrices, which lie back to back in one
-//! parameter-major buffer. Every block must have `data_dim + 1` rows;
-//! the scorer panics on any other height. Models without margins (PPCA)
-//! fall back to materializing parameter vectors and calling the spec's
-//! own `diff`.
+//! into the score matrices, which lie back to back in one output-major
+//! buffer (each output of each parameter one contiguous column; see
+//! [`DrawScores`]), the panels concatenated in parameter order. Every
+//! block must have `data_dim + 1` rows; the scorer panics on any other
+//! height. Models without margins (PPCA) fall back to materializing
+//! parameter vectors and calling the spec's own `diff`.
 //!
 //! Evaluation is batched per draw: the engine hands each draw's score
 //! slices to the spec's kernel, [`ModelClassSpec::margin_diff_sum`],
 //! once, and [`DiffEngine::two_stage_within`] lets that kernel stop as
-//! soon as the draw's `v ≤ ε` verdict is settled.
+//! soon as the draw's `v ≤ ε` verdict is settled. Max-entropy's kernel
+//! compares the argmaxes of 8 rows at a time over the class columns
+//! (`blinkml_linalg::simd::argmax_mismatches`).
 //!
 //! The **base** score matrix (of `θ_base`) depends on neither the draw
 //! pools nor the contract. A [`HoldoutScorer`] keeps `θ_base`'s margin
@@ -60,7 +66,7 @@ pub struct DiffEngine<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> {
 
 enum Mode<'a> {
     /// Margin fast path: flattened `holdout_len × outputs` score
-    /// matrices. The base scores are shared with (and by) the
+    /// matrices, output-major. The base scores are shared with (and by) the
     /// [`HoldoutScorer`] that built them; `pool` holds the scores of
     /// the `draws` draws of `pool_u`, then those of `pool_w`, one
     /// matrix after another (the layout [`batched_scores`] returns).
@@ -125,12 +131,14 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> HoldoutScorer<'a, F, S> {
 
     /// Derive an engine for the given perturbation pools. The first
     /// engine appends the base's margin block to the stacked pool blocks,
-    /// so one [`batched_scores`] GEMM scores the pools and the base; it
+    /// so one scoring pass ([`panel_scores`]: [`batched_scores`] over
+    /// L2-sized panels of whole blocks) scores the pools and the base; it
     /// splits the base's matrix off the end of the result and the scorer
     /// keeps it for every later engine. `batched_scores` computes each
     /// column independently of the blocks beside it, so every score
-    /// carries the bits of a GEMM of its block alone, and engines built
-    /// here are bit-identical to standalone engines. The engine keeps no
+    /// carries the bits of a GEMM of its block alone, whatever the
+    /// panels, and engines built here are bit-identical to standalone
+    /// engines. The engine keeps no
     /// borrow of the pools: margin engines keep their scores, generic
     /// engines a copy of the pools.
     ///
@@ -156,11 +164,7 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> HoldoutScorer<'a, F, S> {
                 if cached.is_none() {
                     blocks.push(b.weights.clone());
                 }
-                let mut pool = if blocks.is_empty() {
-                    Vec::new()
-                } else {
-                    batched_scores(self.holdout, &Matrix::hstack(&blocks), outputs)
-                };
+                let mut pool = panel_scores(self.holdout, &blocks, outputs);
                 let base = cached.unwrap_or_else(|| {
                     let scores = pool.split_off(pool.len() - self.holdout.len() * outputs);
                     Arc::clone(b.scores.get_or_init(|| Arc::new(scores)))
@@ -224,8 +228,11 @@ fn sub_block_rows(cols: usize) -> usize {
 /// `b` the last row of the `(d + 1) × (P·outputs)` table of `P`
 /// horizontally stacked margin blocks) in parallel chunks of holdout
 /// rows, and return the `P` flattened `h × outputs` score matrices back
-/// to back in one parameter-major buffer: parameter `p`'s score of row
-/// `j`, output `c`, sits at `(p·h + j)·outputs + c`.
+/// to back in one output-major buffer: parameter `p`'s score of row `j`,
+/// output `c`, sits at `(p·outputs + c)·h + j`. Each table column's
+/// scores are one contiguous run, so one output (every GLM) is one run
+/// per parameter, and a multi-output verdict kernel reads each class as
+/// a column.
 ///
 /// The design matrix is never materialized. Each chunk walks its rows in
 /// L1-sized sub-blocks ([`sub_block_rows`]): every row of one reused
@@ -234,16 +241,15 @@ fn sub_block_rows(cols: usize) -> usize {
 /// weight rows (dense rows run the 4-row register tiles of
 /// `blinkml_linalg::simd::rows_times_table`, 16 columns wide under
 /// AVX-512 and 8 under AVX, sparse rows run `sparse_row_times_table`
-/// one at a time), then each parameter's
-/// `rows × outputs` slice is copied into its run of the chunk's
-/// parameter-major block. Every score is its offset plus its row's
+/// one at a time), then each column of the sub-block is copied into its
+/// run of the chunk's block. Every score is its offset plus its row's
 /// nonzero terms in ascending feature order, whatever the tiling or the
 /// AVX dispatch; a `+0.0` offset leaves the sum of the terms as it is.
 /// Chunk boundaries are fixed (see `blinkml_data::parallel`) and each
 /// output row is written by exactly one chunk, so results are
 /// bit-identical for any thread count and any host. With one chunk
 /// (`h ≤ CHUNK_SIZE`) its block is the result; otherwise the blocks are
-/// joined one contiguous run per (chunk, parameter).
+/// joined one contiguous run per (chunk, column).
 ///
 /// # Panics
 /// Panics unless the table has `holdout.dim() + 1` rows and a whole
@@ -262,22 +268,23 @@ fn batched_scores<F: FeatureVec>(holdout: &Dataset<F>, table: &Matrix, outputs: 
         "batched_scores: {cols} margin columns are not whole blocks of {outputs} outputs"
     );
     let h = holdout.len();
-    let num_params = cols / outputs;
     let (weights, offset) = table.as_slice().split_at(dim * cols);
     let sub_rows = sub_block_rows(cols);
     let mut blocks: Vec<Vec<f64>> = par_ranges(h, |range| {
-        let run = range.len() * outputs;
+        let run = range.len();
         let rows: Vec<&F> = range.map(|j| &holdout.get(j).x).collect();
-        let mut block = vec![0.0; num_params * run];
+        let mut block = vec![0.0; cols * run];
         let mut sub = vec![0.0; sub_rows.min(rows.len()) * cols];
         for (b, sub_block) in rows.chunks(sub_rows).enumerate() {
             let sub = &mut sub[..sub_block.len() * cols];
             seed_rows(sub, offset);
             F::add_rows_times_table(sub_block, weights, cols, sub);
-            let first = b * sub_rows * outputs;
-            for (p, column) in block.chunks_exact_mut(run).enumerate() {
-                let dst = &mut column[first..first + sub_block.len() * outputs];
-                copy_columns(sub, cols, p * outputs, outputs, dst);
+            let first = b * sub_rows;
+            for (c, column) in block.chunks_exact_mut(run).enumerate() {
+                let dst = &mut column[first..first + sub_block.len()];
+                for (d, row) in dst.iter_mut().zip(sub.chunks_exact(cols)) {
+                    *d = row[c];
+                }
             }
         }
         block
@@ -285,12 +292,43 @@ fn batched_scores<F: FeatureVec>(holdout: &Dataset<F>, table: &Matrix, outputs: 
     if blocks.len() == 1 {
         return blocks.pop().expect("one chunk");
     }
-    let mut scores = Vec::with_capacity(num_params * h * outputs);
-    for p in 0..num_params {
+    let mut scores = Vec::with_capacity(cols * h);
+    for c in 0..cols {
         for block in &blocks {
-            let run = block.len() / num_params;
-            scores.extend_from_slice(&block[p * run..(p + 1) * run]);
+            let run = block.len() / cols;
+            scores.extend_from_slice(&block[c * run..(c + 1) * run]);
         }
+    }
+    scores
+}
+
+/// Byte budget of one scoring panel: [`panel_scores`] stacks at most
+/// this much of the margin table per [`batched_scores`] pass, so the
+/// table every holdout row walks stays in L2. It moves no bit: every
+/// score is computed on its own.
+const PANEL_BYTES: usize = 512 * 1024;
+
+/// [`batched_scores`] of the horizontally stacked `blocks`, in panels
+/// of whole blocks under [`PANEL_BYTES`] (at least one block each),
+/// concatenated in block order: the output-major layout of one unsplit
+/// GEMM, bit for bit. A table within the budget is one panel and its
+/// scores are returned as they come.
+fn panel_scores<F: FeatureVec>(
+    holdout: &Dataset<F>,
+    blocks: &[Matrix],
+    outputs: usize,
+) -> Vec<f64> {
+    let block_bytes = (holdout.dim() + 1) * outputs * std::mem::size_of::<f64>();
+    let per_panel = (PANEL_BYTES / block_bytes).max(1);
+    let mut panels = blocks
+        .chunks(per_panel)
+        .map(|panel| batched_scores(holdout, &Matrix::hstack(panel), outputs));
+    let Some(mut scores) = panels.next() else {
+        return Vec::new();
+    };
+    scores.reserve(blocks.len() * outputs * holdout.len() - scores.len());
+    for panel in panels {
+        scores.extend_from_slice(&panel);
     }
     scores
 }
@@ -307,22 +345,6 @@ fn seed_rows(buf: &mut [f64], row: &[f64]) {
         let n = filled.min(buf.len() - filled);
         buf.copy_within(..n, filled);
         filled += n;
-    }
-}
-
-/// Copy columns `first..first + width` of the row-major `cols`-wide
-/// `src` into the row-major `width`-wide `dst`. One column is a strided
-/// gather: a `copy_from_slice` of run-time length would be one `memcpy`
-/// call per score.
-fn copy_columns(src: &[f64], cols: usize, first: usize, width: usize, dst: &mut [f64]) {
-    if width == 1 {
-        for (d, row) in dst.iter_mut().zip(src.chunks_exact(cols)) {
-            *d = row[first];
-        }
-    } else {
-        for (d, row) in dst.chunks_exact_mut(width).zip(src.chunks_exact(cols)) {
-            d.copy_from_slice(&row[first..first + width]);
-        }
     }
 }
 
@@ -685,12 +707,17 @@ mod tests {
         scores.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// For each first engine — `pool_w` empty, both pools, no draws —
-    /// the base it serves is bitwise `batched_scores` of θ₀'s block
-    /// alone, its pool scores are bitwise `batched_scores` of the pool
-    /// blocks alone, and a second engine reuses that base.
-    fn assert_stacked_base_is_solo_gemm<F, S>(spec: &S, holdout: &Dataset<F>, theta: &[f64])
-    where
+    /// For each first engine — `draws` draws in `pool_u` only, in both
+    /// pools, no draws — the base it serves is bitwise `batched_scores` of
+    /// θ₀'s block alone, its pool scores are bitwise one unsplit
+    /// `batched_scores` GEMM of the pool blocks, and a second engine
+    /// reuses that base and scores its pools as one unsplit GEMM too.
+    fn assert_stacked_base_is_solo_gemm<F, S>(
+        spec: &S,
+        holdout: &Dataset<F>,
+        theta: &[f64],
+        draws: usize,
+    ) where
         F: FeatureVec,
         S: ModelClassSpec<F>,
     {
@@ -710,9 +737,9 @@ mod tests {
             }
             bits(&batched_scores(holdout, &Matrix::hstack(&blocks), outputs))
         };
-        let pool_u = wave_pool(3, dim, 0.17);
-        let pool_w = wave_pool(3, dim, 0.53);
-        for (u, w) in [(3, 0), (3, 3), (0, 0)] {
+        let pool_u = wave_pool(draws, dim, 0.17);
+        let pool_w = wave_pool(draws, dim, 0.53);
+        for (u, w) in [(draws, 0), (draws, draws), (0, 0)] {
             let (u, w) = (&pool_u[..u], &pool_w[..w]);
             let tag = format!(
                 "{}: h = {}, first engine {}+{} draws",
@@ -756,19 +783,45 @@ mod tests {
         let maxent = MaxEntSpec::new(1e-3, 5);
         let theta = |dim: usize| wave_pool(1, dim, 0.31).remove(0);
         let (holdout, _) = synthetic_logistic(350, 4, 2.0, 21);
-        assert_stacked_base_is_solo_gemm(&logistic, &holdout, &theta(4));
-        assert_stacked_base_is_solo_gemm(&logistic_b, &holdout, &theta(5));
-        assert_stacked_base_is_solo_gemm(&poisson_b, &holdout, &theta(5));
+        assert_stacked_base_is_solo_gemm(&logistic, &holdout, &theta(4), 3);
+        assert_stacked_base_is_solo_gemm(&logistic_b, &holdout, &theta(5), 3);
+        assert_stacked_base_is_solo_gemm(&poisson_b, &holdout, &theta(5), 3);
 
         let (tall, _) = synthetic_logistic(CHUNK_SIZE + 37, 12, 2.0, 22);
         let sparse = blinkml_data::generators::yelp_like(CHUNK_SIZE + 300, 60, 23);
         let maxent_dim = ModelClassSpec::<blinkml_data::SparseVec>::param_dim(&maxent, 60);
         for budget in [1, 4] {
             set_max_threads(Some(budget));
-            assert_stacked_base_is_solo_gemm(&logistic, &tall, &theta(12));
-            assert_stacked_base_is_solo_gemm(&logistic_b, &tall, &theta(13));
-            assert_stacked_base_is_solo_gemm(&poisson_b, &sparse, &theta(61));
-            assert_stacked_base_is_solo_gemm(&maxent, &sparse, &theta(maxent_dim));
+            assert_stacked_base_is_solo_gemm(&logistic, &tall, &theta(12), 3);
+            assert_stacked_base_is_solo_gemm(&logistic_b, &tall, &theta(13), 3);
+            assert_stacked_base_is_solo_gemm(&poisson_b, &sparse, &theta(61), 3);
+            assert_stacked_base_is_solo_gemm(&maxent, &sparse, &theta(maxent_dim), 3);
+        }
+        set_max_threads(None);
+    }
+
+    /// A max-entropy table past the panel budget (K = 5, D = 1,000: 40 KB
+    /// per block, 13 blocks per panel) scores in several panels, and its
+    /// engines' scores and base are bitwise one unsplit GEMM: 13 draws
+    /// (the base alone in the second panel), 16 draws in both pools (33
+    /// blocks, three panels), a first and a second engine, `h >
+    /// CHUNK_SIZE`, thread budgets {1, 4}.
+    #[test]
+    fn scoring_panels_match_one_unsplit_gemm_bitwise() {
+        use crate::models::maxent::MaxEntSpec;
+        use blinkml_data::parallel::{set_max_threads, CHUNK_SIZE};
+        let _budget = blinkml_linalg::testing::budget_lock();
+        let maxent = MaxEntSpec::new(1e-3, 5);
+        let sparse = blinkml_data::generators::yelp_like(CHUNK_SIZE + 300, 1_000, 24);
+        let dim = ModelClassSpec::<blinkml_data::SparseVec>::param_dim(&maxent, 1_000);
+        let block_bytes = 1_001 * 5 * std::mem::size_of::<f64>();
+        assert_eq!(PANEL_BYTES / block_bytes, 13, "panel size moved");
+        let theta = wave_pool(1, dim, 0.29).remove(0);
+        for budget in [1, 4] {
+            set_max_threads(Some(budget));
+            for draws in [13, 16] {
+                assert_stacked_base_is_solo_gemm(&maxent, &sparse, &theta, draws);
+            }
         }
         set_max_threads(None);
     }
@@ -851,7 +904,7 @@ mod tests {
     }
 
     /// `batched_scores` returns the oracle's per-parameter matrices, bit
-    /// for bit, back to back.
+    /// for bit, back to back, each output-major.
     fn assert_layout_matches_oracle<F: FeatureVec>(
         holdout: &Dataset<F>,
         params: usize,
@@ -866,21 +919,20 @@ mod tests {
         });
         let got = batched_scores(holdout, &w_all, outputs);
         let want = batched_scores_oracle(holdout, &w_all, outputs);
-        let stride = holdout.len() * outputs;
-        assert_eq!(got.len(), params * stride);
+        let h = holdout.len();
+        assert_eq!(got.len(), params * h * outputs);
         for (p, want) in want.iter().enumerate() {
-            let got = &got[p * stride..(p + 1) * stride];
+            // Output-major: output `c` of row `j` at `(p·outputs + c)·h + j`.
+            let got = (0..h * outputs).map(|e| got[(p * outputs + e % outputs) * h + e / outputs]);
             assert!(
-                got.iter()
-                    .zip(want)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                got.zip(want).all(|(a, b)| a.to_bits() == b.to_bits()),
                 "h = {}, d = {d}, params = {params}, outputs = {outputs}: parameter {p}",
                 holdout.len()
             );
         }
     }
 
-    /// The parameter-major layout against the interleaved oracle: row
+    /// The output-major layout against the interleaved oracle: row
     /// counts around the 4-row tile, the sub-block and one and two chunk
     /// boundaries; 1–7 and 64 parameters of 1 and 5 outputs; dense rows
     /// at d ∈ {3, 8, 37, 100} and sparse rows; thread budgets {1, 4}.
@@ -1123,10 +1175,11 @@ mod tests {
     /// Max-entropy ties resolve to the lowest class index.
     #[test]
     fn maxent_ties_agree_with_the_per_row_loop() {
-        // Row 0 ties all three classes, row 1 ties classes 1 and 2; the
-        // perturbation ties row 2 at classes 0 and 2 and breaks row 0.
-        let base = [1.0, 1.0, 1.0, 0.0, 2.0, 2.0, 3.0, -1.0, 2.0];
-        let u = [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0];
+        // Output-major (one class column after another): row 0 ties all
+        // three classes, row 1 ties classes 1 and 2; the perturbation
+        // ties row 2 at classes 0 and 2 and breaks row 0.
+        let base = [1.0, 0.0, 3.0, 1.0, 2.0, -1.0, 1.0, 2.0, 2.0];
+        let u = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0];
         let spec = crate::models::maxent::MaxEntSpec::new(1e-3, 3);
         assert_kernel_matches_loop(spec, &base, &u, 3);
     }

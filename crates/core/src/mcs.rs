@@ -23,6 +23,7 @@ use blinkml_linalg::Matrix;
 use blinkml_optim::{minimize, Objective, OptimOptions};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// A model trained on a specific sample.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -103,7 +104,9 @@ impl<'r> SweepEval<'r> {
 
 /// One parameter draw's holdout scores, the input of
 /// [`ModelClassSpec::margin_diff_sum`]. Every slice is a flattened
-/// `rows × outputs` score matrix (row-major). Holdout row `j` compares
+/// `rows × outputs` score matrix, output-major: output `c` of holdout
+/// row `j` sits at `c·rows + j`, so each output is one contiguous column
+/// (for one output, simply row `j` at `j`). Holdout row `j` compares
 /// two score vectors `a_j` and `b_j`:
 ///
 /// - one-stage (`w = None`): `a = base` and `b = base + scale_u·u`;
@@ -134,67 +137,49 @@ impl DrawScores<'_> {
         self.base.len().checked_div(self.outputs).unwrap_or(0)
     }
 
-    /// Write the compared score rows `a_j`, `b_j` of rows `first..` into
-    /// `a` and `b` (as many rows as `a.len() / outputs`).
-    pub(crate) fn fill(&self, first: usize, a: &mut [f64], b: &mut [f64]) {
-        let start = first * self.outputs;
-        let end = start + a.len();
-        let (base, u) = (&self.base[start..end], &self.u[start..end]);
-        let b = &mut b[..a.len()];
-        match self.w {
-            None => {
-                for (((a, b), &s), &u) in a.iter_mut().zip(b).zip(base).zip(u) {
-                    *a = s;
-                    *b = s + self.scale_u * u;
-                }
-            }
-            Some((w, scale_w)) => {
-                let w = &w[start..end];
-                for ((((a, b), &s), &u), &w) in a.iter_mut().zip(b).zip(base).zip(u).zip(w) {
-                    let sn = s + self.scale_u * u;
-                    *a = sn;
-                    *b = sn + scale_w * w;
-                }
-            }
+    /// Write row `j`'s compared score vectors `a_j` and `b_j` into `a`
+    /// and `b` (`outputs` entries each).
+    pub(crate) fn fill(&self, j: usize, a: &mut [f64], b: &mut [f64]) {
+        let rows = self.rows();
+        for (c, (a, b)) in a.iter_mut().zip(b).enumerate() {
+            let e = c * rows + j;
+            let s = self.base[e];
+            let sn = s + self.scale_u * self.u[e];
+            (*a, *b) = match self.w {
+                None => (s, sn),
+                Some((w, scale_w)) => (sn, sn + scale_w * w[e]),
+            };
         }
     }
 
-    /// Fold `block(acc, a, b)` over the compared score rows in blocks of
-    /// up to 256 rows, in row order, stopping after the first block
-    /// that leaves `acc > stop`: the blocked loop behind multi-output
-    /// [`ModelClassSpec::margin_diff_sum`] overrides.
-    pub(crate) fn fold_blocks(
+    /// Sum `count(block)` over the holdout rows in blocks of up to
+    /// [`STOP_BLOCK`] rows, in row order, stopping after the first block
+    /// that leaves the sum `> stop`: the blocked loop behind the
+    /// counting [`ModelClassSpec::margin_diff_sum`] overrides.
+    pub(crate) fn count_blocks(
         &self,
         stop: f64,
-        mut block: impl FnMut(f64, &[f64], &[f64]) -> f64,
+        mut count: impl FnMut(Range<usize>) -> usize,
     ) -> f64 {
         let rows = self.rows();
-        let len = STOP_BLOCK.min(rows) * self.outputs;
-        let (mut a, mut b) = (vec![0.0; len], vec![0.0; len]);
-        let mut acc = 0.0;
+        let mut total = 0usize;
         for first in (0..rows).step_by(STOP_BLOCK) {
-            let len = STOP_BLOCK.min(rows - first) * self.outputs;
-            let (a, b) = (&mut a[..len], &mut b[..len]);
-            self.fill(first, a, b);
-            acc = block(acc, a, b);
-            if acc > stop {
+            total += count(first..rows.min(first + STOP_BLOCK));
+            if total as f64 > stop {
                 break;
             }
         }
-        acc
+        total as f64
     }
 
     /// [`ModelClassSpec::margin_diff_sum`] for a discrete single-output
     /// predictor: the number of rows where `differ(a_j, b_j)`.
     pub(crate) fn count_single(&self, stop: f64, differ: impl Fn(f64, f64) -> bool) -> f64 {
         debug_assert_eq!(self.outputs, 1);
-        let rows = self.rows();
         let su = self.scale_u;
-        let mut count = 0usize;
-        for first in (0..rows).step_by(STOP_BLOCK) {
-            let end = rows.min(first + STOP_BLOCK);
-            let (base, u) = (&self.base[first..end], &self.u[first..end]);
-            count += match self.w {
+        self.count_blocks(stop, |block| {
+            let (base, u) = (&self.base[block.clone()], &self.u[block.clone()]);
+            match self.w {
                 None => base
                     .iter()
                     .zip(u)
@@ -203,18 +188,14 @@ impl DrawScores<'_> {
                 Some((w, sw)) => base
                     .iter()
                     .zip(u)
-                    .zip(&w[first..end])
+                    .zip(&w[block])
                     .map(|((&s, &u), &w)| {
                         let a = s + su * u;
                         differ(a, a + sw * w) as usize
                     })
                     .sum::<usize>(),
-            };
-            if count as f64 > stop {
-                break;
             }
-        }
-        count as f64
+        })
     }
 
     /// [`ModelClassSpec::margin_diff_sum`] for a real-valued

@@ -5,6 +5,7 @@ use crate::mcs::{classification_diff, DrawScores, ModelClassSpec};
 use crate::testing::ScalarOracle;
 use blinkml_data::parallel::{par_ranges, par_sum_vecs, CHUNK_SIZE};
 use blinkml_data::{Dataset, FeatureVec, MatrixView, SparseVec, TrainScratch};
+use blinkml_linalg::simd::{self, ArgmaxMismatchKernel};
 use blinkml_linalg::Matrix;
 
 /// L2-regularized max-entropy classifier over `K` classes — the paper's
@@ -67,9 +68,9 @@ fn log_sum_exp(scores: &[f64]) -> f64 {
 ///
 /// A later score wins only when it is strictly greater than the best so
 /// far, so ties (`0.0` against `-0.0` too) keep the lower index, a `NaN`
-/// never wins, and a `NaN` first score is never beaten. The update is a
-/// branchless select: the holdout loops of `margin_diff_sum` call this
-/// twice per row, where a compare-and-branch mispredicts often.
+/// never wins, and a `NaN` first score is never beaten: the rule
+/// `blinkml_linalg::simd::argmax_mismatches` applies eight rows at a
+/// time in `margin_diff_sum`. The update is a branchless select.
 #[inline]
 fn argmax(scores: &[f64]) -> usize {
     let Some(&first) = scores.first() else {
@@ -303,16 +304,23 @@ impl<F: FeatureVec> ModelClassSpec<F> for MaxEntSpec {
     }
 
     fn margin_diff_sum(&self, scores: DrawScores<'_>, stop: f64) -> f64 {
-        let k = scores.outputs;
-        scores.fold_blocks(stop, |acc, a, b| {
-            let count = a
-                .chunks_exact(k)
-                .zip(b.chunks_exact(k))
-                .filter(|(a, b)| argmax(a) != argmax(b))
-                .count();
-            acc + count as f64
-        })
+        count_mismatches(&scores, stop, simd::argmax_mismatches)
     }
+}
+
+/// The number of rows whose argmaxes of `a_j` and `b_j` differ, counted
+/// by `kernel` over the output-major class columns one
+/// [`STOP_BLOCK`](crate::mcs::STOP_BLOCK) of rows at a time, with the
+/// same early exit as the other counting kernels.
+fn count_mismatches(scores: &DrawScores<'_>, stop: f64, kernel: ArgmaxMismatchKernel) -> f64 {
+    let DrawScores {
+        base,
+        u,
+        scale_u,
+        w,
+        outputs,
+    } = *scores;
+    scores.count_blocks(stop, |rows| kernel(base, u, scale_u, w, outputs, rows))
 }
 
 /// The per-example reference bodies (see [`ScalarOracle`]).
@@ -466,11 +474,12 @@ mod tests {
     /// checked against `stop` after every `STOP_BLOCK` rows.
     fn margin_diff_oracle(s: &DrawScores<'_>, stop: f64) -> f64 {
         let k = s.outputs;
+        let rows = s.rows();
         let (mut a, mut b) = (vec![0.0; k], vec![0.0; k]);
         let mut count = 0.0;
-        for j in 0..s.rows() {
+        for j in 0..rows {
             for c in 0..k {
-                let e = j * k + c;
+                let e = c * rows + j;
                 let sn = s.base[e];
                 match s.w {
                     None => (a[c], b[c]) = (sn, sn + s.scale_u * s.u[e]),
@@ -490,10 +499,21 @@ mod tests {
         count
     }
 
-    /// `len` scores drawn from a palette of ties, `±0.0`, NaN and small
-    /// exact values, with a random value in one slot of eight.
+    /// `len` scores drawn from a palette of ties, `±0.0`, `±inf`, NaN and
+    /// small exact values, with a random value in one slot of eleven.
     fn tie_scores(len: usize, seed: u64) -> Vec<f64> {
-        let palette = [-1.0, -0.0, 0.0, 0.5, 0.5, 1.0, f64::NAN, 2.0];
+        let palette = [
+            -1.0,
+            -0.0,
+            0.0,
+            0.5,
+            0.5,
+            1.0,
+            f64::NAN,
+            2.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
         let random = blinkml_linalg::testing::xorshift_matrix(1, len, seed);
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         (0..len)
@@ -501,25 +521,29 @@ mod tests {
                 state ^= state << 13;
                 state ^= state >> 7;
                 state ^= state << 17;
-                match (state >> 11) % 9 {
-                    8 => random[(0, i)],
+                match (state >> 11) % 11 {
+                    10 => random[(0, i)],
                     c => palette[c as usize],
                 }
             })
             .collect()
     }
 
-    /// The branchless kernel against the per-row branchy oracle, result
-    /// bits equal: ties, NaN and ±0 scores, K ∈ {2, 3, 5, 7}, holdouts
-    /// across the 256-row stop block, finite stops (the early-exit
-    /// partial sums must match) and one- and two-stage draws. The
-    /// per-row `predict_from_margins` matches the oracle's argmax too.
+    /// The verdict kernel against the per-row branchy oracle, result
+    /// bits equal, through `margin_diff_sum` (the dispatcher) and through
+    /// each body this host can run (scalar, AVX, AVX-512) called
+    /// directly: ties, NaN and ±0 scores, K ∈ {2, 3, 5, 7}, holdouts
+    /// around the 8-row step and the 256-row stop block, finite stops
+    /// (the early-exit partial sums must match) and one- and two-stage
+    /// draws. The per-row `predict_from_margins` matches the oracle's
+    /// argmax too.
     #[test]
     fn margin_diff_sum_is_bitwise_branchy_oracle() {
         type M = dyn ModelClassSpec<blinkml_data::DenseVec>;
+        let bodies = blinkml_linalg::testing::argmax_mismatch_bodies();
         for k in [2, 3, 5, 7] {
             let spec = MaxEntSpec::new(1e-3, k);
-            for rows in [1, 255, 256, 257, 600] {
+            for rows in [1, 7, 8, 9, 255, 256, 257, 600] {
                 let len = rows * k;
                 let seed = (k * 1000 + rows) as u64;
                 let (base, u, w) = (
@@ -527,10 +551,11 @@ mod tests {
                     tie_scores(len, seed + 1),
                     tie_scores(len, seed + 2),
                 );
-                for row in base.chunks_exact(k) {
+                for j in 0..rows {
+                    let row: Vec<f64> = (0..k).map(|c| base[c * rows + j]).collect();
                     assert_eq!(
-                        <M>::predict_from_margins(&spec, row),
-                        argmax_branchy(row) as f64
+                        <M>::predict_from_margins(&spec, &row),
+                        argmax_branchy(&row) as f64
                     );
                 }
                 for two_stage in [false, true] {
@@ -542,13 +567,19 @@ mod tests {
                         outputs: k,
                     };
                     for stop in [0.0, 2.0, 40.0, f64::INFINITY] {
-                        let got = <M>::margin_diff_sum(&spec, scores, stop);
                         let want = margin_diff_oracle(&scores, stop);
-                        assert_eq!(
-                            got.to_bits(),
-                            want.to_bits(),
-                            "K = {k}, {rows} rows, two-stage {two_stage}, stop {stop}: {got} vs {want}"
-                        );
+                        let tag =
+                            format!("K = {k}, {rows} rows, two-stage {two_stage}, stop {stop}");
+                        let got = <M>::margin_diff_sum(&spec, scores, stop);
+                        assert_eq!(got.to_bits(), want.to_bits(), "{tag}: {got} vs {want}");
+                        for (body, kernel) in &bodies {
+                            let got = count_mismatches(&scores, stop, *kernel);
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{tag}, {body} body: {got} vs {want}"
+                            );
+                        }
                     }
                 }
             }

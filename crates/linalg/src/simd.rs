@@ -40,6 +40,15 @@
 //!   AVX body holds 8 weights in two registers and keeps the old value
 //!   through a blend where the weight is zero, so a zero weight never
 //!   multiplies an infinite value or turns a `-0.0` output into `+0.0`.
+//! * [`argmax_mismatches`] (max-entropy's probe verdict) counts the
+//!   rows whose two class-score vectors have different argmaxes, over
+//!   output-major class columns. Each compared entry is the scalar
+//!   `s + scale·u` (then `+ scale·w`), a multiply then an add, and the
+//!   argmax lets a later class win only when strictly greater (an
+//!   ordered compare), so its verdicts are those of the per-row scalar
+//!   loop, NaN, `±0.0` and ties included. The AVX-512 body compares 8
+//!   rows per step with compare masks and masked blends, the AVX body 4
+//!   with `blendv`.
 //! * `givens_rows` (crate-internal, the eigensolver's rotation) is
 //!   elementwise, so each element's bits are those of the scalar loop.
 //! * [`rows_times_table`] (dense rows times a table, the holdout scoring
@@ -64,6 +73,7 @@
 //! still pins the AVX body.
 
 use crate::vector::dot;
+use std::ops::Range;
 
 /// `out[i] = dot(row_i, w) + bias` for a contiguous row-major block
 /// `x` of `out.len()` rows of length `d`.
@@ -1368,6 +1378,224 @@ unsafe fn sparse_row_outer_add_avx(indices: &[u32], values: &[f64], w: &[f64], o
             *op.add(outer_row(k, width, len) * width + c) += wc * v;
         }
     }
+}
+
+/// A body of [`argmax_mismatches`]: the dispatcher or one of the bodies
+/// it picks from.
+pub type ArgmaxMismatchKernel =
+    fn(&[f64], &[f64], f64, Option<(&[f64], f64)>, usize, Range<usize>) -> usize;
+
+/// The number of rows `j` in `rows` whose compared class-score vectors
+/// have different argmaxes. The scores are output-major: class `c` of
+/// row `j` sits at `c·ld + j` of `base`, `u` and `w`, with `ld =
+/// base.len() / classes`. One-stage (`w = None`) compares `a = base`
+/// with `b = base + scale_u·u`; two-stage compares `a = base +
+/// scale_u·u` with `b = a + scale_w·w`, each entry a multiply then an
+/// add (no FMA). The argmax keeps the first class and lets a later one
+/// win only when strictly greater (an ordered compare), so ties keep
+/// the lower index, `0.0` and `-0.0` tie, and a NaN never wins nor is
+/// beaten once first. The AVX-512 body compares 8 rows per step, the AVX
+/// body 4, and leftover rows go through the scalar body; every body
+/// computes the same entries and verdicts, so the count never depends
+/// on the dispatch.
+///
+/// # Panics
+/// Panics when `classes` is zero or does not divide `base.len()`, `u`
+/// or `w` differs from `base` in length, or `rows` runs past the last
+/// row.
+pub fn argmax_mismatches(
+    base: &[f64],
+    u: &[f64],
+    scale_u: f64,
+    w: Option<(&[f64], f64)>,
+    classes: usize,
+    rows: Range<usize>,
+) -> usize {
+    let ld = class_stride(base, u, w, classes, &rows);
+    #[cfg(target_arch = "x86_64")]
+    if rows.len() >= 8 && is_x86_feature_detected!("avx512f") {
+        // SAFETY: AVX-512F presence just checked; `class_stride` checked
+        // that every class column holds the rows.
+        return unsafe { argmax_mismatches_avx512(base, u, scale_u, w, ld, classes, rows) };
+    }
+    #[cfg(target_arch = "x86_64")]
+    if rows.len() >= 4 && is_x86_feature_detected!("avx") {
+        // SAFETY: AVX presence just checked, as above.
+        return unsafe { argmax_mismatches_avx(base, u, scale_u, w, ld, classes, rows) };
+    }
+    argmax_mismatches_scalar(base, u, scale_u, w, ld, classes, rows)
+}
+
+/// The column stride `ld` of the scores, after checking the shapes
+/// [`argmax_mismatches`] documents.
+pub(crate) fn class_stride(
+    base: &[f64],
+    u: &[f64],
+    w: Option<(&[f64], f64)>,
+    classes: usize,
+    rows: &Range<usize>,
+) -> usize {
+    let len = base.len();
+    assert!(
+        classes > 0 && len.is_multiple_of(classes),
+        "argmax_mismatches: {len} scores are not whole rows of {classes} classes"
+    );
+    assert_eq!(u.len(), len, "argmax_mismatches: u length mismatch");
+    if let Some((w, _)) = w {
+        assert_eq!(w.len(), len, "argmax_mismatches: w length mismatch");
+    }
+    let ld = len / classes;
+    assert!(
+        rows.start <= rows.end && rows.end <= ld,
+        "argmax_mismatches: rows {rows:?} of {ld}"
+    );
+    ld
+}
+
+/// Scalar [`argmax_mismatches`]: one row at a time, both argmaxes as
+/// branchless selects.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn argmax_mismatches_scalar(
+    base: &[f64],
+    u: &[f64],
+    scale_u: f64,
+    w: Option<(&[f64], f64)>,
+    ld: usize,
+    classes: usize,
+    rows: Range<usize>,
+) -> usize {
+    let pair = |e: usize| {
+        let s = base[e];
+        let sn = s + scale_u * u[e];
+        match w {
+            None => (s, sn),
+            Some((w, sw)) => (sn, sn + sw * w[e]),
+        }
+    };
+    rows.filter(|&j| {
+        let (mut top_a, mut top_b) = pair(j);
+        let (mut best_a, mut best_b) = (0, 0);
+        for c in 1..classes {
+            let (a, b) = pair(c * ld + j);
+            let (wins_a, wins_b) = (a > top_a, b > top_b);
+            best_a = if wins_a { c } else { best_a };
+            top_a = if wins_a { a } else { top_a };
+            best_b = if wins_b { c } else { best_b };
+            top_b = if wins_b { b } else { top_b };
+        }
+        best_a != best_b
+    })
+    .count()
+}
+
+/// AVX [`argmax_mismatches`]: 4 rows per step, the class index of each
+/// lane's maximum kept as an `f64` and both updated by `blendv` under a
+/// `_CMP_GT_OQ` mask; the last `rows.len() % 4` rows through the scalar
+/// body.
+///
+/// # Safety
+/// The CPU must support AVX, and the shapes must pass `class_stride`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[allow(clippy::too_many_arguments)]
+pub(crate) unsafe fn argmax_mismatches_avx(
+    base: &[f64],
+    u: &[f64],
+    scale_u: f64,
+    w: Option<(&[f64], f64)>,
+    ld: usize,
+    classes: usize,
+    rows: Range<usize>,
+) -> usize {
+    use std::arch::x86_64::*;
+    let (bp, up) = (base.as_ptr(), u.as_ptr());
+    let (wp, sw) = w.map_or((up, 0.0), |(w, sw)| (w.as_ptr(), sw));
+    let (suv, swv) = (_mm256_set1_pd(scale_u), _mm256_set1_pd(sw));
+    let two_stage = w.is_some();
+    let pair = |e: usize| {
+        let s = _mm256_loadu_pd(bp.add(e));
+        let sn = _mm256_add_pd(s, _mm256_mul_pd(suv, _mm256_loadu_pd(up.add(e))));
+        if two_stage {
+            let b = _mm256_add_pd(sn, _mm256_mul_pd(swv, _mm256_loadu_pd(wp.add(e))));
+            (sn, b)
+        } else {
+            (s, sn)
+        }
+    };
+    let mut count = 0;
+    let mut j = rows.start;
+    while j + 4 <= rows.end {
+        let (mut top_a, mut top_b) = pair(j);
+        let (mut best_a, mut best_b) = (_mm256_setzero_pd(), _mm256_setzero_pd());
+        for c in 1..classes {
+            let (a, b) = pair(c * ld + j);
+            let cv = _mm256_set1_pd(c as f64);
+            let wins_a = _mm256_cmp_pd::<_CMP_GT_OQ>(a, top_a);
+            let wins_b = _mm256_cmp_pd::<_CMP_GT_OQ>(b, top_b);
+            best_a = _mm256_blendv_pd(best_a, cv, wins_a);
+            top_a = _mm256_blendv_pd(top_a, a, wins_a);
+            best_b = _mm256_blendv_pd(best_b, cv, wins_b);
+            top_b = _mm256_blendv_pd(top_b, b, wins_b);
+        }
+        let differ = _mm256_cmp_pd::<_CMP_NEQ_OQ>(best_a, best_b);
+        count += _mm256_movemask_pd(differ).count_ones() as usize;
+        j += 4;
+    }
+    count + argmax_mismatches_scalar(base, u, scale_u, w, ld, classes, j..rows.end)
+}
+
+/// AVX-512 [`argmax_mismatches`]: as the AVX body, 8 rows per step, with
+/// `_CMP_GT_OQ` compare masks and masked blends.
+///
+/// # Safety
+/// The CPU must support AVX-512F, and the shapes must pass
+/// `class_stride`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+pub(crate) unsafe fn argmax_mismatches_avx512(
+    base: &[f64],
+    u: &[f64],
+    scale_u: f64,
+    w: Option<(&[f64], f64)>,
+    ld: usize,
+    classes: usize,
+    rows: Range<usize>,
+) -> usize {
+    use std::arch::x86_64::*;
+    let (bp, up) = (base.as_ptr(), u.as_ptr());
+    let (wp, sw) = w.map_or((up, 0.0), |(w, sw)| (w.as_ptr(), sw));
+    let (suv, swv) = (_mm512_set1_pd(scale_u), _mm512_set1_pd(sw));
+    let two_stage = w.is_some();
+    let pair = |e: usize| {
+        let s = _mm512_loadu_pd(bp.add(e));
+        let sn = _mm512_add_pd(s, _mm512_mul_pd(suv, _mm512_loadu_pd(up.add(e))));
+        if two_stage {
+            let b = _mm512_add_pd(sn, _mm512_mul_pd(swv, _mm512_loadu_pd(wp.add(e))));
+            (sn, b)
+        } else {
+            (s, sn)
+        }
+    };
+    let mut count = 0;
+    let mut j = rows.start;
+    while j + 8 <= rows.end {
+        let (mut top_a, mut top_b) = pair(j);
+        let (mut best_a, mut best_b) = (_mm512_setzero_pd(), _mm512_setzero_pd());
+        for c in 1..classes {
+            let (a, b) = pair(c * ld + j);
+            let cv = _mm512_set1_pd(c as f64);
+            let wins_a = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(a, top_a);
+            let wins_b = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(b, top_b);
+            best_a = _mm512_mask_blend_pd(wins_a, best_a, cv);
+            top_a = _mm512_mask_blend_pd(wins_a, top_a, a);
+            best_b = _mm512_mask_blend_pd(wins_b, best_b, cv);
+            top_b = _mm512_mask_blend_pd(wins_b, top_b, b);
+        }
+        count += _mm512_cmp_pd_mask::<_CMP_NEQ_OQ>(best_a, best_b).count_ones() as usize;
+        j += 8;
+    }
+    count + argmax_mismatches_scalar(base, u, scale_u, w, ld, classes, j..rows.end)
 }
 
 /// Givens rotation of two equal-length rows, elementwise:
