@@ -92,7 +92,7 @@ impl ComboId {
     ///
     /// Returns `requested` unchanged for every combo: a smaller `n₀`
     /// would speed up the Gram-path combos' statistics (the `n₀ × n₀`
-    /// eigendecomposition dominates at harness scale) but makes the
+    /// Gram and its Cholesky inverse dominate at harness scale) but makes the
     /// factored covariance more rank-deficient — and therefore
     /// overconfident — so the guarantee experiments take precedence.
     /// The hook remains so time-focused runs can trade calibration for

@@ -127,7 +127,7 @@ pub struct IncEstimator {
     /// iteration. `J = E[ψψᵀ]` is an expectation, so a bounded i.i.d.
     /// subsample estimates it regardless of how large the training
     /// sample has grown; without the cap, high-dimensional sparse
-    /// workloads hit an `n × n` Gram eigendecomposition that grows
+    /// workloads hit an `n × n` Gram inverse that grows
     /// cubically with the schedule. The trained model always uses the
     /// full `n_k` rows; only the certification statistics subsample.
     pub stats_sample_cap: usize,

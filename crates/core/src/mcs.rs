@@ -252,6 +252,14 @@ pub trait ModelClassSpec<F: FeatureVec>: Send + Sync {
     /// return 0 for unregularized models.
     fn regularization(&self) -> f64;
 
+    /// The parameter vector a fit without a warm start begins from on
+    /// the rows of `xm`: zeros by default. [`Self::train_view`] and the
+    /// sweep's pilot fits both start here, so a spec that overrides it
+    /// moves every path's cold start the same way.
+    fn cold_start(&self, xm: &MatrixView) -> Vec<f64> {
+        vec![0.0; self.param_dim(xm.dim())]
+    }
+
     /// The set of label values this model class accepts — the contract
     /// the streaming ingest gate (`blinkml_data::stream`) enforces at
     /// append time so out-of-domain labels never poison pooled
@@ -464,7 +472,7 @@ pub trait ModelClassSpec<F: FeatureVec>: Send + Sync {
                 }
                 w.to_vec()
             }
-            None => vec![0.0; dim],
+            None => self.cold_start(xm),
         };
         let adapter = ViewObjective {
             spec: self,

@@ -23,8 +23,19 @@ use blinkml_linalg::blas::ger;
 use blinkml_linalg::Matrix;
 
 /// Bound on `|u| = |ln σ²|` to keep `exp` well-behaved during line
-/// searches (σ² between e^-30 and e^30 covers any real dataset).
+/// searches (σ² between e^-30 and e^30 covers any real dataset). Past
+/// it the objective is flat in `u`, and so is its gradient.
 const LOG_VAR_CLAMP: f64 = 30.0;
+
+/// `∂f/∂u = ½ − (1/2σ²)·mean(r²)` inside the clamp, `0` past it, where
+/// the objective no longer depends on `u`.
+fn log_var_grad(u_raw: f64, inv_s: f64, mean_r2: f64) -> f64 {
+    if u_raw.abs() > LOG_VAR_CLAMP {
+        0.0
+    } else {
+        0.5 - 0.5 * inv_s * mean_r2
+    }
+}
 
 /// L2-regularized Gaussian linear regression — the paper's `Lin` model.
 ///
@@ -66,6 +77,21 @@ impl<F: FeatureVec> ModelClassSpec<F> for LinearRegressionSpec {
 
     fn regularization(&self) -> f64 {
         self.beta
+    }
+
+    /// `w = 0` and `u = ln(mean(y²))` (clamped), where `∂f/∂u = 0`:
+    /// from `u = 0` the first quasi-Newton step moves `u` by about
+    /// `mean(y²)/2`, which on large labels lands past the clamp.
+    fn cold_start(&self, xm: &MatrixView) -> Vec<f64> {
+        let d = xm.dim();
+        let mut theta = vec![0.0; d + 1];
+        let n = xm.len();
+        let sum_y2: f64 = (0..n).map(|i| xm.label(i) * xm.label(i)).sum();
+        let mean_y2 = sum_y2 / n.max(1) as f64;
+        if mean_y2 > 0.0 && mean_y2.is_finite() {
+            theta[d] = mean_y2.ln().clamp(-LOG_VAR_CLAMP, LOG_VAR_CLAMP);
+        }
+        theta
     }
 
     fn value_grad(
@@ -122,8 +148,7 @@ impl<F: FeatureVec> ModelClassSpec<F> for LinearRegressionSpec {
             for g in e.grad[..d].iter_mut() {
                 *g = inv_s * *g / n;
             }
-            // ∂f/∂u = ½ − (1/2σ²)·mean(r²).
-            e.grad[d] = 0.5 - 0.5 * inv_s * sum_r2 / n;
+            e.grad[d] = log_var_grad(e.theta[d], inv_s, sum_r2 / n);
             if e.beta > 0.0 {
                 let norm_sq: f64 = w.iter().map(|t| t * t).sum();
                 value += 0.5 * e.beta * norm_sq;
@@ -288,8 +313,7 @@ impl<F: FeatureVec> ScalarOracle<F> for LinearRegressionSpec {
         for (g, a) in grad[..d].iter_mut().zip(&acc[1..]) {
             *g = inv_s * a / n;
         }
-        // ∂f/∂u = ½ − (1/2σ²)·mean(r²).
-        grad[d] = 0.5 - 0.5 * inv_s * sum_r2 / n;
+        grad[d] = log_var_grad(theta[d], inv_s, sum_r2 / n);
         if self.beta > 0.0 {
             let norm_sq: f64 = w.iter().map(|t| t * t).sum();
             value += 0.5 * self.beta * norm_sq;
@@ -377,6 +401,60 @@ mod tests {
         theta[5] = -0.4; // u = ln σ²
         check_gradient(&spec, &theta, &data, 1e-5);
         check_grads_mean(&spec, &theta, &data, 1e-10);
+    }
+
+    /// Labels with mean square ~100 (D = 100): from `u = 0` the first
+    /// step used to land `u` past the clamp, where the objective is flat
+    /// but the gradient was not, and every λ failed its line search.
+    #[test]
+    fn trains_with_large_labels() {
+        let (data, w) = synthetic_linear(3_000, 100, 0.5, 9);
+        let train = data.split(2_000, 0, 10).train;
+        assert_eq!(train.len(), 1_000);
+        for lambda in [0.0, 1e-6, 1e-4] {
+            let spec = LinearRegressionSpec::new(lambda);
+            let model = spec
+                .train(&train, None, &OptimOptions::default())
+                .unwrap_or_else(|e| panic!("λ = {lambda}: {e}"));
+            assert!(model.converged, "λ = {lambda}");
+            let s2 = spec.noise_variance(model.parameters());
+            assert!((s2 - 0.25).abs() < 0.05, "λ = {lambda}: σ̂² = {s2}");
+            for (t, wi) in spec.weights(model.parameters()).iter().zip(&w) {
+                assert!((t - wi).abs() < 0.1, "λ = {lambda}: {t} vs {wi}");
+            }
+        }
+    }
+
+    #[test]
+    fn log_variance_gradient_is_zero_past_the_clamp() {
+        let (data, _) = synthetic_linear(200, 3, 0.5, 3);
+        let spec = LinearRegressionSpec::new(1e-3);
+        let xm = DatasetMatrix::from_dataset(&data);
+        let mut scratch = TrainScratch::new();
+        let mut grad = vec![0.0; 4];
+        for u in [-40.0, 31.0, 45.0] {
+            let theta = [0.1, -0.2, 0.3, u];
+            <M>::value_grad(&spec, &theta, &xm.view(), &mut scratch, &mut grad);
+            assert_eq!(grad[3], 0.0, "u = {u}");
+        }
+    }
+
+    #[test]
+    fn cold_start_zeroes_the_log_variance_gradient() {
+        let (data, _) = synthetic_linear(500, 4, 0.5, 4);
+        let spec = LinearRegressionSpec::new(1e-3);
+        let xm = DatasetMatrix::from_dataset(&data);
+        let theta = <M>::cold_start(&spec, &xm.view());
+        assert!(theta[..4].iter().all(|&t| t == 0.0));
+        let mut grad = vec![0.0; 5];
+        <M>::value_grad(
+            &spec,
+            &theta,
+            &xm.view(),
+            &mut TrainScratch::new(),
+            &mut grad,
+        );
+        assert!(grad[4].abs() < 1e-12, "∂f/∂u = {}", grad[4]);
     }
 
     #[test]

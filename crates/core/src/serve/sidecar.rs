@@ -40,8 +40,11 @@ use std::fs::{self, File};
 use std::path::Path;
 use std::sync::Arc;
 
-/// Magic + format version prefix of a pilot sidecar file.
-const SIDECAR_MAGIC: &[u8; 8] = b"BMLPILO1";
+/// Magic + format version prefix of a pilot sidecar file. Version 2
+/// stores the implicit factor as `(G + βI)⁻¹` and the gradient rows; a
+/// version-1 file (Gram eigenpairs) is ignored at load, so the server
+/// starts cold.
+const SIDECAR_MAGIC: &[u8; 8] = b"BMLPILO2";
 
 fn put_f64s(out: &mut Vec<u8>, xs: &[f64]) {
     put_usize(out, xs.len());
@@ -119,17 +122,10 @@ fn put_stats(out: &mut Vec<u8>, stats: &ModelStatistics) {
             out.push(0);
             put_matrix(out, l);
         }
-        Factor::Implicit {
-            v,
-            lambda,
-            grads: g,
-            beta,
-        } => {
+        Factor::Implicit { m, grads: g } => {
             out.push(1);
-            put_matrix(out, v);
-            put_f64s(out, lambda);
+            put_matrix(out, m);
             put_grads(out, g);
-            put_f64(out, *beta);
         }
     }
 }
@@ -139,16 +135,9 @@ fn stats(dec: &mut Decoder<'_>) -> Result<ModelStatistics, WalError> {
     let factor = match dec.u8()? {
         0 => Factor::Explicit(matrix(dec)?),
         1 => {
-            let v = matrix(dec)?;
-            let lambda = f64s(dec)?;
+            let m = matrix(dec)?;
             let g = grads(dec)?;
-            let beta = dec.f64()?;
-            Factor::Implicit {
-                v,
-                lambda,
-                grads: g,
-                beta,
-            }
+            Factor::Implicit { m, grads: g }
         }
         tag => return Err(dec.corrupt(format!("unknown factor encoding {tag}"))),
     };
@@ -326,13 +315,11 @@ mod tests {
             stats: Some(ModelStatistics::from_parts(
                 4,
                 Factor::Implicit {
-                    v: Matrix::from_fn(2, 2, |i, j| (i + j) as f64 + 0.5),
-                    lambda: vec![2.0, 0.5],
+                    m: Matrix::from_fn(2, 2, |i, j| 1.0 / ((i + j) as f64 + 0.5)),
                     grads: Grads::Sparse {
                         rows,
                         shift: vec![0.01, 0.02, 0.03, 0.04],
                     },
-                    beta: 1e-3,
                 },
             )),
             n0: 50,

@@ -10,9 +10,15 @@
 //! * **ObservedFisher** (default): `J` from the per-example gradients via
 //!   the information matrix equality, `H = J + βI`. When `D ≤ n` the
 //!   factor is explicit (`L = U diag(√λ/(λ+β))` from the
-//!   eigendecomposition of `J`); when `D > n` only the `n × n` Gram
-//!   matrix is decomposed and `L z = Q'ᵀ V diag(1/(λ+β)) z` is applied
-//!   implicitly through the gradient rows (paper §4.3).
+//!   eigendecomposition of `J`). When `D > n` the factor stays implicit
+//!   in the Woodbury form `L z = Q'ᵀ M z` with `M = (G + βI)⁻¹` for the
+//!   `n × n` Gram matrix `G = Q' Q'ᵀ` (paper §4.3): since
+//!   `(Q'ᵀQ' + βI)⁻¹ Q'ᵀ = Q'ᵀ (G + βI)⁻¹`, `L Lᵀ = Q'ᵀ M² Q' = H⁻¹JH⁻¹`
+//!   with no eigendecomposition. `M` comes from one Cholesky factor of
+//!   `G + βI` and its inverse. Where `β = 0`, or the Cholesky finds
+//!   `G + βI` not positive definite, `M = V diag(1/(λ+β)) Vᵀ` over the
+//!   Gram eigenpairs above the relative cutoff instead (the
+//!   pseudo-inverse at `β = 0`), which is the same distribution.
 //! * **ClosedForm**: analytic `H`; `J = H − βI` by the equality.
 //! * **InverseGradients**: finite-difference `H` from `D` probes of the
 //!   averaged gradient; `J = H − βI`.
@@ -26,7 +32,7 @@ use crate::error::CoreError;
 use crate::grads::Grads;
 use crate::mcs::ModelClassSpec;
 use blinkml_data::{Dataset, DatasetMatrix, FeatureVec, MatrixView, TrainScratch};
-use blinkml_linalg::{blas, Matrix, SymmetricEigen};
+use blinkml_linalg::{blas, Cholesky, LinalgError, Matrix, SymmetricEigen};
 use blinkml_prob::CovarianceFactor;
 
 /// Relative eigenvalue cutoff below which covariance directions are
@@ -49,17 +55,15 @@ const PROBE_EPSILON: f64 = 1e-6;
 pub(crate) enum Factor {
     /// Dense `D × k` factor.
     Explicit(Matrix),
-    /// Implicit factor through the gradient rows:
-    /// `L z = Q'ᵀ (V diag(1/(λ+β)) z)`.
+    /// Implicit Woodbury factor through the gradient rows (`D > n`):
+    /// `L z = Q'ᵀ (M z)` with `z ∈ ℝⁿ`.
     Implicit {
-        /// Gram eigenvectors (`n × k`).
-        v: Matrix,
-        /// Gram eigenvalues (`k`), descending.
-        lambda: Vec<f64>,
+        /// `M = (G + βI)⁻¹` from the Cholesky factor of `G + βI`, or
+        /// `V diag(1/(λ+β)) Vᵀ` over the kept Gram eigenpairs where
+        /// `β = 0` or that Cholesky fails (`n × n`).
+        m: Matrix,
         /// The gradient rows (kept alive for `Q'ᵀ` application).
         grads: Grads,
-        /// L2 coefficient β.
-        beta: f64,
     },
 }
 
@@ -92,7 +96,7 @@ impl ModelStatistics {
     pub fn rank(&self) -> usize {
         match &self.factor {
             Factor::Explicit(l) => l.cols(),
-            Factor::Implicit { lambda, .. } => lambda.len(),
+            Factor::Implicit { m, .. } => m.rows(),
         }
     }
 
@@ -112,19 +116,12 @@ impl ModelStatistics {
                 }
                 out
             }
-            Factor::Implicit {
-                v,
-                lambda,
-                grads,
-                beta,
-            } => {
-                let lt = implicit_factor_rows(v, grads);
+            Factor::Implicit { m, grads } => {
+                let lt = implicit_factor_columns(m, grads);
                 let mut out = vec![0.0; self.dim];
-                for (j, &lam) in lambda.iter().enumerate() {
-                    let scale = 1.0 / (lam + beta);
+                for j in 0..lt.rows() {
                     for (o, &lji) in out.iter_mut().zip(lt.row(j)) {
-                        let val = lji * scale;
-                        *o += val * val;
+                        *o += lji * lji;
                     }
                 }
                 out
@@ -139,32 +136,18 @@ impl ModelStatistics {
     pub fn covariance_dense(&self) -> Matrix {
         match &self.factor {
             Factor::Explicit(l) => blas::gemm_nt(l, l).expect("square product"),
-            Factor::Implicit {
-                v,
-                lambda,
-                grads,
-                beta,
-            } => {
-                let lt = implicit_factor_rows(v, grads);
-                let k = lambda.len();
-                let mut l = Matrix::zeros(self.dim, k);
-                for (j, &lam) in lambda.iter().enumerate() {
-                    let scale = 1.0 / (lam + beta);
-                    for i in 0..self.dim {
-                        l[(i, j)] = lt[(j, i)] * scale;
-                    }
-                }
-                blas::gemm_nt(&l, &l).expect("square product")
+            Factor::Implicit { m, grads } => {
+                let lt = implicit_factor_columns(m, grads);
+                blas::gemm_tn(&lt, &lt).expect("square product")
             }
         }
     }
 }
 
-/// The implicit factor, one row per Gram eigenvector: row `j` is
-/// `Ψᵀ v_j / √n` — all columns of `L` (up to their `1/(λ+β)` scaling)
-/// from a single batched pass over the gradient rows.
-fn implicit_factor_rows(v: &Matrix, grads: &Grads) -> Matrix {
-    grads.t_apply_rows(&v.transpose())
+/// The implicit factor's columns as rows: row `j` is `Q'ᵀ M e_j`, all
+/// of `L` from a single batched pass over the gradient rows.
+fn implicit_factor_columns(m: &Matrix, grads: &Grads) -> Matrix {
+    grads.t_apply_rows(&m.transpose())
 }
 
 impl CovarianceFactor for ModelStatistics {
@@ -179,19 +162,9 @@ impl CovarianceFactor for ModelStatistics {
     fn apply(&self, z: &[f64]) -> Vec<f64> {
         match &self.factor {
             Factor::Explicit(l) => blas::gemv(l, z).expect("factor dims"),
-            Factor::Implicit {
-                v,
-                lambda,
-                grads,
-                beta,
-            } => {
-                // w = V diag(1/(λ+β)) z, then L z = Q'ᵀ w.
-                let scaled: Vec<f64> = z
-                    .iter()
-                    .zip(lambda)
-                    .map(|(zi, lam)| zi / (lam + beta))
-                    .collect();
-                let w = blas::gemv(v, &scaled).expect("factor dims");
+            Factor::Implicit { m, grads } => {
+                // w = M z, then L z = Q'ᵀ w.
+                let w = blas::gemv(m, z).expect("factor dims");
                 grads.t_apply(&w)
             }
         }
@@ -203,22 +176,11 @@ impl CovarianceFactor for ModelStatistics {
             // Z Lᵀ: every entry is the same dot the per-draw gemv
             // computes, so the batch is bitwise identical per row.
             Factor::Explicit(l) => blas::par_gemm_nt(z, l).expect("factor dims"),
-            Factor::Implicit {
-                v,
-                lambda,
-                grads,
-                beta,
-            } => {
-                // Row-wise: scaled = z/(λ+β), w = V·scaled, out = Q'ᵀw —
-                // the per-draw pipeline fused into two blocked kernels
-                // that preserve its accumulation order exactly.
-                let mut scaled = z.clone();
-                for i in 0..scaled.rows() {
-                    for (s, lam) in scaled.row_mut(i).iter_mut().zip(lambda) {
-                        *s /= lam + beta;
-                    }
-                }
-                let w = blas::par_gemm_nt(&scaled, v).expect("factor dims");
+            Factor::Implicit { m, grads } => {
+                // Row-wise: w = M z, out = Q'ᵀw — the per-draw pipeline
+                // in two blocked kernels that keep its accumulation
+                // order exactly.
+                let w = blas::par_gemm_nt(z, m).expect("factor dims");
                 grads.t_apply_rows(&w)
             }
         }
@@ -257,9 +219,9 @@ pub fn compute_statistics_view<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
 }
 
 /// ObservedFisher (paper §3.4 Method 3): factor `J` from per-example
-/// gradients without forming any `D × D` matrix when `D > n`: the
-/// second-moment (`D ≤ n`) or Gram (`D > n`) matrix is materialized and
-/// fully eigendecomposed (`O(min(D,n)³)`).
+/// gradients without forming any `D × D` matrix when `D > n`. For
+/// `D ≤ n` the second moment is eigendecomposed (`O(D³)`); for `D > n`
+/// the Gram matrix is inverted through its Cholesky factor (`O(n³)`).
 fn observed_fisher<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     spec: &S,
     theta: &[f64],
@@ -280,34 +242,55 @@ fn observed_fisher<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
             factor: Factor::Explicit(l),
         })
     } else {
-        // High-dimensional regime: the n × n Gram matrix shares J's
-        // nonzero spectrum; keep the factor implicit. `Grads::gram`
-        // mirrors its upper triangle, so the Gram is exactly symmetric
-        // and needs no symmetrize pass.
-        let SymmetricEigen {
-            eigenvalues,
-            eigenvectors,
-        } = SymmetricEigen::new(&grads.gram())?;
-        let lmax = eigenvalues.first().copied().unwrap_or(0.0).max(0.0);
-        let cutoff = lmax * EIGEN_TOLERANCE;
-        let k = eigenvalues
-            .iter()
-            .take_while(|&&l| l > cutoff && l > 0.0)
-            .count();
-        let mut v = Matrix::zeros(n, k);
-        for r in 0..n {
-            v.row_mut(r).copy_from_slice(&eigenvectors.row(r)[..k]);
-        }
+        // High-dimensional regime: keep the factor implicit in the
+        // Woodbury form. `Grads::gram` mirrors its upper triangle, so the
+        // Gram is exactly symmetric and needs no symmetrize pass.
+        let m = shifted_gram_inverse(grads.gram(), beta)?;
         Ok(ModelStatistics {
             dim,
-            factor: Factor::Implicit {
-                v,
-                lambda: eigenvalues[..k].to_vec(),
-                grads,
-                beta,
-            },
+            factor: Factor::Implicit { m, grads },
         })
     }
+}
+
+/// `M = (G + βI)⁻¹` for a symmetric Gram `G`: the inverse of its
+/// Cholesky factor when `β > 0`. Where `β = 0`, or `G + βI` is not
+/// numerically positive definite, `M = V diag(1/(λ+β)) Vᵀ` over the
+/// eigenpairs of `G` above the relative cutoff [`EIGEN_TOLERANCE`].
+fn shifted_gram_inverse(mut g: Matrix, beta: f64) -> Result<Matrix, CoreError> {
+    let n = g.rows();
+    if beta > 0.0 {
+        let diag: Vec<f64> = (0..n).map(|i| g[(i, i)]).collect();
+        g.add_diag(beta);
+        match Cholesky::new(&g) {
+            Ok(chol) => return Ok(chol.inverse()?),
+            Err(LinalgError::NotPositiveDefinite { .. }) => {
+                for (i, d) in diag.into_iter().enumerate() {
+                    g[(i, i)] = d;
+                }
+            }
+            Err(e) => return Err(e.into()),
+        }
+    }
+    let SymmetricEigen {
+        eigenvalues,
+        eigenvectors,
+    } = SymmetricEigen::new(&g)?;
+    let lmax = eigenvalues.first().copied().unwrap_or(0.0).max(0.0);
+    let cutoff = lmax * EIGEN_TOLERANCE;
+    let k = eigenvalues
+        .iter()
+        .take_while(|&&l| l > cutoff && l > 0.0)
+        .count();
+    let mut v = Matrix::zeros(n, k);
+    let mut scaled = Matrix::zeros(n, k);
+    for r in 0..n {
+        v.row_mut(r).copy_from_slice(&eigenvectors.row(r)[..k]);
+        for ((s, &x), &lam) in scaled.row_mut(r).iter_mut().zip(v.row(r)).zip(&eigenvalues) {
+            *s = x / (lam + beta);
+        }
+    }
+    Ok(blas::gemm_nt(&scaled, &v)?)
 }
 
 /// `L = U diag(√λ/(λ+β))` from eigenpairs of `J`, truncated at the
@@ -423,7 +406,7 @@ mod tests {
     use crate::models::linreg::LinearRegressionSpec;
     use crate::models::logreg::LogisticRegressionSpec;
     use crate::models::maxent::MaxEntSpec;
-    use blinkml_data::generators::{synthetic_linear, synthetic_logistic, yelp_like};
+    use blinkml_data::generators::{criteo_like, synthetic_linear, synthetic_logistic, yelp_like};
     use blinkml_optim::OptimOptions;
     use blinkml_prob::rng_from_seed;
     use blinkml_prob::MvnSampler;
@@ -493,6 +476,102 @@ mod tests {
             "relative diff {}",
             reference.max_abs_diff(&implicit) / denom
         );
+    }
+
+    /// The eigen implicit factor the Woodbury form replaced, kept as the
+    /// oracle: `L = Q'ᵀ V diag(1/(λ+β))` over the Gram eigenpairs above
+    /// the relative cutoff. Returns `L Lᵀ`.
+    fn eigen_factor_covariance(grads: &Grads, beta: f64) -> Matrix {
+        let SymmetricEigen {
+            eigenvalues,
+            eigenvectors,
+        } = SymmetricEigen::new(&grads.gram()).unwrap();
+        let cutoff = eigenvalues[0].max(0.0) * EIGEN_TOLERANCE;
+        let k = eigenvalues
+            .iter()
+            .take_while(|&&l| l > cutoff && l > 0.0)
+            .count();
+        let n = grads.num_rows();
+        let scaled = Matrix::from_fn(k, n, |j, r| eigenvectors[(r, j)] / (eigenvalues[j] + beta));
+        let lt = grads.t_apply_rows(&scaled);
+        blas::gemm_tn(&lt, &lt).unwrap()
+    }
+
+    /// Relative max-abs tolerance of the Woodbury factor's covariance
+    /// against the eigen oracle: both are exact up to rounding, which
+    /// the conditioning of `G + βI` amplifies.
+    const WOODBURY_TOLERANCE: f64 = 1e-8;
+
+    fn assert_matches_eigen_oracle(grads: Grads, beta: f64, what: &str) {
+        let want = eigen_factor_covariance(&grads, beta);
+        let stats = ModelStatistics {
+            dim: grads.dim(),
+            factor: Factor::Implicit {
+                m: shifted_gram_inverse(grads.gram(), beta).unwrap(),
+                grads,
+            },
+        };
+        let got = stats.covariance_dense();
+        let rel = want.max_abs_diff(&got) / want.max_abs();
+        assert!(
+            rel < WOODBURY_TOLERANCE,
+            "{what}: relative difference {rel:e}"
+        );
+    }
+
+    /// Pilot gradients of `spec` trained on `n` rows of `data`.
+    fn pilot_grads<F: FeatureVec, S: ModelClassSpec<F>>(
+        spec: &S,
+        data: &Dataset<F>,
+        n: usize,
+    ) -> Grads {
+        let sample = data.sample(n, 5);
+        let model = spec.train(&sample, None, &OptimOptions::default()).unwrap();
+        crate::testing::view_grads(spec, model.parameters(), &sample)
+    }
+
+    #[test]
+    fn woodbury_factor_matches_the_eigen_factor() {
+        // Real pilot Grams, D > n: sparse maxent (D = 600) and sparse
+        // logistic (D = 600).
+        let maxent = pilot_grads(&MaxEntSpec::new(1e-3, 5), &yelp_like(2_000, 120, 21), 150);
+        let logistic = pilot_grads(
+            &LogisticRegressionSpec::new(1e-3),
+            &criteo_like(2_000, 600, 22),
+            150,
+        );
+        assert_matches_eigen_oracle(maxent.clone(), 1e-3, "maxent pilot");
+        assert_matches_eigen_oracle(logistic, 1e-3, "sparse-logistic pilot");
+        // A rank-deficient Gram (every row twice) with β > 0.
+        let mut twice = Matrix::zeros(2 * maxent.num_rows(), maxent.dim());
+        for r in 0..twice.rows() {
+            twice
+                .row_mut(r)
+                .copy_from_slice(&maxent.row_dense(r % maxent.num_rows()));
+        }
+        assert_matches_eigen_oracle(Grads::Dense(twice), 1e-3, "rank-deficient Gram");
+        // β = 0: the eigen fallback, the pseudo-inverse over the kept
+        // directions.
+        assert_matches_eigen_oracle(maxent, 0.0, "β = 0");
+    }
+
+    #[test]
+    fn indefinite_shifted_gram_falls_back_to_the_kept_eigenpairs() {
+        // G + βI has eigenvalues 3 + β and −1 + β: the Cholesky fails,
+        // and M keeps only the positive direction (1, 1)/√2.
+        let beta = 0.5;
+        let g = Matrix::from_vec(2, 2, vec![1.0, 2.0, 2.0, 1.0]);
+        assert!(Cholesky::new(&{
+            let mut s = g.clone();
+            s.add_diag(beta);
+            s
+        })
+        .is_err());
+        let m = shifted_gram_inverse(g, beta).unwrap();
+        let want = 0.5 / (3.0 + beta);
+        for v in m.as_slice() {
+            assert!((v - want).abs() < 1e-12, "{v} vs {want}");
+        }
     }
 
     /// Every row of `apply_batch(Z)` equals `apply` of that row of `Z`

@@ -193,15 +193,14 @@ pub(crate) fn run_sweep<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     let mut workspaces: Vec<MinimizeWorkspace> = (0..k).map(|_| MinimizeWorkspace::new()).collect();
     let mut phases = TrainingPhaseTimes::default();
 
-    // Stage 1: the shared pilot — one capture, K lockstep fits from
-    // zeros (exactly a solo run's cold start), then per-λ statistics
+    // Stage 1: the shared pilot — one capture, K lockstep fits from each
+    // spec's cold start (exactly a solo run's), then per-λ statistics
     // against the same view.
     let t = Instant::now();
     let sample = train.sample_view(n0, split_seed(seed, 0));
     let capture = DatasetMatrix::pack(train, sample.indices(), cap_scratch);
     let view = capture.view();
-    let zeros = vec![0.0; dim];
-    let theta0s: Vec<Vec<f64>> = (0..k).map(|_| zeros.clone()).collect();
+    let theta0s: Vec<Vec<f64>> = specs.iter().map(|s| s.cold_start(&view)).collect();
     let pilot_rows = vec![n0; k];
     let fits = lockstep_fits(
         specs[0].as_ref(),

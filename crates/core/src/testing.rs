@@ -96,7 +96,7 @@ impl<S> ScalarTrain<S> {
                 }
                 w.to_vec()
             }
-            None => vec![0.0; dim],
+            None => self.0.cold_start(&DatasetMatrix::from_dataset(data).view()),
         };
         let adapter = OracleObjective {
             spec: &self.0,
@@ -150,6 +150,9 @@ impl<F: FeatureVec, S: ModelClassSpec<F>> ModelClassSpec<F> for PerRowLoop<S> {
     }
     fn regularization(&self) -> f64 {
         self.0.regularization()
+    }
+    fn cold_start(&self, xm: &MatrixView) -> Vec<f64> {
+        self.0.cold_start(xm)
     }
     fn label_domain(&self) -> LabelDomain {
         self.0.label_domain()
@@ -234,6 +237,9 @@ where
     fn regularization(&self) -> f64 {
         self.inner.regularization()
     }
+    fn cold_start(&self, xm: &MatrixView) -> Vec<f64> {
+        self.inner.cold_start(xm)
+    }
     fn label_domain(&self) -> LabelDomain {
         self.inner.label_domain()
     }
@@ -301,6 +307,9 @@ impl<F: FeatureVec> ModelClassSpec<F> for MultiLambdaPanicSpec<F> {
     }
     fn regularization(&self) -> f64 {
         self.0.regularization()
+    }
+    fn cold_start(&self, xm: &MatrixView) -> Vec<f64> {
+        self.0.cold_start(xm)
     }
     fn label_domain(&self) -> LabelDomain {
         self.0.label_domain()

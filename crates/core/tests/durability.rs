@@ -21,7 +21,7 @@ use blinkml_core::serve::{DatasetShard, Query, Server, StreamShard};
 use blinkml_core::testing::{crash_image, WalFault};
 use blinkml_core::{ModelClassSpec, TrainingOutcome};
 use blinkml_data::generators::{
-    synthetic_linear, synthetic_logistic, synthetic_multiclass, synthetic_poisson,
+    synthetic_linear, synthetic_logistic, synthetic_multiclass, synthetic_poisson, yelp_like,
 };
 use blinkml_data::{
     Dataset, DenseVec, DurableOptions, Example, IngestPolicy, LabelDomain, StreamingPool,
@@ -759,6 +759,57 @@ fn advance_epoch_floors_survive_restart() {
     );
     server.shutdown_drain();
     let _ = std::fs::remove_dir_all(sidecar.parent().expect("parent"));
+}
+
+/// A sidecar written in the version-1 format (magic `BMLPILO1`, whose
+/// implicit factor held Gram eigenpairs) is ignored at spawn: the
+/// server starts cold and answers bit-identically to a cold server. The
+/// shard is sparse maxent with `D > n₀`, so the pilot carries the
+/// implicit factor whose encoding changed.
+#[test]
+fn version_one_sidecar_cold_starts_bit_identically() {
+    let data = yelp_like(1_200, 120, 71); // D = 5·120 = 600 > n₀ = 100
+    let split = data.split(200, 0, 171);
+    let train = Arc::new(split.train);
+    let holdout = Arc::new(split.holdout);
+    let base = base_config(100, Some(2));
+    let spec = MaxEntSpec::new(1e-3, 5);
+    let scratch = tmpdir("v1_sidecar");
+    std::fs::create_dir_all(&scratch).expect("scratch dir");
+    let sidecar = scratch.join("pilots.bin");
+    let serve = ServeConfig {
+        workers: 1,
+        pilot_sidecar: Some(sidecar.clone()),
+        ..ServeConfig::default()
+    };
+    let query = Query::new(7, 0.3, 0.05, 0);
+    let spawn = || {
+        Server::spawn(
+            base.clone(),
+            serve.clone(),
+            spec.clone(),
+            vec![DatasetShard::from_arcs(7, train.clone(), holdout.clone())],
+        )
+        .expect("spawn")
+    };
+
+    let server = spawn();
+    let cold = server.query(query).expect("cold response");
+    server.shutdown_drain(); // writes a current-format sidecar
+
+    // The same file under the version-1 magic.
+    let mut bytes = std::fs::read(&sidecar).expect("sidecar written");
+    assert_eq!(&bytes[..8], b"BMLPILO2");
+    bytes[..8].copy_from_slice(b"BMLPILO1");
+    std::fs::write(&sidecar, bytes).expect("rewrite sidecar");
+
+    let server = spawn();
+    assert_eq!(server.stats().warm_pilots, 0, "a v1 sidecar is not loaded");
+    let served = server.query(query).expect("served");
+    assert_eq!(server.stats().pilot_trains, 1, "the pilot retrains");
+    assert_bitwise_eq("v1 sidecar", &served.outcome, &cold.outcome);
+    server.shutdown_drain();
+    let _ = std::fs::remove_dir_all(&scratch);
 }
 
 /// A missing or damaged sidecar is a cold start, never a spawn error.

@@ -279,6 +279,30 @@ fn wide_packed_final_matrix() {
     }
 }
 
+/// Linear regression with labels of mean square ~100 (D = 100): every
+/// pilot fit starts from the spec's cold start (`u = ln mean(y²)`), in
+/// the sweep as in the solo runs; from `u = 0` these λ failed to train.
+/// Budgets {1, 4}.
+#[test]
+fn large_label_linreg_matrix() {
+    const D: usize = 100;
+    let (data, _) = synthetic_linear(6_000, D, 0.5, 87);
+    let split = data.split(600, 0, 88);
+    let grid = [1e-4, 1e-6, 0.0];
+    for threads in [Some(1), Some(4)] {
+        check_sweep_equals_loops(
+            &format!("linreg d={D} t={threads:?}"),
+            LinearRegressionSpec::new,
+            &split.train,
+            &split.holdout,
+            &grid,
+            0.05,
+            7,
+            threads,
+        );
+    }
+}
+
 /// Logistic regression with an intercept: every grid point's base
 /// scores ride in its own accuracy GEMM (the offset row carries `θ_b`),
 /// and each point must stay bit-identical to its solo run, descending

@@ -2,10 +2,12 @@
 //!
 //! Householder tridiagonalization followed by the implicit-shift QL
 //! iteration (the classic EISPACK `tred2` / `tql2` pair). This is the
-//! workhorse behind BlinkML's `ObservedFisher` statistics method: the
-//! factored covariance `J = U Σ² Uᵀ` is an eigendecomposition of either
-//! the `d x d` second-moment matrix or the `n x n` Gram matrix, whichever
-//! is smaller.
+//! workhorse behind BlinkML's statistics methods: `ObservedFisher`'s
+//! explicit factor `J = U Σ² Uᵀ` is an eigendecomposition of the `d x d`
+//! second-moment matrix (when `d ≤ n`; past that a Cholesky inverse of
+//! the shifted `n x n` Gram matrix replaces it, with this solver as the
+//! fallback where `β = 0`), and ClosedForm / InverseGradients
+//! decompose the Hessian.
 //!
 //! EISPACK walks the accumulated transform `Z` down its columns, which on
 //! the row-major [`Matrix`] is a stride of one row per element. This port

@@ -4,10 +4,12 @@
 //! reproduction needs:
 //!
 //! * a row-major [`Matrix`] type plus BLAS-level-1/2/3 kernels ([`blas`]),
-//! * a Cholesky factorization ([`cholesky`]),
+//! * a Cholesky factorization and SPD inverse ([`cholesky`]), behind the
+//!   statistics phase's `(G + βI)⁻¹` when the parameter dimension exceeds
+//!   the sample size,
 //! * a symmetric eigensolver ([`eigen`]) based on Householder
 //!   tridiagonalization followed by the implicit-shift QL iteration —
-//!   the one spectral engine behind BlinkML's statistics phase.
+//!   the spectral engine behind every other statistics factor.
 //!
 //! Everything operates on `f64`. The implementations favour clarity and
 //! numerical robustness over micro-optimization, but the hot kernels
