@@ -131,7 +131,7 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> HoldoutScorer<'a, F, S> {
 
     /// Derive an engine for the given perturbation pools. The first
     /// engine appends the base's margin block to the stacked pool blocks,
-    /// so one scoring pass ([`panel_scores`]: [`batched_scores`] over
+    /// so one scoring pass (`panel_scores`: `batched_scores` over
     /// L2-sized panels of whole blocks) scores the pools and the base; it
     /// splits the base's matrix off the end of the result and the scorer
     /// keeps it for every later engine. `batched_scores` computes each
