@@ -5,12 +5,15 @@
 //! poisson / linear regression), feature layouts (dense and sparse),
 //! widths (d = 5 and, with a packed final capture, d = 37), thread
 //! budgets ({1, 4}), and any λ order
-//! (descending, ascending, shuffled). No tolerances anywhere:
+//! (descending, ascending, shuffled), plus the edge paths: ε̂ on, a
+//! one-point grid, a repeated λ and n₀ ≥ N. No tolerances anywhere:
 //! θ, ε₀, and ε̂ compare by `f64::to_bits`; the chosen `n`, probe
 //! counts, and decision paths compare exactly.
 
 use blinkml_core::models::{LinearRegressionSpec, LogisticRegressionSpec, PoissonRegressionSpec};
-use blinkml_core::{BlinkMlConfig, ExecConfig, ModelClassSpec, Session, TrainingOutcome};
+use blinkml_core::{
+    BlinkMlConfig, ExecConfig, ModelClassSpec, Session, SweepResult, TrainingOutcome,
+};
 use blinkml_data::generators::{criteo_like, synthetic_linear, synthetic_logistic};
 use blinkml_data::{Dataset, FeatureVec};
 use blinkml_linalg::testing::budget_lock;
@@ -80,12 +83,14 @@ fn assert_outcome_bitwise(context: &str, sweep: &TrainingOutcome, solo: &Trainin
 }
 
 /// The core check: one fused sweep vs per-λ independent sessions,
-/// bitwise, for a given λ order and thread budget.
+/// bitwise, for a given λ order and configuration (thread budget, n₀,
+/// ε̂ on or off). Returns the sweep, so a caller can check which path
+/// its points took.
 ///
-/// Every session installs `threads` as the process-wide budget, so the
-/// check holds [`budget_lock`] throughout: no other pin in this binary
-/// can switch the budget under it, and a budget-1 case really runs on
-/// one thread.
+/// Every session installs the configuration's thread budget as the
+/// process-wide one, so the check holds [`budget_lock`] throughout: no
+/// other pin in this binary can switch the budget under it, and a
+/// budget-1 case really runs on one thread.
 #[allow(clippy::too_many_arguments)]
 fn check_sweep_equals_loops<F, S, C>(
     context: &str,
@@ -95,15 +100,16 @@ fn check_sweep_equals_loops<F, S, C>(
     lambdas: &[f64],
     epsilon: f64,
     seed: u64,
-    threads: Option<usize>,
-) where
+    config: &BlinkMlConfig,
+) -> SweepResult
+where
     F: FeatureVec,
     S: ModelClassSpec<F>,
     C: Fn(f64) -> S,
 {
     let _budget = budget_lock();
     let base = mk(1e-3);
-    let session = Session::new(config(threads), &base, train, holdout).expect("sweep session");
+    let session = Session::new(config.clone(), &base, train, holdout).expect("sweep session");
     let sweep = session
         .sweep(lambdas, epsilon, 0.05, seed)
         .expect("fused sweep");
@@ -112,12 +118,13 @@ fn check_sweep_equals_loops<F, S, C>(
     for (point, &lambda) in sweep.points.iter().zip(lambdas) {
         assert_eq!(point.lambda, lambda);
         let solo_spec = mk(lambda);
-        let solo = Session::new(config(threads), &solo_spec, train, holdout)
+        let solo = Session::new(config.clone(), &solo_spec, train, holdout)
             .expect("solo session")
             .train(epsilon, 0.05, seed)
             .expect("solo train");
         assert_outcome_bitwise(&format!("{context}, λ={lambda}"), &point.outcome, &solo);
     }
+    sweep
 }
 
 /// Deterministic Fisher–Yates over the λ grid from an explicit seed, so
@@ -162,7 +169,7 @@ proptest! {
             &grid,
             0.02,
             seed,
-            threads,
+            &config(threads),
         );
     }
 
@@ -184,7 +191,7 @@ proptest! {
             &[1e-2, 1e-4],
             0.05,
             seed,
-            threads,
+            &config(threads),
         );
     }
 }
@@ -216,7 +223,7 @@ fn family_order_budget_matrix() {
                 grid,
                 0.03,
                 5,
-                threads,
+                &config(threads),
             );
             check_sweep_equals_loops(
                 &format!("linreg {order_name} t={threads:?}"),
@@ -226,7 +233,7 @@ fn family_order_budget_matrix() {
                 grid,
                 0.03,
                 5,
-                threads,
+                &config(threads),
             );
             check_sweep_equals_loops(
                 &format!("poisson {order_name} t={threads:?}"),
@@ -236,7 +243,7 @@ fn family_order_budget_matrix() {
                 grid,
                 0.03,
                 5,
-                threads,
+                &config(threads),
             );
         }
     }
@@ -264,7 +271,7 @@ fn wide_packed_final_matrix() {
             &grid,
             0.02,
             5,
-            threads,
+            &config(threads),
         );
         check_sweep_equals_loops(
             &format!("linreg d={D} t={threads:?}"),
@@ -274,7 +281,7 @@ fn wide_packed_final_matrix() {
             &grid,
             0.02,
             5,
-            threads,
+            &config(threads),
         );
     }
 }
@@ -298,7 +305,7 @@ fn large_label_linreg_matrix() {
             &grid,
             0.05,
             7,
-            threads,
+            &config(threads),
         );
     }
 }
@@ -322,8 +329,97 @@ fn intercept_logistic_matrix() {
                 grid,
                 0.03,
                 5,
-                threads,
+                &config(threads),
             );
+        }
+    }
+}
+
+/// The paths the matrices above leave out, each against the same per-λ
+/// oracle, at budgets {1, 4}:
+/// - ε̂ on (`estimate_final_accuracy`): every final point's closing
+///   estimate comes from its prefix of the shared final capture;
+/// - a one-point grid, and a repeated λ;
+/// - n₀ ≥ N: every point is its exact model, with ε₀ = ε̂ = 0.
+#[test]
+fn edge_path_matrix() {
+    let (log_data, _) = synthetic_logistic(6_000, 5, 2.0, 89);
+    let log_split = log_data.split(600, 0, 90);
+    let (lin_data, _) = synthetic_linear(6_000, 5, 0.5, 91);
+    let lin_split = lin_data.split(600, 0, 92);
+    for threads in [Some(1), Some(4)] {
+        let eps_hat = BlinkMlConfig {
+            estimate_final_accuracy: true,
+            ..config(threads)
+        };
+        for sweep in [
+            check_sweep_equals_loops(
+                &format!("logistic ε̂ t={threads:?}"),
+                LogisticRegressionSpec::new,
+                &log_split.train,
+                &log_split.holdout,
+                &GRID,
+                0.02,
+                5,
+                &eps_hat,
+            ),
+            check_sweep_equals_loops(
+                &format!("linreg ε̂ t={threads:?}"),
+                LinearRegressionSpec::new,
+                &lin_split.train,
+                &lin_split.holdout,
+                &GRID,
+                0.03,
+                5,
+                &eps_hat,
+            ),
+        ] {
+            assert!(
+                sweep
+                    .points
+                    .iter()
+                    .any(|p| !p.outcome.used_initial_model && p.outcome.estimated_epsilon > 0.0),
+                "some point must train a final model and estimate its ε̂"
+            );
+        }
+        check_sweep_equals_loops(
+            &format!("logistic one point t={threads:?}"),
+            LogisticRegressionSpec::new,
+            &log_split.train,
+            &log_split.holdout,
+            &[1e-2],
+            0.02,
+            5,
+            &config(threads),
+        );
+        let repeated = check_sweep_equals_loops(
+            &format!("logistic repeated λ t={threads:?}"),
+            LogisticRegressionSpec::new,
+            &log_split.train,
+            &log_split.holdout,
+            &[1e-2, 1e-2],
+            0.02,
+            5,
+            &config(threads),
+        );
+        assert!(!repeated.points[0].outcome.used_initial_model);
+        let exact = check_sweep_equals_loops(
+            &format!("logistic n0 >= N t={threads:?}"),
+            LogisticRegressionSpec::new,
+            &log_split.train,
+            &log_split.holdout,
+            &GRID,
+            0.02,
+            5,
+            &BlinkMlConfig {
+                initial_sample_size: 20_000,
+                ..config(threads)
+            },
+        );
+        for p in &exact.points {
+            assert!(p.outcome.used_initial_model);
+            assert_eq!(p.outcome.sample_size, log_split.train.len());
+            assert_eq!(p.outcome.estimated_epsilon, 0.0);
         }
     }
 }
