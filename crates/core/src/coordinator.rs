@@ -1,22 +1,31 @@
-//! The BlinkML Coordinator (paper §2.3).
+//! The BlinkML Coordinator (paper §2.3) and the one training pipeline
+//! behind every entry point.
 //!
 //! Workflow: draw the initial sample `D₀`, train `m₀`, estimate its
 //! accuracy; if the contract is already met, return `m₀`. Otherwise ask
 //! the Sample Size Estimator for the minimum `n` and train the final
 //! model on a fresh size-`n` sample (warm-started from `θ₀`). At most
 //! two approximate models are ever trained.
+//!
+//! `run_pipeline` runs that workflow for K ≥ 1 specs at once, over
+//! shared samples: a coordinator call, a [`Session::train`] and a served
+//! query are K = 1; a λ-grid sweep (paper §6.5) is K grid points, one
+//! spec per λ (see [`crate::sweep`]).
+//!
+//! [`Session::train`]: crate::Session::train
 
 use crate::accuracy::ModelAccuracyEstimator;
 use crate::config::BlinkMlConfig;
 use crate::diff_engine::HoldoutScorer;
 use crate::error::CoreError;
-use crate::mcs::{ModelClassSpec, TrainedModel};
-use crate::sample_size::{PreparedSearch, SampleSizeEstimator};
+use crate::mcs::{ModelClassSpec, SweepEval, TrainedModel};
+use crate::sample_size::SampleSizeEstimator;
 use crate::serve::resilience::{relaxed_sample_size, CancelToken, DegradationRung, Pressure};
 use crate::stats::{compute_statistics_view, ModelStatistics};
-use blinkml_data::{CaptureScratch, Dataset, DatasetMatrix, FeatureVec};
-use blinkml_optim::StopCheck;
+use blinkml_data::{CaptureScratch, Dataset, DatasetMatrix, FeatureVec, MatrixView, TrainScratch};
+use blinkml_optim::{MinimizeWorkspace, Solve, StopCheck};
 use blinkml_prob::split_seed;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -79,14 +88,14 @@ impl TrainingOutcome {
 
 /// The BlinkML coordinator.
 ///
-/// It keeps the capture buffers of finished calls and hands one to each
-/// new call, so a coordinator reused across calls packs its samples
+/// It keeps the pipeline buffers of finished calls and hands one set to
+/// each new call, so a coordinator reused across calls packs its samples
 /// into warm pages, as a [`Session`](crate::Session) or a server worker
 /// does. Concurrent calls each take their own buffers. A clone shares
 /// the configuration and starts with no buffers.
 pub struct Coordinator {
     config: BlinkMlConfig,
-    captures: Mutex<Vec<CaptureScratch>>,
+    scratches: Mutex<Vec<PipelineScratch>>,
 }
 
 impl Clone for Coordinator {
@@ -108,14 +117,18 @@ impl Coordinator {
     pub fn new(config: BlinkMlConfig) -> Self {
         Coordinator {
             config,
-            captures: Mutex::new(Vec::new()),
+            scratches: Mutex::new(Vec::new()),
         }
     }
 
-    /// Run `f` on capture buffers taken from this coordinator's spares
+    /// Run `f` on pipeline buffers taken from this coordinator's spares
     /// (fresh ones when there are none), and keep them afterwards.
-    fn with_capture<T>(&self, f: impl FnOnce(&mut CaptureScratch) -> T) -> T {
-        let spares = || self.captures.lock().unwrap_or_else(PoisonError::into_inner);
+    fn with_scratch<T>(&self, f: impl FnOnce(&mut PipelineScratch) -> T) -> T {
+        let spares = || {
+            self.scratches
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+        };
         let mut scratch = spares().pop().unwrap_or_default();
         let out = f(&mut scratch);
         spares().push(scratch);
@@ -168,8 +181,8 @@ impl Coordinator {
         // Install the thread budget for every parallel kernel downstream.
         // Deterministic chunking means this never changes results.
         self.config.exec.apply();
-        self.with_capture(|scratch| {
-            run_train(
+        self.with_scratch(|scratch| {
+            run_one(
                 &self.config,
                 spec,
                 train,
@@ -181,14 +194,14 @@ impl Coordinator {
                 &RunControl::unbounded(),
             )
         })
-        .map(|(outcome, _, _)| outcome)
+        .map(|run| run.outcome)
     }
 
     /// The honest ε this coordinator's workflow assigns to a model
     /// trained on exactly `n` examples — one point on the sample-size
-    /// curve, computed cold: pilot on `n₀` (sub-seed 0), statistics,
-    /// then the curve quantile with the sample-size search's own
-    /// sub-seed (2) and draw pools.
+    /// curve, computed cold: the pipeline's pilot stage on `n₀`
+    /// (sub-seed 0), then the curve quantile with the sample-size
+    /// search's own sub-seed (2) and draw pools.
     ///
     /// This is the oracle for the serving layer's
     /// [`RelaxedFinal`](crate::serve::resilience::DegradationRung::RelaxedFinal)
@@ -211,27 +224,18 @@ impl Coordinator {
                 "curve point n = {n} outside [n₀ = {n0}, N = {full_n}]"
             )));
         }
-        if n0 == full_n {
-            return Ok(0.0);
-        }
-        let fit = self.with_capture(|scratch| {
-            fit_sample(
+        let mut pilots = self.with_scratch(|scratch| {
+            pilot_stage(
                 &self.config,
-                spec,
+                &[spec],
                 train,
                 scratch,
-                n0,
-                split_seed(seed, 0),
+                seed,
                 None,
-                true,
-                None,
+                &mut TrainingPhaseTimes::default(),
             )
         })?;
-        let pilot = PilotState {
-            model: fit.model,
-            stats: fit.stats,
-            n0,
-        };
+        let pilot = pilots.pop().expect("one spec, one pilot");
         Ok(pilot_curve_epsilon(
             &self.config,
             spec,
@@ -277,7 +281,7 @@ pub(crate) fn pilot_curve_epsilon<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     }
 }
 
-/// The ε-independent artifacts of the pilot phase — the initial model
+/// The ε-independent artifacts of the pilot stage — the initial model
 /// and its statistics — cached by [`crate::session::Session`] across
 /// repeated `train()` calls with different contracts, and by the
 /// serving layer's keyed LRU ([`crate::serve`]) across tenants.
@@ -292,7 +296,7 @@ pub(crate) struct PilotState {
     pub(crate) n0: usize,
 }
 
-/// Degradation-aware run parameters for [`run_train`]: an optional
+/// Degradation-aware run parameters for [`run_pipeline`]: an optional
 /// cancellation token (deadline pressure), the shed lane (pilot-only),
 /// and the relaxed-final sizing knob. [`RunControl::unbounded`] runs
 /// the full workflow — no token, no extra branches on the numeric
@@ -322,233 +326,110 @@ impl RunControl {
     }
 }
 
-/// Outcome of the degradation-aware decision stage.
-pub(crate) enum ControlledDecision<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> {
-    /// `ε₀ ≤ ε`: return the initial model (a full-rung outcome).
-    InitialSatisfies {
-        /// Accuracy estimate of the initial model.
-        eps0: f64,
-    },
-    /// Deadline pressure or the shed lane: return the pilot with its
-    /// honest ε₀ instead of searching / training further.
-    DegradeToPilot {
-        /// Accuracy estimate of the initial model.
-        eps0: f64,
-        /// Binary-search probes spent before the search was abandoned.
-        probes: usize,
-    },
-    /// The contract needs a final model on `n` examples.
-    Train {
-        /// Accuracy estimate of the initial model.
-        eps0: f64,
-        /// Minimum sample size from the estimator's binary search.
-        n: usize,
-        /// Binary-search probes used.
-        probes: usize,
-        /// The search's scored draw pools, kept so a relaxed final
-        /// size's curve ε reuses them.
-        search: PreparedSearch<'a, F, S>,
-    },
+/// The buffers a pipeline call packs and fits into: the sample
+/// captures' packing buffers, and the lockstep fits' objective scratch
+/// and solver workspaces. A caller that keeps one across calls (a
+/// [`Coordinator`]'s spares, a [`Session`](crate::Session), a server
+/// worker) writes warm pages in steady state. Every buffer is fully
+/// overwritten before it is read, so reuse never changes a bit.
+#[derive(Default)]
+pub(crate) struct PipelineScratch {
+    capture: CaptureScratch,
+    objective: TrainScratch,
+    solves: Vec<MinimizeWorkspace>,
 }
 
-/// The decision stage (the ε-dependent part of the workflow), shared by
-/// [`run_train`] and the sweep engine: estimate the pilot's
-/// accuracy `ε₀` (sub-seed 1) and, when the contract is not yet met,
-/// binary-search the minimum sample size (sub-seed 2) — both against one
-/// [`HoldoutScorer`], so the θ₀ score matrix is built once. The ε₀
-/// estimate always completes (it is what makes the pilot rung
-/// *honest*); then the shed lane or an expired token short-circuits to
-/// the pilot, and the binary search itself polls the token before every
-/// probe. Under [`RunControl::unbounded`] it never degrades.
-pub(crate) fn decide_controlled<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
-    config: &BlinkMlConfig,
-    scorer: &HoldoutScorer<'a, F, S>,
-    stats: &crate::stats::ModelStatistics,
-    n0: usize,
-    full_n: usize,
-    seed: u64,
-    control: &RunControl,
-) -> ControlledDecision<'a, F, S> {
-    let accuracy = ModelAccuracyEstimator::new(config.num_param_samples);
-    let eps0 =
-        accuracy.estimate_scored(scorer, stats, n0, full_n, config.delta, split_seed(seed, 1));
-    if eps0 <= config.epsilon {
-        return ControlledDecision::InitialSatisfies { eps0 };
-    }
-    let expired = || control.cancel.as_deref().is_some_and(CancelToken::expired);
-    if control.pilot_only || expired() {
-        return ControlledDecision::DegradeToPilot { eps0, probes: 0 };
-    }
-    let search = SampleSizeEstimator::new(config.num_param_samples).prepare(
-        scorer,
-        stats,
-        n0,
-        full_n,
-        config.delta,
-        split_seed(seed, 2),
-    );
-    let est = match &control.cancel {
-        Some(token) => search.search(config.epsilon, Some(&|| token.expired())),
-        None => search.search(config.epsilon, None),
-    };
-    match est {
-        Some(est) => ControlledDecision::Train {
-            eps0,
-            n: est.n,
-            probes: est.probes,
-            search,
-        },
-        None => ControlledDecision::DegradeToPilot { eps0, probes: 0 },
-    }
+/// One spec's result from [`run_pipeline`].
+pub(crate) struct PipelineRun {
+    /// The training outcome.
+    pub(crate) outcome: TrainingOutcome,
+    /// Which rung of the degradation ladder produced it.
+    pub(crate) rung: DegradationRung,
+    /// The pilot artifacts, when the caller asked for them.
+    pub(crate) pilot: Option<PilotState>,
 }
 
-/// Closing accuracy estimate of a **final** model (the
-/// `estimate_final_accuracy` option): a fresh holdout scorer for `θ_n`
-/// and an accuracy estimate at sub-seed 4. Shared by [`run_train`] and
-/// the sweep engine so both compute the exact same `ε̂`.
+/// [`run_pipeline`] for one spec: a coordinator call, a
+/// [`Session::train`](crate::Session::train) or a served query.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn final_accuracy_scored<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
-    config: &BlinkMlConfig,
-    spec: &S,
-    holdout: &Dataset<F>,
-    stats_n: &crate::stats::ModelStatistics,
-    theta_n: &[f64],
-    n: usize,
-    full_n: usize,
-    seed: u64,
-) -> f64 {
-    let scorer_n = HoldoutScorer::new(spec, holdout, theta_n);
-    let accuracy = ModelAccuracyEstimator::new(config.num_param_samples);
-    accuracy.estimate_scored(
-        &scorer_n,
-        stats_n,
-        n,
-        full_n,
-        config.delta,
-        split_seed(seed, 4),
-    )
-}
-
-/// One sample fit: draw the deterministic sample for `(n, sample_seed)`,
-/// train on it (warm-started when given), and optionally compute its
-/// statistics — reusing one packed capture of the sample for both.
-struct SampleFit {
-    model: TrainedModel,
-    stats: Option<ModelStatistics>,
-    train_time: Duration,
-    stats_time: Duration,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn fit_sample<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
-    config: &BlinkMlConfig,
-    spec: &S,
-    train: &Dataset<F>,
-    cap_scratch: &mut CaptureScratch,
-    n: usize,
-    sample_seed: u64,
-    warm_start: Option<&[f64]>,
-    with_stats: bool,
-    cancel: Option<&CancelToken>,
-) -> Result<SampleFit, CoreError> {
-    // Checkpoint between the train and statistics phases: an expired
-    // token stops before the statistics pass starts.
-    let stats_checkpoint = || -> Result<(), CoreError> {
-        match cancel {
-            Some(token) if with_stats && token.expired() => Err(CoreError::Cancelled),
-            _ => Ok(()),
-        }
-    };
-    let t = Instant::now();
-    // The sample is an index list. Training and statistics share one
-    // capture: the sampled rows packed straight from the dataset into
-    // one contiguous block (one bulk copy of n rows, then contiguous
-    // streaming on every optimizer probe; never per-example clones).
-    let sample = train.sample_view(n, sample_seed);
-    let capture = DatasetMatrix::pack(train, sample.indices(), cap_scratch);
-    let view = capture.view();
-    let model = spec.train_view(&view, warm_start, &config.optim)?;
-    let train_time = t.elapsed();
-    stats_checkpoint()?;
-    let t = Instant::now();
-    let stats = with_stats
-        .then(|| compute_statistics_view(config.statistics_method, spec, model.parameters(), &view))
-        .transpose()?;
-    let stats_time = t.elapsed();
-    // Give the capture's buffers back so the next capture (the final
-    // sample, or the next session query) rewrites warm pages
-    // instead of faulting in fresh ones.
-    capture.recycle(cap_scratch);
-    Ok(SampleFit {
-        model,
-        stats,
-        train_time,
-        stats_time,
-    })
-}
-
-/// The pilot-rung outcome of the degradation ladder: return `m₀` with
-/// its honest ε₀ as both the initial and the achieved guarantee.
-fn pilot_rung_outcome(
-    m0: TrainedModel,
-    n0: usize,
-    full_n: usize,
-    eps0: f64,
-    phases: TrainingPhaseTimes,
-    probes: usize,
-) -> TrainingOutcome {
-    TrainingOutcome {
-        sample_size: n0,
-        full_data_size: full_n,
-        initial_epsilon: eps0,
-        estimated_epsilon: eps0,
-        used_initial_model: true,
-        phases,
-        search_probes: probes,
-        model: m0,
-    }
-}
-
-/// The coordinator workflow (paper §2.3), shared by
-/// [`Coordinator::train_with_holdout`],
-/// [`crate::session::Session::train`] and the server: pilot (train
-/// `m₀`, statistics), accuracy estimate, sample-size search, final
-/// training — with the holdout `DiffEngine` base scores built **once**
-/// and shared between the ε₀ estimate and the search, and each sample
-/// packed from `train` into `cap_scratch`'s recycled buffers.
-///
-/// `pilot` short-circuits the pilot phase with cached artifacts (the
-/// Session amortization); `want_pilot` asks for the artifacts back so
-/// the caller can cache them.
-///
-/// `control` adds the server's deadline / degradation control;
-/// [`RunControl::unbounded`] runs the full workflow. Returns which
-/// [`DegradationRung`] produced the outcome. The ladder:
-///
-/// 1. **Full** — no pressure: the full workflow.
-/// 2. **RelaxedFinal** — [`Pressure::Relax`] at the final-train
-///    boundary: the final model trains on
-///    [`relaxed_sample_size`] examples and the response reports the
-///    honest curve ε for that size (same sub-seed and draw pools as
-///    the search — bit-equal to a cold replay).
-/// 3. **Pilot** — the deadline expired after ε₀ was computed (during
-///    the search or final training), or the query was shed into the
-///    pilot-only lane: `m₀` with its honest ε₀.
-/// 4. **Fail-fast** — the deadline expired before any guarantee
-///    existed (before/during the pilot or statistics phases):
-///    [`CoreError::Cancelled`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_train<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
+pub(crate) fn run_one<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     config: &BlinkMlConfig,
     spec: &S,
     train: &Dataset<F>,
     holdout: &Dataset<F>,
-    cap_scratch: &mut CaptureScratch,
+    scratch: &mut PipelineScratch,
     seed: u64,
     pilot: Option<&PilotState>,
     want_pilot: bool,
     control: &RunControl,
-) -> Result<(TrainingOutcome, Option<PilotState>, DegradationRung), CoreError> {
+) -> Result<PipelineRun, CoreError> {
+    let mut runs = run_pipeline(
+        config,
+        &[spec],
+        train,
+        holdout,
+        scratch,
+        seed,
+        pilot,
+        want_pilot,
+        control,
+    )?;
+    Ok(runs.pop().expect("one spec, one run"))
+}
+
+/// The training pipeline (paper §2.3) for K ≥ 1 specs that share the
+/// training pool, the holdout, the `(ε, δ)` contract in `config` and the
+/// `seed`, so they share their samples too. Results come back in `specs`
+/// order. Each stage takes every spec:
+///
+/// 1. **Pilot** — one capture of the size-`n₀` sample, K fits, then K
+///    sets of statistics on the same view ([`pilot_stage`]). `pilot`
+///    replaces the stage with cached artifacts (K = 1; the Session and
+///    server amortization), borrowed, never cloned; `want_pilot` hands
+///    each spec's artifacts back so the caller can cache them.
+/// 2. **Decision** — per spec, its accuracy `ε₀` and, when the contract
+///    is not met, the minimum sample size ([`decide_controlled`]).
+/// 3. **Final** — one nested capture of the largest chosen `n`; each
+///    spec fits on its own prefix of it, warm-started from its `θ₀`,
+///    and, with `estimate_final_accuracy`, estimates its `ε̂` on the
+///    same prefix ([`final_stage`]). Deterministic subsampling is
+///    nested, so a prefix is exactly the spec's own size-`n` sample.
+///
+/// Every stage fits through [`fit_stage`]: one fit through
+/// [`ModelClassSpec::train_view`], several as lockstep solves over one
+/// fused multi-λ objective call per round. A spec's outcome is
+/// therefore bit-identical whatever K it runs at. With K > 1 the phase
+/// times are stage aggregates that every outcome shares.
+///
+/// `control` adds the server's deadline / degradation control;
+/// [`RunControl::unbounded`] runs the full workflow. Each run reports
+/// which [`DegradationRung`] produced its outcome. The ladder:
+///
+/// 1. **Full** — no pressure: the full workflow.
+/// 2. **RelaxedFinal** — [`Pressure::Relax`] at the final-train
+///    boundary: the final model trains on [`relaxed_sample_size`]
+///    examples and the response reports the honest curve ε for that
+///    size (same sub-seed and draw pools as the search — bit-equal to a
+///    cold replay).
+/// 3. **Pilot** — the deadline expired after ε₀ was computed (during
+///    the search, at the final-train boundary, during final training or
+///    before the closing statistics pass), or the query was shed into
+///    the pilot-only lane: `m₀` with its honest ε₀.
+/// 4. **Fail-fast** — the deadline expired before any guarantee
+///    existed (before/during the pilot or statistics phases):
+///    [`CoreError::Cancelled`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_pipeline<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
+    config: &BlinkMlConfig,
+    specs: &[&S],
+    train: &Dataset<F>,
+    holdout: &Dataset<F>,
+    scratch: &mut PipelineScratch,
+    seed: u64,
+    pilot: Option<&PilotState>,
+    want_pilot: bool,
+    control: &RunControl,
+) -> Result<Vec<PipelineRun>, CoreError> {
     if train.is_empty() {
         return Err(CoreError::InvalidData("empty training pool".into()));
     }
@@ -581,220 +462,467 @@ pub(crate) fn run_train<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
         return Err(CoreError::Cancelled);
     }
 
-    // Phases 1 + 2: the pilot — initial model on D₀ plus its statistics
-    // (skipped when n₀ = N), one shared sample view for both. A cached
-    // pilot (Session) skips the work entirely; the artifacts are
-    // ε-independent, so reuse is exact. Cancellation in here (pilot
-    // train, statistics) is a fail-fast: no guarantee exists yet.
-    let (m0, stats0) = match pilot {
+    // Stage 1: the pilot, or the caller's cached artifacts for it. They
+    // are ε-independent, so reuse is exact.
+    let pilots: Vec<Cow<'_, PilotState>> = match pilot {
         Some(p) => {
+            debug_assert_eq!(specs.len(), 1, "a cached pilot serves one spec");
             debug_assert_eq!(p.n0, n0, "cached pilot has a different n0");
-            (p.model.clone(), p.stats.clone())
+            vec![Cow::Borrowed(p)]
         }
-        None => {
-            let fit = fit_sample(
-                config,
-                spec,
-                train,
-                cap_scratch,
-                n0,
-                split_seed(seed, 0),
-                None,
-                n0 < full_n,
-                cancel,
-            )
-            .map_err(|e| {
-                if e.is_cancellation() {
-                    CoreError::Cancelled
-                } else {
-                    e
-                }
-            })?;
-            phases.initial_training = fit.train_time;
-            phases.statistics = fit.stats_time;
-            (fit.model, fit.stats)
-        }
-    };
-    let pilot_state = |model: &TrainedModel, stats: &Option<ModelStatistics>| {
-        want_pilot.then(|| PilotState {
-            model: model.clone(),
-            stats: stats.clone(),
-            n0,
-        })
+        None => pilot_stage(config, specs, train, scratch, seed, cancel, &mut phases)?
+            .into_iter()
+            .map(Cow::Owned)
+            .collect(),
     };
 
-    if n0 == full_n {
-        // The "initial sample" is the whole dataset: exact model.
-        let cached = pilot_state(&m0, &stats0);
-        return Ok((
-            TrainingOutcome {
-                sample_size: n0,
-                full_data_size: full_n,
-                initial_epsilon: 0.0,
-                estimated_epsilon: 0.0,
-                used_initial_model: true,
-                phases,
-                search_probes: 0,
-                model: m0,
-            },
-            cached,
-            DegradationRung::Full,
-        ));
-    }
-    let stats = stats0.as_ref().expect("statistics computed when n0 < N");
-
-    // Checkpoint: statistics → search boundary. Still no honest ε₀, so
-    // expiry here is a fail-fast too.
-    if expired() {
-        return Err(CoreError::Cancelled);
-    }
-
-    // Phases 3a + 3b — the decision stage: accuracy of m₀, then (when
-    // needed) the minimum sample size, both against one holdout scorer
-    // so the θ₀ score matrix is built once. From here on the pilot rung
-    // is reachable: ε₀ is an honest guarantee for m₀.
-    let t = Instant::now();
-    let scorer = HoldoutScorer::new(spec, holdout, m0.parameters());
-    let decision = decide_controlled(config, &scorer, stats, n0, full_n, seed, control);
-    phases.sample_size_search = t.elapsed();
-    let (eps0, est_n, probes, search) = match decision {
-        ControlledDecision::InitialSatisfies { eps0 } => {
-            let cached = pilot_state(&m0, &stats0);
-            return Ok((
-                TrainingOutcome {
-                    sample_size: n0,
-                    full_data_size: full_n,
-                    initial_epsilon: eps0,
-                    estimated_epsilon: eps0,
-                    used_initial_model: true,
-                    phases,
-                    search_probes: 0,
-                    model: m0,
-                },
-                cached,
-                DegradationRung::Full,
-            ));
-        }
-        ControlledDecision::DegradeToPilot { eps0, probes } => {
-            let cached = pilot_state(&m0, &stats0);
-            return Ok((
-                pilot_rung_outcome(m0, n0, full_n, eps0, phases, probes),
-                cached,
-                DegradationRung::Pilot,
-            ));
-        }
-        ControlledDecision::Train {
-            eps0,
-            n,
-            probes,
-            search,
-        } => (eps0, n, probes, search),
-    };
-
-    // Checkpoint: the final-train boundary — the last point where the
-    // ladder can still buy latency. Relax pressure trains a cheaper
-    // final model with an honest curve ε; expiry falls to the pilot.
-    let mut final_n = est_n;
-    let mut rung = DegradationRung::Full;
-    let mut relaxed_eps = None;
-    if let Some(token) = cancel {
-        match token.pressure() {
-            Pressure::Expired => {
-                let cached = pilot_state(&m0, &stats0);
-                return Ok((
-                    pilot_rung_outcome(m0, n0, full_n, eps0, phases, probes),
-                    cached,
-                    DegradationRung::Pilot,
-                ));
-            }
-            Pressure::Relax => {
-                let n_relaxed = relaxed_sample_size(n0, est_n, control.relax_fraction);
-                if n_relaxed < est_n {
-                    // The achieved guarantee for the relaxed size, from
-                    // the search's own scored draw pools — the exact
-                    // value a cold coordinator computes for this curve
-                    // point.
-                    relaxed_eps = Some(search.epsilon_at(n_relaxed));
-                    final_n = n_relaxed;
-                    rung = DegradationRung::RelaxedFinal;
-                }
-            }
-            Pressure::None => {}
-        }
-    }
-    // The search's scored pools are not needed past the checkpoint.
-    drop(search);
-
-    // Phase 4: final model, warm-started from θ₀, on a capture packed
-    // into the run's recycled buffers; the optional closing statistics
-    // pass reuses the final sample's view (full rung only — under
-    // pressure the extra pass is exactly what the ladder is shedding).
-    let want_final_stats =
-        config.estimate_final_accuracy && rung == DegradationRung::Full && final_n < full_n;
-    let fit = match fit_sample(
-        config,
-        spec,
-        train,
-        cap_scratch,
-        final_n,
-        split_seed(seed, 3),
-        Some(m0.parameters()),
-        want_final_stats,
-        cancel,
-    ) {
-        Ok(fit) => fit,
-        Err(e) if e.is_cancellation() => {
-            // Mid-final-train expiry: the pilot rung still holds its
-            // honest ε₀.
-            let cached = pilot_state(&m0, &stats0);
-            return Ok((
-                pilot_rung_outcome(m0, n0, full_n, eps0, phases, probes),
-                cached,
-                DegradationRung::Pilot,
-            ));
-        }
-        Err(e) => return Err(e),
-    };
-    phases.final_training = fit.train_time;
-
-    let estimated_epsilon = if let Some(eps) = relaxed_eps {
-        eps
-    } else if want_final_stats {
-        let t = Instant::now();
-        let stats_n = fit.stats.as_ref().expect("final statistics requested");
-        let eps = final_accuracy_scored(
-            config,
-            spec,
-            holdout,
-            stats_n,
-            fit.model.parameters(),
-            est_n,
-            full_n,
-            seed,
-        );
-        phases.statistics += fit.stats_time + t.elapsed();
-        eps
-    } else if final_n >= full_n {
-        0.0
+    // Stage 2: the decisions. When n₀ = N every pilot is its exact
+    // model. Otherwise, checkpoint at the statistics → search boundary
+    // (still no honest ε₀, so expiry is a fail-fast), then decide each
+    // spec against its own holdout scorer.
+    let mut points: Vec<Point> = if n0 == full_n {
+        specs
+            .iter()
+            .map(|_| Point::initial(0.0, 0, DegradationRung::Full))
+            .collect()
     } else {
-        config.epsilon
+        if expired() {
+            return Err(CoreError::Cancelled);
+        }
+        let t = Instant::now();
+        let points = specs
+            .iter()
+            .zip(&pilots)
+            .map(|(spec, p)| decide_controlled(config, *spec, holdout, p, full_n, seed, control))
+            .collect();
+        phases.sample_size_search = t.elapsed();
+        points
     };
 
-    let cached = pilot_state(&m0, &stats0);
-    Ok((
-        TrainingOutcome {
-            sample_size: final_n,
-            full_data_size: full_n,
-            initial_epsilon: eps0,
-            estimated_epsilon,
-            used_initial_model: false,
-            phases,
-            search_probes: probes,
-            model: fit.model,
+    // Stage 3: the final models.
+    final_stage(
+        config,
+        specs,
+        train,
+        holdout,
+        scratch,
+        seed,
+        &pilots,
+        &mut points,
+        cancel,
+        &mut phases,
+    )?;
+
+    Ok(pilots
+        .into_iter()
+        .zip(points)
+        .map(|(pilot, point)| point.finish(pilot, full_n, &phases, want_pilot))
+        .collect())
+}
+
+/// One spec's way through the decision and final stages.
+struct Point {
+    /// Accuracy estimate `ε₀` of the pilot (0 when `n₀ = N`).
+    eps0: f64,
+    /// Binary-search probes spent.
+    probes: usize,
+    rung: DegradationRung,
+    /// The final model's sample size, when the spec trains one.
+    final_n: Option<usize>,
+    /// The ε the outcome reports: ε₀ for the pilot; for a final model
+    /// the relaxed curve ε, its ε̂, 0 at `n = N`, or the contract ε.
+    eps: f64,
+    /// The final model, once trained.
+    model: Option<TrainedModel>,
+}
+
+impl Point {
+    /// A point that returns its pilot with `ε₀` as its guarantee.
+    fn initial(eps0: f64, probes: usize, rung: DegradationRung) -> Self {
+        Point {
+            eps0,
+            probes,
+            rung,
+            final_n: None,
+            eps: eps0,
+            model: None,
+        }
+    }
+
+    /// Fall to the pilot rung: `m₀` with its honest ε₀.
+    fn degrade(&mut self) {
+        *self = Point::initial(self.eps0, self.probes, DegradationRung::Pilot);
+    }
+
+    /// The outcome: the final model, or the pilot's (cloned only when
+    /// the pilot is borrowed or handed back too).
+    fn finish(
+        self,
+        pilot: Cow<'_, PilotState>,
+        full_n: usize,
+        phases: &TrainingPhaseTimes,
+        want_pilot: bool,
+    ) -> PipelineRun {
+        let used_initial_model = self.model.is_none();
+        let sample_size = self.final_n.unwrap_or(pilot.n0);
+        let (model, pilot) = match self.model {
+            Some(model) => (model, want_pilot.then(|| pilot.into_owned())),
+            None if want_pilot => {
+                let pilot = pilot.into_owned();
+                (pilot.model.clone(), Some(pilot))
+            }
+            None => match pilot {
+                Cow::Owned(p) => (p.model, None),
+                Cow::Borrowed(p) => (p.model.clone(), None),
+            },
+        };
+        PipelineRun {
+            outcome: TrainingOutcome {
+                model,
+                sample_size,
+                full_data_size: full_n,
+                initial_epsilon: self.eps0,
+                estimated_epsilon: self.eps,
+                used_initial_model,
+                phases: phases.clone(),
+                search_probes: self.probes,
+            },
+            rung: self.rung,
+            pilot,
+        }
+    }
+}
+
+/// Run `f` on a capture of the size-`n` sample drawn with
+/// `sample_seed`: the sampled rows packed straight from the dataset into
+/// `scratch`'s recycled buffers (one bulk copy, then contiguous
+/// streaming on every optimizer probe), handed back afterwards so the
+/// next capture rewrites warm pages.
+fn with_sample<F: FeatureVec, T>(
+    train: &Dataset<F>,
+    n: usize,
+    sample_seed: u64,
+    scratch: &mut PipelineScratch,
+    f: impl FnOnce(&MatrixView, &mut PipelineScratch) -> T,
+) -> T {
+    let sample = train.sample_view(n, sample_seed);
+    let capture = DatasetMatrix::pack(train, sample.indices(), &mut scratch.capture);
+    let out = f(&capture.view(), scratch);
+    capture.recycle(&mut scratch.capture);
+    out
+}
+
+/// Stage 1, the pilot: one capture of the size-`n₀` sample (sub-seed 0),
+/// one fit per spec from its cold start, then, when `n₀ < N`, each
+/// fit's statistics on the same view. Cancellation in here (pilot train,
+/// statistics) is a fail-fast: no guarantee exists yet.
+fn pilot_stage<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
+    config: &BlinkMlConfig,
+    specs: &[&S],
+    train: &Dataset<F>,
+    scratch: &mut PipelineScratch,
+    seed: u64,
+    cancel: Option<&CancelToken>,
+    phases: &mut TrainingPhaseTimes,
+) -> Result<Vec<PilotState>, CoreError> {
+    let full_n = train.len();
+    let n0 = config.initial_sample_size.min(full_n);
+    let t = Instant::now();
+    with_sample(train, n0, split_seed(seed, 0), scratch, |view, scratch| {
+        let starts = vec![None; specs.len()];
+        let rows = vec![n0; specs.len()];
+        let models: Vec<TrainedModel> = fit_stage(config, specs, view, &rows, &starts, scratch)
+            .into_iter()
+            .collect::<Result<_, _>>()?;
+        phases.initial_training = t.elapsed();
+        // Checkpoint between the train and statistics phases: an
+        // expired token stops before the statistics pass starts.
+        let with_stats = n0 < full_n;
+        if with_stats && cancel.is_some_and(CancelToken::expired) {
+            return Err(CoreError::Cancelled);
+        }
+        let t = Instant::now();
+        let pilots = specs
+            .iter()
+            .zip(models)
+            .map(|(spec, model)| {
+                let stats = with_stats
+                    .then(|| {
+                        compute_statistics_view(
+                            config.statistics_method,
+                            *spec,
+                            model.parameters(),
+                            view,
+                        )
+                    })
+                    .transpose()?;
+                Ok(PilotState { model, stats, n0 })
+            })
+            .collect();
+        phases.statistics = t.elapsed();
+        pilots
+    })
+    .map_err(|e| {
+        if e.is_cancellation() {
+            CoreError::Cancelled
+        } else {
+            e
+        }
+    })
+}
+
+/// Stage 2 for one spec, the ε-dependent part of the workflow: estimate
+/// the pilot's accuracy `ε₀` (sub-seed 1) and, when the contract is not
+/// yet met, binary-search the minimum sample size (sub-seed 2) — both
+/// against one [`HoldoutScorer`], so the θ₀ score matrix is built once.
+/// The ε₀ estimate always completes (it is what makes the pilot rung
+/// *honest*); then the shed lane or an expired token short-circuits to
+/// the pilot, and the binary search itself polls the token before every
+/// probe. Last comes the final-train boundary, the last point where the
+/// ladder can still buy latency: relax pressure sizes a cheaper final
+/// model with an honest curve ε from the search's own scored draw pools;
+/// expiry falls to the pilot. Under [`RunControl::unbounded`] it never
+/// degrades.
+fn decide_controlled<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
+    config: &BlinkMlConfig,
+    spec: &S,
+    holdout: &Dataset<F>,
+    pilot: &PilotState,
+    full_n: usize,
+    seed: u64,
+    control: &RunControl,
+) -> Point {
+    let n0 = pilot.n0;
+    let stats = pilot
+        .stats
+        .as_ref()
+        .expect("statistics computed when n0 < N");
+    let scorer = HoldoutScorer::new(spec, holdout, pilot.model.parameters());
+    let accuracy = ModelAccuracyEstimator::new(config.num_param_samples);
+    let eps0 = accuracy.estimate_scored(
+        &scorer,
+        stats,
+        n0,
+        full_n,
+        config.delta,
+        split_seed(seed, 1),
+    );
+    if eps0 <= config.epsilon {
+        return Point::initial(eps0, 0, DegradationRung::Full);
+    }
+    let cancel = control.cancel.as_deref();
+    if control.pilot_only || cancel.is_some_and(CancelToken::expired) {
+        return Point::initial(eps0, 0, DegradationRung::Pilot);
+    }
+    let search = SampleSizeEstimator::new(config.num_param_samples).prepare(
+        &scorer,
+        stats,
+        n0,
+        full_n,
+        config.delta,
+        split_seed(seed, 2),
+    );
+    let est = match cancel {
+        Some(token) => search.search(config.epsilon, Some(&|| token.expired())),
+        None => search.search(config.epsilon, None),
+    };
+    let Some(est) = est else {
+        return Point::initial(eps0, 0, DegradationRung::Pilot);
+    };
+    let mut point = Point {
+        eps0,
+        probes: est.probes,
+        rung: DegradationRung::Full,
+        final_n: Some(est.n),
+        eps: if est.n >= full_n { 0.0 } else { config.epsilon },
+        model: None,
+    };
+    match cancel.map(CancelToken::pressure) {
+        Some(Pressure::Expired) => point.degrade(),
+        Some(Pressure::Relax) => {
+            let n_relaxed = relaxed_sample_size(n0, est.n, control.relax_fraction);
+            if n_relaxed < est.n {
+                point.rung = DegradationRung::RelaxedFinal;
+                point.final_n = Some(n_relaxed);
+                // The exact value a cold coordinator computes for this
+                // curve point.
+                point.eps = search.epsilon_at(n_relaxed);
+            }
+        }
+        _ => {}
+    }
+    point
+}
+
+/// Stage 3: the final models of the points whose contract needs one —
+/// one nested capture of the largest chosen sample (sub-seed 3); every
+/// point fits over its own prefix of it, warm-started from its own
+/// pilot `θ₀`, exactly as a run of that point alone. Then, on the full
+/// rung with `estimate_final_accuracy`, each point's closing statistics
+/// on the same prefix and its `ε̂` (sub-seed 4). Under pressure that
+/// extra pass is exactly what the ladder sheds. A cancelled fit, or a
+/// deadline gone before the closing pass, falls to the pilot rung.
+#[allow(clippy::too_many_arguments)]
+fn final_stage<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
+    config: &BlinkMlConfig,
+    specs: &[&S],
+    train: &Dataset<F>,
+    holdout: &Dataset<F>,
+    scratch: &mut PipelineScratch,
+    seed: u64,
+    pilots: &[Cow<'_, PilotState>],
+    points: &mut [Point],
+    cancel: Option<&CancelToken>,
+    phases: &mut TrainingPhaseTimes,
+) -> Result<(), CoreError> {
+    let needs: Vec<(usize, usize)> = points
+        .iter()
+        .enumerate()
+        .filter_map(|(i, p)| p.final_n.map(|n| (i, n)))
+        .collect();
+    let Some(max_n) = needs.iter().map(|&(_, n)| n).max() else {
+        return Ok(());
+    };
+    let full_n = train.len();
+    let t = Instant::now();
+    with_sample(
+        train,
+        max_n,
+        split_seed(seed, 3),
+        scratch,
+        |view, scratch| {
+            let fit_specs: Vec<&S> = needs.iter().map(|&(i, _)| specs[i]).collect();
+            let rows: Vec<usize> = needs.iter().map(|&(_, n)| n).collect();
+            let starts: Vec<Option<&[f64]>> = needs
+                .iter()
+                .map(|&(i, _)| Some(pilots[i].model.parameters()))
+                .collect();
+            let fits = fit_stage(config, &fit_specs, view, &rows, &starts, scratch);
+            phases.final_training = t.elapsed();
+            for (&(i, _), fit) in needs.iter().zip(fits) {
+                match fit {
+                    Ok(model) => points[i].model = Some(model),
+                    Err(e) if e.is_cancellation() => points[i].degrade(),
+                    Err(e) => return Err(e),
+                }
+            }
+
+            let t = Instant::now();
+            for &(i, n) in &needs {
+                let point = &mut points[i];
+                let Some(model) = &point.model else {
+                    continue;
+                };
+                if !config.estimate_final_accuracy
+                    || point.rung != DegradationRung::Full
+                    || n >= full_n
+                {
+                    continue;
+                }
+                if cancel.is_some_and(CancelToken::expired) {
+                    point.degrade();
+                    continue;
+                }
+                let stats_n = compute_statistics_view(
+                    config.statistics_method,
+                    specs[i],
+                    model.parameters(),
+                    &view.prefix(n),
+                )?;
+                let scorer_n = HoldoutScorer::new(specs[i], holdout, model.parameters());
+                point.eps = ModelAccuracyEstimator::new(config.num_param_samples).estimate_scored(
+                    &scorer_n,
+                    &stats_n,
+                    n,
+                    full_n,
+                    config.delta,
+                    split_seed(seed, 4),
+                );
+            }
+            phases.statistics += t.elapsed();
+            Ok(())
         },
-        cached,
-        rung,
-    ))
+    )
+}
+
+/// Fit one model per spec over a prefix of `view`: spec `k` on its first
+/// `rows[k]` rows, from `starts[k]` (its cold start when `None`).
+///
+/// One fit runs through [`ModelClassSpec::train_view`], so a closed form
+/// (PPCA) or a spec without a swappable L2 coefficient fits as it would
+/// alone. Several run as K quasi-Newton solves ([`Solve`]) in lockstep
+/// rounds on the caller's thread: each round answers every unfinished
+/// solve's probe with one [`ModelClassSpec::value_grad_batched_multi`]
+/// pass of the first spec, each eval at its own spec's
+/// [`ModelClassSpec::regularization`]. A solve's path depends only on
+/// the answers to its own probes, and the
+/// [`ModelClassSpec::with_regularization`] contract makes each answer
+/// bitwise a solo evaluation, so each fit is bitwise its spec's
+/// `train_view`.
+fn fit_stage<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
+    config: &BlinkMlConfig,
+    specs: &[&S],
+    view: &MatrixView,
+    rows: &[usize],
+    starts: &[Option<&[f64]>],
+    scratch: &mut PipelineScratch,
+) -> Vec<Result<TrainedModel, CoreError>> {
+    if let [spec] = specs {
+        return vec![spec.train_view(&view.prefix(rows[0]), starts[0], &config.optim)];
+    }
+    let dim = specs[0].param_dim(view.dim());
+    let theta0s: Vec<Vec<f64>> = specs
+        .iter()
+        .zip(rows.iter().zip(starts))
+        .map(|(spec, (&n, start))| match start {
+            Some(theta) => theta.to_vec(),
+            None => spec.cold_start(&view.prefix(n)),
+        })
+        .collect();
+    if scratch.solves.len() < specs.len() {
+        scratch
+            .solves
+            .resize_with(specs.len(), MinimizeWorkspace::new);
+    }
+    let mut solves: Vec<Solve> = scratch
+        .solves
+        .iter_mut()
+        .zip(&theta0s)
+        .map(|(ws, theta0)| Solve::new(dim, theta0, &config.optim, ws))
+        .collect();
+    loop {
+        let mut evals: Vec<SweepEval> = solves
+            .iter_mut()
+            .zip(specs.iter().zip(rows))
+            .filter_map(|(solve, (spec, &n))| {
+                let (theta, grad) = solve.probe()?;
+                Some(SweepEval::new(theta, spec.regularization(), n, grad))
+            })
+            .collect();
+        if evals.is_empty() {
+            break;
+        }
+        specs[0].value_grad_batched_multi(&mut evals, view, &mut scratch.objective);
+        let values: Vec<f64> = evals.iter().map(|e| e.value).collect();
+        let live = solves.iter_mut().filter(|solve| !solve.is_done());
+        for (solve, value) in live.zip(values) {
+            solve.tell(value);
+        }
+    }
+    solves
+        .into_iter()
+        .zip(rows)
+        .map(|(solve, &n)| {
+            let r = solve.finish()?;
+            Ok(TrainedModel::new(
+                r.theta,
+                n,
+                r.iterations,
+                r.converged,
+                r.value,
+            ))
+        })
+        .collect()
 }
 
 #[cfg(test)]

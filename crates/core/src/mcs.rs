@@ -254,8 +254,8 @@ pub trait ModelClassSpec<F: FeatureVec>: Send + Sync {
 
     /// The parameter vector a fit without a warm start begins from on
     /// the rows of `xm`: zeros by default. [`Self::train_view`] and the
-    /// sweep's pilot fits both start here, so a spec that overrides it
-    /// moves every path's cold start the same way.
+    /// training pipeline's lockstep pilot fits both start here, so a
+    /// spec that overrides it moves every path's cold start the same way.
     fn cold_start(&self, xm: &MatrixView) -> Vec<f64> {
         vec![0.0; self.param_dim(xm.dim())]
     }
@@ -286,8 +286,8 @@ pub trait ModelClassSpec<F: FeatureVec>: Send + Sync {
         grad: &mut [f64],
     ) -> f64;
 
-    /// Batched **multi-λ** objective evaluation, the sweep engine's
-    /// one objective call: compute every grid point's `f(θ_k)` and
+    /// Batched **multi-λ** objective evaluation, the one objective call
+    /// of the training pipeline's lockstep fits (a sweep's K grid points): compute every grid point's `f(θ_k)` and
     /// `∇f(θ_k)`, each under its own L2 coefficient `β_k` and over its
     /// own row-count prefix of `xm`.
     ///
@@ -305,7 +305,7 @@ pub trait ModelClassSpec<F: FeatureVec>: Send + Sync {
     ///
     /// # Panics
     /// The default panics if [`Self::with_regularization`] returns
-    /// `None`; the sweep engine never calls it on such a spec.
+    /// `None`; the pipeline never calls it on such a spec.
     fn value_grad_batched_multi(
         &self,
         evals: &mut [SweepEval],
@@ -320,17 +320,22 @@ pub trait ModelClassSpec<F: FeatureVec>: Send + Sync {
         }
     }
 
-    /// This spec with its L2 coefficient replaced by `beta` — the
-    /// sweep engine's way of instantiating one grid point. `None` (the
-    /// default) marks model classes whose regularization cannot be
-    /// swapped out (no regularizer, or one that is not a plain L2
-    /// coefficient); `Session::sweep` rejects those with a config error.
+    /// This spec with its L2 coefficient replaced by `beta` — how a
+    /// sweep instantiates one grid point. `None` (the default) marks
+    /// model classes whose regularization cannot be swapped out (no
+    /// regularizer, or one that is not a plain L2 coefficient);
+    /// `Session::sweep` rejects those with a config error.
     ///
-    /// A spec that returns `Some` must train through the default
-    /// [`Self::train_view`]: a sweep runs the quasi-Newton solver on
-    /// [`Self::value_grad_batched_multi`] directly, so an overridden
-    /// `train_view` (a closed form, another start point) would make a
-    /// sweep point differ from a solo [`Self::train`] with that λ.
+    /// A sweep runs the training pipeline over one spec per λ. Its fit
+    /// stages run one fit through [`Self::train_view`] and several as
+    /// lockstep quasi-Newton solves on the first spec's
+    /// [`Self::value_grad_batched_multi`], each eval at its own spec's
+    /// [`Self::regularization`]. So a spec that returns `Some` must
+    /// keep two promises for a sweep point to equal a solo
+    /// [`Self::train`] with that λ: the returned spec's
+    /// `regularization()` is `beta`, and it trains through the default
+    /// `train_view` (an overridden one — a closed form, another start
+    /// point — would differ from the lockstep solves).
     fn with_regularization(&self, _beta: f64) -> Option<Box<dyn ModelClassSpec<F>>> {
         None
     }

@@ -17,10 +17,11 @@
 //! * concurrent queries that miss on the same key **coalesce**: one
 //!   worker (the leader) trains the pilot exactly once, the rest block
 //!   on the in-flight entry and reuse the published artifacts,
-//! * each worker owns its **own** capture scratch: every query packs
-//!   its samples straight from its epoch snapshot's rows into the
-//!   worker's recycled buffers, so a query copies only the rows it
-//!   samples and overlapping queries can never alias a packing buffer
+//! * each worker owns its **own** pipeline scratch: every query and
+//!   sweep packs its samples straight from its epoch snapshot's rows
+//!   into the worker's recycled buffers, and a sweep's lockstep fits
+//!   reuse the worker's objective buffers, so a query copies only the
+//!   rows it samples and overlapping queries can never alias a buffer
 //!   (the scratch is per-worker, not per-session).
 //!
 //! # Bit-identity contract
@@ -116,16 +117,15 @@ pub(crate) mod sidecar;
 
 use crate::config::{BlinkMlConfig, ServeConfig, ShedPolicy};
 use crate::coordinator::{
-    pilot_curve_epsilon, run_train, PilotState, RunControl, TrainingOutcome, TrainingPhaseTimes,
+    pilot_curve_epsilon, run_one, PilotState, PipelineRun, PipelineScratch, RunControl,
+    TrainingOutcome, TrainingPhaseTimes,
 };
 use crate::error::CoreError;
 use crate::mcs::ModelClassSpec;
 use crate::serve::cache::{PilotCache, PilotKey, PilotTicket};
 use crate::serve::resilience::{retry_backoff, ActiveTokenGuard, CancelToken, DegradationRung};
-use crate::sweep::{run_sweep, SweepResult};
-use blinkml_data::{
-    CaptureScratch, Dataset, FeatureVec, IngestPolicy, StreamSnapshot, StreamingPool, TrainScratch,
-};
+use crate::sweep::{sweep_grid, SweepResult};
+use blinkml_data::{Dataset, FeatureVec, IngestPolicy, StreamSnapshot, StreamingPool};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -277,8 +277,8 @@ impl Query {
 ///
 /// Sweep pilots depend on λ, so sweeps **bypass** the server's pilot
 /// cache in both directions (they neither read nor populate it); the
-/// fused engine's shared pilot capture plays the cache's role within
-/// the query.
+/// pipeline's shared pilot capture plays the cache's role within the
+/// query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepQuery {
     /// Dataset version to train against.
@@ -739,7 +739,7 @@ impl Server {
     /// Spawn a server: validates the configuration and datasets,
     /// registers each shard as a pool frozen at epoch 0, and starts
     /// [`ServeConfig::workers`] worker threads, each with its own
-    /// capture scratch.
+    /// pipeline scratch.
     ///
     /// The spec and datasets move into the serving threads; keep
     /// [`DatasetShard`] clones (they are `Arc`-shared) for oracle runs
@@ -871,10 +871,10 @@ impl Server {
                         let (shared, config, spec, registered) =
                             (&shared, &config, &spec, &registered);
                         scope.spawn(move || {
-                            // One capture scratch per worker — never
+                            // One pipeline scratch per worker — never
                             // shared, so two overlapping queries cannot
-                            // alias a packing buffer.
-                            let mut scratch = CaptureScratch::new();
+                            // alias a packing or objective buffer.
+                            let mut scratch = PipelineScratch::default();
                             while let Some(job) = shared.next_job() {
                                 let i = job.dataset;
                                 process_job(
@@ -913,9 +913,9 @@ impl Server {
 
     /// Enqueue a hyperparameter-sweep query, returning a handle that
     /// resolves when a worker completes the whole grid. One sweep is
-    /// one job: the fused engine inside it supplies the per-λ
-    /// parallelism, so grid points never compete with other tenants for
-    /// queue slots mid-sweep.
+    /// one job: the lockstep fits inside it batch the per-λ work, so
+    /// grid points never compete with other tenants for queue slots
+    /// mid-sweep.
     pub fn submit_sweep(&self, query: SweepQuery) -> Result<SweepResponseHandle, ServeError> {
         let ticket = Arc::new(Ticket::default());
         self.enqueue(query.dataset, Request::Sweep(query, ticket.clone()))?;
@@ -1146,7 +1146,7 @@ fn process_job<F, S>(
     spec: &S,
     reg: &Registration<F>,
     shared: &Shared,
-    scratch: &mut CaptureScratch,
+    scratch: &mut PipelineScratch,
     job: Job,
 ) where
     F: FeatureVec,
@@ -1272,7 +1272,7 @@ fn serve_stream_query<F, S>(
     spec: &S,
     reg: &Registration<F>,
     shared: &Shared,
-    scratch: &mut CaptureScratch,
+    scratch: &mut PipelineScratch,
     query: &Query,
     token: &Arc<CancelToken>,
     shed_degraded: bool,
@@ -1328,7 +1328,7 @@ where
             let train = snap.train_dataset();
             let holdout = snap.holdout_dataset();
             return contained(|| {
-                run_train(
+                run_one(
                     &config,
                     spec,
                     &train,
@@ -1340,7 +1340,7 @@ where
                     &control,
                 )
             })
-            .map(|(outcome, _, rung)| (outcome, rung, e));
+            .map(|run| (run.outcome, run.rung, e));
         }
         if score <= serve.drift_fail {
             // Stale but servable: m₀ as-is, with the honestly
@@ -1381,18 +1381,26 @@ where
             // Lead: train the pilot, then complete or fail the
             // in-flight entry.
             let led = contained(|| {
-                run_train(
+                run_one(
                     &config, spec, &train, &holdout, scratch, query.seed, None, true, &control,
                 )
             });
             return match led {
-                Ok((outcome, Some(pilot), rung)) => {
+                Ok(PipelineRun {
+                    outcome,
+                    rung,
+                    pilot: Some(pilot),
+                }) => {
                     stats.pilot_trains.fetch_add(1, Ordering::Relaxed);
                     shared.cache.complete(key, Arc::new(pilot));
                     Ok((outcome, rung, epoch))
                 }
-                Ok((outcome, None, rung)) => {
-                    // `run_train` always returns pilot artifacts when
+                Ok(PipelineRun {
+                    outcome,
+                    rung,
+                    pilot: None,
+                }) => {
+                    // `run_one` always returns pilot artifacts when
                     // asked; retire the entry defensively so a future
                     // regression degrades to cache misses, not a wedge.
                     debug_assert!(false, "leader run returned no pilot artifacts");
@@ -1412,7 +1420,7 @@ where
         }
     };
     contained(|| {
-        run_train(
+        run_one(
             &config,
             spec,
             &train,
@@ -1424,7 +1432,7 @@ where
             &control,
         )
     })
-    .map(|(outcome, _, rung)| (outcome, rung, epoch))
+    .map(|run| (run.outcome, run.rung, epoch))
 }
 
 /// The server's base configuration under one query's contract `(ε, δ,
@@ -1517,16 +1525,17 @@ where
     }
 }
 
-/// The sweep workflow behind [`process_job`]: configure the contract,
-/// run the fused sweep engine against the shard's pool (pilot cache
-/// bypassed — sweep pilots are λ-dependent), with panics contained the
-/// same way training queries contain them.
+/// The sweep workflow behind [`process_job`]: configure the contract and
+/// run the sweep front end against the shard's pool, in the worker's
+/// pipeline scratch (pilot cache bypassed — sweep pilots are
+/// λ-dependent), with panics contained the same way training queries
+/// contain them.
 fn serve_sweep<F, S>(
     base: &BlinkMlConfig,
     spec: &S,
     train: &Dataset<F>,
     holdout: &Dataset<F>,
-    scratch: &mut CaptureScratch,
+    scratch: &mut PipelineScratch,
     query: &SweepQuery,
 ) -> Result<SweepResult, ServeError>
 where
@@ -1535,13 +1544,12 @@ where
 {
     let config = query_config(base, query.epsilon, query.delta, query.initial_sample_size)?;
     contained(|| {
-        run_sweep(
+        sweep_grid(
             &config,
             spec,
             train,
             holdout,
             scratch,
-            &mut TrainScratch::new(),
             &query.lambdas,
             query.seed,
         )

@@ -8,10 +8,11 @@
 //! neither depends on the contract. A [`Session`] hoists both out of
 //! the per-query path:
 //!
-//! * one **capture scratch** is kept across queries: every sample
-//!   (pilot and final, in every query) is packed straight from the
-//!   training pool into its recycled buffers, so steady-state queries
-//!   copy their sampled rows into warm pages and allocate nothing,
+//! * one **pipeline scratch** is kept across queries and sweeps: every
+//!   sample (pilot and final, in every query) is packed straight from
+//!   the training pool into its recycled buffers, so steady-state
+//!   queries copy their sampled rows into warm pages and allocate
+//!   nothing,
 //! * the **pilot artifacts** — the initial model `m₀` and its
 //!   statistics — are cached per `(n₀, seed)` and reused by every later
 //!   query with the same seed, so a sweep of ε targets trains the pilot
@@ -25,19 +26,19 @@
 //! run would recompute, and sample captures are bit-exact by
 //! construction (see `docs/ARCHITECTURE.md`, "Sample captures").
 //!
-//! A `Session` is single-caller (`&mut self` queries, one capture
+//! A `Session` is single-caller (`&mut self` queries, one pipeline
 //! scratch). For many tenants querying concurrently, the
 //! [`serve`](crate::serve) module promotes the same amortization —
-//! cached pilots, a capture scratch per worker, bit-identity — to a
+//! cached pilots, a pipeline scratch per worker, bit-identity — to a
 //! thread-safe server with a worker pool, a keyed LRU, and in-flight
 //! coalescing.
 
 use crate::config::BlinkMlConfig;
-use crate::coordinator::{run_train, PilotState, RunControl, TrainingOutcome};
+use crate::coordinator::{run_one, PilotState, PipelineScratch, RunControl, TrainingOutcome};
 use crate::error::CoreError;
 use crate::mcs::ModelClassSpec;
-use crate::sweep::{run_sweep, SweepResult};
-use blinkml_data::{CaptureScratch, Dataset, FeatureVec, TrainScratch};
+use crate::sweep::{sweep_grid, SweepResult};
+use blinkml_data::{Dataset, FeatureVec};
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -70,9 +71,9 @@ pub struct Session<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> {
     train: &'a Dataset<F>,
     holdout: &'a Dataset<F>,
     pilots: RefCell<HashMap<(usize, u64), PilotState>>,
-    cap_scratch: RefCell<CaptureScratch>,
-    /// The fused sweeps' objective buffers, kept across sweeps.
-    train_scratch: RefCell<TrainScratch>,
+    /// The pipeline's capture and objective buffers, kept across
+    /// queries and sweeps.
+    scratch: RefCell<PipelineScratch>,
 }
 
 impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
@@ -101,8 +102,7 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
             train,
             holdout,
             pilots: RefCell::new(HashMap::new()),
-            cap_scratch: RefCell::new(CaptureScratch::new()),
-            train_scratch: RefCell::new(TrainScratch::new()),
+            scratch: RefCell::new(PipelineScratch::default()),
         })
     }
 
@@ -140,11 +140,12 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
         self.train_with_config(&config, seed)
     }
 
-    /// Evaluate an L2-regularization grid under one `(ε, δ)` contract
-    /// with the fused sweep engine: every λ trains over the same pilot
-    /// capture and the same nested final capture, with per-probe
-    /// objective evaluations batched across live grid points (one fused
-    /// pass over the data per optimizer round instead of one per λ).
+    /// Evaluate an L2-regularization grid under one `(ε, δ)` contract:
+    /// the training pipeline of [`Session::train`] over one spec per λ,
+    /// so every λ trains over the same pilot capture and the same nested
+    /// final capture, with per-probe objective evaluations batched
+    /// across live grid points (one fused pass over the data per
+    /// optimizer round instead of one per λ).
     ///
     /// Results come back in `lambdas` order, each **bit-identical** to
     /// an independent [`Session::train`] on a spec carrying that λ
@@ -152,10 +153,10 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
     ///
     /// The model class must expose a swappable L2 coefficient
     /// ([`ModelClassSpec::with_regularization`]); otherwise the sweep
-    /// is rejected with [`CoreError::InvalidConfig`]. Every other class
-    /// runs the fused engine; one without its own multi-λ kernel runs
-    /// the default [`ModelClassSpec::value_grad_batched_multi`], one
-    /// `value_grad` per grid point per round.
+    /// is rejected with [`CoreError::InvalidConfig`]. A class without its
+    /// own multi-λ kernel runs the default
+    /// [`ModelClassSpec::value_grad_batched_multi`], one `value_grad`
+    /// per grid point per round.
     ///
     /// Sweep pilots are λ-dependent, so they bypass the session's
     /// `(n₀, seed)` pilot cache in both directions.
@@ -171,13 +172,12 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
         config.delta = delta;
         config.validate()?;
         config.exec.apply();
-        run_sweep(
+        sweep_grid(
             &config,
             self.spec,
             self.train,
             self.holdout,
-            &mut self.cap_scratch.borrow_mut(),
-            &mut self.train_scratch.borrow_mut(),
+            &mut self.scratch.borrow_mut(),
             lambdas,
             seed,
         )
@@ -194,38 +194,24 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
         config.exec.apply();
         let n0 = config.initial_sample_size.min(self.train.len());
         let key = (n0, seed);
-        {
-            let pilots = self.pilots.borrow();
-            if let Some(pilot) = pilots.get(&key) {
-                let (outcome, _, _) = run_train(
-                    config,
-                    self.spec,
-                    self.train,
-                    self.holdout,
-                    &mut self.cap_scratch.borrow_mut(),
-                    seed,
-                    Some(pilot),
-                    false,
-                    &RunControl::unbounded(),
-                )?;
-                return Ok(outcome);
-            }
-        }
-        let (outcome, pilot, _) = run_train(
+        let pilots = self.pilots.borrow();
+        let cached = pilots.get(&key);
+        let run = run_one(
             config,
             self.spec,
             self.train,
             self.holdout,
-            &mut self.cap_scratch.borrow_mut(),
+            &mut self.scratch.borrow_mut(),
             seed,
-            None,
-            true,
+            cached,
+            cached.is_none(),
             &RunControl::unbounded(),
         )?;
-        if let Some(p) = pilot {
+        drop(pilots);
+        if let Some(p) = run.pilot {
             self.pilots.borrow_mut().insert(key, p);
         }
-        Ok(outcome)
+        Ok(run.outcome)
     }
 }
 

@@ -1,17 +1,19 @@
-//! The fused hyperparameter-sweep engine (paper §6.5, the
-//! hyperparameter-search workload).
+//! Hyperparameter sweeps (paper §6.5, the hyperparameter-search
+//! workload): one model per L2 coefficient λ over the same data and the
+//! same `(ε, δ)` contract.
 //!
-//! A λ-grid sweep — training one model per L2 coefficient λ over the
-//! same data and the same `(ε, δ)` contract — is the paper's motivating
-//! serving scenario, and a looped [`Session::train`](crate::Session)
-//! baseline repays almost all of its cost to **memory traffic**: every
-//! grid point streams the same pilot sample, the same holdout design
-//! matrix, and (nearly) the same final sample through the cache, once
-//! per optimizer probe, per λ. This module evaluates the whole grid over
-//! one shared substrate instead:
+//! A sweep is the coordinator's training pipeline
+//! ([`crate::coordinator`]) run over K grid points at once, one spec per
+//! λ from [`ModelClassSpec::with_regularization`]. This module is only
+//! its front end: validate the grid, build the specs, and assemble a
+//! [`SweepResult`]. A looped [`Session::train`](crate::Session) would
+//! repay almost all of its cost to **memory traffic** — every grid point
+//! streams the same pilot sample, the same holdout design matrix, and
+//! (nearly) the same final sample through the cache, once per optimizer
+//! probe, per λ. The pipeline shares that substrate instead:
 //!
-//! * **one pilot capture** — the pilot sample is drawn and captured
-//!   once; every λ's initial model trains against the same block,
+//! * **one pilot capture** — every λ's initial model trains against the
+//!   same block,
 //! * **lockstep fused fits** — the K quasi-Newton solves are resumable
 //!   ([`blinkml_optim::Solve`]) and are driven round by round on the
 //!   caller's thread through
@@ -19,54 +21,36 @@
 //!   every unfinished solve's probe with one fused pass over the capture,
 //!   which walks the rows in L1-sized blocks and reuses each block for
 //!   up to K margin evaluations, then for up to K gradient
-//!   accumulations (a whole 4,096-row chunk at d = 100 is 3.2 MB, too
-//!   big to stay cached between probes; see
-//!   `MatrixView::value_grad_fold_multi`). A spec without its own
-//!   multi-λ kernel runs the trait's default, one `value_grad` per
-//!   probe, and still shares every other stage below,
-//! * **no base pass** — each λ's holdout base scores, behind its ε₀
-//!   estimate and its sample-size search, ride as one more column block
-//!   in the GEMM that scores its ε₀ draw pool
-//!   ([`HoldoutScorer::engine`]), so no λ scores its θ₀ in a pass of
-//!   its own,
-//! * **one final capture** — deterministic subsampling is *nested*
-//!   (the size-`n` sample is a prefix of the size-`n'` sample for
-//!   `n ≤ n'`, same seed), so one capture of the largest chosen sample
-//!   serves every grid point as a prefix view.
+//!   accumulations (see `MatrixView::value_grad_fold_multi`). A spec
+//!   without its own multi-λ kernel runs the trait's default, one
+//!   `value_grad` per probe,
+//! * **no base pass** — each λ's holdout base scores ride as one more
+//!   column block in the GEMM that scores its ε₀ draw pool
+//!   ([`HoldoutScorer::engine`](crate::diff_engine::HoldoutScorer::engine)),
+//! * **one final capture** — deterministic subsampling is *nested* (the
+//!   size-`n` sample is a prefix of the size-`n'` sample for `n ≤ n'`,
+//!   same seed), so one capture of the largest chosen sample serves
+//!   every grid point as a prefix view, for its final fit and its ε̂.
 //!
 //! **Exactness contract.** Every grid point's outcome — θ (to the bit,
 //! via `f64::to_bits`), ε₀, ε̂, and the chosen sample size `n` — is
 //! identical to an independent [`Session::train`](crate::Session) run
-//! on a spec with that λ. This holds because every fused kernel in
-//! the chain is bit-identical to its per-λ form: the multi-λ objective
-//! to [`ModelClassSpec::value_grad`] over a prefix view, and prefix
-//! views to captures of the per-λ samples. The round loop only *batches* probe
-//! evaluations; it never mixes state between grid points, so each λ's
-//! optimizer trajectory is exactly the trajectory of a solo solve: each
-//! final fit warm-starts from its own pilot θ₀ over its own sample
-//! prefix, as a solo run does.
+//! on a spec with that λ, which is the same pipeline at K = 1. The
+//! multi-λ objective is bit-identical to [`ModelClassSpec::value_grad`]
+//! over a prefix view, and prefix views to captures of the per-λ
+//! samples; the round loop only *batches* probe evaluations, so each
+//! λ's optimizer trajectory is exactly that of a solo solve.
 //!
 //! A sweep runs entirely on its caller's thread: it starts no thread of
 //! its own, so `ExecConfig::sequential()` runs it on one thread, and a
-//! panic in a kernel unwinds straight to the caller.
-//!
-//! Every spec whose [`ModelClassSpec::with_regularization`] returns
-//! `Some` runs this one engine. The solver runs on the multi-λ
-//! objective directly, never through [`ModelClassSpec::train_view`], so
-//! such a spec must train through the default `train_view` for a sweep
-//! point to equal its solo run.
+//! panic in a kernel unwinds straight to the caller. Sweeps run without
+//! a deadline (`RunControl::unbounded`) and bypass the pilot cache.
 
 use crate::config::BlinkMlConfig;
-use crate::coordinator::{decide_controlled, final_accuracy_scored, ControlledDecision};
-use crate::coordinator::{RunControl, TrainingOutcome, TrainingPhaseTimes};
-use crate::diff_engine::HoldoutScorer;
+use crate::coordinator::{run_pipeline, PipelineScratch, RunControl, TrainingOutcome};
 use crate::error::CoreError;
-use crate::mcs::{ModelClassSpec, SweepEval, TrainedModel};
-use crate::stats::{compute_statistics_view, ModelStatistics};
-use blinkml_data::{CaptureScratch, Dataset, DatasetMatrix, FeatureVec, MatrixView, TrainScratch};
-use blinkml_optim::{MinimizeWorkspace, OptimError, OptimOptions, OptimResult, Solve};
-use blinkml_prob::split_seed;
-use std::time::Instant;
+use crate::mcs::ModelClassSpec;
+use blinkml_data::{Dataset, FeatureVec};
 
 /// One grid point's result.
 #[derive(Debug, Clone)]
@@ -74,9 +58,9 @@ pub struct SweepPoint {
     /// The grid point's L2 coefficient.
     pub lambda: f64,
     /// Its training outcome, bit-identical to an independent run with
-    /// this λ. In the fused engine the phase times are **stage
-    /// aggregates** shared by every point (the stages are fused;
-    /// per-point attribution would be fiction).
+    /// this λ. Its phase times are **stage aggregates** shared by every
+    /// point (the stages are fused; per-point attribution would be
+    /// fiction).
     pub outcome: TrainingOutcome,
 }
 
@@ -92,76 +76,16 @@ pub struct SweepResult {
     pub fused: bool,
 }
 
-/// Run K quasi-Newton solves in lockstep rounds against one shared
-/// design matrix view: solve `k` minimizes the λ = `betas[k]` objective
-/// over the view's first `rows[k]` rows, starting from `theta0s[k]`,
-/// with its own reusable workspace. Each round answers every unfinished
-/// solve's probe with one `value_grad_batched_multi` pass, on the
-/// caller's thread. A solve's path depends only on the answers to its
-/// own probes, and the fused kernel answers each probe bit-identically
-/// to a solo evaluation, so per-solve results are bit-identical to solo
-/// [`blinkml_optim::minimize`] runs on the equivalent single-λ
-/// objective.
-#[allow(clippy::too_many_arguments)]
-fn lockstep_fits<F: FeatureVec>(
-    spec: &dyn ModelClassSpec<F>,
-    betas: &[f64],
-    rows: &[usize],
-    theta0s: &[Vec<f64>],
-    dim: usize,
-    xm: &MatrixView,
-    options: &OptimOptions,
-    workspaces: &mut [MinimizeWorkspace],
-    scratch: &mut TrainScratch,
-) -> Vec<Result<OptimResult, OptimError>> {
-    let mut solves: Vec<Solve> = workspaces
-        .iter_mut()
-        .zip(theta0s)
-        .map(|(ws, theta0)| Solve::new(dim, theta0, options, ws))
-        .collect();
-    loop {
-        let mut evals: Vec<SweepEval> = solves
-            .iter_mut()
-            .zip(betas.iter().zip(rows))
-            .filter_map(|(solve, (&beta, &n))| {
-                let (theta, grad) = solve.probe()?;
-                Some(SweepEval::new(theta, beta, n, grad))
-            })
-            .collect();
-        if evals.is_empty() {
-            break;
-        }
-        spec.value_grad_batched_multi(&mut evals, xm, scratch);
-        let values: Vec<f64> = evals.iter().map(|e| e.value).collect();
-        let live = solves.iter_mut().filter(|solve| !solve.is_done());
-        for (solve, value) in live.zip(values) {
-            solve.tell(value);
-        }
-    }
-    solves.into_iter().map(Solve::finish).collect()
-}
-
-// ---------------------------------------------------------------------
-// The fused sweep workflow.
-// ---------------------------------------------------------------------
-
-/// The sweep engine behind [`Session::sweep`](crate::Session) and the
-/// serving layer: validate the λ grid, instantiate one spec per λ, then
-/// run the fused shared-substrate workflow — one pilot capture, lockstep
-/// pilot fits, per-λ statistics, per-λ decisions, one nested final
-/// capture, and lockstep final fits. Every
-/// grid point shares the `(ε, δ)` contract in `config` and the `seed`,
-/// so grid points share their pilot and final samples; results come
-/// back in `lambdas` order. `scratch` holds the objective buffers; a
-/// caller that keeps it across sweeps allocates them once.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_sweep<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
+/// The sweep front end behind [`Session::sweep`](crate::Session) and the
+/// serving layer: validate the λ grid, instantiate one spec per λ, run
+/// the pipeline over all of them, and return the points in `lambdas`
+/// order.
+pub(crate) fn sweep_grid<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     config: &BlinkMlConfig,
     spec: &S,
     train: &Dataset<F>,
     holdout: &Dataset<F>,
-    cap_scratch: &mut CaptureScratch,
-    scratch: &mut TrainScratch,
+    scratch: &mut PipelineScratch,
     lambdas: &[f64],
     seed: u64,
 ) -> Result<SweepResult, CoreError> {
@@ -186,230 +110,29 @@ pub(crate) fn run_sweep<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
             })
         })
         .collect::<Result<_, _>>()?;
-    let k = specs.len();
-    let full_n = train.len();
-    let n0 = config.initial_sample_size.min(full_n);
-    let dim = specs[0].param_dim(train.dim());
-    let mut workspaces: Vec<MinimizeWorkspace> = (0..k).map(|_| MinimizeWorkspace::new()).collect();
-    let mut phases = TrainingPhaseTimes::default();
-
-    // Stage 1: the shared pilot — one capture, K lockstep fits from each
-    // spec's cold start (exactly a solo run's), then per-λ statistics
-    // against the same view.
-    let t = Instant::now();
-    let sample = train.sample_view(n0, split_seed(seed, 0));
-    let capture = DatasetMatrix::pack(train, sample.indices(), cap_scratch);
-    let view = capture.view();
-    let theta0s: Vec<Vec<f64>> = specs.iter().map(|s| s.cold_start(&view)).collect();
-    let pilot_rows = vec![n0; k];
-    let fits = lockstep_fits(
-        specs[0].as_ref(),
-        lambdas,
-        &pilot_rows,
-        &theta0s,
-        dim,
-        &view,
-        &config.optim,
-        &mut workspaces,
+    let specs: Vec<&dyn ModelClassSpec<F>> = specs.iter().map(AsRef::as_ref).collect();
+    let runs = run_pipeline(
+        config,
+        &specs,
+        train,
+        holdout,
         scratch,
-    );
-    let mut pilots = Vec::with_capacity(k);
-    for fit in fits {
-        let r = fit?;
-        pilots.push(TrainedModel::new(
-            r.theta,
-            n0,
-            r.iterations,
-            r.converged,
-            r.value,
-        ));
-    }
-    phases.initial_training = t.elapsed();
-
-    let t = Instant::now();
-    let stats: Vec<Option<ModelStatistics>> = if n0 < full_n {
-        specs
+        seed,
+        None,
+        false,
+        &RunControl::unbounded(),
+    )?;
+    Ok(SweepResult {
+        points: lambdas
             .iter()
-            .zip(&pilots)
-            .map(|(spec, m)| {
-                compute_statistics_view(
-                    config.statistics_method,
-                    spec.as_ref(),
-                    m.parameters(),
-                    &view,
-                )
-                .map(Some)
+            .zip(runs)
+            .map(|(&lambda, run)| SweepPoint {
+                lambda,
+                outcome: run.outcome,
             })
-            .collect::<Result<_, _>>()?
-    } else {
-        (0..k).map(|_| None).collect()
-    };
-    phases.statistics = t.elapsed();
-    capture.recycle(cap_scratch);
-
-    let assemble = |pilots: Vec<TrainedModel>,
-                    finals: Vec<Option<TrainedModel>>,
-                    decisions: Vec<(f64, f64, bool, usize)>,
-                    phases: &TrainingPhaseTimes| {
-        let points = lambdas
-            .iter()
-            .zip(pilots)
-            .zip(finals)
-            .zip(decisions)
-            .map(
-                |(((&lambda, pilot), fin), (eps0, eps_hat, used_initial, probes))| {
-                    let model = fin.unwrap_or(pilot);
-                    SweepPoint {
-                        lambda,
-                        outcome: TrainingOutcome {
-                            sample_size: model.sample_size,
-                            full_data_size: full_n,
-                            initial_epsilon: eps0,
-                            estimated_epsilon: eps_hat,
-                            used_initial_model: used_initial,
-                            phases: phases.clone(),
-                            search_probes: probes,
-                            model,
-                        },
-                    }
-                },
-            )
-            .collect();
-        SweepResult {
-            points,
-            fused: true,
-        }
-    };
-
-    if n0 == full_n {
-        // The "initial sample" is the whole pool: every grid point is
-        // its exact model.
-        let decisions = vec![(0.0, 0.0, true, 0usize); k];
-        let finals = (0..k).map(|_| None).collect();
-        return Ok(assemble(pilots, finals, decisions, &phases));
-    }
-
-    // Stage 2: the per-λ decision stage (ε₀ estimate + sample-size
-    // search), each against its own scorer, whose θ₀ scores ride in its
-    // ε₀ accuracy GEMM. Per point: `(ε₀, Some((n, probes)))` when the
-    // contract needs a final model on `n` rows, `(ε₀, None)` when the
-    // pilot satisfies it.
-    let t = Instant::now();
-    let unbounded = RunControl::unbounded();
-    let decisions: Vec<(f64, Option<(usize, usize)>)> = specs
-        .iter()
-        .zip(&pilots)
-        .zip(&stats)
-        .map(|((spec, pilot), st)| {
-            let st = st.as_ref().expect("statistics computed when n0 < N");
-            let scorer = HoldoutScorer::new(spec.as_ref(), holdout, pilot.parameters());
-            match decide_controlled(config, &scorer, st, n0, full_n, seed, &unbounded) {
-                ControlledDecision::InitialSatisfies { eps0 } => (eps0, None),
-                ControlledDecision::Train {
-                    eps0, n, probes, ..
-                } => (eps0, Some((n, probes))),
-                ControlledDecision::DegradeToPilot { .. } => {
-                    unreachable!("an unbounded control never degrades")
-                }
-            }
-        })
-        .collect();
-    phases.sample_size_search = t.elapsed();
-
-    // Stage 3: final models for the grid points whose contract needs
-    // one — one nested capture of the largest chosen sample; every
-    // point trains over its own prefix of it.
-    let needs: Vec<(usize, usize)> = decisions
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &(_, train))| train.map(|(n, _)| (i, n)))
-        .collect();
-    let mut finals: Vec<Option<TrainedModel>> = (0..k).map(|_| None).collect();
-    let mut eps_hat: Vec<f64> = vec![0.0; k];
-    if !needs.is_empty() {
-        let max_n = needs.iter().map(|&(_, n)| n).max().expect("non-empty");
-        let t = Instant::now();
-        let fsample = train.sample_view(max_n, split_seed(seed, 3));
-        let fcapture = DatasetMatrix::pack(train, fsample.indices(), cap_scratch);
-        let fview = fcapture.view();
-        // Each point's final fit replays a solo run exactly: warm-started
-        // from its own pilot θ₀ over its own sample prefix, fused through
-        // the lockstep rounds.
-        let betas: Vec<f64> = needs.iter().map(|&(i, _)| lambdas[i]).collect();
-        let rows: Vec<usize> = needs.iter().map(|&(_, n)| n).collect();
-        let starts: Vec<Vec<f64>> = needs
-            .iter()
-            .map(|&(i, _)| pilots[i].parameters().to_vec())
-            .collect();
-        let mut sub_ws: Vec<MinimizeWorkspace> = needs
-            .iter()
-            .map(|&(i, _)| std::mem::take(&mut workspaces[i]))
-            .collect();
-        let fits = lockstep_fits(
-            specs[0].as_ref(),
-            &betas,
-            &rows,
-            &starts,
-            dim,
-            &fview,
-            &config.optim,
-            &mut sub_ws,
-            scratch,
-        );
-        for (&(i, n), fit) in needs.iter().zip(fits) {
-            let r = fit?;
-            finals[i] = Some(TrainedModel::new(
-                r.theta,
-                n,
-                r.iterations,
-                r.converged,
-                r.value,
-            ));
-        }
-        phases.final_training = t.elapsed();
-
-        // Closing per-λ accuracy estimates (when requested), against
-        // each point's prefix view of the shared final capture.
-        let t = Instant::now();
-        for &(i, n) in &needs {
-            eps_hat[i] = if config.estimate_final_accuracy && n < full_n {
-                let pv = fview.prefix(n);
-                let model = finals[i].as_ref().expect("final model trained");
-                let stats_n = compute_statistics_view(
-                    config.statistics_method,
-                    specs[i].as_ref(),
-                    model.parameters(),
-                    &pv,
-                )?;
-                final_accuracy_scored(
-                    config,
-                    specs[i].as_ref(),
-                    holdout,
-                    &stats_n,
-                    model.parameters(),
-                    n,
-                    full_n,
-                    seed,
-                )
-            } else if n >= full_n {
-                0.0
-            } else {
-                config.epsilon
-            };
-        }
-        phases.statistics += t.elapsed();
-        fcapture.recycle(cap_scratch);
-    }
-
-    let summaries: Vec<(f64, f64, bool, usize)> = decisions
-        .iter()
-        .enumerate()
-        .map(|(i, &(eps0, train))| match train {
-            None => (eps0, eps0, true, 0),
-            Some((_, probes)) => (eps0, eps_hat[i], false, probes),
-        })
-        .collect();
-    Ok(assemble(pilots, finals, summaries, &phases))
+            .collect(),
+        fused: true,
+    })
 }
 
 #[cfg(test)]
@@ -421,6 +144,7 @@ mod tests {
     use crate::models::ppca::PpcaSpec;
     use crate::session::Session;
     use blinkml_data::generators::{low_rank_gaussian, synthetic_linear, synthetic_logistic};
+    use blinkml_data::{MatrixView, TrainScratch};
 
     fn config(n0: usize) -> BlinkMlConfig {
         BlinkMlConfig {

@@ -628,7 +628,7 @@ impl<'m> MatrixView<'m> {
     /// probes — each over its own row-count prefix of this view — in one
     /// pass over the data. With one request it is the sweep behind
     /// every single-λ `ModelClassSpec::value_grad`; with several it runs
-    /// the sweep engine's lockstep multi-λ rounds, where the per-λ
+    /// a λ sweep's lockstep multi-λ rounds, where the per-λ
     /// final-sample prefixes all live inside one shared capture.
     ///
     /// For each fixed [`CHUNK_SIZE`] chunk it computes the margins of

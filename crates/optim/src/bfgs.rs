@@ -16,8 +16,8 @@
 //! The loop is resumable ([`Solve`]): instead of calling an objective it
 //! hands out each point it needs evaluated and waits to be told the
 //! value, so one caller can drive many solves and answer their probes
-//! together, as the λ-sweep engine does with one fused kernel pass per
-//! round. [`minimize_with`](crate::minimize_with) is the same solve
+//! together, as a λ sweep's lockstep fits do with one fused kernel pass
+//! per round. [`minimize_with`](crate::minimize_with) is the same solve
 //! driven against a single objective.
 
 use crate::linesearch::{LineSearchScratch, WolfeParams, WolfeSearch};
@@ -35,8 +35,9 @@ pub(crate) const LBFGS_MEMORY: usize = 10;
 /// [`minimize_with`](crate::minimize_with) and [`Solve`]: one set of gradient,
 /// direction, step and line-search probe buffers plus the active
 /// inverse-Hessian state, so one instance serves a stream of fits
-/// whatever dimension each runs at. The sweep engine keeps one per grid
-/// point, so each λ's pilot and final fits share one allocation set.
+/// whatever dimension each runs at. The training pipeline's scratch keeps
+/// one per lockstep solve, so a λ sweep's pilot and final fits, and its
+/// later sweeps, share one allocation set.
 /// Every buffer is fully (re)initialized on entry: reuse moves only
 /// allocations, never a bit.
 #[derive(Default)]
